@@ -11,7 +11,6 @@ package glign
 import (
 	"fmt"
 	"io"
-	"sync"
 	"testing"
 
 	"github.com/glign/glign/internal/align"
@@ -148,13 +147,9 @@ func benchTelemetry(b *testing.B, enabled bool) {
 	}
 }
 
-// Scheduler regression guard: the persistent work-stealing pool versus the
-// old spawn-per-call scheduler (par.ForSpawn, retained exactly for this
-// comparison) on a 1M-element loop. The acceptance bar is pool at
-// parity-or-faster at workers >= 4; BENCH_PR4.json records the measured
-// numbers and the README summarizes them. Compare with
-//
-//	go test -bench='BenchmarkParFor' -count=10 | benchstat
+// Scheduler microbenchmarks: the persistent work-stealing pool on a
+// 1M-element loop. BENCH_PR4.json records the one-off comparison against the
+// spawn-per-call scheduler the pool replaced (since deleted).
 
 // parBenchN is >= 1M elements, per the guard's acceptance criterion.
 const parBenchN = 1 << 20
@@ -180,11 +175,6 @@ func BenchmarkParFor(b *testing.B) {
 				par.For(parBenchN, w, 0, body)
 			}
 		})
-		b.Run(fmt.Sprintf("spawn/w%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				par.ForSpawn(parBenchN, w, 0, body)
-			}
-		})
 	}
 }
 
@@ -202,24 +192,6 @@ func BenchmarkParForReduce(b *testing.B) {
 						return acc
 					},
 					func(a, b float64) float64 { return a + b })
-			}
-		})
-		// The pre-pool fold idiom: spawn-per-call For with a mutex-merged
-		// accumulator.
-		b.Run(fmt.Sprintf("spawn/w%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				var mu sync.Mutex
-				var total float64
-				par.ForSpawn(parBenchN, w, 0, func(lo, hi int) {
-					var acc float64
-					for j := lo; j < hi; j++ {
-						acc += data[j]
-					}
-					mu.Lock()
-					total += acc
-					mu.Unlock()
-				})
-				sink = total
 			}
 		})
 	}

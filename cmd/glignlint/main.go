@@ -64,8 +64,7 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// run parses flags and delegates to the shared lint.CLI driver (cmd/doclint
-// rides the same helper, so the two binaries cannot drift on semantics).
+// run parses flags and delegates to the lint.CLI driver.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("glignlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)

@@ -78,3 +78,52 @@ func historyLoop(n, iters int) [][]int {
 	}
 	return history
 }
+
+// The traversal-driver shape: the worker closure is bound once before the
+// loop, and calls a chunk body it reads from a struct field that policies
+// fill with method values. The chunk bodies are as hot as a closure literal
+// handed to par directly.
+type step struct {
+	total int
+	body  func(lo, hi int) int
+}
+
+type policy struct{ active []int }
+
+// badChunk allocates a map per chunk — true positive, reached only through
+// step.body.
+func (p *policy) badChunk(lo, hi int) int {
+	seen := map[int]bool{} // true positive: per-chunk map literal
+	for _, v := range p.active[lo:hi] {
+		seen[v] = true
+	}
+	return len(seen)
+}
+
+// goodChunk uses the reserved-scratch idiom — true negative.
+func (p *policy) goodChunk(lo, hi int) int {
+	lanes := make([]int, 0, hi-lo) // scratch make: exempt by idiom
+	for _, v := range p.active[lo:hi] {
+		lanes = append(lanes, v) // reserved on every path: exempt
+	}
+	return len(lanes)
+}
+
+func (p *policy) step(iter int) step {
+	if iter%2 == 0 {
+		return step{total: len(p.active), body: p.badChunk}
+	}
+	return step{total: len(p.active), body: p.goodChunk}
+}
+
+// drive is the prescribed driver: no closure literal and no allocation inside
+// the iteration loop — true negative.
+func drive(pool *par.Pool, p *policy, iters int) {
+	var body func(lo, hi int) int
+	chunk := func(lo, hi int) { _ = body(lo, hi) }
+	for iter := 0; iter < iters; iter++ {
+		s := p.step(iter)
+		body = s.body
+		pool.For(s.total, 0, 0, chunk)
+	}
+}

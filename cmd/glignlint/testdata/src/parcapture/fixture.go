@@ -101,3 +101,48 @@ func suppressedSum(xs []int) int {
 	})
 	return total
 }
+
+// The traversal-driver shape: chunk bodies are method values stored in a
+// struct field and called from a worker closure bound to a variable. A method
+// worker's receiver is shared by every chunk.
+type step struct {
+	total int
+	body  func(lo, hi int) int
+}
+
+type policy struct {
+	active []int
+	calls  int
+}
+
+// racyChunk counts its calls in a receiver field: true positive, reached only
+// through step.body.
+func (p *policy) racyChunk(lo, hi int) int {
+	p.calls++
+	return hi - lo
+}
+
+// cleanChunk keeps its state local and only reads the receiver: true
+// negative.
+func (p *policy) cleanChunk(lo, hi int) int {
+	n := 0
+	for range p.active[lo:hi] {
+		n++
+	}
+	return n
+}
+
+func drive(pool *par.Pool, p *policy, iters int) int64 {
+	var total int64
+	var body func(lo, hi int) int
+	chunk := func(lo, hi int) { atomic.AddInt64(&total, int64(body(lo, hi))) }
+	for iter := 0; iter < iters; iter++ {
+		s := step{total: len(p.active), body: p.cleanChunk}
+		if iter%2 == 0 {
+			s.body = p.racyChunk
+		}
+		body = s.body
+		pool.For(s.total, 0, 0, chunk)
+	}
+	return total
+}

@@ -80,6 +80,10 @@ func TestGraphMHonorsAlignment(t *testing.T) {
 		{Kernel: queries.SSSP, Source: 7},
 	}
 	checkAgainstReference(t, GraphM{}, g, batch, core.Options{Alignment: []int{2, 0}, Workers: 1})
+	// Lane 0 arrives long after lane 1 reached its fixed point (idle
+	// iterations in between); both lanes share lane 1's source.
+	batch[0].Source = 7
+	checkAgainstReference(t, GraphM{}, g, batch, core.Options{Alignment: []int{30, 0}, Workers: 2})
 }
 
 func TestQueryParallelMatchesReference(t *testing.T) {

@@ -2,12 +2,9 @@ package baselines
 
 import (
 	"sort"
-	"sync/atomic"
 
 	"github.com/glign/glign/internal/core"
-	"github.com/glign/glign/internal/frontier"
 	"github.com/glign/glign/internal/graph"
-	"github.com/glign/glign/internal/par"
 	"github.com/glign/glign/internal/queries"
 	"github.com/glign/glign/internal/telemetry"
 )
@@ -58,138 +55,81 @@ func partitionRanges(g *graph.Graph, target int64) [][2]int {
 
 // Run implements core.Engine.
 func (e GraphM) Run(g *graph.Graph, batch []queries.Query, opt core.Options) (*core.BatchResult, error) {
-	st, err := core.PrepareBatch(g, batch, opt)
-	if err != nil {
-		return nil, err
+	return core.Drive(g, batch, opt, func(st *core.BatchSetup) core.LanePolicy {
+		return &graphmPolicy{
+			g: g, st: st, parts: partitionRanges(g, e.PartitionBytes),
+			LaneFrontiers: core.NewLaneFrontiers(st.N, st.B),
+			active:        make([][]graph.VertexID, st.B),
+		}
+	})
+}
+
+// graphmPolicy keeps B separate frontier pairs — each job owns its state —
+// and no unified frontier: an iteration is a pass over the partitions;
+// injecting and advancing are the frontier pairs' own Inject and Advance.
+type graphmPolicy struct {
+	g     *graph.Graph
+	st    *core.BatchSetup
+	parts [][2]int
+	core.LaneFrontiers
+	active [][]graph.VertexID
+}
+
+// Step materializes the sparse views up front: the partition workers only
+// read them. With no unified frontier, the reported frontier size is the sum
+// of the per-job frontier sizes — a vertex active for k jobs counts k times,
+// unlike the other engines' union count (kept as GraphM always reported it).
+func (p *graphmPolicy) Step() core.Step {
+	size := 0
+	for i, s := range p.Cur {
+		p.active[i] = s.Sparse()
+		size += len(p.active[i])
 	}
-	n, b := st.N, st.B
-	kinds := queries.KindsOf(st.Kernels)
-	res := st.NewResult()
-	parts := partitionRanges(g, e.PartitionBytes)
+	return core.Step{Size: size, Total: len(p.parts), Grain: 1, Body: p.stream, Mode: telemetry.ModePush}
+}
 
-	tr := opt.Tracer
-	workers := opt.Workers
-	var addr *core.TraceAddressing
-	if tr != nil {
-		workers = 1
-		addr = core.NewTraceAddressing(g, b, core.LayoutTwoLevel)
-	}
-
-	sep := make([]*frontier.Subset, b)
-	for i := range sep {
-		sep[i] = frontier.New(n)
-	}
-
-	for iter := 0; ; iter++ {
-		injected := 0
-		for _, qi := range st.InjectionsAt(iter) {
-			src := st.Sources[qi]
-			st.Vals.Set(st.Cell(int(src), qi), st.Kernels[qi].SourceValue())
-			sep[qi].Add(src)
-			injected++
-		}
-		unionCount := 0
-		for _, s := range sep {
-			unionCount += s.Count()
-		}
-		if unionCount == 0 && !st.PendingAfter(iter) {
-			break
-		}
-		if opt.MaxIterations > 0 && iter >= opt.MaxIterations {
-			break
-		}
-		res.UnionFrontierSizes = append(res.UnionFrontierSizes, unionCount)
-		res.GlobalIterations++
-		prevEdges := atomic.LoadInt64(&res.EdgesProcessed)
-		prevRelaxes := atomic.LoadInt64(&res.LaneRelaxations)
-		prevWrites := atomic.LoadInt64(&res.ValueWrites)
-
-		// Materialize sparse views up front: the partition workers below
-		// only read them. Each materialization scans the query's frontier
-		// bitmap.
-		active := make([][]graph.VertexID, b)
-		for i, s := range sep {
-			active[i] = s.Sparse()
-			if tr != nil {
-				core.TraceRegionScan(tr, addr.SepCurBase(i), s.WordsBytes())
-			}
-		}
-		nextSep := make([]*frontier.Subset, b)
-		for i := range nextSep {
-			nextSep[i] = frontier.New(n)
-		}
-		// Partition-centric processing: stream each edge block once and run
-		// every query's active vertices of that block against it. Blocks
-		// are processed in parallel; within a block, jobs run one after
-		// another (each job is independent in GraphM).
-		par.OrDefault(opt.Pool).For(len(parts), workers, 1, func(plo, phi int) {
-			var edges, relaxes, writes int64
-			for pi := plo; pi < phi; pi++ {
-				vlo, vhi := parts[pi][0], parts[pi][1]
-				for qi := 0; qi < b; qi++ {
-					act := active[qi]
-					if len(act) == 0 {
-						continue
-					}
-					// The sparse view is sorted; binary-search the slice of
-					// active vertices inside this partition.
-					start := sort.Search(len(act), func(i int) bool { return int(act[i]) >= vlo })
-					k := st.Kernels[qi]
-					kind := kinds[qi]
-					for ai := start; ai < len(act) && int(act[ai]) < vhi; ai++ {
-						v := act[ai]
-						sv := st.Vals.Get(st.Cell(int(v), qi))
-						if tr != nil {
-							tr.Access(addr.OffsetAddr(v), 8, false)
-							tr.Access(addr.ValueAddr(int(v)*b+qi), 8, false)
-						}
-						nbrs, ws := g.OutEdges(v)
-						for j, d := range nbrs {
-							edges++
-							relaxes++
-							w := graph.Weight(1)
-							if ws != nil {
-								w = ws[j]
-							}
-							if tr != nil {
-								addr.TraceEdgeRead(tr, g, int64(g.Offsets[v])+int64(j))
-								tr.Access(addr.ValueAddr(int(d)*b+qi), 8, false)
-							}
-							if queries.RelaxImprove(st.Vals, kind, k, st.Cell(int(d), qi), sv, w) {
-								writes++
-								if tr != nil {
-									tr.Access(addr.ValueAddr(int(d)*b+qi), 8, true)
-									tr.Access(addr.SepNextWordAddr(qi, d), 8, true)
-								}
-								nextSep[qi].AddSync(d)
-							}
-						}
-					}
+// visit is the partition-centric order over parts: stream each edge block
+// once and run every job's active vertices of that block against it (active
+// holds each job's sorted active vertices). Blocks are processed in
+// parallel; within a block, jobs run one after another (each job is
+// independent in GraphM).
+func visit(parts [][2]int, active [][]graph.VertexID, job func(v graph.VertexID, lane int)) {
+	for _, part := range parts {
+		for lane, act := range active {
+			// Binary-search the slice of active vertices inside this partition.
+			start := sort.Search(len(act), func(i int) bool { return int(act[i]) >= part[0] })
+			for _, v := range act[start:] {
+				if int(v) >= part[1] {
+					break
 				}
+				job(v, lane)
 			}
-			atomic.AddInt64(&res.EdgesProcessed, edges)
-			atomic.AddInt64(&res.LaneRelaxations, relaxes)
-			atomic.AddInt64(&res.ValueWrites, writes)
-		})
-		sep = nextSep
-		if opt.Telemetry != nil {
-			opt.Telemetry.RecordIteration(telemetry.IterationStat{
-				Iter:            iter,
-				Query:           -1,
-				FrontierSize:    unionCount,
-				Mode:            telemetry.ModePush,
-				ActiveQueries:   st.ActiveAt(iter),
-				InjectedQueries: injected,
-				EdgesProcessed:  atomic.LoadInt64(&res.EdgesProcessed) - prevEdges,
-				LaneRelaxations: atomic.LoadInt64(&res.LaneRelaxations) - prevRelaxes,
-				ValueWrites:     atomic.LoadInt64(&res.ValueWrites) - prevWrites,
-			})
-		}
-		if tr != nil {
-			addr.SwapFrontiers()
 		}
 	}
-	return res, nil
+}
+
+func (p *graphmPolicy) stream(plo, phi int) (c core.Counts) {
+	st := p.st
+	visit(p.parts[plo:phi], p.active, func(v graph.VertexID, lane int) {
+		sv := st.Vals.Get(st.Cell(int(v), lane))
+		nbrs, ws := p.g.OutEdges(v)
+		// Per-job edge passes: every edge visit is one lane relaxation.
+		c.Edges += int64(len(nbrs))
+		c.Relaxes += int64(len(nbrs))
+		for j, d := range nbrs {
+			if queries.RelaxImprove(st.Vals, st.Kinds[lane], st.Kernels[lane], st.Cell(int(d), lane), sv, core.WeightAt(ws, j)) {
+				c.Writes++
+				p.Next[lane].AddSync(d)
+			}
+		}
+	})
+	return c
+}
+
+// VisitOrder is what the cache-trace model of a job-per-query design asks for
+// (see core.Drive): one iteration's visits in partition-centric order.
+func (p *graphmPolicy) VisitOrder(active [][]graph.VertexID, job func(v graph.VertexID, lane int)) {
+	visit(p.parts, active, job)
 }
 
 var _ core.Engine = GraphM{}

@@ -192,7 +192,7 @@ func (c *envCache) get(d graph.Dataset, cfg Config) *env {
 		c.m = map[string]*env{}
 		c.size = cfg.Size
 	}
-	key := fmt.Sprintf("%s/%d/%d", d, cfg.Size, cfg.Seed)
+	key := fmt.Sprintf("%s/%d/%d/%d", d, cfg.Size, cfg.Seed, cfg.BufferSize)
 	if e, ok := c.m[key]; ok {
 		return e
 	}

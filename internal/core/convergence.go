@@ -14,10 +14,9 @@ import (
 
 // RunConvergenceBatch is the lane-fused Jacobi evaluator behind the batch
 // engines: one synchronized round recomputes every vertex for every
-// still-running lane from the previous round's in-neighbor values, using the
-// same layout machinery as the monotone engines (Options.Layout; padded
-// per-lane segments by default, so a lane's gather of in-neighbor values
-// walks one n-cell segment instead of striding across all B lanes). The batch must be
+// still-running lane from the previous round's in-neighbor values, in the
+// same padded per-lane layout as the monotone engines (a lane's gather of
+// in-neighbor values walks one n-cell segment). The batch must be
 // paradigm-homogeneous — every kernel a queries.ConvergenceKernel; the
 // batching layers split mixed buffers before routing.
 //
@@ -59,27 +58,20 @@ func RunConvergenceBatch(g *graph.Graph, batch []queries.Query, opt Options) (*B
 	pool := par.OrDefault(opt.Pool)
 	workers := opt.Workers
 
-	// The Jacobi path ignores Options.Tracer, so LayoutAuto is always padded.
-	layout := opt.Layout
-	if layout == LayoutAuto {
-		layout = LayoutPadded
-	}
-	vstride, laneOff, total := layoutGeometry(layout, n, b)
+	laneOff, total := laneOffsets(n, b)
 
 	old := make([]queries.Value, total)
 	next := make([]queries.Value, total)
 	pool.For(n, workers, 0, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
-			base := v * vstride
 			for i := 0; i < b; i++ {
-				old[base+laneOff[i]] = kers[i].InitialValue(n, graph.VertexID(v), batch[i].Source)
+				old[laneOff[i]+v] = kers[i].InitialValue(n, graph.VertexID(v), batch[i].Source)
 			}
 		}
 	})
 
 	res := &BatchResult{
 		B: b, N: n,
-		VStride:       vstride,
 		LaneOff:       laneOff,
 		LaneRounds:    make([]int, b),
 		LaneConverged: make([]bool, b),
@@ -94,10 +86,7 @@ func RunConvergenceBatch(g *graph.Graph, batch []queries.Query, opt Options) (*B
 			roundResid[i] = 0
 		}
 		sizes = append(sizes, n)
-		var prev iterCounters
-		if opt.Telemetry != nil {
-			prev = countersOf(res)
-		}
+		prev := countersOf(res)
 		pool.For(n, workers, 0, func(lo, hi int) {
 			scratch := engine.NewJacobiScratch(geo.MaxInDeg, b)
 			var edges, relaxes, writes int64
@@ -107,20 +96,16 @@ func RunConvergenceBatch(g *graph.Graph, batch []queries.Query, opt Options) (*B
 					scratch.Degs[j] = geo.OutDeg[u]
 				}
 				edges += int64(len(us))
-				base := v * vstride
 				for i := 0; i < b; i++ {
-					cell := base + laneOff[i]
+					cell := laneOff[i] + v
 					if done[i] {
 						next[cell] = old[cell]
 						continue
 					}
-					// The gather stays inside lane i's segment under the
-					// padded layout (old[laneOff[i]+u]); interleaved runs
-					// stride across all B lanes per neighbor, the paper's
-					// shape.
+					// The gather stays inside lane i's segment.
 					off := laneOff[i]
 					for j, u := range us {
-						scratch.Nbrs[j] = old[int(u)*vstride+off]
+						scratch.Nbrs[j] = old[off+int(u)]
 					}
 					nv := kers[i].Step(n, old[cell], scratch.Nbrs[:len(us)], scratch.Degs[:len(us)])
 					next[cell] = nv
@@ -175,9 +160,9 @@ func RunConvergenceBatch(g *graph.Graph, batch []queries.Query, opt Options) (*B
 				Mode:            telemetry.ModeJacobi,
 				ActiveQueries:   active,
 				InjectedQueries: injected,
-				EdgesProcessed:  cur.edges - prev.edges,
-				LaneRelaxations: cur.relaxes - prev.relaxes,
-				ValueWrites:     cur.writes - prev.writes,
+				EdgesProcessed:  cur.Edges - prev.Edges,
+				LaneRelaxations: cur.Relaxes - prev.Relaxes,
+				ValueWrites:     cur.Writes - prev.Writes,
 			})
 		}
 	}
@@ -185,9 +170,8 @@ func RunConvergenceBatch(g *graph.Graph, batch []queries.Query, opt Options) (*B
 	vals := queries.NewValues(total, 0)
 	pool.For(n, workers, 0, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
-			base := v * vstride
-			for i := 0; i < b; i++ {
-				vals.Set(base+laneOff[i], old[base+laneOff[i]])
+			for _, off := range laneOff {
+				vals.Set(off+v, old[off+v])
 			}
 		}
 	})
@@ -209,15 +193,10 @@ func RunConvergenceSequential(g *graph.Graph, batch []queries.Query, opt Options
 	if rev == nil && g.Directed {
 		rev = g.Reverse()
 	}
-	layout := opt.Layout
-	if layout == LayoutAuto {
-		layout = LayoutPadded
-	}
-	vstride, laneOff, total := layoutGeometry(layout, n, b)
+	laneOff, total := laneOffsets(n, b)
 	vals := queries.NewValues(total, 0)
 	res := &BatchResult{
 		B: b, N: n, Values: vals,
-		VStride:       vstride,
 		LaneOff:       laneOff,
 		LaneRounds:    make([]int, b),
 		LaneConverged: make([]bool, b),
@@ -240,7 +219,7 @@ func RunConvergenceSequential(g *graph.Graph, batch []queries.Query, opt Options
 			return nil, err
 		}
 		for v := 0; v < n; v++ {
-			vals.Set(v*vstride+laneOff[i], r.Values[v])
+			vals.Set(laneOff[i]+v, r.Values[v])
 		}
 		res.LaneRounds[i] = r.Iterations
 		res.LaneResiduals[i] = r.Residual

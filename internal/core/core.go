@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
+	"sort"
 
 	"github.com/glign/glign/internal/graph"
 	"github.com/glign/glign/internal/memtrace"
@@ -11,68 +11,24 @@ import (
 	"github.com/glign/glign/internal/telemetry"
 )
 
-// ValueLayout selects the physical arrangement of the batched value array.
-//
-// The paper's §3.5 layout interleaves the B per-query values of each vertex
-// (cell of vertex v, query i at v*B+i) so one vertex's values share a cache
-// line. That is the right shape for the relaxation inner loop, but it puts
-// different queries' values on the same line: concurrent lanes writing
-// different queries of neighboring vertices fight over lines (false sharing),
-// and per-lane passes (the Jacobi gather of convergence kernels, per-query
-// extraction) walk the array at stride B.
-//
-// The padded layout gives each query lane its own cache-line-aligned segment
-// (cell of vertex v, query i at i*laneStride+v, laneStride rounded up to a
-// multiple of 8 cells = 64 bytes): lanes never share a line, and per-lane
-// passes become unit-stride. Engines address cells through BatchSetup.Cell /
-// the VStride+LaneOff pair, so both layouts run through identical code.
-type ValueLayout int
+// The batched value array uses one layout: each query lane owns a
+// cache-line-aligned segment (cell of vertex v, query i at LaneOff[i]+v), so
+// concurrent lanes never share a line and per-lane passes — the Jacobi gather
+// of convergence kernels, per-query extraction — are unit-stride. The paper's
+// §3.5 interleaved layout (cell v*B+i) survives only as the address model of
+// the cache-trace simulation (tracing.go), which computes those addresses
+// itself and never reads real cell indices.
 
-const (
-	// LayoutAuto picks padded, except under a memtrace.Tracer where the
-	// simulated address stream must stay faithful to the paper's interleaved
-	// model (tracing already forces workers=1, so false sharing is moot).
-	LayoutAuto ValueLayout = iota
-	// LayoutInterleaved is the paper's §3.5 layout: cell(v, i) = v*B+i.
-	LayoutInterleaved
-	// LayoutPadded is the per-lane layout: cell(v, i) = i*laneStride+v with
-	// 64-byte-aligned lane segments.
-	LayoutPadded
-)
-
-func (l ValueLayout) String() string {
-	switch l {
-	case LayoutInterleaved:
-		return "interleaved"
-	case LayoutPadded:
-		return "padded"
-	}
-	return "auto"
-}
-
-// laneStrideFor rounds the per-lane segment length up to a multiple of 8
-// cells, so each 8-byte-cell segment starts and ends on a 64-byte line
-// boundary and no two lanes ever share a cache line.
-func laneStrideFor(n int) int {
-	return (n + 7) &^ 7
-}
-
-// layoutGeometry realizes a resolved layout over an n x b value array:
-// vertex v, lane i lives at v*vstride+laneOff[i], and total is the array
-// length (including alignment padding for the padded layout).
-func layoutGeometry(layout ValueLayout, n, b int) (vstride int, laneOff []int, total int) {
+// laneOffsets lays an n x b value array out as b lane segments, each rounded
+// up to a multiple of 8 cells so every 8-byte-cell segment starts and ends on
+// a 64-byte line boundary. total is the array length including the padding.
+func laneOffsets(n, b int) (laneOff []int, total int) {
+	stride := (n + 7) &^ 7
 	laneOff = make([]int, b)
-	if layout == LayoutPadded {
-		stride := laneStrideFor(n)
-		for i := range laneOff {
-			laneOff[i] = i * stride
-		}
-		return 1, laneOff, stride * b
-	}
 	for i := range laneOff {
-		laneOff[i] = i
+		laneOff[i] = i * stride
 	}
-	return b, laneOff, n * b
+	return laneOff, stride * b
 }
 
 // Options configures a batch evaluation.
@@ -92,21 +48,18 @@ type Options struct {
 	// MaxIterations aborts evaluation when > 0 (tests only; monotone
 	// kernels otherwise reach a fixed point).
 	MaxIterations int
-	// Tracer, when non-nil, receives every simulated memory access.
+	// Tracer, when non-nil, receives every simulated memory access: the
+	// frontier engines then run their serial traced model (tracing.go).
 	Tracer memtrace.Tracer
 	// ReverseGraph, when non-nil, enables direction optimization in the
 	// query-oblivious engine: dense global iterations run in pull mode over
-	// this edge-reversed graph (see hybrid.go). Other engines and tracing
+	// this edge-reversed graph (see oblivious.go). Other engines and tracing
 	// runs ignore it.
 	ReverseGraph *graph.Graph
 	// Telemetry, when non-nil, receives one IterationStat per global
 	// iteration (per per-query iteration for sequential engines). Nil —
 	// the default — makes every hook a no-op nil-receiver call.
 	Telemetry *telemetry.BatchTrace
-	// Layout selects the value-array arrangement (see ValueLayout). The
-	// zero value LayoutAuto resolves to padded, or interleaved under a
-	// Tracer.
-	Layout ValueLayout
 }
 
 // BatchResult is the outcome of evaluating one batch.
@@ -115,12 +68,9 @@ type BatchResult struct {
 	B int
 	// N is the vertex count of the graph.
 	N int
-	// Values is the flat batched value array. Vertex v, query q lives at
-	// v*VStride+LaneOff[q]; a nil LaneOff means the paper's interleaved
-	// layout (v*B+q), which keeps hand-built results in older tests valid.
-	Values *queries.Values
-	// VStride and LaneOff describe the value-array layout (see ValueLayout).
-	VStride int
+	// Values is the flat batched value array: vertex v, query q lives at
+	// LaneOff[q]+v (see laneOffsets).
+	Values  *queries.Values
 	LaneOff []int
 	// GlobalIterations counts executed global iterations.
 	GlobalIterations int
@@ -145,25 +95,16 @@ type BatchResult struct {
 	LaneResiduals []float64
 }
 
-// cell returns the value-array index of vertex v, query q under the result's
-// layout.
-func (r *BatchResult) cell(v, q int) int {
-	if r.LaneOff == nil {
-		return v*r.B + q
-	}
-	return v*r.VStride + r.LaneOff[q]
-}
-
 // Value returns the final value of vertex v for query q.
 func (r *BatchResult) Value(q int, v graph.VertexID) queries.Value {
-	return r.Values.Get(r.cell(int(v), q))
+	return r.Values.Get(r.LaneOff[q] + int(v))
 }
 
 // QueryValues copies out the full value vector of query q.
 func (r *BatchResult) QueryValues(q int) []queries.Value {
 	out := make([]queries.Value, r.N)
 	for v := 0; v < r.N; v++ {
-		out[v] = r.Values.Get(r.cell(v, q))
+		out[v] = r.Values.Get(r.LaneOff[q] + v)
 	}
 	return out
 }
@@ -181,41 +122,38 @@ type Engine interface {
 // injection schedule. It is exported so the comparator engines in
 // internal/baselines share the exact same batch semantics.
 type BatchSetup struct {
-	B        int
-	N        int
-	Kernels  []queries.Kernel
+	B       int
+	N       int
+	Kernels []queries.Kernel
+	// Kinds[i] is queries.KindOf(Kernels[i]), the fast-path selector
+	// queries.RelaxImprove takes.
+	Kinds []queries.OpKind
+	// groups is every lane, grouped by kind (see laneGroup).
+	groups   []laneGroup
 	Identity []queries.Value
 	Vals     *queries.Values
-	// Layout is the resolved value-array layout; VStride and LaneOff realize
-	// it: vertex v, query i lives at v*VStride+LaneOff[i]. Interleaved runs
-	// carry VStride=B, LaneOff[i]=i (so Cell(v,i) == v*B+i, the paper's
-	// formula); padded runs carry VStride=1, LaneOff[i]=i*laneStride.
-	Layout  ValueLayout
-	VStride int
+	// LaneOff realizes the value layout: vertex v, query i lives at
+	// LaneOff[i]+v.
 	LaneOff []int
-	// Alignment[i] = global iteration at which query i starts; MaxAlign is
-	// the last injection iteration.
+	// Alignment[i] = global iteration at which query i starts.
 	Alignment []int
-	MaxAlign  int
 	Sources   []graph.VertexID
+	// schedule lists the lanes in injection order — by alignment, then by
+	// lane — so Drive walks a cursor instead of rescanning Alignment every
+	// iteration.
+	schedule []int
 }
 
 // Cell returns the value-array index of vertex v, query lane i.
 func (st *BatchSetup) Cell(v, i int) int {
-	return v*st.VStride + st.LaneOff[i]
+	return st.LaneOff[i] + v
 }
 
 // NewResult builds the engine result envelope carrying the setup's sizes,
 // value array and layout, so BatchResult.Value addresses cells the same way
 // the engine wrote them.
 func (st *BatchSetup) NewResult() *BatchResult {
-	return &BatchResult{
-		B:       st.B,
-		N:       st.N,
-		Values:  st.Vals,
-		VStride: st.VStride,
-		LaneOff: st.LaneOff,
-	}
+	return &BatchResult{B: st.B, N: st.N, Values: st.Vals, LaneOff: st.LaneOff}
 }
 
 // PrepareBatch validates a batch against a graph and options and builds its
@@ -249,32 +187,28 @@ func PrepareBatch(g *graph.Graph, batch []queries.Query, opt Options) (*BatchSet
 		st.Identity[i] = q.Kernel.Identity()
 		st.Sources[i] = q.Source
 	}
-	if opt.Alignment != nil {
-		if len(opt.Alignment) != b {
-			return nil, fmt.Errorf("core: alignment vector length %d != batch size %d", len(opt.Alignment), b)
-		}
-		st.Alignment = opt.Alignment
-		for _, a := range st.Alignment {
-			if a < 0 {
-				return nil, fmt.Errorf("core: negative alignment %d", a)
-			}
-			if a > st.MaxAlign {
-				st.MaxAlign = a
-			}
-		}
-	} else {
+	st.Kinds = queries.KindsOf(st.Kernels)
+	st.groups = groupLanes(st.Kinds)
+	if st.Alignment = opt.Alignment; st.Alignment == nil {
 		st.Alignment = make([]int, b)
 	}
-	st.Layout = opt.Layout
-	if st.Layout == LayoutAuto {
-		if opt.Tracer != nil {
-			st.Layout = LayoutInterleaved
-		} else {
-			st.Layout = LayoutPadded
+	if len(st.Alignment) != b {
+		return nil, fmt.Errorf("core: alignment vector length %d != batch size %d", len(st.Alignment), b)
+	}
+	for _, a := range st.Alignment {
+		if a < 0 {
+			return nil, fmt.Errorf("core: negative alignment %d", a)
 		}
 	}
+	st.schedule = make([]int, b)
+	for i := range st.schedule {
+		st.schedule[i] = i
+	}
+	sort.SliceStable(st.schedule, func(i, j int) bool {
+		return st.Alignment[st.schedule[i]] < st.Alignment[st.schedule[j]]
+	})
 	var total int
-	st.VStride, st.LaneOff, total = layoutGeometry(st.Layout, n, b)
+	st.LaneOff, total = laneOffsets(n, b)
 	st.Vals = queries.NewValues(total, 0)
 	// The identity fill touches every cell; for large graphs that is the
 	// batch's first cold pass over the value array, so spread it over the
@@ -282,92 +216,10 @@ func PrepareBatch(g *graph.Graph, batch []queries.Query, opt Options) (*BatchSet
 	// lane-segment tails are never addressed and stay zero.
 	par.OrDefault(opt.Pool).For(n, opt.Workers, 0, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
-			base := v * st.VStride
-			for i := 0; i < b; i++ {
-				st.Vals.Set(base+st.LaneOff[i], st.Identity[i])
+			for i, off := range st.LaneOff {
+				st.Vals.Set(off+v, st.Identity[i])
 			}
 		}
 	})
 	return st, nil
-}
-
-// InjectionsAt returns the queries whose evaluation starts at global
-// iteration iter.
-func (st *BatchSetup) InjectionsAt(iter int) []int {
-	var out []int
-	for i, a := range st.Alignment {
-		if a == iter {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// PendingAfter reports whether any query starts strictly after iter.
-func (st *BatchSetup) PendingAfter(iter int) bool {
-	return iter < st.MaxAlign
-}
-
-// ActiveAt counts the queries whose delayed start has arrived by iter
-// (alignment offset <= iter) — the active-query count of telemetry records.
-func (st *BatchSetup) ActiveAt(iter int) int {
-	n := 0
-	for _, a := range st.Alignment {
-		if a <= iter {
-			n++
-		}
-	}
-	return n
-}
-
-// iterCounters snapshots the cumulative BatchResult counters so an engine
-// can report per-iteration deltas to telemetry.
-type iterCounters struct {
-	edges, relaxes, writes int64
-}
-
-// iterCapHint sizes per-iteration record slices (UnionFrontierSizes and
-// friends) up front, so the traversal loop never grows them mid-run
-// (glignlint/hotalloc): capped runs bound their history exactly, and
-// free-running monotone batches converge in O(diameter) rounds, for which 64
-// is a generous amortization base.
-func iterCapHint(maxIterations int) int {
-	if maxIterations > 0 {
-		return maxIterations
-	}
-	return 64
-}
-
-// countersOf reads the counters with atomic loads: engines call it between
-// parallel phases (the workers' adds already happened-before via par.For's
-// join), but atomic loads keep the access protocol uniform — the invariant
-// glignlint/atomicmix enforces.
-func countersOf(res *BatchResult) iterCounters {
-	return iterCounters{
-		atomic.LoadInt64(&res.EdgesProcessed),
-		atomic.LoadInt64(&res.LaneRelaxations),
-		atomic.LoadInt64(&res.ValueWrites),
-	}
-}
-
-// recordIteration emits one global-iteration record: the counter deltas
-// since prev, plus the frontier and injection state of the iteration.
-// Engines call it after each iteration's parallel phase completes.
-func recordIteration(bt *telemetry.BatchTrace, st *BatchSetup, res *BatchResult,
-	iter, frontierSize int, mode string, injected int, prev iterCounters) {
-	if bt == nil {
-		return
-	}
-	cur := countersOf(res)
-	bt.RecordIteration(telemetry.IterationStat{
-		Iter:            iter,
-		Query:           -1,
-		FrontierSize:    frontierSize,
-		Mode:            mode,
-		ActiveQueries:   st.ActiveAt(iter),
-		InjectedQueries: injected,
-		EdgesProcessed:  cur.edges - prev.edges,
-		LaneRelaxations: cur.relaxes - prev.relaxes,
-		ValueWrites:     cur.writes - prev.writes,
-	})
 }

@@ -9,6 +9,7 @@ import (
 	"github.com/glign/glign/internal/graph"
 	"github.com/glign/glign/internal/memtrace"
 	"github.com/glign/glign/internal/queries"
+	"github.com/glign/glign/internal/telemetry"
 )
 
 // Engines under test. Krill is limited to 64-query batches, which all these
@@ -90,6 +91,78 @@ func TestAlignmentDoesNotChangeResults(t *testing.T) {
 		}
 		checkAgainstReference(t, g, batch, e, Options{Alignment: align, Workers: 4})
 	}
+}
+
+// The injection schedule's corner cases: a lane delayed far past the fixed
+// point of the earlier ones (the traversal idles on an empty frontier until
+// it arrives), two lanes injected at one source in one iteration, and an
+// iteration cap that cuts the run before the last lane ever starts.
+func TestDelayedStartCornerCases(t *testing.T) {
+	g := graph.PaperExample()
+	engines := []Engine{LigraC, Krill, GlignIntra}
+
+	t.Run("idle-iterations", func(t *testing.T) {
+		batch := []queries.Query{
+			{Kernel: queries.SSSP, Source: 1},
+			{Kernel: queries.BFS, Source: 7},
+			{Kernel: queries.SSWP, Source: 2},
+		}
+		align := []int{0, 40, 41}
+		for _, e := range engines {
+			checkAgainstReference(t, g, batch, e, Options{Alignment: align, Workers: 2})
+			col := telemetry.NewCollector()
+			bt := col.StartRun(e.Name(), "").StartBatch(e.Name(), nil, align)
+			res, err := e.Run(g, batch, Options{Alignment: align, Workers: 1, Telemetry: bt})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.GlobalIterations <= 41 || res.UnionFrontierSizes[20] != 0 {
+				t.Fatalf("%s: %d iterations, sizes %v: want idle iterations until lane 2 starts at 41",
+					e.Name(), res.GlobalIterations, res.UnionFrontierSizes)
+			}
+			its := bt.Snapshot().Iterations
+			for _, want := range []struct{ iter, active, injected int }{{0, 1, 1}, {20, 1, 0}, {40, 2, 1}, {41, 3, 1}} {
+				if it := its[want.iter]; it.ActiveQueries != want.active || it.InjectedQueries != want.injected {
+					t.Fatalf("%s: iteration %d reports active=%d injected=%d, want %d and %d",
+						e.Name(), want.iter, it.ActiveQueries, it.InjectedQueries, want.active, want.injected)
+				}
+			}
+		}
+	})
+
+	t.Run("shared-source", func(t *testing.T) {
+		batch := []queries.Query{
+			{Kernel: queries.SSSP, Source: 1},
+			{Kernel: queries.BFS, Source: 1},
+			{Kernel: queries.SSNP, Source: 1},
+		}
+		for _, align := range [][]int{nil, {3, 3, 0}, {2, 5, 5}} {
+			for _, e := range engines {
+				checkAgainstReference(t, g, batch, e, Options{Alignment: align, Workers: 2})
+			}
+		}
+	})
+
+	t.Run("cap-before-last-injection", func(t *testing.T) {
+		batch := []queries.Query{
+			{Kernel: queries.SSSP, Source: 1},
+			{Kernel: queries.SSSP, Source: 7},
+		}
+		for _, e := range engines {
+			res, err := e.Run(g, batch, Options{Alignment: []int{0, 10}, MaxIterations: 4, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.GlobalIterations != 4 || len(res.UnionFrontierSizes) != 4 {
+				t.Fatalf("%s: %d iterations (sizes %v), want the cap of 4", e.Name(), res.GlobalIterations, res.UnionFrontierSizes)
+			}
+			for v := 0; v < g.NumVertices(); v++ {
+				if got := res.Value(1, graph.VertexID(v)); got != queries.SSSP.Identity() {
+					t.Fatalf("%s: lane 1 was never injected, yet vertex %d = %v", e.Name(), v, got)
+				}
+			}
+		}
+	})
 }
 
 // Paper §3.3: on the Figure 3 graph, the batch [sssp(v2), sssp(v8)] with

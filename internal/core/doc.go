@@ -1,22 +1,33 @@
 // Package core implements the concurrent batch-evaluation engines at the
 // heart of this reproduction — the paper's primary contribution and its
-// baselines:
+// baselines.
 //
-//   - LigraS: queries evaluated one after another (baseline "Ligra-S").
-//   - TwoLevel: unified + per-query separate frontiers (baseline "Ligra-C",
-//     the design of Krill and SimGQ — paper Figure 5-b).
-//   - Krill: a fused variant of the two-level design keeping per-vertex
-//     query bitmasks instead of B separate frontier arrays.
-//   - Oblivious: Glign's query-oblivious frontier (paper Figure 5-c,
-//     §3.2) — a single unified frontier with every active vertex relaxed
-//     for all queries in the batch. Dense iterations switch to pull mode
-//     over the reversed graph (the direction optimization, §3.5).
+// The frontier engines are one traversal loop, Drive, plus a LanePolicy each:
+// the per-query activation state that, per paper Figure 5, is all that
+// distinguishes them.
 //
-// All engines share the batch value layout of paper §3.5: one flat array
-// with the value of vertex v for query i at ValArray[v*B+i], and all honor
-// an optional alignment vector (paper Definition 3.3) that delays the start
-// of individual queries to later global iterations — the mechanism of
-// Glign-Inter's "delayed start".
+//   - GlignIntra (oblivious.go): Glign's query-oblivious frontier (Figure
+//     5-c, §3.2) — no activation state; every active vertex is relaxed for
+//     all queries that have reached it. Dense iterations switch to pull mode
+//     over the reversed graph (direction optimization, an extension).
+//   - LigraC (twolevel.go): unified + B separate frontiers (Figure 5-b, the
+//     design of Krill and SimGQ).
+//   - Krill (krill.go): per-vertex query bitmasks instead of B frontiers.
+//   - GraphM's partition-centric policy plugs into Drive from
+//     internal/baselines.
+//
+// Drive owns what they share: delayed-start injection from the alignment
+// vector (paper Definition 3.3, the mechanism of Glign-Inter), termination,
+// iteration bookkeeping, the parallel dispatch and the telemetry record. Two
+// engines stand outside it: LigraS evaluates queries one after another with
+// the single-query engine, and RunConvergenceBatch is the lane-fused Jacobi
+// evaluator every engine routes iterate-to-convergence kernels to.
+//
+// All engines share one value array of cache-line-aligned lane segments
+// (vertex v, query i at LaneOff[i]+v). The paper's §3.5 layout, ValArray[v*B+i],
+// is what the cache-trace model addresses: with Options.Tracer set, Drive
+// runs a serial model of the policy's design (tracing.go) in its place, so the
+// production bodies carry no tracer.
 //
 // When Options.Telemetry is set, every engine records one IterationStat per
 // global iteration — frontier size, push/pull mode, active and injected

@@ -3,11 +3,9 @@ package core
 import (
 	"fmt"
 	"math/bits"
-	"sync/atomic"
 
 	"github.com/glign/glign/internal/frontier"
 	"github.com/glign/glign/internal/graph"
-	"github.com/glign/glign/internal/par"
 	"github.com/glign/glign/internal/queries"
 	"github.com/glign/glign/internal/telemetry"
 )
@@ -28,133 +26,69 @@ var Krill Engine = krill{}
 func (krill) Name() string { return "Krill" }
 
 func (krill) Run(g *graph.Graph, batch []queries.Query, opt Options) (*BatchResult, error) {
-	// Convergence kernels have no activation bitmask to fuse; route them to
-	// the shared lane-fused Jacobi evaluator (which has no 64-lane limit).
-	if queries.AnyConvergent(batch) {
-		return RunConvergenceBatch(g, batch, opt)
-	}
-	if len(batch) > frontier.MaxQueries {
+	// The Jacobi evaluator convergence kernels take has no bitmask to fill.
+	if len(batch) > frontier.MaxQueries && !queries.AnyConvergent(batch) {
 		return nil, fmt.Errorf("core: Krill engine supports at most %d queries per batch, got %d",
 			frontier.MaxQueries, len(batch))
 	}
-	st, err := PrepareBatch(g, batch, opt)
-	if err != nil {
-		return nil, err
-	}
-	n, b := st.N, st.B
-	kinds := queries.KindsOf(st.Kernels)
-	res := st.NewResult()
-	res.UnionFrontierSizes = make([]int, 0, iterCapHint(opt.MaxIterations))
+	return runBatch(g, batch, opt, func(st *BatchSetup) LanePolicy {
+		return &krillPolicy{
+			g: g, st: st,
+			union: frontier.New(st.N), nextUnion: frontier.New(st.N),
+			qm: frontier.NewQueryMask(st.N), nextQM: frontier.NewQueryMask(st.N),
+		}
+	})
+}
 
-	tr := opt.Tracer
-	pool := par.OrDefault(opt.Pool)
-	workers := opt.Workers
-	var addr *TraceAddressing
-	if tr != nil {
-		workers = 1
-		addr = NewTraceAddressing(g, b, LayoutQueryMask)
-	}
+// krillPolicy keeps one query bitmask per vertex beside the unified frontier,
+// each as a cur/next pair.
+type krillPolicy struct {
+	g                *graph.Graph
+	st               *BatchSetup
+	union, nextUnion *frontier.Subset
+	qm, nextQM       *frontier.QueryMask
+	active           []graph.VertexID
+}
 
-	union := frontier.New(n)
-	qm := frontier.NewQueryMask(n)
+func (p *krillPolicy) Inject(src graph.VertexID, lane int) {
+	p.qm.Set(src, lane)
+	p.union.Add(src)
+}
 
-	for iter := 0; ; iter++ {
-		injected := 0
-		for _, qi := range st.InjectionsAt(iter) {
-			src := st.Sources[qi]
-			st.Vals.Set(st.Cell(int(src), qi), st.Kernels[qi].SourceValue())
-			qm.Set(src, qi)
-			union.Add(src)
-			injected++
-			if tr != nil {
-				tr.Access(addr.values+int64(int(src)*b+qi)*8, 8, true)
-				tr.Access(addr.qmaskCur+int64(src)*8, 8, true)
-				tr.Access(addr.unionCur+int64(src>>6)*8, 8, true)
-			}
-		}
-		if union.IsEmpty() && !st.PendingAfter(iter) {
-			break
-		}
-		if opt.MaxIterations > 0 && iter >= opt.MaxIterations {
-			break
-		}
-		frontierSize := union.Count()
-		res.UnionFrontierSizes = append(res.UnionFrontierSizes, frontierSize)
-		res.GlobalIterations++
-		var prev iterCounters
-		if opt.Telemetry != nil {
-			prev = countersOf(res)
-		}
+func (p *krillPolicy) Step() Step {
+	p.active = p.union.Sparse()
+	return Step{Size: len(p.active), Total: len(p.active), Body: p.push, Mode: telemetry.ModePush}
+}
 
-		nextUnion := frontier.New(n)
-		nextQM := frontier.NewQueryMask(n)
-		active := union.Sparse()
-		if tr != nil {
-			TraceRegionScan(tr, addr.unionCur, int64(len(union.Words()))*8)
+func (p *krillPolicy) Advance() {
+	p.union, p.nextUnion = p.nextUnion, p.union
+	p.qm, p.nextQM = p.nextQM, p.qm
+	p.nextUnion.Clear()
+	p.nextQM.Clear()
+}
+
+func (p *krillPolicy) push(lo, hi int) Counts {
+	st := p.st
+	var c Counts
+	for _, v := range p.active[lo:hi] {
+		mask := p.qm.Get(v)
+		if mask == 0 {
+			continue
 		}
-		pool.For(len(active), workers, 0, func(lo, hi int) {
-			var edges, relaxes, writes int64
-			for ai := lo; ai < hi; ai++ {
-				v := active[ai]
-				base := int(v) * st.VStride
-				mask := qm.Get(v)
-				if tr != nil {
-					tr.Access(addr.qmaskCur+int64(v)*8, 8, false)
-				}
-				if mask == 0 {
-					continue
-				}
-				if tr != nil {
-					tr.Access(addr.offsets+int64(v)*4, 8, false)
-					tr.Access(addr.values+int64(base)*8, int64(b)*8, false)
-				}
-				nbrs, ws := g.OutEdges(v)
-				for j, d := range nbrs {
-					edges++
-					w := graph.Weight(1)
-					if ws != nil {
-						w = ws[j]
-					}
-					dbase := int(d) * st.VStride
-					if tr != nil {
-						eo := int64(g.Offsets[v]) + int64(j)
-						addr.TraceEdgeRead(tr, g, eo)
-					}
-					anyImproved := false
-					for m := mask; m != 0; m &= m - 1 {
-						i := bits.TrailingZeros64(m)
-						relaxes++
-						if tr != nil {
-							tr.Access(addr.values+int64(dbase+i)*8, 8, false)
-						}
-						if queries.RelaxImprove(st.Vals, kinds[i], st.Kernels[i], dbase+st.LaneOff[i], st.Vals.Get(base+st.LaneOff[i]), w) {
-							writes++
-							anyImproved = true
-							nextQM.Set(d, i)
-							nextUnion.AddSync(d)
-							if tr != nil {
-								tr.Access(addr.values+int64(dbase+i)*8, 8, true)
-							}
-						}
-					}
-					if tr != nil && anyImproved {
-						tr.Access(addr.qmaskNext+int64(d)*8, 8, true)
-						tr.Access(addr.unionNext+int64(d>>6)*8, 8, true)
-					}
+		nbrs, ws := p.g.OutEdges(v)
+		c.Edges += int64(len(nbrs))
+		c.Relaxes += int64(len(nbrs) * bits.OnesCount64(mask))
+		for j, d := range nbrs {
+			w := WeightAt(ws, j)
+			for m := mask; m != 0; m &= m - 1 {
+				i := bits.TrailingZeros64(m)
+				if queries.RelaxImprove(st.Vals, st.Kinds[i], st.Kernels[i], st.LaneOff[i]+int(d), st.Vals.Get(st.LaneOff[i]+int(v)), w) {
+					c.Writes++
+					p.nextQM.Set(d, i)
+					p.nextUnion.AddSync(d)
 				}
 			}
-			atomic.AddInt64(&res.EdgesProcessed, edges)
-			atomic.AddInt64(&res.LaneRelaxations, relaxes)
-			atomic.AddInt64(&res.ValueWrites, writes)
-		})
-		union = nextUnion
-		qm = nextQM
-		if opt.Telemetry != nil {
-			recordIteration(opt.Telemetry, st, res, iter, frontierSize, telemetry.ModePush, injected, prev)
-		}
-		if tr != nil {
-			addr.SwapFrontiers()
 		}
 	}
-	return res, nil
+	return c
 }

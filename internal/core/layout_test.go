@@ -6,74 +6,41 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/glign/glign/internal/engine"
 	"github.com/glign/glign/internal/graph"
-	"github.com/glign/glign/internal/memtrace"
 	"github.com/glign/glign/internal/queries"
 )
 
-func TestLayoutGeometry(t *testing.T) {
+func TestLaneOffsets(t *testing.T) {
 	const n, b = 100, 8
-
-	vstride, laneOff, total := layoutGeometry(LayoutInterleaved, n, b)
-	if vstride != b || total != n*b {
-		t.Fatalf("interleaved: vstride=%d total=%d, want %d and %d", vstride, total, b, n*b)
+	laneOff, total := laneOffsets(n, b)
+	stride := total / b
+	if stride%8 != 0 || stride < n || total != stride*b {
+		t.Fatalf("laneOffsets(%d, %d): total=%d stride=%d, want a multiple of 8 cells >= n per lane", n, b, total, stride)
 	}
 	for i, off := range laneOff {
-		if off != i {
-			t.Fatalf("interleaved: LaneOff[%d]=%d, want %d", i, off, i)
-		}
-	}
-
-	vstride, laneOff, total = layoutGeometry(LayoutPadded, n, b)
-	stride := laneStrideFor(n)
-	if stride%8 != 0 || stride < n {
-		t.Fatalf("laneStrideFor(%d)=%d: want a multiple of 8 cells >= n", n, stride)
-	}
-	if vstride != 1 || total != stride*b {
-		t.Fatalf("padded: vstride=%d total=%d, want 1 and %d", vstride, total, stride*b)
-	}
-	for i, off := range laneOff {
+		// 8 cells x 8 bytes: every lane segment starts on a 64-byte line, and
+		// lane i owns [i*stride, i*stride+n) — segments never overlap.
 		if off != i*stride {
-			t.Fatalf("padded: LaneOff[%d]=%d, want %d", i, off, i*stride)
-		}
-		// 8 cells x 8 bytes: every lane segment starts on a 64-byte line.
-		if off%8 != 0 {
-			t.Fatalf("padded: LaneOff[%d]=%d not cache-line aligned", i, off)
-		}
-	}
-	// Lane segments must not overlap: lane i owns [i*stride, i*stride+n).
-	for i := 1; i < b; i++ {
-		if laneOff[i-1]+n > laneOff[i] {
-			t.Fatalf("padded: lanes %d and %d overlap", i-1, i)
+			t.Fatalf("LaneOff[%d]=%d, want %d", i, off, i*stride)
 		}
 	}
 }
 
-func TestTracerForcesInterleavedLayout(t *testing.T) {
-	g := graph.MustGenerate(graph.LJ, graph.Tiny)
-	batch := []queries.Query{{Kernel: queries.BFS, Source: 1}, {Kernel: queries.SSSP, Source: 2}}
-
-	st, err := PrepareBatch(g, batch, Options{Tracer: &memtrace.CountingTracer{}})
-	if err != nil {
-		t.Fatal(err)
+// referenceValues evaluates every query of the batch independently with the
+// serial textbook evaluator — the layout-free reference of the tests below.
+func referenceValues(g *graph.Graph, batch []queries.Query) [][]queries.Value {
+	out := make([][]queries.Value, len(batch))
+	for i, q := range batch {
+		out[i] = engine.ReferenceRun(g, q)
 	}
-	if st.Layout != LayoutInterleaved || st.VStride != st.B {
-		t.Fatalf("tracer run resolved layout %v (vstride %d); the simulated address stream must stay interleaved",
-			st.Layout, st.VStride)
-	}
-
-	st, err = PrepareBatch(g, batch, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Layout != LayoutPadded || st.VStride != 1 {
-		t.Fatalf("untraced run resolved layout %v (vstride %d), want padded", st.Layout, st.VStride)
-	}
+	return out
 }
 
-// TestLayoutEquivalenceAcrossEngines pins bitwise-equal results between the
-// padded and interleaved layouts for every concurrent engine, on monotone and
-// iterate-to-convergence batches.
+// TestLayoutEquivalenceAcrossEngines pins every concurrent engine's padded
+// value array bitwise to a reference that never touches it: per-lane
+// engine.ReferenceRun for monotone batches, the one-query-at-a-time Jacobi
+// evaluator for iterate-to-convergence ones.
 func TestLayoutEquivalenceAcrossEngines(t *testing.T) {
 	g := graph.MustGenerate(graph.LJ, graph.Tiny)
 	monotone := []queries.Query{
@@ -91,23 +58,32 @@ func TestLayoutEquivalenceAcrossEngines(t *testing.T) {
 		{Kernel: pr, Source: 2},
 	}
 
+	convRef := make([][]queries.Value, len(convergent))
+	for i, q := range convergent {
+		r, err := engine.RunConvergence(g, q, engine.Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		convRef[i] = r.Values
+	}
+	cases := map[string]struct {
+		batch []queries.Query
+		ref   [][]queries.Value
+	}{
+		"monotone":    {monotone, referenceValues(g, monotone)},
+		"convergence": {convergent, convRef},
+	}
 	for _, e := range []Engine{GlignIntra, LigraC, Krill, LigraS} {
-		for name, batch := range map[string][]queries.Query{"monotone": monotone, "convergence": convergent} {
+		for name, tc := range cases {
 			t.Run(fmt.Sprintf("%s/%s", e.Name(), name), func(t *testing.T) {
-				ref, err := e.Run(g, batch, Options{Workers: 1, Layout: LayoutInterleaved})
+				got, err := e.Run(g, tc.batch, Options{Workers: 2})
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := e.Run(g, batch, Options{Workers: 2, Layout: LayoutPadded})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for qi := range batch {
-					rv := ref.QueryValues(qi)
-					gv := got.QueryValues(qi)
-					for v := range rv {
-						if gv[v] != rv[v] {
-							t.Fatalf("query %d vertex %d: padded %v != interleaved %v", qi, v, gv[v], rv[v])
+				for qi := range tc.batch {
+					for v, gv := range got.QueryValues(qi) {
+						if gv != tc.ref[qi][v] {
+							t.Fatalf("query %d vertex %d: engine %v != reference %v", qi, v, gv, tc.ref[qi][v])
 						}
 					}
 				}
@@ -118,8 +94,8 @@ func TestLayoutEquivalenceAcrossEngines(t *testing.T) {
 
 // TestPaddedLayoutStress is the race-detector stress for the padded per-lane
 // layout: an 8-lane batch hammered concurrently by all CAS engines across
-// GOMAXPROCS 1, 2 and 8, every run checked bitwise against the serial
-// interleaved reference. verify.sh runs this package under -race.
+// GOMAXPROCS 1, 2 and 8, every run checked bitwise against per-lane
+// engine.ReferenceRun. verify.sh runs this package under -race.
 func TestPaddedLayoutStress(t *testing.T) {
 	g := graph.MustGenerate(graph.LJ, graph.Tiny)
 	batch := []queries.Query{
@@ -135,10 +111,7 @@ func TestPaddedLayoutStress(t *testing.T) {
 	if len(batch) != 8 {
 		t.Fatal("stress batch must have 8 lanes")
 	}
-	want, err := GlignIntra.Run(g, batch, Options{Workers: 1, Layout: LayoutInterleaved})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := referenceValues(g, batch)
 
 	engines := []Engine{GlignIntra, LigraC, Krill}
 	for _, procs := range []int{1, 2, 8} {
@@ -152,7 +125,7 @@ func TestPaddedLayoutStress(t *testing.T) {
 					wg.Add(1)
 					go func(e Engine, rep int) {
 						defer wg.Done()
-						res, err := e.Run(g, batch, Options{Workers: 2 + rep, Layout: LayoutPadded})
+						res, err := e.Run(g, batch, Options{Workers: 2 + rep})
 						if err != nil {
 							t.Errorf("%s: %v", e.Name(), err)
 							return
@@ -160,9 +133,9 @@ func TestPaddedLayoutStress(t *testing.T) {
 						for qi := range batch {
 							for v := 0; v < g.NumVertices(); v++ {
 								got := res.Value(qi, graph.VertexID(v))
-								if got != want.Value(qi, graph.VertexID(v)) {
+								if got != want[qi][v] {
 									t.Errorf("%s rep %d: query %d vertex %d = %v, want %v",
-										e.Name(), rep, qi, v, got, want.Value(qi, graph.VertexID(v)))
+										e.Name(), rep, qi, v, got, want[qi][v])
 									return
 								}
 							}

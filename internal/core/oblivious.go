@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync/atomic"
-
 	"github.com/glign/glign/internal/frontier"
 	"github.com/glign/glign/internal/graph"
 	"github.com/glign/glign/internal/par"
@@ -28,241 +26,223 @@ var GlignIntra Engine = oblivious{}
 
 func (oblivious) Name() string { return "Glign-Intra" }
 
-// laneGroup is a run of batch lanes sharing one kernel kind, so the edge
-// loop can run one fused (devirtualized) relaxation loop per group. A
-// homogeneous batch — the common case — has a single group.
+func (oblivious) Run(g *graph.Graph, batch []queries.Query, opt Options) (*BatchResult, error) {
+	return runBatch(g, batch, opt, func(st *BatchSetup) LanePolicy {
+		return &obliviousPolicy{
+			g: g, rev: opt.ReverseGraph, st: st,
+			pool: par.OrDefault(opt.Pool), workers: opt.Workers,
+			cur: frontier.New(st.N), next: frontier.New(st.N),
+		}
+	})
+}
+
+// obliviousPolicy keeps no activation state beyond the unified frontier
+// pair. Its step is a push over the frontier's members, or — direction
+// optimization, an extension beyond the paper, which assumes push throughout
+// — a pull over all n vertices of the edge-reversed graph when the frontier
+// is dense by Ligra's heuristic. In a pull each destination scans its
+// in-neighbors for frontier members; it is written by exactly one worker and
+// its lane cells stay cache-resident across all of its in-edges. The fixed
+// point is the same either way (Theorem 3.2 holds in both directions).
+type obliviousPolicy struct {
+	g, rev    *graph.Graph // rev nil: never pull
+	st        *BatchSetup
+	pool      *par.Pool
+	workers   int
+	cur, next *frontier.Subset
+	active    []graph.VertexID
+}
+
+func (p *obliviousPolicy) Inject(src graph.VertexID, _ int) { p.cur.Add(src) }
+
+func (p *obliviousPolicy) Step() Step {
+	if p.rev != nil && shouldPull(p.g, p.cur, p.pool, p.workers) {
+		return Step{Size: p.cur.Count(), Total: p.st.N, Body: p.pull, Mode: telemetry.ModePull}
+	}
+	p.active = p.cur.Sparse()
+	return Step{Size: len(p.active), Total: len(p.active), Body: p.push, Mode: telemetry.ModePush}
+}
+
+func (p *obliviousPolicy) Advance() {
+	p.cur, p.next = p.next, p.cur
+	p.next.Clear()
+}
+
+// push relaxes every out-edge of the active vertices [lo, hi) for every lane
+// that has reached the vertex.
+func (p *obliviousPolicy) push(lo, hi int) Counts {
+	st, s := p.st, newLaneScratch(p.st)
+	var c Counts
+	for _, v := range p.active[lo:hi] {
+		reached := s.load(st, int(v))
+		if reached == 0 {
+			continue
+		}
+		nbrs, ws := p.g.OutEdges(v)
+		c.Edges += int64(len(nbrs))
+		c.Relaxes += int64(len(nbrs) * reached)
+		for j, d := range nbrs {
+			if improved := s.relax(st, int(d), WeightAt(ws, j)); improved > 0 {
+				c.Writes += int64(improved)
+				p.next.AddSync(d)
+			}
+		}
+	}
+	return c
+}
+
+// pull relaxes, for every destination in [lo, hi), each in-edge whose source
+// is in the frontier, across every lane — reached or not, so the lane groups
+// are the batch's static ones and an in-edge costs only the snapshot of its
+// source: relaxing an identity proposes nothing better than what any cell
+// holds.
+func (p *obliviousPolicy) pull(lo, hi int) Counts {
+	st, s := p.st, newLaneScratch(p.st)
+	s.groups = st.groups
+	var c Counts
+	for d := lo; d < hi; d++ {
+		ins, ws := p.rev.OutEdges(graph.VertexID(d))
+		improved := 0
+		for j, src := range ins {
+			if !p.cur.Contains(src) {
+				continue
+			}
+			c.Edges++
+			c.Relaxes += int64(st.B)
+			for i, off := range st.LaneOff {
+				s.src[i] = st.Vals.Get(off + int(src))
+			}
+			improved += s.relax(st, d, WeightAt(ws, j))
+		}
+		if improved > 0 {
+			c.Writes += int64(improved)
+			p.next.AddSync(graph.VertexID(d))
+		}
+	}
+	return c
+}
+
+// laneGroup is the lanes of a batch that run one kind of kernel, so an edge
+// runs one fused, devirtualized relaxation loop per kind instead of a switch
+// and two indirect calls per lane. A homogeneous batch — the common case — is
+// one group.
 type laneGroup struct {
 	kind  queries.OpKind
 	lanes []int32
 }
 
-// obliviousScratch is the per-worker state of one EdgeMap pass.
-type obliviousScratch struct {
-	srcVals []queries.Value
-	byKind  [6][]int32 // indexed by OpKind; OpCustom lanes keep interface dispatch
-	groups  []laneGroup
+// groupLanes groups every lane of a batch by kernel kind (BatchSetup.groups).
+func groupLanes(kinds []queries.OpKind) (groups []laneGroup) {
+	var byKind [queries.OpViterbi + 1][]int32
+	for i, k := range kinds {
+		byKind[k] = append(byKind[k], int32(i))
+	}
+	for k, lanes := range byKind {
+		if len(lanes) > 0 {
+			groups = append(groups, laneGroup{queries.OpKind(k), lanes})
+		}
+	}
+	return groups
 }
 
-func newObliviousScratch(b int) *obliviousScratch {
-	s := &obliviousScratch{
-		srcVals: make([]queries.Value, b),
-		groups:  make([]laneGroup, 0, 6),
-	}
-	for i := range s.byKind {
-		s.byKind[i] = make([]int32, 0, b)
-	}
-	return s
+// laneScratch is a chunk's view of one source vertex: a snapshot of its value
+// in every lane, and the lane groups relax runs over — in a push the lanes
+// that have reached the vertex (value no longer the kernel identity).
+type laneScratch struct {
+	src    []queries.Value
+	lanes  []int32 // the reached lanes, group after group
+	groups []laneGroup
 }
 
-// collect snapshots the source values of vertex v and groups its
-// non-identity lanes by kernel kind. It returns the number of active lanes.
-func (s *obliviousScratch) collect(st *BatchSetup, kinds []queries.OpKind, base int) int {
-	for i := range s.byKind {
-		s.byKind[i] = s.byKind[i][:0]
+func newLaneScratch(st *BatchSetup) *laneScratch {
+	return &laneScratch{
+		src:    make([]queries.Value, st.B),
+		lanes:  make([]int32, 0, st.B),
+		groups: make([]laneGroup, 0, len(st.groups)),
 	}
-	total := 0
-	for i := 0; i < st.B; i++ {
-		sv := st.Vals.Get(base + st.LaneOff[i])
-		s.srcVals[i] = sv
-		if sv != st.Identity[i] {
-			k := kinds[i]
-			s.byKind[k] = append(s.byKind[k], int32(i))
-			total++
-		}
-	}
-	s.groups = s.groups[:0]
-	for k := range s.byKind {
-		if len(s.byKind[k]) > 0 {
-			s.groups = append(s.groups, laneGroup{queries.OpKind(k), s.byKind[k]})
-		}
-	}
-	return total
 }
 
-// relaxGroup runs one fused relaxation loop for a lane group against
-// destination block dbase; it returns how many lanes improved (installed a
-// better value).
-func relaxGroup(st *BatchSetup, s *obliviousScratch, grp laneGroup, dbase int, w graph.Weight) int {
-	improved := 0
-	switch grp.kind {
-	case queries.OpBFS:
-		for _, li := range grp.lanes {
-			if st.Vals.ImproveMin(dbase+st.LaneOff[li], s.srcVals[li]+1) {
-				improved++
+// load snapshots vertex v — one cell per lane segment, re-used across all of
+// its edges — and returns how many lanes have reached it.
+func (s *laneScratch) load(st *BatchSetup, v int) (reached int) {
+	s.lanes, s.groups = s.lanes[:0], s.groups[:0]
+	for _, g := range st.groups {
+		from := len(s.lanes)
+		for _, i := range g.lanes {
+			s.src[i] = st.Vals.Get(st.LaneOff[i] + v)
+			if s.src[i] != st.Identity[i] {
+				s.lanes = append(s.lanes, i)
 			}
 		}
-	case queries.OpSSSP:
-		wv := queries.Value(w)
-		for _, li := range grp.lanes {
-			if st.Vals.ImproveMin(dbase+st.LaneOff[li], s.srcVals[li]+wv) {
-				improved++
-			}
+		if len(s.lanes) > from {
+			s.groups = append(s.groups, laneGroup{g.kind, s.lanes[from:]})
 		}
-	case queries.OpSSWP:
-		wv := queries.Value(w)
-		for _, li := range grp.lanes {
-			cand := wv
-			if s.srcVals[li] < cand {
-				cand = s.srcVals[li]
+	}
+	return len(s.lanes)
+}
+
+// relax relaxes the snapshotted vertex's edge to d (weight w) in every lane
+// of s.groups and returns how many lanes improved. It is queries.RelaxImprove
+// with the kind switch hoisted out of the lane loop.
+func (s *laneScratch) relax(st *BatchSetup, d int, w graph.Weight) (improved int) {
+	wv := queries.Value(w)
+	for _, g := range s.groups {
+		switch g.kind {
+		case queries.OpBFS:
+			for _, i := range g.lanes {
+				if st.Vals.ImproveMin(st.LaneOff[i]+d, s.src[i]+1) {
+					improved++
+				}
 			}
-			if st.Vals.ImproveMax(dbase+st.LaneOff[li], cand) {
-				improved++
+		case queries.OpSSSP:
+			for _, i := range g.lanes {
+				if st.Vals.ImproveMin(st.LaneOff[i]+d, s.src[i]+wv) {
+					improved++
+				}
 			}
-		}
-	case queries.OpSSNP:
-		wv := queries.Value(w)
-		for _, li := range grp.lanes {
-			cand := wv
-			if s.srcVals[li] > cand {
-				cand = s.srcVals[li]
+		case queries.OpSSWP:
+			for _, i := range g.lanes {
+				if st.Vals.ImproveMax(st.LaneOff[i]+d, min(s.src[i], wv)) {
+					improved++
+				}
 			}
-			if st.Vals.ImproveMin(dbase+st.LaneOff[li], cand) {
-				improved++
+		case queries.OpSSNP:
+			for _, i := range g.lanes {
+				if st.Vals.ImproveMin(st.LaneOff[i]+d, max(s.src[i], wv)) {
+					improved++
+				}
 			}
-		}
-	case queries.OpViterbi:
-		wv := queries.Value(w)
-		for _, li := range grp.lanes {
-			if st.Vals.ImproveMax(dbase+st.LaneOff[li], s.srcVals[li]/wv) {
-				improved++
+		case queries.OpViterbi:
+			for _, i := range g.lanes {
+				if st.Vals.ImproveMax(st.LaneOff[i]+d, s.src[i]/wv) {
+					improved++
+				}
 			}
-		}
-	default:
-		for _, li := range grp.lanes {
-			i := int(li)
-			if st.Vals.Improve(dbase+st.LaneOff[i], st.Kernels[i].Relax(s.srcVals[i], w), st.Kernels[i].Better) {
-				improved++
+		default:
+			for _, i := range g.lanes {
+				if st.Vals.Improve(st.LaneOff[i]+d, st.Kernels[i].Relax(s.src[i], w), st.Kernels[i].Better) {
+					improved++
+				}
 			}
 		}
 	}
 	return improved
 }
 
-func (oblivious) Run(g *graph.Graph, batch []queries.Query, opt Options) (*BatchResult, error) {
-	// Iterate-to-convergence kernels have no frontier to unify; they take
-	// the lane-fused Jacobi path (which shares this engine's interleaved
-	// value layout). Batching layers split mixed buffers by paradigm.
-	if queries.AnyConvergent(batch) {
-		return RunConvergenceBatch(g, batch, opt)
-	}
-	st, err := PrepareBatch(g, batch, opt)
-	if err != nil {
-		return nil, err
-	}
-	n, b := st.N, st.B
-	kinds := queries.KindsOf(st.Kernels)
-	res := st.NewResult()
-	res.UnionFrontierSizes = make([]int, 0, iterCapHint(opt.MaxIterations))
-
-	tr := opt.Tracer
-	pool := par.OrDefault(opt.Pool)
-	workers := opt.Workers
-	var addr *TraceAddressing
-	if tr != nil {
-		workers = 1
-		addr = NewTraceAddressing(g, b, LayoutUnionOnly)
-	}
-
-	cur := frontier.New(n)
-	for iter := 0; ; iter++ {
-		// Inject queries whose delayed start arrives now.
-		injected := 0
-		for _, qi := range st.InjectionsAt(iter) {
-			src := st.Sources[qi]
-			st.Vals.Set(st.Cell(int(src), qi), st.Kernels[qi].SourceValue())
-			if tr != nil {
-				tr.Access(addr.ValueAddr(st.Cell(int(src), qi)), 8, true)
+// shouldPull applies Ligra's density heuristic to the unified frontier. The
+// out-degree sum over the frontier is a fold, so it runs as a parallel
+// reduction on the pool (exact: integer addition commutes); the decision is
+// made once per global iteration on frontiers that can span most of the
+// graph.
+func shouldPull(g *graph.Graph, cur *frontier.Subset, pool *par.Pool, workers int) bool {
+	active := cur.Sparse()
+	outSum := par.ForReduce(pool, len(active), workers, 0, 0,
+		func(lo, hi int, acc int) int {
+			for i := lo; i < hi; i++ {
+				acc += g.OutDegree(active[i])
 			}
-			cur.Add(src)
-			injected++
-		}
-		if cur.IsEmpty() && !st.PendingAfter(iter) {
-			break
-		}
-		if opt.MaxIterations > 0 && iter >= opt.MaxIterations {
-			break
-		}
-		frontierSize := cur.Count()
-		res.UnionFrontierSizes = append(res.UnionFrontierSizes, frontierSize)
-		res.GlobalIterations++
-		var prev iterCounters
-		if opt.Telemetry != nil {
-			prev = countersOf(res)
-		}
-
-		// Direction optimization: dense iterations pull over the reversed
-		// graph (never under tracing, which models the paper's push design).
-		if tr == nil && opt.ReverseGraph != nil && shouldPull(g, cur, pool, workers) {
-			cur = pullIteration(opt.ReverseGraph, st, kinds, cur, pool, workers, res)
-			if opt.Telemetry != nil {
-				recordIteration(opt.Telemetry, st, res, iter, frontierSize, telemetry.ModePull, injected, prev)
-			}
-			continue
-		}
-
-		next := frontier.New(n)
-		active := cur.Sparse()
-		if tr != nil {
-			TraceRegionScan(tr, addr.unionCur, int64(len(cur.Words()))*8)
-		}
-		pool.For(len(active), workers, 0, func(lo, hi int) {
-			scratch := newObliviousScratch(b)
-			var edges, relaxes, writes int64
-			for ai := lo; ai < hi; ai++ {
-				v := active[ai]
-				base := int(v) * st.VStride
-				// Snapshot the source values once per vertex and group the
-				// non-identity lanes by kernel kind. Interleaved runs read the
-				// contiguous block ValArray[v*B..v*B+B) — the locality the
-				// paper's layout buys; padded runs gather one cell per lane
-				// segment but never share a line across lanes.
-				activeLanes := scratch.collect(st, kinds, base)
-				if tr != nil {
-					tr.Access(addr.OffsetAddr(v), 8, false)
-					tr.Access(addr.ValueAddr(base), int64(b)*8, false)
-				}
-				if activeLanes == 0 {
-					continue
-				}
-				nbrs, ws := g.OutEdges(v)
-				for j, d := range nbrs {
-					edges++
-					w := graph.Weight(1)
-					if ws != nil {
-						w = ws[j]
-					}
-					dbase := int(d) * st.VStride
-					relaxes += int64(activeLanes)
-					improved := 0
-					for _, grp := range scratch.groups {
-						improved += relaxGroup(st, scratch, grp, dbase, w)
-					}
-					if tr != nil {
-						eo := int64(g.Offsets[v]) + int64(j)
-						addr.TraceEdgeRead(tr, g, eo)
-						// The destination's whole lane block is touched.
-						tr.Access(addr.ValueAddr(dbase), int64(activeLanes)*8, improved > 0)
-					}
-					if improved > 0 {
-						writes += int64(improved)
-						if tr != nil {
-							tr.Access(addr.unionNext+int64(d>>6)*8, 8, true)
-						}
-						next.AddSync(d)
-					}
-				}
-			}
-			atomic.AddInt64(&res.EdgesProcessed, edges)
-			atomic.AddInt64(&res.LaneRelaxations, relaxes)
-			atomic.AddInt64(&res.ValueWrites, writes)
-		})
-		cur = next
-		if opt.Telemetry != nil {
-			recordIteration(opt.Telemetry, st, res, iter, frontierSize, telemetry.ModePush, injected, prev)
-		}
-		if tr != nil {
-			addr.SwapFrontiers()
-		}
-	}
-	return res, nil
+			return acc
+		},
+		func(a, b int) int { return a + b })
+	return cur.IsDense(outSum, g.NumEdges())
 }

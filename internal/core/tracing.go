@@ -1,107 +1,288 @@
 package core
 
 import (
+	"github.com/glign/glign/internal/frontier"
 	"github.com/glign/glign/internal/graph"
 	"github.com/glign/glign/internal/memtrace"
+	"github.com/glign/glign/internal/queries"
+	"github.com/glign/glign/internal/telemetry"
 )
 
-// TraceAddressing assigns simulated base addresses to every data structure
-// a concurrent engine touches, so a Tracer can replay the run against a
-// cache model. Regions are page-aligned and disjoint (see memtrace.Layout).
-// It is exported for the comparator engines in internal/baselines.
-type TraceAddressing struct {
+// Cache-trace modelling. When Options.Tracer is set, Drive runs a model of
+// the policy's design in the policy's place: the same traversal, walked
+// serially and un-fused on the model's own frontier state, emitting the
+// address stream the paper's design would produce. The model computes every
+// address itself — in particular the §3.5 interleaved value layout, cell
+// (v, i) at v*B+i — so the production bodies carry no tracer and the real
+// value array is free to use the padded per-lane layout. The pull direction
+// is never modelled: the trace is of the paper's push design.
+//
+// The model is held to the production bodies by
+// TestTracingDeterministicAndHarmless (values) and to the committed access
+// stream by TestEngineGolden.
+
+// design names the per-query activation state a policy keeps (paper Figure
+// 5): which simulated structures its model touches, and where. The designs
+// evaluate alike — relax each active vertex in the lanes it is active for —
+// and differ in the address stream only at the points the model's switches
+// mark:
+//
+//	             unionOnly          twoLevels, jobs         queryMasks
+//	per vertex   B-value block      (B frontier probes,)    mask word,
+//	                                then a value per lane   then B-value block
+//	lane + edge  —                  value read              value read
+//	improvement  —                  value, separate (and    value write
+//	                                unified) frontier writes
+//	per edge     lane-block access, —                       mask and unified
+//	             unified write                              frontier writes
+type design int
+
+const (
+	unionOnly  design = iota // Glign-Intra: nothing beside the unified frontier
+	twoLevels                // Ligra-C: B separate frontier bitmaps under it
+	queryMasks               // Krill: one query bitmask per vertex under it
+	jobs                     // GraphM: B separate frontiers, no unified one
+)
+
+func (*obliviousPolicy) traceDesign() design { return unionOnly }
+func (*twoLevelPolicy) traceDesign() design  { return twoLevels }
+func (*krillPolicy) traceDesign() design     { return queryMasks }
+
+// jobOrdered is a policy that runs each query as an independent job over its
+// own frontier: VisitOrder yields one iteration's (vertex, lane) visits in
+// the order the design streams the graph, given each lane's sorted active
+// vertices.
+type jobOrdered interface {
+	VisitOrder(active [][]graph.VertexID, job func(v graph.VertexID, lane int))
+}
+
+// traced returns what Drive runs and on how many workers: p as it is, or —
+// under a tracer — the model of p's design, serially so the access stream is
+// deterministic.
+func traced(g *graph.Graph, st *BatchSetup, opt Options, p LanePolicy) (LanePolicy, int) {
+	if opt.Tracer == nil {
+		return p, opt.Workers
+	}
+	n, m := int64(g.NumVertices()), int64(g.NumEdges())
+	t := &tracedModel{tr: opt.Tracer, g: g, st: st, design: jobs, fbytes: frontierBitmapBytes(st.N),
+		LaneFrontiers: NewLaneFrontiers(st.N, st.B)}
+	t.offsets = t.layout.Place((n + 1) * 4)
+	t.targets = t.layout.Place(m * 4)
+	if g.Weighted() {
+		t.weights = t.layout.Place(m * 4)
+	}
+	t.values = t.layout.Place(n * int64(st.B) * 8)
+	t.unionCur, t.unionNext = t.layout.Place(t.fbytes), t.layout.Place(t.fbytes)
+	if d, ok := p.(interface{ traceDesign() design }); ok {
+		t.design = d.traceDesign()
+	} else {
+		t.order = p.(jobOrdered).VisitOrder
+	}
+	switch t.design {
+	case twoLevels, jobs:
+		t.sepCur, t.sepNext = make([]int64, st.B), make([]int64, st.B)
+		for i := range t.sepCur {
+			t.sepCur[i], t.sepNext[i] = t.layout.Place(t.fbytes), t.layout.Place(t.fbytes)
+		}
+	case queryMasks:
+		t.qmaskCur, t.qmaskNext = t.layout.Place(n*8), t.layout.Place(n*8)
+	}
+	return t, 1
+}
+
+// tracedModel is the model of one traced run. Its state is one frontier pair
+// per query lane — the finest activation state any design keeps (a unified
+// frontier is their OR, a query mask their transpose) — and the simulated
+// address space: page-aligned, disjoint regions (memtrace.Layout) for the CSR
+// arrays, the value array, the unified frontier pair and the design's
+// activation structures.
+type tracedModel struct {
+	tr     memtrace.Tracer
+	g      *graph.Graph
+	st     *BatchSetup
+	design design
+	order  func(active [][]graph.VertexID, job func(v graph.VertexID, lane int)) // jobs only
+	work   Counts                                                                // of the iteration being walked; Advance resets it
+	LaneFrontiers
+
+	layout                    memtrace.Layout
+	fbytes                    int64 // one frontier bitmap
 	offsets, targets, weights int64
 	values                    int64
 	unionCur, unionNext       int64
-	// sepCur/sepNext hold per-query frontier bitmap bases (two-level engine).
-	sepCur, sepNext []int64
-	// qmaskCur/qmaskNext hold the per-vertex query-mask arrays (Krill).
-	qmaskCur, qmaskNext int64
+	sepCur, sepNext           []int64 // per-query frontier bitmaps
+	qmaskCur, qmaskNext       int64   // per-vertex query masks
 }
 
-// LayoutKind selects which frontier structures an engine owns.
-type LayoutKind int
-
-// The three frontier layouts of the engines.
-const (
-	LayoutUnionOnly LayoutKind = iota // Glign's query-oblivious frontier
-	LayoutTwoLevel                    // union + B separate frontiers (Ligra-C, GraphM)
-	LayoutQueryMask                   // union + per-vertex query masks (Krill)
-)
-
-// NewTraceAddressing lays out the structures of a b-query batch on g for
-// the given frontier layout.
-func NewTraceAddressing(g *graph.Graph, b int, kind LayoutKind) *TraceAddressing {
-	var l memtrace.Layout
-	n := int64(g.NumVertices())
-	m := int64(g.NumEdges())
-	a := &TraceAddressing{
-		offsets: l.Place((n + 1) * 4),
-		targets: l.Place(m * 4),
+// scan models a sequential full read of a frontier bitmap (materializing
+// its sparse view).
+func (t *tracedModel) scan(base int64) {
+	for off := int64(0); off < t.fbytes; off += 8 {
+		t.tr.Access(base+off, 8, false)
 	}
-	if g.Weighted() {
-		a.weights = l.Place(m * 4)
+}
+
+// vertex models reading Offsets[v] and Offsets[v+1].
+func (t *tracedModel) vertex(v graph.VertexID) { t.tr.Access(t.offsets+int64(v)*4, 8, false) }
+
+// value models touching `lanes` consecutive cells of ValArray starting at
+// vertex v, query lane.
+func (t *tracedModel) value(v graph.VertexID, lane, lanes int, write bool) {
+	t.tr.Access(t.values+(int64(v)*int64(t.st.B)+int64(lane))*8, int64(lanes)*8, write)
+}
+
+// word models touching the word of the bitmap at base that holds vertex v.
+func (t *tracedModel) word(base int64, v graph.VertexID, write bool) {
+	t.tr.Access(base+int64(v>>6)*8, 8, write)
+}
+
+// mask models touching vertex v's word of the query-mask array at base.
+func (t *tracedModel) mask(base int64, v graph.VertexID, write bool) {
+	t.tr.Access(base+int64(v)*8, 8, write)
+}
+
+func (t *tracedModel) Inject(src graph.VertexID, lane int) {
+	t.LaneFrontiers.Inject(src, lane)
+	if t.design != jobs {
+		t.value(src, lane, 1, true)
 	}
-	a.values = l.Place(n * int64(b) * 8)
-	fwords := (n + 63) / 64 * 8
-	a.unionCur = l.Place(fwords)
-	a.unionNext = l.Place(fwords)
-	switch kind {
-	case LayoutTwoLevel:
-		a.sepCur = make([]int64, b)
-		a.sepNext = make([]int64, b)
-		for i := 0; i < b; i++ {
-			a.sepCur[i] = l.Place(fwords)
-			a.sepNext[i] = l.Place(fwords)
+	switch t.design {
+	case twoLevels:
+		t.word(t.sepCur[lane], src, true)
+		t.word(t.unionCur, src, true)
+	case queryMasks:
+		t.mask(t.qmaskCur, src, true)
+		t.word(t.unionCur, src, true)
+	}
+}
+
+func (t *tracedModel) Advance() {
+	t.LaneFrontiers.Advance()
+	t.work = Counts{}
+	t.unionCur, t.unionNext = t.unionNext, t.unionCur
+	t.sepCur, t.sepNext = t.sepNext, t.sepCur
+	t.qmaskCur, t.qmaskNext = t.qmaskNext, t.qmaskCur
+}
+
+// Step is the whole walk as one chunk, so it runs exactly once per iteration
+// — also on idle iterations whose frontier is empty, which still pay their
+// bitmap scans.
+func (t *tracedModel) Step() Step {
+	step := Step{Total: 1, Mode: telemetry.ModePush}
+	if t.design == jobs {
+		// One scan per job, then the jobs' visits in the design's order. A
+		// vertex active for k jobs counts k times (see GraphM's Step).
+		active := make([][]graph.VertexID, t.st.B)
+		for i, s := range t.Cur {
+			active[i] = s.Sparse()
+			step.Size += len(active[i])
 		}
-	case LayoutQueryMask:
-		a.qmaskCur = l.Place(n * 8)
-		a.qmaskNext = l.Place(n * 8)
+		job := func(v graph.VertexID, lane int) { t.visit(v, []int{lane}) }
+		step.Body = func(_, _ int) Counts {
+			for _, base := range t.sepCur {
+				t.scan(base)
+			}
+			t.order(active, job)
+			return t.work
+		}
+		return step
 	}
-	return a
+	union := frontier.UnionOf(nil, 1, t.Cur...)
+	step.Size = union.Count()
+	step.Body = func(_, _ int) Counts {
+		t.scan(t.unionCur)
+		lanes := make([]int, 0, t.st.B)
+		for _, v := range union.Sparse() {
+			t.visit(v, t.activeLanes(v, lanes[:0]))
+		}
+		return t.work
+	}
+	return step
 }
 
-// SwapFrontiers flips the cur/next roles after a global iteration.
-func (a *TraceAddressing) SwapFrontiers() {
-	a.unionCur, a.unionNext = a.unionNext, a.unionCur
-	a.sepCur, a.sepNext = a.sepNext, a.sepCur
-	a.qmaskCur, a.qmaskNext = a.qmaskNext, a.qmaskCur
+// activeLanes appends the lanes a unified-frontier design relaxes v in:
+// those v is active for, or — unionOnly — all that have reached it.
+func (t *tracedModel) activeLanes(v graph.VertexID, lanes []int) []int {
+	switch t.design {
+	case unionOnly:
+		t.vertex(v)
+		t.value(v, 0, t.st.B, false)
+	case queryMasks:
+		t.mask(t.qmaskCur, v, false)
+	}
+	for i, s := range t.Cur {
+		active := s.Contains(v)
+		switch t.design {
+		case unionOnly:
+			active = t.st.Vals.Get(t.st.Cell(int(v), i)) != t.st.Identity[i]
+		case twoLevels:
+			t.word(t.sepCur[i], v, false)
+		}
+		if active {
+			lanes = append(lanes, i)
+		}
+	}
+	return lanes
 }
 
-// TraceRegionScan models a sequential full scan of a region (e.g. reading a
-// frontier bitmap to materialize its sparse view).
-func TraceRegionScan(tr memtrace.Tracer, base, size int64) {
-	for off := int64(0); off < size; off += 8 {
-		tr.Access(base+off, 8, false)
+// visit relaxes v's out-edges in the given lanes, one generic RelaxImprove
+// per lane and edge.
+func (t *tracedModel) visit(v graph.VertexID, lanes []int) {
+	st, c := t.st, &t.work
+	if len(lanes) == 0 {
+		return
+	}
+	switch t.design {
+	case twoLevels, jobs:
+		t.vertex(v)
+		for _, i := range lanes {
+			t.value(v, i, 1, false)
+		}
+	case queryMasks:
+		t.vertex(v)
+		t.value(v, 0, st.B, false)
+	}
+	nbrs, ws := t.g.OutEdges(v)
+	c.Edges += int64(len(nbrs))
+	c.Relaxes += int64(len(nbrs) * len(lanes))
+	for j, d := range nbrs {
+		// The CSR entry: target and, when present, weight.
+		eo := (int64(t.g.Offsets[v]) + int64(j)) * 4
+		t.tr.Access(t.targets+eo, 4, false)
+		if ws != nil {
+			t.tr.Access(t.weights+eo, 4, false)
+		}
+		improved := 0
+		for _, i := range lanes {
+			if t.design != unionOnly {
+				t.value(d, i, 1, false)
+			}
+			if !queries.RelaxImprove(st.Vals, st.Kinds[i], st.Kernels[i], st.Cell(int(d), i), st.Vals.Get(st.Cell(int(v), i)), WeightAt(ws, j)) {
+				continue
+			}
+			improved++
+			t.Next[i].Add(d)
+			if t.design != unionOnly {
+				t.value(d, i, 1, true)
+			}
+			if t.sepNext != nil {
+				t.word(t.sepNext[i], d, true)
+			}
+			if t.design == twoLevels {
+				t.word(t.unionNext, d, true)
+			}
+		}
+		c.Writes += int64(improved)
+		switch {
+		case t.design == unionOnly:
+			// The destination's lane block is touched as a whole.
+			t.value(d, 0, len(lanes), improved > 0)
+			if improved > 0 {
+				t.word(t.unionNext, d, true)
+			}
+		case t.design == queryMasks && improved > 0:
+			t.mask(t.qmaskNext, d, true)
+			t.word(t.unionNext, d, true)
+		}
 	}
 }
-
-// TraceEdgeRead models reading the CSR entry of edge index eo (target and,
-// when present, weight).
-func (a *TraceAddressing) TraceEdgeRead(tr memtrace.Tracer, g *graph.Graph, eo int64) {
-	tr.Access(a.targets+eo*4, 4, false)
-	if g.Weighted() {
-		tr.Access(a.weights+eo*4, 4, false)
-	}
-}
-
-// ValueAddr returns the simulated address of value cell i (ValArray[i]).
-func (a *TraceAddressing) ValueAddr(i int) int64 { return a.values + int64(i)*8 }
-
-// OffsetAddr returns the address of Offsets[v].
-func (a *TraceAddressing) OffsetAddr(v graph.VertexID) int64 { return a.offsets + int64(v)*4 }
-
-// SepCurWordAddr returns the address of the bitmap word holding vertex v in
-// query q's current separate frontier; SepNextWordAddr the "next" copy.
-func (a *TraceAddressing) SepCurWordAddr(q int, v graph.VertexID) int64 {
-	return a.sepCur[q] + int64(v>>6)*8
-}
-
-// SepNextWordAddr is SepCurWordAddr for the next-iteration frontier.
-func (a *TraceAddressing) SepNextWordAddr(q int, v graph.VertexID) int64 {
-	return a.sepNext[q] + int64(v>>6)*8
-}
-
-// SepCurBase returns the base address of query q's current separate
-// frontier bitmap.
-func (a *TraceAddressing) SepCurBase(q int) int64 { return a.sepCur[q] }

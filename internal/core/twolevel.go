@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync/atomic"
-
 	"github.com/glign/glign/internal/frontier"
 	"github.com/glign/glign/internal/graph"
 	"github.com/glign/glign/internal/par"
@@ -25,148 +23,89 @@ var LigraC Engine = twoLevel{}
 func (twoLevel) Name() string { return "Ligra-C" }
 
 func (twoLevel) Run(g *graph.Graph, batch []queries.Query, opt Options) (*BatchResult, error) {
-	// Convergence kernels have no per-query frontiers to two-level; route
-	// them to the shared lane-fused Jacobi evaluator.
-	if queries.AnyConvergent(batch) {
-		return RunConvergenceBatch(g, batch, opt)
-	}
-	st, err := PrepareBatch(g, batch, opt)
-	if err != nil {
-		return nil, err
-	}
-	n, b := st.N, st.B
-	kinds := queries.KindsOf(st.Kernels)
-	res := st.NewResult()
-	res.UnionFrontierSizes = make([]int, 0, iterCapHint(opt.MaxIterations))
+	return runBatch(g, batch, opt, func(st *BatchSetup) LanePolicy {
+		return &twoLevelPolicy{
+			g: g, st: st, pool: par.OrDefault(opt.Pool), workers: opt.Workers,
+			LaneFrontiers: NewLaneFrontiers(st.N, st.B),
+		}
+	})
+}
 
-	tr := opt.Tracer
-	pool := par.OrDefault(opt.Pool)
-	workers := opt.Workers
-	var addr *TraceAddressing
-	if tr != nil {
-		workers = 1
-		addr = NewTraceAddressing(g, b, LayoutTwoLevel)
-	}
+// LaneFrontiers is B separate frontier pairs, one per query lane: Cur holds
+// the vertices active for each lane this iteration, Next collects the next
+// iteration's.
+type LaneFrontiers struct {
+	Cur, Next []*frontier.Subset
+}
 
-	union := frontier.New(n)
-	sep := make([]*frontier.Subset, b)
-	for i := range sep {
-		sep[i] = frontier.New(n)
+// NewLaneFrontiers returns b empty frontier pairs over n vertices.
+func NewLaneFrontiers(n, b int) LaneFrontiers {
+	l := LaneFrontiers{make([]*frontier.Subset, b), make([]*frontier.Subset, b)}
+	for i := range l.Cur {
+		l.Cur[i], l.Next[i] = frontier.New(n), frontier.New(n)
 	}
-	// nextSep ping-pongs with sep across iterations, so the traversal loop
-	// reuses both lane-frontier slices instead of allocating a fresh one per
-	// round (glignlint/hotalloc). Its elements are (re)built each iteration.
-	nextSep := make([]*frontier.Subset, b)
+	return l
+}
 
-	for iter := 0; ; iter++ {
-		injected := 0
-		for _, qi := range st.InjectionsAt(iter) {
-			src := st.Sources[qi]
-			st.Vals.Set(st.Cell(int(src), qi), st.Kernels[qi].SourceValue())
-			sep[qi].Add(src)
-			union.Add(src)
-			injected++
-			if tr != nil {
-				tr.Access(addr.values+int64(int(src)*b+qi)*8, 8, true)
-				tr.Access(addr.sepCur[qi]+int64(src>>6)*8, 8, true)
-				tr.Access(addr.unionCur+int64(src>>6)*8, 8, true)
+// Inject activates src for lane.
+func (l *LaneFrontiers) Inject(src graph.VertexID, lane int) { l.Cur[lane].Add(src) }
+
+// Advance makes Next current and recycles the old frontiers as the new Next.
+func (l *LaneFrontiers) Advance() {
+	l.Cur, l.Next = l.Next, l.Cur
+	for _, s := range l.Next {
+		s.Clear()
+	}
+}
+
+// twoLevelPolicy keeps B separate frontier pairs (injecting and advancing
+// are theirs) under the unified frontier.
+type twoLevelPolicy struct {
+	g       *graph.Graph
+	st      *BatchSetup
+	pool    *par.Pool
+	workers int
+	LaneFrontiers
+	active []graph.VertexID
+}
+
+// Step derives the unified frontier once per iteration from the quiesced lane
+// frontiers with a word-level OR. The paper's design maintains it with a
+// second per-improvement bitmap CAS (the access the traced model still
+// emits): same set, no per-improvement contention on shared cache lines.
+func (p *twoLevelPolicy) Step() Step {
+	p.active = frontier.UnionOf(p.pool, p.workers, p.Cur...).Sparse()
+	return Step{Size: len(p.active), Total: len(p.active), Body: p.push, Mode: telemetry.ModePush}
+}
+
+func (p *twoLevelPolicy) push(lo, hi int) Counts {
+	st := p.st
+	lanes := make([]int32, 0, st.B)
+	var c Counts
+	for _, v := range p.active[lo:hi] {
+		// Second-level check: probe every query's separate frontier (B
+		// scattered bitmap reads — the cost of the two-level design).
+		lanes = lanes[:0]
+		for i, s := range p.Cur {
+			if s.Contains(v) {
+				lanes = append(lanes, int32(i))
 			}
 		}
-		if union.IsEmpty() && !st.PendingAfter(iter) {
-			break
+		if len(lanes) == 0 {
+			continue
 		}
-		if opt.MaxIterations > 0 && iter >= opt.MaxIterations {
-			break
-		}
-		frontierSize := union.Count()
-		res.UnionFrontierSizes = append(res.UnionFrontierSizes, frontierSize)
-		res.GlobalIterations++
-		var prev iterCounters
-		if opt.Telemetry != nil {
-			prev = countersOf(res)
-		}
-
-		for i := range nextSep {
-			nextSep[i] = frontier.New(n)
-		}
-		active := union.Sparse()
-		if tr != nil {
-			TraceRegionScan(tr, addr.unionCur, int64(len(union.Words()))*8)
-		}
-		pool.For(len(active), workers, 0, func(lo, hi int) {
-			lanes := make([]int32, 0, b)
-			var edges, relaxes, writes int64
-			for ai := lo; ai < hi; ai++ {
-				v := active[ai]
-				base := int(v) * st.VStride
-				// Second-level check: probe every query's separate
-				// frontier (B scattered bitmap reads — the cost of the
-				// two-level design).
-				lanes = lanes[:0]
-				for i := 0; i < b; i++ {
-					if tr != nil {
-						tr.Access(addr.sepCur[i]+int64(v>>6)*8, 8, false)
-					}
-					if sep[i].Contains(v) {
-						lanes = append(lanes, int32(i))
-					}
-				}
-				if len(lanes) == 0 {
-					continue
-				}
-				if tr != nil {
-					tr.Access(addr.offsets+int64(v)*4, 8, false)
-					for _, li := range lanes {
-						tr.Access(addr.values+int64(base+int(li))*8, 8, false)
-					}
-				}
-				nbrs, ws := g.OutEdges(v)
-				for j, d := range nbrs {
-					edges++
-					w := graph.Weight(1)
-					if ws != nil {
-						w = ws[j]
-					}
-					dbase := int(d) * st.VStride
-					if tr != nil {
-						eo := int64(g.Offsets[v]) + int64(j)
-						addr.TraceEdgeRead(tr, g, eo)
-					}
-					for _, li := range lanes {
-						i := int(li)
-						relaxes++
-						if tr != nil {
-							tr.Access(addr.values+int64(dbase+i)*8, 8, false)
-						}
-						if queries.RelaxImprove(st.Vals, kinds[i], st.Kernels[i], dbase+st.LaneOff[i], st.Vals.Get(base+st.LaneOff[i]), w) {
-							writes++
-							nextSep[i].AddSync(d)
-							if tr != nil {
-								tr.Access(addr.values+int64(dbase+i)*8, 8, true)
-								tr.Access(addr.sepNext[i]+int64(d>>6)*8, 8, true)
-								tr.Access(addr.unionNext+int64(d>>6)*8, 8, true)
-							}
-						}
-					}
+		nbrs, ws := p.g.OutEdges(v)
+		c.Edges += int64(len(nbrs))
+		c.Relaxes += int64(len(nbrs) * len(lanes))
+		for j, d := range nbrs {
+			w := WeightAt(ws, j)
+			for _, i := range lanes {
+				if queries.RelaxImprove(st.Vals, st.Kinds[i], st.Kernels[i], st.LaneOff[i]+int(d), st.Vals.Get(st.LaneOff[i]+int(v)), w) {
+					c.Writes++
+					p.Next[i].AddSync(d)
 				}
 			}
-			atomic.AddInt64(&res.EdgesProcessed, edges)
-			atomic.AddInt64(&res.LaneRelaxations, relaxes)
-			atomic.AddInt64(&res.ValueWrites, writes)
-		})
-		// The paper's two-level design maintains the unified frontier with a
-		// second per-improvement bitmap CAS (the access the trace above still
-		// models). The executed version derives it once per iteration from
-		// the quiesced lane frontiers with a word-level OR — same set, no
-		// per-improvement union contention on shared cache lines.
-		union = frontier.UnionOf(pool, workers, nextSep...)
-		sep, nextSep = nextSep, sep
-		if opt.Telemetry != nil {
-			recordIteration(opt.Telemetry, st, res, iter, frontierSize, telemetry.ModePush, injected, prev)
-		}
-		if tr != nil {
-			addr.SwapFrontiers()
 		}
 	}
-	return res, nil
+	return c
 }

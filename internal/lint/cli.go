@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strings"
 )
 
 // ReportSchema identifies the JSON document emitted by the -json mode (and
@@ -18,13 +17,12 @@ type Report struct {
 	Counts   *Baseline `json:"counts"`
 }
 
-// CLI is the shared command front-end used by cmd/glignlint and cmd/doclint:
-// analyzer selection, the analyzer pass itself, optional baseline writing,
-// and finding rendering, with the common exit-code policy (0 clean, 1 active
-// findings remain, 2 usage or driver error). Commands parse their own flags
-// and hand the result here, so the two binaries cannot drift on semantics.
+// CLI is the command front-end behind cmd/glignlint: analyzer selection, the
+// analyzer pass itself, optional baseline writing, and finding rendering,
+// with the exit-code policy (0 clean, 1 active findings remain, 2 usage or
+// driver error). The command parses its flags and hands the result here.
 type CLI struct {
-	// Tool prefixes error messages ("glignlint", "doclint").
+	// Tool prefixes error messages ("glignlint").
 	Tool string
 	// Analyzers is the comma-separated subset to run; "" means all.
 	Analyzers string
@@ -96,21 +94,4 @@ func (c *CLI) Main() int {
 		return 1
 	}
 	return 0
-}
-
-// RecursivePatterns converts directory arguments into recursive package
-// patterns (the doclint argument convention: each root is walked fully).
-// Empty roots default to the current directory.
-func RecursivePatterns(roots []string) []string {
-	if len(roots) == 0 {
-		roots = []string{"."}
-	}
-	patterns := make([]string, 0, len(roots))
-	for _, r := range roots {
-		if !strings.HasSuffix(r, "/...") {
-			r += "/..."
-		}
-		patterns = append(patterns, r)
-	}
-	return patterns
 }

@@ -7,8 +7,9 @@ import (
 )
 
 // HotAlloc flags per-iteration allocations on traversal hot paths. The hot
-// regions are (a) closures handed to the internal/par runtime — they execute
-// once per chunk per iteration on every worker — and (b) the bodies of loops
+// regions are (a) internal/par workers (see ParWorker: closures handed to the
+// runtime and the chunk bodies it reaches through the traversal driver) —
+// they execute once per chunk per iteration on every worker — and (b) the bodies of loops
 // that drive par calls, i.e. the per-iteration section of an engine's
 // traversal loop. Inside a region, make/new, slice & map composite literals,
 // &T{} allocations, escaping closure literals and appends to slices without
@@ -44,27 +45,30 @@ func runHotAlloc(p *Pass) {
 	if !hotAllocPkgs[p.Pkg.Name] {
 		return
 	}
-	info := p.Pkg.Info
+	// The reservation dataflow runs over whichever body encloses the region:
+	// the function for loop regions (reservations sit before the loop), the
+	// worker itself for worker regions (a closure's statements are not nodes
+	// of the enclosing CFG). Scopes are shared across regions with the same
+	// flow body, and findings deduplicate by position so nested regions don't
+	// double-report.
+	scopes := map[*ast.BlockStmt]*hotAllocScope{}
+	reported := map[string]bool{}
+	var regions []hotRegion
 	for _, fd := range funcDecls(p.Pkg) {
-		if fd.Body == nil {
-			continue
+		if fd.Body != nil {
+			regions = append(regions, loopRegions(p.Pkg.Info, fd)...)
 		}
-		// The reservation dataflow runs over whichever body encloses the
-		// region: the function for loop regions (reservations sit before the
-		// loop), the closure itself for worker-closure regions (a closure's
-		// statements are not nodes of the enclosing CFG). Scopes are shared
-		// across regions with the same flow body, and findings deduplicate
-		// by position so nested regions don't double-report.
-		scopes := map[*ast.BlockStmt]*hotAllocScope{}
-		reported := map[string]bool{}
-		for _, region := range hotRegions(info, fd) {
-			scope, ok := scopes[region.flowBody]
-			if !ok {
-				scope = newHotAllocScope(p, region.flowBody, reported)
-				scopes[region.flowBody] = scope
-			}
-			scope.check(region.body, region.why)
+	}
+	for _, w := range p.Prog.ParWorkers(p.Pkg) {
+		regions = append(regions, hotRegion{w.Body, w.Body, "internal/par worker closure"})
+	}
+	for _, region := range regions {
+		scope, ok := scopes[region.flowBody]
+		if !ok {
+			scope = newHotAllocScope(p, region.flowBody, reported)
+			scopes[region.flowBody] = scope
 		}
+		scope.check(region.body, region.why)
 	}
 }
 
@@ -78,10 +82,10 @@ type hotRegion struct {
 	why      string
 }
 
-// hotRegions finds the hot regions of fd: loop bodies containing a par call,
-// and closures passed to par directly. Regions may nest; each is checked
+// loopRegions finds the loop bodies of fd that contain a par call. Regions
+// may nest (with each other and with worker regions); each is checked
 // independently and findings are deduplicated by position.
-func hotRegions(info *types.Info, fd *ast.FuncDecl) []hotRegion {
+func loopRegions(info *types.Info, fd *ast.FuncDecl) []hotRegion {
 	var out []hotRegion
 	containsParCall := func(n ast.Node) bool {
 		found := false
@@ -102,14 +106,6 @@ func hotRegions(info *types.Info, fd *ast.FuncDecl) []hotRegion {
 		case *ast.RangeStmt:
 			if containsParCall(x.Body) {
 				out = append(out, hotRegion{x.Body, fd.Body, "iteration loop driving internal/par"})
-			}
-		case *ast.CallExpr:
-			if isParCall(info, x) {
-				for _, arg := range x.Args {
-					if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
-						out = append(out, hotRegion{lit.Body, lit.Body, "internal/par worker closure"})
-					}
-				}
 			}
 		}
 		return true

@@ -6,14 +6,15 @@ import (
 	"go/types"
 )
 
-// ParCapture flags closures handed to the internal/par runtime that write
-// variables captured by reference. par.For runs its body concurrently on
-// every worker, so a plain `captured++` (or a field store through a
-// captured pointer) inside the closure is a data race; the repository
-// convention is to accumulate into closure-local variables and publish with
-// sync/atomic, or to write only disjoint slice elements (indexed stores are
-// therefore exempt). Assigning an enclosing loop variable from inside the
-// closure is flagged the same way.
+// ParCapture flags internal/par workers (see ParWorker: the closures handed
+// to the runtime and every function reached from one through a function-typed
+// variable or field) that write variables shared between chunks. par.For runs
+// its body concurrently on every worker, so a plain `captured++` (or a field
+// store through a captured pointer or a method worker's receiver) is a data
+// race; the repository convention is to accumulate into worker-local
+// variables and publish with sync/atomic, or to write only disjoint slice
+// elements (indexed stores are therefore exempt). Assigning an enclosing loop
+// variable from inside the closure is flagged the same way.
 func ParCapture() *Analyzer {
 	return &Analyzer{
 		Name: "parcapture",
@@ -24,22 +25,8 @@ func ParCapture() *Analyzer {
 }
 
 func runParCapture(p *Pass) {
-	info := p.Pkg.Info
-	for _, f := range p.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || !isParCall(info, call) {
-				return true
-			}
-			for _, arg := range call.Args {
-				lit, ok := ast.Unparen(arg).(*ast.FuncLit)
-				if !ok {
-					continue
-				}
-				checkParClosure(p, lit)
-			}
-			return true
-		})
+	for _, w := range p.Prog.ParWorkers(p.Pkg) {
+		checkParWorker(p, w)
 	}
 }
 
@@ -75,9 +62,9 @@ func isParCall(info *types.Info, call *ast.CallExpr) bool {
 	return false
 }
 
-// checkParClosure walks one closure body and reports writes whose target is
-// declared outside the closure.
-func checkParClosure(p *Pass, lit *ast.FuncLit) {
+// checkParWorker walks one worker body and reports writes whose target is
+// declared outside the worker (or is its receiver).
+func checkParWorker(p *Pass, w *ParWorker) {
 	info := p.Pkg.Info
 	captured := func(obj types.Object) bool {
 		if obj == nil {
@@ -87,14 +74,14 @@ func checkParClosure(p *Pass, lit *ast.FuncLit) {
 		if !ok || v.Name() == "_" {
 			return false
 		}
-		return obj.Pos() < lit.Pos() || obj.Pos() > lit.End()
+		return obj == w.Recv || obj.Pos() < w.Node.Pos() || obj.Pos() > w.Node.End()
 	}
 	reportWrite := func(target ast.Expr, what string) {
 		switch t := ast.Unparen(target).(type) {
 		case *ast.Ident:
 			if obj := objectOf(info, t); captured(obj) {
 				p.Reportf(t.Pos(),
-					"closure passed to internal/par writes captured variable %q (%s); "+
+					"internal/par worker writes captured variable %q (%s); "+
 						"accumulate locally and publish with sync/atomic",
 					t.Name, what)
 			}
@@ -103,7 +90,7 @@ func checkParClosure(p *Pass, lit *ast.FuncLit) {
 			if obj := baseIdentObj(info, t.X); captured(obj) {
 				if root := rootVar(info, t); root != nil {
 					p.Reportf(t.Pos(),
-						"closure passed to internal/par writes field %q of captured %q (%s); "+
+						"internal/par worker writes field %q of captured %q (%s); "+
 							"use sync/atomic or a per-worker copy",
 						root.Name(), obj.Name(), what)
 				}
@@ -111,14 +98,14 @@ func checkParClosure(p *Pass, lit *ast.FuncLit) {
 		case *ast.StarExpr:
 			if obj := baseIdentObj(info, t.X); captured(obj) {
 				p.Reportf(t.Pos(),
-					"closure passed to internal/par writes through captured pointer %q (%s)",
+					"internal/par worker writes through captured pointer %q (%s)",
 					obj.Name(), what)
 			}
 			// IndexExpr stores are exempt: writing disjoint elements of a
 			// shared slice is the runtime's intended partitioning pattern.
 		}
 	}
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
+	ast.Inspect(w.Body, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.AssignStmt:
 			if x.Tok == token.DEFINE {

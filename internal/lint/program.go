@@ -32,6 +32,7 @@ type Program struct {
 	quiescedMemo    map[*types.Func]bool
 	lockguardMemo   *lockAnalysis
 	spawnsMemo      []*Spawn
+	parWorkersMemo  map[*Package][]*ParWorker
 	lockorderMemo   *lockOrderAnalysis
 	chanlifeMemo    *chanLifeAnalysis
 }

@@ -430,44 +430,3 @@ func ForReduce[R any](p *Pool, total, workers, grain int, identity R, fn func(lo
 	}
 	return out
 }
-
-// ForSpawn is the pre-pool scheduler — fresh goroutines and a WaitGroup per
-// call, one shared claim cursor — retained as the regression baseline for
-// BenchmarkParFor. New code should use a Pool (or the package-level For).
-func ForSpawn(total, workers, grain int, fn func(lo, hi int)) {
-	if total <= 0 {
-		return
-	}
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
-	grain, nChunks := grainFor(total, workers, grain)
-	if workers == 1 || total <= grain {
-		fn(0, total)
-		return
-	}
-	if workers > nChunks {
-		workers = nChunks
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				c := int(next.Add(1)) - 1
-				if c >= nChunks {
-					return
-				}
-				lo := c * grain
-				hi := lo + grain
-				if hi > total {
-					hi = total
-				}
-				fn(lo, hi)
-			}
-		}()
-	}
-	wg.Wait()
-}

@@ -307,20 +307,6 @@ func TestForReduceSingleWorkerInline(t *testing.T) {
 	}
 }
 
-func TestForSpawnCoversRange(t *testing.T) {
-	seen := make([]int32, 4097)
-	ForSpawn(len(seen), 4, 0, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			atomic.AddInt32(&seen[i], 1)
-		}
-	})
-	for i, c := range seen {
-		if c != 1 {
-			t.Fatalf("index %d visited %d times", i, c)
-		}
-	}
-}
-
 func TestPoolStats(t *testing.T) {
 	p := NewPool(2)
 	defer p.Close()

@@ -10,10 +10,10 @@ import (
 // loop can implement the atomic "write if better" every push-model engine
 // needs (the writeMin of Ligra).
 //
-// The concurrent engines lay a whole batch out in one Values of length n*B,
-// with the value of vertex v for query i at index v*B+i — the
-// ValArray[v_j*B+i] layout of paper §3.5 that keeps a vertex's values for
-// all queries on the same cache line(s).
+// The concurrent engines lay a whole batch out in one Values: B
+// cache-line-aligned lane segments, the value of vertex v for query i at
+// LaneOff[i]+v (internal/core). The ValArray[v_j*B+i] interleaving of paper
+// §3.5 is what the cache-trace model addresses, not what is stored.
 type Values struct {
 	bits []uint64
 }

@@ -72,12 +72,13 @@ func BenchmarkFig16BatchSize(b *testing.B)     { benchExperiment(b, "fig16") }
 func BenchmarkTable15Road(b *testing.B)        { benchExperiment(b, "tab15") }
 func BenchmarkTable16IBFS(b *testing.B)        { benchExperiment(b, "tab16") }
 
-// Engine microbenchmarks: one single-source query and one 16-query batch
-// per engine, reporting relaxations/sec.
+// Engine microbenchmarks: one single-source query, and per engine one
+// 16-query and one 64-query SSSP batch (the batch width the value-array
+// layout matters at), reporting relaxations/sec.
 
-func benchGraph() (*graph.Graph, []queries.Query) {
+func benchGraph(width int) (*graph.Graph, []queries.Query) {
 	g := graph.MustGenerate(graph.LJ, graph.Small)
-	srcs := workload.Sources(g, profileFor(g), 16, 3)
+	srcs := workload.Sources(g, profileFor(g), width, 3)
 	return g, workload.Homogeneous(queries.SSSP, srcs)
 }
 
@@ -86,7 +87,7 @@ func profileFor(g *graph.Graph) *align.Profile {
 }
 
 func BenchmarkSingleQuerySSSP(b *testing.B) {
-	g, batch := benchGraph()
+	g, batch := benchGraph(16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res := engine.Run(g, batch[i%len(batch)], engine.Options{})
@@ -97,17 +98,21 @@ func BenchmarkSingleQuerySSSP(b *testing.B) {
 }
 
 func benchBatchEngine(b *testing.B, e core.Engine) {
-	g, batch := benchGraph()
-	b.ResetTimer()
-	var relaxes int64
-	for i := 0; i < b.N; i++ {
-		res, err := e.Run(g, batch, core.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		relaxes += res.LaneRelaxations
+	for _, width := range []int{16, 64} {
+		b.Run(fmt.Sprintf("B%d", width), func(b *testing.B) {
+			g, batch := benchGraph(width)
+			b.ResetTimer()
+			var relaxes int64
+			for i := 0; i < b.N; i++ {
+				res, err := e.Run(g, batch, core.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				relaxes += res.LaneRelaxations
+			}
+			b.ReportMetric(float64(relaxes)/b.Elapsed().Seconds(), "relax/s")
+		})
 	}
-	b.ReportMetric(float64(relaxes)/b.Elapsed().Seconds(), "relax/s")
 }
 
 func BenchmarkBatchLigraC(b *testing.B)     { benchBatchEngine(b, core.LigraC) }
@@ -126,7 +131,7 @@ func BenchmarkTelemetryOff(b *testing.B) { benchTelemetry(b, false) }
 func BenchmarkTelemetryOn(b *testing.B)  { benchTelemetry(b, true) }
 
 func benchTelemetry(b *testing.B, enabled bool) {
-	g, batch := benchGraph()
+	g, batch := benchGraph(16)
 	var col *telemetry.Collector
 	if enabled {
 		col = telemetry.NewCollector()

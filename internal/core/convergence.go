@@ -15,8 +15,9 @@ import (
 // RunConvergenceBatch is the lane-fused Jacobi evaluator behind the batch
 // engines: one synchronized round recomputes every vertex for every
 // still-running lane from the previous round's in-neighbor values, in the
-// same padded per-lane layout as the monotone engines (a lane's gather of
-// in-neighbor values walks one n-cell segment). The batch must be
+// same vertex-major rows as the monotone engines (a lane's gather reads its
+// cell of each in-neighbor's row, and the next lane finds those rows
+// cached). The batch must be
 // paradigm-homogeneous — every kernel a queries.ConvergenceKernel; the
 // batching layers split mixed buffers before routing.
 //
@@ -58,21 +59,18 @@ func RunConvergenceBatch(g *graph.Graph, batch []queries.Query, opt Options) (*B
 	pool := par.OrDefault(opt.Pool)
 	workers := opt.Workers
 
-	laneOff, total := laneOffsets(n, b)
-
-	old := make([]queries.Value, total)
-	next := make([]queries.Value, total)
+	old := make([]queries.Value, n*b)
+	next := make([]queries.Value, n*b)
 	pool.For(n, workers, 0, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
 			for i := 0; i < b; i++ {
-				old[laneOff[i]+v] = kers[i].InitialValue(n, graph.VertexID(v), batch[i].Source)
+				old[Cell(v, b, i)] = kers[i].InitialValue(n, graph.VertexID(v), batch[i].Source)
 			}
 		}
 	})
 
 	res := &BatchResult{
 		B: b, N: n,
-		LaneOff:       laneOff,
 		LaneRounds:    make([]int, b),
 		LaneConverged: make([]bool, b),
 		LaneResiduals: make([]float64, b),
@@ -97,15 +95,13 @@ func RunConvergenceBatch(g *graph.Graph, batch []queries.Query, opt Options) (*B
 				}
 				edges += int64(len(us))
 				for i := 0; i < b; i++ {
-					cell := laneOff[i] + v
+					cell := Cell(v, b, i)
 					if done[i] {
 						next[cell] = old[cell]
 						continue
 					}
-					// The gather stays inside lane i's segment.
-					off := laneOff[i]
 					for j, u := range us {
-						scratch.Nbrs[j] = old[off+int(u)]
+						scratch.Nbrs[j] = old[Cell(int(u), b, i)]
 					}
 					nv := kers[i].Step(n, old[cell], scratch.Nbrs[:len(us)], scratch.Degs[:len(us)])
 					next[cell] = nv
@@ -167,12 +163,10 @@ func RunConvergenceBatch(g *graph.Graph, batch []queries.Query, opt Options) (*B
 		}
 	}
 	res.UnionFrontierSizes = sizes
-	vals := queries.NewValues(total, 0)
-	pool.For(n, workers, 0, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			for _, off := range laneOff {
-				vals.Set(off+v, old[off+v])
-			}
+	vals := queries.NewValues(n*b, 0)
+	pool.For(n*b, workers, 0, func(lo, hi int) {
+		for c := lo; c < hi; c++ {
+			vals.Set(c, old[c])
 		}
 	})
 	res.Values = vals
@@ -193,11 +187,9 @@ func RunConvergenceSequential(g *graph.Graph, batch []queries.Query, opt Options
 	if rev == nil && g.Directed {
 		rev = g.Reverse()
 	}
-	laneOff, total := laneOffsets(n, b)
-	vals := queries.NewValues(total, 0)
+	vals := queries.NewValues(n*b, 0)
 	res := &BatchResult{
 		B: b, N: n, Values: vals,
-		LaneOff:       laneOff,
 		LaneRounds:    make([]int, b),
 		LaneConverged: make([]bool, b),
 		LaneResiduals: make([]float64, b),
@@ -219,7 +211,7 @@ func RunConvergenceSequential(g *graph.Graph, batch []queries.Query, opt Options
 			return nil, err
 		}
 		for v := 0; v < n; v++ {
-			vals.Set(laneOff[i]+v, r.Values[v])
+			vals.Set(Cell(v, b, i), r.Values[v])
 		}
 		res.LaneRounds[i] = r.Iterations
 		res.LaneResiduals[i] = r.Residual

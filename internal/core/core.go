@@ -11,25 +11,15 @@ import (
 	"github.com/glign/glign/internal/telemetry"
 )
 
-// The batched value array uses one layout: each query lane owns a
-// cache-line-aligned segment (cell of vertex v, query i at LaneOff[i]+v), so
-// concurrent lanes never share a line and per-lane passes — the Jacobi gather
-// of convergence kernels, per-query extraction — are unit-stride. The paper's
-// §3.5 interleaved layout (cell v*B+i) survives only as the address model of
-// the cache-trace simulation (tracing.go), which computes those addresses
-// itself and never reads real cell indices.
-
-// laneOffsets lays an n x b value array out as b lane segments, each rounded
-// up to a multiple of 8 cells so every 8-byte-cell segment starts and ends on
-// a 64-byte line boundary. total is the array length including the padding.
-func laneOffsets(n, b int) (laneOff []int, total int) {
-	stride := (n + 7) &^ 7
-	laneOff = make([]int, b)
-	for i := range laneOff {
-		laneOff[i] = i * stride
-	}
-	return laneOff, stride * b
-}
+// Cell is the one place the batched value array's layout is written down: the
+// paper's §3.5 ValArray[v*B+i]. Vertex v owns the row of exactly b cells
+// starting at Cell(v, b, 0), its value for query lane i sits at offset i of
+// that row, and rows are not padded (a batch of one or two queries, the
+// common case when serving, would otherwise pay for a full cache line per
+// vertex). Relaxing an edge for every query — what the query-oblivious
+// frontier does — therefore reads one row and writes another; per-query
+// passes (QueryValues, a Jacobi lane's gather) are the strided ones.
+func Cell(v, b, i int) int { return v*b + i }
 
 // Options configures a batch evaluation.
 type Options struct {
@@ -69,9 +59,8 @@ type BatchResult struct {
 	// N is the vertex count of the graph.
 	N int
 	// Values is the flat batched value array: vertex v, query q lives at
-	// LaneOff[q]+v (see laneOffsets).
-	Values  *queries.Values
-	LaneOff []int
+	// Cell(v, B, q).
+	Values *queries.Values
 	// GlobalIterations counts executed global iterations.
 	GlobalIterations int
 	// UnionFrontierSizes records the unified frontier size entering every
@@ -97,15 +86,36 @@ type BatchResult struct {
 
 // Value returns the final value of vertex v for query q.
 func (r *BatchResult) Value(q int, v graph.VertexID) queries.Value {
-	return r.Values.Get(r.LaneOff[q] + int(v))
+	return r.Values.Get(Cell(int(v), r.B, q))
 }
 
-// QueryValues copies out the full value vector of query q.
+// QueryValues copies out the full value vector of query q: one strided pass
+// over the value array. To take every query's vector, use AllQueryValues.
 func (r *BatchResult) QueryValues(q int) []queries.Value {
 	out := make([]queries.Value, r.N)
-	for v := 0; v < r.N; v++ {
-		out[v] = r.Values.Get(r.LaneOff[q] + v)
+	for v := range out {
+		out[v] = r.Values.Get(Cell(v, r.B, q))
 	}
+	return out
+}
+
+// AllQueryValues copies out the value vector of every query — element q is
+// QueryValues(q) — in one pass over the value array: each vertex's row is
+// read once and scattered into the B vectors, on pool (nil: the default one)
+// over disjoint vertex ranges.
+func (r *BatchResult) AllQueryValues(pool *par.Pool, workers int) [][]queries.Value {
+	out := make([][]queries.Value, r.B)
+	for q := range out {
+		out[q] = make([]queries.Value, r.N)
+	}
+	par.OrDefault(pool).For(r.N, workers, 0, func(lo, hi int) {
+		for v := lo; v < hi; v++ {
+			row := Cell(v, r.B, 0)
+			for q := range out {
+				out[q][v] = r.Values.Get(row + q)
+			}
+		}
+	})
 	return out
 }
 
@@ -132,9 +142,6 @@ type BatchSetup struct {
 	groups   []laneGroup
 	Identity []queries.Value
 	Vals     *queries.Values
-	// LaneOff realizes the value layout: vertex v, query i lives at
-	// LaneOff[i]+v.
-	LaneOff []int
 	// Alignment[i] = global iteration at which query i starts.
 	Alignment []int
 	Sources   []graph.VertexID
@@ -146,14 +153,13 @@ type BatchSetup struct {
 
 // Cell returns the value-array index of vertex v, query lane i.
 func (st *BatchSetup) Cell(v, i int) int {
-	return st.LaneOff[i] + v
+	return Cell(v, st.B, i)
 }
 
-// NewResult builds the engine result envelope carrying the setup's sizes,
-// value array and layout, so BatchResult.Value addresses cells the same way
-// the engine wrote them.
+// NewResult builds the engine result envelope carrying the setup's sizes and
+// value array.
 func (st *BatchSetup) NewResult() *BatchResult {
-	return &BatchResult{B: st.B, N: st.N, Values: st.Vals, LaneOff: st.LaneOff}
+	return &BatchResult{B: st.B, N: st.N, Values: st.Vals}
 }
 
 // PrepareBatch validates a batch against a graph and options and builds its
@@ -207,17 +213,15 @@ func PrepareBatch(g *graph.Graph, batch []queries.Query, opt Options) (*BatchSet
 	sort.SliceStable(st.schedule, func(i, j int) bool {
 		return st.Alignment[st.schedule[i]] < st.Alignment[st.schedule[j]]
 	})
-	var total int
-	st.LaneOff, total = laneOffsets(n, b)
-	st.Vals = queries.NewValues(total, 0)
+	st.Vals = queries.NewValues(n*b, 0)
 	// The identity fill touches every cell; for large graphs that is the
 	// batch's first cold pass over the value array, so spread it over the
-	// pool (disjoint vertex blocks; Set stores are atomic). Padding cells at
-	// lane-segment tails are never addressed and stay zero.
+	// pool (disjoint row blocks; Set stores are atomic).
 	par.OrDefault(opt.Pool).For(n, opt.Workers, 0, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
-			for i, off := range st.LaneOff {
-				st.Vals.Set(off+v, st.Identity[i])
+			row := st.Cell(v, 0)
+			for i, id := range st.Identity {
+				st.Vals.Set(row+i, id)
 			}
 		}
 	})

@@ -23,11 +23,12 @@
 // the single-query engine, and RunConvergenceBatch is the lane-fused Jacobi
 // evaluator every engine routes iterate-to-convergence kernels to.
 //
-// All engines share one value array of cache-line-aligned lane segments
-// (vertex v, query i at LaneOff[i]+v). The paper's §3.5 layout, ValArray[v*B+i],
-// is what the cache-trace model addresses: with Options.Tracer set, Drive
-// runs a serial model of the policy's design (tracing.go) in its place, so the
-// production bodies carry no tracer.
+// All engines share one value array in the paper's §3.5 layout,
+// ValArray[v*B+i]: a row of exactly B cells per vertex (Cell). The
+// query-oblivious engine reads and relaxes whole rows; BatchResult hands the
+// results out per query (QueryValues) or all at once (AllQueryValues). With
+// Options.Tracer set, Drive runs a serial model of the policy's design
+// (tracing.go) in its place, so the production bodies carry no tracer.
 //
 // When Options.Telemetry is set, every engine records one IterationStat per
 // global iteration — frontier size, push/pull mode, active and injected

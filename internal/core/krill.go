@@ -78,11 +78,12 @@ func (p *krillPolicy) push(lo, hi int) Counts {
 		nbrs, ws := p.g.OutEdges(v)
 		c.Edges += int64(len(nbrs))
 		c.Relaxes += int64(len(nbrs) * bits.OnesCount64(mask))
+		vrow := st.Cell(int(v), 0)
 		for j, d := range nbrs {
-			w := WeightAt(ws, j)
+			w, drow := WeightAt(ws, j), st.Cell(int(d), 0)
 			for m := mask; m != 0; m &= m - 1 {
 				i := bits.TrailingZeros64(m)
-				if queries.RelaxImprove(st.Vals, st.Kinds[i], st.Kernels[i], st.LaneOff[i]+int(d), st.Vals.Get(st.LaneOff[i]+int(v)), w) {
+				if queries.RelaxImprove(st.Vals, st.Kinds[i], st.Kernels[i], drow+i, st.Vals.Get(vrow+i), w) {
 					c.Writes++
 					p.nextQM.Set(d, i)
 					p.nextUnion.AddSync(d)

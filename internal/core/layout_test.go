@@ -11,18 +11,28 @@ import (
 	"github.com/glign/glign/internal/queries"
 )
 
-func TestLaneOffsets(t *testing.T) {
-	const n, b = 100, 8
-	laneOff, total := laneOffsets(n, b)
-	stride := total / b
-	if stride%8 != 0 || stride < n || total != stride*b {
-		t.Fatalf("laneOffsets(%d, %d): total=%d stride=%d, want a multiple of 8 cells >= n per lane", n, b, total, stride)
-	}
-	for i, off := range laneOff {
-		// 8 cells x 8 bytes: every lane segment starts on a 64-byte line, and
-		// lane i owns [i*stride, i*stride+n) — segments never overlap.
-		if off != i*stride {
-			t.Fatalf("LaneOff[%d]=%d, want %d", i, off, i*stride)
+// TestRowLayoutBijection pins the one layout: for every batch width, Cell
+// maps (vertex, lane) one-to-one onto [0, n*B) — rows of exactly B cells, no
+// padding, no overlap — with a vertex's lanes adjacent.
+func TestRowLayoutBijection(t *testing.T) {
+	const n = 37
+	for _, b := range []int{1, 3, 8, 64, 65} {
+		seen := make([]bool, n*b)
+		for v := 0; v < n; v++ {
+			for i := 0; i < b; i++ {
+				c := Cell(v, b, i)
+				if c < 0 || c >= n*b || seen[c] {
+					t.Fatalf("B=%d: Cell(%d, %d) = %d is out of [0, %d) or already taken", b, v, i, c, n*b)
+				}
+				seen[c] = true
+				if c != Cell(v, b, 0)+i {
+					t.Fatalf("B=%d: Cell(%d, %d) = %d is not offset %d of the row at %d", b, v, i, c, i, Cell(v, b, 0))
+				}
+			}
+		}
+		st := &BatchSetup{B: b, N: n}
+		if st.Cell(n-1, b-1) != n*b-1 {
+			t.Fatalf("B=%d: BatchSetup.Cell disagrees with Cell", b)
 		}
 	}
 }
@@ -37,8 +47,8 @@ func referenceValues(g *graph.Graph, batch []queries.Query) [][]queries.Value {
 	return out
 }
 
-// TestLayoutEquivalenceAcrossEngines pins every concurrent engine's padded
-// value array bitwise to a reference that never touches it: per-lane
+// TestLayoutEquivalenceAcrossEngines pins every concurrent engine's value
+// array bitwise to a reference that never touches it: per-lane
 // engine.ReferenceRun for monotone batches, the one-query-at-a-time Jacobi
 // evaluator for iterate-to-convergence ones.
 func TestLayoutEquivalenceAcrossEngines(t *testing.T) {
@@ -92,27 +102,27 @@ func TestLayoutEquivalenceAcrossEngines(t *testing.T) {
 	}
 }
 
-// TestPaddedLayoutStress is the race-detector stress for the padded per-lane
-// layout: an 8-lane batch hammered concurrently by all CAS engines across
-// GOMAXPROCS 1, 2 and 8, every run checked bitwise against per-lane
-// engine.ReferenceRun. verify.sh runs this package under -race.
-func TestPaddedLayoutStress(t *testing.T) {
-	g := graph.MustGenerate(graph.LJ, graph.Tiny)
-	batch := []queries.Query{
-		{Kernel: queries.SSSP, Source: 1},
-		{Kernel: queries.BFS, Source: 3},
-		{Kernel: queries.SSWP, Source: 5},
-		{Kernel: queries.SSNP, Source: 7},
-		{Kernel: queries.SSSP, Source: 11},
-		{Kernel: queries.BFS, Source: 13},
-		{Kernel: queries.SSWP, Source: 17},
-		{Kernel: queries.BFS, Source: 19},
+// stressBatch is b heterogeneous queries (the four kinds cycling) from
+// distinct sources.
+func stressBatch(b int) []queries.Query {
+	kernels := []queries.Kernel{queries.SSSP, queries.BFS, queries.SSWP, queries.SSNP}
+	batch := make([]queries.Query, b)
+	for i := range batch {
+		batch[i] = queries.Query{Kernel: kernels[i%len(kernels)], Source: graph.VertexID(2*i + 1)}
 	}
-	if len(batch) != 8 {
-		t.Fatal("stress batch must have 8 lanes")
-	}
-	want := referenceValues(g, batch)
+	return batch
+}
 
+// TestRowLayoutStress is the race-detector stress for the vertex-major rows.
+// Rows are exactly B cells, so at B=3 and B=13 they straddle cache lines and
+// at every width neighbouring vertices' rows share one — the sharing between
+// concurrent writers that PR 10's padded lane segments avoided. Batches of 3,
+// 8 and 13 lanes (heterogeneous, and homogeneous so the row kernel runs) are
+// hammered concurrently by all CAS engines across GOMAXPROCS 1, 2 and 8,
+// every run checked bitwise against per-lane engine.ReferenceRun. verify.sh
+// runs this package under -race.
+func TestRowLayoutStress(t *testing.T) {
+	g := graph.MustGenerate(graph.LJ, graph.Tiny)
 	engines := []Engine{GlignIntra, LigraC, Krill}
 	for _, procs := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("gomaxprocs=%d", procs), func(t *testing.T) {
@@ -120,30 +130,77 @@ func TestPaddedLayoutStress(t *testing.T) {
 			defer runtime.GOMAXPROCS(prev)
 
 			var wg sync.WaitGroup
-			for rep := 0; rep < 3; rep++ {
-				for _, e := range engines {
-					wg.Add(1)
-					go func(e Engine, rep int) {
-						defer wg.Done()
-						res, err := e.Run(g, batch, Options{Workers: 2 + rep})
-						if err != nil {
-							t.Errorf("%s: %v", e.Name(), err)
-							return
-						}
-						for qi := range batch {
-							for v := 0; v < g.NumVertices(); v++ {
-								got := res.Value(qi, graph.VertexID(v))
-								if got != want[qi][v] {
-									t.Errorf("%s rep %d: query %d vertex %d = %v, want %v",
-										e.Name(), rep, qi, v, got, want[qi][v])
-									return
+			for _, b := range []int{3, 8, 13} {
+				mixed := stressBatch(b)
+				uniform := make([]queries.Query, b)
+				for i, q := range mixed {
+					uniform[i] = queries.Query{Kernel: queries.SSSP, Source: q.Source}
+				}
+				for _, batch := range [][]queries.Query{mixed, uniform} {
+					want := referenceValues(g, batch)
+					for rep, e := range engines {
+						wg.Add(1)
+						go func(e Engine, batch []queries.Query, workers int) {
+							defer wg.Done()
+							res, err := e.Run(g, batch, Options{Workers: workers})
+							if err != nil {
+								t.Errorf("%s: %v", e.Name(), err)
+								return
+							}
+							for qi := range batch {
+								for v := 0; v < g.NumVertices(); v++ {
+									got := res.Value(qi, graph.VertexID(v))
+									if got != want[qi][v] {
+										t.Errorf("%s B=%d: query %d vertex %d = %v, want %v",
+											e.Name(), len(batch), qi, v, got, want[qi][v])
+										return
+									}
 								}
 							}
-						}
-					}(e, rep)
+						}(e, batch, 2+rep)
+					}
 				}
 			}
 			wg.Wait()
+		})
+	}
+}
+
+// TestAllQueryValuesMatchesQueryValues holds the one-pass extraction to the
+// strided accessor, query by query, on a monotone and on a Jacobi result.
+func TestAllQueryValuesMatchesQueryValues(t *testing.T) {
+	g := graph.MustGenerate(graph.LJ, graph.Tiny)
+	pr, err := queries.ByName("PageRank")
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := map[string][]queries.Query{
+		"monotone": stressBatch(13),
+		"jacobi":   {{Kernel: pr, Source: 0}, {Kernel: pr, Source: 2}, {Kernel: pr, Source: 5}},
+	}
+	for name, batch := range batches {
+		t.Run(name, func(t *testing.T) {
+			res, err := GlignIntra.Run(g, batch, Options{Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 3} {
+				all := res.AllQueryValues(nil, workers)
+				if len(all) != len(batch) {
+					t.Fatalf("AllQueryValues returned %d vectors for %d queries", len(all), len(batch))
+				}
+				for q := range batch {
+					want := res.QueryValues(q)
+					if len(all[q]) != len(want) {
+						t.Fatalf("query %d: %d values, want %d", q, len(all[q]), len(want))
+					}
+					for v := range want {
+						if all[q][v] != want[v] {
+							t.Fatalf("workers=%d query %d vertex %d: one-pass %v != QueryValues %v", workers, q, v, all[q][v], want[v])
+						}
+					}
+				}
+			}
 		})
 	}
 }

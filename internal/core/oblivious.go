@@ -42,7 +42,7 @@ func (oblivious) Run(g *graph.Graph, batch []queries.Query, opt Options) (*Batch
 // — a pull over all n vertices of the edge-reversed graph when the frontier
 // is dense by Ligra's heuristic. In a pull each destination scans its
 // in-neighbors for frontier members; it is written by exactly one worker and
-// its lane cells stay cache-resident across all of its in-edges. The fixed
+// its row stays cache-resident across all of its in-edges. The fixed
 // point is the same either way (Theorem 3.2 holds in both directions).
 type obliviousPolicy struct {
 	g, rev    *graph.Graph // rev nil: never pull
@@ -93,9 +93,9 @@ func (p *obliviousPolicy) push(lo, hi int) Counts {
 
 // pull relaxes, for every destination in [lo, hi), each in-edge whose source
 // is in the frontier, across every lane — reached or not, so the lane groups
-// are the batch's static ones and an in-edge costs only the snapshot of its
-// source: relaxing an identity proposes nothing better than what any cell
-// holds.
+// are the batch's static ones and an in-edge costs only the copy of its
+// source's row: relaxing an identity proposes nothing better than what any
+// cell holds.
 func (p *obliviousPolicy) pull(lo, hi int) Counts {
 	st, s := p.st, newLaneScratch(p.st)
 	s.groups = st.groups
@@ -109,9 +109,7 @@ func (p *obliviousPolicy) pull(lo, hi int) Counts {
 			}
 			c.Edges++
 			c.Relaxes += int64(st.B)
-			for i, off := range st.LaneOff {
-				s.src[i] = st.Vals.Get(off + int(src))
-			}
+			st.Vals.LoadRow(st.Cell(int(src), 0), s.src)
 			improved += s.relax(st, d, WeightAt(ws, j))
 		}
 		if improved > 0 {
@@ -145,31 +143,34 @@ func groupLanes(kinds []queries.OpKind) (groups []laneGroup) {
 	return groups
 }
 
-// laneScratch is a chunk's view of one source vertex: a snapshot of its value
-// in every lane, and the lane groups relax runs over — in a push the lanes
-// that have reached the vertex (value no longer the kernel identity).
+// laneScratch is a chunk's view of one source vertex: a snapshot of its row,
+// and the lane groups relax runs over — in a push the lanes that have reached
+// the vertex (value no longer the kernel identity).
 type laneScratch struct {
 	src    []queries.Value
-	lanes  []int32 // the reached lanes, group after group
+	cand   []queries.Value // candidate row of the row kernels
+	lanes  []int32         // the reached lanes, group after group
 	groups []laneGroup
 }
 
 func newLaneScratch(st *BatchSetup) *laneScratch {
+	rows := make([]queries.Value, 2*st.B)
 	return &laneScratch{
-		src:    make([]queries.Value, st.B),
+		src:    rows[:st.B:st.B],
+		cand:   rows[st.B:],
 		lanes:  make([]int32, 0, st.B),
 		groups: make([]laneGroup, 0, len(st.groups)),
 	}
 }
 
-// load snapshots vertex v — one cell per lane segment, re-used across all of
-// its edges — and returns how many lanes have reached it.
+// load snapshots vertex v's row — re-used across all of its edges — and
+// returns how many lanes have reached it.
 func (s *laneScratch) load(st *BatchSetup, v int) (reached int) {
+	st.Vals.LoadRow(st.Cell(v, 0), s.src)
 	s.lanes, s.groups = s.lanes[:0], s.groups[:0]
 	for _, g := range st.groups {
 		from := len(s.lanes)
 		for _, i := range g.lanes {
-			s.src[i] = st.Vals.Get(st.LaneOff[i] + v)
 			if s.src[i] != st.Identity[i] {
 				s.lanes = append(s.lanes, i)
 			}
@@ -182,45 +183,52 @@ func (s *laneScratch) load(st *BatchSetup, v int) (reached int) {
 }
 
 // relax relaxes the snapshotted vertex's edge to d (weight w) in every lane
-// of s.groups and returns how many lanes improved. It is queries.RelaxImprove
-// with the kind switch hoisted out of the lane loop.
+// of s.groups and returns how many lanes improved. When that is every lane of
+// the batch under one built-in kind — a homogeneous batch once its queries
+// have met, and always in a pull — the edge is one pass over d's row;
+// otherwise it is queries.RelaxImprove with the kind switch hoisted out of
+// the lane loop.
 func (s *laneScratch) relax(st *BatchSetup, d int, w graph.Weight) (improved int) {
+	row := st.Cell(d, 0)
+	if g := s.groups[0]; len(g.lanes) == st.B && g.kind != queries.OpCustom {
+		return queries.RelaxImproveRow(st.Vals, g.kind, row, s.src, s.cand, w)
+	}
 	wv := queries.Value(w)
 	for _, g := range s.groups {
 		switch g.kind {
 		case queries.OpBFS:
 			for _, i := range g.lanes {
-				if st.Vals.ImproveMin(st.LaneOff[i]+d, s.src[i]+1) {
+				if st.Vals.ImproveMin(row+int(i), s.src[i]+1) {
 					improved++
 				}
 			}
 		case queries.OpSSSP:
 			for _, i := range g.lanes {
-				if st.Vals.ImproveMin(st.LaneOff[i]+d, s.src[i]+wv) {
+				if st.Vals.ImproveMin(row+int(i), s.src[i]+wv) {
 					improved++
 				}
 			}
 		case queries.OpSSWP:
 			for _, i := range g.lanes {
-				if st.Vals.ImproveMax(st.LaneOff[i]+d, min(s.src[i], wv)) {
+				if st.Vals.ImproveMax(row+int(i), min(s.src[i], wv)) {
 					improved++
 				}
 			}
 		case queries.OpSSNP:
 			for _, i := range g.lanes {
-				if st.Vals.ImproveMin(st.LaneOff[i]+d, max(s.src[i], wv)) {
+				if st.Vals.ImproveMin(row+int(i), max(s.src[i], wv)) {
 					improved++
 				}
 			}
 		case queries.OpViterbi:
 			for _, i := range g.lanes {
-				if st.Vals.ImproveMax(st.LaneOff[i]+d, s.src[i]/wv) {
+				if st.Vals.ImproveMax(row+int(i), s.src[i]/wv) {
 					improved++
 				}
 			}
 		default:
 			for _, i := range g.lanes {
-				if st.Vals.Improve(st.LaneOff[i]+d, st.Kernels[i].Relax(s.src[i], w), st.Kernels[i].Better) {
+				if st.Vals.Improve(row+int(i), st.Kernels[i].Relax(s.src[i], w), st.Kernels[i].Better) {
 					improved++
 				}
 			}

@@ -11,11 +11,10 @@ import (
 // Cache-trace modelling. When Options.Tracer is set, Drive runs a model of
 // the policy's design in the policy's place: the same traversal, walked
 // serially and un-fused on the model's own frontier state, emitting the
-// address stream the paper's design would produce. The model computes every
-// address itself — in particular the §3.5 interleaved value layout, cell
-// (v, i) at v*B+i — so the production bodies carry no tracer and the real
-// value array is free to use the padded per-lane layout. The pull direction
-// is never modelled: the trace is of the paper's push design.
+// address stream the paper's design would produce, so the production bodies
+// carry no tracer. Value accesses are addressed by Cell, like the real array.
+// The pull direction is never modelled: the trace is of the paper's push
+// design.
 //
 // The model is held to the production bodies by
 // TestTracingDeterministicAndHarmless (values) and to the committed access
@@ -128,7 +127,7 @@ func (t *tracedModel) vertex(v graph.VertexID) { t.tr.Access(t.offsets+int64(v)*
 // value models touching `lanes` consecutive cells of ValArray starting at
 // vertex v, query lane.
 func (t *tracedModel) value(v graph.VertexID, lane, lanes int, write bool) {
-	t.tr.Access(t.values+(int64(v)*int64(t.st.B)+int64(lane))*8, int64(lanes)*8, write)
+	t.tr.Access(t.values+int64(t.st.Cell(int(v), lane))*8, int64(lanes)*8, write)
 }
 
 // word models touching the word of the bitmap at base that holds vertex v.

@@ -97,10 +97,11 @@ func (p *twoLevelPolicy) push(lo, hi int) Counts {
 		nbrs, ws := p.g.OutEdges(v)
 		c.Edges += int64(len(nbrs))
 		c.Relaxes += int64(len(nbrs) * len(lanes))
+		vrow := st.Cell(int(v), 0)
 		for j, d := range nbrs {
-			w := WeightAt(ws, j)
+			w, drow := WeightAt(ws, j), st.Cell(int(d), 0)
 			for _, i := range lanes {
-				if queries.RelaxImprove(st.Vals, st.Kinds[i], st.Kernels[i], st.LaneOff[i]+int(d), st.Vals.Get(st.LaneOff[i]+int(v)), w) {
+				if queries.RelaxImprove(st.Vals, st.Kinds[i], st.Kernels[i], drow+int(i), st.Vals.Get(vrow+int(i)), w) {
 					c.Writes++
 					p.Next[i].AddSync(d)
 				}

@@ -8,17 +8,19 @@ import (
 
 // valuesApproved are the methods of queries.Values (plus its constructor)
 // allowed to touch the raw bit-pattern array directly. Everything else must
-// relax through the CAS helpers (Improve / ImproveMin / ImproveMax) or the
-// atomic accessors, so the "write if better" protocol — the only thing that
-// makes concurrent lane relaxation sound (paper Theorem 3.2 requires
-// monotone updates) — cannot be bypassed.
+// relax through the CAS helpers (Improve / ImproveMin / ImproveMax and the
+// row forms of the latter two) or the atomic accessors, so the "write if
+// better" protocol — the only thing that makes concurrent lane relaxation
+// sound (paper Theorem 3.2 requires monotone updates) — cannot be bypassed.
 var valuesApproved = map[string]bool{
 	"NewValues": true,
 	"Len":       true,
 	"Get":       true,
 	"Set":       true,
 	"Fill":      true,
+	"LoadRow":   true,
 	"Improve":   true, "ImproveMin": true, "ImproveMax": true,
+	"ImproveMinRow": true, "ImproveMaxRow": true,
 	"Snapshot": true,
 	"Bytes":    true,
 }
@@ -28,6 +30,7 @@ var valuesApproved = map[string]bool{
 var valuesMutators = map[string]bool{
 	"Set": true, "Fill": true,
 	"Improve": true, "ImproveMin": true, "ImproveMax": true,
+	"ImproveMinRow": true, "ImproveMaxRow": true,
 }
 
 // KernelMono enforces the three kernel invariants of the queries package:

@@ -109,3 +109,74 @@ func RelaxImprove(v *Values, kind OpKind, k Kernel, i int, src Value, w graph.We
 	}
 	return v.Improve(i, k.Relax(src, w), k.Better)
 }
+
+// ImproveMinRow is ImproveMin over a row of consecutive cells: it installs
+// cand[k] into cell base+k wherever cand[k] is smaller than the cell, and
+// returns how many cells improved.
+func (v *Values) ImproveMinRow(base int, cand []Value) (improved int) {
+	row := v.bits[base:][:len(cand)]
+	for k, c := range cand {
+		addr := &row[k]
+		for old := atomic.LoadUint64(addr); c < math.Float64frombits(old); old = atomic.LoadUint64(addr) {
+			if atomic.CompareAndSwapUint64(addr, old, math.Float64bits(c)) {
+				improved++
+				break
+			}
+		}
+	}
+	return improved
+}
+
+// ImproveMaxRow is ImproveMinRow for maximizing kernels.
+func (v *Values) ImproveMaxRow(base int, cand []Value) (improved int) {
+	row := v.bits[base:][:len(cand)]
+	for k, c := range cand {
+		addr := &row[k]
+		for old := atomic.LoadUint64(addr); c > math.Float64frombits(old); old = atomic.LoadUint64(addr) {
+			if atomic.CompareAndSwapUint64(addr, old, math.Float64bits(c)) {
+				improved++
+				break
+			}
+		}
+	}
+	return improved
+}
+
+// RelaxImproveRow is RelaxImprove for a whole row of lanes running one
+// built-in kind: src[k] is the edge source's value in lane k, the
+// destination's lanes are the len(src) cells from base on, and cand is
+// scratch of the same length. It returns how many lanes improved. A lane
+// whose src is the kernel's identity proposes nothing better than any cell
+// holds, so rows need not be fully reached. kind must not be OpCustom.
+func RelaxImproveRow(v *Values, kind OpKind, base int, src, cand []Value, w graph.Weight) (improved int) {
+	cand = cand[:len(src)]
+	wv := Value(w)
+	switch kind {
+	case OpBFS:
+		for k, s := range src {
+			cand[k] = s + 1
+		}
+		return v.ImproveMinRow(base, cand)
+	case OpSSSP:
+		for k, s := range src {
+			cand[k] = s + wv
+		}
+		return v.ImproveMinRow(base, cand)
+	case OpSSWP:
+		for k, s := range src {
+			cand[k] = min(s, wv)
+		}
+		return v.ImproveMaxRow(base, cand)
+	case OpSSNP:
+		for k, s := range src {
+			cand[k] = max(s, wv)
+		}
+		return v.ImproveMinRow(base, cand)
+	case OpViterbi:
+		for k, s := range src {
+			cand[k] = s / wv
+		}
+		return v.ImproveMaxRow(base, cand)
+	}
+	panic("queries: RelaxImproveRow on a custom kernel")
+}

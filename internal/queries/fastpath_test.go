@@ -92,6 +92,67 @@ func TestQuickRelaxImproveMatchesInterface(t *testing.T) {
 	}
 }
 
+// The row kernels must agree cell for cell with per-cell RelaxImprove for
+// every built-in kind — improved count and resulting row — on rows that mix
+// identity-valued (unreached) sources with reached ones, at widths that are
+// and are not multiples of a cache line, and at a row base inside a larger
+// array (this is what licenses the oblivious engine's one-pass edge).
+func TestQuickRelaxImproveRowMatchesPerCell(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		for _, k := range All() {
+			kind := KindOf(k)
+			for _, b := range []int{1, 3, 8, 13, 64} {
+				base := rng.Intn(5) * b
+				rowwise, cellwise := NewValues(base+2*b, 0), NewValues(base+2*b, 0)
+				for c := 0; c < rowwise.Len(); c++ {
+					x := randomValue(rng, k)
+					rowwise.Set(c, x)
+					cellwise.Set(c, x)
+				}
+				src := make([]Value, b)
+				for i := range src {
+					src[i] = randomValue(rng, k)
+				}
+				w := graph.Weight(1 + rng.Intn(64))
+
+				got := RelaxImproveRow(rowwise, kind, base, src, make([]Value, b), w)
+				want := 0
+				for i, s := range src {
+					if RelaxImprove(cellwise, kind, k, base+i, s, w) {
+						want++
+					}
+				}
+				if got != want {
+					return false
+				}
+				// Cells outside the row must be left alone too.
+				for c := 0; c < rowwise.Len(); c++ {
+					if rowwise.Get(c) != cellwise.Get(c) {
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestLoadRow(t *testing.T) {
+	v := NewValues(12, 0)
+	for c := 0; c < v.Len(); c++ {
+		v.Set(c, Value(c))
+	}
+	row := make([]Value, 3)
+	v.LoadRow(6, row)
+	if row[0] != 6 || row[1] != 7 || row[2] != 8 {
+		t.Fatalf("LoadRow(6) = %v, want [6 7 8]", row)
+	}
+}
+
 func randomValue(rng *rand.Rand, k Kernel) Value {
 	switch rng.Intn(4) {
 	case 0:

@@ -10,10 +10,11 @@ import (
 // loop can implement the atomic "write if better" every push-model engine
 // needs (the writeMin of Ligra).
 //
-// The concurrent engines lay a whole batch out in one Values: B
-// cache-line-aligned lane segments, the value of vertex v for query i at
-// LaneOff[i]+v (internal/core). The ValArray[v_j*B+i] interleaving of paper
-// §3.5 is what the cache-trace model addresses, not what is stored.
+// The concurrent engines lay a whole batch out in one Values as the
+// ValArray[v*B+i] of paper §3.5: one row of exactly B cells per vertex, the
+// value of vertex v for query i at core.Cell(v, B, i). Relaxing an edge for
+// every query therefore touches B consecutive cells, which is what LoadRow
+// and the row kernels of fastpath.go (ImproveMinRow, ImproveMaxRow) work on.
 type Values struct {
 	bits []uint64
 }
@@ -37,6 +38,15 @@ func (v *Values) Get(i int) Value {
 // initialization such as injecting source values).
 func (v *Values) Set(i int, x Value) {
 	atomic.StoreUint64(&v.bits[i], math.Float64bits(x))
+}
+
+// LoadRow atomically reads the len(dst) consecutive cells starting at base
+// into dst — one vertex's row, or a prefix of it.
+func (v *Values) LoadRow(base int, dst []Value) {
+	row := v.bits[base : base+len(dst)]
+	for k := range row {
+		dst[k] = math.Float64frombits(atomic.LoadUint64(&row[k]))
+	}
 }
 
 // Fill resets every cell to x (not atomic). Fill is only reachable through

@@ -684,8 +684,9 @@ func (s *Server) runBatch(fb *formedBatch) {
 		// but never cached (lookups compare entry epoch to the live one, so
 		// even a racing insert could not be served stale).
 		fresh := s.epoch.Load() == epoch
+		all := br.AllQueryValues(s.cfg.Pool, s.cfg.Workers)
 		for i, sl := range fb.slots {
-			vals := br.QueryValues(i)
+			vals := all[i]
 			if fresh {
 				s.cachePut(sl.key, vals, epoch)
 			}

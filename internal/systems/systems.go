@@ -235,8 +235,8 @@ func Run(method string, g *graph.Graph, buffer []queries.Query, cfg Config) (*Re
 		res.LaneRelaxations += atomic.LoadInt64(&br.LaneRelaxations)
 		res.ValueWrites += atomic.LoadInt64(&br.ValueWrites)
 		if cfg.KeepValues {
-			for qi, bufferIdx := range idx {
-				res.Values[bufferIdx] = br.QueryValues(qi)
+			for qi, vals := range br.AllQueryValues(cfg.Pool, cfg.Workers) {
+				res.Values[idx[qi]] = vals
 			}
 		}
 	}

@@ -59,6 +59,12 @@ echo "== go test =="
 # any inter-test state dependence surfaces here instead of in CI roulette.
 go test -shuffle=on ./...
 
+echo "== benchmark module (vet + tests) =="
+# benchmark/ is a module of its own (BENCHMARK.json's driver), so the legs
+# above never compile it; it builds against exported names of internal/core,
+# internal/systems and the facade, and this leg is what notices when one goes.
+(cd benchmark && go vet ./... && go test ./...)
+
 echo "== serve e2e telemetry archive =="
 # Re-run the deterministic serving session with its telemetry snapshot
 # archived under results/ — the `serving` section SERVING.md §8 audits.

@@ -72,14 +72,20 @@ func BenchmarkFig16BatchSize(b *testing.B)     { benchExperiment(b, "fig16") }
 func BenchmarkTable15Road(b *testing.B)        { benchExperiment(b, "tab15") }
 func BenchmarkTable16IBFS(b *testing.B)        { benchExperiment(b, "tab16") }
 
-// Engine microbenchmarks: one single-source query, and per engine one
-// 16-query and one 64-query SSSP batch (the batch width the value-array
-// layout matters at), reporting relaxations/sec.
+// Engine microbenchmarks: one single-source query, and per engine one batch
+// per regime the value-array layout and the changed-lane mask matter in — a
+// hub graph at the widths 16 and 64 (few fat iterations), and a road graph
+// (100+ thin iterations, a lane or two changing per active vertex) —
+// reporting relaxations/sec.
 
 func benchGraph(width int) (*graph.Graph, []queries.Query) {
-	g := graph.MustGenerate(graph.LJ, graph.Small)
+	return benchBatch(graph.LJ, queries.SSSP, width)
+}
+
+func benchBatch(d graph.Dataset, k queries.Kernel, width int) (*graph.Graph, []queries.Query) {
+	g := graph.MustGenerate(d, graph.Small)
 	srcs := workload.Sources(g, profileFor(g), width, 3)
-	return g, workload.Homogeneous(queries.SSSP, srcs)
+	return g, workload.Homogeneous(k, srcs)
 }
 
 func profileFor(g *graph.Graph) *align.Profile {
@@ -98,9 +104,17 @@ func BenchmarkSingleQuerySSSP(b *testing.B) {
 }
 
 func benchBatchEngine(b *testing.B, e core.Engine) {
-	for _, width := range []int{16, 64} {
-		b.Run(fmt.Sprintf("B%d", width), func(b *testing.B) {
-			g, batch := benchGraph(width)
+	for _, leg := range []struct {
+		dataset graph.Dataset
+		kernel  queries.Kernel
+		width   int
+	}{
+		{graph.LJ, queries.SSSP, 16},
+		{graph.LJ, queries.SSSP, 64},
+		{graph.RDCA, queries.BFS, 16},
+	} {
+		b.Run(fmt.Sprintf("%s/%s/B%d", leg.dataset, leg.kernel.Name(), leg.width), func(b *testing.B) {
+			g, batch := benchBatch(leg.dataset, leg.kernel, leg.width)
 			b.ResetTimer()
 			var relaxes int64
 			for i := 0; i < b.N; i++ {

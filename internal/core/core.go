@@ -16,9 +16,10 @@ import (
 // starting at Cell(v, b, 0), its value for query lane i sits at offset i of
 // that row, and rows are not padded (a batch of one or two queries, the
 // common case when serving, would otherwise pay for a full cache line per
-// vertex). Relaxing an edge for every query — what the query-oblivious
-// frontier does — therefore reads one row and writes another; per-query
-// passes (QueryValues, a Jacobi lane's gather) are the strided ones.
+// vertex). Relaxing an edge for the queries that changed at its source — what
+// the query-oblivious frontier does — therefore reads within one row and
+// writes within another; per-query passes (QueryValues, a Jacobi lane's
+// gather) are the strided ones.
 func Cell(v, b, i int) int { return v*b + i }
 
 // Options configures a batch evaluation.
@@ -68,8 +69,7 @@ type BatchResult struct {
 	UnionFrontierSizes []int
 	// EdgesProcessed counts edge visits (per active vertex, per out-edge);
 	// LaneRelaxations counts per-query relaxation attempts on edges. Their
-	// ratio exposes the extra computation the query-oblivious design
-	// trades for locality.
+	// ratio is how many queries an edge visit serves.
 	EdgesProcessed  int64
 	LaneRelaxations int64
 	// ValueWrites counts successful relaxations — value-array improvements
@@ -139,7 +139,13 @@ type BatchSetup struct {
 	// queries.RelaxImprove takes.
 	Kinds []queries.OpKind
 	// groups is every lane, grouped by kind (see laneGroup).
-	groups   []laneGroup
+	groups []laneGroup
+	// rowKind is the kind under which an edge can be relaxed in every lane
+	// with one pass over the destination's row (queries.RelaxImproveRow): the
+	// batch is homogeneous, of a built-in kind, and wider than one lane — a
+	// row of one cell is the cell, and the lane loop reaches it with less
+	// ceremony. OpCustom when there is no such kind.
+	rowKind  queries.OpKind
 	Identity []queries.Value
 	Vals     *queries.Values
 	// Alignment[i] = global iteration at which query i starts.
@@ -195,6 +201,9 @@ func PrepareBatch(g *graph.Graph, batch []queries.Query, opt Options) (*BatchSet
 	}
 	st.Kinds = queries.KindsOf(st.Kernels)
 	st.groups = groupLanes(st.Kinds)
+	if len(st.groups) == 1 && b > 1 {
+		st.rowKind = st.groups[0].kind
+	}
 	if st.Alignment = opt.Alignment; st.Alignment == nil {
 		st.Alignment = make([]int, b)
 	}

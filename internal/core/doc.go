@@ -7,9 +7,11 @@
 // distinguishes them.
 //
 //   - GlignIntra (oblivious.go): Glign's query-oblivious frontier (Figure
-//     5-c, §3.2) — no activation state; every active vertex is relaxed for
-//     all queries that have reached it. Dense iterations switch to pull mode
-//     over the reversed graph (direction optimization, an extension).
+//     5-c, §3.2) — one frontier for all queries, and beside it one mask of
+//     the lanes whose value changed since the vertex last pushed: an active
+//     vertex is relaxed for those, not for all B. Dense iterations switch to
+//     pull mode over the reversed graph (direction optimization, an
+//     extension).
 //   - LigraC (twolevel.go): unified + B separate frontiers (Figure 5-b, the
 //     design of Krill and SimGQ).
 //   - Krill (krill.go): per-vertex query bitmasks instead of B frontiers.
@@ -25,7 +27,8 @@
 //
 // All engines share one value array in the paper's §3.5 layout,
 // ValArray[v*B+i]: a row of exactly B cells per vertex (Cell). The
-// query-oblivious engine reads and relaxes whole rows; BatchResult hands the
+// query-oblivious engine reads and relaxes rows, whole or in the lanes that
+// changed; BatchResult hands the
 // results out per query (QueryValues) or all at once (AllQueryValues). With
 // Options.Tracer set, Drive runs a serial model of the policy's design
 // (tracing.go) in its place, so the production bodies carry no tracer.

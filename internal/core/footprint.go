@@ -6,9 +6,11 @@ import (
 
 // Footprint is the memory breakdown of paper Table 11: the resident sizes
 // of the three major structures of a concurrent evaluation. Only the
-// frontier component differs across designs, but it is scanned in full
-// every global iteration, which is why its size drives LLC behaviour far
-// beyond its share of total memory.
+// frontier component — every structure that says what is active, bitmaps and
+// per-vertex masks alike — differs across designs. The bitmaps are scanned in
+// full every global iteration, which is why their size drives LLC behaviour
+// far beyond its share of total memory; a mask is touched only at active
+// vertices and improved destinations.
 type Footprint struct {
 	Method        string
 	GraphBytes    int64
@@ -44,8 +46,9 @@ func FootprintOf(e Engine, g *graph.Graph, b int) Footprint {
 		// Unified frontier pair + per-vertex query-mask pair.
 		f.FrontierBytes = 2*one + 2*int64(n)*8
 	default:
-		// Query-oblivious designs: a single unified frontier pair.
-		f.FrontierBytes = 2 * one
+		// Query-oblivious designs: a single unified frontier pair, and the
+		// one changed-lane mask (laneMask) — a word per vertex per 64 queries.
+		f.FrontierBytes = 2*one + int64(n)*int64((b+63)/64)*8
 	}
 	return f
 }

@@ -102,10 +102,11 @@ func TestLayoutEquivalenceAcrossEngines(t *testing.T) {
 	}
 }
 
-// stressBatch is b heterogeneous queries (the four kinds cycling) from
-// distinct sources.
+// stressBatch is b heterogeneous queries (four built-in kinds and one the
+// engines know only through the Kernel interface, cycling — so from b = 5 on
+// a batch is several lane groups, one of them OpCustom) from distinct sources.
 func stressBatch(b int) []queries.Query {
-	kernels := []queries.Kernel{queries.SSSP, queries.BFS, queries.SSWP, queries.SSNP}
+	kernels := []queries.Kernel{queries.SSSP, queries.BFS, queries.SSWP, queries.SSNP, queries.KHop(3)}
 	batch := make([]queries.Query, b)
 	for i := range batch {
 		batch[i] = queries.Query{Kernel: kernels[i%len(kernels)], Source: graph.VertexID(2*i + 1)}
@@ -113,52 +114,71 @@ func stressBatch(b int) []queries.Query {
 	return batch
 }
 
-// TestRowLayoutStress is the race-detector stress for the vertex-major rows.
-// Rows are exactly B cells, so at B=3 and B=13 they straddle cache lines and
-// at every width neighbouring vertices' rows share one — the sharing between
-// concurrent writers that PR 10's padded lane segments avoided. Batches of 3,
-// 8 and 13 lanes (heterogeneous, and homogeneous so the row kernel runs) are
-// hammered concurrently by all CAS engines across GOMAXPROCS 1, 2 and 8,
-// every run checked bitwise against per-lane engine.ReferenceRun. verify.sh
-// runs this package under -race.
+// TestRowLayoutStress is the race-detector stress for the vertex-major rows
+// and the changed-lane mask beside them. Rows are exactly B cells, so at B=3
+// and B=13 they straddle cache lines and at every width neighbouring
+// vertices' rows share one — the sharing between concurrent writers that PR
+// 10's padded lane segments avoided; the mask is one word a vertex up to B=64
+// (B=1: the lane bit is the frontier bit), two at 65 and three at 130.
+// Batches of those widths (heterogeneous, and homogeneous so the row kernel
+// runs) are hammered concurrently by all CAS engines across GOMAXPROCS 1, 2
+// and 8, every run checked bitwise against per-lane engine.ReferenceRun.
+// verify.sh runs this package under -race.
 func TestRowLayoutStress(t *testing.T) {
-	g := graph.MustGenerate(graph.LJ, graph.Tiny)
-	engines := []Engine{GlignIntra, LigraC, Krill}
+	type stressCase struct {
+		g       *graph.Graph
+		batch   []queries.Query
+		want    [][]queries.Value
+		engines []Engine
+	}
+	var cases []stressCase
+	for _, b := range []int{1, 3, 8, 13, 64, 65, 130} {
+		// The widths past 13 are the mask's — one full word, two, three — and
+		// run on a graph a quarter the size, to keep the -race leg short.
+		g, engines := graph.MustGenerate(graph.LJ, graph.Tiny), []Engine{GlignIntra, LigraC, Krill}
+		if b > 13 {
+			g, engines = graph.GenerateRMAT(graph.DefaultRMAT(9, 8, 77)), engines[:1]
+		}
+		mixed := stressBatch(b)
+		uniform := make([]queries.Query, b)
+		for i, q := range mixed {
+			uniform[i] = queries.Query{Kernel: queries.SSSP, Source: q.Source}
+		}
+		batches := [][]queries.Query{mixed, uniform}
+		if b == 64 || b == 130 {
+			batches = batches[:1] // 65 runs the several-word row kernel
+		}
+		for _, batch := range batches {
+			cases = append(cases, stressCase{g, batch, referenceValues(g, batch), engines})
+		}
+	}
 	for _, procs := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("gomaxprocs=%d", procs), func(t *testing.T) {
 			prev := runtime.GOMAXPROCS(procs)
 			defer runtime.GOMAXPROCS(prev)
 
 			var wg sync.WaitGroup
-			for _, b := range []int{3, 8, 13} {
-				mixed := stressBatch(b)
-				uniform := make([]queries.Query, b)
-				for i, q := range mixed {
-					uniform[i] = queries.Query{Kernel: queries.SSSP, Source: q.Source}
-				}
-				for _, batch := range [][]queries.Query{mixed, uniform} {
-					want := referenceValues(g, batch)
-					for rep, e := range engines {
-						wg.Add(1)
-						go func(e Engine, batch []queries.Query, workers int) {
-							defer wg.Done()
-							res, err := e.Run(g, batch, Options{Workers: workers})
-							if err != nil {
-								t.Errorf("%s: %v", e.Name(), err)
-								return
-							}
-							for qi := range batch {
-								for v := 0; v < g.NumVertices(); v++ {
-									got := res.Value(qi, graph.VertexID(v))
-									if got != want[qi][v] {
-										t.Errorf("%s B=%d: query %d vertex %d = %v, want %v",
-											e.Name(), len(batch), qi, v, got, want[qi][v])
-										return
-									}
+			for _, tc := range cases {
+				for rep, e := range tc.engines {
+					wg.Add(1)
+					go func(e Engine, tc stressCase, workers int) {
+						defer wg.Done()
+						res, err := e.Run(tc.g, tc.batch, Options{Workers: workers})
+						if err != nil {
+							t.Errorf("%s: %v", e.Name(), err)
+							return
+						}
+						for qi := range tc.batch {
+							for v := 0; v < tc.g.NumVertices(); v++ {
+								got := res.Value(qi, graph.VertexID(v))
+								if got != tc.want[qi][v] {
+									t.Errorf("%s B=%d: query %d vertex %d = %v, want %v",
+										e.Name(), len(tc.batch), qi, v, got, tc.want[qi][v])
+									return
 								}
 							}
-						}(e, batch, 2+rep)
-					}
+						}
+					}(e, tc, 2+rep)
 				}
 			}
 			wg.Wait()

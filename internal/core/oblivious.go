@@ -1,6 +1,10 @@
 package core
 
 import (
+	"math/bits"
+	"sync"
+	"sync/atomic"
+
 	"github.com/glign/glign/internal/frontier"
 	"github.com/glign/glign/internal/graph"
 	"github.com/glign/glign/internal/par"
@@ -10,10 +14,13 @@ import (
 
 // oblivious is Glign's query-oblivious frontier engine (paper §3.2,
 // Figure 5-c): a single unified frontier with no per-query activation state.
-// When a vertex is active, it is evaluated for *every* query in the batch —
-// safe because all kernels are monotone (Theorem 3.2); lanes whose source
-// value is still the kernel identity are skipped, which is exact (relaxing
-// an identity can never improve a neighbor) and cheap.
+// The paper evaluates an active vertex for *every* query in the batch — safe
+// because all kernels are monotone (Theorem 3.2). This engine keeps the one
+// frontier and takes that argument one step further: a lane whose value has
+// not changed since the vertex last pushed proposes exactly what it proposed
+// then, so an active vertex relaxes only the lanes that changed (laneMask) —
+// which also skips every lane that has not reached it, whose value is still
+// the kernel identity.
 //
 // With Options.Alignment set, sources are injected at their scheduled global
 // iterations, which is exactly Glign-Inter's "delayed start" (paper §3.3).
@@ -27,17 +34,28 @@ var GlignIntra Engine = oblivious{}
 func (oblivious) Name() string { return "Glign-Intra" }
 
 func (oblivious) Run(g *graph.Graph, batch []queries.Query, opt Options) (*BatchResult, error) {
-	return runBatch(g, batch, opt, func(st *BatchSetup) LanePolicy {
-		return &obliviousPolicy{
+	var p *obliviousPolicy
+	res, err := runBatch(g, batch, opt, func(st *BatchSetup) LanePolicy {
+		p = &obliviousPolicy{
 			g: g, rev: opt.ReverseGraph, st: st,
 			pool: par.OrDefault(opt.Pool), workers: opt.Workers,
 			cur: frontier.New(st.N), next: frontier.New(st.N),
+			dirty: newLaneMask(st.N, st.B),
 		}
+		p.scratch.New = func() any { return newLaneScratch(st) }
+		return p
 	})
+	// At a fixed point the mask is all-zero again (see laneMask) and serves
+	// the next batch; a capped run can stop with bits set, and a traced one
+	// advances its model's frontier, not p.cur, so their masks are dropped.
+	if p != nil && p.dirty != nil && err == nil && opt.Tracer == nil && p.cur.IsEmpty() {
+		spareLaneMask.Store(p.dirty)
+	}
+	return res, err
 }
 
-// obliviousPolicy keeps no activation state beyond the unified frontier
-// pair. Its step is a push over the frontier's members, or — direction
+// obliviousPolicy keeps the unified frontier pair and one changed-lane mask.
+// Its step is a push over the frontier's members, or — direction
 // optimization, an extension beyond the paper, which assumes push throughout
 // — a pull over all n vertices of the edge-reversed graph when the frontier
 // is dense by Ligra's heuristic. In a pull each destination scans its
@@ -51,9 +69,14 @@ type obliviousPolicy struct {
 	workers   int
 	cur, next *frontier.Subset
 	active    []graph.VertexID
+	dirty     *laneMask
+	scratch   sync.Pool // of *laneScratch: one a worker for the run, not one a chunk
 }
 
-func (p *obliviousPolicy) Inject(src graph.VertexID, _ int) { p.cur.Add(src) }
+func (p *obliviousPolicy) Inject(src graph.VertexID, lane int) {
+	p.dirty.set(int(src), lane)
+	p.cur.Add(src)
+}
 
 func (p *obliviousPolicy) Step() Step {
 	if p.rev != nil && shouldPull(p.g, p.cur, p.pool, p.workers) {
@@ -68,22 +91,26 @@ func (p *obliviousPolicy) Advance() {
 	p.next.Clear()
 }
 
-// push relaxes every out-edge of the active vertices [lo, hi) for every lane
-// that has reached the vertex.
+// push relaxes every out-edge of the active vertices [lo, hi) in the lanes
+// that changed since the vertex last pushed. A vertex none changed at — one
+// that pushed its news earlier in the iteration that activated it — is
+// skipped.
 func (p *obliviousPolicy) push(lo, hi int) Counts {
-	st, s := p.st, newLaneScratch(p.st)
+	st, s := p.st, p.scratch.Get().(*laneScratch)
+	defer p.scratch.Put(s)
 	var c Counts
 	for _, v := range p.active[lo:hi] {
-		reached := s.load(st, int(v))
-		if reached == 0 {
+		changed := s.claim(p, int(v))
+		if changed == 0 {
 			continue
 		}
 		nbrs, ws := p.g.OutEdges(v)
 		c.Edges += int64(len(nbrs))
-		c.Relaxes += int64(len(nbrs) * reached)
+		c.Relaxes += int64(len(nbrs) * changed)
 		for j, d := range nbrs {
 			if improved := s.relax(st, int(d), WeightAt(ws, j)); improved > 0 {
 				c.Writes += int64(improved)
+				p.dirty.mark(int(d), s.improved)
 				p.next.AddSync(d)
 			}
 		}
@@ -92,15 +119,22 @@ func (p *obliviousPolicy) push(lo, hi int) Counts {
 }
 
 // pull relaxes, for every destination in [lo, hi), each in-edge whose source
-// is in the frontier, across every lane — reached or not, so the lane groups
+// is in the frontier, across every lane — changed or not, so the lane groups
 // are the batch's static ones and an in-edge costs only the copy of its
-// source's row: relaxing an identity proposes nothing better than what any
-// cell holds.
+// source's row: relaxing an unchanged lane proposes nothing better than what
+// the cell holds. Every frontier member's row is proposed to all of its
+// out-neighbours this way, so what its mask held is settled; only what the
+// pull improves is marked, for a later push.
 func (p *obliviousPolicy) pull(lo, hi int) Counts {
-	st, s := p.st, newLaneScratch(p.st)
-	s.groups = st.groups
+	st, s := p.st, p.scratch.Get().(*laneScratch)
+	defer p.scratch.Put(s)
+	s.groups, s.row = st.groups, st.rowKind
 	var c Counts
 	for d := lo; d < hi; d++ {
+		// Before d's own relaxations, which only this worker marks.
+		if p.cur.Contains(graph.VertexID(d)) {
+			p.dirty.claim(d, s.claimed)
+		}
 		ins, ws := p.rev.OutEdges(graph.VertexID(d))
 		improved := 0
 		for j, src := range ins {
@@ -110,7 +144,10 @@ func (p *obliviousPolicy) pull(lo, hi int) Counts {
 			c.Edges++
 			c.Relaxes += int64(st.B)
 			st.Vals.LoadRow(st.Cell(int(src), 0), s.src)
-			improved += s.relax(st, d, WeightAt(ws, j))
+			if n := s.relax(st, d, WeightAt(ws, j)); n > 0 {
+				improved += n
+				p.dirty.mark(d, s.improved)
+			}
 		}
 		if improved > 0 {
 			c.Writes += int64(improved)
@@ -120,6 +157,97 @@ func (p *obliviousPolicy) pull(lo, hi int) Counts {
 	return c
 }
 
+// laneMask is the one piece of per-lane state the engine keeps: a bit per
+// (vertex, lane) — ceil(B/64) words a vertex, 1/64 of the value array at
+// B=64 — set when the lane's value at the vertex changed and the vertex has
+// not pushed it yet. It is single-buffered: a lane that arrives at a vertex
+// before the vertex pushes in the same iteration rides along with that push.
+//
+// Exactness rests on two orderings. A writer installs the value (CAS), then
+// marks, then adds the vertex to the next frontier; a pusher claims (swaps
+// the words to zero), then loads the row. So a change is either marked before
+// the claim — and the load, which follows the claim, sees it — or marked
+// after, and then the bit stands and the vertex is in the next frontier to
+// push it. Every marked vertex is in the frontier its marker fills and every
+// frontier member is claimed, so at a fixed point, where the frontier is
+// empty, the mask is all-zero — which is what lets spareLaneMask recycle it
+// with no clearing pass.
+//
+// A batch of one query keeps none (a nil *laneMask, whose methods claim the
+// one lane every time and mark nothing): its frontier bit is its lane bit.
+type laneMask struct {
+	w     int // words a vertex
+	words []uint64
+}
+
+// spareLaneMask hands the mask of the last batch that reached its fixed point
+// to the next one, so that a batch of two or three queries, where a word a
+// vertex is a good part of a row, does not allocate one. It is all-zero over
+// its whole capacity. One slot rather than a sync.Pool: batches of a process
+// mostly run one after another on one graph, and a pool is emptied by the two
+// garbage collections that a large batch's value array and result vectors
+// set off between one batch's end and the next one's start.
+var spareLaneMask atomic.Pointer[laneMask]
+
+func newLaneMask(n, b int) *laneMask {
+	if b == 1 {
+		return nil
+	}
+	w := (b + 63) / 64
+	if m := spareLaneMask.Swap(nil); m != nil && cap(m.words) >= n*w {
+		m.w, m.words = w, m.words[:n*w]
+		return m
+	}
+	return &laneMask{w, make([]uint64, n*w)}
+}
+
+func (m *laneMask) of(v int) []uint64 { return m.words[v*m.w:][:m.w] }
+
+// set marks one lane of v.
+func (m *laneMask) set(v, lane int) {
+	if m != nil {
+		orWord(&m.of(v)[lane>>6], 1<<(lane&63))
+	}
+}
+
+// mark moves the lanes improved holds, a word per 64 lanes, into v's mask,
+// leaving improved zero.
+func (m *laneMask) mark(v int, improved []uint64) {
+	if m != nil {
+		words := m.of(v)
+		for w, lanes := range improved {
+			orWord(&words[w], lanes)
+		}
+	}
+	clear(improved)
+}
+
+// orWord is an atomic OR that leaves a cache line it would not change alone.
+func orWord(addr *uint64, lanes uint64) {
+	for old := atomic.LoadUint64(addr); old|lanes != old; old = atomic.LoadUint64(addr) {
+		if atomic.CompareAndSwapUint64(addr, old, old|lanes) {
+			return
+		}
+	}
+}
+
+// claim moves v's mask into dst, leaving it zero, and returns how many lanes
+// it held.
+func (m *laneMask) claim(v int, dst []uint64) (lanes int) {
+	if m == nil {
+		dst[0] = 1
+		return 1
+	}
+	for w, addr := 0, m.of(v); w < len(addr); w++ {
+		dst[w] = 0
+		if atomic.LoadUint64(&addr[w]) != 0 {
+			dst[w] = atomic.SwapUint64(&addr[w], 0)
+			lanes += bits.OnesCount64(dst[w])
+		}
+	}
+	return lanes
+}
+
 // laneGroup is the lanes of a batch that run one kind of kernel, so an edge
 // runs one fused, devirtualized relaxation loop per kind instead of a switch
 // and two indirect calls per lane. A homogeneous batch — the common case — is
@@ -127,71 +255,103 @@ func (p *obliviousPolicy) pull(lo, hi int) Counts {
 type laneGroup struct {
 	kind  queries.OpKind
 	lanes []int32
+	mask  []uint64 // lanes as a bitmask, a word per 64 lanes of the batch; static groups only
 }
 
 // groupLanes groups every lane of a batch by kernel kind (BatchSetup.groups).
 func groupLanes(kinds []queries.OpKind) (groups []laneGroup) {
-	var byKind [queries.OpViterbi + 1][]int32
+	var byKind [queries.OpViterbi + 1]laneGroup
 	for i, k := range kinds {
-		byKind[k] = append(byKind[k], int32(i))
+		g := &byKind[k]
+		if g.mask == nil {
+			g.kind, g.mask = k, make([]uint64, (len(kinds)+63)/64)
+		}
+		g.lanes = append(g.lanes, int32(i))
+		g.mask[i>>6] |= 1 << (i & 63)
 	}
-	for k, lanes := range byKind {
-		if len(lanes) > 0 {
-			groups = append(groups, laneGroup{queries.OpKind(k), lanes})
+	for _, g := range byKind {
+		if len(g.lanes) > 0 {
+			groups = append(groups, g)
 		}
 	}
 	return groups
 }
 
-// laneScratch is a chunk's view of one source vertex: a snapshot of its row,
-// and the lane groups relax runs over — in a push the lanes that have reached
-// the vertex (value no longer the kernel identity).
+// laneScratch is a worker's view of one source vertex: a snapshot of its row
+// in the lanes being relaxed, those lanes as the groups relax runs over, and
+// the mask words claim and relax fill.
 type laneScratch struct {
-	src    []queries.Value
-	cand   []queries.Value // candidate row of the row kernels
-	lanes  []int32         // the reached lanes, group after group
-	groups []laneGroup
+	src      []queries.Value
+	cand     []queries.Value // candidate row of the row kernels
+	claimed  []uint64        // the lanes claimed from the vertex's mask
+	improved []uint64        // the lanes relax improved; zero again once marked
+	groups   []laneGroup
+	row      queries.OpKind // the kind to run the row kernel for; OpCustom: relax groups lane by lane
+	lanes    []int32        // backing of part's lanes
+	part     []laneGroup    // backing of groups when fewer than all lanes changed
 }
 
 func newLaneScratch(st *BatchSetup) *laneScratch {
 	rows := make([]queries.Value, 2*st.B)
+	words := make([]uint64, 2*((st.B+63)/64))
 	return &laneScratch{
-		src:    rows[:st.B:st.B],
-		cand:   rows[st.B:],
-		lanes:  make([]int32, 0, st.B),
-		groups: make([]laneGroup, 0, len(st.groups)),
+		src:      rows[:st.B:st.B],
+		cand:     rows[st.B:],
+		claimed:  words[: len(words)/2 : len(words)/2],
+		improved: words[len(words)/2:],
+		lanes:    make([]int32, 0, st.B),
+		part:     make([]laneGroup, 0, len(st.groups)),
 	}
 }
 
-// load snapshots vertex v's row — re-used across all of its edges — and
-// returns how many lanes have reached it.
-func (s *laneScratch) load(st *BatchSetup, v int) (reached int) {
-	st.Vals.LoadRow(st.Cell(v, 0), s.src)
-	s.lanes, s.groups = s.lanes[:0], s.groups[:0]
+// claim takes the lanes that changed at v since it last pushed, snapshots v's
+// row in them — after the claim, see laneMask — and groups them for relax. It
+// returns how many there are.
+func (s *laneScratch) claim(p *obliviousPolicy, v int) (changed int) {
+	st := p.st
+	if changed = p.dirty.claim(v, s.claimed); changed == 0 {
+		return 0
+	}
+	row := st.Cell(v, 0)
+	if changed == st.B {
+		st.Vals.LoadRow(row, s.src)
+		s.groups, s.row = st.groups, st.rowKind
+		return changed
+	}
+	s.row = queries.OpCustom
+	s.lanes, s.part = s.lanes[:0], s.part[:0]
 	for _, g := range st.groups {
 		from := len(s.lanes)
-		for _, i := range g.lanes {
-			if s.src[i] != st.Identity[i] {
-				s.lanes = append(s.lanes, i)
+		for w, m := range s.claimed {
+			for m &= g.mask[w]; m != 0; m &= m - 1 {
+				i := w<<6 + bits.TrailingZeros64(m)
+				s.src[i] = st.Vals.Get(row + i)
+				s.lanes = append(s.lanes, int32(i))
 			}
 		}
 		if len(s.lanes) > from {
-			s.groups = append(s.groups, laneGroup{g.kind, s.lanes[from:]})
+			s.part = append(s.part, laneGroup{kind: g.kind, lanes: s.lanes[from:]})
 		}
 	}
-	return len(s.lanes)
+	s.groups = s.part
+	return changed
 }
 
 // relax relaxes the snapshotted vertex's edge to d (weight w) in every lane
-// of s.groups and returns how many lanes improved. When that is every lane of
-// the batch under one built-in kind — a homogeneous batch once its queries
-// have met, and always in a pull — the edge is one pass over d's row;
-// otherwise it is queries.RelaxImprove with the kind switch hoisted out of
-// the lane loop.
+// of s.groups, adds the lanes that improved to s.improved — zero when it is
+// called: mark has taken what an earlier edge left — and returns how many
+// there are. When the groups are every lane of a batch with a row kernel
+// (BatchSetup.rowKind) — all its lanes changed; always, in a pull — the edge
+// is one pass over d's row; otherwise it is queries.RelaxImprove with the
+// kind switch hoisted out of the lane loop.
 func (s *laneScratch) relax(st *BatchSetup, d int, w graph.Weight) (improved int) {
 	row := st.Cell(d, 0)
-	if g := s.groups[0]; len(g.lanes) == st.B && g.kind != queries.OpCustom {
-		return queries.RelaxImproveRow(st.Vals, g.kind, row, s.src, s.cand, w)
+	if s.row != queries.OpCustom {
+		queries.RelaxImproveRow(st.Vals, s.row, row, s.src, s.cand, w, s.improved)
+		for _, m := range s.improved {
+			improved += bits.OnesCount64(m)
+		}
+		return improved
 	}
 	wv := queries.Value(w)
 	for _, g := range s.groups {
@@ -199,42 +359,48 @@ func (s *laneScratch) relax(st *BatchSetup, d int, w graph.Weight) (improved int
 		case queries.OpBFS:
 			for _, i := range g.lanes {
 				if st.Vals.ImproveMin(row+int(i), s.src[i]+1) {
-					improved++
+					improved += s.hit(i)
 				}
 			}
 		case queries.OpSSSP:
 			for _, i := range g.lanes {
 				if st.Vals.ImproveMin(row+int(i), s.src[i]+wv) {
-					improved++
+					improved += s.hit(i)
 				}
 			}
 		case queries.OpSSWP:
 			for _, i := range g.lanes {
 				if st.Vals.ImproveMax(row+int(i), min(s.src[i], wv)) {
-					improved++
+					improved += s.hit(i)
 				}
 			}
 		case queries.OpSSNP:
 			for _, i := range g.lanes {
 				if st.Vals.ImproveMin(row+int(i), max(s.src[i], wv)) {
-					improved++
+					improved += s.hit(i)
 				}
 			}
 		case queries.OpViterbi:
 			for _, i := range g.lanes {
 				if st.Vals.ImproveMax(row+int(i), s.src[i]/wv) {
-					improved++
+					improved += s.hit(i)
 				}
 			}
 		default:
 			for _, i := range g.lanes {
 				if st.Vals.Improve(row+int(i), st.Kernels[i].Relax(s.src[i], w), st.Kernels[i].Better) {
-					improved++
+					improved += s.hit(i)
 				}
 			}
 		}
 	}
 	return improved
+}
+
+// hit records that lane i improved; it returns 1, the improvement it counts.
+func (s *laneScratch) hit(i int32) int {
+	s.improved[i>>6] |= 1 << (i & 63)
+	return 1
 }
 
 // shouldPull applies Ligra's density heuristic to the unified frontier. The

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"github.com/glign/glign/internal/frontier"
 	"github.com/glign/glign/internal/graph"
 	"github.com/glign/glign/internal/memtrace"
@@ -27,17 +29,24 @@ import (
 // mark:
 //
 //	             unionOnly          twoLevels, jobs         queryMasks
-//	per vertex   B-value block      (B frontier probes,)    mask word,
-//	                                then a value per lane   then B-value block
-//	lane + edge  —                  value read              value read
-//	improvement  —                  value, separate (and    value write
+//	per vertex   changed-lane mask, (B frontier probes,)    mask word,
+//	             then a value per   then a value per lane   then B-value block
+//	             changed lane
+//	lane + edge  value read         value read              value read
+//	improvement  value write        value, separate (and    value write
 //	                                unified) frontier writes
-//	per edge     lane-block access, —                       mask and unified
-//	             unified write                              frontier writes
+//	per edge     mask and unified   —                       mask and unified
+//	             frontier writes                            frontier writes
+//
+// unionOnly and queryMasks differ in what the mask means and how many there
+// are: Krill's says which queries a vertex is active for and is
+// double-buffered like its frontier; Glign-Intra's says which lanes changed
+// since the vertex last pushed and is the one array its policy owns
+// (laneMask), claimed and marked here exactly as the production bodies do.
 type design int
 
 const (
-	unionOnly  design = iota // Glign-Intra: nothing beside the unified frontier
+	unionOnly  design = iota // Glign-Intra: one changed-lane mask beside the unified frontier
 	twoLevels                // Ligra-C: B separate frontier bitmaps under it
 	queryMasks               // Krill: one query bitmask per vertex under it
 	jobs                     // GraphM: B separate frontiers, no unified one
@@ -78,6 +87,11 @@ func traced(g *graph.Graph, st *BatchSetup, opt Options, p LanePolicy) (LanePoli
 		t.order = p.(jobOrdered).VisitOrder
 	}
 	switch t.design {
+	case unionOnly:
+		t.claimed = make([]uint64, (st.B+63)/64)
+		if t.dirty = p.(*obliviousPolicy).dirty; t.dirty != nil {
+			t.dirtyBase = t.layout.Place(int64(len(t.dirty.words)) * 8)
+		}
 	case twoLevels, jobs:
 		t.sepCur, t.sepNext = make([]int64, st.B), make([]int64, st.B)
 		for i := range t.sepCur {
@@ -109,8 +123,11 @@ type tracedModel struct {
 	offsets, targets, weights int64
 	values                    int64
 	unionCur, unionNext       int64
-	sepCur, sepNext           []int64 // per-query frontier bitmaps
-	qmaskCur, qmaskNext       int64   // per-vertex query masks
+	sepCur, sepNext           []int64   // per-query frontier bitmaps
+	qmaskCur, qmaskNext       int64     // per-vertex query masks
+	dirty                     *laneMask // unionOnly: the policy's changed-lane mask
+	dirtyBase                 int64
+	claimed                   []uint64 // the lanes claimed from the vertex being visited
 }
 
 // scan models a sequential full read of a frontier bitmap (materializing
@@ -140,12 +157,23 @@ func (t *tracedModel) mask(base int64, v graph.VertexID, write bool) {
 	t.tr.Access(base+int64(v)*8, 8, write)
 }
 
+// changed models touching vertex v's words of the changed-lane mask; a batch
+// of one query has none.
+func (t *tracedModel) changed(v graph.VertexID, write bool) {
+	if t.dirty != nil {
+		t.tr.Access(t.dirtyBase+int64(int(v)*t.dirty.w)*8, int64(t.dirty.w)*8, write)
+	}
+}
+
 func (t *tracedModel) Inject(src graph.VertexID, lane int) {
 	t.LaneFrontiers.Inject(src, lane)
 	if t.design != jobs {
 		t.value(src, lane, 1, true)
 	}
 	switch t.design {
+	case unionOnly:
+		t.dirty.set(int(src), lane)
+		t.changed(src, true)
 	case twoLevels:
 		t.word(t.sepCur[lane], src, true)
 		t.word(t.unionCur, src, true)
@@ -200,24 +228,26 @@ func (t *tracedModel) Step() Step {
 }
 
 // activeLanes appends the lanes a unified-frontier design relaxes v in:
-// those v is active for, or — unionOnly — all that have reached it.
+// those v is active for, or — unionOnly — those it claims from its mask.
 func (t *tracedModel) activeLanes(v graph.VertexID, lanes []int) []int {
 	switch t.design {
 	case unionOnly:
-		t.vertex(v)
-		t.value(v, 0, t.st.B, false)
+		t.changed(v, false)
+		t.dirty.claim(int(v), t.claimed)
+		for w, m := range t.claimed {
+			for ; m != 0; m &= m - 1 {
+				lanes = append(lanes, w*64+bits.TrailingZeros64(m))
+			}
+		}
+		return lanes
 	case queryMasks:
 		t.mask(t.qmaskCur, v, false)
 	}
 	for i, s := range t.Cur {
-		active := s.Contains(v)
-		switch t.design {
-		case unionOnly:
-			active = t.st.Vals.Get(t.st.Cell(int(v), i)) != t.st.Identity[i]
-		case twoLevels:
+		if t.design == twoLevels {
 			t.word(t.sepCur[i], v, false)
 		}
-		if active {
+		if s.Contains(v) {
 			lanes = append(lanes, i)
 		}
 	}
@@ -231,15 +261,13 @@ func (t *tracedModel) visit(v graph.VertexID, lanes []int) {
 	if len(lanes) == 0 {
 		return
 	}
-	switch t.design {
-	case twoLevels, jobs:
-		t.vertex(v)
+	t.vertex(v)
+	if t.design == queryMasks {
+		t.value(v, 0, st.B, false)
+	} else {
 		for _, i := range lanes {
 			t.value(v, i, 1, false)
 		}
-	case queryMasks:
-		t.vertex(v)
-		t.value(v, 0, st.B, false)
 	}
 	nbrs, ws := t.g.OutEdges(v)
 	c.Edges += int64(len(nbrs))
@@ -253,16 +281,15 @@ func (t *tracedModel) visit(v graph.VertexID, lanes []int) {
 		}
 		improved := 0
 		for _, i := range lanes {
-			if t.design != unionOnly {
-				t.value(d, i, 1, false)
-			}
+			t.value(d, i, 1, false)
 			if !queries.RelaxImprove(st.Vals, st.Kinds[i], st.Kernels[i], st.Cell(int(d), i), st.Vals.Get(st.Cell(int(v), i)), WeightAt(ws, j)) {
 				continue
 			}
 			improved++
 			t.Next[i].Add(d)
-			if t.design != unionOnly {
-				t.value(d, i, 1, true)
+			t.value(d, i, 1, true)
+			if t.design == unionOnly {
+				t.dirty.set(int(d), i)
 			}
 			if t.sepNext != nil {
 				t.word(t.sepNext[i], d, true)
@@ -273,13 +300,11 @@ func (t *tracedModel) visit(v graph.VertexID, lanes []int) {
 		}
 		c.Writes += int64(improved)
 		switch {
+		case improved == 0:
 		case t.design == unionOnly:
-			// The destination's lane block is touched as a whole.
-			t.value(d, 0, len(lanes), improved > 0)
-			if improved > 0 {
-				t.word(t.unionNext, d, true)
-			}
-		case t.design == queryMasks && improved > 0:
+			t.changed(d, true)
+			t.word(t.unionNext, d, true)
+		case t.design == queryMasks:
 			t.mask(t.qmaskNext, d, true)
 			t.word(t.unionNext, d, true)
 		}

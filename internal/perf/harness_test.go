@@ -1,6 +1,7 @@
 package perf
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/glign/glign/internal/systems"
@@ -51,15 +52,34 @@ func TestHarnessSmoke(t *testing.T) {
 		}
 	}
 	// Same kernel+graph must measure identical query buffers across methods
-	// and worker counts, which shows up as identical iteration counts per
-	// method (iterations are scheduling-independent for deterministic runs).
-	byMethod := make(map[string]int)
+	// and worker counts: the sampled sources depend on nothing else. (The
+	// iteration count does not show it: chunks chain values within an
+	// iteration, so at w > 1 it varies with the interleaving.)
+	buffers := make(map[string]string)
 	for _, c := range rep.Cells {
-		if prev, ok := byMethod[c.Method]; ok && prev != c.Iterations {
-			t.Fatalf("method %s: iteration count varies across worker counts (%d vs %d) — query buffers differ",
-				c.Method, prev, c.Iterations)
+		g, _, err := runner.graphFor(c.Graph)
+		if err != nil {
+			t.Fatal(err)
 		}
-		byMethod[c.Method] = c.Iterations
+		srcs := fmt.Sprint(sampleSources(cellSeed(runner.cfg.Seed, c.CellKey), g.NumVertices(), runner.cfg.BatchSize))
+		at := c.Kernel + "/" + c.Graph
+		if prev, ok := buffers[at]; ok && prev != srcs {
+			t.Fatalf("cell %s measures sources %s, another cell of %s measures %s", c.CellKey, srcs, at, prev)
+		}
+		buffers[at] = srcs
+	}
+	// Serial cells repeat exactly, iteration count included.
+	for _, c := range rep.Cells {
+		if c.Workers != 1 {
+			continue
+		}
+		again, err := runner.MeasureCell(c.CellKey, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again.Iterations != c.Iterations {
+			t.Fatalf("cell %s: %d iterations, then %d on the same buffer", c.CellKey, c.Iterations, again.Iterations)
+		}
 	}
 	if rep.Env.NumCPU <= 0 || rep.Env.GoVersion == "" || rep.Env.CPUModel == "" {
 		t.Fatalf("environment fingerprint incomplete: %+v", rep.Env)

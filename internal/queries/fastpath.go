@@ -110,16 +110,16 @@ func RelaxImprove(v *Values, kind OpKind, k Kernel, i int, src Value, w graph.We
 	return v.Improve(i, k.Relax(src, w), k.Better)
 }
 
-// ImproveMinRow is ImproveMin over a row of consecutive cells: it installs
-// cand[k] into cell base+k wherever cand[k] is smaller than the cell, and
-// returns how many cells improved.
-func (v *Values) ImproveMinRow(base int, cand []Value) (improved int) {
+// ImproveMinRow is ImproveMin over a row of up to 64 consecutive cells: it
+// installs cand[k] into cell base+k wherever cand[k] is smaller than the
+// cell, and returns which cells improved, bit k for cell base+k.
+func (v *Values) ImproveMinRow(base int, cand []Value) (improved uint64) {
 	row := v.bits[base:][:len(cand)]
 	for k, c := range cand {
 		addr := &row[k]
 		for old := atomic.LoadUint64(addr); c < math.Float64frombits(old); old = atomic.LoadUint64(addr) {
 			if atomic.CompareAndSwapUint64(addr, old, math.Float64bits(c)) {
-				improved++
+				improved |= 1 << uint(k)
 				break
 			}
 		}
@@ -128,13 +128,13 @@ func (v *Values) ImproveMinRow(base int, cand []Value) (improved int) {
 }
 
 // ImproveMaxRow is ImproveMinRow for maximizing kernels.
-func (v *Values) ImproveMaxRow(base int, cand []Value) (improved int) {
+func (v *Values) ImproveMaxRow(base int, cand []Value) (improved uint64) {
 	row := v.bits[base:][:len(cand)]
 	for k, c := range cand {
 		addr := &row[k]
 		for old := atomic.LoadUint64(addr); c > math.Float64frombits(old); old = atomic.LoadUint64(addr) {
 			if atomic.CompareAndSwapUint64(addr, old, math.Float64bits(c)) {
-				improved++
+				improved |= 1 << uint(k)
 				break
 			}
 		}
@@ -145,38 +145,48 @@ func (v *Values) ImproveMaxRow(base int, cand []Value) (improved int) {
 // RelaxImproveRow is RelaxImprove for a whole row of lanes running one
 // built-in kind: src[k] is the edge source's value in lane k, the
 // destination's lanes are the len(src) cells from base on, and cand is
-// scratch of the same length. It returns how many lanes improved. A lane
-// whose src is the kernel's identity proposes nothing better than any cell
-// holds, so rows need not be fully reached. kind must not be OpCustom.
-func RelaxImproveRow(v *Values, kind OpKind, base int, src, cand []Value, w graph.Weight) (improved int) {
+// scratch of the same length. It reports which lanes improved: bit k&63 of
+// improved[k>>6], one word per 64 lanes, every word overwritten; improved
+// must hold (len(src)+63)/64 words. A lane whose src is the kernel's identity
+// proposes nothing better than any cell holds, so rows need not be fully
+// reached. kind must not be OpCustom.
+func RelaxImproveRow(v *Values, kind OpKind, base int, src, cand []Value, w graph.Weight, improved []uint64) {
 	cand = cand[:len(src)]
 	wv := Value(w)
+	maximize := false
 	switch kind {
 	case OpBFS:
 		for k, s := range src {
 			cand[k] = s + 1
 		}
-		return v.ImproveMinRow(base, cand)
 	case OpSSSP:
 		for k, s := range src {
 			cand[k] = s + wv
 		}
-		return v.ImproveMinRow(base, cand)
 	case OpSSWP:
 		for k, s := range src {
 			cand[k] = min(s, wv)
 		}
-		return v.ImproveMaxRow(base, cand)
+		maximize = true
 	case OpSSNP:
 		for k, s := range src {
 			cand[k] = max(s, wv)
 		}
-		return v.ImproveMinRow(base, cand)
 	case OpViterbi:
 		for k, s := range src {
 			cand[k] = s / wv
 		}
-		return v.ImproveMaxRow(base, cand)
+		maximize = true
+	default:
+		panic("queries: RelaxImproveRow on a custom kernel")
 	}
-	panic("queries: RelaxImproveRow on a custom kernel")
+	for i := range improved {
+		lo := i * 64
+		block := cand[lo:min(lo+64, len(cand))]
+		if maximize {
+			improved[i] = v.ImproveMaxRow(base+lo, block)
+		} else {
+			improved[i] = v.ImproveMinRow(base+lo, block)
+		}
+	}
 }

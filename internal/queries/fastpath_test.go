@@ -3,6 +3,7 @@ package queries
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -93,16 +94,18 @@ func TestQuickRelaxImproveMatchesInterface(t *testing.T) {
 }
 
 // The row kernels must agree cell for cell with per-cell RelaxImprove for
-// every built-in kind — improved count and resulting row — on rows that mix
-// identity-valued (unreached) sources with reached ones, at widths that are
-// and are not multiples of a cache line, and at a row base inside a larger
-// array (this is what licenses the oblivious engine's one-pass edge).
+// every built-in kind — which lanes improved and the resulting row — on rows
+// that mix identity-valued (unreached) sources with reached ones, at widths
+// that are and are not multiples of a cache line or of a mask word, and at a
+// row base inside a larger array (this is what licenses the oblivious
+// engine's one-pass edge). The mask words start out dirty: the kernels
+// overwrite them.
 func TestQuickRelaxImproveRowMatchesPerCell(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		for _, k := range All() {
 			kind := KindOf(k)
-			for _, b := range []int{1, 3, 8, 13, 64} {
+			for _, b := range []int{1, 3, 8, 13, 64, 65, 130} {
 				base := rng.Intn(5) * b
 				rowwise, cellwise := NewValues(base+2*b, 0), NewValues(base+2*b, 0)
 				for c := 0; c < rowwise.Len(); c++ {
@@ -116,14 +119,18 @@ func TestQuickRelaxImproveRowMatchesPerCell(t *testing.T) {
 				}
 				w := graph.Weight(1 + rng.Intn(64))
 
-				got := RelaxImproveRow(rowwise, kind, base, src, make([]Value, b), w)
-				want := 0
+				got := make([]uint64, (b+63)/64)
+				for i := range got {
+					got[i] = rng.Uint64()
+				}
+				RelaxImproveRow(rowwise, kind, base, src, make([]Value, b), w, got)
+				want := make([]uint64, len(got))
 				for i, s := range src {
 					if RelaxImprove(cellwise, kind, k, base+i, s, w) {
-						want++
+						want[i>>6] |= 1 << (i & 63)
 					}
 				}
-				if got != want {
+				if !slices.Equal(got, want) {
 					return false
 				}
 				// Cells outside the row must be left alone too.

@@ -127,3 +127,34 @@ func drive(pool *par.Pool, p *policy, iters int) {
 		pool.For(s.total, 0, 0, chunk)
 	}
 }
+
+// The per-batch path: functions on the analyzer's hot list (hotAllocFuncs)
+// hand a batch its recycled state. A straight-line allocation is the fall-back
+// when there is nothing to recycle; a loop in them runs per lane of every
+// batch, driving par or not.
+type Arena struct{ spare []int }
+
+// takeValues allocates in a loop that drives no par call — a true positive
+// only because the function is on the hot list — and once outside it, the
+// fall-back — a true negative.
+func (a *Arena) takeValues(lanes, n int) [][]int {
+	if a == nil || cap(a.spare) < n {
+		a = &Arena{spare: make([]int, n)} // fall-back, straight-line: exempt
+	}
+	rows := make([][]int, 0, lanes)
+	for i := 0; i < lanes; i++ {
+		row := make([]int, n) // true positive: per-lane make on the per-batch path
+		rows = append(rows, row)
+	}
+	return rows
+}
+
+// coldLoop is the same loop in a function that is not on the list — true
+// negative.
+func coldLoop(lanes, n int) [][]int {
+	rows := make([][]int, 0, lanes)
+	for i := 0; i < lanes; i++ {
+		rows = append(rows, make([]int, n))
+	}
+	return rows
+}

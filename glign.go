@@ -33,8 +33,10 @@ package glign
 
 import (
 	"fmt"
+	"sync"
 
 	"github.com/glign/glign/internal/align"
+	"github.com/glign/glign/internal/core"
 	"github.com/glign/glign/internal/graph"
 	"github.com/glign/glign/internal/oracle"
 	"github.com/glign/glign/internal/par"
@@ -238,13 +240,18 @@ func WithDirectionOptimization() Option {
 
 // Runtime evaluates buffers of concurrent queries on one graph. It owns the
 // graph's alignment profile (the one-time reverse-BFS precompute of paper
-// §3.3), which is built lazily on first use and shared across runs.
+// §3.3), which is built lazily on first use and shared across runs, and the
+// batch arena (DESIGN.md "The batch arena"): once warmed, a Run allocates
+// little beyond the result vectors of its Report, and the runtime keeps the
+// largest batch value array it has needed for as long as it lives. Run may be
+// called from several goroutines at once.
 type Runtime struct {
-	g        *Graph
-	method   string
-	hubCount int
-	cfg      systems.Config
-	profile  *align.Profile
+	g           *Graph
+	method      string
+	hubCount    int
+	cfg         systems.Config // cfg.Arena is the runtime's, created empty
+	profileOnce sync.Once
+	profile     *align.Profile
 }
 
 // NewRuntime creates a runtime for g.
@@ -259,15 +266,16 @@ func NewRuntime(g *Graph, opts ...Option) (*Runtime, error) {
 	if r.cfg.BatchSize <= 0 {
 		r.cfg.BatchSize = 64
 	}
+	r.cfg.Arena = new(core.Arena)
 	return r, nil
 }
 
 // Profile returns the runtime's alignment profile, building it on first
 // call (ProfileCost reports the one-time cost afterwards).
 func (r *Runtime) Profile() *AlignmentProfile {
-	if r.profile == nil {
+	r.profileOnce.Do(func() {
 		r.profile = align.NewProfile(r.g, r.hubCount, r.cfg.Workers)
-	}
+	})
 	return r.profile
 }
 

@@ -1,0 +1,129 @@
+package core
+
+import (
+	"sync/atomic"
+
+	"github.com/glign/glign/internal/engine"
+	"github.com/glign/glign/internal/graph"
+	"github.com/glign/glign/internal/queries"
+)
+
+// Arena keeps, for one owner — a glign.Runtime, a serve.Server — the
+// per-batch structures that have the same shape batch after batch, so that a
+// warmed owner's batch allocates only what it hands its caller (the extracted
+// result vectors). It is the paper's one resident ValArray (§3.5; Table 11
+// counts it once) plus what this implementation keeps beside it:
+//
+//   - the batch value array, which PrepareBatch and RunConvergenceBatch take
+//     and BatchResult.Release hands back;
+//   - the Jacobi state of RunConvergenceBatch: the old/next slabs, taken and
+//     returned inside the run, and the ConvergenceGeometry of the owner's
+//     graph, which is immutable and so shared rather than taken;
+//   - the changed-lane mask of the query-oblivious engine, returned only by a
+//     batch that reached its fixed point (see laneMask).
+//
+// The zero Arena is empty and ready: nothing is allocated until a batch needs
+// it, and each structure stays at the largest size a batch has needed for as
+// long as the owner lives. Every method also works on a nil *Arena, where a
+// take allocates and a release is dropped — what Options.Arena == nil means —
+// so engines have one code path.
+//
+// Batches may share an arena concurrently. Each structure is a one-slot
+// exchange: a take empties the slot, and a batch that finds it empty — another
+// batch of the owner is running — allocates its own and never waits.
+type Arena struct {
+	vals  atomic.Pointer[queries.Values]
+	mask  atomic.Pointer[laneMask] // all-zero over its whole capacity
+	slabs atomic.Pointer[jacobiSlabs]
+	geo   atomic.Pointer[jacobiGeometry]
+}
+
+// takeValues returns a value array of exactly cells cells with unspecified
+// contents: the caller's fill is the only pass over it.
+func (a *Arena) takeValues(cells int) *queries.Values {
+	var spare *queries.Values
+	if a != nil {
+		spare = a.vals.Swap(nil)
+	}
+	return spare.Resized(cells)
+}
+
+// releaseValues makes v the array the next takeValues finds. The caller must
+// be done with it.
+func (a *Arena) releaseValues(v *queries.Values) {
+	if a != nil && v != nil {
+		a.vals.Store(v)
+	}
+}
+
+// takeMask returns an all-zero changed-lane mask for n vertices and b lanes
+// (nil at b = 1, see laneMask).
+func (a *Arena) takeMask(n, b int) *laneMask {
+	if b == 1 {
+		return nil
+	}
+	w := (b + 63) / 64
+	if a != nil {
+		if m := a.mask.Swap(nil); m != nil && cap(m.words) >= n*w {
+			m.w, m.words = w, m.words[:n*w]
+			return m
+		}
+	}
+	return &laneMask{w, make([]uint64, n*w)}
+}
+
+// releaseMask makes m the mask the next takeMask finds. Only a mask that is
+// all-zero may come back — one whose batch ended at its fixed point.
+func (a *Arena) releaseMask(m *laneMask) {
+	if a != nil && m != nil {
+		a.mask.Store(m)
+	}
+}
+
+// jacobiSlabs are the double-buffered value slabs of one convergence batch,
+// always made together and so of one capacity.
+type jacobiSlabs struct {
+	old, next []queries.Value
+}
+
+// takeSlabs returns slabs of exactly cells cells each, contents unspecified.
+func (a *Arena) takeSlabs(cells int) *jacobiSlabs {
+	var s *jacobiSlabs
+	if a != nil {
+		s = a.slabs.Swap(nil)
+	}
+	if s == nil || cap(s.old) < cells {
+		return &jacobiSlabs{make([]queries.Value, cells), make([]queries.Value, cells)}
+	}
+	s.old, s.next = s.old[:cells], s.next[:cells]
+	return s
+}
+
+// releaseSlabs makes s the slabs the next takeSlabs finds.
+func (a *Arena) releaseSlabs(s *jacobiSlabs) {
+	if a != nil {
+		a.slabs.Store(s)
+	}
+}
+
+// jacobiGeometry is a ConvergenceGeometry with what it was derived from: a
+// batch's graph and its Options.ReverseGraph (nil: derived from the graph).
+type jacobiGeometry struct {
+	g, rev *graph.Graph
+	geo    *engine.ConvergenceGeometry
+}
+
+// geometry returns the Jacobi geometry of g under rev, derived — a graph
+// reversal, unless rev brings it — only when the arena's last one was of
+// another graph.
+func (a *Arena) geometry(g, rev *graph.Graph) *engine.ConvergenceGeometry {
+	if a == nil {
+		return engine.NewConvergenceGeometry(g, rev)
+	}
+	if k := a.geo.Load(); k != nil && k.g == g && k.rev == rev {
+		return k.geo
+	}
+	geo := engine.NewConvergenceGeometry(g, rev)
+	a.geo.Store(&jacobiGeometry{g, rev, geo})
+	return geo
+}

@@ -55,12 +55,14 @@ func RunConvergenceBatch(g *graph.Graph, batch []queries.Query, opt Options) (*B
 			caps[i] = opt.MaxIterations
 		}
 	}
-	geo := engine.NewConvergenceGeometry(g, opt.ReverseGraph)
+	geo := opt.Arena.geometry(g, opt.ReverseGraph)
 	pool := par.OrDefault(opt.Pool)
 	workers := opt.Workers
 
-	old := make([]queries.Value, n*b)
-	next := make([]queries.Value, n*b)
+	// The slabs hold an earlier batch's rounds or zeros; the initial-value
+	// fill writes every cell of old, and every round every cell of next.
+	slabs := opt.Arena.takeSlabs(n * b)
+	old, next := slabs.old, slabs.next
 	pool.For(n, workers, 0, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
 			for i := 0; i < b; i++ {
@@ -70,7 +72,7 @@ func RunConvergenceBatch(g *graph.Graph, batch []queries.Query, opt Options) (*B
 	})
 
 	res := &BatchResult{
-		B: b, N: n,
+		B: b, N: n, arena: opt.Arena,
 		LaneRounds:    make([]int, b),
 		LaneConverged: make([]bool, b),
 		LaneResiduals: make([]float64, b),
@@ -79,6 +81,7 @@ func RunConvergenceBatch(g *graph.Graph, batch []queries.Query, opt Options) (*B
 	done := make([]bool, b)
 	roundResid := make([]float64, b)
 	var mu sync.Mutex
+	scratches := engine.NewJacobiScratches(geo.MaxInDeg, b)
 	for round, running := 0, b; running > 0; round++ {
 		for i := range roundResid {
 			roundResid[i] = 0
@@ -86,7 +89,8 @@ func RunConvergenceBatch(g *graph.Graph, batch []queries.Query, opt Options) (*B
 		sizes = append(sizes, n)
 		prev := countersOf(res)
 		pool.For(n, workers, 0, func(lo, hi int) {
-			scratch := engine.NewJacobiScratch(geo.MaxInDeg, b)
+			scratch := scratches.Get()
+			defer scratches.Put(scratch)
 			var edges, relaxes, writes int64
 			for v := lo; v < hi; v++ {
 				us, _ := geo.Rev.OutEdges(graph.VertexID(v))
@@ -163,13 +167,14 @@ func RunConvergenceBatch(g *graph.Graph, batch []queries.Query, opt Options) (*B
 		}
 	}
 	res.UnionFrontierSizes = sizes
-	vals := queries.NewValues(n*b, 0)
+	vals := opt.Arena.takeValues(n * b)
 	pool.For(n*b, workers, 0, func(lo, hi int) {
 		for c := lo; c < hi; c++ {
 			vals.Set(c, old[c])
 		}
 	})
 	res.Values = vals
+	opt.Arena.releaseSlabs(slabs)
 	return res, nil
 }
 

@@ -51,6 +51,12 @@ type Options struct {
 	// iteration (per per-query iteration for sequential engines). Nil —
 	// the default — makes every hook a no-op nil-receiver call.
 	Telemetry *telemetry.BatchTrace
+	// Arena, when non-nil, is where the batch takes its value array, its
+	// changed-lane mask and its Jacobi state from, and what they go back to
+	// (BatchResult.Release for the value array), so that the arena's owner
+	// allocates them once rather than once a batch. Nil — what tests and
+	// direct Engine.Run callers pass — allocates them through the same calls.
+	Arena *Arena
 }
 
 // BatchResult is the outcome of evaluating one batch.
@@ -60,8 +66,10 @@ type BatchResult struct {
 	// N is the vertex count of the graph.
 	N int
 	// Values is the flat batched value array: vertex v, query q lives at
-	// Cell(v, B, q).
+	// Cell(v, B, q). Nil once Release has been called.
 	Values *queries.Values
+	// arena is what Release hands Values back to (nil: nothing).
+	arena *Arena
 	// GlobalIterations counts executed global iterations.
 	GlobalIterations int
 	// UnionFrontierSizes records the unified frontier size entering every
@@ -119,6 +127,18 @@ func (r *BatchResult) AllQueryValues(pool *par.Pool, workers int) [][]queries.Va
 	return out
 }
 
+// Release ends the caller's use of Values. The array goes back to the arena
+// the batch ran with (Options.Arena; with none it is simply dropped), whose
+// owner's next batch overwrites it, and Values is nil from here on — a late
+// reader panics instead of reading another batch's cells. Vectors copied out
+// before (QueryValues, AllQueryValues) share nothing with the array and stay
+// the caller's. Call it once the last extraction has returned; a result that
+// is never released costs its owner one fresh array, nothing else.
+func (r *BatchResult) Release() {
+	r.arena.releaseValues(r.Values)
+	r.Values = nil
+}
+
 // Engine evaluates a batch of concurrent queries on a graph.
 type Engine interface {
 	// Name returns the method name as used in the paper's tables.
@@ -147,7 +167,10 @@ type BatchSetup struct {
 	// ceremony. OpCustom when there is no such kind.
 	rowKind  queries.OpKind
 	Identity []queries.Value
-	Vals     *queries.Values
+	// Vals comes from arena (Options.Arena), which NewResult passes on to the
+	// result for BatchResult.Release.
+	Vals  *queries.Values
+	arena *Arena
 	// Alignment[i] = global iteration at which query i starts.
 	Alignment []int
 	Sources   []graph.VertexID
@@ -165,7 +188,7 @@ func (st *BatchSetup) Cell(v, i int) int {
 // NewResult builds the engine result envelope carrying the setup's sizes and
 // value array.
 func (st *BatchSetup) NewResult() *BatchResult {
-	return &BatchResult{B: st.B, N: st.N, Values: st.Vals}
+	return &BatchResult{B: st.B, N: st.N, Values: st.Vals, arena: st.arena}
 }
 
 // PrepareBatch validates a batch against a graph and options and builds its
@@ -222,10 +245,13 @@ func PrepareBatch(g *graph.Graph, batch []queries.Query, opt Options) (*BatchSet
 	sort.SliceStable(st.schedule, func(i, j int) bool {
 		return st.Alignment[st.schedule[i]] < st.Alignment[st.schedule[j]]
 	})
-	st.Vals = queries.NewValues(n*b, 0)
-	// The identity fill touches every cell; for large graphs that is the
-	// batch's first cold pass over the value array, so spread it over the
-	// pool (disjoint row blocks; Set stores are atomic).
+	// Taken last, past every way to fail, so a rejected batch leaves the arena
+	// as it found it. The array holds an earlier batch's cells or the
+	// allocator's zeros; the identity fill is the one pass that initializes
+	// it, spread over the pool because on a large graph it is the batch's
+	// first cold pass (disjoint row blocks; Set stores are atomic).
+	st.arena = opt.Arena
+	st.Vals = st.arena.takeValues(n * b)
 	par.OrDefault(opt.Pool).For(n, opt.Workers, 0, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
 			row := st.Cell(v, 0)

@@ -24,7 +24,7 @@ func checkAgainstReference(t *testing.T, g *graph.Graph, batch []queries.Query, 
 	if err != nil {
 		t.Fatalf("%s: %v", e.Name(), err)
 	}
-	checkSpareMaskClean(t)
+	checkArenaMaskClean(t, opt.Arena)
 	for qi, q := range batch {
 		want := engine.ReferenceRun(g, q)
 		for v := 0; v < g.NumVertices(); v++ {

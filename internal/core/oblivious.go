@@ -40,7 +40,7 @@ func (oblivious) Run(g *graph.Graph, batch []queries.Query, opt Options) (*Batch
 			g: g, rev: opt.ReverseGraph, st: st,
 			pool: par.OrDefault(opt.Pool), workers: opt.Workers,
 			cur: frontier.New(st.N), next: frontier.New(st.N),
-			dirty: newLaneMask(st.N, st.B),
+			dirty: opt.Arena.takeMask(st.N, st.B),
 		}
 		p.scratch.New = func() any { return newLaneScratch(st) }
 		return p
@@ -48,8 +48,8 @@ func (oblivious) Run(g *graph.Graph, batch []queries.Query, opt Options) (*Batch
 	// At a fixed point the mask is all-zero again (see laneMask) and serves
 	// the next batch; a capped run can stop with bits set, and a traced one
 	// advances its model's frontier, not p.cur, so their masks are dropped.
-	if p != nil && p.dirty != nil && err == nil && opt.Tracer == nil && p.cur.IsEmpty() {
-		spareLaneMask.Store(p.dirty)
+	if p != nil && err == nil && opt.Tracer == nil && p.cur.IsEmpty() {
+		opt.Arena.releaseMask(p.dirty)
 	}
 	return res, err
 }
@@ -170,35 +170,16 @@ func (p *obliviousPolicy) pull(lo, hi int) Counts {
 // after, and then the bit stands and the vertex is in the next frontier to
 // push it. Every marked vertex is in the frontier its marker fills and every
 // frontier member is claimed, so at a fixed point, where the frontier is
-// empty, the mask is all-zero — which is what lets spareLaneMask recycle it
-// with no clearing pass.
+// empty, the mask is all-zero — which is what lets an Arena hand it to the
+// owner's next batch with no clearing pass, where a batch of two or three
+// queries, for which a word a vertex is a good part of a row, would otherwise
+// allocate one.
 //
 // A batch of one query keeps none (a nil *laneMask, whose methods claim the
 // one lane every time and mark nothing): its frontier bit is its lane bit.
 type laneMask struct {
 	w     int // words a vertex
 	words []uint64
-}
-
-// spareLaneMask hands the mask of the last batch that reached its fixed point
-// to the next one, so that a batch of two or three queries, where a word a
-// vertex is a good part of a row, does not allocate one. It is all-zero over
-// its whole capacity. One slot rather than a sync.Pool: batches of a process
-// mostly run one after another on one graph, and a pool is emptied by the two
-// garbage collections that a large batch's value array and result vectors
-// set off between one batch's end and the next one's start.
-var spareLaneMask atomic.Pointer[laneMask]
-
-func newLaneMask(n, b int) *laneMask {
-	if b == 1 {
-		return nil
-	}
-	w := (b + 63) / 64
-	if m := spareLaneMask.Swap(nil); m != nil && cap(m.words) >= n*w {
-		m.w, m.words = w, m.words[:n*w]
-		return m
-	}
-	return &laneMask{w, make([]uint64, n*w)}
 }
 
 func (m *laneMask) of(v int) []uint64 { return m.words[v*m.w:][:m.w] }

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"sync"
 	"sync/atomic"
 
 	"github.com/glign/glign/internal/graph"
@@ -49,26 +50,48 @@ func NewConvergenceGeometry(g, rev *graph.Graph) *ConvergenceGeometry {
 	return geo
 }
 
-// JacobiScratch is the per-worker gather scratch of one Jacobi chunk:
-// in-neighbor values and out-degrees sized to the maximum in-degree, plus
-// one residual accumulator per lane. Allocated once per worker chunk
-// through this constructor — the same scratch idiom as the monotone
-// engines' per-chunk state, and the shape hotalloc expects.
+// JacobiScratch is one worker's gather scratch: in-neighbor values and
+// out-degrees sized to the maximum in-degree, plus one residual accumulator
+// per lane. On a hub graph it is the largest thing a Jacobi round touches
+// beside the value slabs, so a run makes one a worker (JacobiScratches), not
+// one a chunk a round.
 type JacobiScratch struct {
 	Nbrs  []queries.Value
 	Degs  []int32
 	Resid []float64
 }
 
-// NewJacobiScratch sizes a scratch for maxIn in-neighbors and `lanes`
-// residual accumulators (zero-initialized).
-func NewJacobiScratch(maxIn, lanes int) *JacobiScratch {
-	return &JacobiScratch{
-		Nbrs:  make([]queries.Value, maxIn),
-		Degs:  make([]int32, maxIn),
-		Resid: make([]float64, lanes),
-	}
+// JacobiScratches hands the workers of one Jacobi run their scratches — the
+// single-query RunConvergence and internal/core's lane-fused evaluator both
+// take them here. A chunk brackets its work with Get and Put; a scratch is
+// made the first time a worker finds none to take.
+type JacobiScratches struct {
+	pool sync.Pool // of *JacobiScratch
 }
+
+// NewJacobiScratches sizes a run's scratches for maxIn in-neighbors and
+// `lanes` residual accumulators.
+func NewJacobiScratches(maxIn, lanes int) *JacobiScratches {
+	s := &JacobiScratches{}
+	s.pool.New = func() any {
+		return &JacobiScratch{
+			Nbrs:  make([]queries.Value, maxIn),
+			Degs:  make([]int32, maxIn),
+			Resid: make([]float64, lanes),
+		}
+	}
+	return s
+}
+
+// Get returns a scratch no other chunk holds, its residual accumulators zero.
+func (s *JacobiScratches) Get() *JacobiScratch {
+	sc := s.pool.Get().(*JacobiScratch)
+	clear(sc.Resid)
+	return sc
+}
+
+// Put gives a scratch back for the worker's next chunk.
+func (s *JacobiScratches) Put(sc *JacobiScratch) { s.pool.Put(sc) }
 
 // atomicMaxFloat raises the float stored in *bits (as math.Float64bits) to
 // at least x — the lock-free max-merge worker chunks publish their local
@@ -126,6 +149,7 @@ func RunConvergence(g *graph.Graph, q queries.Query, opt Options) (*Result, erro
 	res := &Result{}
 	sizes := make([]int, 0, iterHintFor(maxRounds))
 	var residBits uint64
+	scratches := NewJacobiScratches(geo.MaxInDeg, 0) // one lane: its residual is localMax
 	for round := 0; round < maxRounds; round++ {
 		sizes = append(sizes, n)
 		var prevEdges, prevWrites int64
@@ -135,7 +159,8 @@ func RunConvergence(g *graph.Graph, q queries.Query, opt Options) (*Result, erro
 		}
 		atomic.StoreUint64(&residBits, 0)
 		pool.For(n, workers, 0, func(lo, hi int) {
-			scratch := NewJacobiScratch(geo.MaxInDeg, 1)
+			scratch := scratches.Get()
+			defer scratches.Put(scratch)
 			var edges, writes int64
 			localMax := 0.0
 			for v := lo; v < hi; v++ {

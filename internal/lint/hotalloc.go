@@ -9,13 +9,14 @@ import (
 // HotAlloc flags per-iteration allocations on traversal hot paths. The hot
 // regions are (a) internal/par workers (see ParWorker: closures handed to the
 // runtime and the chunk bodies it reaches through the traversal driver) —
-// they execute once per chunk per iteration on every worker — and (b) the bodies of loops
-// that drive par calls, i.e. the per-iteration section of an engine's
-// traversal loop. Inside a region, make/new, slice & map composite literals,
-// &T{} allocations, escaping closure literals and appends to slices without
-// a proven capacity reservation all turn into garbage pressure multiplied by
-// the iteration count; the fix is almost always hoisting the allocation out
-// of the loop or reusing a scratch buffer.
+// they execute once per chunk per iteration on every worker — (b) the bodies
+// of loops that drive par calls, i.e. the per-iteration section of an engine's
+// traversal loop, and (c) every loop of the functions on the per-batch path
+// (hotAllocFuncs), par call or not. Inside a region, make/new, slice & map
+// composite literals, &T{} allocations, escaping closure literals and appends
+// to slices without a proven capacity reservation all turn into garbage
+// pressure multiplied by the iteration count; the fix is almost always
+// hoisting the allocation out of the loop or reusing a scratch buffer.
 //
 // Appends are checked flow-sensitively: a must-reach dataflow over the
 // enclosing function's CFG tracks which slices were last bound to a
@@ -39,6 +40,26 @@ func HotAlloc() *Analyzer {
 // feed the same engines.
 var hotAllocPkgs = map[string]bool{
 	"engine": true, "core": true, "par": true, "serve": true, "telemetry": true,
+}
+
+// hotAllocFuncs are the functions every batch of a warmed owner passes
+// through that exist to hand it recycled state (core.Arena) — named as
+// funcDisplayName renders them. They legitimately allocate once, straight-line,
+// when the arena has nothing to give; a loop in them is per lane or per vertex
+// of every batch, so all their loops are hot regions, not only those that
+// drive internal/par.
+var hotAllocFuncs = map[string]bool{
+	"PrepareBatch":           true,
+	"(*BatchResult).Release": true,
+	"(*Arena).takeValues":    true,
+	"(*Arena).releaseValues": true,
+	"(*Arena).takeMask":      true,
+	"(*Arena).releaseMask":   true,
+	"(*Arena).takeSlabs":     true,
+	"(*Arena).releaseSlabs":  true,
+	"(*Arena).geometry":      true,
+	"(*JacobiScratches).Get": true,
+	"(*JacobiScratches).Put": true,
 }
 
 func runHotAlloc(p *Pass) {
@@ -82,11 +103,21 @@ type hotRegion struct {
 	why      string
 }
 
-// loopRegions finds the loop bodies of fd that contain a par call. Regions
+// loopRegions finds the loop bodies of fd that contain a par call — every
+// loop body, when fd is on the per-batch path (hotAllocFuncs). Regions
 // may nest (with each other and with worker regions); each is checked
 // independently and findings are deduplicated by position.
 func loopRegions(info *types.Info, fd *ast.FuncDecl) []hotRegion {
 	var out []hotRegion
+	perBatch := hotAllocFuncs[funcDisplayName(fd)]
+	region := func(body *ast.BlockStmt, drivesPar bool) {
+		switch {
+		case drivesPar:
+			out = append(out, hotRegion{body, fd.Body, "iteration loop driving internal/par"})
+		case perBatch:
+			out = append(out, hotRegion{body, fd.Body, "loop on the per-batch path"})
+		}
+	}
 	containsParCall := func(n ast.Node) bool {
 		found := false
 		ast.Inspect(n, func(m ast.Node) bool {
@@ -100,13 +131,9 @@ func loopRegions(info *types.Info, fd *ast.FuncDecl) []hotRegion {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.ForStmt:
-			if containsParCall(x.Body) {
-				out = append(out, hotRegion{x.Body, fd.Body, "iteration loop driving internal/par"})
-			}
+			region(x.Body, containsParCall(x.Body))
 		case *ast.RangeStmt:
-			if containsParCall(x.Body) {
-				out = append(out, hotRegion{x.Body, fd.Body, "iteration loop driving internal/par"})
-			}
+			region(x.Body, containsParCall(x.Body))
 		}
 		return true
 	})

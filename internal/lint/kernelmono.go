@@ -14,6 +14,7 @@ import (
 // sound (paper Theorem 3.2 requires monotone updates) — cannot be bypassed.
 var valuesApproved = map[string]bool{
 	"NewValues": true,
+	"Resized":   true, // reslices or replaces the array; reads and writes no cell
 	"Len":       true,
 	"Get":       true,
 	"Set":       true,

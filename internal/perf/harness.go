@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/glign/glign/internal/align"
+	"github.com/glign/glign/internal/core"
 	"github.com/glign/glign/internal/graph"
 	"github.com/glign/glign/internal/par"
 	"github.com/glign/glign/internal/queries"
@@ -155,6 +156,9 @@ func (r *Runner) MeasureCell(key CellKey, reps int) (Cell, error) {
 		Workers:   key.Workers,
 		Pool:      pool,
 		Profile:   prof,
+		// Measured as a warmed owner runs it (glign.Runtime): the warm-up
+		// runs fill the arena, the timed ones recycle it.
+		Arena: new(core.Arena),
 	}
 	run := func() (int, error) {
 		res, err := systems.Run(key.Method, g, buffer, cfg)

@@ -26,6 +26,20 @@ func NewValues(length int, init Value) *Values {
 	return v
 }
 
+// Resized returns an array of exactly length cells whose contents are
+// unspecified — the caller writes every cell before reading any: v itself,
+// resliced, when its backing array is long enough (it keeps its capacity, so
+// a later, longer Resized finds it again), and a new array otherwise; v may
+// be nil. This is how a batch value array passes from one batch to the next
+// (core.Arena) with the identity fill as the only pass over it.
+func (v *Values) Resized(length int) *Values {
+	if v == nil || cap(v.bits) < length {
+		return &Values{bits: make([]uint64, length)}
+	}
+	v.bits = v.bits[:length]
+	return v
+}
+
 // Len returns the number of cells.
 func (v *Values) Len() int { return len(v.bits) }
 

@@ -742,3 +742,92 @@ func TestServedEqualsOfflineWithCache(t *testing.T) {
 		}
 	}
 }
+
+// TestResultsNeverAliasTheArena pins what SERVING.md promises about result
+// vectors now that the engine's value array passes from batch to batch
+// (core.Arena): the vectors fanned out to waiters — of a batch an epoch bump
+// overlapped too, which are never cached — and the vectors the cache holds are
+// copies, so the batches that follow, which overwrite that array, leave them
+// as they were. Every batch here has two lanes, so all run in the same cells.
+func TestResultsNeverAliasTheArena(t *testing.T) {
+	clk := NewFakeClock(time.Unix(0, 0))
+	gate := newSrcGate()
+	gate.inner = core.GlignIntra
+	s := startServer(t, clk, func(c *Config) {
+		c.Method = systems.GlignIntra
+		c.Engine = gate
+		c.BatchSize = 2 // every second admission flushes by size
+		c.Window = time.Hour
+	})
+	g := testGraph()
+	type held struct {
+		q    queries.Query
+		vals []queries.Value
+	}
+	var all []held
+	// runPair runs the two queries as one batch, calling mid while the batch
+	// is inside the engine, and keeps the vectors its waiters were handed.
+	runPair := func(a, b queries.Query, mid func()) {
+		t.Helper()
+		var tks []*Ticket
+		for _, q := range []queries.Query{a, b} {
+			tk, err := s.Submit(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tks = append(tks, tk)
+		}
+		<-gate.entered
+		if mid != nil {
+			mid()
+		}
+		gate.release <- struct{}{}
+		for _, tk := range tks {
+			vals, err := tk.Wait(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			all = append(all, held{tk.Query(), vals})
+		}
+	}
+	checkHeld := func(when string) {
+		t.Helper()
+		for _, h := range all {
+			want := engine.ReferenceRun(g, h.q)
+			for v := range want {
+				if h.vals[v] != want[v] {
+					t.Fatalf("%s: the vector handed out for %v reads %v at vertex %d, want %v", when, h.q, h.vals[v], v, want[v])
+				}
+			}
+		}
+	}
+
+	sssp := func(src graph.VertexID) queries.Query { return queries.Query{Kernel: queries.SSSP, Source: src} }
+	bfs := func(src graph.VertexID) queries.Query { return queries.Query{Kernel: queries.BFS, Source: src} }
+	runPair(sssp(0), sssp(1), nil)
+	runPair(bfs(2), sssp(3), func() { s.BumpEpoch() }) // fanned out, not cached
+	checkHeld("after the bumped batch")
+	if st := s.Stats(); st.CacheSize != 2 || st.Epoch != 1 {
+		t.Fatalf("stats = %+v, want the first batch's 2 entries and epoch 1", st)
+	}
+	runPair(sssp(4), bfs(5), nil) // cached at epoch 1
+	runPair(bfs(0), bfs(1), nil)  // the next batch, over the same cells
+	checkHeld("after two more batches")
+
+	// The cached vectors of the batch before last, read back through a hit.
+	batches := s.Stats().Batches
+	for _, q := range []queries.Query{sssp(4), bfs(5)} {
+		tk, err := s.Submit(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustValues(t, g, tk)
+	}
+	if st := s.Stats(); st.Batches != batches || st.CacheHits != 2 {
+		t.Fatalf("stats = %+v, want 2 cache hits and still %d batches", st, batches)
+	}
+	close(gate.release)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+}

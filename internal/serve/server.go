@@ -195,6 +195,10 @@ type Server struct {
 	clk          Clock
 	run          *telemetry.RunTrace
 	affinityRank bool
+	// arena carries the engine's batch state from one batch to the next
+	// (core.Arena). Result vectors are copied out of it before any waiter or
+	// the cache sees them (runBatch).
+	arena core.Arena
 
 	epoch atomic.Int64
 	cache *resultCache // nil: caching disabled
@@ -658,7 +662,7 @@ func (s *Server) runBatch(fb *formedBatch) {
 		qs[i] = sl.query
 		seqs[i] = sl.seq
 	}
-	opt := core.Options{Workers: s.cfg.Workers, Pool: s.cfg.Pool}
+	opt := core.Options{Workers: s.cfg.Workers, Pool: s.cfg.Pool, Arena: &s.arena}
 	if s.plan.Aligned && !queries.AnyConvergent(qs) {
 		// Convergence batches have no frontier for delayed start to align.
 		opt.Alignment = s.prof.AlignmentVector(qs)
@@ -684,7 +688,10 @@ func (s *Server) runBatch(fb *formedBatch) {
 		// but never cached (lookups compare entry epoch to the live one, so
 		// even a racing insert could not be served stale).
 		fresh := s.epoch.Load() == epoch
+		// Fresh vectors, the cache's and the waiters' from here on; the value
+		// array they were read from goes back for the next batch.
 		all := br.AllQueryValues(s.cfg.Pool, s.cfg.Workers)
+		br.Release()
 		for i, sl := range fb.slots {
 			vals := all[i]
 			if fresh {

@@ -48,6 +48,11 @@ type Config struct {
 	// dedicated pool isolates the run's scheduling and makes the scheduler
 	// telemetry section (steals, imbalance) attributable to this run alone.
 	Pool *par.Pool
+	// Arena, when non-nil, carries the batch value array, the Jacobi state
+	// and the changed-lane mask from one batch to the next — within this run
+	// and, for an owner that keeps it (glign.Runtime), across runs. Nil
+	// allocates them per batch. Run's result vectors never alias it.
+	Arena *core.Arena
 	// Window is the affinity-batching window B_w (<= 0: whole buffer).
 	Window int
 	// Profile supplies closestHV; required by Glign-Inter, Glign-Batch and
@@ -207,7 +212,7 @@ func Run(method string, g *graph.Graph, buffer []queries.Query, cfg Config) (*Re
 	res.Alignments = make([][]int, len(res.Batches))
 	for bi, idx := range res.Batches {
 		batch := sched.Select(buffer, idx)
-		opt := core.Options{Workers: cfg.Workers, Pool: cfg.Pool, Tracer: cfg.Tracer}
+		opt := core.Options{Workers: cfg.Workers, Pool: cfg.Pool, Tracer: cfg.Tracer, Arena: cfg.Arena}
 		if cfg.DirectionOptimized && plan.engine.Name() == core.GlignIntra.Name() {
 			opt.ReverseGraph = prof.Rev
 		}
@@ -239,6 +244,8 @@ func Run(method string, g *graph.Graph, buffer []queries.Query, cfg Config) (*Re
 				res.Values[idx[qi]] = vals
 			}
 		}
+		// The extracted vectors are copies; the next batch may have the array.
+		br.Release()
 	}
 	res.Duration = time.Since(start)
 	run.Finish(res.Duration)

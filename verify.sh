@@ -65,6 +65,22 @@ echo "== benchmark module (vet + tests) =="
 # internal/systems and the facade, and this leg is what notices when one goes.
 (cd benchmark && go vet ./... && go test ./...)
 
+echo "== benchmark smoke (BENCHMARK.json's four workloads, tiny scale) =="
+# The benchmark itself, end to end, both passes of every workload on tiny
+# graphs (~10 s): a warmed Runtime and a live Server evaluate buffer after
+# buffer on their batch arenas, every result is held to the oracle, and the
+# run exits non-zero on any failed operation. Its table is kept out of the
+# log except for the verdict line; it writes nothing into the checkout.
+tmp=$(mktemp -d)
+if ! (cd benchmark && go run . -smoke -out "$tmp") > "$tmp/smoke.txt" 2>&1; then
+    cat "$tmp/smoke.txt"
+    rm -rf "$tmp"
+    echo "verify: benchmark smoke failed" >&2
+    exit 1
+fi
+grep '^attempted' "$tmp/smoke.txt"
+rm -rf "$tmp"
+
 echo "== serve e2e telemetry archive =="
 # Re-run the deterministic serving session with its telemetry snapshot
 # archived under results/ — the `serving` section SERVING.md §8 audits.
@@ -115,5 +131,8 @@ go test -race \
     ./internal/sched/ \
     ./internal/serve/ \
     ./internal/telemetry/
+# The facade's one concurrency contract: Run from several goroutines on one
+# Runtime (shared lazily built profile, shared batch arena), oracle-checked.
+go test -race -run 'TestRuntimeConcurrentRuns' .
 
 echo "verify: OK"

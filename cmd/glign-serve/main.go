@@ -175,6 +175,10 @@ type queryResponse struct {
 	Values  map[string]*float64 `json:"values,omitempty"`
 }
 
+// maxQueryBody bounds a POST /query body: a request is a few fields and a
+// list of targets, and 1 MiB is tens of thousands of those.
+const maxQueryBody = 1 << 20
+
 func queryHandler(g *glign.Graph, srv *glign.Server, defaultDeadline time.Duration) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -182,8 +186,13 @@ func queryHandler(g *glign.Graph, srv *glign.Server, defaultDeadline time.Durati
 			return
 		}
 		var req queryRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBody)).Decode(&req); err != nil {
+			status := http.StatusBadRequest
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			http.Error(w, "bad request: "+err.Error(), status)
 			return
 		}
 		k, err := queries.ByName(req.Kernel)
@@ -201,6 +210,11 @@ func queryHandler(g *glign.Graph, srv *glign.Server, defaultDeadline time.Durati
 			return
 		}
 		timeout := defaultDeadline
+		if req.TimeoutMS > math.MaxInt64/int64(time.Millisecond) {
+			// The product below would wrap, and a wrapped deadline is none.
+			http.Error(w, fmt.Sprintf("timeout_ms %d overflows a duration", req.TimeoutMS), http.StatusBadRequest)
+			return
+		}
 		if req.TimeoutMS > 0 {
 			timeout = time.Duration(req.TimeoutMS) * time.Millisecond
 		}

@@ -132,8 +132,8 @@ func run() error {
 	}
 	if tel != nil {
 		c := tel.Counters.Snapshot()
-		fmt.Printf("telemetry: %d iterations (%d pull), %d edges processed, %d lane relaxations, %d value writes, %d delayed starts\n",
-			c.Iterations, c.PullIterations, c.EdgesProcessed, c.LaneRelaxations, c.ValueWrites, c.DelayedQueries)
+		fmt.Printf("telemetry: %d iterations, %d edges processed, %d lane relaxations, %d value writes, %d delayed starts\n",
+			c.Iterations, c.EdgesProcessed, c.LaneRelaxations, c.ValueWrites, c.DelayedQueries)
 	}
 	if *metricOut != "" {
 		if err := writeMetrics(*metricOut, tel); err != nil {

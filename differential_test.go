@@ -257,49 +257,3 @@ func TestDifferentialConvergenceKernels(t *testing.T) {
 		}
 	}
 }
-
-// TestDifferentialDirectionOptimized covers the pull path of the hybrid
-// engine under the pool: dense iterations run over the reversed graph, and
-// the fixed point must still match the push-only reference for every kernel.
-func TestDifferentialDirectionOptimized(t *testing.T) {
-	pool := par.NewPool(4)
-	defer pool.Close()
-	g := graph.MustGenerate(graph.LJ, graph.Tiny)
-	prof := align.NewProfile(g, align.DefaultHubCount, 0)
-	base := diffBaseSeed(t)
-	for _, k := range []queries.Kernel{queries.BFS, queries.SSSP, queries.SSWP, queries.SSNP, queries.Viterbi} {
-		for _, workers := range []int{1, 4, 8} {
-			name := fmt.Sprintf("%s/w%d", k.Name(), workers)
-			seed := caseSeed(base, "diropt/"+name)
-			t.Run(name, func(t *testing.T) {
-				ctx := repro(base, "rmat-LJ", k.Name(), systems.Glign+"(direction-optimized)", workers)
-				srcs := sampleSources(seed, g.NumVertices(), diffBatchSize)
-				buffer := make([]queries.Query, len(srcs))
-				for i, s := range srcs {
-					buffer[i] = queries.Query{Kernel: k, Source: s}
-				}
-				res, err := systems.Run(systems.Glign, g, buffer, systems.Config{
-					BatchSize:          diffBatchSize,
-					Workers:            workers,
-					Pool:               pool,
-					Profile:            prof,
-					KeepValues:         true,
-					DirectionOptimized: true,
-				})
-				if err != nil {
-					t.Fatalf("run failed: %v [case seed %d, %s]", err, seed, ctx)
-				}
-				for qi, q := range buffer {
-					want := engine.ReferenceRun(g, q)
-					got := res.Values[qi]
-					for v := range want {
-						if got[v] != want[v] {
-							t.Fatalf("query %d (source v%d) disagrees at vertex %d: %v != %v [case seed %d, %s]",
-								qi, q.Source, v, got[v], want[v], seed, ctx)
-						}
-					}
-				}
-			})
-		}
-	}
-}

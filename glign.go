@@ -230,14 +230,6 @@ func NewTelemetry() *Telemetry { return telemetry.NewCollector() }
 // option) disables collection at near-zero cost.
 func WithTelemetry(t *Telemetry) Option { return func(r *Runtime) { r.cfg.Telemetry = t } }
 
-// WithDirectionOptimization enables push/pull hybrid global iterations in
-// the Glign engines (an extension beyond the paper): dense iterations run
-// in pull mode over the profile's reversed graph, trading CAS-free
-// sequential lane writes for scanning all in-edges.
-func WithDirectionOptimization() Option {
-	return func(r *Runtime) { r.cfg.DirectionOptimized = true }
-}
-
 // Runtime evaluates buffers of concurrent queries on one graph. It owns the
 // graph's alignment profile (the one-time reverse-BFS precompute of paper
 // §3.3), which is built lazily on first use and shared across runs, and the
@@ -318,7 +310,7 @@ type Report struct {
 func (r *Runtime) Run(buffer []Query) (*Report, error) {
 	cfg := r.cfg
 	cfg.KeepValues = true
-	if systems.NeedsProfile(r.method) || cfg.DirectionOptimized {
+	if systems.NeedsProfile(r.method) {
 		cfg.Profile = r.Profile()
 	}
 	res, err := systems.Run(r.method, r.g, buffer, cfg)

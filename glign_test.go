@@ -208,39 +208,6 @@ func TestPublicAffinityPaperNumbers(t *testing.T) {
 	}
 }
 
-func TestDirectionOptimizationOption(t *testing.T) {
-	g, _ := Generate("TW", "tiny")
-	plain, err := NewRuntime(g, WithMethod(MethodGlignIntra), WithBatchSize(8), WithWorkers(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	hybrid, err := NewRuntime(g, WithMethod(MethodGlignIntra), WithBatchSize(8), WithWorkers(2),
-		WithDirectionOptimization())
-	if err != nil {
-		t.Fatal(err)
-	}
-	buffer := make([]Query, 8)
-	for i := range buffer {
-		buffer[i] = Query{Kernel: BFS, Source: VertexID(i * 11 % g.NumVertices())}
-	}
-	a, err := plain.Run(buffer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := hybrid.Run(buffer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range buffer {
-		av, bv := a.Values(i), b.Values(i)
-		for v := range av {
-			if av[v] != bv[v] {
-				t.Fatalf("direction optimization changed results at query %d vertex %d", i, v)
-			}
-		}
-	}
-}
-
 func TestLatencyAccounting(t *testing.T) {
 	g, _ := Generate("LJ", "tiny")
 	rt, err := NewRuntime(g, WithBatchSize(4), WithWorkers(2))

@@ -3,8 +3,10 @@ package align
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"github.com/glign/glign/internal/engine"
 	"github.com/glign/glign/internal/graph"
 	"github.com/glign/glign/internal/queries"
 )
@@ -136,6 +138,35 @@ func TestProfilePaperExample(t *testing.T) {
 	}
 	if p.MemoryBytes() <= 0 {
 		t.Fatal("memory accounting broken")
+	}
+}
+
+// On an undirected graph NewProfile runs the hub BFS on the graph itself, its
+// own reversal; what it finds must be what the BFS finds on an explicit copy.
+func TestProfileUndirectedMatchesReversal(t *testing.T) {
+	g := graph.MustGenerate(graph.RDCA, graph.Tiny)
+	if g.Directed {
+		t.Fatal("RD-CA is expected to be undirected")
+	}
+	p := NewProfile(g, DefaultHubCount, 2)
+	rev := g.Reverse()
+	closest := make([]int32, g.NumVertices())
+	for v := range closest {
+		closest[v] = -1
+	}
+	for hi, h := range p.Hubs {
+		want := engine.BFSHops(rev, h, 2)
+		if !slices.Equal(p.LeastHops[hi], want) {
+			t.Fatalf("LeastHops to hub v%d differ from those over g.Reverse()", h)
+		}
+		for v, d := range want {
+			if d >= 0 && (closest[v] < 0 || d < closest[v]) {
+				closest[v] = d
+			}
+		}
+	}
+	if !slices.Equal(p.ClosestHV, closest) {
+		t.Fatal("ClosestHV differs from the one over g.Reverse()")
 	}
 }
 

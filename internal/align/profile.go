@@ -30,9 +30,6 @@ type Profile struct {
 	// PrepTime is the wall-clock cost of building the profile (paper
 	// Table 14's "profiling cost").
 	PrepTime time.Duration
-	// Rev is the edge-reversed graph built for the hub BFS runs, retained
-	// because the direction-optimized engines reuse it for pull iterations.
-	Rev *graph.Graph
 }
 
 // NewProfile builds the alignment profile of g using the top-k hubs
@@ -44,13 +41,16 @@ func NewProfile(g *graph.Graph, k, workers int) *Profile {
 	}
 	p := &Profile{Hubs: g.TopOutDegreeVertices(k)}
 	// For directed graphs the BFS must run on the edge-reversed graph: we
-	// need hops *to* the hub, not from it (paper §3.3). Undirected graphs
-	// are symmetric, but Reverse returns an equivalent copy either way.
-	p.Rev = g.Reverse()
+	// need hops *to* the hub, not from it (paper §3.3). An undirected graph
+	// is its own reversal.
+	rev := g
+	if g.Directed {
+		rev = g.Reverse()
+	}
 	n := g.NumVertices()
 	p.LeastHops = make([][]int32, len(p.Hubs))
 	for hi, h := range p.Hubs {
-		p.LeastHops[hi] = engine.BFSHops(p.Rev, h, workers)
+		p.LeastHops[hi] = engine.BFSHops(rev, h, workers)
 	}
 	p.ClosestHV = make([]int32, n)
 	for v := 0; v < n; v++ {

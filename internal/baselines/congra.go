@@ -2,7 +2,6 @@ package baselines
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"github.com/glign/glign/internal/core"
 	"github.com/glign/glign/internal/engine"
@@ -41,7 +40,7 @@ func (e Congra) Run(g *graph.Graph, batch []queries.Query, opt core.Options) (*c
 	}
 	sem := make(chan struct{}, limit)
 	var wg sync.WaitGroup
-	var mu sync.Mutex
+	results := make([]*engine.Result, len(batch))
 	for i, q := range batch {
 		wg.Add(1)
 		go func(i int, q queries.Query) {
@@ -51,33 +50,19 @@ func (e Congra) Run(g *graph.Graph, batch []queries.Query, opt core.Options) (*c
 			// Each query gets its own asynchronous parallel evaluation.
 			// Telemetry records interleave across queries — exactly the
 			// uncontrolled iteration structure the design has.
-			r := engine.Run(g, q, engine.Options{
+			results[i] = engine.Run(g, q, engine.Options{
 				Workers:       opt.Workers,
 				Pool:          opt.Pool,
 				MaxIterations: opt.MaxIterations,
 				Telemetry:     opt.Telemetry,
 				TelemetryLane: i,
 			})
-			for v := 0; v < st.N; v++ {
-				st.Vals.Set(st.Cell(v, i), r.Values[v])
-			}
-			mu.Lock()
-			if r.Iterations > res.GlobalIterations {
-				res.GlobalIterations = r.Iterations
-			}
-			mu.Unlock()
-			// The shared counters use atomic adds like every concurrent
-			// engine writing a BatchResult (glignlint/atomicmix): this
-			// package also updates them from par.For workers, so the whole
-			// package must agree on one access protocol. The per-query
-			// Result counters are read atomically for the same reason —
-			// engine.Run's workers update them with atomic adds.
-			atomic.AddInt64(&res.EdgesProcessed, atomic.LoadInt64(&r.EdgesTraversed))
-			atomic.AddInt64(&res.LaneRelaxations, atomic.LoadInt64(&r.EdgesTraversed))
-			atomic.AddInt64(&res.ValueWrites, atomic.LoadInt64(&r.ValueWrites))
 		}(i, q)
 	}
 	wg.Wait()
+	for i, r := range results {
+		res.Absorb(i, r)
+	}
 	return res, nil
 }
 

@@ -6,7 +6,6 @@ import (
 	"github.com/glign/glign/internal/core"
 	"github.com/glign/glign/internal/graph"
 	"github.com/glign/glign/internal/queries"
-	"github.com/glign/glign/internal/telemetry"
 )
 
 // GraphM models GraphM (Zhao et al., SC'19), which is built on the
@@ -85,7 +84,7 @@ func (p *graphmPolicy) Step() core.Step {
 		p.active[i] = s.Sparse()
 		size += len(p.active[i])
 	}
-	return core.Step{Size: size, Total: len(p.parts), Grain: 1, Body: p.stream, Mode: telemetry.ModePush}
+	return core.Step{Size: size, Total: len(p.parts), Grain: 1, Body: p.stream}
 }
 
 // visit is the partition-centric order over parts: stream each edge block

@@ -35,15 +35,15 @@ func (QueryParallel) Run(g *graph.Graph, batch []queries.Query, opt core.Options
 		return nil, err
 	}
 	res := st.NewResult()
+	results := make([]engine.Result, len(batch))
 	par.OrDefault(opt.Pool).For(len(batch), opt.Workers, 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			vals := engine.ReferenceRun(g, batch[i])
-			for v := 0; v < st.N; v++ {
-				st.Vals.Set(st.Cell(v, i), vals[v])
-			}
+			results[i] = engine.Result{Values: engine.ReferenceRun(g, batch[i]), Iterations: 1}
 		}
 	})
-	res.GlobalIterations = 1
+	for i := range results {
+		res.Absorb(i, &results[i])
+	}
 	return res, nil
 }
 

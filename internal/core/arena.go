@@ -35,7 +35,7 @@ type Arena struct {
 	vals  atomic.Pointer[queries.Values]
 	mask  atomic.Pointer[laneMask] // all-zero over its whole capacity
 	slabs atomic.Pointer[jacobiSlabs]
-	geo   atomic.Pointer[jacobiGeometry]
+	geo   atomic.Pointer[engine.ConvergenceGeometry]
 }
 
 // takeValues returns a value array of exactly cells cells with unspecified
@@ -106,24 +106,16 @@ func (a *Arena) releaseSlabs(s *jacobiSlabs) {
 	}
 }
 
-// jacobiGeometry is a ConvergenceGeometry with what it was derived from: a
-// batch's graph and its Options.ReverseGraph (nil: derived from the graph).
-type jacobiGeometry struct {
-	g, rev *graph.Graph
-	geo    *engine.ConvergenceGeometry
-}
-
-// geometry returns the Jacobi geometry of g under rev, derived — a graph
-// reversal, unless rev brings it — only when the arena's last one was of
-// another graph.
-func (a *Arena) geometry(g, rev *graph.Graph) *engine.ConvergenceGeometry {
+// geometry returns the Jacobi geometry of g, derived — a graph reversal, when
+// g is directed — only when the arena's last one was of another graph.
+func (a *Arena) geometry(g *graph.Graph) *engine.ConvergenceGeometry {
 	if a == nil {
-		return engine.NewConvergenceGeometry(g, rev)
+		return engine.NewConvergenceGeometry(g, nil)
 	}
-	if k := a.geo.Load(); k != nil && k.g == g && k.rev == rev {
-		return k.geo
+	geo := a.geo.Load()
+	if geo == nil || geo.Graph != g {
+		geo = engine.NewConvergenceGeometry(g, nil)
+		a.geo.Store(geo)
 	}
-	geo := engine.NewConvergenceGeometry(g, rev)
-	a.geo.Store(&jacobiGeometry{g, rev, geo})
 	return geo
 }

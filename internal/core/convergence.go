@@ -55,7 +55,7 @@ func RunConvergenceBatch(g *graph.Graph, batch []queries.Query, opt Options) (*B
 			caps[i] = opt.MaxIterations
 		}
 	}
-	geo := opt.Arena.geometry(g, opt.ReverseGraph)
+	geo := opt.Arena.geometry(g)
 	pool := par.OrDefault(opt.Pool)
 	workers := opt.Workers
 
@@ -188,13 +188,9 @@ func RunConvergenceSequential(g *graph.Graph, batch []queries.Query, opt Options
 		return nil, fmt.Errorf("core: empty batch")
 	}
 	n := g.NumVertices()
-	rev := opt.ReverseGraph
-	if rev == nil && g.Directed {
-		rev = g.Reverse()
-	}
-	vals := queries.NewValues(n*b, 0)
+	rev := opt.Arena.geometry(g).Rev
 	res := &BatchResult{
-		B: b, N: n, Values: vals,
+		B: b, N: n, Values: queries.NewValues(n*b, 0),
 		LaneRounds:    make([]int, b),
 		LaneConverged: make([]bool, b),
 		LaneResiduals: make([]float64, b),
@@ -215,23 +211,10 @@ func RunConvergenceSequential(g *graph.Graph, batch []queries.Query, opt Options
 		if err != nil {
 			return nil, err
 		}
-		for v := 0; v < n; v++ {
-			vals.Set(Cell(v, b, i), r.Values[v])
-		}
+		res.Absorb(i, r)
 		res.LaneRounds[i] = r.Iterations
 		res.LaneResiduals[i] = r.Residual
 		res.LaneConverged[i] = r.Residual <= ck.Epsilon()
-		if r.Iterations > res.GlobalIterations {
-			res.GlobalIterations = r.Iterations
-		}
-		// Atomic adds keep the counter protocol uniform with the concurrent
-		// engines (glignlint/atomicmix) even though this loop is sequential.
-		atomic.AddInt64(&res.EdgesProcessed, atomic.LoadInt64(&r.EdgesTraversed))
-		atomic.AddInt64(&res.LaneRelaxations, atomic.LoadInt64(&r.EdgesTraversed))
-		atomic.AddInt64(&res.ValueWrites, atomic.LoadInt64(&r.ValueWrites))
-		if len(r.FrontierSizes) > len(res.UnionFrontierSizes) {
-			res.UnionFrontierSizes = r.FrontierSizes
-		}
 	}
 	return res, nil
 }

@@ -3,7 +3,9 @@ package core
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
+	"github.com/glign/glign/internal/engine"
 	"github.com/glign/glign/internal/graph"
 	"github.com/glign/glign/internal/memtrace"
 	"github.com/glign/glign/internal/par"
@@ -42,11 +44,6 @@ type Options struct {
 	// Tracer, when non-nil, receives every simulated memory access: the
 	// frontier engines then run their serial traced model (tracing.go).
 	Tracer memtrace.Tracer
-	// ReverseGraph, when non-nil, enables direction optimization in the
-	// query-oblivious engine: dense global iterations run in pull mode over
-	// this edge-reversed graph (see oblivious.go). Other engines and tracing
-	// runs ignore it.
-	ReverseGraph *graph.Graph
 	// Telemetry, when non-nil, receives one IterationStat per global
 	// iteration (per per-query iteration for sequential engines). Nil —
 	// the default — makes every hook a no-op nil-receiver call.
@@ -137,6 +134,28 @@ func (r *BatchResult) AllQueryValues(pool *par.Pool, workers int) [][]queries.Va
 func (r *BatchResult) Release() {
 	r.arena.releaseValues(r.Values)
 	r.Values = nil
+}
+
+// Absorb folds q, the finished single-query evaluation of one lane, into the
+// result — how the engines that evaluate a batch query by query (Ligra-S,
+// Congra, Query-Parallel, the sequential Jacobi routing) build theirs. A union
+// frontier is not meaningful for them; UnionFrontierSizes is the frontier
+// history of the longest query instead. It is not safe for concurrent use: an
+// engine that evaluates its lanes in parallel absorbs them once they joined.
+func (r *BatchResult) Absorb(lane int, q *engine.Result) {
+	for v, x := range q.Values {
+		r.Values.Set(Cell(v, r.B, lane), x)
+	}
+	r.GlobalIterations = max(r.GlobalIterations, q.Iterations)
+	// Atomic adds and loads keep the counters' access protocol uniform with
+	// the concurrent engines (glignlint/atomicmix): engine.Run's workers and
+	// Drive's update these fields with atomic adds.
+	atomic.AddInt64(&r.EdgesProcessed, atomic.LoadInt64(&q.EdgesTraversed))
+	atomic.AddInt64(&r.LaneRelaxations, atomic.LoadInt64(&q.EdgesTraversed))
+	atomic.AddInt64(&r.ValueWrites, atomic.LoadInt64(&q.ValueWrites))
+	if len(q.FrontierSizes) > len(r.UnionFrontierSizes) {
+		r.UnionFrontierSizes = q.FrontierSizes
+	}
 }
 
 // Engine evaluates a batch of concurrent queries on a graph.

@@ -9,9 +9,7 @@
 //   - GlignIntra (oblivious.go): Glign's query-oblivious frontier (Figure
 //     5-c, §3.2) — one frontier for all queries, and beside it one mask of
 //     the lanes whose value changed since the vertex last pushed: an active
-//     vertex is relaxed for those, not for all B. Dense iterations switch to
-//     pull mode over the reversed graph (direction optimization, an
-//     extension).
+//     vertex is relaxed for those, not for all B.
 //   - LigraC (twolevel.go): unified + B separate frontiers (Figure 5-b, the
 //     design of Krill and SimGQ).
 //   - Krill (krill.go): per-vertex query bitmasks instead of B frontiers.
@@ -37,7 +35,7 @@
 // (tracing.go) in its place, so the production bodies carry no tracer.
 //
 // When Options.Telemetry is set, every engine records one IterationStat per
-// global iteration — frontier size, push/pull mode, active and injected
+// global iteration — frontier size, push/jacobi mode, active and injected
 // queries, edges processed, lane relaxations, value writes — at a cost of
 // one record per iteration, never per edge (see internal/telemetry and
 // OBSERVABILITY.md).

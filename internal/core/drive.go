@@ -22,7 +22,6 @@ type Counts struct {
 type Step struct {
 	Size, Total, Grain int
 	Body               func(lo, hi int) Counts
-	Mode               string // telemetry.ModePush or telemetry.ModePull
 }
 
 // LanePolicy is the per-query activation state a synchronized frontier
@@ -102,7 +101,7 @@ func Drive(g *graph.Graph, batch []queries.Query, opt Options, policy func(st *B
 				Iter:            iter,
 				Query:           -1,
 				FrontierSize:    step.Size,
-				Mode:            step.Mode,
+				Mode:            telemetry.ModePush,
 				ActiveQueries:   started,
 				InjectedQueries: injected,
 				EdgesProcessed:  cur.Edges - prev.Edges,

@@ -136,19 +136,14 @@ func goldenOf(t *testing.T, e core.Engine, g *graph.Graph, batch []queries.Query
 // before it relaxed only the changed ones: a ceiling no regeneration of the
 // golden may lift.
 var reachedLaneRelaxations = map[string]int64{
-	"Glign-Intra+pull/LJ/aligned":    127555,
-	"Glign-Intra+pull/LJ/delayed":    189792,
-	"Glign-Intra+pull/RD-CA/aligned": 93922,
-	"Glign-Intra+pull/RD-CA/delayed": 85306,
-	"Glign-Intra/LJ/aligned":         79442,
-	"Glign-Intra/LJ/delayed":         94351,
-	"Glign-Intra/RD-CA/aligned":      52881,
-	"Glign-Intra/RD-CA/delayed":      53421,
+	"Glign-Intra/LJ/aligned":    79442,
+	"Glign-Intra/LJ/delayed":    94351,
+	"Glign-Intra/RD-CA/aligned": 52881,
+	"Glign-Intra/RD-CA/delayed": 53421,
 }
 
 // TestEngineGolden pins the serial behaviour of the four frontier engines —
-// Glign-Intra (push, and with direction optimization), Ligra-C, Krill and
-// GraphM — on a hub graph and a road graph, with and without delayed start,
+// Glign-Intra, Ligra-C, Krill and GraphM — on a hub graph and a road graph, with and without delayed start,
 // against testdata/engine_golden.json. Regenerate with
 //
 //	go test ./internal/core -run TestEngineGolden -update
@@ -171,11 +166,6 @@ func TestEngineGolden(t *testing.T) {
 				key := fmt.Sprintf("%s/%s/%s", e.Name(), ds, name)
 				got[key] = goldenOf(t, e, g, batch, core.Options{Alignment: align})
 			}
-			// The pull arm of the query-oblivious policy; under the tracer it
-			// must fall back to push (the trace models the paper's design).
-			key := fmt.Sprintf("%s+pull/%s/%s", core.GlignIntra.Name(), ds, name)
-			got[key] = goldenOf(t, core.GlignIntra, g, batch,
-				core.Options{Alignment: align, ReverseGraph: g.Reverse()})
 		}
 	}
 	for key, ceiling := range reachedLaneRelaxations {

@@ -7,7 +7,6 @@ import (
 	"github.com/glign/glign/internal/frontier"
 	"github.com/glign/glign/internal/graph"
 	"github.com/glign/glign/internal/queries"
-	"github.com/glign/glign/internal/telemetry"
 )
 
 // krill models the Krill system (Chen et al., SC'21): like Ligra-C it
@@ -57,7 +56,7 @@ func (p *krillPolicy) Inject(src graph.VertexID, lane int) {
 
 func (p *krillPolicy) Step() Step {
 	p.active = p.union.Sparse()
-	return Step{Size: len(p.active), Total: len(p.active), Body: p.push, Mode: telemetry.ModePush}
+	return Step{Size: len(p.active), Total: len(p.active), Body: p.push}
 }
 
 func (p *krillPolicy) Advance() {

@@ -7,9 +7,7 @@ import (
 
 	"github.com/glign/glign/internal/frontier"
 	"github.com/glign/glign/internal/graph"
-	"github.com/glign/glign/internal/par"
 	"github.com/glign/glign/internal/queries"
-	"github.com/glign/glign/internal/telemetry"
 )
 
 // oblivious is Glign's query-oblivious frontier engine (paper §3.2,
@@ -37,8 +35,7 @@ func (oblivious) Run(g *graph.Graph, batch []queries.Query, opt Options) (*Batch
 	var p *obliviousPolicy
 	res, err := runBatch(g, batch, opt, func(st *BatchSetup) LanePolicy {
 		p = &obliviousPolicy{
-			g: g, rev: opt.ReverseGraph, st: st,
-			pool: par.OrDefault(opt.Pool), workers: opt.Workers,
+			g: g, st: st,
 			cur: frontier.New(st.N), next: frontier.New(st.N),
 			dirty: opt.Arena.takeMask(st.N, st.B),
 		}
@@ -55,18 +52,10 @@ func (oblivious) Run(g *graph.Graph, batch []queries.Query, opt Options) (*Batch
 }
 
 // obliviousPolicy keeps the unified frontier pair and one changed-lane mask.
-// Its step is a push over the frontier's members, or — direction
-// optimization, an extension beyond the paper, which assumes push throughout
-// — a pull over all n vertices of the edge-reversed graph when the frontier
-// is dense by Ligra's heuristic. In a pull each destination scans its
-// in-neighbors for frontier members; it is written by exactly one worker and
-// its row stays cache-resident across all of its in-edges. The fixed
-// point is the same either way (Theorem 3.2 holds in both directions).
+// Its step is a push over the frontier's members.
 type obliviousPolicy struct {
-	g, rev    *graph.Graph // rev nil: never pull
+	g         *graph.Graph
 	st        *BatchSetup
-	pool      *par.Pool
-	workers   int
 	cur, next *frontier.Subset
 	active    []graph.VertexID
 	dirty     *laneMask
@@ -79,11 +68,8 @@ func (p *obliviousPolicy) Inject(src graph.VertexID, lane int) {
 }
 
 func (p *obliviousPolicy) Step() Step {
-	if p.rev != nil && shouldPull(p.g, p.cur, p.pool, p.workers) {
-		return Step{Size: p.cur.Count(), Total: p.st.N, Body: p.pull, Mode: telemetry.ModePull}
-	}
 	p.active = p.cur.Sparse()
-	return Step{Size: len(p.active), Total: len(p.active), Body: p.push, Mode: telemetry.ModePush}
+	return Step{Size: len(p.active), Total: len(p.active), Body: p.push}
 }
 
 func (p *obliviousPolicy) Advance() {
@@ -113,45 +99,6 @@ func (p *obliviousPolicy) push(lo, hi int) Counts {
 				p.dirty.mark(int(d), s.improved)
 				p.next.AddSync(d)
 			}
-		}
-	}
-	return c
-}
-
-// pull relaxes, for every destination in [lo, hi), each in-edge whose source
-// is in the frontier, across every lane — changed or not, so the lane groups
-// are the batch's static ones and an in-edge costs only the copy of its
-// source's row: relaxing an unchanged lane proposes nothing better than what
-// the cell holds. Every frontier member's row is proposed to all of its
-// out-neighbours this way, so what its mask held is settled; only what the
-// pull improves is marked, for a later push.
-func (p *obliviousPolicy) pull(lo, hi int) Counts {
-	st, s := p.st, p.scratch.Get().(*laneScratch)
-	defer p.scratch.Put(s)
-	s.groups, s.row = st.groups, st.rowKind
-	var c Counts
-	for d := lo; d < hi; d++ {
-		// Before d's own relaxations, which only this worker marks.
-		if p.cur.Contains(graph.VertexID(d)) {
-			p.dirty.claim(d, s.claimed)
-		}
-		ins, ws := p.rev.OutEdges(graph.VertexID(d))
-		improved := 0
-		for j, src := range ins {
-			if !p.cur.Contains(src) {
-				continue
-			}
-			c.Edges++
-			c.Relaxes += int64(st.B)
-			st.Vals.LoadRow(st.Cell(int(src), 0), s.src)
-			if n := s.relax(st, d, WeightAt(ws, j)); n > 0 {
-				improved += n
-				p.dirty.mark(d, s.improved)
-			}
-		}
-		if improved > 0 {
-			c.Writes += int64(improved)
-			p.next.AddSync(graph.VertexID(d))
 		}
 	}
 	return c
@@ -322,9 +269,9 @@ func (s *laneScratch) claim(p *obliviousPolicy, v int) (changed int) {
 // of s.groups, adds the lanes that improved to s.improved — zero when it is
 // called: mark has taken what an earlier edge left — and returns how many
 // there are. When the groups are every lane of a batch with a row kernel
-// (BatchSetup.rowKind) — all its lanes changed; always, in a pull — the edge
-// is one pass over d's row; otherwise it is queries.RelaxImprove with the
-// kind switch hoisted out of the lane loop.
+// (BatchSetup.rowKind) — all its lanes changed — the edge is one pass over d's
+// row; otherwise it is queries.RelaxImprove with the kind switch hoisted out
+// of the lane loop.
 func (s *laneScratch) relax(st *BatchSetup, d int, w graph.Weight) (improved int) {
 	row := st.Cell(d, 0)
 	if s.row != queries.OpCustom {
@@ -382,22 +329,4 @@ func (s *laneScratch) relax(st *BatchSetup, d int, w graph.Weight) (improved int
 func (s *laneScratch) hit(i int32) int {
 	s.improved[i>>6] |= 1 << (i & 63)
 	return 1
-}
-
-// shouldPull applies Ligra's density heuristic to the unified frontier. The
-// out-degree sum over the frontier is a fold, so it runs as a parallel
-// reduction on the pool (exact: integer addition commutes); the decision is
-// made once per global iteration on frontiers that can span most of the
-// graph.
-func shouldPull(g *graph.Graph, cur *frontier.Subset, pool *par.Pool, workers int) bool {
-	active := cur.Sparse()
-	outSum := par.ForReduce(pool, len(active), workers, 0, 0,
-		func(lo, hi int, acc int) int {
-			for i := lo; i < hi; i++ {
-				acc += g.OutDegree(active[i])
-			}
-			return acc
-		},
-		func(a, b int) int { return a + b })
-	return cur.IsDense(outSum, g.NumEdges())
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"testing"
 
@@ -14,14 +13,13 @@ import (
 )
 
 // TestConcurrentBatchStress drives several batches through the concurrent
-// engines at once — sharing one graph, one reverse graph and one telemetry
-// collector — across GOMAXPROCS 1, 2 and 8. Its job is to give the race
+// engines at once — sharing one graph and one telemetry collector — across
+// GOMAXPROCS 1, 2 and 8. Its job is to give the race
 // detector (verify.sh runs this package under -race) real interleavings to
 // bite on: CAS relaxations, frontier unions, telemetry recording and the
 // BatchResult counter protocol all run concurrently here.
 func TestConcurrentBatchStress(t *testing.T) {
 	g := graph.MustGenerate(graph.LJ, graph.Tiny)
-	rev := g.Reverse()
 	col := telemetry.NewCollector()
 
 	// Per-engine reference values, computed once up front (sequentially via
@@ -54,9 +52,6 @@ func TestConcurrentBatchStress(t *testing.T) {
 						opt := Options{
 							Workers:   2 + rep,
 							Telemetry: run.StartBatch(e.Name(), nil, nil),
-						}
-						if e.Name() == GlignIntra.Name() {
-							opt.ReverseGraph = rev
 						}
 						res, err := e.Run(g, batch, opt)
 						if err != nil {
@@ -121,12 +116,10 @@ func checkArenaMaskClean(t *testing.T, a *Arena) {
 // mask through the places its bookkeeping could slip, across GOMAXPROCS 1, 2
 // and 8 (verify.sh runs this package under -race), each against per-lane
 // engine.ReferenceRun: lanes injected at a vertex that is already active for
-// another lane; a direction-optimized run whose mask must survive a pull
-// between two pushes; and a run stopped by MaxIterations with bits still set,
-// whose mask must not reach the batch after it on the same arena.
+// another lane; and a run stopped by MaxIterations with bits still set, whose
+// mask must not reach the batch after it on the same arena.
 func TestChangedLaneMaskCorners(t *testing.T) {
 	g := graph.MustGenerate(graph.TW, graph.Tiny)
-	rev := g.Reverse()
 	hub := graph.VertexID(0)
 	for v := 0; v < g.NumVertices(); v++ {
 		if g.OutDegree(graph.VertexID(v)) > g.OutDegree(hub) {
@@ -151,22 +144,6 @@ func TestChangedLaneMaskCorners(t *testing.T) {
 					{Kernel: queries.KHop(3), Source: nbrs[0]},
 				}
 				checkAgainstReference(t, g, batch, GlignIntra, Options{Alignment: []int{0, 1, 1}, Workers: 3, Arena: arena})
-			})
-
-			t.Run("push-pull-push", func(t *testing.T) {
-				batch := stressBatch(16)
-				bt := telemetry.NewCollector().StartRun("corners", "").StartBatch(GlignIntra.Name(), nil, nil)
-				checkAgainstReference(t, g, batch, GlignIntra, Options{ReverseGraph: rev, Workers: 3, Telemetry: bt, Arena: arena})
-				var modes []string
-				for _, it := range bt.Snapshot().Iterations {
-					if len(modes) == 0 || modes[len(modes)-1] != it.Mode {
-						modes = append(modes, it.Mode)
-					}
-				}
-				want := []string{telemetry.ModePush, telemetry.ModePull, telemetry.ModePush}
-				if len(modes) < 3 || !slices.Equal(modes[:3], want) {
-					t.Fatalf("iteration modes ran %v, want them to start %v", modes, want)
-				}
 			})
 
 			t.Run("capped-then-second-batch", func(t *testing.T) {
@@ -363,19 +340,14 @@ func TestArenaRecycledStateCorners(t *testing.T) {
 				for _, h := range []*graph.Graph{g, bigger, g} {
 					runOnArena(t, arena, h, stressBatch(8), GlignIntra, Options{Workers: 3})
 					runOnArena(t, arena, h, pagerank, GlignIntra, Options{Workers: 3})
-					if k := arena.geo.Load(); k == nil || k.g != h || len(k.geo.OutDeg) != h.NumVertices() {
+					if k := arena.geo.Load(); k == nil || k.Graph != h || len(k.OutDeg) != h.NumVertices() {
 						t.Fatalf("the arena's Jacobi geometry is not that of the graph of %d vertices it last ran on", h.NumVertices())
 					}
 				}
-				// The same graph again, now with its reversal brought along.
 				geo := arena.geo.Load()
 				runOnArena(t, arena, g, pagerank, GlignIntra, Options{Workers: 3})
 				if arena.geo.Load() != geo {
 					t.Fatal("a second batch on the same graph derived the Jacobi geometry again")
-				}
-				runOnArena(t, arena, g, pagerank, GlignIntra, Options{Workers: 3, ReverseGraph: g.Reverse()})
-				if arena.geo.Load() == geo {
-					t.Fatal("a batch that brought a ReverseGraph ran on the geometry derived without it")
 				}
 			})
 

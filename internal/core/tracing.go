@@ -7,7 +7,6 @@ import (
 	"github.com/glign/glign/internal/graph"
 	"github.com/glign/glign/internal/memtrace"
 	"github.com/glign/glign/internal/queries"
-	"github.com/glign/glign/internal/telemetry"
 )
 
 // Cache-trace modelling. When Options.Tracer is set, Drive runs a model of
@@ -15,8 +14,6 @@ import (
 // serially and un-fused on the model's own frontier state, emitting the
 // address stream the paper's design would produce, so the production bodies
 // carry no tracer. Value accesses are addressed by Cell, like the real array.
-// The pull direction is never modelled: the trace is of the paper's push
-// design.
 //
 // The model is held to the production bodies by
 // TestTracingDeterministicAndHarmless (values) and to the committed access
@@ -195,7 +192,7 @@ func (t *tracedModel) Advance() {
 // — also on idle iterations whose frontier is empty, which still pay their
 // bitmap scans.
 func (t *tracedModel) Step() Step {
-	step := Step{Total: 1, Mode: telemetry.ModePush}
+	step := Step{Total: 1}
 	if t.design == jobs {
 		// One scan per job, then the jobs' visits in the design's order. A
 		// vertex active for k jobs counts k times (see GraphM's Step).

@@ -5,7 +5,6 @@ import (
 	"github.com/glign/glign/internal/graph"
 	"github.com/glign/glign/internal/par"
 	"github.com/glign/glign/internal/queries"
-	"github.com/glign/glign/internal/telemetry"
 )
 
 // twoLevel is the unified + separate frontier design of paper Figure 5-b:
@@ -75,7 +74,7 @@ type twoLevelPolicy struct {
 // emits): same set, no per-improvement contention on shared cache lines.
 func (p *twoLevelPolicy) Step() Step {
 	p.active = frontier.UnionOf(p.pool, p.workers, p.Cur...).Sparse()
-	return Step{Size: len(p.active), Total: len(p.active), Body: p.push, Mode: telemetry.ModePush}
+	return Step{Size: len(p.active), Total: len(p.active), Body: p.push}
 }
 
 func (p *twoLevelPolicy) push(lo, hi int) Counts {

@@ -20,6 +20,7 @@ import (
 // in-neighbor order must match bit-for-bit between the sequential and the
 // batched paths for their float results to be identical.
 type ConvergenceGeometry struct {
+	Graph    *graph.Graph // what the geometry is of
 	Rev      *graph.Graph
 	OutDeg   []int32
 	MaxInDeg int
@@ -39,7 +40,7 @@ func NewConvergenceGeometry(g, rev *graph.Graph) *ConvergenceGeometry {
 		}
 	}
 	n := g.NumVertices()
-	geo := &ConvergenceGeometry{Rev: rev, OutDeg: make([]int32, n)}
+	geo := &ConvergenceGeometry{Graph: g, Rev: rev, OutDeg: make([]int32, n)}
 	for v := 0; v < n; v++ {
 		d := g.OutDegree(graph.VertexID(v))
 		geo.OutDeg[v] = int32(d)

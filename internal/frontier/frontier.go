@@ -268,13 +268,3 @@ func (s *Subset) ForEach(fn func(v graph.VertexID)) {
 		fn(v)
 	}
 }
-
-// DenseThreshold is the Ligra-style switch point: a frontier is "dense" when
-// the sum of member count and their out-degrees exceeds |E|/DenseDivisor.
-// Exported so engines and tests can reason about the mode.
-const DenseDivisor = 20
-
-// IsDense applies the Ligra heuristic given the total out-degree of members.
-func (s *Subset) IsDense(outDegreeSum, numEdges int) bool {
-	return s.Count()+outDegreeSum > numEdges/DenseDivisor
-}

@@ -114,16 +114,6 @@ func TestUnionAndOverlap(t *testing.T) {
 	}
 }
 
-func TestIsDenseHeuristic(t *testing.T) {
-	s := FromVertices(1000, 1, 2, 3)
-	if s.IsDense(0, 1000000) {
-		t.Fatal("tiny frontier classified dense")
-	}
-	if !s.IsDense(999999, 1000000) {
-		t.Fatal("huge frontier classified sparse")
-	}
-}
-
 func TestQuickSubsetMatchesMap(t *testing.T) {
 	f := func(vals []uint16) bool {
 		const n = 1 << 16

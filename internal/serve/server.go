@@ -85,10 +85,6 @@ type Config struct {
 	// Profile supplies closestHV for the aligned/affinity methods; built on
 	// demand when nil and the method (or AdmissionAffinity) needs it.
 	Profile *align.Profile
-	// DirectionOptimized enables push/pull hybrid iterations in the
-	// query-oblivious engine (requires/builds a profile for its reversed
-	// graph).
-	DirectionOptimized bool
 	// Telemetry, when non-nil, receives per-iteration engine records for
 	// every batch plus the serving section (Collector.ObserveServing).
 	Telemetry *telemetry.Collector
@@ -270,8 +266,7 @@ func New(g *graph.Graph, cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("serve: unknown admission policy %q", cfg.AdmissionPolicy)
 	}
 	prof := cfg.Profile
-	if prof == nil && (systems.NeedsProfile(cfg.Method) || cfg.DirectionOptimized ||
-		cfg.AdmissionPolicy == AdmissionAffinity) {
+	if prof == nil && (systems.NeedsProfile(cfg.Method) || cfg.AdmissionPolicy == AdmissionAffinity) {
 		prof = align.NewProfile(g, align.DefaultHubCount, cfg.Workers)
 	}
 	run := cfg.Telemetry.StartRun("serve:"+cfg.Method, "")
@@ -650,10 +645,10 @@ func (s *Server) execLoop() {
 }
 
 // runBatch evaluates one batch on the plan's engine with the exact offline
-// semantics: alignment vectors when the method is aligned, direction
-// optimization when configured, per-iteration telemetry into the server's
-// run trace. Each slot's result is installed into the cache (unless an
-// epoch bump overlapped the execution) and fanned out to all its waiters.
+// semantics: the plan's batch options (alignment vectors when the method is
+// aligned), per-iteration telemetry into the server's run trace. Each slot's
+// result is installed into the cache (unless an epoch bump overlapped the
+// execution) and fanned out to all its waiters.
 func (s *Server) runBatch(fb *formedBatch) {
 	s.releasePending(fb.slots)
 	qs := make([]queries.Query, len(fb.slots))
@@ -662,14 +657,7 @@ func (s *Server) runBatch(fb *formedBatch) {
 		qs[i] = sl.query
 		seqs[i] = sl.seq
 	}
-	opt := core.Options{Workers: s.cfg.Workers, Pool: s.cfg.Pool, Arena: &s.arena}
-	if s.plan.Aligned && !queries.AnyConvergent(qs) {
-		// Convergence batches have no frontier for delayed start to align.
-		opt.Alignment = s.prof.AlignmentVector(qs)
-	}
-	if s.cfg.DirectionOptimized && s.prof != nil && s.plan.Engine.Name() == core.GlignIntra.Name() {
-		opt.ReverseGraph = s.prof.Rev
-	}
+	opt := s.plan.BatchOptions(core.Options{Workers: s.cfg.Workers, Pool: s.cfg.Pool, Arena: &s.arena}, qs)
 	epoch := s.epoch.Load()
 	bt := s.run.StartBatch(s.plan.Engine.Name(), seqs, opt.Alignment)
 	opt.Telemetry = bt

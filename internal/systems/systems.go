@@ -64,11 +64,6 @@ type Config struct {
 	// KeepValues retains per-query result vectors for verification
 	// (memory-heavy: n*|buffer| float64s).
 	KeepValues bool
-	// DirectionOptimized enables push/pull hybrid iterations in the
-	// query-oblivious engine (an extension beyond the paper; requires a
-	// profile, whose reversed graph is reused). Ignored by other engines
-	// and by traced runs.
-	DirectionOptimized bool
 	// Telemetry, when non-nil, collects per-iteration engine records and
 	// scheduler decisions for this run (see internal/telemetry). Nil
 	// disables collection at near-zero cost.
@@ -103,48 +98,12 @@ type Result struct {
 	Telemetry *telemetry.RunTrace
 }
 
-// methodPlan is the (policy, engine, aligned) decomposition of a method.
-type methodPlan struct {
-	policy  sched.Policy
-	engine  core.Engine
-	aligned bool
-}
-
-func planFor(method string, g *graph.Graph, prof *align.Profile, cfg Config, run *telemetry.RunTrace) (methodPlan, error) {
-	fcfs := sched.FCFS{}
-	switch method {
-	case LigraS:
-		return methodPlan{fcfs, core.LigraS, false}, nil
-	case LigraC:
-		return methodPlan{fcfs, core.LigraC, false}, nil
-	case GraphM:
-		return methodPlan{fcfs, baselines.GraphM{}, false}, nil
-	case Krill:
-		return methodPlan{fcfs, core.Krill, false}, nil
-	case GlignIntra:
-		return methodPlan{fcfs, core.GlignIntra, false}, nil
-	case GlignInter:
-		return methodPlan{fcfs, core.GlignIntra, true}, nil
-	case GlignBatch:
-		return methodPlan{sched.Affinity{Profile: prof, Window: cfg.Window, Telemetry: run, Workers: cfg.Workers, Pool: cfg.Pool}, core.GlignIntra, false}, nil
-	case Glign:
-		return methodPlan{sched.Affinity{Profile: prof, Window: cfg.Window, Telemetry: run, Workers: cfg.Workers, Pool: cfg.Pool}, core.GlignIntra, true}, nil
-	case IBFS:
-		return methodPlan{baselines.IBFS{Graph: g, Telemetry: run}, core.LigraC, false}, nil
-	case QueryParallel:
-		return methodPlan{fcfs, baselines.QueryParallel{}, false}, nil
-	case Congra:
-		return methodPlan{fcfs, baselines.Congra{}, false}, nil
-	}
-	return methodPlan{}, fmt.Errorf("systems: unknown method %q", method)
-}
-
-// Plan is the exported (policy, engine, aligned) decomposition of a method,
-// used by the online serving loop (internal/serve), which forms batches from
-// a live admission queue instead of a pre-materialized buffer but must keep
-// each method's batching policy, engine, and alignment semantics identical
-// to an offline Run — the serve-vs-offline differential test pins exactly
-// that equivalence.
+// Plan is the (policy, engine, aligned) decomposition of a method. Run
+// evaluates a buffer under it; the online serving loop (internal/serve), which
+// forms batches from a live admission queue instead of a pre-materialized
+// buffer, resolves the same plan, so each method's batching policy, engine and
+// batch options are identical in both — the serve-vs-offline differential test
+// pins exactly that equivalence.
 type Plan struct {
 	// Policy partitions a buffered window of queries into batches.
 	Policy sched.Policy
@@ -153,17 +112,46 @@ type Plan struct {
 	// Aligned selects delayed-start injection (alignment vectors from the
 	// profile) for every batch.
 	Aligned bool
+
+	prof *align.Profile
 }
 
 // PlanFor resolves the method's plan. The profile is required by the
 // affinity-batching and aligned methods (see NeedsProfile); run receives the
 // policy's batching decisions when non-nil.
 func PlanFor(method string, g *graph.Graph, prof *align.Profile, cfg Config, run *telemetry.RunTrace) (Plan, error) {
-	p, err := planFor(method, g, prof, cfg, run)
-	if err != nil {
-		return Plan{}, err
+	fcfs := sched.FCFS{}
+	affinity := sched.Affinity{Profile: prof, Window: cfg.Window, Telemetry: run, Workers: cfg.Workers, Pool: cfg.Pool}
+	p, ok := map[string]Plan{
+		LigraS:        {Policy: fcfs, Engine: core.LigraS},
+		LigraC:        {Policy: fcfs, Engine: core.LigraC},
+		GraphM:        {Policy: fcfs, Engine: baselines.GraphM{}},
+		Krill:         {Policy: fcfs, Engine: core.Krill},
+		GlignIntra:    {Policy: fcfs, Engine: core.GlignIntra},
+		GlignInter:    {Policy: fcfs, Engine: core.GlignIntra, Aligned: true},
+		GlignBatch:    {Policy: affinity, Engine: core.GlignIntra},
+		Glign:         {Policy: affinity, Engine: core.GlignIntra, Aligned: true},
+		IBFS:          {Policy: baselines.IBFS{Graph: g, Telemetry: run}, Engine: core.LigraC},
+		QueryParallel: {Policy: fcfs, Engine: baselines.QueryParallel{}},
+		Congra:        {Policy: fcfs, Engine: baselines.Congra{}},
+	}[method]
+	if !ok {
+		return Plan{}, fmt.Errorf("systems: unknown method %q", method)
 	}
-	return Plan{Policy: p.policy, Engine: p.engine, Aligned: p.aligned}, nil
+	p.prof = prof
+	return p, nil
+}
+
+// BatchOptions is the core.Options a batch of the plan's method runs with:
+// base — the resources of whoever runs it (workers, pool, arena, tracer) —
+// plus what the method decides per batch, which is the batch's alignment
+// vector when the method is aligned. Delayed start schedules frontier
+// arrivals; convergence batches have no frontier, so theirs stays nil.
+func (p Plan) BatchOptions(base core.Options, batch []queries.Query) core.Options {
+	if p.Aligned && !queries.AnyConvergent(batch) {
+		base.Alignment = p.prof.AlignmentVector(batch)
+	}
+	return base
 }
 
 // NeedsProfile reports whether the method requires the alignment profile.
@@ -187,17 +175,17 @@ func Run(method string, g *graph.Graph, buffer []queries.Query, cfg Config) (*Re
 		cfg.BatchSize = 64
 	}
 	prof := cfg.Profile
-	if prof == nil && (NeedsProfile(method) || cfg.DirectionOptimized) {
+	if prof == nil && NeedsProfile(method) {
 		prof = align.NewProfile(g, align.DefaultHubCount, cfg.Workers)
 	}
-	// The run trace must exist before planFor so the batching policies can
+	// The run trace must exist before PlanFor so the batching policies can
 	// record their window decisions into it.
 	run := cfg.Telemetry.StartRun(method, "")
-	plan, err := planFor(method, g, prof, cfg, run)
+	plan, err := PlanFor(method, g, prof, cfg, run)
 	if err != nil {
 		return nil, err
 	}
-	run.SetPolicy(plan.policy.Name())
+	run.SetPolicy(plan.Policy.Name())
 	res := &Result{Method: method, Telemetry: run}
 	if cfg.KeepValues {
 		res.Values = make(map[int][]queries.Value, len(buffer))
@@ -208,24 +196,15 @@ func Run(method string, g *graph.Graph, buffer []queries.Query, cfg Config) (*Re
 	// kernels and iterate-to-convergence kernels take different evaluation
 	// paths inside every engine, so a mixed buffer yields one batch per
 	// paradigm run rather than a mixed batch no engine accepts.
-	res.Batches = sched.SplitParadigm(buffer, plan.policy.MakeBatches(buffer, cfg.BatchSize))
-	res.Alignments = make([][]int, len(res.Batches))
+	res.Batches = sched.SplitParadigm(buffer, plan.Policy.MakeBatches(buffer, cfg.BatchSize))
 	for bi, idx := range res.Batches {
 		batch := sched.Select(buffer, idx)
-		opt := core.Options{Workers: cfg.Workers, Pool: cfg.Pool, Tracer: cfg.Tracer, Arena: cfg.Arena}
-		if cfg.DirectionOptimized && plan.engine.Name() == core.GlignIntra.Name() {
-			opt.ReverseGraph = prof.Rev
-		}
-		if plan.aligned && !queries.AnyConvergent(batch) {
-			// Delayed start schedules frontier arrivals; convergence batches
-			// have no frontier, so their alignment vector stays nil.
-			opt.Alignment = prof.AlignmentVector(batch)
-			res.Alignments[bi] = opt.Alignment
-		}
-		bt := run.StartBatch(plan.engine.Name(), idx, opt.Alignment)
+		opt := plan.BatchOptions(core.Options{Workers: cfg.Workers, Pool: cfg.Pool, Tracer: cfg.Tracer, Arena: cfg.Arena}, batch)
+		res.Alignments = append(res.Alignments, opt.Alignment)
+		bt := run.StartBatch(plan.Engine.Name(), idx, opt.Alignment)
 		opt.Telemetry = bt
 		batchStart := time.Now()
-		br, err := plan.engine.Run(g, batch, opt)
+		br, err := plan.Engine.Run(g, batch, opt)
 		if err != nil {
 			return nil, fmt.Errorf("systems: %s batch %d: %w", method, bi, err)
 		}

@@ -15,10 +15,8 @@ type Counters struct {
 	// carried (a query re-counted if evaluated under several methods).
 	Batches atomic.Int64
 	Queries atomic.Int64
-	// Iterations counts recorded global iterations; PullIterations the
-	// subset that ran in pull (dense) mode.
-	Iterations     atomic.Int64
-	PullIterations atomic.Int64
+	// Iterations counts recorded global iterations.
+	Iterations atomic.Int64
 	// EdgesProcessed / LaneRelaxations / ValueWrites aggregate the
 	// iteration deltas (see IterationStat for their units).
 	EdgesProcessed  atomic.Int64
@@ -38,7 +36,6 @@ type CounterSnapshot struct {
 	Batches           int64 `json:"batches"`
 	Queries           int64 `json:"queries"`
 	Iterations        int64 `json:"iterations"`
-	PullIterations    int64 `json:"pull_iterations"`
 	EdgesProcessed    int64 `json:"edges_processed"`
 	LaneRelaxations   int64 `json:"lane_relaxations"`
 	ValueWrites       int64 `json:"value_writes"`
@@ -54,7 +51,6 @@ func (c *Counters) Snapshot() CounterSnapshot {
 		Batches:           c.Batches.Load(),
 		Queries:           c.Queries.Load(),
 		Iterations:        c.Iterations.Load(),
-		PullIterations:    c.PullIterations.Load(),
 		EdgesProcessed:    c.EdgesProcessed.Load(),
 		LaneRelaxations:   c.LaneRelaxations.Load(),
 		ValueWrites:       c.ValueWrites.Load(),

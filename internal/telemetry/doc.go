@@ -13,7 +13,7 @@
 //	        └── IterationStat  one per global iteration
 //
 // Each IterationStat carries the quantities the paper's Figures 6-9 reason
-// about: unified frontier size and traversal direction (push/pull),
+// about: unified frontier size and evaluation model (push/jacobi),
 // active-query count, edges processed, per-lane relaxation attempts, and
 // successful value-array writes. Batch traces additionally record the
 // delayed-start alignment vector applied (Definition 3.3) and the batch

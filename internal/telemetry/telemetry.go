@@ -145,9 +145,6 @@ func (b *BatchTrace) RecordIteration(s IterationStat) {
 	c.Counters.EdgesProcessed.Add(s.EdgesProcessed)
 	c.Counters.LaneRelaxations.Add(s.LaneRelaxations)
 	c.Counters.ValueWrites.Add(s.ValueWrites)
-	if s.Mode == ModePull {
-		c.Counters.PullIterations.Add(1)
-	}
 	c.FrontierSizes.Observe(int64(s.FrontierSize))
 	c.EdgesPerIteration.Observe(s.EdgesProcessed)
 	b.mu.Lock()
@@ -165,13 +162,10 @@ func (b *BatchTrace) Finish(d time.Duration) {
 	b.mu.Unlock()
 }
 
-// Traversal direction of a global iteration.
+// Evaluation model of a global iteration.
 const (
-	// ModePush marks a sparse (push-model EdgeMap) iteration.
+	// ModePush marks a push-model EdgeMap iteration over a frontier.
 	ModePush = "push"
-	// ModePull marks a dense iteration run in pull mode over the reversed
-	// graph (the direction optimization of internal/core's hybrid engine).
-	ModePull = "pull"
 	// ModeJacobi marks one all-vertices round of an iterate-to-convergence
 	// (non-monotone) evaluation — every vertex recomputes from its
 	// in-neighbors' previous-round values.
@@ -191,7 +185,7 @@ type IterationStat struct {
 	// FrontierSize is |frontier| entering the iteration (the unified
 	// frontier for batch engines, the per-query frontier otherwise).
 	FrontierSize int `json:"frontier_size"`
-	// Mode is ModePush, ModePull or ModeJacobi.
+	// Mode is ModePush or ModeJacobi.
 	Mode string `json:"mode"`
 	// ActiveQueries counts the queries whose delayed start has arrived
 	// (alignment offset <= Iter).
@@ -200,7 +194,7 @@ type IterationStat struct {
 	// exactly at this iteration.
 	InjectedQueries int `json:"injected_queries"`
 	// EdgesProcessed counts edge visits this iteration (per active vertex,
-	// per out-edge — in pull mode, per in-edge of a frontier member).
+	// per out-edge).
 	EdgesProcessed int64 `json:"edges_processed"`
 	// LaneRelaxations counts per-query relaxation attempts on edges.
 	LaneRelaxations int64 `json:"lane_relaxations"`

@@ -65,7 +65,7 @@ func TestCollectorHierarchy(t *testing.T) {
 		EdgesProcessed: 10, LaneRelaxations: 10, ValueWrites: 4,
 	})
 	b0.RecordIteration(IterationStat{
-		Iter: 1, Query: -1, FrontierSize: 4, Mode: ModePull,
+		Iter: 1, Query: -1, FrontierSize: 4, Mode: ModePush,
 		ActiveQueries: 2, InjectedQueries: 1,
 		EdgesProcessed: 40, LaneRelaxations: 80, ValueWrites: 12,
 	})
@@ -84,7 +84,7 @@ func TestCollectorHierarchy(t *testing.T) {
 		t.Errorf("schema = %q, want %q", m.Schema, SchemaVersion)
 	}
 	if got := m.Counters; got.Runs != 1 || got.Batches != 2 || got.Queries != 4 ||
-		got.Iterations != 3 || got.PullIterations != 1 ||
+		got.Iterations != 3 ||
 		got.EdgesProcessed != 57 || got.LaneRelaxations != 104 || got.ValueWrites != 19 ||
 		got.DelayedQueries != 1 || got.DelayOffsetSum != 1 || got.BatchingDecisions != 1 {
 		t.Errorf("counters = %+v", got)
@@ -103,7 +103,7 @@ func TestCollectorHierarchy(t *testing.T) {
 		t.Fatalf("batches = %+v", run.Batches)
 	}
 	if got := run.Batches[0]; got.Engine != "Glign-Intra" ||
-		len(got.Iterations) != 2 || got.Iterations[1].Mode != ModePull ||
+		len(got.Iterations) != 2 || got.Iterations[1].Mode != ModePush ||
 		got.Alignment[1] != 1 || got.Queries[0] != 2 {
 		t.Errorf("batch 0 = %+v", got)
 	}

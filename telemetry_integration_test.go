@@ -92,7 +92,7 @@ func TestMetricsMatchEngineCounters(t *testing.T) {
 						t.Errorf("batch %d iter %d: frontier_size = %d",
 							b.Index, it.Iter, it.FrontierSize)
 					}
-					if it.Mode != telemetry.ModePush && it.Mode != telemetry.ModePull {
+					if it.Mode != telemetry.ModePush {
 						t.Errorf("batch %d iter %d: mode %q", b.Index, it.Iter, it.Mode)
 					}
 					if it.EdgesProcessed < 0 || it.ValueWrites < 0 {

@@ -6,26 +6,14 @@
 //
 //	atomicmix   — sync/atomic updates mixed with plain loads/stores
 //	              (interprocedural: wrapper-aware, whole-slice reads included)
-//	cancelpath  — CancelFuncs, timers, and tickers created in serve/core/par
-//	              and mains are released on every exit path
-//	chanlife    — channel lifecycle in serve/core/par/mains: double close,
-//	              send after close, nil/non-owner closes, unbuffered sends
-//	              while holding a lock
-//	clockdet    — no direct time.Now/Sleep/After/... in packages declaring an
-//	              injectable Clock (the adapters implementing it are exempt)
 //	doclint     — every package carries a package comment
 //	hotalloc    — per-iteration allocations in traversal loops and par closures
 //	kernelmono  — relaxation only through the approved CAS helpers; pure kernels
 //	              (alias-aware, call-graph purity summaries)
-//	lockguard   — inferred mutex-guards-field discipline: unguarded accesses,
-//	              writes under RLock, double-locks, exit/panic paths that
-//	              leave a lock held
-//	lockorder   — module-wide lock-ordering graph across calls and goroutine
-//	              spawns; cycles report their full witness chain, plus
-//	              RLock→Lock upgrades
 //	nilrecv     — nil-receiver guards on the nil-safe telemetry types
 //	parcapture  — par.For closures writing captured variables
-//	staleignore — //lint:ignore directives matching no finding of the run
+//	staleignore — //lint:ignore directives matching no finding of the run or
+//	              naming no registered analyzer
 //	waitjoin    — goroutines in internal/par, internal/core, internal/serve,
 //	              and internal/telemetry join on every exit path
 //

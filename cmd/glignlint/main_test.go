@@ -6,7 +6,6 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 
@@ -178,152 +177,54 @@ func TestWaitJoinServeFixture(t *testing.T) {
 	}
 }
 
-// TestLockGuardFixture pins guard inference end to end: the majority-vote
-// guard map, the "...Locked" suffix convention, call-site entry-lock
-// propagation (drain via flush), constructor freshness, and the defer
-// postlude (get) must all stay quiet, while the access moved outside the
-// mutex (peek), the double lock, the leaky exits, and the RLock write fire.
-func TestLockGuardFixture(t *testing.T) {
-	findings := runAnalyzer(t, "lockguard", "testdata/src/lockguard")
-	got := formatFindings(t, findings)
-	checkGolden(t, "lockguard", got)
-	if active, suppressed := counts(findings); active != 5 || suppressed != 1 {
-		t.Errorf("want exactly 5 active and 1 suppressed, got %d/%d:\n%s", active, suppressed, got)
-	}
-	// peek is get with the b.n access moved outside b.mu; the verdict must
-	// flip between the two.
-	if !strings.Contains(got, "fixture.go:49:") {
-		t.Errorf("missing the unguarded read in peek:\n%s", got)
-	}
-	if strings.Contains(got, "fixture.go:38:") {
-		t.Errorf("false positive on the defer-guarded read in get:\n%s", got)
-	}
-	for _, clean := range []string{"fixture.go:22:", "fixture.go:54:", "fixture.go:68:"} {
-		if strings.Contains(got, clean) {
-			t.Errorf("false positive at %s (fresh write / Locked suffix / call-site propagation):\n%s", clean, got)
-		}
-	}
-}
-
-func TestClockDetFixture(t *testing.T) {
-	findings := runAnalyzer(t, "clockdet", "testdata/src/clockdet")
-	got := formatFindings(t, findings)
-	checkGolden(t, "clockdet", got)
-	if active, suppressed := counts(findings); active != 3 || suppressed != 1 {
-		t.Errorf("want exactly 3 active and 1 suppressed, got %d/%d:\n%s", active, suppressed, got)
-	}
-	// The realClock/realTimer adapters are the injection boundary, and
-	// waitInjected consumes time only through the Clock: all exempt.
-	for _, clean := range []string{"fixture.go:25:", "fixture.go:26:", "fixture.go:30:", "fixture.go:31:", "fixture.go:39:"} {
-		if strings.Contains(got, clean) {
-			t.Errorf("false positive at %s (adapter or injected consumer):\n%s", clean, got)
-		}
-	}
-}
-
-func TestCancelPathFixture(t *testing.T) {
-	findings := runAnalyzer(t, "cancelpath", "testdata/src/cancelpath")
-	got := formatFindings(t, findings)
-	checkGolden(t, "cancelpath", got)
-	if active, suppressed := counts(findings); active != 3 || suppressed != 1 {
-		t.Errorf("want exactly 3 active and 1 suppressed, got %d/%d:\n%s", active, suppressed, got)
-	}
-	for _, clean := range []string{"deferCancel", "stopTimer", "handTimer"} {
-		if strings.Contains(got, clean) {
-			t.Errorf("false positive in %s:\n%s", clean, got)
-		}
-	}
-}
-
 // TestStaleIgnoreFixture runs waitjoin together with staleignore: the
-// directive matching a live finding stays quiet, the rotted directive is
-// reported, and a stale report can itself be suppressed.
+// directive matching a live finding stays quiet, the rotted directive and the
+// one naming no registered analyzer are reported, and a stale report can
+// itself be suppressed.
 func TestStaleIgnoreFixture(t *testing.T) {
 	findings := runAnalyzer(t, "waitjoin,staleignore", "testdata/src/staleignore")
 	got := formatFindings(t, findings)
 	checkGolden(t, "staleignore", got)
-	if active, suppressed := counts(findings); active != 1 || suppressed != 2 {
-		t.Errorf("want exactly 1 active and 2 suppressed, got %d/%d:\n%s", active, suppressed, got)
+	if active, suppressed := counts(findings); active != 2 || suppressed != 2 {
+		t.Errorf("want exactly 2 active and 2 suppressed, got %d/%d:\n%s", active, suppressed, got)
 	}
 	if !strings.Contains(got, "fixture.go:20:") {
 		t.Errorf("missing the stale-directive report in joined:\n%s", got)
+	}
+	if !strings.Contains(got, "glignlint/atomicmx names no registered analyzer") {
+		t.Errorf("missing the unregistered-analyzer report in typo:\n%s", got)
 	}
 	if strings.Contains(got, "fixture.go:13:") {
 		t.Errorf("false positive on the used directive in detach:\n%s", got)
 	}
 }
 
-// TestLockOrderFixture pins the cross-goroutine deadlock tier: the
-// accounts/audit inversion (one edge inside a spawned goroutine) reports the
-// full witness chain, the RLock→Lock upgrade fires, the consistent
-// call-site order in withBoth/record stays quiet, and the second inversion
-// is suppressed at its anchor.
-func TestLockOrderFixture(t *testing.T) {
-	findings := runAnalyzer(t, "lockorder", "testdata/src/lockorder")
-	got := formatFindings(t, findings)
-	checkGolden(t, "lockorder", got)
-	if active, suppressed := counts(findings); active != 2 || suppressed != 1 {
-		t.Errorf("want exactly 2 active and 1 suppressed, got %d/%d:\n%s", active, suppressed, got)
-	}
-	if !strings.Contains(got, "accounts.mu → audit.mu → accounts.mu") {
-		t.Errorf("missing the witness chain for the accounts/audit cycle:\n%s", got)
-	}
-	if !strings.Contains(got, "goroutine in reconcile") {
-		t.Errorf("cycle witness does not attribute the inverted edge to the spawned goroutine:\n%s", got)
-	}
-	if !strings.Contains(got, "RLock→Lock upgrade") {
-		t.Errorf("missing the RWMutex upgrade self-deadlock:\n%s", got)
-	}
-	for _, clean := range []string{"withBoth", "in record "} {
-		if strings.Contains(got, clean) {
-			t.Errorf("false positive on the consistent-order path %s:\n%s", clean, got)
-		}
-	}
-}
-
-// TestChanLifeFixture pins the channel-lifecycle tier: double close, send
-// after close (direct and via the shutdown helper's summary), the
-// possibly-nil close, the non-owner close in the spawned consumer, and the
-// lock-channel hybrid deadlock all fire; the producer hand-off and the defer
-// postlude close stay quiet; one double close is suppressed.
-func TestChanLifeFixture(t *testing.T) {
-	findings := runAnalyzer(t, "chanlife", "testdata/src/chanlife")
-	got := formatFindings(t, findings)
-	checkGolden(t, "chanlife", got)
-	if active, suppressed := counts(findings); active != 6 || suppressed != 1 {
-		t.Errorf("want exactly 6 active and 1 suppressed, got %d/%d:\n%s", active, suppressed, got)
-	}
-	for _, want := range []string{"double close", "send on out after close", "send on ch after close",
-		"possibly-nil", "closes intake without owning it", "while holding m.mu"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("missing finding %q:\n%s", want, got)
-		}
-	}
-	for _, clean := range []string{"fixture.go:91:", "fixture.go:93:", "fixture.go:102:", "fixture.go:104:"} {
-		if strings.Contains(got, clean) {
-			t.Errorf("false positive at %s (producer hand-off / defer postlude):\n%s", clean, got)
-		}
-	}
-}
-
 // TestStaleIgnoreSubset pins the subset semantics: a directive naming only
-// lockorder is skipped when lockorder is deselected (a subset run cannot
-// judge it) and reported stale only by a run that selects lockorder.
+// hotalloc is skipped when hotalloc is deselected (a subset run cannot judge
+// it) and reported stale only by a run that selects hotalloc, while the
+// directive naming no registered analyzer is reported by both runs.
 func TestStaleIgnoreSubset(t *testing.T) {
-	findings := runAnalyzer(t, "waitjoin,staleignore", "testdata/src/staleignore")
-	for _, f := range findings {
-		if strings.Contains(f.Message, "lockorder") {
-			t.Errorf("directive naming unselected lockorder reported stale: %s", f.String())
+	for _, tc := range []struct {
+		analyzers string
+		hotalloc  int // stale reports naming the hotalloc directive
+	}{
+		{"waitjoin,staleignore", 0},
+		{"hotalloc,staleignore", 1},
+	} {
+		findings := runAnalyzer(t, tc.analyzers, "testdata/src/staleignore")
+		hotalloc, unregistered := 0, 0
+		for _, f := range findings {
+			if strings.Contains(f.Message, "glignlint/hotalloc") {
+				hotalloc++
+			}
+			if strings.Contains(f.Message, "names no registered analyzer") {
+				unregistered++
+			}
 		}
-	}
-	findings = runAnalyzer(t, "lockorder,staleignore", "testdata/src/staleignore")
-	active, suppressed := counts(findings)
-	if active != 1 || suppressed != 0 {
-		t.Fatalf("lockorder,staleignore: want exactly 1 active and 0 suppressed, got %d/%d:\n%s",
-			active, suppressed, formatFindings(t, findings))
-	}
-	if !strings.Contains(findings[0].Message, "glignlint/lockorder") {
-		t.Errorf("the stale report should name the lockorder directive: %s", findings[0].String())
+		if hotalloc != tc.hotalloc || unregistered != 1 {
+			t.Errorf("%s: want %d hotalloc and 1 unregistered report, got %d/%d:\n%s",
+				tc.analyzers, tc.hotalloc, hotalloc, unregistered, formatFindings(t, findings))
+		}
 	}
 }
 
@@ -384,9 +285,9 @@ func TestCLI(t *testing.T) {
 	}
 }
 
-// TestHelpAnalyzersSorted pins the catalogue output: deterministically
-// sorted, one analyzer per line, with the cross-goroutine tier present —
-// verify.sh's fixture-coverage loop parses this output.
+// TestHelpAnalyzersSorted pins the catalogue output: exactly the registered
+// analyzers, one per line, in sorted order — verify.sh's fixture-coverage
+// loop parses this output.
 func TestHelpAnalyzersSorted(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{"-help-analyzers"}, &out, &errb); code != 0 {
@@ -396,21 +297,9 @@ func TestHelpAnalyzersSorted(t *testing.T) {
 	for _, line := range strings.Split(strings.TrimRight(out.String(), "\n"), "\n") {
 		names = append(names, strings.Fields(line)[0])
 	}
-	if len(names) != 13 {
-		t.Fatalf("catalogue lists %d analyzers, want 13:\n%s", len(names), out.String())
-	}
-	if !sort.StringsAreSorted(names) {
-		t.Errorf("catalogue is not sorted: %v", names)
-	}
-	for _, want := range []string{"chanlife", "lockorder"} {
-		found := false
-		for _, n := range names {
-			if n == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("catalogue is missing %q: %v", want, names)
-		}
+	want := []string{"atomicmix", "doclint", "hotalloc", "kernelmono",
+		"nilrecv", "parcapture", "staleignore", "waitjoin"}
+	if strings.Join(names, " ") != strings.Join(want, " ") {
+		t.Errorf("catalogue lists %v, want %v:\n%s", names, want, out.String())
 	}
 }

@@ -1,8 +1,8 @@
 // Package par (staleignore fixture) exercises unused-suppression detection:
-// a directive that matches a live waitjoin finding is in use (clean), a
-// directive whose finding was fixed long ago is stale (reported), and a
-// stale directive kept deliberately is itself suppressed via
-// glignlint/staleignore.
+// a directive matching a live waitjoin finding is in use (clean), one whose
+// finding was fixed long ago is stale (reported), a stale one kept on purpose
+// is itself suppressed via glignlint/staleignore, and one naming no
+// registered analyzer is reported.
 package par
 
 import "sync"
@@ -41,12 +41,18 @@ func alsoJoined(work func()) {
 	<-done
 }
 
-// subsetOnly carries a directive naming an analyzer (lockorder) that the
+// subsetOnly carries a directive naming an analyzer (hotalloc) that the
 // staleignore fixture test deliberately leaves unselected: a subset run
 // cannot judge such a directive, so it must never be reported stale there —
-// only a run that actually selects lockorder may decide.
-func subsetOnly(mu *sync.Mutex) {
-	//lint:ignore glignlint/lockorder fixture: judged only when lockorder itself is selected
-	mu.Lock()
-	mu.Unlock()
+// only a run that actually selects hotalloc may decide.
+func subsetOnly(n int) []int {
+	//lint:ignore glignlint/hotalloc fixture: judged only when hotalloc itself is selected
+	return make([]int, n)
+}
+
+// typo names an analyzer the registry does not have, so its directive can
+// never match a finding: staleignore reports it whatever the selection.
+func typo(work func()) {
+	//lint:ignore glignlint/atomicmx fixture: misspelt atomicmix, silences nothing
+	work()
 }

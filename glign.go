@@ -116,9 +116,9 @@ func NewGraphBuilder(n int, directed, weighted bool) *GraphBuilder {
 	return graph.NewBuilder(n, directed, weighted)
 }
 
-// LoadGraph loads a graph file: ".bin" for the plain binary CSR format,
-// ".cbin" for the delta-compressed format, anything else as a SNAP-style
-// text edge list ("src dst [weight]" lines).
+// LoadGraph loads a graph file: ".bin" for the binary CSR format, anything
+// else as a SNAP-style text edge list ("src dst [weight]" lines). A weight
+// that is not >= 1 is an error: every query kernel relies on it.
 func LoadGraph(path string, directed bool) (*Graph, error) {
 	return graph.LoadFile(path, directed)
 }

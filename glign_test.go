@@ -2,6 +2,7 @@ package glign
 
 import (
 	"math"
+	"os"
 	"path/filepath"
 	"testing"
 )
@@ -132,6 +133,27 @@ func TestGraphIO(t *testing.T) {
 	}
 	if got.NumEdges() != g.NumEdges() {
 		t.Fatal("round trip lost edges")
+	}
+}
+
+// TestLoadGraphRejectsBadWeights pins the loader side of the weights >= 1
+// contract: each of these files used to load and then leave an SSSP Run
+// spinning forever (NaN never settles; a negative undirected edge is a
+// negative cycle), so LoadGraph must refuse them instead.
+func TestLoadGraphRejectsBadWeights(t *testing.T) {
+	for name, body := range map[string]string{
+		"nan":      "0 1 NaN\n1 2 1\n0 2 5\n",
+		"negative": "0 1 -1\n1 2 1\n",
+	} {
+		path := filepath.Join(t.TempDir(), name+".txt")
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, directed := range []bool{true, false} {
+			if _, err := LoadGraph(path, directed); err == nil {
+				t.Errorf("%s (directed=%v): LoadGraph accepted %q", name, directed, body)
+			}
+		}
 	}
 }
 

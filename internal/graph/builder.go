@@ -6,8 +6,9 @@ import (
 )
 
 // Edge is a single directed, optionally weighted edge used while building a
-// graph. Weight 0 is normalized to 1 at build time so that generators and
-// loaders may leave it unset for unweighted inputs.
+// graph. Weight 0 is normalized to 1 at build time so that generators may
+// leave it unset for unweighted inputs (the file loaders reject an explicit
+// 0, see ReadEdgeList).
 type Edge struct {
 	Src, Dst VertexID
 	W        Weight

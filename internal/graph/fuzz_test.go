@@ -38,9 +38,8 @@ func FuzzReadEdgeList(f *testing.F) {
 	})
 }
 
-// FuzzReadBinary and FuzzReadCompressed exercise the binary decoders with
-// arbitrary bytes: they must reject or decode, never panic or accept an
-// invalid graph.
+// FuzzReadBinary exercises the binary decoder with arbitrary bytes: it must
+// reject or decode, never panic or accept an invalid graph.
 func FuzzReadBinary(f *testing.F) {
 	var buf bytes.Buffer
 	if err := WriteBinary(&buf, PaperExample()); err != nil {
@@ -51,25 +50,6 @@ func FuzzReadBinary(f *testing.F) {
 	f.Add(make([]byte, 32))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := ReadBinary(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		if err := g.Validate(); err != nil {
-			t.Fatalf("decoder accepted invalid graph: %v", err)
-		}
-	})
-}
-
-func FuzzReadCompressed(f *testing.F) {
-	var buf bytes.Buffer
-	if _, err := WriteCompressed(&buf, PaperExample()); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	f.Add([]byte{})
-	f.Add(make([]byte, 32))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := ReadCompressed(bytes.NewReader(data))
 		if err != nil {
 			return
 		}

@@ -9,9 +9,10 @@ import (
 // VertexID identifies a vertex. Vertices are densely numbered from 0.
 type VertexID = uint32
 
-// Weight is the type of edge weights. All generators produce weights >= 1,
-// which every query kernel in internal/queries relies on (e.g. Viterbi's
-// division keeps values monotone only for weights >= 1).
+// Weight is the type of edge weights. All generators produce weights >= 1
+// and the file loaders reject anything else, because every query kernel in
+// internal/queries relies on it (e.g. Viterbi's division keeps values
+// monotone only for weights >= 1).
 type Weight = float32
 
 // Graph is an immutable CSR graph. The zero value is an empty graph.

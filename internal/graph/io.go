@@ -16,7 +16,8 @@ import (
 
 // ReadEdgeList parses a SNAP-style edge list. n is inferred as max id + 1.
 // If any line carries a third column the graph is weighted (missing weights
-// default to 1).
+// default to 1); a weight that is not >= 1 (NaN included) is an error, as
+// every query kernel relies on it (see Weight).
 func ReadEdgeList(r io.Reader, directed bool) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -49,6 +50,9 @@ func ReadEdgeList(r io.Reader, directed bool) (*Graph, error) {
 				return nil, fmt.Errorf("graph: line %d: bad weight: %v", lineNo, err)
 			}
 			w = Weight(f)
+			if !(w >= 1) {
+				return nil, fmt.Errorf("graph: line %d: weight %v, want >= 1", lineNo, w)
+			}
 			weighted = true
 		}
 		if int(u) > maxID {
@@ -126,7 +130,8 @@ func WriteBinary(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-// ReadBinary reads a graph written by WriteBinary.
+// ReadBinary reads a graph written by WriteBinary, rejecting weights that
+// are not >= 1 like ReadEdgeList.
 func ReadBinary(r io.Reader) (*Graph, error) {
 	br := bufio.NewReader(r)
 	var hdr [4]uint32
@@ -164,6 +169,11 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 		if err := binary.Read(br, binary.LittleEndian, g.Weights); err != nil {
 			return nil, err
 		}
+		for i, w := range g.Weights {
+			if !(w >= 1) {
+				return nil, fmt.Errorf("graph: edge %d: weight %v, want >= 1", i, w)
+			}
+		}
 	}
 	if err := g.Validate(); err != nil {
 		return nil, err
@@ -172,18 +182,14 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 }
 
 // LoadFile loads a graph from path, dispatching on extension: ".bin" uses
-// the plain binary CSR format, ".cbin" the delta-compressed format, and
-// anything else is parsed as a text edge list.
+// the binary CSR format, anything else is parsed as a text edge list.
 func LoadFile(path string, directed bool) (*Graph, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	switch {
-	case strings.HasSuffix(path, ".cbin"):
-		return ReadCompressed(f)
-	case strings.HasSuffix(path, ".bin"):
+	if strings.HasSuffix(path, ".bin") {
 		return ReadBinary(f)
 	}
 	return ReadEdgeList(f, directed)
@@ -196,11 +202,7 @@ func SaveFile(path string, g *Graph) error {
 		return err
 	}
 	defer f.Close()
-	switch {
-	case strings.HasSuffix(path, ".cbin"):
-		_, err := WriteCompressed(f, g)
-		return err
-	case strings.HasSuffix(path, ".bin"):
+	if strings.HasSuffix(path, ".bin") {
 		return WriteBinary(f, g)
 	}
 	return WriteEdgeList(f, g)

@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -109,6 +110,43 @@ func TestReadEdgeListErrors(t *testing.T) {
 	}
 }
 
+// TestLoadersEnforceWeightContract feeds one edge of each weight through
+// both loaders: every query kernel relies on weights >= 1, so anything else
+// (NaN included) is rejected with its line or edge index, and an explicit 0
+// is no longer rewritten to 1.
+func TestLoadersEnforceWeightContract(t *testing.T) {
+	for _, tc := range []struct {
+		w  string
+		ok bool
+	}{
+		{"NaN", false}, {"-1", false}, {"-Inf", false}, {"0", false}, {"0.5", false},
+		{"1", true}, {"2.5", true}, {"+Inf", true},
+	} {
+		_, err := ReadEdgeList(strings.NewReader("# header\n0 1 "+tc.w+"\n"), true)
+		if tc.ok != (err == nil) {
+			t.Errorf("ReadEdgeList weight %s: err = %v, want ok=%v", tc.w, err, tc.ok)
+		} else if err != nil && !strings.Contains(err.Error(), "line 2") {
+			t.Errorf("ReadEdgeList weight %s: error %q does not name line 2", tc.w, err)
+		}
+
+		f, err := strconv.ParseFloat(tc.w, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := &Graph{Offsets: []uint32{0, 1, 1}, Targets: []VertexID{1}, Weights: []Weight{Weight(f)}, Directed: true}
+		var buf bytes.Buffer
+		if err := WriteBinary(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		_, err = ReadBinary(&buf)
+		if tc.ok != (err == nil) {
+			t.Errorf("ReadBinary weight %s: err = %v, want ok=%v", tc.w, err, tc.ok)
+		} else if err != nil && !strings.Contains(err.Error(), "edge 0") {
+			t.Errorf("ReadBinary weight %s: error %q does not name edge 0", tc.w, err)
+		}
+	}
+}
+
 func TestReadBinaryBadMagic(t *testing.T) {
 	if _, err := ReadBinary(bytes.NewReader(make([]byte, 64))); err == nil {
 		t.Fatal("bad magic accepted")
@@ -142,14 +180,4 @@ func TestLoadSaveFile(t *testing.T) {
 	if _, err := LoadFile(filepath.Join(dir, "missing.bin"), true); err == nil {
 		t.Fatal("missing file accepted")
 	}
-
-	cbinPath := filepath.Join(dir, "g.cbin")
-	if err := SaveFile(cbinPath, g); err != nil {
-		t.Fatal(err)
-	}
-	got, err = LoadFile(cbinPath, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	graphsEqual(t, g, got)
 }

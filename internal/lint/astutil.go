@@ -84,10 +84,9 @@ func pkgNameOf(info *types.Info, e ast.Expr) *types.Package {
 	return nil
 }
 
-// isPkgCall reports whether call invokes function fn (any of fns if several
-// are given) of the package with import path pkgPath, returning the matched
-// name.
-func isPkgCall(info *types.Info, call *ast.CallExpr, pkgPath string, fns ...string) (string, bool) {
+// isPkgCall reports whether call invokes a function of the package with
+// import path pkgPath, returning the function's name.
+func isPkgCall(info *types.Info, call *ast.CallExpr, pkgPath string) (string, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return "", false
@@ -96,15 +95,7 @@ func isPkgCall(info *types.Info, call *ast.CallExpr, pkgPath string, fns ...stri
 	if p == nil || p.Path() != pkgPath {
 		return "", false
 	}
-	if len(fns) == 0 {
-		return sel.Sel.Name, true
-	}
-	for _, fn := range fns {
-		if sel.Sel.Name == fn {
-			return fn, true
-		}
-	}
-	return "", false
+	return sel.Sel.Name, true
 }
 
 // importPathEndsWith reports whether path is pkg or ends in "/"+pkg, so

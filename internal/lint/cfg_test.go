@@ -256,12 +256,12 @@ func finish()  {}
 	}
 }
 
-// TestCFGDeferPostludeEarlyReturn pins the postlude contract the lock
+// TestCFGDeferPostludeEarlyReturn pins the postlude contract the flow
 // analyses rely on: defers are recorded in source order but NOT spliced into
 // the edge structure, so an early return's block jumps straight to Exit and
 // any cleanup the defers perform is invisible to the edges. Analyses must
-// consult Defers at the exits (deferReleasedKeys does) rather than expect a
-// cleanup block on the path.
+// consult Defers at the exits (waitjoin's deferred-join check does) rather
+// than expect a cleanup block on the path.
 func TestCFGDeferPostludeEarlyReturn(t *testing.T) {
 	src := `package p
 

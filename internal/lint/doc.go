@@ -16,14 +16,12 @@
 //
 // The analyzers share a flow-sensitive, interprocedural substrate: a
 // statement-granular CFG per function (BuildCFG), a forward-dataflow
-// fixpoint engine (ForwardFlow), a module-wide call graph, a registry of
-// goroutine spawn sites (Spawns — the roots the cross-goroutine deadlock
-// tier analyzes from), and derived summaries — atomic reachability with
-// wrapper propagation, purity classification, held-lock entry facts,
-// transitive lock-acquisition and channel close/send effects, and the
-// receiver-freshness proof that retires quiesce suppressions. All of it
-// is plain go/ast + go/types; the driver has no dependency outside the
-// standard library.
+// fixpoint engine (ForwardFlow), a module-wide call graph, the set of
+// function bodies the internal/par runtime runs on its workers (ParWorkers),
+// and derived summaries — atomic reachability with wrapper propagation,
+// purity classification, and the receiver-freshness proof that retires
+// quiesce suppressions. All of it is plain go/ast + go/types; the driver
+// has no dependency outside the standard library.
 //
 // Findings can be suppressed with a justification:
 //

@@ -90,14 +90,9 @@ type Analyzer struct {
 func All() []*Analyzer {
 	as := []*Analyzer{
 		AtomicMix(),
-		CancelPath(),
-		ChanLife(),
-		ClockDet(),
 		DocLint(),
 		HotAlloc(),
 		KernelMono(),
-		LockGuard(),
-		LockOrder(),
 		NilRecv(),
 		ParCapture(),
 		StaleIgnore(),
@@ -118,12 +113,15 @@ func All() []*Analyzer {
 // run and none of the named, selected analyzers produced a finding in its
 // range. Directives naming only unselected analyzers are skipped (a subset
 // run cannot judge them), and directives naming staleignore itself are never
-// reported (they exist to suppress this very check).
+// reported (they exist to suppress this very check). A directive naming an
+// analyzer the registry does not have — a typo, or a retired analyzer — can
+// never match anything and is reported whatever the selection.
 func StaleIgnore() *Analyzer {
 	return &Analyzer{
 		Name: "staleignore",
 		Doc: "reports //lint:ignore directives that no longer match any " +
-			"finding of the selected analyzers (driver-level check)",
+			"finding of the selected analyzers, or that name no registered " +
+			"analyzer (driver-level check)",
 		Run: func(*Pass) {},
 	}
 }
@@ -322,35 +320,42 @@ func (ss suppressionSet) match(analyzer, file string, line int) (string, bool) {
 }
 
 // staleFindings implements the staleignore check over one package: every
-// directive that names a selected analyzer yet matched nothing is itself a
-// finding at the directive's position. A stale finding is suppressible like
-// any other (by a directive naming glignlint/staleignore); directives that
-// name staleignore are exempt from the check to keep the tower finite.
+// directive that names an unregistered analyzer, or names a selected analyzer
+// yet matched nothing, is itself a finding at the directive's position. A
+// stale finding is suppressible like any other (by a directive naming
+// glignlint/staleignore); directives that name staleignore are exempt from
+// the matched-nothing check to keep the tower finite.
 func staleFindings(pkg *Package, sup suppressionSet, runNames map[string]bool) []Finding {
+	registered := map[string]bool{}
+	for _, a := range All() {
+		registered[a.Name] = true
+	}
 	var raw []Finding
 	for _, s := range sup {
-		if s.used {
-			continue
-		}
+		var unknown []string
 		covered, mentionsStale := false, false
 		for _, a := range s.analyzers {
-			if a == "staleignore" {
+			switch {
+			case !registered[a]:
+				unknown = append(unknown, a)
+			case a == "staleignore":
 				mentionsStale = true
-			} else if runNames[a] {
+			case runNames[a]:
 				covered = true
 			}
 		}
-		if mentionsStale || !covered {
+		var msg string
+		switch {
+		case len(unknown) > 0:
+			msg = fmt.Sprintf("suppression for glignlint/%s names no registered analyzer; "+
+				"correct or delete the directive", strings.Join(unknown, ",glignlint/"))
+		case s.used || mentionsStale || !covered:
 			continue
+		default:
+			msg = fmt.Sprintf("suppression for glignlint/%s matches no finding of this run; "+
+				"delete the stale directive", strings.Join(s.analyzers, ",glignlint/"))
 		}
-		raw = append(raw, Finding{
-			Analyzer: "staleignore",
-			File:     s.file,
-			Line:     s.line,
-			Col:      s.col,
-			Message: fmt.Sprintf("suppression for glignlint/%s matches no finding of this run; "+
-				"delete the stale directive", strings.Join(s.analyzers, ",glignlint/")),
-		})
+		raw = append(raw, Finding{Analyzer: "staleignore", File: s.file, Line: s.line, Col: s.col, Message: msg})
 	}
 	for i := range raw {
 		if reason, ok := sup.match("staleignore", raw[i].File, raw[i].Line); ok {

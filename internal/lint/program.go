@@ -30,11 +30,7 @@ type Program struct {
 	impurityMemo    map[*types.Func]string
 	freshMemo       map[*ast.FuncDecl]*freshAnalysis
 	quiescedMemo    map[*types.Func]bool
-	lockguardMemo   *lockAnalysis
-	spawnsMemo      []*Spawn
 	parWorkersMemo  map[*Package][]*ParWorker
-	lockorderMemo   *lockOrderAnalysis
-	chanlifeMemo    *chanLifeAnalysis
 }
 
 // newProgram assembles the Program for one Run invocation.

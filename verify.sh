@@ -12,9 +12,9 @@ echo "== go vet =="
 go vet ./...
 
 echo "== glignlint (concurrency + engine invariants) =="
-# The thirteen project analyzers (atomicmix, cancelpath, chanlife, clockdet,
-# doclint, hotalloc, kernelmono, lockguard, lockorder, nilrecv, parcapture,
-# staleignore, waitjoin); LINTING.md documents each invariant. One invocation
+# The eight project analyzers (atomicmix, doclint, hotalloc, kernelmono,
+# nilrecv, parcapture, staleignore, waitjoin); LINTING.md documents each
+# invariant. One invocation
 # lints the whole module — the linter's own implementation and the command
 # tree included, so it holds itself to the invariants it enforces — and
 # writes both the machine-readable report archived under results/ and the

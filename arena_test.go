@@ -56,7 +56,8 @@ func TestRuntimeConcurrentRuns(t *testing.T) {
 // allocates: the result vectors of its Report (|buffer|·n values) plus 15 %.
 // The batch value array, the Jacobi slabs and geometry (a graph reversal) and
 // the changed-lane mask come from the runtime's arena, so a convergence
-// buffer's surplus also stays under one value array (n·B values). What a
+// buffer's surplus also stays under one value array (n·B values), at the
+// serving path's narrow widths too. What a
 // batch still makes for itself — its frontier pair and their member lists,
 // some 20 bytes a vertex — is why the monotone leg is as wide as the
 // benchmark's batches: against a row of 64 values that is 4 %.
@@ -71,11 +72,12 @@ func TestWarmedRunAllocatesOnlyResults(t *testing.T) {
 	}
 	n := uint64(g.NumVertices())
 	for _, leg := range []struct {
+		name              string
 		kernel            Kernel
 		batchSize, buffer int
-	}{{SSSP, 64, 128}, {pr, 16, 32}} {
+	}{{"SSSP", SSSP, 64, 128}, {"PageRank", pr, 16, 32}, {"PageRank-B3", pr, 3, 12}} {
 		k, batchSize := leg.kernel, uint64(leg.batchSize)
-		t.Run(k.Name(), func(t *testing.T) {
+		t.Run(leg.name, func(t *testing.T) {
 			rt, err := NewRuntime(g, WithBatchSize(leg.batchSize), WithWorkers(2))
 			if err != nil {
 				t.Fatal(err)

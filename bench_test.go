@@ -75,8 +75,9 @@ func BenchmarkTable16IBFS(b *testing.B)        { benchExperiment(b, "tab16") }
 // Engine microbenchmarks: one single-source query, and per engine one batch
 // per regime the value-array layout and the changed-lane mask matter in — a
 // hub graph at the widths 16 and 64 (few fat iterations), and a road graph
-// (100+ thin iterations, a lane or two changing per active vertex) —
-// reporting relaxations/sec.
+// (100+ thin iterations, a lane or two changing per active vertex) — plus
+// PageRank on the hub graph at the widths 2 and 16, where every engine runs
+// the fused Jacobi round, reporting relaxations/sec.
 
 func benchGraph(width int) (*graph.Graph, []queries.Query) {
 	return benchBatch(graph.LJ, queries.SSSP, width)
@@ -112,11 +113,14 @@ func benchBatchEngine(b *testing.B, e core.Engine) {
 		{graph.LJ, queries.SSSP, 16},
 		{graph.LJ, queries.SSSP, 64},
 		{graph.RDCA, queries.BFS, 16},
+		{graph.LJ, queries.PageRank, 2},
+		{graph.LJ, queries.PageRank, 16},
 	} {
 		b.Run(fmt.Sprintf("%s/%s/B%d", leg.dataset, leg.kernel.Name(), leg.width), func(b *testing.B) {
 			g, batch := benchBatch(leg.dataset, leg.kernel, leg.width)
-			// A warmed owner's batch: the arena brings the value array and
-			// the mask, so B/op is what a batch still allocates for itself.
+			// A warmed owner's batch: the arena brings the value array, the
+			// mask and the Jacobi slabs, so B/op is what a batch still
+			// allocates for itself.
 			arena := new(core.Arena)
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -128,6 +128,32 @@ func drive(pool *par.Pool, p *policy, iters int) {
 	}
 }
 
+// The Jacobi evaluator's shape: the round body is picked by the batch's
+// kernel kind into a variable the chunk closure calls. Each round body is as
+// hot as a closure literal handed to par directly.
+type jacobi struct{ vals []float64 }
+
+// fusedRound allocates a row per chunk — true positive, reached only through
+// the round variable.
+func (j *jacobi) fusedRound(lo, hi int) int {
+	row := make([]float64, hi-lo) // true positive: per-chunk make in a round body
+	return copy(row, j.vals[lo:hi])
+}
+
+// stepRound allocates nothing — true negative.
+func (j *jacobi) stepRound(lo, hi int) int { return hi - lo }
+
+func runJacobi(pool *par.Pool, j *jacobi, fused bool, rounds int) {
+	round := j.stepRound
+	if fused {
+		round = j.fusedRound
+	}
+	chunk := func(lo, hi int) { _ = round(lo, hi) }
+	for r := 0; r < rounds; r++ {
+		pool.For(len(j.vals), 0, 0, chunk)
+	}
+}
+
 // The per-batch path: functions on the analyzer's hot list (hotAllocFuncs)
 // hand a batch its recycled state. A straight-line allocation is the fall-back
 // when there is nothing to recycle; a loop in them runs per lane of every

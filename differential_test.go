@@ -3,11 +3,14 @@ package glign
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"os"
 	"strconv"
+	"sync/atomic"
 	"testing"
 
 	"github.com/glign/glign/internal/align"
+	"github.com/glign/glign/internal/core"
 	"github.com/glign/glign/internal/engine"
 	"github.com/glign/glign/internal/graph"
 	"github.com/glign/glign/internal/oracle"
@@ -254,6 +257,90 @@ func TestDifferentialConvergenceKernels(t *testing.T) {
 					})
 				}
 			}
+		}
+	}
+}
+
+// viaStep is a built-in convergence kernel behind a type the engines do not
+// know: queries.KindOf calls it OpCustom, so a batch of them takes the Step
+// path with the built-in's semantics. Step counts its calls.
+type viaStep struct {
+	queries.ConvergenceKernel
+	calls *atomic.Int64
+}
+
+func (k viaStep) Step(n int, self queries.Value, nbrs []queries.Value, degs []int32) queries.Value {
+	k.calls.Add(1)
+	return k.ConvergenceKernel.Step(n, self, nbrs, degs)
+}
+
+// homogeneous is b lanes of k from distinct sources.
+func homogeneous(k queries.Kernel, b int) []queries.Query {
+	batch := make([]queries.Query, b)
+	for i := range batch {
+		batch[i] = queries.Query{Kernel: k, Source: graph.VertexID(i)}
+	}
+	return batch
+}
+
+// TestFusedJacobiRounds holds homogeneous batches of each built-in
+// convergence kernel — PageRank's on the fused round, LabelProp's on Step — to
+// the serial golden bit for bit, at batch widths past one 64-lane word and at
+// several worker counts, and to the Step path of the same kernel behind a
+// type the evaluator does not know in every counter a batch reports. (It
+// lives here, outside the -race legs of verify.sh: the widest batches would
+// triple internal/core's; the fused round runs under -race there at narrower
+// widths.)
+func TestFusedJacobiRounds(t *testing.T) {
+	for _, g := range []*graph.Graph{graph.MustGenerate(graph.LJ, graph.Tiny), graph.MustGenerate(graph.RDCA, graph.Tiny)} {
+		for _, k := range queries.Convergent() {
+			want := oracle.GoldenValues(g, queries.Query{Kernel: k})
+			for _, b := range []int{1, 2, 3, 5, 16, 64, 65} {
+				t.Run(fmt.Sprintf("%s/%s/B%d", g.Name, k.Name(), b), func(t *testing.T) {
+					var calls atomic.Int64
+					ref, err := core.RunConvergenceBatch(g, homogeneous(viaStep{k, &calls}, b), core.Options{Workers: 2})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if calls.Load() == 0 {
+						t.Fatal("a batch of a kernel the engine does not know made no Step call")
+					}
+					for _, workers := range []int{1, 2, 4} {
+						res, err := core.RunConvergenceBatch(g, homogeneous(k, b), core.Options{Workers: workers})
+						if err != nil {
+							t.Fatal(err)
+						}
+						for i := 0; i < b; i++ {
+							for v, wv := range want {
+								if got := res.Value(i, graph.VertexID(v)); math.Float64bits(got) != math.Float64bits(wv) {
+									t.Fatalf("workers=%d lane %d vertex %d = %v, golden %v", workers, i, v, got, wv)
+								}
+							}
+						}
+						checkSameReport(t, res, ref)
+					}
+				})
+			}
+		}
+	}
+}
+
+// checkSameReport fails unless got reports what want does in every counter
+// and per-lane convergence field.
+func checkSameReport(t *testing.T, got, want *core.BatchResult) {
+	t.Helper()
+	if got.GlobalIterations != want.GlobalIterations || got.EdgesProcessed != want.EdgesProcessed ||
+		got.LaneRelaxations != want.LaneRelaxations || got.ValueWrites != want.ValueWrites {
+		t.Fatalf("iterations/edges/relaxations/writes %d/%d/%d/%d, want %d/%d/%d/%d",
+			got.GlobalIterations, got.EdgesProcessed, got.LaneRelaxations, got.ValueWrites,
+			want.GlobalIterations, want.EdgesProcessed, want.LaneRelaxations, want.ValueWrites)
+	}
+	for i := range want.LaneRounds {
+		if got.LaneRounds[i] != want.LaneRounds[i] || got.LaneConverged[i] != want.LaneConverged[i] ||
+			math.Float64bits(got.LaneResiduals[i]) != math.Float64bits(want.LaneResiduals[i]) {
+			t.Fatalf("lane %d: rounds/converged/residual %d/%v/%v, want %d/%v/%v", i,
+				got.LaneRounds[i], got.LaneConverged[i], got.LaneResiduals[i],
+				want.LaneRounds[i], want.LaneConverged[i], want.LaneResiduals[i])
 		}
 	}
 }

@@ -24,7 +24,7 @@ func (QueryParallel) Name() string { return "Query-Parallel" }
 // Run implements core.Engine.
 func (QueryParallel) Run(g *graph.Graph, batch []queries.Query, opt core.Options) (*core.BatchResult, error) {
 	// Convergence kernels run one independent Jacobi evaluation per query.
-	// The parallelism moves inside each evaluation (engine.RunConvergence
+	// The parallelism moves inside each evaluation (each one-query batch
 	// drives the pool itself) rather than across queries, because pool
 	// workers must not submit nested loops to the pool they run on.
 	if queries.AnyConvergent(batch) {

@@ -3,7 +3,6 @@ package core
 import (
 	"sync/atomic"
 
-	"github.com/glign/glign/internal/engine"
 	"github.com/glign/glign/internal/graph"
 	"github.com/glign/glign/internal/queries"
 )
@@ -16,8 +15,8 @@ import (
 //
 //   - the batch value array, which PrepareBatch and RunConvergenceBatch take
 //     and BatchResult.Release hands back;
-//   - the Jacobi state of RunConvergenceBatch: the old/next slabs, taken and
-//     returned inside the run, and the ConvergenceGeometry of the owner's
+//   - the Jacobi state of RunConvergenceBatch: its slabs (jacobiSlabs), taken
+//     and returned inside the run, and the jacobiGeometry of the owner's
 //     graph, which is immutable and so shared rather than taken;
 //   - the changed-lane mask of the query-oblivious engine, returned only by a
 //     batch that reached its fixed point (see laneMask).
@@ -35,7 +34,7 @@ type Arena struct {
 	vals  atomic.Pointer[queries.Values]
 	mask  atomic.Pointer[laneMask] // all-zero over its whole capacity
 	slabs atomic.Pointer[jacobiSlabs]
-	geo   atomic.Pointer[engine.ConvergenceGeometry]
+	geo   atomic.Pointer[jacobiGeometry]
 }
 
 // takeValues returns a value array of exactly cells cells with unspecified
@@ -80,23 +79,38 @@ func (a *Arena) releaseMask(m *laneMask) {
 	}
 }
 
-// jacobiSlabs are the double-buffered value slabs of one convergence batch,
-// always made together and so of one capacity.
+// jacobiSlabs are the per-round state of one convergence batch, n·B cells
+// each in the rows of Cell. A PageRank batch keeps its values in vals,
+// updated in place, and the shares its in-neighbors fold — value over
+// out-degree — double-buffered in old and next; every other batch keeps its
+// values double-buffered in old and next and leaves vals alone.
 type jacobiSlabs struct {
-	old, next []queries.Value
+	old, next, vals []queries.Value
 }
 
-// takeSlabs returns slabs of exactly cells cells each, contents unspecified.
-func (a *Arena) takeSlabs(cells int) *jacobiSlabs {
+// takeSlabs returns slabs of exactly cells cells each — vals too when withVals
+// — contents unspecified.
+func (a *Arena) takeSlabs(cells int, withVals bool) *jacobiSlabs {
 	var s *jacobiSlabs
 	if a != nil {
 		s = a.slabs.Swap(nil)
 	}
-	if s == nil || cap(s.old) < cells {
-		return &jacobiSlabs{make([]queries.Value, cells), make([]queries.Value, cells)}
+	if s == nil {
+		s = &jacobiSlabs{}
 	}
-	s.old, s.next = s.old[:cells], s.next[:cells]
+	s.old, s.next = resized(s.old, cells), resized(s.next, cells)
+	if withVals {
+		s.vals = resized(s.vals, cells)
+	}
 	return s
+}
+
+// resized is s at length cells, reallocated when its capacity is short.
+func resized(s []queries.Value, cells int) []queries.Value {
+	if cap(s) < cells {
+		return make([]queries.Value, cells)
+	}
+	return s[:cells]
 }
 
 // releaseSlabs makes s the slabs the next takeSlabs finds.
@@ -108,13 +122,13 @@ func (a *Arena) releaseSlabs(s *jacobiSlabs) {
 
 // geometry returns the Jacobi geometry of g, derived — a graph reversal, when
 // g is directed — only when the arena's last one was of another graph.
-func (a *Arena) geometry(g *graph.Graph) *engine.ConvergenceGeometry {
+func (a *Arena) geometry(g *graph.Graph) *jacobiGeometry {
 	if a == nil {
-		return engine.NewConvergenceGeometry(g, nil)
+		return newJacobiGeometry(g)
 	}
 	geo := a.geo.Load()
-	if geo == nil || geo.Graph != g {
-		geo = engine.NewConvergenceGeometry(g, nil)
+	if geo == nil || geo.g != g {
+		geo = newJacobiGeometry(g)
 		a.geo.Store(geo)
 	}
 	return geo

@@ -20,8 +20,9 @@ import (
 // common case when serving, would otherwise pay for a full cache line per
 // vertex). Relaxing an edge for the queries that changed at its source — what
 // the query-oblivious frontier does — therefore reads within one row and
-// writes within another; per-query passes (QueryValues, a Jacobi lane's
-// gather) are the strided ones.
+// writes within another, and a fused Jacobi round reads in-neighbors' rows;
+// per-query passes (QueryValues, the Jacobi Step path's gather) are the
+// strided ones.
 func Cell(v, b, i int) int { return v*b + i }
 
 // Options configures a batch evaluation.
@@ -138,7 +139,7 @@ func (r *BatchResult) Release() {
 
 // Absorb folds q, the finished single-query evaluation of one lane, into the
 // result — how the engines that evaluate a batch query by query (Ligra-S,
-// Congra, Query-Parallel, the sequential Jacobi routing) build theirs. A union
+// Congra, Query-Parallel) build theirs. A union
 // frontier is not meaningful for them; UnionFrontierSizes is the frontier
 // history of the longest query instead. It is not safe for concurrent use: an
 // engine that evaluates its lanes in parallel absorbs them once they joined.

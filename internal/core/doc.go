@@ -20,8 +20,10 @@
 // vector (paper Definition 3.3, the mechanism of Glign-Inter), termination,
 // iteration bookkeeping, the parallel dispatch and the telemetry record. Two
 // engines stand outside it: LigraS evaluates queries one after another with
-// the single-query engine, and RunConvergenceBatch is the lane-fused Jacobi
-// evaluator every engine routes iterate-to-convergence kernels to.
+// the single-query engine, and RunConvergenceBatch is the one Jacobi
+// evaluator, with a fused round for PageRank batches, that every engine
+// routes iterate-to-convergence kernels to (LigraS and Query-Parallel one
+// query at a time).
 //
 // All engines share one value array in the paper's §3.5 layout,
 // ValArray[v*B+i]: a row of exactly B cells per vertex (Cell). The

@@ -8,6 +8,7 @@ import (
 
 	"github.com/glign/glign/internal/engine"
 	"github.com/glign/glign/internal/graph"
+	"github.com/glign/glign/internal/oracle"
 	"github.com/glign/glign/internal/queries"
 )
 
@@ -49,8 +50,8 @@ func referenceValues(g *graph.Graph, batch []queries.Query) [][]queries.Value {
 
 // TestLayoutEquivalenceAcrossEngines pins every concurrent engine's value
 // array bitwise to a reference that never touches it: per-lane
-// engine.ReferenceRun for monotone batches, the one-query-at-a-time Jacobi
-// evaluator for iterate-to-convergence ones.
+// engine.ReferenceRun for monotone batches, the oracle's serial Jacobi for
+// iterate-to-convergence ones.
 func TestLayoutEquivalenceAcrossEngines(t *testing.T) {
 	g := graph.MustGenerate(graph.LJ, graph.Tiny)
 	monotone := []queries.Query{
@@ -70,11 +71,7 @@ func TestLayoutEquivalenceAcrossEngines(t *testing.T) {
 
 	convRef := make([][]queries.Value, len(convergent))
 	for i, q := range convergent {
-		r, err := engine.RunConvergence(g, q, engine.Options{Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		convRef[i] = r.Values
+		convRef[i] = oracle.GoldenValues(g, q)
 	}
 	cases := map[string]struct {
 		batch []queries.Query

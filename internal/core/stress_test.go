@@ -283,6 +283,27 @@ func TestArenaRecycledStateCorners(t *testing.T) {
 				}
 			})
 
+			t.Run("monotone-then-pagerank-widths", func(t *testing.T) {
+				arena := new(Arena)
+				runOnArena(t, arena, g, stressBatch(8), GlignIntra, Options{Workers: 3})
+				var wide *jacobiSlabs
+				for _, b := range []int{3, 16, 2} {
+					batch := stressBatch(b)
+					for i := range batch {
+						batch[i].Kernel = queries.PageRank
+					}
+					runOnArena(t, arena, g, batch, GlignIntra, Options{Workers: 3})
+					s := arena.slabs.Load()
+					if s == nil || len(s.vals) != g.NumVertices()*b || len(s.old) != len(s.vals) || len(s.next) != len(s.vals) {
+						t.Fatalf("after PageRank at B=%d the arena holds slabs %v", b, s)
+					}
+					if b == 2 && s != wide {
+						t.Fatal("a narrower PageRank batch replaced the arena's slabs instead of reslicing them")
+					}
+					wide = s
+				}
+			})
+
 			t.Run("capped-then-full", func(t *testing.T) {
 				arena := new(Arena)
 				for _, batch := range [][]queries.Query{stressBatch(13), pagerank} {
@@ -340,7 +361,7 @@ func TestArenaRecycledStateCorners(t *testing.T) {
 				for _, h := range []*graph.Graph{g, bigger, g} {
 					runOnArena(t, arena, h, stressBatch(8), GlignIntra, Options{Workers: 3})
 					runOnArena(t, arena, h, pagerank, GlignIntra, Options{Workers: 3})
-					if k := arena.geo.Load(); k == nil || k.Graph != h || len(k.OutDeg) != h.NumVertices() {
+					if k := arena.geo.Load(); k == nil || k.g != h || len(k.outDeg) != h.NumVertices() {
 						t.Fatalf("the arena's Jacobi geometry is not that of the graph of %d vertices it last ran on", h.NumVertices())
 					}
 				}

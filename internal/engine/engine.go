@@ -26,12 +26,6 @@ type Options struct {
 	MaxIterations int
 	// Tracer, when non-nil, receives every memory access of the run.
 	Tracer memtrace.Tracer
-	// ReverseGraph, when non-nil, is the edge-reversed graph RunConvergence
-	// pulls in-neighbor values over. Nil makes RunConvergence derive it
-	// (the graph itself when undirected, Reverse() otherwise); callers
-	// evaluating many queries on one graph pass it to amortize the
-	// reversal. The monotone push engine (Run) ignores it.
-	ReverseGraph *graph.Graph
 	// RecordFrontiers retains the frontier subset of every iteration in
 	// Result.Frontiers (used by the affinity analyses of internal/align).
 	RecordFrontiers bool
@@ -62,10 +56,6 @@ type Result struct {
 	// Frontiers holds the frontier of each iteration when
 	// Options.RecordFrontiers is set (Frontiers[j] enters iteration j).
 	Frontiers []*frontier.Subset
-	// Residual is the max per-vertex residual of the last executed round of
-	// a RunConvergence evaluation (<= the kernel's Epsilon iff the run
-	// converged before its round cap); always 0 for monotone runs.
-	Residual float64
 }
 
 // addressing captures the simulated memory layout of a run for tracing.

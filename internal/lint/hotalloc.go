@@ -43,11 +43,11 @@ var hotAllocPkgs = map[string]bool{
 }
 
 // hotAllocFuncs are the functions every batch of a warmed owner passes
-// through that exist to hand it recycled state (core.Arena) — named as
-// funcDisplayName renders them. They legitimately allocate once, straight-line,
-// when the arena has nothing to give; a loop in them is per lane or per vertex
-// of every batch, so all their loops are hot regions, not only those that
-// drive internal/par.
+// through that exist to hand it recycled state (core.Arena, and the
+// per-worker scratch of a Jacobi run) — named as funcDisplayName renders
+// them. They legitimately allocate once, straight-line, when there is nothing
+// to recycle; a loop in them is per lane or per vertex of every batch, so all
+// their loops are hot regions, not only those that drive internal/par.
 var hotAllocFuncs = map[string]bool{
 	"PrepareBatch":           true,
 	"(*BatchResult).Release": true,
@@ -58,8 +58,7 @@ var hotAllocFuncs = map[string]bool{
 	"(*Arena).takeSlabs":     true,
 	"(*Arena).releaseSlabs":  true,
 	"(*Arena).geometry":      true,
-	"(*JacobiScratches).Get": true,
-	"(*JacobiScratches).Put": true,
+	"newJacobiScratch":       true,
 }
 
 func runHotAlloc(p *Pass) {

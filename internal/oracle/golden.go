@@ -78,9 +78,7 @@ func (sg *serialGeom) step(ck queries.ConvergenceKernel, old, next []queries.Val
 			sg.nds[j] = sg.outdeg[u]
 		}
 		next[v] = ck.Step(n, old[v], sg.nbrs[:len(us)], sg.nds[:len(us)])
-		if r := ck.Residual(old[v], next[v]); r > resid {
-			resid = r
-		}
+		resid = queries.MaxResidual(resid, ck.Residual(old[v], next[v]))
 	}
 	return resid
 }

@@ -219,7 +219,7 @@ func (convergenceResidual) Check(g *graph.Graph, q queries.Query, vals []queries
 		return fmt.Errorf("kernel %s is not a convergence kernel", q.Kernel.Name())
 	}
 	_, resid := jacobiStepSerial(g, ck, vals)
-	if resid > ck.Epsilon() {
+	if !(resid <= ck.Epsilon()) { // a NaN residual settles nothing
 		return fmt.Errorf("one more Jacobi step still moves a vertex by %g (> epsilon %g): not a settled fixed point",
 			resid, ck.Epsilon())
 	}

@@ -14,7 +14,7 @@ import (
 // in-neighbors, and a lane finishes when its maximum per-vertex residual
 // drops to Epsilon (or the round cap hits). There is no monotone shortcut:
 // values may move in either direction between rounds, so engines must
-// double-buffer instead of CAS-improving in place.
+// double-buffer what a round reads instead of CAS-improving in place.
 //
 // A ConvergenceKernel still embeds Kernel so it rides in a Query unchanged
 // (Name feeds telemetry and caching; Identity feeds facade reachability
@@ -23,9 +23,13 @@ import (
 //
 // Determinism contract: Step must fold nbrs in slice order. Engines present
 // in-neighbors in reverse-CSR order (ascending source vertex), which is the
-// same for every worker count and every engine, so a kernel that honors the
-// contract produces bit-identical float values across the sequential and the
-// lane-fused batched evaluators.
+// same for every worker count and every batch width, so a kernel that honors
+// the contract produces bit-identical float values whichever lanes it shares
+// a batch with. A built-in kernel with a fused form (KindOf not OpCustom:
+// PageRank) is evaluated by a round that never calls Step or Residual; that
+// round is held to them bit for bit — the same IEEE operations on the same
+// operands, folded in the same order — and tested against the serial golden,
+// which calls Step.
 type ConvergenceKernel interface {
 	Kernel
 	// InitialValue is the round-0 value of vertex v for a query rooted at
@@ -36,14 +40,26 @@ type ConvergenceKernel interface {
 	// those in-neighbors' out-degrees (degs, parallel to nbrs).
 	Step(n int, self Value, nbrs []Value, degs []int32) Value
 	// Residual measures the per-vertex round-over-round change; engines
-	// take the maximum over vertices (order-independent, unlike a sum, so
-	// the convergence decision is deterministic across worker counts).
+	// take the maximum over vertices (MaxResidual: order-independent, unlike
+	// a sum, so the convergence decision is deterministic across worker
+	// counts).
 	Residual(old, next Value) float64
 	// Epsilon is the max-residual convergence threshold.
 	Epsilon() float64
 	// MaxRounds caps the rounds of one lane (a safety net; the shipped
 	// kernels converge well before it on every generated dataset).
 	MaxRounds() int
+}
+
+// MaxResidual folds the residual r of one vertex into acc, the maximum so
+// far. A NaN is greater than everything and stays, so a lane whose values
+// went NaN never reaches its Epsilon: it runs to its round cap and is not
+// reported converged.
+func MaxResidual(acc, r float64) float64 {
+	if r > acc || r != r {
+		return r
+	}
+	return acc
 }
 
 // pagerank: the canonical non-monotone kernel. Jacobi iteration of
@@ -87,8 +103,19 @@ func (pagerank) Step(n int, _ Value, nbrs []Value, degs []int32) Value {
 		// vertex, so degs[j] >= 1 whenever u appears as an in-neighbor.
 		sum += pv / Value(degs[j])
 	}
-	return (1-pagerankDamping)/Value(n) + pagerankDamping*sum
+	return PageRankFinish(PageRankTeleport(n), sum)
 }
+
+// PageRankTeleport is the part of every rank on an n-vertex graph that does
+// not come from in-neighbors, (1-d)/n.
+func PageRankTeleport(n int) Value { return (1 - pagerankDamping) / Value(n) }
+
+// PageRankFinish is the rank PageRank's Step gives a vertex whose
+// in-neighbors' shares — previous rank over out-degree, added in reverse-CSR
+// order from zero — sum to sum; teleport is PageRankTeleport of the graph's
+// vertex count. An engine that adds the shares itself finishes here, so its
+// ranks are Step's.
+func PageRankFinish(teleport, sum Value) Value { return teleport + pagerankDamping*sum }
 
 func (pagerank) Residual(old, next Value) float64 { return math.Abs(next - old) }
 func (pagerank) Epsilon() float64                 { return pagerankEpsilon }

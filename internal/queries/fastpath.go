@@ -10,7 +10,8 @@ import (
 // OpKind identifies a built-in kernel so engines can run fused, direct
 // relaxation loops instead of paying two indirect calls (Kernel.Relax plus
 // the Better comparator) per edge and lane — the dominant cost of batch
-// evaluation once frontiers are bitmap-cheap.
+// evaluation once frontiers are bitmap-cheap. OpPageRank selects the Jacobi
+// evaluator's fused round in place of ConvergenceKernel.Step.
 type OpKind uint8
 
 // Kinds of the built-in kernels. OpCustom falls back to the Kernel
@@ -23,6 +24,7 @@ const (
 	OpSSWP
 	OpSSNP
 	OpViterbi
+	OpPageRank
 )
 
 // KindOf classifies a kernel.
@@ -38,6 +40,8 @@ func KindOf(k Kernel) OpKind {
 		return OpSSNP
 	case viterbi:
 		return OpViterbi
+	case pagerank:
+		return OpPageRank
 	}
 	return OpCustom
 }

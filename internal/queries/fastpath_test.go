@@ -20,6 +20,9 @@ func TestKindOf(t *testing.T) {
 			t.Fatalf("KindOf(%s) = %d", k.Name(), got)
 		}
 	}
+	if KindOf(PageRank) != OpPageRank {
+		t.Fatal("PageRank misclassified")
+	}
 	// A custom kernel falls back to OpCustom.
 	if KindOf(customKernel{}) != OpCustom {
 		t.Fatal("custom kernel misclassified")

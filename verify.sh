@@ -119,9 +119,10 @@ fi
 echo "== go test -race (concurrent packages) =="
 # Every package with worker-pool or CAS concurrency, including the
 # internal/core stress test (concurrent batches x GOMAXPROCS 1/2/8), the
-# Jacobi convergence evaluators (internal/core, internal/engine,
-# internal/queries), and the live serving loop's deterministic-clock suite
-# (internal/serve, now including the convergence/KHop e2e).
+# Jacobi evaluator (internal/core, its kernels in internal/queries), the
+# single-query engine (internal/engine), and the live serving loop's
+# deterministic-clock suite (internal/serve, now including the
+# convergence/KHop e2e).
 go test -race \
     ./internal/core/ \
     ./internal/engine/ \

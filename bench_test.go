@@ -17,7 +17,6 @@ import (
 	"github.com/glign/glign/internal/bench"
 	"github.com/glign/glign/internal/cachesim"
 	"github.com/glign/glign/internal/core"
-	"github.com/glign/glign/internal/engine"
 	"github.com/glign/glign/internal/graph"
 	"github.com/glign/glign/internal/par"
 	"github.com/glign/glign/internal/queries"
@@ -72,10 +71,11 @@ func BenchmarkFig16BatchSize(b *testing.B)     { benchExperiment(b, "fig16") }
 func BenchmarkTable15Road(b *testing.B)        { benchExperiment(b, "tab15") }
 func BenchmarkTable16IBFS(b *testing.B)        { benchExperiment(b, "tab16") }
 
-// Engine microbenchmarks: one single-source query, and per engine one batch
-// per regime the value-array layout and the changed-lane mask matter in — a
-// hub graph at the widths 16 and 64 (few fat iterations), and a road graph
-// (100+ thin iterations, a lane or two changing per active vertex) — plus
+// Engine microbenchmarks: per engine one batch per regime the value-array
+// layout and the changed-lane mask matter in — a hub graph at the widths 16
+// and 64 (few fat iterations), and a road graph (100+ thin iterations, a lane
+// or two changing per active vertex) — plus a single query on the hub graph
+// (B1: what Ligra-S runs per query, and the serve path's common case), and
 // PageRank on the hub graph at the widths 2 and 16, where every engine runs
 // the fused Jacobi round, reporting relaxations/sec.
 
@@ -93,23 +93,13 @@ func profileFor(g *graph.Graph) *align.Profile {
 	return align.NewProfile(g, align.DefaultHubCount, 0)
 }
 
-func BenchmarkSingleQuerySSSP(b *testing.B) {
-	g, batch := benchGraph(16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := engine.Run(g, batch[i%len(batch)], engine.Options{})
-		if res.Iterations == 0 {
-			b.Fatal("no iterations")
-		}
-	}
-}
-
 func benchBatchEngine(b *testing.B, e core.Engine) {
 	for _, leg := range []struct {
 		dataset graph.Dataset
 		kernel  queries.Kernel
 		width   int
 	}{
+		{graph.LJ, queries.SSSP, 1},
 		{graph.LJ, queries.SSSP, 16},
 		{graph.LJ, queries.SSSP, 64},
 		{graph.RDCA, queries.BFS, 16},

@@ -1,8 +1,8 @@
-// Package engine is a hotalloc fixture: iteration loops driving internal/par
+// Package core is a hotalloc fixture: iteration loops driving internal/par
 // with per-iteration allocations (true positives), properly reserved scratch
 // buffers (true negatives), and one justified diagnostic allocation (the
 // suppressed case). The package name is what puts it in the analyzer's scope.
-package engine
+package core
 
 import "github.com/glign/glign/internal/par"
 

@@ -1,7 +1,7 @@
 package align
 
 import (
-	"github.com/glign/glign/internal/engine"
+	"github.com/glign/glign/internal/core"
 	"github.com/glign/glign/internal/frontier"
 	"github.com/glign/glign/internal/graph"
 	"github.com/glign/glign/internal/queries"
@@ -21,15 +21,21 @@ type Trace struct {
 	EdgeSizes []int64
 }
 
-// TraceQuery evaluates q on g and records its frontier history.
+// TraceQuery evaluates q on g and records its frontier history
+// (core.Frontiers). q must be a monotone query whose source is a vertex of g:
+// anything else has no frontier to trace, and TraceQuery panics.
 func TraceQuery(g *graph.Graph, q queries.Query, workers int) *Trace {
-	res := engine.Run(g, q, engine.Options{Workers: workers, RecordFrontiers: true})
-	tr := &Trace{Query: q, Frontiers: res.Frontiers, Sizes: res.FrontierSizes}
-	tr.EdgeSizes = make([]int64, len(tr.Frontiers))
-	for j, f := range tr.Frontiers {
+	frontiers, err := core.Frontiers(g, q, core.Options{Workers: workers})
+	if err != nil {
+		panic(err)
+	}
+	tr := &Trace{Query: q, Frontiers: frontiers}
+	tr.Sizes = make([]int, len(frontiers))
+	tr.EdgeSizes = make([]int64, len(frontiers))
+	for j, f := range frontiers {
 		var sum int64
 		f.ForEach(func(v graph.VertexID) { sum += int64(g.OutDegree(v)) })
-		tr.EdgeSizes[j] = sum
+		tr.Sizes[j], tr.EdgeSizes[j] = f.Count(), sum
 	}
 	return tr
 }

@@ -155,7 +155,7 @@ func TestProfileUndirectedMatchesReversal(t *testing.T) {
 		closest[v] = -1
 	}
 	for hi, h := range p.Hubs {
-		want := engine.BFSHops(rev, h, 2)
+		want := referenceHops(rev, h)
 		if !slices.Equal(p.LeastHops[hi], want) {
 			t.Fatalf("LeastHops to hub v%d differ from those over g.Reverse()", h)
 		}
@@ -167,6 +167,47 @@ func TestProfileUndirectedMatchesReversal(t *testing.T) {
 	}
 	if !slices.Equal(p.ClosestHV, closest) {
 		t.Fatal("ClosestHV differs from the one over g.Reverse()")
+	}
+}
+
+// referenceHops is the hop count from src to every vertex of g by the serial
+// oracle's BFS, -1 where there is no path.
+func referenceHops(g *graph.Graph, src graph.VertexID) []int32 {
+	levels := engine.ReferenceRun(g, queries.Query{Kernel: queries.BFS, Source: src})
+	hops := make([]int32, len(levels))
+	for v, l := range levels {
+		hops[v] = -1
+		if !math.IsInf(l, 1) {
+			hops[v] = int32(l)
+		}
+	}
+	return hops
+}
+
+// The profile's hub BFS (paper Figure 9 line 5) on the Figure 3 graph: from
+// v1, every vertex's BFS level (v1 itself 0, v8 four hops out); from v2, v1 —
+// which has no in-edges — unreachable. On random graphs, directed or not, at
+// one worker and at four, it finds the oracle's hops.
+func TestLeastHopsMatchReference(t *testing.T) {
+	g := graph.PaperExample()
+	if got, want := leastHops(g, 0, 1), []int32{0, 3, 1, 2, 2, 2, 2, 4, 3}; !slices.Equal(got, want) {
+		t.Fatalf("hops from v1 = %v, want %v", got, want)
+	}
+	if got := leastHops(g, 1, 1); got[0] != -1 {
+		t.Fatalf("hops[v1] from v2 = %d, want -1", got[0])
+	}
+	rng := rand.New(rand.NewSource(24))
+	for trial := 0; trial < 4; trial++ {
+		cfg := graph.DefaultRMAT(8, 4, int64(700+trial))
+		cfg.Directed = trial%2 == 0
+		g := graph.GenerateRMAT(cfg)
+		src := graph.VertexID(rng.Intn(g.NumVertices()))
+		want := referenceHops(g, src)
+		for _, workers := range []int{1, 4} {
+			if got := leastHops(g, src, workers); !slices.Equal(got, want) {
+				t.Fatalf("trial %d, %d workers: hops from v%d differ from the oracle's", trial, workers, src)
+			}
+		}
 	}
 }
 

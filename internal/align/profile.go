@@ -3,8 +3,9 @@ package align
 import (
 	"time"
 
-	"github.com/glign/glign/internal/engine"
+	"github.com/glign/glign/internal/core"
 	"github.com/glign/glign/internal/graph"
+	"github.com/glign/glign/internal/par"
 	"github.com/glign/glign/internal/queries"
 )
 
@@ -50,7 +51,7 @@ func NewProfile(g *graph.Graph, k, workers int) *Profile {
 	n := g.NumVertices()
 	p.LeastHops = make([][]int32, len(p.Hubs))
 	for hi, h := range p.Hubs {
-		p.LeastHops[hi] = engine.BFSHops(rev, h, workers)
+		p.LeastHops[hi] = leastHops(rev, h, workers)
 	}
 	p.ClosestHV = make([]int32, n)
 	for v := 0; v < n; v++ {
@@ -64,6 +65,24 @@ func NewProfile(g *graph.Graph, k, workers int) *Profile {
 	}
 	p.PrepTime = time.Since(start)
 	return p
+}
+
+// leastHops is paper Figure 9 line 5's bfs: the hop count from hub to every
+// vertex of rev — to the hub, on the graph rev reverses — as int32, -1 where
+// there is no path. It is a one-query BFS batch on Glign-Intra.
+func leastHops(rev *graph.Graph, hub graph.VertexID, workers int) []int32 {
+	// A one-query monotone batch from a vertex of rev cannot be refused.
+	res, _ := core.GlignIntra.Run(rev, []queries.Query{{Kernel: queries.BFS, Source: hub}}, core.Options{Workers: workers})
+	hops := make([]int32, res.N)
+	par.For(res.N, workers, 0, func(lo, hi int) {
+		for v := lo; v < hi; v++ {
+			hops[v] = -1
+			if d := res.Value(0, graph.VertexID(v)); d != queries.BFS.Identity() {
+				hops[v] = int32(d)
+			}
+		}
+	})
+	return hops
 }
 
 // ArrivalEstimate returns the estimated heavy-iteration arrival time of a

@@ -25,6 +25,7 @@ func checkAgainstReference(t *testing.T, e core.Engine, g *graph.Graph, batch []
 			}
 		}
 	}
+	res.Release()
 }
 
 func mixedBatch(g *graph.Graph, n int, seed int64) []queries.Query {
@@ -138,6 +139,12 @@ func TestCongraMatchesReference(t *testing.T) {
 	checkAgainstReference(t, Congra{}, g, mixedBatch(g, 10, 37), core.Options{Workers: 2})
 	// Bounded admission must also be correct.
 	checkAgainstReference(t, Congra{ConcurrentQueries: 2}, g, mixedBatch(g, 6, 38), core.Options{Workers: 2})
+	// The concurrent one-query batches share one pool and, batch after batch,
+	// one arena.
+	arena := new(core.Arena)
+	for seed := int64(39); seed < 42; seed++ {
+		checkAgainstReference(t, Congra{ConcurrentQueries: 3}, g, mixedBatch(g, 8, seed), core.Options{Workers: 2, Arena: arena})
+	}
 }
 
 func TestGraphMTracing(t *testing.T) {

@@ -1,10 +1,7 @@
 package baselines
 
 import (
-	"sync"
-
 	"github.com/glign/glign/internal/core"
-	"github.com/glign/glign/internal/engine"
 	"github.com/glign/glign/internal/graph"
 	"github.com/glign/glign/internal/queries"
 )
@@ -27,43 +24,20 @@ type Congra struct {
 // Name implements core.Engine.
 func (Congra) Name() string { return "Congra" }
 
-// Run implements core.Engine.
+// Run implements core.Engine. Each query gets its own asynchronous parallel
+// evaluation (core.RunApart); telemetry records interleave across queries —
+// exactly the uncontrolled iteration structure the design has, and for the
+// same reason Options.Tracer is ignored: interleaved queries make no one
+// address stream. Congra is a frontier design: an iterate-to-convergence
+// kernel gets PrepareBatch's refusal, as from every engine without a Jacobi
+// path.
 func (e Congra) Run(g *graph.Graph, batch []queries.Query, opt core.Options) (*core.BatchResult, error) {
-	st, err := core.PrepareBatch(g, batch, opt)
-	if err != nil {
+	if queries.AnyConvergent(batch) {
+		_, err := core.PrepareBatch(g, batch, opt)
 		return nil, err
 	}
-	res := st.NewResult()
-	limit := e.ConcurrentQueries
-	if limit <= 0 {
-		limit = len(batch)
-	}
-	sem := make(chan struct{}, limit)
-	var wg sync.WaitGroup
-	results := make([]*engine.Result, len(batch))
-	for i, q := range batch {
-		wg.Add(1)
-		go func(i int, q queries.Query) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			// Each query gets its own asynchronous parallel evaluation.
-			// Telemetry records interleave across queries — exactly the
-			// uncontrolled iteration structure the design has.
-			results[i] = engine.Run(g, q, engine.Options{
-				Workers:       opt.Workers,
-				Pool:          opt.Pool,
-				MaxIterations: opt.MaxIterations,
-				Telemetry:     opt.Telemetry,
-				TelemetryLane: i,
-			})
-		}(i, q)
-	}
-	wg.Wait()
-	for i, r := range results {
-		res.Absorb(i, r)
-	}
-	return res, nil
+	opt.Tracer = nil
+	return core.RunApart(g, batch, opt, e.ConcurrentQueries)
 }
 
 var _ core.Engine = Congra{}

@@ -23,26 +23,30 @@ func (QueryParallel) Name() string { return "Query-Parallel" }
 
 // Run implements core.Engine.
 func (QueryParallel) Run(g *graph.Graph, batch []queries.Query, opt core.Options) (*core.BatchResult, error) {
-	// Convergence kernels run one independent Jacobi evaluation per query.
-	// The parallelism moves inside each evaluation (each one-query batch
-	// drives the pool itself) rather than across queries, because pool
-	// workers must not submit nested loops to the pool they run on.
+	// Convergence kernels run as Ligra-S runs them, one Jacobi evaluation
+	// after another. The parallelism moves inside each evaluation (each
+	// one-query batch drives the pool itself) rather than across queries,
+	// because pool workers must not submit nested loops to the pool they run
+	// on.
 	if queries.AnyConvergent(batch) {
-		return core.RunConvergenceSequential(g, batch, opt)
+		return core.LigraS.Run(g, batch, opt)
 	}
 	st, err := core.PrepareBatch(g, batch, opt)
 	if err != nil {
 		return nil, err
 	}
 	res := st.NewResult()
-	results := make([]engine.Result, len(batch))
+	// Each query's vector becomes a one-query result (a row of one cell a
+	// vertex is the vector itself), copied into its lane like Ligra-S's.
+	ones := make([]*core.BatchResult, len(batch))
 	par.OrDefault(opt.Pool).For(len(batch), opt.Workers, 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			results[i] = engine.Result{Values: engine.ReferenceRun(g, batch[i]), Iterations: 1}
+			ones[i] = &core.BatchResult{B: 1, N: st.N, GlobalIterations: 1,
+				Values: queries.Repeat(engine.ReferenceRun(g, batch[i]), 1)}
 		}
 	})
-	for i := range results {
-		res.Absorb(i, &results[i])
+	for i, one := range ones {
+		res.SetLane(i, one)
 	}
 	return res, nil
 }

@@ -13,8 +13,8 @@ import (
 // result vectors). It is the paper's one resident ValArray (§3.5; Table 11
 // counts it once) plus what this implementation keeps beside it:
 //
-//   - the batch value array, which PrepareBatch and RunConvergenceBatch take
-//     and BatchResult.Release hands back;
+//   - the batch value array, which PrepareBatch, RunConvergenceBatch and
+//     RunApart take and BatchResult.Release hands back;
 //   - the Jacobi state of RunConvergenceBatch: its slabs (jacobiSlabs), taken
 //     and returned inside the run, and the jacobiGeometry of the owner's
 //     graph, which is immutable and so shared rather than taken;
@@ -40,11 +40,19 @@ type Arena struct {
 // takeValues returns a value array of exactly cells cells with unspecified
 // contents: the caller's fill is the only pass over it.
 func (a *Arena) takeValues(cells int) *queries.Values {
-	var spare *queries.Values
-	if a != nil {
-		spare = a.vals.Swap(nil)
+	return a.spareValues(cells).Resized(cells)
+}
+
+// spareValues is takeValues without the new array: the arena's spare at
+// exactly cells cells, or nil when it has none that long.
+func (a *Arena) spareValues(cells int) *queries.Values {
+	if a == nil {
+		return nil
 	}
-	return spare.Resized(cells)
+	if spare := a.vals.Swap(nil); spare != nil && spare.Cap() >= cells {
+		return spare.Resized(cells)
+	}
+	return nil
 }
 
 // releaseValues makes v the array the next takeValues finds. The caller must

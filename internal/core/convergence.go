@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -67,46 +66,6 @@ func RunConvergenceBatch(g *graph.Graph, batch []queries.Query, opt Options) (*B
 	return runJacobi(g, batch, opt, -1)
 }
 
-// RunConvergenceSequential evaluates each convergence query of a batch as a
-// batch of its own — the Ligra-S-style routing with no cross-query sharing
-// beyond the arena's graph reversal. Exported so the query-parallel baseline
-// shares the exact semantics. As with Absorb, UnionFrontierSizes is the
-// longest query's round history.
-func RunConvergenceSequential(g *graph.Graph, batch []queries.Query, opt Options) (*BatchResult, error) {
-	b := len(batch)
-	if b == 0 {
-		return nil, fmt.Errorf("core: empty batch")
-	}
-	n := g.NumVertices()
-	res := &BatchResult{
-		B: b, N: n, Values: queries.NewValues(n*b, 0),
-		LaneRounds:    make([]int, b),
-		LaneConverged: make([]bool, b),
-		LaneResiduals: make([]float64, b),
-	}
-	for i := range batch {
-		r, err := runJacobi(g, batch[i:i+1], opt, i)
-		if err != nil {
-			return nil, err
-		}
-		for v := 0; v < n; v++ { // a one-lane row is its vertex's cell
-			res.Values.Set(Cell(v, b, i), r.Values.Get(v))
-		}
-		r.Release()
-		res.GlobalIterations = max(res.GlobalIterations, r.GlobalIterations)
-		if len(r.UnionFrontierSizes) > len(res.UnionFrontierSizes) {
-			res.UnionFrontierSizes = r.UnionFrontierSizes
-		}
-		atomic.AddInt64(&res.EdgesProcessed, atomic.LoadInt64(&r.EdgesProcessed))
-		atomic.AddInt64(&res.LaneRelaxations, atomic.LoadInt64(&r.LaneRelaxations))
-		atomic.AddInt64(&res.ValueWrites, atomic.LoadInt64(&r.ValueWrites))
-		res.LaneRounds[i] = r.LaneRounds[0]
-		res.LaneConverged[i] = r.LaneConverged[0]
-		res.LaneResiduals[i] = r.LaneResiduals[0]
-	}
-	return res, nil
-}
-
 // jacobi is one convergence batch as its rounds see it.
 type jacobi struct {
 	n, b    int
@@ -142,26 +101,20 @@ func newJacobiScratch(b, maxIn int) *jacobiScratch {
 	}
 }
 
-// runJacobi is RunConvergenceBatch with the telemetry records' Query: -1 for
-// a batch, the lane for the one-query batches of RunConvergenceSequential.
+// runJacobi is RunConvergenceBatch with the telemetry records' Query (see
+// drive).
 func runJacobi(g *graph.Graph, batch []queries.Query, opt Options, query int) (*BatchResult, error) {
-	b := len(batch)
-	if b == 0 {
-		return nil, fmt.Errorf("core: empty batch")
+	if err := checkBatch(g, batch, nil, true); err != nil {
+		return nil, err
 	}
+	b := len(batch)
 	n := g.NumVertices()
 	j := &jacobi{n: n, b: b, kers: make([]queries.ConvergenceKernel, b), done: make([]bool, b), running: b}
 	eps := make([]float64, b)
 	caps := make([]int, b)
 	fused := true // every lane PageRank: the fused round
 	for i, q := range batch {
-		ck, ok := queries.ConvergentOf(q.Kernel)
-		if !ok {
-			return nil, fmt.Errorf("core: mixed-paradigm batch: query %d (%s) is monotone; split batches by paradigm before routing", i, q)
-		}
-		if int(q.Source) >= n {
-			return nil, fmt.Errorf("core: query %d source v%d out of range (n=%d)", i, q.Source, n)
-		}
+		ck, _ := queries.ConvergentOf(q.Kernel)
 		fused = fused && queries.KindOf(q.Kernel) == queries.OpPageRank
 		j.kers[i] = ck
 		eps[i] = ck.Epsilon()

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"sync/atomic"
 
-	"github.com/glign/glign/internal/engine"
 	"github.com/glign/glign/internal/graph"
 	"github.com/glign/glign/internal/memtrace"
 	"github.com/glign/glign/internal/par"
@@ -137,25 +136,29 @@ func (r *BatchResult) Release() {
 	r.Values = nil
 }
 
-// Absorb folds q, the finished single-query evaluation of one lane, into the
-// result — how the engines that evaluate a batch query by query (Ligra-S,
-// Congra, Query-Parallel) build theirs. A union
-// frontier is not meaningful for them; UnionFrontierSizes is the frontier
-// history of the longest query instead. It is not safe for concurrent use: an
-// engine that evaluates its lanes in parallel absorbs them once they joined.
-func (r *BatchResult) Absorb(lane int, q *engine.Result) {
-	for v, x := range q.Values {
-		r.Values.Set(Cell(v, r.B, lane), x)
+// SetLane copies one — the one-query result of the query in lane, evaluated
+// apart from the batch's other queries — into that lane and releases it: how
+// the engines that share nothing across queries (Ligra-S, Congra,
+// Query-Parallel) build their result. Work counters add up and
+// GlobalIterations is the longest query's; UnionFrontierSizes is left to the
+// caller. It is not safe for concurrent use.
+func (r *BatchResult) SetLane(lane int, one *BatchResult) {
+	for v := 0; v < r.N; v++ { // a one-query row is its vertex's cell
+		r.Values.Set(Cell(v, r.B, lane), one.Values.Get(v))
 	}
-	r.GlobalIterations = max(r.GlobalIterations, q.Iterations)
+	one.Release()
+	r.GlobalIterations = max(r.GlobalIterations, one.GlobalIterations)
 	// Atomic adds and loads keep the counters' access protocol uniform with
-	// the concurrent engines (glignlint/atomicmix): engine.Run's workers and
-	// Drive's update these fields with atomic adds.
-	atomic.AddInt64(&r.EdgesProcessed, atomic.LoadInt64(&q.EdgesTraversed))
-	atomic.AddInt64(&r.LaneRelaxations, atomic.LoadInt64(&q.EdgesTraversed))
-	atomic.AddInt64(&r.ValueWrites, atomic.LoadInt64(&q.ValueWrites))
-	if len(q.FrontierSizes) > len(r.UnionFrontierSizes) {
-		r.UnionFrontierSizes = q.FrontierSizes
+	// the engines' workers, which update these fields with atomic adds
+	// (glignlint/atomicmix).
+	atomic.AddInt64(&r.EdgesProcessed, atomic.LoadInt64(&one.EdgesProcessed))
+	atomic.AddInt64(&r.LaneRelaxations, atomic.LoadInt64(&one.LaneRelaxations))
+	atomic.AddInt64(&r.ValueWrites, atomic.LoadInt64(&one.ValueWrites))
+	if one.LaneRounds != nil {
+		if r.LaneRounds == nil {
+			r.LaneRounds, r.LaneConverged, r.LaneResiduals = make([]int, r.B), make([]bool, r.B), make([]float64, r.B)
+		}
+		r.LaneRounds[lane], r.LaneConverged[lane], r.LaneResiduals[lane] = one.LaneRounds[0], one.LaneConverged[0], one.LaneResiduals[0]
 	}
 }
 
@@ -215,8 +218,12 @@ func (st *BatchSetup) NewResult() *BatchResult {
 // shared state (value array initialized to per-lane identities, injection
 // schedule from the alignment vector).
 func PrepareBatch(g *graph.Graph, batch []queries.Query, opt Options) (*BatchSetup, error) {
-	if len(batch) == 0 {
-		return nil, fmt.Errorf("core: empty batch")
+	// Monotone setup is meaningless for iterate-to-convergence kernels (no
+	// identity fill, no CAS relaxation): engines with a Jacobi path route to
+	// it before preparing, so a convergence kernel here means the engine has
+	// none.
+	if err := checkBatch(g, batch, opt.Alignment, false); err != nil {
+		return nil, err
 	}
 	n := g.NumVertices()
 	b := len(batch)
@@ -228,16 +235,6 @@ func PrepareBatch(g *graph.Graph, batch []queries.Query, opt Options) (*BatchSet
 		Sources:  make([]graph.VertexID, b),
 	}
 	for i, q := range batch {
-		if int(q.Source) >= n {
-			return nil, fmt.Errorf("core: query %d source v%d out of range (n=%d)", i, q.Source, n)
-		}
-		// Monotone setup is meaningless for iterate-to-convergence kernels
-		// (no identity fill, no CAS relaxation): engines with a Jacobi path
-		// route to RunConvergenceBatch before preparing, so reaching this
-		// check means the engine has none.
-		if _, ok := queries.ConvergentOf(q.Kernel); ok {
-			return nil, fmt.Errorf("core: query %d (%s) is an iterate-to-convergence kernel, which this engine does not support (route through Glign, Krill, Ligra-C, Ligra-S or Query-Parallel)", i, q)
-		}
 		st.Kernels[i] = q.Kernel
 		st.Identity[i] = q.Kernel.Identity()
 		st.Sources[i] = q.Source
@@ -250,14 +247,6 @@ func PrepareBatch(g *graph.Graph, batch []queries.Query, opt Options) (*BatchSet
 	if st.Alignment = opt.Alignment; st.Alignment == nil {
 		st.Alignment = make([]int, b)
 	}
-	if len(st.Alignment) != b {
-		return nil, fmt.Errorf("core: alignment vector length %d != batch size %d", len(st.Alignment), b)
-	}
-	for _, a := range st.Alignment {
-		if a < 0 {
-			return nil, fmt.Errorf("core: negative alignment %d", a)
-		}
-	}
 	st.schedule = make([]int, b)
 	for i := range st.schedule {
 		st.schedule[i] = i
@@ -266,12 +255,16 @@ func PrepareBatch(g *graph.Graph, batch []queries.Query, opt Options) (*BatchSet
 		return st.Alignment[st.schedule[i]] < st.Alignment[st.schedule[j]]
 	})
 	// Taken last, past every way to fail, so a rejected batch leaves the arena
-	// as it found it. The array holds an earlier batch's cells or the
-	// allocator's zeros; the identity fill is the one pass that initializes
-	// it, spread over the pool because on a large graph it is the batch's
-	// first cold pass (disjoint row blocks; Set stores are atomic).
+	// as it found it. The identity fill is the one pass that initializes the
+	// array: a new one is filled as it is made, before anything can see it;
+	// an earlier batch's is filled over the pool, because on a large graph it
+	// is the batch's first cold pass (disjoint row blocks; Set stores are
+	// atomic).
 	st.arena = opt.Arena
-	st.Vals = st.arena.takeValues(n * b)
+	if st.Vals = st.arena.spareValues(n * b); st.Vals == nil {
+		st.Vals = queries.Repeat(st.Identity, n)
+		return st, nil
+	}
 	par.OrDefault(opt.Pool).For(n, opt.Workers, 0, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
 			row := st.Cell(v, 0)
@@ -281,4 +274,33 @@ func PrepareBatch(g *graph.Graph, batch []queries.Query, opt Options) (*BatchSet
 		}
 	})
 	return st, nil
+}
+
+// checkBatch rejects a batch no engine can evaluate — an empty one, a source
+// outside g, an alignment vector of the wrong length or with a negative
+// entry — and one that is not all of the paradigm convergent says.
+func checkBatch(g *graph.Graph, batch []queries.Query, alignment []int, convergent bool) error {
+	if len(batch) == 0 {
+		return fmt.Errorf("core: empty batch")
+	}
+	for i, q := range batch {
+		if n := g.NumVertices(); int(q.Source) >= n {
+			return fmt.Errorf("core: query %d source v%d out of range (n=%d)", i, q.Source, n)
+		}
+		switch _, ok := queries.ConvergentOf(q.Kernel); {
+		case ok && !convergent:
+			return fmt.Errorf("core: query %d (%s) is an iterate-to-convergence kernel, which this engine does not support (route through Glign, Krill, Ligra-C, Ligra-S or Query-Parallel)", i, q)
+		case !ok && convergent:
+			return fmt.Errorf("core: mixed-paradigm batch: query %d (%s) is monotone; split batches by paradigm before routing", i, q)
+		}
+	}
+	if alignment != nil && len(alignment) != len(batch) {
+		return fmt.Errorf("core: alignment vector length %d != batch size %d", len(alignment), len(batch))
+	}
+	for _, a := range alignment {
+		if a < 0 {
+			return fmt.Errorf("core: negative alignment %d", a)
+		}
+	}
+	return nil
 }

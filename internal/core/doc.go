@@ -18,12 +18,15 @@
 //
 // Drive owns what they share: delayed-start injection from the alignment
 // vector (paper Definition 3.3, the mechanism of Glign-Inter), termination,
-// iteration bookkeeping, the parallel dispatch and the telemetry record. Two
-// engines stand outside it: LigraS evaluates queries one after another with
-// the single-query engine, and RunConvergenceBatch is the one Jacobi
-// evaluator, with a fused round for PageRank batches, that every engine
-// routes iterate-to-convergence kernels to (LigraS and Query-Parallel one
-// query at a time).
+// iteration bookkeeping, the parallel dispatch and the telemetry record. A
+// single query is a batch of one: LigraS is Drive at B=1, each query of a
+// batch in turn as GlignIntra's one-query batch (RunApart; Congra runs the
+// same batches concurrently), and the query-oblivious frontier at one query
+// is the single-query Ligra engine — its frontier bit is its lane bit.
+// Frontiers records such a batch's frontier history for internal/align.
+// RunConvergenceBatch is the one Jacobi evaluator, with a fused round for
+// PageRank batches, that every engine routes iterate-to-convergence kernels
+// to (LigraS one query at a time).
 //
 // All engines share one value array in the paper's §3.5 layout,
 // ValArray[v*B+i]: a row of exactly B cells per vertex (Cell). The

@@ -45,12 +45,13 @@ type LanePolicy interface {
 // runBatch is the Run of the core frontier engines: convergence kernels have
 // no frontier to drive and take the shared lane-fused Jacobi evaluator (the
 // batching layers split mixed buffers by paradigm); everything else is
-// Drive on the engine's policy.
-func runBatch(g *graph.Graph, batch []queries.Query, opt Options, policy func(st *BatchSetup) LanePolicy) (*BatchResult, error) {
+// Drive on the engine's policy. query is the telemetry records' Query (see
+// drive).
+func runBatch(g *graph.Graph, batch []queries.Query, opt Options, query int, policy func(st *BatchSetup) LanePolicy) (*BatchResult, error) {
 	if queries.AnyConvergent(batch) {
-		return RunConvergenceBatch(g, batch, opt)
+		return runJacobi(g, batch, opt, query)
 	}
-	return Drive(g, batch, opt, policy)
+	return drive(g, batch, opt, policy, query)
 }
 
 // Drive is the one synchronized traversal loop behind every frontier engine:
@@ -59,6 +60,12 @@ func runBatch(g *graph.Graph, batch []queries.Query, opt Options, policy func(st
 // and how the next frontier is built is up to the policy made for the
 // prepared batch.
 func Drive(g *graph.Graph, batch []queries.Query, opt Options, policy func(st *BatchSetup) LanePolicy) (*BatchResult, error) {
+	return drive(g, batch, opt, policy, -1)
+}
+
+// drive is Drive with the telemetry records' Query: -1 for a batch, the lane
+// for the one-query batches of RunApart.
+func drive(g *graph.Graph, batch []queries.Query, opt Options, policy func(st *BatchSetup) LanePolicy, query int) (*BatchResult, error) {
 	st, err := PrepareBatch(g, batch, opt)
 	if err != nil {
 		return nil, err
@@ -99,7 +106,7 @@ func Drive(g *graph.Graph, batch []queries.Query, opt Options, policy func(st *B
 			cur := countersOf(res)
 			opt.Telemetry.RecordIteration(telemetry.IterationStat{
 				Iter:            iter,
-				Query:           -1,
+				Query:           query,
 				FrontierSize:    step.Size,
 				Mode:            telemetry.ModePush,
 				ActiveQueries:   started,

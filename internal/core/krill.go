@@ -30,7 +30,7 @@ func (krill) Run(g *graph.Graph, batch []queries.Query, opt Options) (*BatchResu
 		return nil, fmt.Errorf("core: Krill engine supports at most %d queries per batch, got %d",
 			frontier.MaxQueries, len(batch))
 	}
-	return runBatch(g, batch, opt, func(st *BatchSetup) LanePolicy {
+	return runBatch(g, batch, opt, -1, func(st *BatchSetup) LanePolicy {
 		return &krillPolicy{
 			g: g, st: st,
 			union: frontier.New(st.N), nextUnion: frontier.New(st.N),

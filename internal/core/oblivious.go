@@ -32,14 +32,15 @@ var GlignIntra Engine = oblivious{}
 func (oblivious) Name() string { return "Glign-Intra" }
 
 func (oblivious) Run(g *graph.Graph, batch []queries.Query, opt Options) (*BatchResult, error) {
+	return runOblivious(g, batch, opt, -1)
+}
+
+// runOblivious is GlignIntra's Run with the telemetry records' Query (see
+// drive).
+func runOblivious(g *graph.Graph, batch []queries.Query, opt Options, query int) (*BatchResult, error) {
 	var p *obliviousPolicy
-	res, err := runBatch(g, batch, opt, func(st *BatchSetup) LanePolicy {
-		p = &obliviousPolicy{
-			g: g, st: st,
-			cur: frontier.New(st.N), next: frontier.New(st.N),
-			dirty: opt.Arena.takeMask(st.N, st.B),
-		}
-		p.scratch.New = func() any { return newLaneScratch(st) }
+	res, err := runBatch(g, batch, opt, query, func(st *BatchSetup) LanePolicy {
+		p = newObliviousPolicy(g, st, opt.Arena)
 		return p
 	})
 	// At a fixed point the mask is all-zero again (see laneMask) and serves
@@ -49,6 +50,44 @@ func (oblivious) Run(g *graph.Graph, batch []queries.Query, opt Options) (*Batch
 		opt.Arena.releaseMask(p.dirty)
 	}
 	return res, err
+}
+
+func newObliviousPolicy(g *graph.Graph, st *BatchSetup, arena *Arena) *obliviousPolicy {
+	p := &obliviousPolicy{
+		g: g, st: st,
+		cur: frontier.New(st.N), next: frontier.New(st.N),
+		dirty: arena.takeMask(st.N, st.B),
+	}
+	p.scratch.New = func() any { return newLaneScratch(st) }
+	return p
+}
+
+// Frontiers evaluates q alone, as GlignIntra's one-query batch, and returns
+// the frontier entering each of its iterations: the per-query history the
+// affinity analyses of internal/align are computed from. opt must carry no
+// Tracer: a traced run walks its model's frontier, not the policy's.
+func Frontiers(g *graph.Graph, q queries.Query, opt Options) ([]*frontier.Subset, error) {
+	var rec *recorder
+	res, err := Drive(g, []queries.Query{q}, opt, func(st *BatchSetup) LanePolicy {
+		rec = &recorder{obliviousPolicy: newObliviousPolicy(g, st, opt.Arena)}
+		return rec
+	})
+	if err != nil {
+		return nil, err
+	}
+	return rec.frontiers[:res.GlobalIterations], nil
+}
+
+// recorder is the query-oblivious policy keeping a copy of the frontier at
+// every Step — one more than Drive runs, when the last frontier is empty.
+type recorder struct {
+	*obliviousPolicy
+	frontiers []*frontier.Subset
+}
+
+func (r *recorder) Step() Step {
+	r.frontiers = append(r.frontiers, r.cur.Clone())
+	return r.obliviousPolicy.Step()
 }
 
 // obliviousPolicy keeps the unified frontier pair and one changed-lane mask.
@@ -139,15 +178,16 @@ func (m *laneMask) set(v, lane int) {
 }
 
 // mark moves the lanes improved holds, a word per 64 lanes, into v's mask,
-// leaving improved zero.
+// leaving improved zero. It zeroes word by word as it goes: clear would be a
+// memory-clearing call on every improvement, which a batch of one query —
+// one word, no mask — pays for nothing else.
 func (m *laneMask) mark(v int, improved []uint64) {
-	if m != nil {
-		words := m.of(v)
-		for w, lanes := range improved {
-			orWord(&words[w], lanes)
+	for w, lanes := range improved {
+		improved[w] = 0
+		if m != nil {
+			orWord(&m.of(v)[w], lanes)
 		}
 	}
-	clear(improved)
 }
 
 // orWord is an atomic OR that leaves a cache line it would not change alone.
@@ -282,7 +322,8 @@ func (s *laneScratch) relax(st *BatchSetup, d int, w graph.Weight) (improved int
 		return improved
 	}
 	wv := queries.Value(w)
-	for _, g := range s.groups {
+	for gi := range s.groups {
+		g := &s.groups[gi]
 		switch g.kind {
 		case queries.OpBFS:
 			for _, i := range g.lanes {

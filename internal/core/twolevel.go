@@ -22,7 +22,7 @@ var LigraC Engine = twoLevel{}
 func (twoLevel) Name() string { return "Ligra-C" }
 
 func (twoLevel) Run(g *graph.Graph, batch []queries.Query, opt Options) (*BatchResult, error) {
-	return runBatch(g, batch, opt, func(st *BatchSetup) LanePolicy {
+	return runBatch(g, batch, opt, -1, func(st *BatchSetup) LanePolicy {
 		return &twoLevelPolicy{
 			g: g, st: st, pool: par.OrDefault(opt.Pool), workers: opt.Workers,
 			LaneFrontiers: NewLaneFrontiers(st.N, st.B),

@@ -1,13 +1,10 @@
-// Package engine implements a Ligra-style single-query evaluation engine:
-// iterative push-model EdgeMap over a frontier until the fixed point, with
-// vertex-level parallelism. It is the substrate on which the concurrent
-// engines in internal/core are built, the baseline "Ligra" of the paper, and
-// the BFS workhorse of the inter-iteration alignment precompute (§3.3's
-// reverse-BFS hub profile).
+// Package engine is the independent serial oracle: ReferenceRun evaluates one
+// query with a textbook serial label-correcting worklist that shares no code
+// with the frontier, EdgeMap or par machinery of the engines it checks. Every
+// engine is held bitwise to it by the differential tests, and the
+// query-parallel baseline (paper §4.1) runs it once a query.
 //
-// The sequential baselines (Ligra-S) and the asynchronous Congra baseline
-// drive one engine.Run per query; with Options.Telemetry set, each run
-// records its per-iteration frontier sizes under its lane index
-// (Options.TelemetryLane) so single-query timelines land in the same
-// telemetry schema as batch engines (see OBSERVABILITY.md).
+// A single query is no longer evaluated here: it is a batch of one on
+// internal/core's Drive (core.LigraS, core.Frontiers), whose query-oblivious
+// frontier at one query is the Ligra engine of the paper.
 package engine

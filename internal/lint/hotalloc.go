@@ -39,7 +39,7 @@ func HotAlloc() *Analyzer {
 // and the per-iteration telemetry hooks run once per batch per query and
 // feed the same engines.
 var hotAllocPkgs = map[string]bool{
-	"engine": true, "core": true, "par": true, "serve": true, "telemetry": true,
+	"core": true, "par": true, "serve": true, "telemetry": true,
 }
 
 // hotAllocFuncs are the functions every batch of a warmed owner passes

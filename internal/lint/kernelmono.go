@@ -14,16 +14,17 @@ import (
 // sound (paper Theorem 3.2 requires monotone updates) — cannot be bypassed.
 var valuesApproved = map[string]bool{
 	"NewValues": true,
+	"Repeat":    true, // fills an array nothing else can see yet
 	"Resized":   true, // reslices or replaces the array; reads and writes no cell
 	"Len":       true,
+	"Cap":       true,
 	"Get":       true,
 	"Set":       true,
 	"Fill":      true,
 	"LoadRow":   true,
 	"Improve":   true, "ImproveMin": true, "ImproveMax": true,
 	"ImproveMinRow": true, "ImproveMaxRow": true,
-	"Snapshot": true,
-	"Bytes":    true,
+	"Bytes": true,
 }
 
 // valuesMutators are the Values methods that change cells; kernel methods

@@ -178,16 +178,28 @@ func TestValuesImprove(t *testing.T) {
 	}
 }
 
-func TestValuesSnapshot(t *testing.T) {
-	v := NewValues(3, 0)
-	v.Set(1, 42)
-	s := v.Snapshot()
-	if len(s) != 3 || s[1] != 42 || s[0] != 0 {
-		t.Fatalf("snapshot = %v", s)
+// Repeat lays n copies of a row end to end — every length the doubling fill
+// can stop at, an empty row and zero copies included — and shares no storage
+// with the row.
+func TestValuesRepeat(t *testing.T) {
+	row := []Value{math.Inf(1), 0, -1}
+	for _, n := range []int{0, 1, 2, 3, 5, 8, 13} {
+		for _, w := range []int{0, 1, 2, 3} {
+			v := Repeat(row[:w], n)
+			if v.Len() != n*w {
+				t.Fatalf("Repeat(%d cells, %d): len %d", w, n, v.Len())
+			}
+			for c := 0; c < v.Len(); c++ {
+				if got := v.Get(c); got != row[c%w] {
+					t.Fatalf("Repeat(%d cells, %d): cell %d = %v, want %v", w, n, c, got, row[c%w])
+				}
+			}
+		}
 	}
-	s[1] = 0
-	if v.Get(1) != 42 {
-		t.Fatal("snapshot aliases storage")
+	v := Repeat(row, 2)
+	row[0] = 7
+	if v.Get(0) != math.Inf(1) {
+		t.Fatal("Repeat aliases its row")
 	}
 }
 

@@ -26,6 +26,23 @@ func NewValues(length int, init Value) *Values {
 	return v
 }
 
+// Repeat returns a new array of n copies of row laid end to end, as
+// slices.Repeat does: n rows of len(row) cells, each set to row. The array is
+// filled before anyone can see it, so the fill needs no atomic stores — what
+// makes it several times faster than Set cell by cell.
+func Repeat(row []Value, n int) *Values {
+	bits := make([]uint64, len(row)*n)
+	if n > 0 {
+		for i, x := range row {
+			bits[i] = math.Float64bits(x)
+		}
+	}
+	for filled := len(row); filled < len(bits); filled *= 2 {
+		copy(bits[filled:], bits[:filled])
+	}
+	return &Values{bits: bits}
+}
+
 // Resized returns an array of exactly length cells whose contents are
 // unspecified — the caller writes every cell before reading any: v itself,
 // resliced, when its backing array is long enough (it keeps its capacity, so
@@ -42,6 +59,9 @@ func (v *Values) Resized(length int) *Values {
 
 // Len returns the number of cells.
 func (v *Values) Len() int { return len(v.bits) }
+
+// Cap returns how many cells Resized can give v without a new array.
+func (v *Values) Cap() int { return cap(v.bits) }
 
 // Get atomically reads cell i.
 func (v *Values) Get(i int) Value {
@@ -90,17 +110,6 @@ func (v *Values) Improve(i int, cand Value, better func(a, b Value) bool) bool {
 			return true
 		}
 	}
-}
-
-// Snapshot copies all cells into a fresh []Value with atomic loads, so it
-// is safe to call while relaxations are still in flight (each cell is then
-// some monotone intermediate, never a torn word).
-func (v *Values) Snapshot() []Value {
-	out := make([]Value, len(v.bits))
-	for i := range out {
-		out[i] = v.Get(i)
-	}
-	return out
 }
 
 // Bytes returns the footprint of the value array.

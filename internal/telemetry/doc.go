@@ -1,6 +1,6 @@
 // Package telemetry is the runtime observability layer: low-overhead,
 // optionally-enabled metrics threaded through the hot paths of every
-// evaluation engine (internal/engine, internal/core, internal/baselines),
+// evaluation engine (internal/core, internal/baselines),
 // the batching policies (internal/sched), and the method compositions
 // (internal/systems).
 //

@@ -120,12 +120,14 @@ echo "== go test -race (concurrent packages) =="
 # Every package with worker-pool or CAS concurrency, including the
 # internal/core stress test (concurrent batches x GOMAXPROCS 1/2/8), the
 # Jacobi evaluator (internal/core, its kernels in internal/queries), the
-# single-query engine (internal/engine), and the live serving loop's
-# deterministic-clock suite (internal/serve, now including the
-# convergence/KHop e2e).
+# baselines (internal/baselines: Congra's concurrent one-query batches over
+# one pool and one arena, Query-Parallel's per-query evaluations on pool
+# workers), and the live serving loop's deterministic-clock suite
+# (internal/serve, now including the convergence/KHop e2e). internal/engine
+# is a serial oracle and has no concurrency of its own.
 go test -race \
+    ./internal/baselines/ \
     ./internal/core/ \
-    ./internal/engine/ \
     ./internal/frontier/ \
     ./internal/par/ \
     ./internal/perf/ \

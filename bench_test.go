@@ -20,7 +20,6 @@ import (
 	"github.com/glign/glign/internal/graph"
 	"github.com/glign/glign/internal/par"
 	"github.com/glign/glign/internal/queries"
-	"github.com/glign/glign/internal/telemetry"
 	"github.com/glign/glign/internal/workload"
 )
 
@@ -79,10 +78,6 @@ func BenchmarkTable16IBFS(b *testing.B)        { benchExperiment(b, "tab16") }
 // PageRank on the hub graph at the widths 2 and 16, where every engine runs
 // the fused Jacobi round, reporting relaxations/sec.
 
-func benchGraph(width int) (*graph.Graph, []queries.Query) {
-	return benchBatch(graph.LJ, queries.SSSP, width)
-}
-
 func benchBatch(d graph.Dataset, k queries.Kernel, width int) (*graph.Graph, []queries.Query) {
 	g := graph.MustGenerate(d, graph.Small)
 	srcs := workload.Sources(g, profileFor(g), width, 3)
@@ -132,41 +127,8 @@ func BenchmarkBatchLigraC(b *testing.B)     { benchBatchEngine(b, core.LigraC) }
 func BenchmarkBatchKrill(b *testing.B)      { benchBatchEngine(b, core.Krill) }
 func BenchmarkBatchGlignIntra(b *testing.B) { benchBatchEngine(b, core.GlignIntra) }
 
-// Telemetry overhead guard: the same Glign-Intra batch with telemetry
-// absent (the nil fast path every production run without -metrics-out
-// takes) versus attached to a live collector. Compare with
-//
-//	go test -bench=BenchmarkTelemetry -count=10 | benchstat
-//
-// OBSERVABILITY.md records the measured numbers; the budget is <= 3%
-// for the disabled path.
-func BenchmarkTelemetryOff(b *testing.B) { benchTelemetry(b, false) }
-func BenchmarkTelemetryOn(b *testing.B)  { benchTelemetry(b, true) }
-
-func benchTelemetry(b *testing.B, enabled bool) {
-	g, batch := benchGraph(16)
-	var col *telemetry.Collector
-	if enabled {
-		col = telemetry.NewCollector()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		opt := core.Options{}
-		if enabled {
-			opt.Telemetry = col.StartRun("bench", "FCFS").StartBatch("Glign-Intra", nil, nil)
-		}
-		res, err := core.GlignIntra.Run(g, batch, opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.GlobalIterations == 0 {
-			b.Fatal("no iterations")
-		}
-	}
-}
-
 // Scheduler microbenchmarks: the persistent work-stealing pool on a
-// 1M-element loop. BENCH_PR4.json records the one-off comparison against the
+// 1M-element loop. README.md quotes the one-off comparison against the
 // spawn-per-call scheduler the pool replaced (since deleted).
 
 // parBenchN is >= 1M elements, per the guard's acceptance criterion.

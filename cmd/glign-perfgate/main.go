@@ -1,290 +1,326 @@
-// Command glign-perfgate runs the measured-performance tier: it executes the
-// benchmark matrix of internal/perf (methods x kernels x graphs x workers,
-// warmup + repetitions, median-of-reps) and diffs the resulting
-// glign.bench/v1 report against a committed baseline, exactly as the lint
-// baseline pins the suppression counts. verify.sh runs `glign-perfgate
-// -check`; a hot-path regression beyond the noise tolerance fails the build.
+// Command glign-perfgate is the measured-performance gate verify.sh runs. It
+// measures nine ratio cells, each the quotient of two ways to answer one
+// batch, and fails when a ratio lies more than 1.2× above the one recorded in
+// results/perf-baseline.json.
 //
-// Modes:
+// A cell's two sides run alternately rep by rep, in reverse order every other
+// rep, on one pool and arena per worker count: whatever slows the host slows
+// both, and the ratio cancels it. Absolute times are printed, never gated.
+// Each side first answers once and is held to the serial oracle, so the gate
+// never times a wrong answer. A side's time is its quiet-rep minimum, printed
+// with its max÷min spread. A cell above baseline × 1.2 is re-measured once
+// with twice the reps and fails only if it still is; a cell below
+// baseline ÷ 1.2 passes, marked "baseline stale"; a cell on only one side of
+// the comparison fails. A host fingerprint other than the baseline's is
+// printed in the verdict line and changes nothing else.
 //
-//	glign-perfgate                                  # run matrix, print report summary
-//	glign-perfgate -out results/bench-report.json   # run and archive the report
-//	glign-perfgate -write-baseline results/bench-baseline.json
-//	glign-perfgate -check                           # run + diff against -baseline, exit 1 on regression
-//	glign-perfgate -check -bench BENCH_PR10.json    # also pin the committed artifact's schema+shape
-//	glign-perfgate -diff old.json new.json          # offline diff of two reports
-//
-// Environment knobs (CI overrides without editing verify.sh):
-//
-//	GLIGN_PERF_TOLERANCE   relative noise tolerance (e.g. 0.75)
-//	GLIGN_PERF_SKIP=1      skip the gate entirely (exit 0)
-//
-// Gating guards: cells with workers > 1 are advisory on a 1-CPU box
-// (scheduling overhead, not parallel speedup), and all time comparisons are
-// advisory when the environment fingerprints differ; schema version and
-// matrix shape are enforced unconditionally. Regressed cells are re-measured
-// once with more repetitions before the gate fails, so a background-noise
-// spike on a shared box does not fail CI.
-//
-// Exit codes: 0 pass (or skipped), 1 regression/shape/schema failure,
-// 2 usage or load error.
+//	go run ./cmd/glign-perfgate                   # gate: exit 1 on a failed cell
+//	go run ./cmd/glign-perfgate -write-baseline   # record this host's ratios
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strconv"
+	"slices"
 	"strings"
+	"time"
 
+	"github.com/glign/glign/internal/align"
+	"github.com/glign/glign/internal/core"
+	"github.com/glign/glign/internal/graph"
+	"github.com/glign/glign/internal/oracle"
+	"github.com/glign/glign/internal/par"
 	"github.com/glign/glign/internal/perf"
+	"github.com/glign/glign/internal/queries"
+	"github.com/glign/glign/internal/telemetry"
+	"github.com/glign/glign/internal/workload"
+)
+
+const (
+	tolerance     = 1.2
+	reps          = 9
+	remeasureReps = 2 * reps
+	baselinePath  = "results/perf-baseline.json"
 )
 
 func main() {
-	os.Exit(run())
-}
-
-func run() int {
-	var (
-		check         = flag.Bool("check", false, "run the matrix and diff against -baseline; exit 1 on regression")
-		baselinePath  = flag.String("baseline", "results/bench-baseline.json", "committed baseline report")
-		writeBaseline = flag.String("write-baseline", "", "run the matrix and write the baseline to this path")
-		out           = flag.String("out", "", "archive the fresh report to this path")
-		benchArtifact = flag.String("bench", "", "also pin this committed artifact's schema and matrix shape against the baseline")
-		diffMode      = flag.Bool("diff", false, "offline mode: diff two report files (args: baseline current)")
-		tolerance     = flag.Float64("tolerance", -1, "relative noise tolerance (default 0.75, or GLIGN_PERF_TOLERANCE)")
-		remeasure     = flag.Int("remeasure", 5, "re-measure regressed cells with this many reps before failing (0 disables)")
-		warmup        = flag.Int("warmup", -1, "warmup runs per cell (default from matrix config)")
-		reps          = flag.Int("reps", -1, "measured runs per cell (default from matrix config)")
-		size          = flag.String("size", "", "graph size class: tiny, small, medium")
-		batch         = flag.Int("batch", 0, "queries per buffer")
-		seed          = flag.Int64("seed", 0, "source-sampler seed")
-		methodsCSV    = flag.String("methods", "", "restrict matrix methods (comma-separated)")
-		kernelsCSV    = flag.String("kernels", "", "restrict matrix kernels (comma-separated)")
-		graphsCSV     = flag.String("graphs", "", "restrict matrix graphs (comma-separated)")
-		workersCSV    = flag.String("workers", "", "restrict matrix worker counts (comma-separated)")
-	)
+	record := flag.Bool("write-baseline", false, "measure every cell and record its ratio and this host's fingerprint in "+baselinePath)
 	flag.Parse()
-
-	if os.Getenv("GLIGN_PERF_SKIP") == "1" {
-		fmt.Println("glign-perfgate: skipped (GLIGN_PERF_SKIP=1)")
-		return 0
-	}
-
-	if *diffMode {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "glign-perfgate: -diff needs exactly two report paths")
-			return 2
-		}
-		return diffFiles(flag.Arg(0), flag.Arg(1), *tolerance)
-	}
-
-	cfg := perf.DefaultConfig()
-	if *size != "" {
-		cfg.Size = *size
-	}
-	if *batch > 0 {
-		cfg.BatchSize = *batch
-	}
-	if *seed != 0 {
-		cfg.Seed = *seed
-	}
-	if *warmup >= 0 {
-		cfg.Warmup = *warmup
-	}
-	if *reps > 0 {
-		cfg.Reps = *reps
-	}
-	if *methodsCSV != "" {
-		cfg.Methods = splitCSV(*methodsCSV)
-	}
-	if *kernelsCSV != "" {
-		cfg.Kernels = splitCSV(*kernelsCSV)
-	}
-	if *graphsCSV != "" {
-		cfg.Graphs = splitCSV(*graphsCSV)
-	}
-	if *workersCSV != "" {
-		ws, err := splitInts(*workersCSV)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "glign-perfgate:", err)
-			return 2
-		}
-		cfg.Workers = ws
-	}
-
-	runner, err := perf.NewRunner(cfg)
+	start := time.Now()
+	ok, err := run(os.Stdout, *record)
+	fmt.Printf("glign-perfgate: %.1fs\n", time.Since(start).Seconds())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "glign-perfgate:", err)
-		return 2
+		os.Exit(2)
 	}
-	fmt.Printf("glign-perfgate: measuring %d cells (%s graphs, warmup %d, reps %d)\n",
-		len(runner.Keys()), cfg.Size, cfg.Warmup, cfg.Reps)
-	report, err := runner.Run()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "glign-perfgate:", err)
-		return 2
+	if !ok {
+		os.Exit(1)
 	}
+}
 
-	if *out != "" {
-		if err := report.WriteReport(*out); err != nil {
-			fmt.Fprintln(os.Stderr, "glign-perfgate:", err)
-			return 2
-		}
-		fmt.Printf("glign-perfgate: report -> %s\n", *out)
-	}
-	if *writeBaseline != "" {
-		if err := report.WriteReport(*writeBaseline); err != nil {
-			fmt.Fprintln(os.Stderr, "glign-perfgate:", err)
-			return 2
-		}
-		fmt.Printf("glign-perfgate: baseline -> %s (%d cells)\n", *writeBaseline, len(report.Cells))
-	}
-
-	if !*check {
-		if *writeBaseline == "" && *out == "" {
-			fmt.Print(summarize(report))
-		}
-		return 0
-	}
-
-	baseline, err := perf.ReadReport(*baselinePath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "glign-perfgate:", err)
-		fmt.Fprintln(os.Stderr, "glign-perfgate: regenerate with: go run ./cmd/glign-perfgate -write-baseline", *baselinePath)
-		return 2
-	}
-	opt := gateOptions(report.Env, *tolerance)
-	diff := perf.Compare(baseline, report, opt)
-
-	// A regression on a live run gets one re-measurement with more reps:
-	// medians over 3 runs on a busy CI box still admit the occasional noise
-	// spike, and a genuine slowdown reproduces under 5.
-	if regs := diff.Regressions(); len(regs) > 0 && *remeasure > 0 {
-		fmt.Printf("glign-perfgate: %d cell(s) regressed; re-measuring with %d reps\n", len(regs), *remeasure)
-		cells := report.CellMap()
-		for _, key := range regs {
-			cell, err := runner.MeasureCell(key, *remeasure)
+func run(w io.Writer, record bool) (bool, error) {
+	cells, done := gatedCells(graph.Small)
+	defer done()
+	env := perf.Fingerprint()
+	if record {
+		b := baseline{Env: env, Ratios: map[string]float64{}}
+		for _, c := range cells {
+			r, err := c.measure(reps)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "glign-perfgate:", err)
-				return 2
+				return false, err
 			}
-			*cells[key] = cell
+			b.Ratios[c.name] = r.ratio()
+			printCell(w, c.name, r, r.ratio(), "recorded")
 		}
-		diff = perf.Compare(baseline, report, opt)
-		if *out != "" {
-			if err := report.WriteReport(*out); err != nil {
-				fmt.Fprintln(os.Stderr, "glign-perfgate:", err)
-				return 2
+		return true, perf.WriteJSONAtomic(baselinePath, b)
+	}
+	var base baseline
+	raw, err := os.ReadFile(baselinePath)
+	if err == nil {
+		err = json.Unmarshal(raw, &base)
+	}
+	if err != nil {
+		return false, fmt.Errorf("%w (record one with -write-baseline)", err)
+	}
+	byName := make(map[string]cell, len(cells))
+	var names []string
+	for _, c := range cells {
+		byName[c.name] = c
+		names = append(names, c.name)
+	}
+	return gate(w, base, env, names, func(name string, n int) (result, error) {
+		return byName[name].measure(n)
+	})
+}
+
+// baseline is what -write-baseline records: the host and every cell's ratio.
+type baseline struct {
+	Env    perf.Env           `json:"env"`
+	Ratios map[string]float64 `json:"ratios"`
+}
+
+// Verdicts of one cell.
+const (
+	pass     = "ok"
+	stale    = "ok, baseline stale"
+	over     = "FAIL: above baseline × 1.2"
+	unknown  = "FAIL: not in the baseline"
+	notTaken = "FAIL: in the baseline, not measured"
+)
+
+func judge(ratio, want float64, known bool) string {
+	switch {
+	case !known:
+		return unknown
+	case ratio > want*tolerance:
+		return over
+	case ratio < want/tolerance:
+		return stale
+	}
+	return pass
+}
+
+// gate measures the cells names, re-measures once with remeasureReps a cell
+// above tolerance, prints a line a cell and the verdict line, and reports
+// whether every cell, and every cell of base, passed.
+func gate(w io.Writer, base baseline, env perf.Env, names []string, measure func(name string, reps int) (result, error)) (bool, error) {
+	failed, stales := 0, 0
+	for _, name := range names {
+		r, err := measure(name, reps)
+		if err != nil {
+			return false, err
+		}
+		want, known := base.Ratios[name]
+		v := judge(r.ratio(), want, known)
+		if v == over {
+			if r, err = measure(name, remeasureReps); err != nil {
+				return false, err
+			}
+			v = judge(r.ratio(), want, known) + fmt.Sprintf(" (re-measured, %d reps)", remeasureReps)
+		}
+		if strings.HasPrefix(v, "FAIL") {
+			failed++
+		} else if strings.HasPrefix(v, stale) {
+			stales++
+		}
+		printCell(w, name, r, want, v)
+	}
+	missing := make([]string, 0, len(base.Ratios))
+	for name := range base.Ratios {
+		if !slices.Contains(names, name) {
+			missing = append(missing, name)
+		}
+	}
+	slices.Sort(missing)
+	for _, name := range missing {
+		fmt.Fprintf(w, "%-30s %35s base %.3f  %s\n", name, "", base.Ratios[name], notTaken)
+		failed++
+	}
+	host := "host matches the baseline's"
+	if env != base.Env {
+		host = fmt.Sprintf("host differs from the baseline's: here %+v, baseline %+v", env, base.Env)
+	}
+	verdict := "PASS"
+	if failed > 0 {
+		verdict = "FAIL"
+	}
+	fmt.Fprintf(w, "glign-perfgate: %d cells, %d failed, %d baseline stale, tolerance ×%.1f; %s — %s\n",
+		len(names)+len(missing), failed, stales, tolerance, host, verdict)
+	return failed == 0, nil
+}
+
+func printCell(w io.Writer, name string, r result, want float64, verdict string) {
+	fmt.Fprintf(w, "%-30s ratio %.3f = %7.2f÷%7.2f ms (spread ×%.2f ×%.2f)  base %.3f  %s\n",
+		name, r.ratio(), r.num*1e3, r.den*1e3, r.numSpread, r.denSpread, want, verdict)
+}
+
+// result is one measurement of a cell: each side's quiet-rep minimum in
+// seconds and its max÷min spread.
+type result struct {
+	num, den, numSpread, denSpread float64
+}
+
+func (r result) ratio() float64 { return r.num / r.den }
+
+// An input is one batch, drawn the way bench_test.go's benchBatch draws it.
+type input struct {
+	name   string
+	g      *graph.Graph
+	batch  []queries.Query
+	golden [][]queries.Value // the oracle's answers
+}
+
+// check holds a side's answers to the oracle.
+func (in *input) check(side string, got [][]queries.Value) error {
+	for i, want := range in.golden {
+		for v := range want {
+			if got[i][v] != want[v] {
+				return fmt.Errorf("%s on %s: query %d disagrees with the oracle at vertex %d: %v != %v", side, in.name, i, v, got[i][v], want[v])
 			}
 		}
 	}
-	fmt.Print(diff.Table())
+	return nil
+}
 
-	if *benchArtifact != "" {
-		if msg := pinArtifact(*benchArtifact, baseline); msg != "" {
-			fmt.Fprintln(os.Stderr, "glign-perfgate:", msg)
-			return 1
+// A side is one way to answer an input's batch: run evaluates it once and,
+// when keep is set, returns every query's values.
+type side struct {
+	name string
+	run  func(keep bool) ([][]queries.Value, error)
+}
+
+// engineSide runs e with opt; with col set, every run records its telemetry
+// there, as an observed production batch does.
+func engineSide(name string, e core.Engine, in *input, opt core.Options, col *telemetry.Collector) side {
+	return side{name, func(keep bool) ([][]queries.Value, error) {
+		o := opt
+		o.Telemetry = col.StartRun("perfgate", "FCFS").StartBatch(e.Name(), nil, nil)
+		res, err := e.Run(in.g, in.batch, o)
+		if err != nil {
+			return nil, err
 		}
-		fmt.Printf("glign-perfgate: %s schema+shape pinned against baseline\n", *benchArtifact)
-	}
-	if !diff.Pass {
-		fmt.Fprintln(os.Stderr, "glign-perfgate: FAIL — see the delta table above")
-		fmt.Fprintln(os.Stderr, "glign-perfgate: to accept a deliberate change, refresh the baseline:")
-		fmt.Fprintln(os.Stderr, "  go run ./cmd/glign-perfgate -write-baseline", *baselinePath)
-		return 1
-	}
-	fmt.Println("glign-perfgate: PASS")
-	return 0
-}
-
-// diffFiles is the offline mode: load two reports and print their delta
-// table. The current report's fingerprint drives the gating defaults.
-func diffFiles(basePath, curPath string, tolFlag float64) int {
-	base, err := perf.ReadReport(basePath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "glign-perfgate:", err)
-		return 2
-	}
-	cur, err := perf.ReadReport(curPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "glign-perfgate:", err)
-		return 2
-	}
-	diff := perf.Compare(base, cur, gateOptions(cur.Env, tolFlag))
-	fmt.Print(diff.Table())
-	if !diff.Pass {
-		return 1
-	}
-	return 0
-}
-
-// gateOptions resolves the diff options from the flag and environment.
-func gateOptions(env perf.Env, tolFlag float64) perf.DiffOptions {
-	opt := perf.DefaultDiffOptions(env)
-	if s := os.Getenv("GLIGN_PERF_TOLERANCE"); s != "" {
-		if v, err := strconv.ParseFloat(s, 64); err == nil && v > 0 {
-			opt.Tolerance = v
-		} else {
-			fmt.Fprintf(os.Stderr, "glign-perfgate: ignoring bad GLIGN_PERF_TOLERANCE=%q\n", s)
+		defer res.Release()
+		if !keep {
+			return nil, nil
 		}
-	}
-	if tolFlag > 0 {
-		opt.Tolerance = tolFlag
-	}
-	return opt
+		return res.AllQueryValues(o.Pool, o.Workers), nil
+	}}
 }
 
-// pinArtifact checks the committed benchmark artifact (BENCH_PRn.json)
-// against the baseline: schema version and matrix shape must match exactly.
-// Returns "" when the artifact holds, else the failure message.
-func pinArtifact(path string, baseline *perf.Report) string {
-	artifact, err := perf.ReadReport(path)
-	if err != nil {
-		return err.Error()
-	}
-	// Shape-only comparison: advisory times, strict key set.
-	opt := perf.DiffOptions{Tolerance: 1e9, MinDeltaNs: 1 << 62, GateParallel: false}
-	d := perf.Compare(baseline, artifact, opt)
-	if d.SchemaMismatch != "" {
-		return fmt.Sprintf("%s: %s", path, d.SchemaMismatch)
-	}
-	if d.Missing > 0 || d.New > 0 {
-		return fmt.Sprintf("%s: matrix shape drifted from the baseline (%d missing, %d new cells); regenerate the artifact alongside the baseline",
-			path, d.Missing, d.New)
-	}
-	return ""
+// refSide is the serial oracle itself, which shares no traversal code with
+// the engines: one golden evaluation a query.
+func refSide(in *input) side {
+	return side{"REF", func(bool) ([][]queries.Value, error) {
+		out := make([][]queries.Value, len(in.batch))
+		for i, q := range in.batch {
+			out[i] = oracle.GoldenValues(in.g, q)
+		}
+		return out, nil
+	}}
 }
 
-// summarize prints a short per-cell table for a bare run.
-func summarize(r *perf.Report) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-40s  %12s  %8s  %8s\n", "cell", "median", "steals", "imbal")
-	for _, c := range r.Cells {
-		fmt.Fprintf(&b, "%-40s  %9.3fms  %8d  %8.2f\n",
-			c.CellKey.String(), float64(c.NsPerOp)/1e6, c.Sched.Steals, c.Sched.ImbalanceRatio)
-	}
-	return b.String()
+// A cell is the ratio num÷den of two sides answering one input.
+type cell struct {
+	name     string
+	in       *input
+	num, den side
 }
 
-func splitCSV(s string) []string {
-	var out []string
-	for _, f := range strings.Split(s, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			out = append(out, f)
+// measure answers once with each side, held to the oracle, then times reps
+// runs of each, the two alternating and swapping order every other rep.
+func (c cell) measure(reps int) (result, error) {
+	sides := [2]side{c.num, c.den}
+	for _, s := range sides {
+		got, err := s.run(true)
+		if err == nil {
+			err = c.in.check(s.name, got)
+		}
+		if err != nil {
+			return result{}, fmt.Errorf("%s: %w", c.name, err)
 		}
 	}
-	return out
+	var times [2][]float64
+	for r := 0; r < reps; r++ {
+		for j := range sides {
+			k := j ^ (r & 1)
+			start := time.Now()
+			if _, err := sides[k].run(false); err != nil {
+				return result{}, fmt.Errorf("%s: %w", c.name, err)
+			}
+			times[k] = append(times[k], time.Since(start).Seconds())
+		}
+	}
+	nMin, nMax := slices.Min(times[0]), slices.Max(times[0])
+	dMin, dMax := slices.Min(times[1]), slices.Max(times[1])
+	return result{nMin, dMin, nMax / nMin, dMax / dMin}, nil
 }
 
-func splitInts(s string) ([]int, error) {
-	var out []int
-	for _, f := range splitCSV(s) {
-		v, err := strconv.Atoi(f)
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("bad worker count %q", f)
-		}
-		out = append(out, v)
+// gatedCells lays out the nine cells on graphs of size. Each ratio compares
+// two sides at one parallelism, so the serial oracle (REF) pairs only with
+// one worker; it is left out at B64 (0.6 s a rep), and Ligra-C is left out of
+// PageRank, where it runs Glign-Intra's Jacobi evaluator. done closes the
+// pools.
+func gatedCells(size graph.SizeClass) (cells []cell, done func()) {
+	pools := map[int]*par.Pool{1: par.NewPool(1), 2: par.NewPool(2)}
+	arenas := map[int]*core.Arena{1: new(core.Arena), 2: new(core.Arena)}
+	opt := func(w int) core.Options { return core.Options{Workers: w, Pool: pools[w], Arena: arenas[w]} }
+	gi := func(in *input, w int) side { return engineSide("GI", core.GlignIntra, in, opt(w), nil) }
+	lc := func(in *input, w int) side { return engineSide("LC", core.LigraC, in, opt(w), nil) }
+	add := func(in *input, w int, num, den side) {
+		cells = append(cells, cell{fmt.Sprintf("%s/w%d %s÷%s", in.name, w, num.name, den.name), in, num, den})
 	}
-	return out, nil
+	graphs := map[graph.Dataset]*graph.Graph{}
+	profiles := map[graph.Dataset]*align.Profile{}
+	draw := func(d graph.Dataset, k queries.Kernel, width int) *input {
+		if graphs[d] == nil {
+			graphs[d] = graph.MustGenerate(d, size)
+			profiles[d] = align.NewProfile(graphs[d], align.DefaultHubCount, 0)
+		}
+		srcs := workload.Sources(graphs[d], profiles[d], width, 3)
+		in := &input{name: fmt.Sprintf("%s/%s/B%d", d, k.Name(), width), g: graphs[d], batch: workload.Homogeneous(k, srcs)}
+		in.golden, _ = refSide(in).run(true)
+		return in
+	}
+
+	lj16 := draw(graph.LJ, queries.SSSP, 16)
+	add(lj16, 1, gi(lj16, 1), lc(lj16, 1))
+	add(lj16, 2, gi(lj16, 2), lc(lj16, 2))
+	add(lj16, 1, gi(lj16, 1), refSide(lj16))
+	add(lj16, 1, engineSide("GI+tel", core.GlignIntra, lj16, opt(1), telemetry.NewCollector()), gi(lj16, 1))
+	lj64 := draw(graph.LJ, queries.SSSP, 64)
+	add(lj64, 1, gi(lj64, 1), lc(lj64, 1))
+	rd := draw(graph.RDCA, queries.BFS, 16)
+	add(rd, 1, gi(rd, 1), lc(rd, 1))
+	add(rd, 2, gi(rd, 2), lc(rd, 2))
+	add(rd, 1, gi(rd, 1), refSide(rd))
+	pr := draw(graph.LJ, queries.PageRank, 2)
+	add(pr, 1, gi(pr, 1), refSide(pr))
+	return cells, func() {
+		for _, p := range pools {
+			p.Close()
+		}
+	}
 }

@@ -19,7 +19,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net/http"
@@ -31,6 +30,7 @@ import (
 	glign "github.com/glign/glign"
 	"github.com/glign/glign/internal/align"
 	"github.com/glign/glign/internal/graph"
+	"github.com/glign/glign/internal/perf"
 	"github.com/glign/glign/internal/telemetry"
 	"github.com/glign/glign/internal/workload"
 )
@@ -136,7 +136,7 @@ func run() error {
 			c.Iterations, c.EdgesProcessed, c.LaneRelaxations, c.ValueWrites, c.DelayedQueries)
 	}
 	if *metricOut != "" {
-		if err := writeMetrics(*metricOut, tel); err != nil {
+		if err := perf.WriteJSONAtomic(*metricOut, tel.Snapshot()); err != nil {
 			return err
 		}
 		fmt.Printf("telemetry snapshot written to %s\n", *metricOut)
@@ -146,15 +146,6 @@ func run() error {
 		select {}
 	}
 	return nil
-}
-
-// writeMetrics serializes the collector snapshot as indented JSON.
-func writeMetrics(path string, tel *glign.Telemetry) error {
-	raw, err := json.MarshalIndent(tel.Snapshot(), "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(raw, '\n'), 0o644)
 }
 
 func loadGraph(path string, directed bool, dataset, size string) (*glign.Graph, error) {

@@ -11,8 +11,8 @@ import (
 // path via a temp file in the same directory followed by an atomic rename.
 // A reader — or a process inspecting results/ after this one was killed —
 // either sees the previous complete file or the new complete file, never a
-// truncated prefix. Both the benchmark harness and cmd/glign-bench's
-// -metrics-out write through this one path.
+// truncated prefix. The perf gate's baseline and the -metrics-out snapshots
+// of cmd/glign and cmd/glign-bench all write through this one path.
 func WriteJSONAtomic(path string, v any) error {
 	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {

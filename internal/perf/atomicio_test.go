@@ -1,6 +1,7 @@
 package perf
 
 import (
+	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -57,11 +58,18 @@ func TestWriteJSONAtomicEndsWithNewline(t *testing.T) {
 	}
 }
 
+// killPayload is what the kill helper writes: a rep list and its sum, so a
+// torn write that spliced two versions would fail the sum check.
+type killPayload struct {
+	Reps []int64 `json:"reps"`
+	Sum  int64   `json:"sum"`
+}
+
 // TestAtomicWriteSurvivesKill spawns a helper process that rewrites one
 // report path in a tight loop, SIGKILLs it mid-flight, and then requires the
 // target to be either absent or a complete, valid report — never truncated.
-// This is the property cmd/glign-bench -metrics-out and the perf harness rely
-// on for sharing results/bench-report.json.
+// This is the property the -metrics-out snapshots and the perf gate's
+// baseline rely on.
 func TestAtomicWriteSurvivesKill(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess test")
@@ -94,13 +102,21 @@ func TestAtomicWriteSurvivesKill(t *testing.T) {
 	}
 	_ = cmd.Wait()
 
-	// The survivor must be a complete, parseable, valid report.
-	r, err := ReadReport(path)
+	// The survivor must be a complete, parseable, consistent report.
+	raw, err := os.ReadFile(path)
 	if err != nil {
+		t.Fatal(err)
+	}
+	var p killPayload
+	if err := json.Unmarshal(raw, &p); err != nil {
 		t.Fatalf("after SIGKILL mid-write, the report is corrupt: %v", err)
 	}
-	if len(r.Cells) == 0 {
-		t.Fatal("surviving report has no cells")
+	var sum int64
+	for _, ns := range p.Reps {
+		sum += ns
+	}
+	if len(p.Reps) == 0 || sum != p.Sum {
+		t.Fatalf("after SIGKILL mid-write, the report is inconsistent: %+v", p)
 	}
 	// Stray temp files are acceptable debris after SIGKILL, but the target
 	// itself must never be one of them.
@@ -116,14 +132,11 @@ func TestAtomicWriteKillHelper(t *testing.T) {
 		t.Skip("helper only runs as a subprocess")
 	}
 	path := os.Getenv("GLIGN_ATOMIC_KILL_PATH")
-	r := goldenReport()
 	for i := 0; ; i++ {
-		// Vary the payload so a torn write would be detectable as a median
+		// Vary the payload so a torn write would be detectable as a sum
 		// mismatch even if it spliced two versions.
 		ns := int64(1_000_000 + i%1000)
-		r.Cells[0].RepsNs = []int64{ns, ns, ns}
-		r.Cells[0].NsPerOp = ns
-		if err := r.WriteReport(path); err != nil {
+		if err := WriteJSONAtomic(path, killPayload{Reps: []int64{ns, ns, ns}, Sum: 3 * ns}); err != nil {
 			t.Fatal(err)
 		}
 	}

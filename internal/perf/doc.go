@@ -1,14 +1,6 @@
-// Package perf is the measured-performance tier: a benchmark harness that
-// executes a fixed matrix of methods x kernels x graphs x worker counts
-// (warmup + N repetitions, median-of-reps), emits a versioned glign.bench/v1
-// JSON report carrying per-cell ns/op, scheduler telemetry (steals, chunk
-// imbalance, parks) and an environment fingerprint, and a regression-diff
-// engine that compares a fresh report against a committed baseline with
-// per-cell noise tolerances.
-//
-// The harness exists because a throughput claim without a pinned,
-// machine-checked measurement is a benchmark fault waiting to happen: the
-// diff engine is what lets verify.sh treat "the hot path got slower" exactly
-// like "the linter found a new warning". cmd/glign-perfgate is the CLI;
-// EXPERIMENTS.md documents the knobs and the baseline-refresh workflow.
+// Package perf holds what every measurement writes beside its numbers: the
+// host fingerprint (Env, Fingerprint) and the atomic writers (WriteJSONAtomic,
+// WriteFileAtomic) that install a results file whole or not at all.
+// cmd/glign-perfgate, cmd/glign, cmd/glign-bench and the benchmark module use
+// them.
 package perf

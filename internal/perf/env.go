@@ -6,7 +6,18 @@ import (
 	"strings"
 )
 
-// Fingerprint captures the environment a report was measured under. The CPU
+// Env is the host fingerprint written beside every measurement: numbers
+// taken under different fingerprints are not comparable.
+type Env struct {
+	GoVersion  string `json:"go_version"`
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	CPUModel   string `json:"cpu_model"`
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+}
+
+// Fingerprint captures the environment a measurement is taken under. The CPU
 // model comes from /proc/cpuinfo on Linux; on other platforms (or when the
 // file is unreadable) it degrades to "unknown", which still compares stably
 // against baselines taken on the same box.

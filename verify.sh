@@ -99,21 +99,15 @@ GLIGN_ORACLE_OUT="$PWD/results/oracle-report.json" \
 test -s results/oracle-report.json
 
 echo "== measured-performance gate =="
-# Run the benchmark matrix (methods x kernels x graphs x workers 1/2/4/8,
-# warmup + reps, median-of-reps) and diff against the committed baseline —
-# EXPERIMENTS.md's "Measured performance" section. The fresh report is
-# archived under results/ and the committed BENCH_PR10.json artifact is
-# pinned to the baseline's schema and matrix shape. GLIGN_PERF_SKIP=1 skips
-# the leg (e.g. on a loaded box); GLIGN_PERF_TOLERANCE overrides the noise
-# tolerance. Cells with workers > 1 are advisory on a 1-CPU machine, and
-# regressed cells are re-measured with more reps before the gate fails.
+# Nine within-run ratio cells (Glign-Intra against Ligra-C, the serial oracle
+# and itself with telemetry on), each side's quiet-rep minimum over
+# alternating reps, held to the ratios in results/perf-baseline.json at a
+# tolerance of 1.2x — EXPERIMENTS.md's "Measured performance" section, ~15 s.
+# GLIGN_PERF_SKIP=1 skips the leg.
 if [ "${GLIGN_PERF_SKIP:-0}" = "1" ]; then
     echo "verify: perf gate skipped (GLIGN_PERF_SKIP=1)"
 else
-    go run ./cmd/glign-perfgate -check \
-        -bench BENCH_PR10.json \
-        -out results/bench-report.json
-    test -s results/bench-report.json
+    go run ./cmd/glign-perfgate
 fi
 
 echo "== go test -race (concurrent packages) =="
@@ -130,7 +124,6 @@ go test -race \
     ./internal/core/ \
     ./internal/frontier/ \
     ./internal/par/ \
-    ./internal/perf/ \
     ./internal/queries/ \
     ./internal/sched/ \
     ./internal/serve/ \

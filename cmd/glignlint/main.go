@@ -10,12 +10,9 @@
 //	hotalloc    — per-iteration allocations in traversal loops and par closures
 //	kernelmono  — relaxation only through the approved CAS helpers; pure kernels
 //	              (alias-aware, call-graph purity summaries)
-//	nilrecv     — nil-receiver guards on the nil-safe telemetry types
 //	parcapture  — par.For closures writing captured variables
 //	staleignore — //lint:ignore directives matching no finding of the run or
 //	              naming no registered analyzer
-//	waitjoin    — goroutines in internal/par, internal/core, internal/serve,
-//	              and internal/telemetry join on every exit path
 //
 // Usage:
 //

@@ -105,20 +105,6 @@ func TestParCaptureFixture(t *testing.T) {
 	}
 }
 
-func TestNilRecvFixture(t *testing.T) {
-	findings := runAnalyzer(t, "nilrecv", "testdata/src/nilrecv")
-	got := formatFindings(t, findings)
-	checkGolden(t, "nilrecv", got)
-	if active, suppressed := counts(findings); active < 2 || suppressed != 1 {
-		t.Errorf("want >=2 active and exactly 1 suppressed, got %d/%d:\n%s", active, suppressed, got)
-	}
-	for _, clean := range []string{"Observe", "helper"} {
-		if strings.Contains(got, clean) {
-			t.Errorf("false positive in %s:\n%s", clean, got)
-		}
-	}
-}
-
 func TestKernelMonoFixture(t *testing.T) {
 	findings := runAnalyzer(t, "kernelmono", "testdata/src/kernelmono")
 	got := formatFindings(t, findings)
@@ -145,57 +131,25 @@ func TestHotAllocFixture(t *testing.T) {
 	}
 }
 
-func TestWaitJoinFixture(t *testing.T) {
-	findings := runAnalyzer(t, "waitjoin", "testdata/src/waitjoin")
-	got := formatFindings(t, findings)
-	checkGolden(t, "waitjoin", got)
-	if active, suppressed := counts(findings); active < 2 || suppressed != 1 {
-		t.Errorf("want >=2 active and exactly 1 suppressed, got %d/%d:\n%s", active, suppressed, got)
-	}
-	for _, clean := range []string{"fanOut", "deferred", "collect", "in newPool "} {
-		if strings.Contains(got, clean) {
-			t.Errorf("false positive in %s:\n%s", clean, got)
-		}
-	}
-}
-
-// TestWaitJoinServeFixture pins the analyzer's serve-package scope: the live
-// server's two-goroutine lifecycle (wg field Add in the constructor, Wait in
-// Close) must pass the pool-structured model with no suppression, and a
-// detached launch in the same package must still fire.
-func TestWaitJoinServeFixture(t *testing.T) {
-	findings := runAnalyzer(t, "waitjoin", "testdata/src/waitjoin/serve")
-	got := formatFindings(t, findings)
-	checkGolden(t, "waitjoin-serve", got)
-	if active, suppressed := counts(findings); active != 1 || suppressed != 0 {
-		t.Errorf("want exactly 1 active and 0 suppressed, got %d/%d:\n%s", active, suppressed, got)
-	}
-	for _, clean := range []string{"newServer", "waitReply"} {
-		if strings.Contains(got, clean) {
-			t.Errorf("false positive in %s:\n%s", clean, got)
-		}
-	}
-}
-
-// TestStaleIgnoreFixture runs waitjoin together with staleignore: the
+// TestStaleIgnoreFixture runs parcapture together with staleignore: the
 // directive matching a live finding stays quiet, the rotted directive and the
 // one naming no registered analyzer are reported, and a stale report can
 // itself be suppressed.
 func TestStaleIgnoreFixture(t *testing.T) {
-	findings := runAnalyzer(t, "waitjoin,staleignore", "testdata/src/staleignore")
+	findings := runAnalyzer(t, "parcapture,staleignore", "testdata/src/staleignore")
 	got := formatFindings(t, findings)
 	checkGolden(t, "staleignore", got)
 	if active, suppressed := counts(findings); active != 2 || suppressed != 2 {
 		t.Errorf("want exactly 2 active and 2 suppressed, got %d/%d:\n%s", active, suppressed, got)
 	}
-	if !strings.Contains(got, "fixture.go:20:") {
-		t.Errorf("missing the stale-directive report in joined:\n%s", got)
+	if !strings.Contains(got, "fixture.go:28:") {
+		t.Errorf("missing the stale-directive report in published:\n%s", got)
 	}
 	if !strings.Contains(got, "glignlint/atomicmx names no registered analyzer") {
 		t.Errorf("missing the unregistered-analyzer report in typo:\n%s", got)
 	}
-	if strings.Contains(got, "fixture.go:13:") {
-		t.Errorf("false positive on the used directive in detach:\n%s", got)
+	if strings.Contains(got, "fixture.go:19:") {
+		t.Errorf("false positive on the used directive in racy:\n%s", got)
 	}
 }
 
@@ -208,7 +162,7 @@ func TestStaleIgnoreSubset(t *testing.T) {
 		analyzers string
 		hotalloc  int // stale reports naming the hotalloc directive
 	}{
-		{"waitjoin,staleignore", 0},
+		{"parcapture,staleignore", 0},
 		{"hotalloc,staleignore", 1},
 	} {
 		findings := runAnalyzer(t, tc.analyzers, "testdata/src/staleignore")
@@ -298,7 +252,7 @@ func TestHelpAnalyzersSorted(t *testing.T) {
 		names = append(names, strings.Fields(line)[0])
 	}
 	want := []string{"atomicmix", "doclint", "hotalloc", "kernelmono",
-		"nilrecv", "parcapture", "staleignore", "waitjoin"}
+		"parcapture", "staleignore"}
 	if strings.Join(names, " ") != strings.Join(want, " ") {
 		t.Errorf("catalogue lists %v, want %v:\n%s", names, want, out.String())
 	}

@@ -1,44 +1,49 @@
-// Package par (staleignore fixture) exercises unused-suppression detection:
-// a directive matching a live waitjoin finding is in use (clean), one whose
+// Package staleignore (fixture) exercises unused-suppression detection: a
+// directive matching a live parcapture finding is in use (clean), one whose
 // finding was fixed long ago is stale (reported), a stale one kept on purpose
 // is itself suppressed via glignlint/staleignore, and one naming no
 // registered analyzer is reported.
-package par
+package staleignore
 
-import "sync"
+import (
+	"sync/atomic"
 
-// detach launches without a join; the directive below matches the live
-// finding, so it is used and staleignore stays quiet about it.
-func detach(work func()) {
-	//lint:ignore glignlint/waitjoin fixture: fire-and-forget launch kept to exercise directive matching
-	go work()
+	"github.com/glign/glign/internal/par"
+)
+
+// racy writes a captured local from every worker; the directive below
+// matches the live finding, so it is used and staleignore stays quiet.
+func racy(xs []int) int {
+	total := 0
+	par.For(len(xs), 0, 1<<30, func(lo, hi int) {
+		//lint:ignore glignlint/parcapture fixture: captured write kept to exercise directive matching
+		total += hi - lo
+	})
+	return total
 }
 
-// joined was fixed to wait on its worker, but the directive rotted in place:
-// it matches nothing now and staleignore reports it.
+// published was fixed to publish with sync/atomic, but the directive rotted
+// in place: it matches nothing now and staleignore reports it.
 //
-//lint:ignore glignlint/waitjoin fixture: stale — the launch below was given a WaitGroup join
-func joined(work func()) {
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		work()
-	}()
-	wg.Wait()
+//lint:ignore glignlint/parcapture fixture: stale — the worker now publishes atomically
+func published(xs []int) int64 {
+	var total int64
+	par.For(len(xs), 0, 0, func(lo, hi int) {
+		atomic.AddInt64(&total, int64(hi-lo))
+	})
+	return total
 }
 
-// alsoJoined keeps its retired directive on purpose (say, for an imminent
+// alsoPublished keeps its retired directive on purpose (say, for an imminent
 // revert); the staleignore directive above it silences the stale report.
-func alsoJoined(work func()) {
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		work()
-	}()
-	//lint:ignore glignlint/staleignore fixture: retired suppression kept for an imminent revert
-	//lint:ignore glignlint/waitjoin fixture: stale on purpose — the launch is channel-joined
-	<-done
+func alsoPublished(dst []int) {
+	par.For(len(dst), 0, 0, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			//lint:ignore glignlint/staleignore fixture: retired suppression kept for an imminent revert
+			//lint:ignore glignlint/parcapture fixture: stale on purpose — the store is to disjoint elements
+			dst[i] = i
+		}
+	})
 }
 
 // subsetOnly carries a directive naming an analyzer (hotalloc) that the

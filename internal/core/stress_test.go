@@ -5,12 +5,48 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/glign/glign/internal/graph"
 	"github.com/glign/glign/internal/oracle"
+	"github.com/glign/glign/internal/par"
 	"github.com/glign/glign/internal/queries"
 	"github.com/glign/glign/internal/telemetry"
 )
+
+// leakCheck records the goroutine count, with the default pool's workers
+// already running, and returns a func that fails t unless the count is back
+// at or below it within 2 s, dumping every goroutine's stack if not.
+func leakCheck(t *testing.T) func() {
+	t.Helper()
+	par.Default()
+	before := runtime.NumGoroutine()
+	return func() {
+		t.Helper()
+		for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; time.Sleep(10 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<20)
+				t.Fatalf("%d goroutines after the run, %d before:\n%s",
+					runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+			}
+		}
+	}
+}
+
+// TestRunApartJoinsItsGoroutines holds RunApart's goroutine lifetime: the
+// goroutines it launches, four here, are all joined before it returns.
+func TestRunApartJoinsItsGoroutines(t *testing.T) {
+	noLeak := leakCheck(t)
+	g := graph.PaperExample()
+	var batch []queries.Query
+	for src := 0; src < 8; src++ {
+		batch = append(batch, queries.Query{Kernel: queries.SSSP, Source: graph.VertexID(src)})
+	}
+	if _, err := RunApart(g, batch, Options{Workers: 2}, 4); err != nil {
+		t.Fatal(err)
+	}
+	noLeak()
+}
 
 // TestConcurrentBatchStress drives several batches through the concurrent
 // engines at once — sharing one graph and one telemetry collector — across

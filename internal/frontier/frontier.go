@@ -41,10 +41,6 @@ func (s *Subset) Universe() int { return s.n }
 // Words exposes the underlying bitmap (read-only for callers).
 func (s *Subset) Words() []uint64 { return s.words }
 
-// WordsBytes returns the bitmap footprint in bytes (used by the Table 11
-// memory-footprint experiment).
-func (s *Subset) WordsBytes() int64 { return int64(len(s.words)) * 8 }
-
 // Add inserts v without synchronization. It reports whether v was newly
 // inserted. Use AddSync from concurrent writers.
 //
@@ -161,17 +157,6 @@ func UnionOf(pool *par.Pool, workers int, parts ...*Subset) *Subset {
 		func(a, b int) int { return a + b })
 	u.count.Store(int64(total))
 	return u
-}
-
-// OverlapCount returns |s ∩ o| (single-threaded, like UnionWith).
-//
-//lint:ignore glignlint/atomicmix read-only scan of quiesced frontiers (alignment profiling runs between traversals)
-func (s *Subset) OverlapCount(o *Subset) int {
-	total := 0
-	for i := range s.words {
-		total += bits.OnesCount64(s.words[i] & o.words[i])
-	}
-	return total
 }
 
 // sparseParWords and sparseParCount gate the parallel materialization path

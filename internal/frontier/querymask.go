@@ -15,8 +15,6 @@ import (
 type QueryMask struct {
 	n     int
 	masks []uint64
-	// active counts vertices with a non-zero mask.
-	active atomic.Int64
 }
 
 // NewQueryMask returns an empty mask set over n vertices. It supports
@@ -29,22 +27,14 @@ func NewQueryMask(n int) *QueryMask {
 const MaxQueries = 64
 
 // Set marks vertex v active for query q (0-based), with CAS so concurrent
-// writers are safe. It returns newBit (this call set a previously clear bit)
-// and firstForVertex (v transitioned from fully inactive); engines use the
-// latter to add v to a shared union frontier exactly once.
-func (m *QueryMask) Set(v graph.VertexID, q int) (newBit, firstForVertex bool) {
+// writers are safe.
+func (m *QueryMask) Set(v graph.VertexID, q int) {
 	b := uint64(1) << uint(q)
 	addr := &m.masks[v]
 	for {
 		old := atomic.LoadUint64(addr)
-		if old&b != 0 {
-			return false, false
-		}
-		if atomic.CompareAndSwapUint64(addr, old, old|b) {
-			if old == 0 {
-				m.active.Add(1)
-			}
-			return true, old == 0
+		if old&b != 0 || atomic.CompareAndSwapUint64(addr, old, old|b) {
+			return
 		}
 	}
 }
@@ -54,12 +44,6 @@ func (m *QueryMask) Get(v graph.VertexID) uint64 {
 	return atomic.LoadUint64(&m.masks[v])
 }
 
-// AnyActive reports whether any vertex is active for any query.
-func (m *QueryMask) AnyActive() bool { return m.active.Load() > 0 }
-
-// ActiveVertices returns the count of vertices active for at least one query.
-func (m *QueryMask) ActiveVertices() int { return int(m.active.Load()) }
-
 // Clear deactivates everything, retaining capacity. Callers quiesce first.
 //
 //lint:ignore glignlint/atomicmix bulk reset in a quiesced phase; no concurrent Set can be in flight
@@ -67,8 +51,4 @@ func (m *QueryMask) Clear() {
 	for i := range m.masks {
 		m.masks[i] = 0
 	}
-	m.active.Store(0)
 }
-
-// Bytes returns the footprint of the mask array.
-func (m *QueryMask) Bytes() int64 { return int64(len(m.masks)) * 8 }

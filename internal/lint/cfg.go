@@ -14,9 +14,8 @@ import (
 //
 // Two pseudo-blocks terminate every function: Exit collects normal
 // terminations (returns and falling off the end), Panic collects panicking
-// paths. Deferred statements are recorded in Defers rather than spliced into
-// the edge structure — they run on *every* termination, so analyses treat
-// them as a postlude to both Exit and Panic.
+// paths. A defer statement is a straight-line node where it appears; its
+// deferred call is not spliced into the edges to Exit or Panic.
 type CFG struct {
 	// Entry is the first block executed; Blocks[0].
 	Entry *Block
@@ -26,9 +25,6 @@ type CFG struct {
 	Panic *Block
 	// Blocks lists every block, Entry first, in creation order.
 	Blocks []*Block
-	// Defers lists the defer statements of the body in source order; they
-	// execute (in reverse) on every path into Exit or Panic.
-	Defers []*ast.DeferStmt
 }
 
 // Block is one straight-line run of statements with a single entry point.
@@ -320,10 +316,6 @@ func (b *cfgBuilder) stmt(s ast.Stmt, label string) {
 		b.edge(b.cur, b.c.Exit)
 		b.cur = nil
 
-	case *ast.DeferStmt:
-		b.c.Defers = append(b.c.Defers, x)
-		b.add(x)
-
 	case *ast.ExprStmt:
 		b.add(x)
 		if isPanicCall(x.X) {
@@ -335,8 +327,8 @@ func (b *cfgBuilder) stmt(s ast.Stmt, label string) {
 		// nothing
 
 	default:
-		// Assignments, declarations, go/send/incdec/empty statements are
-		// straight-line nodes.
+		// Assignments, declarations, go/defer/send/incdec/empty statements
+		// are straight-line nodes.
 		b.add(s)
 	}
 }

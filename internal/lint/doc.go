@@ -8,9 +8,8 @@
 // mix sync/atomic relaxation with plain loads under the hand-rolled par.For
 // runtime. Those are exactly the invariants that convention alone cannot
 // keep: a plain read of a CAS-updated value array cell, a closure passed to
-// par.For that writes a captured variable, a telemetry method missing its
-// nil-receiver guard, an allocation repeated every traversal iteration, a
-// worker goroutine leaked past return. Each analyzer machine-checks one such
+// par.For that writes a captured variable, an allocation repeated every
+// traversal iteration. Each analyzer machine-checks one such
 // invariant; see LINTING.md for the catalogue and the paper sections that
 // motivate them.
 //

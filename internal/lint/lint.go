@@ -93,10 +93,8 @@ func All() []*Analyzer {
 		DocLint(),
 		HotAlloc(),
 		KernelMono(),
-		NilRecv(),
 		ParCapture(),
 		StaleIgnore(),
-		WaitJoin(),
 	}
 	sort.Slice(as, func(i, j int) bool { return as[i].Name < as[j].Name })
 	return as

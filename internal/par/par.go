@@ -88,9 +88,8 @@ type Pool struct {
 	workers int
 	jobs    chan *job
 	quit    chan struct{}
-	// wg joins the long-lived workers; Close waits on it. The waitjoin
-	// analyzer models exactly this pattern (Add before the launch here,
-	// Wait in Close) as the persistent-pool lifetime contract.
+	// wg joins the long-lived workers: Add before the launches in NewPool,
+	// Wait in Close (TestPoolCloseJoinsWorkers holds it).
 	wg     sync.WaitGroup
 	closed atomic.Bool
 

@@ -6,7 +6,41 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
+
+// leakCheck records the goroutine count, with the default pool's workers
+// already running, and returns a func that fails t unless the count is back
+// at or below it within 2 s, dumping every goroutine's stack if not.
+func leakCheck(t *testing.T) func() {
+	t.Helper()
+	Default()
+	before := runtime.NumGoroutine()
+	return func() {
+		t.Helper()
+		for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; time.Sleep(10 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<20)
+				t.Fatalf("%d goroutines after the run, %d before:\n%s",
+					runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+			}
+		}
+	}
+}
+
+// TestPoolCloseJoinsWorkers holds the pool's goroutine lifetime: NewPool
+// launches its workers, For runs on them, and Close joins every one.
+func TestPoolCloseJoinsWorkers(t *testing.T) {
+	noLeak := leakCheck(t)
+	p := NewPool(4)
+	var sum atomic.Int64
+	p.For(1000, 4, 1, func(lo, hi int) { sum.Add(int64(hi - lo)) })
+	p.Close()
+	if sum.Load() != 1000 {
+		t.Fatalf("For covered %d of 1000 indices", sum.Load())
+	}
+	noLeak()
+}
 
 // TestConcurrentPoolStress hammers one shared Pool with concurrent For and
 // ForReduce loops from many goroutines across GOMAXPROCS 1, 2 and 8. Its job

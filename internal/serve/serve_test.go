@@ -3,12 +3,14 @@ package serve
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
 	"github.com/glign/glign/internal/core"
 	"github.com/glign/glign/internal/engine"
 	"github.com/glign/glign/internal/graph"
+	"github.com/glign/glign/internal/par"
 	"github.com/glign/glign/internal/queries"
 	"github.com/glign/glign/internal/systems"
 	"github.com/glign/glign/internal/telemetry"
@@ -400,4 +402,50 @@ func TestCloseIdempotent(t *testing.T) {
 	if _, err := s.Submit(context.Background(), queries.Query{Kernel: queries.BFS, Source: 0}); !errors.Is(err, ErrClosed) {
 		t.Errorf("submit after close: err = %v, want ErrClosed", err)
 	}
+}
+
+// leakCheck records the goroutine count, with the default pool's workers
+// already running, and returns a func that fails t unless the count is back
+// at or below it within 2 s, dumping every goroutine's stack if not.
+func leakCheck(t *testing.T) func() {
+	t.Helper()
+	par.Default()
+	before := runtime.NumGoroutine()
+	return func() {
+		t.Helper()
+		for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; time.Sleep(10 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<20)
+				t.Fatalf("%d goroutines after the run, %d before:\n%s",
+					runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+			}
+		}
+	}
+}
+
+// TestServerCloseJoinsGoroutines holds the server's goroutine lifetime: New
+// launches the batcher and the executor, and Close joins both after draining
+// everything admitted. Six queries against a size cap of 4 and a window that
+// never fires leave two queued until Close's drain flushes them.
+func TestServerCloseJoinsGoroutines(t *testing.T) {
+	noLeak := leakCheck(t)
+	s := startServer(t, NewFakeClock(time.Unix(0, 0)), func(c *Config) { c.Window = time.Hour })
+	var tickets []*Ticket
+	for src := 0; src < 6; src++ {
+		tk, err := s.Submit(context.Background(), queries.Query{Kernel: queries.BFS, Source: graph.VertexID(src)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tickets = append(tickets, tk)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tk := range tickets {
+		mustValues(t, testGraph(), tk)
+	}
+	if st := s.Stats(); st.DrainFlushes != 1 || st.Completed != 6 {
+		t.Errorf("stats = %+v, want 1 drain flush and 6 completed", st)
+	}
+	noLeak()
 }

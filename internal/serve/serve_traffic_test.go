@@ -621,6 +621,9 @@ func TestServeEndToEndSession(t *testing.T) {
 	}
 	<-gate.entered // BFS{5,6} executing, gate held
 	spinUntil(t, "busy batch dispatched", func() bool { return s.Stats().QueueDepth == 0 })
+	// Read before the submits: the batcher may take {7, 8} before Submit
+	// returns.
+	sizeFlushesBefore := s.Stats().SizeFlushes
 	for _, src := range []int{7, 8} {
 		tk, err := s.Submit(ctx, bfs(src))
 		if err != nil {
@@ -628,7 +631,6 @@ func TestServeEndToEndSession(t *testing.T) {
 		}
 		busy = append(busy, tk)
 	}
-	sizeFlushesBefore := s.Stats().SizeFlushes
 	spinUntil(t, "handoff batch taken", func() bool { return s.Stats().SizeFlushes > sizeFlushesBefore })
 
 	lowA, err := s.SubmitWith(ctx, bfs(0), SubmitOptions{Tier: TierLow})

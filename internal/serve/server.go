@@ -75,9 +75,6 @@ type Config struct {
 	// AdmissionFCFS, AdmissionAffinity, or empty to follow the method
 	// (affinity methods rank, FCFS methods keep arrival order).
 	AdmissionPolicy string
-	// ReorderWindow is the affinity-batching reorder window B_w passed to
-	// the method's policy (<= 0: the whole flushed buffer).
-	ReorderWindow int
 	// Workers bounds intra-batch parallelism (<= 0: GOMAXPROCS); Pool is
 	// the work-stealing scheduler the engines run on (nil: shared default).
 	Workers int
@@ -209,9 +206,8 @@ type Server struct {
 
 	wake    chan struct{}
 	batches chan *formedBatch
-	// wg joins the batcher and executor; Close waits on it — the
-	// persistent-pool lifetime the waitjoin analyzer models (Add before the
-	// launches here, Wait in Close).
+	// wg joins the batcher and executor: Add before the launches in New, Wait
+	// in Close (TestServerCloseJoinsGoroutines holds it).
 	wg      sync.WaitGroup
 	started time.Time
 
@@ -274,7 +270,6 @@ func New(g *graph.Graph, cfg Config) (*Server, error) {
 		BatchSize: cfg.BatchSize,
 		Workers:   cfg.Workers,
 		Pool:      cfg.Pool,
-		Window:    cfg.ReorderWindow,
 	}, run)
 	if err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"encoding/json"
 	"expvar"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -11,29 +12,42 @@ import (
 	"github.com/glign/glign/internal/par"
 )
 
+// TestNilSafety holds the nil-safe contract (OBSERVABILITY.md "Overhead"):
+// every exported method of the three trace types, called on a nil receiver
+// with zero-valued arguments, returns without panicking and yields only zero
+// values. The methods are enumerated by reflection, so a new method without
+// its nil guard, or with a value receiver, fails here.
 func TestNilSafety(t *testing.T) {
-	var c *Collector
-	r := c.StartRun("Glign", "Affinity")
-	if r != nil {
-		t.Fatalf("StartRun on nil collector = %v, want nil", r)
-	}
-	b := r.StartBatch("Glign-Intra", []int{0, 1}, nil)
-	if b != nil {
-		t.Fatalf("StartBatch on nil run = %v, want nil", b)
-	}
-	// None of these may panic.
-	b.RecordIteration(IterationStat{Iter: 0, FrontierSize: 1})
-	b.Finish(time.Second)
-	r.RecordDecision(BatchingDecision{Policy: "Affinity"})
-	r.Finish(time.Second)
-	if s := c.Snapshot(); s != nil {
-		t.Fatalf("Snapshot of nil collector = %v, want nil", s)
-	}
-	if s := r.Snapshot(); s != nil {
-		t.Fatalf("Snapshot of nil run = %v, want nil", s)
-	}
-	if s := b.Snapshot(); s != nil {
-		t.Fatalf("Snapshot of nil batch = %v, want nil", s)
+	for _, typ := range []reflect.Type{
+		reflect.TypeOf((*Collector)(nil)),
+		reflect.TypeOf((*RunTrace)(nil)),
+		reflect.TypeOf((*BatchTrace)(nil)),
+	} {
+		if typ.NumMethod() == 0 {
+			t.Fatalf("%v has no exported methods", typ)
+		}
+		for i := 0; i < typ.NumMethod(); i++ {
+			m := typ.Method(i)
+			args := []reflect.Value{reflect.Zero(typ)}
+			for j := 1; j < m.Type.NumIn(); j++ {
+				args = append(args, reflect.Zero(m.Type.In(j)))
+			}
+			if m.Type.IsVariadic() {
+				args = args[:len(args)-1]
+			}
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Errorf("(%v).%s panics on a nil receiver: %v", typ, m.Name, p)
+					}
+				}()
+				for k, out := range m.Func.Call(args) {
+					if !out.IsZero() {
+						t.Errorf("(%v).%s result %d on a nil receiver = %v, want the zero value", typ, m.Name, k, out)
+					}
+				}
+			}()
+		}
 	}
 }
 

@@ -12,9 +12,8 @@ echo "== go vet =="
 go vet ./...
 
 echo "== glignlint (concurrency + engine invariants) =="
-# The eight project analyzers (atomicmix, doclint, hotalloc, kernelmono,
-# nilrecv, parcapture, staleignore, waitjoin); LINTING.md documents each
-# invariant. One invocation
+# The six project analyzers (atomicmix, doclint, hotalloc, kernelmono,
+# parcapture, staleignore); LINTING.md documents each invariant. One invocation
 # lints the whole module — the linter's own implementation and the command
 # tree included, so it holds itself to the invariants it enforces — and
 # writes both the machine-readable report archived under results/ and the
@@ -32,7 +31,8 @@ if ! diff -u results/lint-baseline.json /tmp/glign-lint-baseline.json; then
 fi
 # Every registered analyzer must ship a fixture tree and a golden file —
 # an analyzer nothing exercises is an invariant nobody checks.
-for a in $(go run ./cmd/glignlint -help-analyzers | awk '{print $1}'); do
+registered=$(go run ./cmd/glignlint -help-analyzers | awk '{printf " %s", $1}')
+for a in $registered; do
     if [ ! -d "cmd/glignlint/testdata/src/$a" ]; then
         echo "verify: analyzer $a has no fixture under cmd/glignlint/testdata/src/" >&2
         exit 1
@@ -42,6 +42,18 @@ for a in $(go run ./cmd/glignlint -help-analyzers | awk '{print $1}'); do
         echo "  (an empty golden means the fixture exercises nothing)" >&2
         exit 1
     fi
+done
+# ...and every fixture directory and golden (its name before any -suffix)
+# must belong to a registered analyzer, so a retired one leaves no orphans.
+for f in cmd/glignlint/testdata/src/* cmd/glignlint/testdata/golden/*; do
+    name=$(basename "$f" .txt)
+    case "$registered " in
+    *" ${name%%-*} "*) ;;
+    *)
+        echo "verify: $f names no registered analyzer" >&2
+        exit 1
+        ;;
+    esac
 done
 
 echo "== doc links =="
@@ -117,8 +129,9 @@ echo "== go test -race (concurrent packages) =="
 # baselines (internal/baselines: Congra's concurrent one-query batches over
 # one pool and one arena, Query-Parallel's per-query evaluations on pool
 # workers), and the live serving loop's deterministic-clock suite
-# (internal/serve, now including the convergence/KHop e2e). internal/engine
-# is a serial oracle and has no concurrency of its own.
+# (internal/serve, now including the convergence/KHop e2e). The goroutine
+# leak tests of par, core and serve run here too. internal/engine is a serial
+# oracle and has no concurrency of its own.
 go test -race \
     ./internal/baselines/ \
     ./internal/core/ \

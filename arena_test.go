@@ -54,8 +54,9 @@ func TestRuntimeConcurrentRuns(t *testing.T) {
 
 // TestWarmedRunAllocatesOnlyResults bounds what one Run of a warmed Runtime
 // allocates: the result vectors of its Report (|buffer|·n values) plus 15 %.
-// The batch value array, the Jacobi slabs and geometry (a graph reversal) and
-// the changed-lane mask come from the runtime's arena, so a convergence
+// The batch value array, the Jacobi slabs and geometry (a graph reversal), the
+// changed-lane mask and the push workers' frontier accumulators come from the
+// runtime's arena, so a convergence
 // buffer's surplus also stays under one value array (n·B values), at the
 // serving path's narrow widths too. What a
 // batch still makes for itself — its frontier pair and their member lists,

@@ -19,7 +19,9 @@ import (
 //     and returned inside the run, and the jacobiGeometry of the owner's
 //     graph, which is immutable and so shared rather than taken;
 //   - the changed-lane mask of the query-oblivious engine, returned only by a
-//     batch that reached its fixed point (see laneMask).
+//     batch that reached its fixed point (see laneMask);
+//   - the push workers' accumulators of the query-oblivious engine
+//     (scratches), empty after every batch.
 //
 // The zero Arena is empty and ready: nothing is allocated until a batch needs
 // it, and each structure stays at the largest size a batch has needed for as
@@ -33,6 +35,7 @@ import (
 type Arena struct {
 	vals  atomic.Pointer[queries.Values]
 	mask  atomic.Pointer[laneMask] // all-zero over its whole capacity
+	push  atomic.Pointer[scratches]
 	slabs atomic.Pointer[jacobiSlabs]
 	geo   atomic.Pointer[jacobiGeometry]
 }
@@ -84,6 +87,33 @@ func (a *Arena) takeMask(n, b int) *laneMask {
 func (a *Arena) releaseMask(m *laneMask) {
 	if a != nil && m != nil {
 		a.mask.Store(m)
+	}
+}
+
+// takeScratches returns scratches with no scratch made yet, on the arena's
+// accumulators resized to n vertices.
+func (a *Arena) takeScratches(n int) *scratches {
+	var s *scratches
+	if a != nil {
+		s = a.push.Swap(nil)
+	}
+	if s == nil {
+		return &scratches{}
+	}
+	for i, acc := range s.accs {
+		s.accs[i] = acc.Resized(n)
+	}
+	return s
+}
+
+// releaseScratches makes s's accumulators the ones the next takeScratches
+// finds, and lets its scratches go. Only scratches whose run's pushers were
+// all followed by an Advance may come back: their accumulators are empty.
+func (a *Arena) releaseScratches(s *scratches) {
+	if a != nil {
+		clear(s.idle[:cap(s.idle)])
+		s.idle, s.made = s.idle[:0], 0
+		a.push.Store(s)
 	}
 }
 

@@ -43,23 +43,27 @@ func runOblivious(g *graph.Graph, batch []queries.Query, opt Options, query int)
 		p = newObliviousPolicy(g, st, opt.Arena)
 		return p
 	})
-	// At a fixed point the mask is all-zero again (see laneMask) and serves
-	// the next batch; a capped run can stop with bits set, and a traced one
-	// advances its model's frontier, not p.cur, so their masks are dropped.
-	if p != nil && err == nil && opt.Tracer == nil && p.cur.IsEmpty() {
+	if p == nil {
+		return res, err
+	}
+	// Every Advance empties the accumulators, so the scratches always go
+	// back. At a fixed point the mask is all-zero again (see laneMask) and
+	// serves the next batch; a capped run can stop with bits set, and a traced
+	// one advances its model's frontier, not p.cur, so their masks are dropped.
+	opt.Arena.releaseScratches(p.scratch)
+	if opt.Tracer == nil && p.cur.IsEmpty() {
 		opt.Arena.releaseMask(p.dirty)
 	}
 	return res, err
 }
 
 func newObliviousPolicy(g *graph.Graph, st *BatchSetup, arena *Arena) *obliviousPolicy {
-	p := &obliviousPolicy{
+	return &obliviousPolicy{
 		g: g, st: st,
 		cur: frontier.New(st.N), next: frontier.New(st.N),
-		dirty: arena.takeMask(st.N, st.B),
+		dirty:   arena.takeMask(st.N, st.B),
+		scratch: arena.takeScratches(st.N),
 	}
-	p.scratch.New = func() any { return newLaneScratch(st) }
-	return p
 }
 
 // Frontiers evaluates q alone, as GlignIntra's one-query batch, and returns
@@ -91,14 +95,15 @@ func (r *recorder) Step() Step {
 }
 
 // obliviousPolicy keeps the unified frontier pair and one changed-lane mask.
-// Its step is a push over the frontier's members.
+// Its step is a push over the frontier's members; the pushers fill the next
+// frontier in their scratches' private accumulators, and Advance merges them.
 type obliviousPolicy struct {
 	g         *graph.Graph
 	st        *BatchSetup
 	cur, next *frontier.Subset
 	active    []graph.VertexID
 	dirty     *laneMask
-	scratch   sync.Pool // of *laneScratch: one a worker for the run, not one a chunk
+	scratch   *scratches // one a worker for the run, not one a chunk
 }
 
 func (p *obliviousPolicy) Inject(src graph.VertexID, lane int) {
@@ -111,18 +116,21 @@ func (p *obliviousPolicy) Step() Step {
 	return Step{Size: len(p.active), Total: len(p.active), Body: p.push}
 }
 
+// Advance runs after the pushers joined (pool.For returned), so every
+// accumulator a scratch filled is settled and in p.scratch.accs.
 func (p *obliviousPolicy) Advance() {
+	p.next.Merge(p.scratch.accs...)
 	p.cur, p.next = p.next, p.cur
 	p.next.Clear()
 }
 
 // push relaxes every out-edge of the active vertices [lo, hi) in the lanes
-// that changed since the vertex last pushed. A vertex none changed at — one
-// that pushed its news earlier in the iteration that activated it — is
-// skipped.
+// that changed since the vertex last pushed, and adds each destination it
+// improved to its scratch's accumulator. A vertex none changed at — one that
+// pushed its news earlier in the iteration that activated it — is skipped.
 func (p *obliviousPolicy) push(lo, hi int) Counts {
-	st, s := p.st, p.scratch.Get().(*laneScratch)
-	defer p.scratch.Put(s)
+	st, s := p.st, p.scratch.get(p.st)
+	defer p.scratch.put(s)
 	var c Counts
 	for _, v := range p.active[lo:hi] {
 		changed := s.claim(p, int(v))
@@ -136,7 +144,7 @@ func (p *obliviousPolicy) push(lo, hi int) Counts {
 			if improved := s.relax(st, int(d), WeightAt(ws, j)); improved > 0 {
 				c.Writes += int64(improved)
 				p.dirty.mark(int(d), s.improved)
-				p.next.AddSync(d)
+				s.next.Add(d)
 			}
 		}
 	}
@@ -150,16 +158,17 @@ func (p *obliviousPolicy) push(lo, hi int) Counts {
 // before the vertex pushes in the same iteration rides along with that push.
 //
 // Exactness rests on two orderings. A writer installs the value (CAS), then
-// marks, then adds the vertex to the next frontier; a pusher claims (swaps
-// the words to zero), then loads the row. So a change is either marked before
-// the claim — and the load, which follows the claim, sees it — or marked
-// after, and then the bit stands and the vertex is in the next frontier to
-// push it. Every marked vertex is in the frontier its marker fills and every
-// frontier member is claimed, so at a fixed point, where the frontier is
-// empty, the mask is all-zero — which is what lets an Arena hand it to the
-// owner's next batch with no clearing pass, where a batch of two or three
-// queries, for which a word a vertex is a good part of a row, would otherwise
-// allocate one.
+// marks, then adds the vertex to its private accumulator, which pool.For's
+// join publishes before Advance merges it into the next frontier; a pusher
+// claims (swaps the words to zero), then loads the row. So a change is either
+// marked before the claim — and the load, which follows the claim, sees it —
+// or marked after, and then the bit stands and the vertex is in the next
+// frontier to push it. Every marked vertex is in the frontier its marker
+// fills and every frontier member is claimed, so at a fixed point, where the
+// frontier is empty, the mask is all-zero — which is what lets an Arena hand
+// it to the owner's next batch with no clearing pass, where a batch of two or
+// three queries, for which a word a vertex is a good part of a row, would
+// otherwise allocate one.
 //
 // A batch of one query keeps none (a nil *laneMask, whose methods claim the
 // one lane every time and mark nothing): its frontier bit is its lane bit.
@@ -245,9 +254,46 @@ func groupLanes(kinds []queries.OpKind) (groups []laneGroup) {
 	return groups
 }
 
+// scratches hands each chunk of a run a laneScratch and takes it back. Unlike
+// a sync.Pool, which may drop what it holds at any collection, it never lets
+// one go: a scratch carries the destinations its chunks improved until
+// Advance merges them, so accs holds the accumulator of every scratch the run
+// made (accs[:made]) and, after them, the spares an arena kept.
+type scratches struct {
+	mu   sync.Mutex
+	idle []*laneScratch
+	made int
+	accs []*frontier.Accumulator // over the batch's universe, empty between iterations
+}
+
+// get returns an idle scratch, or a new one on the next accumulator.
+func (s *scratches) get(st *BatchSetup) *laneScratch {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if n := len(s.idle); n > 0 {
+		ls := s.idle[n-1]
+		s.idle = s.idle[:n-1]
+		return ls
+	}
+	if s.made == len(s.accs) {
+		s.accs = append(s.accs, frontier.NewAccumulator(st.N))
+	}
+	ls := newLaneScratch(st, s.accs[s.made])
+	s.made++
+	return ls
+}
+
+// put makes ls idle again.
+func (s *scratches) put(ls *laneScratch) {
+	s.mu.Lock()
+	s.idle = append(s.idle, ls)
+	s.mu.Unlock()
+}
+
 // laneScratch is a worker's view of one source vertex: a snapshot of its row
 // in the lanes being relaxed, those lanes as the groups relax runs over, and
-// the mask words claim and relax fill.
+// the mask words claim and relax fill — and the worker's share of the next
+// frontier.
 type laneScratch struct {
 	src      []queries.Value
 	cand     []queries.Value // candidate row of the row kernels
@@ -257,9 +303,10 @@ type laneScratch struct {
 	row      queries.OpKind // the kind to run the row kernel for; OpCustom: relax groups lane by lane
 	lanes    []int32        // backing of part's lanes
 	part     []laneGroup    // backing of groups when fewer than all lanes changed
+	next     *frontier.Accumulator
 }
 
-func newLaneScratch(st *BatchSetup) *laneScratch {
+func newLaneScratch(st *BatchSetup, next *frontier.Accumulator) *laneScratch {
 	rows := make([]queries.Value, 2*st.B)
 	words := make([]uint64, 2*((st.B+63)/64))
 	return &laneScratch{
@@ -269,6 +316,7 @@ func newLaneScratch(st *BatchSetup) *laneScratch {
 		improved: words[len(words)/2:],
 		lanes:    make([]int32, 0, st.B),
 		part:     make([]laneGroup, 0, len(st.groups)),
+		next:     next,
 	}
 }
 

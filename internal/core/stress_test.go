@@ -3,10 +3,12 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/glign/glign/internal/frontier"
 	"github.com/glign/glign/internal/graph"
 	"github.com/glign/glign/internal/oracle"
 	"github.com/glign/glign/internal/par"
@@ -145,6 +147,64 @@ func checkArenaMaskClean(t *testing.T, a *Arena) {
 		if w != 0 {
 			t.Fatalf("the recycled lane mask has word %d = %#x", i, w)
 		}
+	}
+}
+
+// checkArenaScratchesClean holds the arena's push accumulators to their
+// invariant: after every batch, each is empty — merging them into an empty
+// subset over the n vertices of the batch's graph adds nothing — and no
+// scratch of the run is left on them.
+func checkArenaScratchesClean(t *testing.T, a *Arena, n int) {
+	t.Helper()
+	if a == nil {
+		return
+	}
+	s := a.push.Swap(nil) // taken out, so no batch fills them meanwhile
+	if s == nil {
+		return
+	}
+	defer a.push.Store(s)
+	if s.made != 0 || len(s.idle) != 0 {
+		t.Fatalf("the recycled scratches still count %d made, %d idle", s.made, len(s.idle))
+	}
+	for i, acc := range s.accs {
+		got := frontier.New(n)
+		got.Merge(acc)
+		if !got.IsEmpty() {
+			t.Fatalf("recycled accumulator %d held %d vertices: %v", i, got.Count(), got.Sparse())
+		}
+	}
+}
+
+// TestObliviousPushersUnderGC runs Glign-Intra batches with a collection
+// every few allocations (debug.SetGCPercent(1)), so collections land
+// mid-iteration while push workers hold unmerged accumulators, across
+// GOMAXPROCS 1, 2 and 8 (verify.sh runs this package under -race). Every
+// batch must equal engine.ReferenceRun bit for bit and leave the arena's
+// accumulators empty: a scratch lost to the collector would lose vertices of
+// the next frontier, and with them answers.
+func TestObliviousPushersUnderGC(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(1))
+	social, road := graph.MustGenerate(graph.LJ, graph.Tiny), graph.MustGenerate(graph.RDCA, graph.Small)
+	bfs := func(b int) []queries.Query {
+		batch := stressBatch(b)
+		for i := range batch {
+			batch[i].Kernel = queries.BFS
+		}
+		return batch
+	}
+	for _, procs := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("gomaxprocs=%d", procs), func(t *testing.T) {
+			prev := runtime.GOMAXPROCS(procs)
+			defer runtime.GOMAXPROCS(prev)
+			arena := new(Arena)
+			for _, c := range []struct {
+				g     *graph.Graph
+				batch []queries.Query
+			}{{social, stressBatch(13)}, {road, bfs(1)}, {road, bfs(8)}, {social, bfs(1)}} {
+				checkAgainstReference(t, c.g, c.batch, GlignIntra, Options{Workers: procs + 1, Arena: arena})
+			}
+		})
 	}
 }
 

@@ -16,9 +16,9 @@ type Subset struct {
 	count atomic.Int64
 
 	// sparse caches the materialized vertex list; it is invalidated by any
-	// mutation. Only valid when sparseOK.
+	// mutation. Only valid when sparseOK, which concurrent AddSyncs clear.
 	sparse   []graph.VertexID
-	sparseOK bool
+	sparseOK atomic.Bool
 }
 
 // New returns an empty subset over n vertices.
@@ -52,7 +52,7 @@ func (s *Subset) Add(v graph.VertexID) bool {
 	}
 	s.words[w] |= b
 	s.count.Add(1)
-	s.sparseOK = false
+	s.invalidate()
 	return true
 }
 
@@ -68,8 +68,17 @@ func (s *Subset) AddSync(v graph.VertexID) bool {
 		}
 		if atomic.CompareAndSwapUint64(addr, old, old|b) {
 			s.count.Add(1)
+			s.invalidate()
 			return true
 		}
+	}
+}
+
+// invalidate drops the cached member list. It stores only when the cache is
+// valid, so a run of insertions writes the flag's line once.
+func (s *Subset) invalidate() {
+	if s.sparseOK.Load() {
+		s.sparseOK.Store(false)
 	}
 }
 
@@ -95,7 +104,7 @@ func (s *Subset) Clear() {
 	}
 	s.count.Store(0)
 	s.sparse = s.sparse[:0]
-	s.sparseOK = false
+	s.invalidate()
 }
 
 // Clone returns an independent copy.
@@ -118,7 +127,7 @@ func (s *Subset) UnionWith(o *Subset) {
 		total += bits.OnesCount64(s.words[i])
 	}
 	s.count.Store(int64(total))
-	s.sparseOK = false
+	s.invalidate()
 }
 
 // UnionOf builds the union of parts (which must share one universe) with one
@@ -183,7 +192,7 @@ const sparseBlockWords = 256
 //
 //lint:ignore glignlint/atomicmix materialization happens between iterations by contract; the bitmap is quiesced
 func (s *Subset) Sparse() []graph.VertexID {
-	if s.sparseOK {
+	if s.sparseOK.Load() {
 		return s.sparse
 	}
 	if len(s.words) >= sparseParWords && s.Count() >= sparseParCount {
@@ -232,7 +241,7 @@ func (s *Subset) Sparse() []graph.VertexID {
 				}
 			}
 		})
-		s.sparseOK = true
+		s.sparseOK.Store(true)
 		return s.sparse
 	}
 	s.sparse = s.sparse[:0]
@@ -243,7 +252,7 @@ func (s *Subset) Sparse() []graph.VertexID {
 			w &^= 1 << b
 		}
 	}
-	s.sparseOK = true
+	s.sparseOK.Store(true)
 	return s.sparse
 }
 

@@ -50,6 +50,20 @@ func TestSparseSortedAndCached(t *testing.T) {
 	}
 }
 
+// TestAddSyncInvalidatesSparse holds AddSync to the cache contract Add keeps:
+// a materialized member list does not survive an insertion.
+func TestAddSyncInvalidatesSparse(t *testing.T) {
+	s := New(100)
+	s.Add(3)
+	s.Sparse()
+	if !s.AddSync(70) {
+		t.Fatal("fresh AddSync returned false")
+	}
+	if sp := s.Sparse(); len(sp) != 2 || sp[0] != 3 || sp[1] != 70 || s.Count() != 2 {
+		t.Fatalf("after AddSync: sparse %v, count %d; want [3 70], 2", sp, s.Count())
+	}
+}
+
 func TestAddSyncConcurrent(t *testing.T) {
 	const n = 1 << 14
 	s := New(n)

@@ -387,3 +387,115 @@ func TestQuickQueryMaskUnionIntersection(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// checkAccumulatorEmpty holds a to its between-merges invariant: no touched
+// word, and all-zero over its whole capacity.
+func checkAccumulatorEmpty(t *testing.T, a *Accumulator) {
+	t.Helper()
+	if len(a.touched) != 0 {
+		t.Fatalf("accumulator keeps %d touched words after the merge", len(a.touched))
+	}
+	for i, w := range a.words[:cap(a.words)] {
+		if w != 0 {
+			t.Fatalf("accumulator word %d = %#x after the merge", i, w)
+		}
+	}
+}
+
+// Property: merging any number of accumulators into a subset is serial Add of
+// every vertex they received — around word boundaries (vertices 63/64/65,
+// 127/128/129), in words 63/64/65/127/129 and in the tail word, with one
+// vertex in two accumulators and a subset that was not empty — in the bitmap,
+// Count and a Sparse() cached before the merge, and it leaves every
+// accumulator empty and reusable.
+func TestQuickMergeMatchesSerialAdd(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 130 + rng.Intn(1<<14)
+		boundary := []int{0, 63, 64, 65, 127, 128, 129}
+		for _, w := range []int{63, 64, 65, 127, 129} {
+			if v := w*64 + rng.Intn(64); v < n {
+				boundary = append(boundary, v)
+			}
+		}
+		s, _ := genSubset(rng, n, rng.Intn(n/4))
+		want := s.Clone()
+		s.Sparse() // a valid cache the merge must drop
+		accs := make([]*Accumulator, 1+rng.Intn(4))
+		for i := range accs {
+			accs[i] = NewAccumulator(n)
+		}
+		add := func(a *Accumulator, v graph.VertexID) {
+			a.Add(v)
+			want.Add(v)
+		}
+		shared := graph.VertexID(rng.Intn(n))
+		for _, v := range boundary {
+			add(accs[rng.Intn(len(accs))], graph.VertexID(v))
+		}
+		for i, a := range accs {
+			add(a, shared)
+			add(a, graph.VertexID(n-1-i%2)) // the tail word
+			for k := rng.Intn(n / 8); k > 0; k-- {
+				add(a, graph.VertexID(rng.Intn(n)))
+			}
+		}
+		for round := 0; round < 2; round++ { // the second round reuses the emptied accumulators
+			s.Merge(accs...)
+			if s.Count() != want.Count() || len(s.Sparse()) != want.Count() {
+				t.Logf("n=%d: count %d, sparse %d, want %d", n, s.Count(), len(s.Sparse()), want.Count())
+				return false
+			}
+			for i, w := range want.Words() {
+				if s.Words()[i] != w {
+					t.Logf("n=%d: word %d = %#x, want %#x", n, i, s.Words()[i], w)
+					return false
+				}
+			}
+			for i, v := range want.Sparse() {
+				if s.Sparse()[i] != v {
+					return false
+				}
+			}
+			for _, a := range accs {
+				checkAccumulatorEmpty(t, a)
+			}
+			add(accs[len(accs)-1], graph.VertexID(rng.Intn(n)))
+		}
+		return true
+	}
+	if err := quick.Check(f, quickCfg(31, 200)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// An accumulator resized to a smaller universe and back keeps its capacity
+// and its emptiness; one too small for the new universe is replaced.
+func TestAccumulatorResized(t *testing.T) {
+	a := NewAccumulator(1000)
+	a.Add(999)
+	FromVertices(1000).Merge(a)
+	small := a.Resized(70)
+	if small != a || len(small.words) != 2 {
+		t.Fatalf("resized to 70 vertices: same %v, %d words", small == a, len(small.words))
+	}
+	small.Add(69)
+	s := New(70)
+	s.Merge(small)
+	if s.Count() != 1 || !s.Contains(69) {
+		t.Fatalf("merge after resize: count %d", s.Count())
+	}
+	checkAccumulatorEmpty(t, small)
+	if back := small.Resized(1000); back != a || len(back.words) != 16 {
+		t.Fatal("resizing back within capacity replaced the accumulator")
+	}
+	if grown := a.Resized(2000); grown == a || len(grown.words) != 32 {
+		t.Fatal("resizing past capacity kept the short accumulator")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("merging an accumulator over another universe did not panic")
+		}
+	}()
+	New(64).Merge(NewAccumulator(1000))
+}

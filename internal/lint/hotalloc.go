@@ -49,16 +49,18 @@ var hotAllocPkgs = map[string]bool{
 // to recycle; a loop in them is per lane or per vertex of every batch, so all
 // their loops are hot regions, not only those that drive internal/par.
 var hotAllocFuncs = map[string]bool{
-	"PrepareBatch":           true,
-	"(*BatchResult).Release": true,
-	"(*Arena).takeValues":    true,
-	"(*Arena).releaseValues": true,
-	"(*Arena).takeMask":      true,
-	"(*Arena).releaseMask":   true,
-	"(*Arena).takeSlabs":     true,
-	"(*Arena).releaseSlabs":  true,
-	"(*Arena).geometry":      true,
-	"newJacobiScratch":       true,
+	"PrepareBatch":              true,
+	"(*BatchResult).Release":    true,
+	"(*Arena).takeValues":       true,
+	"(*Arena).releaseValues":    true,
+	"(*Arena).takeMask":         true,
+	"(*Arena).releaseMask":      true,
+	"(*Arena).takeSlabs":        true,
+	"(*Arena).releaseSlabs":     true,
+	"(*Arena).takeScratches":    true,
+	"(*Arena).releaseScratches": true,
+	"(*Arena).geometry":         true,
+	"newJacobiScratch":          true,
 }
 
 func runHotAlloc(p *Pass) {

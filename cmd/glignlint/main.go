@@ -4,8 +4,6 @@
 //
 // Analyzers (see LINTING.md for the invariant each one encodes):
 //
-//	atomicmix   — sync/atomic updates mixed with plain loads/stores
-//	              (interprocedural: wrapper-aware, whole-slice reads included)
 //	doclint     — every package carries a package comment
 //	hotalloc    — per-iteration allocations in traversal loops and par closures
 //	kernelmono  — relaxation only through the approved CAS helpers; pure kernels

@@ -77,20 +77,6 @@ func counts(findings []lint.Finding) (active, suppressed int) {
 	return
 }
 
-func TestAtomicMixFixture(t *testing.T) {
-	findings := runAnalyzer(t, "atomicmix", "testdata/src/atomicmix")
-	got := formatFindings(t, findings)
-	checkGolden(t, "atomicmix", got)
-	if active, suppressed := counts(findings); active < 2 || suppressed != 1 {
-		t.Errorf("want >=2 active and exactly 1 suppressed, got %d/%d:\n%s", active, suppressed, got)
-	}
-	for _, clean := range []string{"bumpPlain", "headerUses", "record", "casWord"} {
-		if strings.Contains(got, clean) {
-			t.Errorf("false positive in %s:\n%s", clean, got)
-		}
-	}
-}
-
 func TestParCaptureFixture(t *testing.T) {
 	findings := runAnalyzer(t, "parcapture", "testdata/src/parcapture")
 	got := formatFindings(t, findings)
@@ -200,7 +186,7 @@ func TestCLI(t *testing.T) {
 	var out, errb bytes.Buffer
 
 	// A fixture with active findings exits 1 and emits schema'd JSON.
-	if code := run([]string{"-json", "testdata/src/atomicmix"}, &out, &errb); code != 1 {
+	if code := run([]string{"-json", "testdata/src/parcapture"}, &out, &errb); code != 1 {
 		t.Fatalf("exit = %d, want 1; stderr: %s", code, errb.String())
 	}
 	var rep struct {
@@ -215,7 +201,7 @@ func TestCLI(t *testing.T) {
 		t.Errorf("schema = %q, want glign.lint/v1", rep.Schema)
 	}
 	if len(rep.Findings) == 0 {
-		t.Error("JSON report has no findings for the atomicmix fixture")
+		t.Error("JSON report has no findings for the parcapture fixture")
 	}
 
 	// A clean fixture exits 0.
@@ -226,7 +212,7 @@ func TestCLI(t *testing.T) {
 	}
 
 	// An unknown analyzer is a usage error (exit 2).
-	if code := run([]string{"-analyzers", "nosuch", "testdata/src/atomicmix"}, &out, &errb); code != 2 {
+	if code := run([]string{"-analyzers", "nosuch", "testdata/src/parcapture"}, &out, &errb); code != 2 {
 		t.Fatalf("unknown analyzer exit = %d, want 2", code)
 	}
 
@@ -251,8 +237,8 @@ func TestHelpAnalyzersSorted(t *testing.T) {
 	for _, line := range strings.Split(strings.TrimRight(out.String(), "\n"), "\n") {
 		names = append(names, strings.Fields(line)[0])
 	}
-	want := []string{"atomicmix", "doclint", "hotalloc", "kernelmono",
-		"parcapture", "staleignore"}
+	want := []string{"doclint", "hotalloc", "kernelmono", "parcapture",
+		"staleignore"}
 	if strings.Join(names, " ") != strings.Join(want, " ") {
 		t.Errorf("catalogue lists %v, want %v:\n%s", names, want, out.String())
 	}

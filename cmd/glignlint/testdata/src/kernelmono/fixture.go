@@ -1,6 +1,6 @@
 // Package queries is a kernelmono fixture: a miniature Values array plus a
-// Kernel interface with one pure and one impure implementation (the package
-// name is what puts it in the analyzer's scope).
+// Kernel interface with pure and impure implementations (the package name is
+// what puts it in the analyzer's scope).
 package queries
 
 import "sync/atomic"
@@ -9,38 +9,38 @@ import "sync/atomic"
 type Value = float64
 
 // Values mirrors the real CAS-protected cell array.
-type Values struct{ bits []uint64 }
+type Values struct{ bits []atomic.Uint64 }
 
-// NewValues allocates n cells (approved constructor).
-func NewValues(n int) *Values { return &Values{bits: make([]uint64, n)} }
+// Repeat allocates n cells (approved constructor).
+func Repeat(n int) *Values { return &Values{bits: make([]atomic.Uint64, n)} }
 
 // Get atomically reads cell i (approved accessor).
-func (v *Values) Get(i int) Value { return Value(atomic.LoadUint64(&v.bits[i])) }
+func (v *Values) Get(i int) Value { return Value(v.bits[i].Load()) }
 
 // Set atomically stores cell i (approved accessor).
-func (v *Values) Set(i int, x Value) { atomic.StoreUint64(&v.bits[i], uint64(x)) }
+func (v *Values) Set(i int, x Value) { v.bits[i].Store(uint64(x)) }
 
 // ImproveMin CASes cell i downward (approved helper).
 func (v *Values) ImproveMin(i int, cand Value) bool {
 	for {
-		old := atomic.LoadUint64(&v.bits[i])
+		old := v.bits[i].Load()
 		if Value(old) <= cand {
 			return false
 		}
-		if atomic.CompareAndSwapUint64(&v.bits[i], old, uint64(cand)) {
+		if v.bits[i].CompareAndSwap(old, uint64(cand)) {
 			return true
 		}
 	}
 }
 
 // Poke writes a cell outside the approved helper set: true positive.
-func Poke(v *Values, i int) { v.bits[i] = 0 }
+func Poke(v *Values, i int) { v.bits[i].Store(0) }
 
 // Peek reads a cell directly under a suppression: finding emitted but
 // suppressed.
 func Peek(v *Values, i int) uint64 {
 	//lint:ignore glignlint/kernelmono fixture: read-only debug helper on a quiesced array
-	return v.bits[i]
+	return v.bits[i].Load()
 }
 
 // Kernel mirrors the real kernel interface shape.
@@ -63,9 +63,8 @@ func (good) Relax(src Value, w float64) Value {
 
 func (good) Better(a, b Value) bool { return a < b }
 
-// bad is an impure kernel: its Relax hits all three purity violations.
-var relaxCount int64
-
+// bad is an impure kernel: its Relax writes receiver state and a Values
+// array.
 type bad struct {
 	last Value
 	vals *Values
@@ -74,13 +73,28 @@ type bad struct {
 func (b *bad) Identity() Value { return 0 }
 
 func (b *bad) Relax(src Value, w float64) Value {
-	atomic.AddInt64(&relaxCount, 1) // true positive: sync/atomic in a kernel
-	b.last = src                    // true positive: non-local write
-	b.vals.Set(0, src)              // true positive: Values mutation
+	b.last = src       // true positive: non-local write
+	b.vals.Set(0, src) // true positive: Values mutation
 	return src + w
 }
 
 func (b *bad) Better(a, c Value) bool { return a < c }
+
+// counted counts its relaxations in a typed atomic: true positive, as a
+// method of a sync/atomic type is as much a sync/atomic call as
+// atomic.AddInt64 is.
+type counted struct{}
+
+var relaxCount atomic.Int64
+
+func (counted) Identity() Value { return 0 }
+
+func (counted) Relax(src Value, w float64) Value {
+	relaxCount.Add(1) // true positive: sync/atomic in a kernel
+	return src + w
+}
+
+func (counted) Better(a, b Value) bool { return a < b }
 
 // sneaky hides its impurity behind a local pointer alias: true positive only
 // with the alias-aware tier.
@@ -140,6 +154,7 @@ func Monotone() []Kernel {
 		&bad{},      // address-taken composite literal
 		NewSneaky(), // resolved through the constructor's return
 		indirect{},  // plain composite literal
+		counted{},   // plain composite literal
 		confused{},  // true positive: a ConvergenceKernel in the monotone registry
 	}
 }

@@ -31,15 +31,15 @@ func fieldRace(c *counter, items []int) {
 // sumAtomic publishes per-worker partials with sync/atomic: true negative
 // (the accumulate-locally, publish-atomically convention).
 func sumAtomic(xs []int) int64 {
-	var total int64
+	var total atomic.Int64
 	par.For(len(xs), 0, 0, func(lo, hi int) {
 		local := int64(0)
 		for i := lo; i < hi; i++ {
 			local += int64(xs[i])
 		}
-		atomic.AddInt64(&total, local)
+		total.Add(local)
 	})
-	return total
+	return total.Load()
 }
 
 // fillDisjoint stores to disjoint slice elements: true negative (element
@@ -133,9 +133,9 @@ func (p *policy) cleanChunk(lo, hi int) int {
 }
 
 func drive(pool *par.Pool, p *policy, iters int) int64 {
-	var total int64
+	var total atomic.Int64
 	var body func(lo, hi int) int
-	chunk := func(lo, hi int) { atomic.AddInt64(&total, int64(body(lo, hi))) }
+	chunk := func(lo, hi int) { total.Add(int64(body(lo, hi))) }
 	for iter := 0; iter < iters; iter++ {
 		s := step{total: len(p.active), body: p.cleanChunk}
 		if iter%2 == 0 {
@@ -144,5 +144,5 @@ func drive(pool *par.Pool, p *policy, iters int) int64 {
 		body = s.body
 		pool.For(s.total, 0, 0, chunk)
 	}
-	return total
+	return total.Load()
 }

@@ -27,11 +27,11 @@ func racy(xs []int) int {
 //
 //lint:ignore glignlint/parcapture fixture: stale — the worker now publishes atomically
 func published(xs []int) int64 {
-	var total int64
+	var total atomic.Int64
 	par.For(len(xs), 0, 0, func(lo, hi int) {
-		atomic.AddInt64(&total, int64(hi-lo))
+		total.Add(int64(hi - lo))
 	})
-	return total
+	return total.Load()
 }
 
 // alsoPublished keeps its retired directive on purpose (say, for an imminent

@@ -118,7 +118,7 @@ func (p *graphmPolicy) stream(plo, phi int) (c core.Counts) {
 		for j, d := range nbrs {
 			if queries.RelaxImprove(st.Vals, st.Kinds[lane], st.Kernels[lane], st.Cell(int(d), lane), sv, core.WeightAt(ws, j)) {
 				c.Writes++
-				p.Next[lane].AddSync(d)
+				p.Next[lane].Add(d)
 			}
 		}
 	})

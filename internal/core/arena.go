@@ -79,7 +79,7 @@ func (a *Arena) takeMask(n, b int) *laneMask {
 			return m
 		}
 	}
-	return &laneMask{w, make([]uint64, n*w)}
+	return &laneMask{w, make([]atomic.Uint64, n*w)}
 }
 
 // releaseMask makes m the mask the next takeMask finds. Only a mask that is

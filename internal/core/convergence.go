@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"github.com/glign/glign/internal/graph"
 	"github.com/glign/glign/internal/par"
@@ -161,14 +160,13 @@ func runJacobi(g *graph.Graph, batch []queries.Query, opt Options, query int) (*
 	sizes := make([]int, 0, iterCapHint(opt.MaxIterations))
 	roundResid := make([]float64, b)
 	var mu sync.Mutex
+	var work Counts // the round's, under mu
 	chunk := func(lo, hi int) {
 		s := j.scratch.Get().(*jacobiScratch)
 		defer j.scratch.Put(s)
 		c := round(s, lo, hi)
-		atomic.AddInt64(&res.EdgesProcessed, c.Edges)
-		atomic.AddInt64(&res.LaneRelaxations, c.Relaxes)
-		atomic.AddInt64(&res.ValueWrites, c.Writes)
 		mu.Lock()
+		work.add(c)
 		for i, r := range s.resid {
 			roundResid[i] = queries.MaxResidual(roundResid[i], r)
 			s.resid[i] = 0
@@ -177,9 +175,10 @@ func runJacobi(g *graph.Graph, batch []queries.Query, opt Options, query int) (*
 	}
 	for iter := 0; j.running > 0; iter++ {
 		clear(roundResid)
+		work = Counts{}
 		sizes = append(sizes, n)
-		prev := countersOf(res)
 		pool.For(n, workers, 0, chunk)
+		res.count(work)
 		j.old, j.next = j.next, j.old
 		res.GlobalIterations++
 		active := j.running
@@ -199,7 +198,6 @@ func runJacobi(g *graph.Graph, batch []queries.Query, opt Options, query int) (*
 			}
 		}
 		if opt.Telemetry != nil {
-			cur := countersOf(res)
 			injected := 0
 			if iter == 0 {
 				injected = b
@@ -211,9 +209,9 @@ func runJacobi(g *graph.Graph, batch []queries.Query, opt Options, query int) (*
 				Mode:            telemetry.ModeJacobi,
 				ActiveQueries:   active,
 				InjectedQueries: injected,
-				EdgesProcessed:  cur.Edges - prev.Edges,
-				LaneRelaxations: cur.Relaxes - prev.Relaxes,
-				ValueWrites:     cur.Writes - prev.Writes,
+				EdgesProcessed:  work.Edges,
+				LaneRelaxations: work.Relaxes,
+				ValueWrites:     work.Writes,
 			})
 		}
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"github.com/glign/glign/internal/graph"
 	"github.com/glign/glign/internal/memtrace"
@@ -148,12 +147,7 @@ func (r *BatchResult) SetLane(lane int, one *BatchResult) {
 	}
 	one.Release()
 	r.GlobalIterations = max(r.GlobalIterations, one.GlobalIterations)
-	// Atomic adds and loads keep the counters' access protocol uniform with
-	// the engines' workers, which update these fields with atomic adds
-	// (glignlint/atomicmix).
-	atomic.AddInt64(&r.EdgesProcessed, atomic.LoadInt64(&one.EdgesProcessed))
-	atomic.AddInt64(&r.LaneRelaxations, atomic.LoadInt64(&one.LaneRelaxations))
-	atomic.AddInt64(&r.ValueWrites, atomic.LoadInt64(&one.ValueWrites))
+	r.count(Counts{one.EdgesProcessed, one.LaneRelaxations, one.ValueWrites})
 	if one.LaneRounds != nil {
 		if r.LaneRounds == nil {
 			r.LaneRounds, r.LaneConverged, r.LaneResiduals = make([]int, r.B), make([]bool, r.B), make([]float64, r.B)

@@ -208,6 +208,11 @@ func equalInts(a, b []int) bool {
 	return true
 }
 
+// countersOf reads the work counters of a result as one Counts.
+func countersOf(res *BatchResult) Counts {
+	return Counts{res.EdgesProcessed, res.LaneRelaxations, res.ValueWrites}
+}
+
 // relaxLog is a custom (OpCustom) shortest-path kernel that records every
 // Relax call it serves for one lane.
 type relaxLog struct {

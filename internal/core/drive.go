@@ -75,13 +75,11 @@ func drive(g *graph.Graph, batch []queries.Query, opt Options, policy func(st *B
 	pool := par.OrDefault(opt.Pool)
 	p, workers := traced(g, st, opt, policy(st))
 	// One closure for the whole run: each iteration only swaps the body in.
+	// Its chunks run concurrently and add their work to work, which each
+	// iteration takes once they have joined.
 	var body func(lo, hi int) Counts
-	chunk := func(lo, hi int) {
-		c := body(lo, hi)
-		atomic.AddInt64(&res.EdgesProcessed, c.Edges)
-		atomic.AddInt64(&res.LaneRelaxations, c.Relaxes)
-		atomic.AddInt64(&res.ValueWrites, c.Writes)
-	}
+	var work tally
+	chunk := func(lo, hi int) { work.add(body(lo, hi)) }
 	started := 0 // cursor into st.schedule: lanes injected so far
 	for iter := 0; ; iter++ {
 		first := started
@@ -98,12 +96,12 @@ func drive(g *graph.Graph, batch []queries.Query, opt Options, policy func(st *B
 		}
 		res.UnionFrontierSizes = append(res.UnionFrontierSizes, step.Size)
 		res.GlobalIterations++
-		prev := countersOf(res)
 		body = step.Body
 		pool.For(step.Total, workers, step.Grain, chunk)
 		p.Advance()
+		c := work.take()
+		res.count(c)
 		if opt.Telemetry != nil {
-			cur := countersOf(res)
 			opt.Telemetry.RecordIteration(telemetry.IterationStat{
 				Iter:            iter,
 				Query:           query,
@@ -111,9 +109,9 @@ func drive(g *graph.Graph, batch []queries.Query, opt Options, policy func(st *B
 				Mode:            telemetry.ModePush,
 				ActiveQueries:   started,
 				InjectedQueries: injected,
-				EdgesProcessed:  cur.Edges - prev.Edges,
-				LaneRelaxations: cur.Relaxes - prev.Relaxes,
-				ValueWrites:     cur.Writes - prev.Writes,
+				EdgesProcessed:  c.Edges,
+				LaneRelaxations: c.Relaxes,
+				ValueWrites:     c.Writes,
 			})
 		}
 	}
@@ -127,17 +125,32 @@ func drive(g *graph.Graph, batch []queries.Query, opt Options, policy func(st *B
 // is a generous amortization base.
 func iterCapHint(maxIterations int) int { return max(maxIterations, 64) }
 
-// countersOf snapshots the cumulative BatchResult counters so per-iteration
-// deltas can be reported to telemetry. It runs between parallel phases (the
-// workers' adds already happened-before via par.For's join), but atomic loads
-// keep the access protocol uniform — the invariant glignlint/atomicmix
-// enforces.
-func countersOf(res *BatchResult) Counts {
-	return Counts{
-		atomic.LoadInt64(&res.EdgesProcessed),
-		atomic.LoadInt64(&res.LaneRelaxations),
-		atomic.LoadInt64(&res.ValueWrites),
-	}
+// tally sums the Counts of one iteration's chunks, which run concurrently.
+type tally struct{ edges, relaxes, writes atomic.Int64 }
+
+func (t *tally) add(c Counts) {
+	t.edges.Add(c.Edges)
+	t.relaxes.Add(c.Relaxes)
+	t.writes.Add(c.Writes)
+}
+
+// take returns the sums and zeroes them for the next iteration.
+func (t *tally) take() Counts {
+	return Counts{t.edges.Swap(0), t.relaxes.Swap(0), t.writes.Swap(0)}
+}
+
+// add adds o to c.
+func (c *Counts) add(o Counts) {
+	c.Edges += o.Edges
+	c.Relaxes += o.Relaxes
+	c.Writes += o.Writes
+}
+
+// count adds c to the result's work counters.
+func (r *BatchResult) count(c Counts) {
+	r.EdgesProcessed += c.Edges
+	r.LaneRelaxations += c.Relaxes
+	r.ValueWrites += c.Writes
 }
 
 // WeightAt is the weight of the j-th edge of an adjacency whose weight slice

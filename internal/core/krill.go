@@ -85,7 +85,7 @@ func (p *krillPolicy) push(lo, hi int) Counts {
 				if queries.RelaxImprove(st.Vals, st.Kinds[i], st.Kernels[i], drow+i, st.Vals.Get(vrow+i), w) {
 					c.Writes++
 					p.nextQM.Set(d, i)
-					p.nextUnion.AddSync(d)
+					p.nextUnion.Add(d)
 				}
 			}
 		}

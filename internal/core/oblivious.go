@@ -174,10 +174,10 @@ func (p *obliviousPolicy) push(lo, hi int) Counts {
 // one lane every time and mark nothing): its frontier bit is its lane bit.
 type laneMask struct {
 	w     int // words a vertex
-	words []uint64
+	words []atomic.Uint64
 }
 
-func (m *laneMask) of(v int) []uint64 { return m.words[v*m.w:][:m.w] }
+func (m *laneMask) of(v int) []atomic.Uint64 { return m.words[v*m.w:][:m.w] }
 
 // set marks one lane of v.
 func (m *laneMask) set(v, lane int) {
@@ -200,9 +200,9 @@ func (m *laneMask) mark(v int, improved []uint64) {
 }
 
 // orWord is an atomic OR that leaves a cache line it would not change alone.
-func orWord(addr *uint64, lanes uint64) {
-	for old := atomic.LoadUint64(addr); old|lanes != old; old = atomic.LoadUint64(addr) {
-		if atomic.CompareAndSwapUint64(addr, old, old|lanes) {
+func orWord(word *atomic.Uint64, lanes uint64) {
+	for old := word.Load(); old|lanes != old; old = word.Load() {
+		if word.CompareAndSwap(old, old|lanes) {
 			return
 		}
 	}
@@ -215,10 +215,10 @@ func (m *laneMask) claim(v int, dst []uint64) (lanes int) {
 		dst[0] = 1
 		return 1
 	}
-	for w, addr := 0, m.of(v); w < len(addr); w++ {
+	for w, at := 0, v*m.w; w < m.w; w++ {
 		dst[w] = 0
-		if atomic.LoadUint64(&addr[w]) != 0 {
-			dst[w] = atomic.SwapUint64(&addr[w], 0)
+		if word := &m.words[at+w]; word.Load() != 0 {
+			dst[w] = word.Swap(0)
 			lanes += bits.OnesCount64(dst[w])
 		}
 	}

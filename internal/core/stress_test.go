@@ -143,8 +143,9 @@ func checkArenaMaskClean(t *testing.T, a *Arena) {
 		return
 	}
 	defer a.mask.Store(m)
-	for i, w := range m.words[:cap(m.words)] {
-		if w != 0 {
+	words := m.words[:cap(m.words)]
+	for i := range words {
+		if w := words[i].Load(); w != 0 {
 			t.Fatalf("the recycled lane mask has word %d = %#x", i, w)
 		}
 	}

@@ -102,7 +102,7 @@ func (p *twoLevelPolicy) push(lo, hi int) Counts {
 			for _, i := range lanes {
 				if queries.RelaxImprove(st.Vals, st.Kinds[i], st.Kernels[i], drow+int(i), st.Vals.Get(vrow+int(i)), w) {
 					c.Writes++
-					p.Next[i].AddSync(d)
+					p.Next[i].Add(d)
 				}
 			}
 		}

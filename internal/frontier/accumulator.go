@@ -52,10 +52,8 @@ func (a *Accumulator) Add(v graph.VertexID) {
 // Merge ORs the members of accs into s, word by word over the words each
 // touched, and leaves every accumulator empty and ready for its writer again.
 // The count follows by popcount deltas and the member-list cache is
-// invalidated. The accumulators' writers must have joined and no AddSync on s
-// may be in flight.
-//
-//lint:ignore glignlint/atomicmix merged after the writers joined (a par.Pool.For returned); no AddSync on s can be in flight
+// invalidated. The accumulators' writers must have joined, and no Add on s may
+// be in flight.
 func (s *Subset) Merge(accs ...*Accumulator) {
 	var added int
 	for _, a := range accs {
@@ -63,8 +61,8 @@ func (s *Subset) Merge(accs ...*Accumulator) {
 			panic("frontier: Merge of an accumulator over another universe")
 		}
 		for _, w := range a.touched {
-			old := s.words[w]
-			s.words[w] = old | a.words[w]
+			old := s.words[w].Load()
+			s.words[w].Store(old | a.words[w])
 			added += bits.OnesCount64(a.words[w] &^ old)
 			a.words[w] = 0
 		}

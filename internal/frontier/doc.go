@@ -2,7 +2,7 @@
 // engines: the set of active vertices of one iteration. A Subset is a dense
 // bitmap with an optional cached sparse (vertex list) view. A parallel
 // EdgeMap builds the next frontier either with race-free CAS insertion
-// (AddSync) or, sharing no cache line between writers, in one private
+// (Add) or, sharing no cache line between writers, in one private
 // Accumulator a writer that Subset.Merge ORs in after they join.
 //
 // Glign's query-oblivious frontier (paper §3.2) is a single Subset shared by

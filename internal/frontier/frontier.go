@@ -12,18 +12,18 @@ import (
 // usable; construct with New.
 type Subset struct {
 	n     int
-	words []uint64
+	words []atomic.Uint64
 	count atomic.Int64
 
 	// sparse caches the materialized vertex list; it is invalidated by any
-	// mutation. Only valid when sparseOK, which concurrent AddSyncs clear.
+	// mutation. Only valid when sparseOK, which concurrent Adds clear.
 	sparse   []graph.VertexID
 	sparseOK atomic.Bool
 }
 
 // New returns an empty subset over n vertices.
 func New(n int) *Subset {
-	return &Subset{n: n, words: make([]uint64, (n+63)/64)}
+	return &Subset{n: n, words: make([]atomic.Uint64, (n+63)/64)}
 }
 
 // FromVertices returns a subset containing exactly vs.
@@ -39,34 +39,18 @@ func FromVertices(n int, vs ...graph.VertexID) *Subset {
 func (s *Subset) Universe() int { return s.n }
 
 // Words exposes the underlying bitmap (read-only for callers).
-func (s *Subset) Words() []uint64 { return s.words }
+func (s *Subset) Words() []atomic.Uint64 { return s.words }
 
-// Add inserts v without synchronization. It reports whether v was newly
-// inserted. Use AddSync from concurrent writers.
-//
-//lint:ignore glignlint/atomicmix single-threaded by contract: concurrent writers must use AddSync
+// Add inserts v with a CAS loop, safe for concurrent use. It reports whether
+// v was newly inserted (exactly one concurrent caller wins).
 func (s *Subset) Add(v graph.VertexID) bool {
-	w, b := v>>6, uint64(1)<<(v&63)
-	if s.words[w]&b != 0 {
-		return false
-	}
-	s.words[w] |= b
-	s.count.Add(1)
-	s.invalidate()
-	return true
-}
-
-// AddSync inserts v with a CAS loop, safe for concurrent use. It reports
-// whether v was newly inserted (exactly one concurrent caller wins).
-func (s *Subset) AddSync(v graph.VertexID) bool {
-	w, b := v>>6, uint64(1)<<(v&63)
-	addr := &s.words[w]
+	word, b := &s.words[v>>6], uint64(1)<<(v&63)
 	for {
-		old := atomic.LoadUint64(addr)
+		old := word.Load()
 		if old&b != 0 {
 			return false
 		}
-		if atomic.CompareAndSwapUint64(addr, old, old|b) {
+		if word.CompareAndSwap(old, old|b) {
 			s.count.Add(1)
 			s.invalidate()
 			return true
@@ -83,10 +67,10 @@ func (s *Subset) invalidate() {
 }
 
 // Contains reports whether v is in the subset. It is safe to call
-// concurrently with AddSync (readers may observe a slightly stale view, as
-// in Ligra).
+// concurrently with Add (readers may observe a slightly stale view, as in
+// Ligra).
 func (s *Subset) Contains(v graph.VertexID) bool {
-	return atomic.LoadUint64(&s.words[v>>6])&(uint64(1)<<(v&63)) != 0
+	return s.words[v>>6].Load()&(uint64(1)<<(v&63)) != 0
 }
 
 // Count returns the number of vertices in the subset.
@@ -96,20 +80,14 @@ func (s *Subset) Count() int { return int(s.count.Load()) }
 func (s *Subset) IsEmpty() bool { return s.Count() == 0 }
 
 // Clear removes all vertices, retaining capacity. Callers quiesce first.
-//
-//lint:ignore glignlint/atomicmix bulk reset in a quiesced phase; no concurrent AddSync can be in flight
 func (s *Subset) Clear() {
-	for i := range s.words {
-		s.words[i] = 0
-	}
+	clear(s.words)
 	s.count.Store(0)
 	s.sparse = s.sparse[:0]
 	s.invalidate()
 }
 
-// Clone returns an independent copy.
-//
-//lint:ignore glignlint/atomicmix bulk copy of a quiesced bitmap; callers clone between iterations, never mid-relaxation
+// Clone returns an independent copy. Callers quiesce first.
 func (s *Subset) Clone() *Subset {
 	c := New(s.n)
 	copy(c.words, s.words)
@@ -118,13 +96,12 @@ func (s *Subset) Clone() *Subset {
 }
 
 // UnionWith adds every vertex of o into s (single-threaded).
-//
-//lint:ignore glignlint/atomicmix single-threaded merge between iterations; atomic word ops would halve throughput for no soundness gain
 func (s *Subset) UnionWith(o *Subset) {
 	total := 0
 	for i := range s.words {
-		s.words[i] |= o.words[i]
-		total += bits.OnesCount64(s.words[i])
+		w := s.words[i].Load() | o.words[i].Load()
+		s.words[i].Store(w)
+		total += bits.OnesCount64(w)
 	}
 	s.count.Store(int64(total))
 	s.invalidate()
@@ -135,11 +112,9 @@ func (s *Subset) UnionWith(o *Subset) {
 // member count falls out of bits.OnesCount64 on the way — no per-vertex CAS.
 // This is how the two-level engine derives its unified frontier from the B
 // separate lane frontiers after each iteration's relaxations have quiesced;
-// at B=16 it replaces up to 16 AddSync CAS loops per improved vertex with
+// at B=16 it replaces up to 16 Add CAS loops per improved vertex with
 // one word read per lane per 64 vertices. The word scan runs on the pool
 // (disjoint word blocks, chunk-ordered integer reduction — deterministic).
-//
-//lint:ignore glignlint/atomicmix the destination is private until return and parts are quiesced by contract; no AddSync can be in flight
 func UnionOf(pool *par.Pool, workers int, parts ...*Subset) *Subset {
 	if len(parts) == 0 {
 		panic("frontier: UnionOf of no subsets")
@@ -156,9 +131,9 @@ func UnionOf(pool *par.Pool, workers int, parts ...*Subset) *Subset {
 			for wi := lo; wi < hi; wi++ {
 				var w uint64
 				for _, p := range parts {
-					w |= p.words[wi]
+					w |= p.words[wi].Load()
 				}
-				words[wi] = w
+				words[wi].Store(w)
 				acc += bits.OnesCount64(w)
 			}
 			return acc
@@ -189,8 +164,6 @@ const sparseBlockWords = 256
 // to call concurrently with mutation. Large dense frontiers materialize in
 // parallel on the shared pool (count/prefix/fill over bitmap blocks); the
 // result is identical to the serial walk.
-//
-//lint:ignore glignlint/atomicmix materialization happens between iterations by contract; the bitmap is quiesced
 func (s *Subset) Sparse() []graph.VertexID {
 	if s.sparseOK.Load() {
 		return s.sparse
@@ -207,7 +180,7 @@ func (s *Subset) Sparse() []graph.VertexID {
 				}
 				c := 0
 				for wi := wlo; wi < whi; wi++ {
-					c += bits.OnesCount64(s.words[wi])
+					c += bits.OnesCount64(s.words[wi].Load())
 				}
 				offsets[bi+1] = c
 			}
@@ -231,7 +204,7 @@ func (s *Subset) Sparse() []graph.VertexID {
 				}
 				at := offsets[bi]
 				for wi := wlo; wi < whi; wi++ {
-					w := s.words[wi]
+					w := s.words[wi].Load()
 					for w != 0 {
 						b := bits.TrailingZeros64(w)
 						out[at] = graph.VertexID(wi*64 + b)
@@ -245,7 +218,8 @@ func (s *Subset) Sparse() []graph.VertexID {
 		return s.sparse
 	}
 	s.sparse = s.sparse[:0]
-	for wi, w := range s.words {
+	for wi := range s.words {
+		w := s.words[wi].Load()
 		for w != 0 {
 			b := bits.TrailingZeros64(w)
 			s.sparse = append(s.sparse, graph.VertexID(wi*64+b))

@@ -50,21 +50,9 @@ func TestSparseSortedAndCached(t *testing.T) {
 	}
 }
 
-// TestAddSyncInvalidatesSparse holds AddSync to the cache contract Add keeps:
-// a materialized member list does not survive an insertion.
-func TestAddSyncInvalidatesSparse(t *testing.T) {
-	s := New(100)
-	s.Add(3)
-	s.Sparse()
-	if !s.AddSync(70) {
-		t.Fatal("fresh AddSync returned false")
-	}
-	if sp := s.Sparse(); len(sp) != 2 || sp[0] != 3 || sp[1] != 70 || s.Count() != 2 {
-		t.Fatalf("after AddSync: sparse %v, count %d; want [3 70], 2", sp, s.Count())
-	}
-}
-
-func TestAddSyncConcurrent(t *testing.T) {
+// TestAddConcurrent holds Add to its concurrency contract: of the writers
+// racing to insert one vertex, exactly one is told it inserted it.
+func TestAddConcurrent(t *testing.T) {
 	const n = 1 << 14
 	s := New(n)
 	var wg sync.WaitGroup
@@ -76,7 +64,7 @@ func TestAddSyncConcurrent(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 4*n; i++ {
 				v := graph.VertexID(rng.Intn(n))
-				if s.AddSync(v) {
+				if s.Add(v) {
 					// Exactly one goroutine may win per vertex; count wins
 					// racily is fine because wins are unique by contract.
 					winners[v]++

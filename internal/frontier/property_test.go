@@ -58,8 +58,8 @@ func TestQuickSparseDenseRoundTrip(t *testing.T) {
 		if back.Count() != s.Count() {
 			return false
 		}
-		for i, w := range back.Words() {
-			if w != s.Words()[i] {
+		for i, w := range wordsOf(back) {
+			if w != wordsOf(s)[i] {
 				return false
 			}
 		}
@@ -120,7 +120,7 @@ func TestSparseParallelMatchesSerial(t *testing.T) {
 			got := s.Sparse()
 			// Serial reconstruction straight from the bitmap.
 			var want []graph.VertexID
-			for wi, w := range s.Words() {
+			for wi, w := range wordsOf(s) {
 				for w != 0 {
 					b := bits.TrailingZeros64(w)
 					want = append(want, graph.VertexID(wi*64+b))
@@ -201,8 +201,8 @@ func TestQuickUnionIntersectionLaws(t *testing.T) {
 		if ab.Count() != ba.Count() {
 			return false // union is commutative (in cardinality and members)
 		}
-		for i, w := range ab.Words() {
-			if w != ba.Words()[i] {
+		for i, w := range wordsOf(ab) {
+			if w != wordsOf(ba)[i] {
 				return false
 			}
 		}
@@ -228,8 +228,8 @@ func TestQuickUnionIntersectionLaws(t *testing.T) {
 // overlap returns |a ∩ b|, word by word.
 func overlap(a, b *Subset) int {
 	total := 0
-	for i, w := range a.Words() {
-		total += bits.OnesCount64(w & b.Words()[i])
+	for i, w := range wordsOf(a) {
+		total += bits.OnesCount64(w & wordsOf(b)[i])
 	}
 	return total
 }
@@ -286,7 +286,7 @@ func TestUnionOfWordBoundaries(t *testing.T) {
 			}
 			// The tail bits beyond n must stay zero (no phantom members).
 			if tail := n % 64; tail != 0 {
-				last := u.Words()[len(u.Words())-1]
+				last := wordsOf(u)[len(wordsOf(u))-1]
 				if last>>tail != 0 {
 					t.Fatalf("n=%d lanes=%d: union set bits beyond the universe: %064b", n, lanes, last)
 				}
@@ -320,8 +320,8 @@ func TestQuickUnionOfMatchesFold(t *testing.T) {
 		if got.Count() != want.Count() {
 			return false
 		}
-		for i, w := range got.Words() {
-			if w != want.Words()[i] {
+		for i, w := range wordsOf(got) {
+			if w != wordsOf(want)[i] {
 				return false
 			}
 		}
@@ -334,8 +334,8 @@ func TestQuickUnionOfMatchesFold(t *testing.T) {
 		if again.Count() != got.Count() {
 			return false
 		}
-		for i, w := range again.Words() {
-			if w != got.Words()[i] {
+		for i, w := range wordsOf(again) {
+			if w != wordsOf(got)[i] {
 				return false
 			}
 		}
@@ -446,9 +446,9 @@ func TestQuickMergeMatchesSerialAdd(t *testing.T) {
 				t.Logf("n=%d: count %d, sparse %d, want %d", n, s.Count(), len(s.Sparse()), want.Count())
 				return false
 			}
-			for i, w := range want.Words() {
-				if s.Words()[i] != w {
-					t.Logf("n=%d: word %d = %#x, want %#x", n, i, s.Words()[i], w)
+			for i, w := range wordsOf(want) {
+				if wordsOf(s)[i] != w {
+					t.Logf("n=%d: word %d = %#x, want %#x", n, i, wordsOf(s)[i], w)
 					return false
 				}
 			}
@@ -498,4 +498,13 @@ func TestAccumulatorResized(t *testing.T) {
 		}
 	}()
 	New(64).Merge(NewAccumulator(1000))
+}
+
+// wordsOf loads the bitmap of s word by word.
+func wordsOf(s *Subset) []uint64 {
+	words := make([]uint64, len(s.Words()))
+	for i := range words {
+		words[i] = s.Words()[i].Load()
+	}
+	return words
 }

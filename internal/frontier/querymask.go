@@ -14,13 +14,13 @@ import (
 // frontier it still tracks per-query activation.
 type QueryMask struct {
 	n     int
-	masks []uint64
+	masks []atomic.Uint64
 }
 
 // NewQueryMask returns an empty mask set over n vertices. It supports
 // batches of at most 64 queries.
 func NewQueryMask(n int) *QueryMask {
-	return &QueryMask{n: n, masks: make([]uint64, n)}
+	return &QueryMask{n: n, masks: make([]atomic.Uint64, n)}
 }
 
 // MaxQueries is the largest batch a QueryMask can represent.
@@ -29,11 +29,10 @@ const MaxQueries = 64
 // Set marks vertex v active for query q (0-based), with CAS so concurrent
 // writers are safe.
 func (m *QueryMask) Set(v graph.VertexID, q int) {
-	b := uint64(1) << uint(q)
-	addr := &m.masks[v]
+	b, mask := uint64(1)<<uint(q), &m.masks[v]
 	for {
-		old := atomic.LoadUint64(addr)
-		if old&b != 0 || atomic.CompareAndSwapUint64(addr, old, old|b) {
+		old := mask.Load()
+		if old&b != 0 || mask.CompareAndSwap(old, old|b) {
 			return
 		}
 	}
@@ -41,14 +40,10 @@ func (m *QueryMask) Set(v graph.VertexID, q int) {
 
 // Get returns the query bitmask of v.
 func (m *QueryMask) Get(v graph.VertexID) uint64 {
-	return atomic.LoadUint64(&m.masks[v])
+	return m.masks[v].Load()
 }
 
 // Clear deactivates everything, retaining capacity. Callers quiesce first.
-//
-//lint:ignore glignlint/atomicmix bulk reset in a quiesced phase; no concurrent Set can be in flight
 func (m *QueryMask) Clear() {
-	for i := range m.masks {
-		m.masks[i] = 0
-	}
+	clear(m.masks)
 }

@@ -72,7 +72,7 @@ func baseIdentObj(info *types.Info, e ast.Expr) types.Object {
 }
 
 // pkgNameOf returns the imported package if id is a package qualifier
-// (the "atomic" of atomic.AddInt64), else nil.
+// (the "par" of par.For), else nil.
 func pkgNameOf(info *types.Info, e ast.Expr) *types.Package {
 	id, ok := e.(*ast.Ident)
 	if !ok {
@@ -84,18 +84,12 @@ func pkgNameOf(info *types.Info, e ast.Expr) *types.Package {
 	return nil
 }
 
-// isPkgCall reports whether call invokes a function of the package with
-// import path pkgPath, returning the function's name.
-func isPkgCall(info *types.Info, call *ast.CallExpr, pkgPath string) (string, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return "", false
-	}
-	p := pkgNameOf(info, sel.X)
-	if p == nil || p.Path() != pkgPath {
-		return "", false
-	}
-	return sel.Sel.Name, true
+// callsAtomic reports whether call invokes sync/atomic: one of its functions
+// (atomic.AddInt64) or a method of one of its types (hits.Add on an
+// atomic.Int64).
+func callsAtomic(info *types.Info, call *ast.CallExpr) bool {
+	fn := calleeOf(info, call)
+	return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic"
 }
 
 // importPathEndsWith reports whether path is pkg or ends in "/"+pkg, so

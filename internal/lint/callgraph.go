@@ -5,119 +5,54 @@ import (
 	"go/types"
 )
 
-// CallSite is one static call in the module: Caller's body (possibly inside
-// a nested function literal) invokes Callee.
-type CallSite struct {
-	Caller *types.Func
-	Callee *types.Func
-	Call   *ast.CallExpr
-	Pkg    *Package
-	// InLit marks calls made from a function literal nested in Caller —
-	// flow-sensitive arguments about the caller's body do not extend to
-	// them (the literal may run later, concurrently, or not at all).
-	InLit bool
-}
-
 // CallGraph is the module-wide static call graph over every loaded package.
 // Only direct calls are resolved (named functions, methods called through a
 // concrete receiver, generic instantiations); calls through interface values
-// or function-typed variables have no callee edge. That makes the "callers
-// of f" relation an over-approximation ONLY when combined with
-// FuncRefs — a function whose identifier escapes as a value (method value,
-// func assigned to a variable) can be invoked from sites the graph cannot
-// see, and FuncRefs counts exactly those escapes.
+// or function-typed variables have no edge.
 type CallGraph struct {
-	// ByCallee and ByCaller index the same CallSite records both ways, in
-	// deterministic (package, file, position) order.
-	ByCallee map[*types.Func][]*CallSite
-	ByCaller map[*types.Func][]*CallSite
+	// Callees lists, per function, the functions its body calls (function
+	// literals nested in it included), in source order.
+	Callees map[*types.Func][]*types.Func
 	// DeclOf maps a function object to its declaration; PkgOf to the package
 	// holding that declaration.
 	DeclOf map[*types.Func]*ast.FuncDecl
 	PkgOf  map[*types.Func]*Package
-	// FuncRefs counts uses of a function identifier outside call position
-	// (method values, conversions, assignments) — escape hatches that make
-	// the caller set incomplete for that function.
-	FuncRefs map[*types.Func]int
 }
 
 // buildCallGraph walks every function declaration of pkgs (which must be in
 // deterministic order) and records resolved call edges.
 func buildCallGraph(pkgs []*Package) *CallGraph {
 	g := &CallGraph{
-		ByCallee: map[*types.Func][]*CallSite{},
-		ByCaller: map[*types.Func][]*CallSite{},
-		DeclOf:   map[*types.Func]*ast.FuncDecl{},
-		PkgOf:    map[*types.Func]*Package{},
-		FuncRefs: map[*types.Func]int{},
+		Callees: map[*types.Func][]*types.Func{},
+		DeclOf:  map[*types.Func]*ast.FuncDecl{},
+		PkgOf:   map[*types.Func]*Package{},
 	}
 	for _, pkg := range pkgs {
 		for _, fd := range funcDecls(pkg) {
-			fobj, _ := pkg.Info.Defs[fd.Name].(*types.Func)
-			if fobj == nil {
+			caller, _ := pkg.Info.Defs[fd.Name].(*types.Func)
+			if caller == nil {
 				continue
 			}
-			g.DeclOf[fobj] = fd
-			g.PkgOf[fobj] = pkg
-		}
-	}
-	for _, pkg := range pkgs {
-		for _, fd := range funcDecls(pkg) {
-			fobj, _ := pkg.Info.Defs[fd.Name].(*types.Func)
-			if fobj == nil || fd.Body == nil {
+			g.DeclOf[caller], g.PkgOf[caller] = fd, pkg
+			if fd.Body == nil {
 				continue
 			}
-			g.collect(pkg, fobj, fd.Body, false)
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					if callee := calleeOf(pkg.Info, call); callee != nil {
+						g.Callees[caller] = append(g.Callees[caller], callee)
+					}
+				}
+				return true
+			})
 		}
 	}
 	return g
 }
 
-// collect records call sites and value references within one body.
-func (g *CallGraph) collect(pkg *Package, caller *types.Func, body ast.Node, inLit bool) {
-	// calleeIdents tracks identifiers consumed as the function position of a
-	// call, so the reference counter below does not double-count them.
-	calleeIdents := map[*ast.Ident]bool{}
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.FuncLit:
-			if !inLit {
-				// Descend once with the literal flag set; returning false
-				// here prevents the outer walk from re-visiting the body.
-				g.collect(pkg, caller, x.Body, true)
-				return false
-			}
-		case *ast.CallExpr:
-			callee, id := calleeOf(pkg.Info, x)
-			if id != nil {
-				calleeIdents[id] = true
-			}
-			if callee != nil {
-				site := &CallSite{Caller: caller, Callee: callee, Call: x, Pkg: pkg, InLit: inLit}
-				g.ByCallee[callee] = append(g.ByCallee[callee], site)
-				g.ByCaller[caller] = append(g.ByCaller[caller], site)
-			}
-		}
-		return true
-	})
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok && !inLit {
-			return false // literal bodies were counted by their own pass above
-		}
-		if id, ok := n.(*ast.Ident); ok && !calleeIdents[id] {
-			if fn, ok := pkg.Info.Uses[id].(*types.Func); ok {
-				g.FuncRefs[fn]++
-			}
-		}
-		return true
-	})
-}
-
 // calleeOf resolves the static callee of a call, unwrapping parens and
-// generic instantiation syntax. It also returns the identifier in callee
-// position (for reference bookkeeping), which may be non-nil even when the
-// callee does not resolve to a *types.Func.
-func calleeOf(info *types.Info, call *ast.CallExpr) (*types.Func, *ast.Ident) {
+// generic instantiation syntax, or returns nil.
+func calleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
 	fun := ast.Unparen(call.Fun)
 	switch idx := fun.(type) {
 	case *ast.IndexExpr:
@@ -125,33 +60,15 @@ func calleeOf(info *types.Info, call *ast.CallExpr) (*types.Func, *ast.Ident) {
 	case *ast.IndexListExpr:
 		fun = ast.Unparen(idx.X)
 	}
+	var id *ast.Ident
 	switch f := fun.(type) {
 	case *ast.Ident:
-		fn, _ := objectOf(info, f).(*types.Func)
-		return fn, f
+		id = f
 	case *ast.SelectorExpr:
-		fn, _ := objectOf(info, f.Sel).(*types.Func)
-		return fn, f.Sel
-	}
-	return nil, nil
-}
-
-// receiverExpr returns the receiver expression of a method call (`s` in
-// s.Add(v)), or nil for plain function calls and package-qualified calls.
-func receiverExpr(info *types.Info, call *ast.CallExpr) ast.Expr {
-	fun := ast.Unparen(call.Fun)
-	switch idx := fun.(type) {
-	case *ast.IndexExpr:
-		fun = ast.Unparen(idx.X)
-	case *ast.IndexListExpr:
-		fun = ast.Unparen(idx.X)
-	}
-	sel, ok := fun.(*ast.SelectorExpr)
-	if !ok {
+		id = f.Sel
+	default:
 		return nil
 	}
-	if _, isSel := info.Selections[sel]; !isSel {
-		return nil // package-qualified function, not a method call
-	}
-	return sel.X
+	fn, _ := objectOf(info, id).(*types.Func)
+	return fn
 }

@@ -5,22 +5,21 @@
 //
 // Glign's performance comes from many queries sharing one traversal, so its
 // hot paths (EdgeMap lanes, the query-oblivious frontier, batch schedulers)
-// mix sync/atomic relaxation with plain loads under the hand-rolled par.For
-// runtime. Those are exactly the invariants that convention alone cannot
-// keep: a plain read of a CAS-updated value array cell, a closure passed to
-// par.For that writes a captured variable, an allocation repeated every
-// traversal iteration. Each analyzer machine-checks one such
-// invariant; see LINTING.md for the catalogue and the paper sections that
-// motivate them.
+// share CAS-relaxed value cells and frontier words among the workers of the
+// hand-rolled par.For runtime. Those words are typed sync/atomic values, so
+// the compiler and go vet keep atomic and plain access apart; what
+// convention alone cannot keep is the rest: a relaxation that bypasses the
+// CAS helpers, a closure passed to par.For that writes a captured variable,
+// an allocation repeated every traversal iteration. Each analyzer
+// machine-checks one such invariant; see LINTING.md for the catalogue and
+// the paper sections that motivate them.
 //
 // The analyzers share a flow-sensitive, interprocedural substrate: a
 // statement-granular CFG per function (BuildCFG), a forward-dataflow
 // fixpoint engine (ForwardFlow), a module-wide call graph, the set of
 // function bodies the internal/par runtime runs on its workers (ParWorkers),
-// and derived summaries — atomic reachability with wrapper propagation,
-// purity classification, and the receiver-freshness proof that retires
-// quiesce suppressions. All of it is plain go/ast + go/types; the driver
-// has no dependency outside the standard library.
+// and a derived purity classification. All of it is plain go/ast +
+// go/types; the driver has no dependency outside the standard library.
 //
 // Findings can be suppressed with a justification:
 //

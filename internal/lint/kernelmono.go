@@ -13,16 +13,14 @@ import (
 // better" protocol — the only thing that makes concurrent lane relaxation
 // sound (paper Theorem 3.2 requires monotone updates) — cannot be bypassed.
 var valuesApproved = map[string]bool{
-	"NewValues": true,
-	"Repeat":    true, // fills an array nothing else can see yet
-	"Resized":   true, // reslices or replaces the array; reads and writes no cell
-	"Len":       true,
-	"Cap":       true,
-	"Get":       true,
-	"Set":       true,
-	"Fill":      true,
-	"LoadRow":   true,
-	"Improve":   true, "ImproveMin": true, "ImproveMax": true,
+	"Repeat":  true, // fills an array nothing else can see yet
+	"Resized": true, // reslices or replaces the array; reads and writes no cell
+	"Len":     true,
+	"Cap":     true,
+	"Get":     true,
+	"Set":     true,
+	"LoadRow": true,
+	"Improve": true, "ImproveMin": true, "ImproveMax": true,
 	"ImproveMinRow": true, "ImproveMaxRow": true,
 	"Bytes": true,
 }
@@ -30,7 +28,7 @@ var valuesApproved = map[string]bool{
 // valuesMutators are the Values methods that change cells; kernel methods
 // must stay pure and may not call them.
 var valuesMutators = map[string]bool{
-	"Set": true, "Fill": true,
+	"Set":     true,
 	"Improve": true, "ImproveMin": true, "ImproveMax": true,
 	"ImproveMinRow": true, "ImproveMaxRow": true,
 }
@@ -179,7 +177,7 @@ func checkKernelPurity(p *Pass) {
 			case *ast.IncDecStmt:
 				flagWrite(x.X)
 			case *ast.CallExpr:
-				if _, ok := isPkgCall(info, x, "sync/atomic"); ok {
+				if callsAtomic(info, x) {
 					p.Reportf(x.Pos(),
 						"kernel method %s calls sync/atomic; kernels must be pure value "+
 							"functions — the engine owns all synchronization",
@@ -200,7 +198,7 @@ func checkKernelPurity(p *Pass) {
 				// Helper calls: the module-wide purity summary carries the
 				// side effect back to this call site even when the helper
 				// lives in another package.
-				if callee, _ := calleeOf(info, x); callee != nil {
+				if callee := calleeOf(info, x); callee != nil {
 					if r, bad := impure[callee]; bad && p.Prog.Graph.DeclOf[callee] != nil {
 						p.Reportf(x.Pos(),
 							"kernel method %s calls %s, which %s; kernels must be pure — "+
@@ -245,7 +243,7 @@ func checkParadigmClassification(p *Pass) {
 		case *ast.UnaryExpr:
 			return resolve(x.X, seen)
 		case *ast.CallExpr:
-			callee, _ := calleeOf(info, x)
+			callee := calleeOf(info, x)
 			fd := p.Prog.Graph.DeclOf[callee]
 			if callee == nil || fd == nil || fd.Body == nil || seen[callee] {
 				return nil

@@ -89,7 +89,6 @@ type Analyzer struct {
 // output and the fixture-coverage check in verify.sh both key off it.
 func All() []*Analyzer {
 	as := []*Analyzer{
-		AtomicMix(),
 		DocLint(),
 		HotAlloc(),
 		KernelMono(),

@@ -10,11 +10,11 @@ func TestSelect(t *testing.T) {
 	if err != nil || len(all) != len(All()) {
 		t.Fatalf("Select(\"\") = %d analyzers, err %v; want full registry", len(all), err)
 	}
-	got, err := Select("atomicmix, glignlint/parcapture")
+	got, err := Select("doclint, glignlint/parcapture")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || got[0].Name != "atomicmix" || got[1].Name != "parcapture" {
+	if len(got) != 2 || got[0].Name != "doclint" || got[1].Name != "parcapture" {
 		t.Errorf("Select picked %v", got)
 	}
 	if _, err := Select("nosuch"); err == nil {

@@ -10,7 +10,7 @@ import (
 // every package the loader has in memory (the analyzed set plus their
 // module-internal imports, which load with full ASTs), the static call
 // graph over all of them, and memoized per-function CFGs. Interprocedural
-// analyses (atomicmix wrapper propagation, kernelmono purity summaries) hang
+// analyses (kernelmono purity summaries, the par-worker model) hang
 // their cached summaries off this struct so they compute once per run.
 type Program struct {
 	// Analyzed lists the packages named by the run's patterns — the only
@@ -26,11 +26,8 @@ type Program struct {
 
 	cfgs map[*ast.BlockStmt]*CFG
 
-	atomicFactsMemo *atomicFacts
-	impurityMemo    map[*types.Func]string
-	freshMemo       map[*ast.FuncDecl]*freshAnalysis
-	quiescedMemo    map[*types.Func]bool
-	parWorkersMemo  map[*Package][]*ParWorker
+	impurityMemo   map[*types.Func]string
+	parWorkersMemo map[*Package][]*ParWorker
 }
 
 // newProgram assembles the Program for one Run invocation.

@@ -51,7 +51,7 @@ func (pr *Program) Impurity() map[*types.Func]string {
 	}
 
 	// Transitive closure over the call graph. The scan order is fixed and
-	// ByCaller preserves source order, so the reason each function ends up
+	// Callees preserves source order, so the reason each function ends up
 	// with (hence every report quoting it) is deterministic.
 	for changed := true; changed; {
 		changed = false
@@ -59,9 +59,9 @@ func (pr *Program) Impurity() map[*types.Func]string {
 			if _, done := imp[d.fn]; done {
 				continue
 			}
-			for _, site := range pr.Graph.ByCaller[d.fn] {
-				if r, bad := imp[site.Callee]; bad {
-					imp[d.fn] = "calls " + site.Callee.Name() + ", which " + r
+			for _, callee := range pr.Graph.Callees[d.fn] {
+				if r, bad := imp[callee]; bad {
+					imp[d.fn] = "calls " + callee.Name() + ", which " + r
 					changed = true
 					break
 				}
@@ -100,7 +100,7 @@ func directImpurity(pkg *Package, fd *ast.FuncDecl) string {
 		case *ast.IncDecStmt:
 			set(writeImpurity(info, fd, aliases, x.X))
 		case *ast.CallExpr:
-			if _, ok := isPkgCall(info, x, "sync/atomic"); ok {
+			if callsAtomic(info, x) {
 				set("calls sync/atomic")
 			}
 		case *ast.SendStmt:

@@ -2,7 +2,6 @@ package queries
 
 import (
 	"math"
-	"sync/atomic"
 
 	"github.com/glign/glign/internal/graph"
 )
@@ -58,14 +57,14 @@ func KindsOf(kernels []Kernel) []OpKind {
 // ImproveMin installs cand into cell i iff cand < current (atomic, lock
 // free). It is Improve specialized to minimizing kernels.
 func (v *Values) ImproveMin(i int, cand Value) bool {
-	addr := &v.bits[i]
+	cell := &v.bits[i]
 	candBits := math.Float64bits(cand)
 	for {
-		oldBits := atomic.LoadUint64(addr)
+		oldBits := cell.Load()
 		if cand >= math.Float64frombits(oldBits) {
 			return false
 		}
-		if atomic.CompareAndSwapUint64(addr, oldBits, candBits) {
+		if cell.CompareAndSwap(oldBits, candBits) {
 			return true
 		}
 	}
@@ -73,14 +72,14 @@ func (v *Values) ImproveMin(i int, cand Value) bool {
 
 // ImproveMax installs cand into cell i iff cand > current.
 func (v *Values) ImproveMax(i int, cand Value) bool {
-	addr := &v.bits[i]
+	cell := &v.bits[i]
 	candBits := math.Float64bits(cand)
 	for {
-		oldBits := atomic.LoadUint64(addr)
+		oldBits := cell.Load()
 		if cand <= math.Float64frombits(oldBits) {
 			return false
 		}
-		if atomic.CompareAndSwapUint64(addr, oldBits, candBits) {
+		if cell.CompareAndSwap(oldBits, candBits) {
 			return true
 		}
 	}
@@ -120,9 +119,9 @@ func RelaxImprove(v *Values, kind OpKind, k Kernel, i int, src Value, w graph.We
 func (v *Values) ImproveMinRow(base int, cand []Value) (improved uint64) {
 	row := v.bits[base:][:len(cand)]
 	for k, c := range cand {
-		addr := &row[k]
-		for old := atomic.LoadUint64(addr); c < math.Float64frombits(old); old = atomic.LoadUint64(addr) {
-			if atomic.CompareAndSwapUint64(addr, old, math.Float64bits(c)) {
+		cell := &row[k]
+		for old := cell.Load(); c < math.Float64frombits(old); old = cell.Load() {
+			if cell.CompareAndSwap(old, math.Float64bits(c)) {
 				improved |= 1 << uint(k)
 				break
 			}
@@ -135,9 +134,9 @@ func (v *Values) ImproveMinRow(base int, cand []Value) (improved uint64) {
 func (v *Values) ImproveMaxRow(base int, cand []Value) (improved uint64) {
 	row := v.bits[base:][:len(cand)]
 	for k, c := range cand {
-		addr := &row[k]
-		for old := atomic.LoadUint64(addr); c > math.Float64frombits(old); old = atomic.LoadUint64(addr) {
-			if atomic.CompareAndSwapUint64(addr, old, math.Float64bits(c)) {
+		cell := &row[k]
+		for old := cell.Load(); c > math.Float64frombits(old); old = cell.Load() {
+			if cell.CompareAndSwap(old, math.Float64bits(c)) {
 				improved |= 1 << uint(k)
 				break
 			}

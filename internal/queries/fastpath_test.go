@@ -43,7 +43,7 @@ func (customKernel) Relax(src Value, w graph.Weight) Value { return src + 2*Valu
 func (customKernel) Better(a, b Value) bool                { return a < b }
 
 func TestImproveMinMax(t *testing.T) {
-	v := NewValues(2, 10)
+	v := Repeat([]Value{10}, 2)
 	if !v.ImproveMin(0, 5) || v.ImproveMin(0, 5) || v.ImproveMin(0, 7) {
 		t.Fatal("ImproveMin semantics broken")
 	}
@@ -74,8 +74,8 @@ func TestQuickRelaxImproveMatchesInterface(t *testing.T) {
 				dst := randomValue(rng, k)
 				w := graph.Weight(1 + rng.Intn(64))
 
-				fast := NewValues(1, dst)
-				slow := NewValues(1, dst)
+				fast := Repeat([]Value{dst}, 1)
+				slow := Repeat([]Value{dst}, 1)
 				fr := RelaxImprove(fast, kind, k, 0, src, w)
 				sr := slow.Improve(0, k.Relax(src, w), k.Better)
 				if fr != sr || fast.Get(0) != slow.Get(0) {
@@ -85,7 +85,7 @@ func TestQuickRelaxImproveMatchesInterface(t *testing.T) {
 		}
 		// And the custom fallback path.
 		k := customKernel{}
-		v := NewValues(1, math.Inf(1))
+		v := Repeat([]Value{math.Inf(1)}, 1)
 		if !RelaxImprove(v, KindOf(k), k, 0, 3, 2) || v.Get(0) != 7 {
 			return false
 		}
@@ -110,7 +110,7 @@ func TestQuickRelaxImproveRowMatchesPerCell(t *testing.T) {
 			kind := KindOf(k)
 			for _, b := range []int{1, 3, 8, 13, 64, 65, 130} {
 				base := rng.Intn(5) * b
-				rowwise, cellwise := NewValues(base+2*b, 0), NewValues(base+2*b, 0)
+				rowwise, cellwise := Repeat([]Value{0}, base+2*b), Repeat([]Value{0}, base+2*b)
 				for c := 0; c < rowwise.Len(); c++ {
 					x := randomValue(rng, k)
 					rowwise.Set(c, x)
@@ -152,7 +152,7 @@ func TestQuickRelaxImproveRowMatchesPerCell(t *testing.T) {
 }
 
 func TestLoadRow(t *testing.T) {
-	v := NewValues(12, 0)
+	v := Repeat([]Value{0}, 12)
 	for c := 0; c < v.Len(); c++ {
 		v.Set(c, Value(c))
 	}

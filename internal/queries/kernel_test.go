@@ -141,7 +141,7 @@ func TestQueryString(t *testing.T) {
 }
 
 func TestValuesBasics(t *testing.T) {
-	v := NewValues(10, math.Inf(1))
+	v := Repeat([]Value{math.Inf(1)}, 10)
 	if v.Len() != 10 {
 		t.Fatalf("len = %d", v.Len())
 	}
@@ -152,10 +152,6 @@ func TestValuesBasics(t *testing.T) {
 	if v.Get(3) != 7 {
 		t.Fatal("set/get broken")
 	}
-	v.Fill(2)
-	if v.Get(3) != 2 || v.Get(9) != 2 {
-		t.Fatal("fill broken")
-	}
 	if v.Bytes() != 80 {
 		t.Fatalf("bytes = %d", v.Bytes())
 	}
@@ -163,7 +159,7 @@ func TestValuesBasics(t *testing.T) {
 
 func TestValuesImprove(t *testing.T) {
 	less := func(a, b Value) bool { return a < b }
-	v := NewValues(1, 10)
+	v := Repeat([]Value{10}, 1)
 	if !v.Improve(0, 5, less) {
 		t.Fatal("improvement rejected")
 	}
@@ -211,7 +207,7 @@ func TestQuickValuesImproveConverges(t *testing.T) {
 		if len(proposals) == 0 {
 			return true
 		}
-		v := NewValues(1, math.Inf(1))
+		v := Repeat([]Value{math.Inf(1)}, 1)
 		done := make(chan struct{})
 		for w := 0; w < 4; w++ {
 			go func(off int) {

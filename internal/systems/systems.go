@@ -2,7 +2,6 @@ package systems
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"github.com/glign/glign/internal/align"
@@ -212,12 +211,9 @@ func Run(method string, g *graph.Graph, buffer []queries.Query, cfg Config) (*Re
 		bt.Finish(batchDur)
 		res.BatchDurations = append(res.BatchDurations, batchDur)
 		res.TotalIterations += br.GlobalIterations
-		// The batch engines update these counters from par.For workers with
-		// atomic adds; read them atomically to keep one access protocol per
-		// field even though the batch has joined (glignlint/atomicmix).
-		res.EdgesProcessed += atomic.LoadInt64(&br.EdgesProcessed)
-		res.LaneRelaxations += atomic.LoadInt64(&br.LaneRelaxations)
-		res.ValueWrites += atomic.LoadInt64(&br.ValueWrites)
+		res.EdgesProcessed += br.EdgesProcessed
+		res.LaneRelaxations += br.LaneRelaxations
+		res.ValueWrites += br.ValueWrites
 		if cfg.KeepValues {
 			for qi, vals := range br.AllQueryValues(cfg.Pool, cfg.Workers) {
 				res.Values[idx[qi]] = vals

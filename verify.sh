@@ -11,9 +11,20 @@ go build ./...
 echo "== go vet =="
 go vet ./...
 
+echo "== typed atomics =="
+# Every word written concurrently is a typed sync/atomic value, so mixing
+# atomic and plain access to one does not compile and go vet rejects a copy.
+# A sync/atomic package function takes an untyped word, which neither check
+# sees, so none may appear outside the tests and the benchmark module.
+if grep -rnE 'atomic\.(Add|Load|Store|Swap|CompareAndSwap)(Int32|Int64|Uint32|Uint64|Uintptr|Pointer)\(' \
+    --include='*.go' . | grep -v '_test\.go' | grep -Ev '^\./(benchmark|\.bench_build)/'; then
+    echo "verify: sync/atomic package functions above; use the typed atomics" >&2
+    exit 1
+fi
+
 echo "== glignlint (concurrency + engine invariants) =="
-# The six project analyzers (atomicmix, doclint, hotalloc, kernelmono,
-# parcapture, staleignore); LINTING.md documents each invariant. One invocation
+# The five project analyzers (doclint, hotalloc, kernelmono, parcapture,
+# staleignore); LINTING.md documents each invariant. One invocation
 # lints the whole module — the linter's own implementation and the command
 # tree included, so it holds itself to the invariants it enforces — and
 # writes both the machine-readable report archived under results/ and the

@@ -87,19 +87,8 @@ func TestWarmedRunAllocatesOnlyResults(t *testing.T) {
 			for _, src := range SampleSources(g, leg.buffer, 9) {
 				buf = append(buf, Query{Kernel: k, Source: src})
 			}
-			if _, err := rt.Run(buf); err != nil { // warms the profile and the arena
-				t.Fatal(err)
-			}
-			var before, after runtime.MemStats
-			runtime.GC()
-			runtime.ReadMemStats(&before)
-			rep, err := rt.Run(buf)
-			runtime.ReadMemStats(&after)
-			if err != nil {
-				t.Fatal(err)
-			}
+			rep, got, _ := warmedRun(t, rt, buf)
 			results := uint64(rep.NumQueries()) * n * 8
-			got := after.TotalAlloc - before.TotalAlloc
 			if limit := results + results*15/100; got > limit {
 				t.Errorf("a warmed Run allocated %d bytes, over the %d of its result vectors plus 15%% (%d)", got, results, limit)
 			}
@@ -108,4 +97,65 @@ func TestWarmedRunAllocatesOnlyResults(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestWarmedRunMallocsPerIteration bounds the heap objects a warmed Run
+// makes per global iteration, so an allocation repeated every iteration of
+// the traversal loop fails here however it is spelt: a make in a policy's
+// chunk body, a slice in the driver's loop, a method value taken in Step.
+// Every road batch runs over a hundred thin iterations, so what a batch sets
+// up once (its frontier pair, its schedule, its result) comes to well under
+// one object an iteration. What is left is the pool's dispatch: For's wrapper
+// closure, the job, its done channel and its cursors, four objects whenever
+// an iteration's frontier spans more than one chunk. That is the budget of 5
+// for the query-oblivious engines and Krill, which measure about 4.5.
+// Ligra-C's budget is its measured 31.4 plus 15 %, and it has two known
+// sources on top of the dispatch: its Step derives the unified frontier with
+// frontier.UnionOf, a fresh Subset and a parallel reduction every iteration,
+// and every chunk of its push makes its own lane list.
+func TestWarmedRunMallocsPerIteration(t *testing.T) {
+	g, err := Generate("RD-CA", "small")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf []Query
+	for _, src := range SampleSources(g, 32, 9) {
+		buf = append(buf, Query{Kernel: BFS, Source: src})
+	}
+	for _, leg := range []struct {
+		method string
+		budget float64
+	}{{MethodGlignIntra, 5}, {MethodKrill, 5}, {MethodGlign, 5}, {MethodLigraC, 36}} {
+		t.Run(leg.method, func(t *testing.T) {
+			rt, err := NewRuntime(g, WithMethod(leg.method), WithBatchSize(16), WithWorkers(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, _, mallocs := warmedRun(t, rt, buf)
+			iters := rep.TotalIterations()
+			if perIter := float64(mallocs) / float64(iters); perIter > leg.budget {
+				t.Errorf("a warmed Run made %.2f heap objects an iteration over %d iterations, over its budget of %g",
+					perIter, iters, leg.budget)
+			}
+		})
+	}
+}
+
+// warmedRun runs buf on rt twice, the first time to warm its profile and its
+// arena, and returns the second Run's report with the heap bytes and objects
+// that Run allocated.
+func warmedRun(t *testing.T, rt *Runtime, buf []Query) (rep *Report, bytes, objects uint64) {
+	t.Helper()
+	if _, err := rt.Run(buf); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	rep, err := rt.Run(buf)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep, after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
 }

@@ -1,13 +1,11 @@
 // Command glignlint is the project's static-analysis suite: a stdlib-only
 // multi-analyzer driver (go/parser + go/ast + go/types) that machine-checks
-// the concurrency and engine invariants the Glign reproduction depends on.
+// the concurrency invariants of the Glign reproduction that neither the
+// compiler nor its tests hold.
 //
 // Analyzers (see LINTING.md for the invariant each one encodes):
 //
 //	doclint     — every package carries a package comment
-//	hotalloc    — per-iteration allocations in traversal loops and par closures
-//	kernelmono  — relaxation only through the approved CAS helpers; pure kernels
-//	              (alias-aware, call-graph purity summaries)
 //	parcapture  — par.For closures writing captured variables
 //	staleignore — //lint:ignore directives matching no finding of the run or
 //	              naming no registered analyzer

@@ -91,32 +91,6 @@ func TestParCaptureFixture(t *testing.T) {
 	}
 }
 
-func TestKernelMonoFixture(t *testing.T) {
-	findings := runAnalyzer(t, "kernelmono", "testdata/src/kernelmono")
-	got := formatFindings(t, findings)
-	checkGolden(t, "kernelmono", got)
-	if active, suppressed := counts(findings); active < 2 || suppressed != 1 {
-		t.Errorf("want >=2 active and exactly 1 suppressed, got %d/%d:\n%s", active, suppressed, got)
-	}
-	if strings.Contains(got, "good") {
-		t.Errorf("false positive on the pure kernel:\n%s", got)
-	}
-}
-
-func TestHotAllocFixture(t *testing.T) {
-	findings := runAnalyzer(t, "hotalloc", "testdata/src/hotalloc")
-	got := formatFindings(t, findings)
-	checkGolden(t, "hotalloc", got)
-	if active, suppressed := counts(findings); active < 3 || suppressed != 1 {
-		t.Errorf("want >=3 active and exactly 1 suppressed, got %d/%d:\n%s", active, suppressed, got)
-	}
-	for _, clean := range []string{"sizes", "lanes", "history"} {
-		if strings.Contains(got, "append to "+clean) {
-			t.Errorf("false positive on reserved slice %s:\n%s", clean, got)
-		}
-	}
-}
-
 // TestStaleIgnoreFixture runs parcapture together with staleignore: the
 // directive matching a live finding stays quiet, the rotted directive and the
 // one naming no registered analyzer are reported, and a stale report can
@@ -140,30 +114,30 @@ func TestStaleIgnoreFixture(t *testing.T) {
 }
 
 // TestStaleIgnoreSubset pins the subset semantics: a directive naming only
-// hotalloc is skipped when hotalloc is deselected (a subset run cannot judge
-// it) and reported stale only by a run that selects hotalloc, while the
+// doclint is skipped when doclint is deselected (a subset run cannot judge
+// it) and reported stale only by a run that selects doclint, while the
 // directive naming no registered analyzer is reported by both runs.
 func TestStaleIgnoreSubset(t *testing.T) {
 	for _, tc := range []struct {
 		analyzers string
-		hotalloc  int // stale reports naming the hotalloc directive
+		doclint   int // stale reports naming the doclint directive
 	}{
 		{"parcapture,staleignore", 0},
-		{"hotalloc,staleignore", 1},
+		{"doclint,staleignore", 1},
 	} {
 		findings := runAnalyzer(t, tc.analyzers, "testdata/src/staleignore")
-		hotalloc, unregistered := 0, 0
+		doclint, unregistered := 0, 0
 		for _, f := range findings {
-			if strings.Contains(f.Message, "glignlint/hotalloc") {
-				hotalloc++
+			if strings.Contains(f.Message, "glignlint/doclint") {
+				doclint++
 			}
 			if strings.Contains(f.Message, "names no registered analyzer") {
 				unregistered++
 			}
 		}
-		if hotalloc != tc.hotalloc || unregistered != 1 {
-			t.Errorf("%s: want %d hotalloc and 1 unregistered report, got %d/%d:\n%s",
-				tc.analyzers, tc.hotalloc, hotalloc, unregistered, formatFindings(t, findings))
+		if doclint != tc.doclint || unregistered != 1 {
+			t.Errorf("%s: want %d doclint and 1 unregistered report, got %d/%d:\n%s",
+				tc.analyzers, tc.doclint, doclint, unregistered, formatFindings(t, findings))
 		}
 	}
 }
@@ -237,8 +211,7 @@ func TestHelpAnalyzersSorted(t *testing.T) {
 	for _, line := range strings.Split(strings.TrimRight(out.String(), "\n"), "\n") {
 		names = append(names, strings.Fields(line)[0])
 	}
-	want := []string{"doclint", "hotalloc", "kernelmono", "parcapture",
-		"staleignore"}
+	want := []string{"doclint", "parcapture", "staleignore"}
 	if strings.Join(names, " ") != strings.Join(want, " ") {
 		t.Errorf("catalogue lists %v, want %v:\n%s", names, want, out.String())
 	}

@@ -46,12 +46,12 @@ func alsoPublished(dst []int) {
 	})
 }
 
-// subsetOnly carries a directive naming an analyzer (hotalloc) that the
+// subsetOnly carries a directive naming an analyzer (doclint) that the
 // staleignore fixture test deliberately leaves unselected: a subset run
 // cannot judge such a directive, so it must never be reported stale there —
-// only a run that actually selects hotalloc may decide.
+// only a run that actually selects doclint may decide.
 func subsetOnly(n int) []int {
-	//lint:ignore glignlint/hotalloc fixture: judged only when hotalloc itself is selected
+	//lint:ignore glignlint/doclint fixture: judged only when doclint itself is selected
 	return make([]int, n)
 }
 

@@ -119,10 +119,11 @@ func drive(g *graph.Graph, batch []queries.Query, opt Options, policy func(st *B
 }
 
 // iterCapHint sizes per-iteration record slices (UnionFrontierSizes and
-// friends) up front, so the traversal loop never grows them mid-run
-// (glignlint/hotalloc): capped runs bound their history by the cap, and
-// free-running monotone batches converge in O(diameter) rounds, for which 64
-// is a generous amortization base.
+// friends) up front, so the traversal loop rarely grows them mid-run (the
+// root package's TestWarmedRunMallocsPerIteration counts what it does):
+// capped runs bound their history by the cap, and free-running monotone
+// batches converge in O(diameter) rounds, for which 64 is a generous
+// amortization base.
 func iterCapHint(maxIterations int) int { return max(maxIterations, 64) }
 
 // tally sums the Counts of one iteration's chunks, which run concurrently.

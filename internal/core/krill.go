@@ -31,11 +31,13 @@ func (krill) Run(g *graph.Graph, batch []queries.Query, opt Options) (*BatchResu
 			frontier.MaxQueries, len(batch))
 	}
 	return runBatch(g, batch, opt, -1, func(st *BatchSetup) LanePolicy {
-		return &krillPolicy{
+		p := &krillPolicy{
 			g: g, st: st,
 			union: frontier.New(st.N), nextUnion: frontier.New(st.N),
 			qm: frontier.NewQueryMask(st.N), nextQM: frontier.NewQueryMask(st.N),
 		}
+		p.body = p.push
+		return p
 	})
 }
 
@@ -47,6 +49,7 @@ type krillPolicy struct {
 	union, nextUnion *frontier.Subset
 	qm, nextQM       *frontier.QueryMask
 	active           []graph.VertexID
+	body             func(lo, hi int) Counts // push, bound once: a method value allocates
 }
 
 func (p *krillPolicy) Inject(src graph.VertexID, lane int) {
@@ -56,7 +59,7 @@ func (p *krillPolicy) Inject(src graph.VertexID, lane int) {
 
 func (p *krillPolicy) Step() Step {
 	p.active = p.union.Sparse()
-	return Step{Size: len(p.active), Total: len(p.active), Body: p.push}
+	return Step{Size: len(p.active), Total: len(p.active), Body: p.body}
 }
 
 func (p *krillPolicy) Advance() {

@@ -58,12 +58,14 @@ func runOblivious(g *graph.Graph, batch []queries.Query, opt Options, query int)
 }
 
 func newObliviousPolicy(g *graph.Graph, st *BatchSetup, arena *Arena) *obliviousPolicy {
-	return &obliviousPolicy{
+	p := &obliviousPolicy{
 		g: g, st: st,
 		cur: frontier.New(st.N), next: frontier.New(st.N),
 		dirty:   arena.takeMask(st.N, st.B),
 		scratch: arena.takeScratches(st.N),
 	}
+	p.body = p.push
+	return p
 }
 
 // Frontiers evaluates q alone, as GlignIntra's one-query batch, and returns
@@ -103,7 +105,8 @@ type obliviousPolicy struct {
 	cur, next *frontier.Subset
 	active    []graph.VertexID
 	dirty     *laneMask
-	scratch   *scratches // one a worker for the run, not one a chunk
+	scratch   *scratches              // one a worker for the run, not one a chunk
+	body      func(lo, hi int) Counts // push, bound once: a method value allocates
 }
 
 func (p *obliviousPolicy) Inject(src graph.VertexID, lane int) {
@@ -113,7 +116,7 @@ func (p *obliviousPolicy) Inject(src graph.VertexID, lane int) {
 
 func (p *obliviousPolicy) Step() Step {
 	p.active = p.cur.Sparse()
-	return Step{Size: len(p.active), Total: len(p.active), Body: p.push}
+	return Step{Size: len(p.active), Total: len(p.active), Body: p.body}
 }
 
 // Advance runs after the pushers joined (pool.For returned), so every

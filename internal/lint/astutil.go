@@ -84,47 +84,8 @@ func pkgNameOf(info *types.Info, e ast.Expr) *types.Package {
 	return nil
 }
 
-// callsAtomic reports whether call invokes sync/atomic: one of its functions
-// (atomic.AddInt64) or a method of one of its types (hits.Add on an
-// atomic.Int64).
-func callsAtomic(info *types.Info, call *ast.CallExpr) bool {
-	fn := calleeOf(info, call)
-	return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic"
-}
-
 // importPathEndsWith reports whether path is pkg or ends in "/"+pkg, so
 // module-internal packages match regardless of module prefix.
 func importPathEndsWith(path, pkg string) bool {
 	return path == pkg || strings.HasSuffix(path, "/"+pkg)
-}
-
-// funcDecls yields every function declaration of the package with a
-// human-readable name ("(*Subset).Add", "pullIteration").
-func funcDecls(pkg *Package) []*ast.FuncDecl {
-	var out []*ast.FuncDecl
-	for _, f := range pkg.Files {
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok {
-				out = append(out, fd)
-			}
-		}
-	}
-	return out
-}
-
-// funcDisplayName renders a FuncDecl name including its receiver type.
-func funcDisplayName(fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return fd.Name.Name
-	}
-	t := fd.Recv.List[0].Type
-	star := ""
-	if s, ok := t.(*ast.StarExpr); ok {
-		star = "*"
-		t = s.X
-	}
-	if id, ok := t.(*ast.Ident); ok {
-		return "(" + star + id.Name + ")." + fd.Name.Name
-	}
-	return fd.Name.Name
 }

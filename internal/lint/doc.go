@@ -7,19 +7,18 @@
 // hot paths (EdgeMap lanes, the query-oblivious frontier, batch schedulers)
 // share CAS-relaxed value cells and frontier words among the workers of the
 // hand-rolled par.For runtime. Those words are typed sync/atomic values, so
-// the compiler and go vet keep atomic and plain access apart; what
-// convention alone cannot keep is the rest: a relaxation that bypasses the
-// CAS helpers, a closure passed to par.For that writes a captured variable,
-// an allocation repeated every traversal iteration. Each analyzer
-// machine-checks one such invariant; see LINTING.md for the catalogue and
-// the paper sections that motivate them.
+// the compiler and go vet keep atomic and plain access apart, and tests that
+// run the code hold the allocation and kernel contracts. What is left to
+// convention, and checked here, is a worker of the par runtime that writes
+// a variable shared between chunks, a package without a package comment,
+// and a suppression that no longer suppresses anything; see LINTING.md for
+// the catalogue.
 //
-// The analyzers share a flow-sensitive, interprocedural substrate: a
-// statement-granular CFG per function (BuildCFG), a forward-dataflow
-// fixpoint engine (ForwardFlow), a module-wide call graph, the set of
-// function bodies the internal/par runtime runs on its workers (ParWorkers),
-// and a derived purity classification. All of it is plain go/ast +
-// go/types; the driver has no dependency outside the standard library.
+// The analyzers are syntactic and type-directed only. The one module-wide
+// fact they share is the set of function bodies the internal/par runtime
+// runs on its workers (ParWorkers), found through an index of every
+// declared function. All of it is plain go/ast + go/types; the driver has
+// no dependency outside the standard library.
 //
 // Findings can be suppressed with a justification:
 //

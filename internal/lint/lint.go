@@ -49,9 +49,9 @@ func (f Finding) String() string {
 }
 
 // Pass is the per-(package, analyzer) context handed to Analyzer.Run. Prog
-// carries the module-wide view (call graph, all loaded packages, memoized
-// CFGs and interprocedural summaries); findings are still reported against
-// the single package in Pkg.
+// carries the module-wide view (all loaded packages, their declarations and
+// the par-worker model); findings are still reported against the single
+// package in Pkg.
 type Pass struct {
 	Pkg  *Package
 	Prog *Program
@@ -90,8 +90,6 @@ type Analyzer struct {
 func All() []*Analyzer {
 	as := []*Analyzer{
 		DocLint(),
-		HotAlloc(),
-		KernelMono(),
 		ParCapture(),
 		StaleIgnore(),
 	}
@@ -150,9 +148,9 @@ func Select(names string) ([]*Analyzer, error) {
 // Finding paths are module-relative (slash-separated), so reports and
 // baselines are machine-independent.
 //
-// All matched packages load before any analyzer runs: interprocedural
-// analyses need the module-wide Program (call graph plus every package's
-// AST) assembled first.
+// All matched packages load before any analyzer runs: the par-worker model
+// needs the module-wide Program (every package's AST and declarations)
+// assembled first.
 func Run(analyzers []*Analyzer, patterns []string) ([]Finding, error) {
 	l, err := newLoader()
 	if err != nil {
@@ -173,7 +171,7 @@ func Run(analyzers []*Analyzer, patterns []string) ([]Finding, error) {
 		}
 		analyzed = append(analyzed, pkg)
 	}
-	prog := newProgram(l, analyzed)
+	prog := newProgram(l)
 
 	runNames := map[string]bool{}
 	for _, a := range analyzers {

@@ -33,8 +33,8 @@ func runParCapture(p *Pass) {
 // isParCall reports whether call invokes anything defined by the
 // internal/par package: package-qualified helpers (par.For, par.ForEach,
 // par.ForReduce), and methods on its types (pool.For for a *par.Pool) — the
-// persistent pool made the runtime's entry points methods, and the hot
-// regions and closure checks must follow them.
+// persistent pool made the runtime's entry points methods, and the closure
+// check must follow them.
 func isParCall(info *types.Info, call *ast.CallExpr) bool {
 	fun := ast.Unparen(call.Fun)
 	// Explicit generic instantiations (par.ForReduce[int64]) wrap the

@@ -72,8 +72,8 @@ func collectParWorkers(pr *Program) map[*Package][]*ParWorker {
 			return
 		}
 		if fn := funcValueOf(pkg.Info, e); fn != nil {
-			if fd := pr.Graph.DeclOf[fn]; fd != nil {
-				dpkg := pr.Graph.PkgOf[fn]
+			if fd := pr.DeclOf[fn]; fd != nil {
+				dpkg := pr.PkgOf[fn]
 				var recv types.Object
 				if fd.Recv != nil && len(fd.Recv.List) > 0 && len(fd.Recv.List[0].Names) > 0 {
 					recv = dpkg.Info.Defs[fd.Recv.List[0].Names[0]]

@@ -7,58 +7,44 @@ import (
 )
 
 // Program is the module-wide view handed to analyzers through Pass.Prog:
-// every package the loader has in memory (the analyzed set plus their
-// module-internal imports, which load with full ASTs), the static call
-// graph over all of them, and memoized per-function CFGs. Interprocedural
-// analyses (kernelmono purity summaries, the par-worker model) hang
-// their cached summaries off this struct so they compute once per run.
+// every package the loader has in memory and an index of the functions
+// declared in them. Module-wide analyses (the par-worker model) hang their
+// cached results off this struct so they compute once per run.
 type Program struct {
-	// Analyzed lists the packages named by the run's patterns — the only
-	// ones findings are reported for.
-	Analyzed []*Package
 	// All lists every module-internal package with parsed source available,
-	// in import-path order: Analyzed plus transitively imported packages.
-	// Interprocedural facts are collected over All, so a wrapper in a
+	// in import-path order: the packages named by the run's patterns plus
+	// their transitive module-internal imports, which load with full ASTs.
+	// Module-wide facts are collected over All, so a wrapper in a
 	// dependency still counts.
 	All []*Package
-	// Graph is the static call graph over All.
-	Graph *CallGraph
+	// DeclOf maps every function and method declared in All to its
+	// declaration, and PkgOf to the package holding it, so a function value
+	// resolves to the body it runs.
+	DeclOf map[*types.Func]*ast.FuncDecl
+	PkgOf  map[*types.Func]*Package
 
-	cfgs map[*ast.BlockStmt]*CFG
-
-	impurityMemo   map[*types.Func]string
 	parWorkersMemo map[*Package][]*ParWorker
 }
 
 // newProgram assembles the Program for one Run invocation.
-func newProgram(l *loader, analyzed []*Package) *Program {
-	var all []*Package
+func newProgram(l *loader) *Program {
+	pr := &Program{DeclOf: map[*types.Func]*ast.FuncDecl{}, PkgOf: map[*types.Func]*Package{}}
 	for _, pkg := range l.pkgs {
 		if pkg != nil {
-			all = append(all, pkg)
+			pr.All = append(pr.All, pkg)
 		}
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].ImportPath < all[j].ImportPath })
-	return &Program{
-		Analyzed: analyzed,
-		All:      all,
-		Graph:    buildCallGraph(all),
-		cfgs:     map[*ast.BlockStmt]*CFG{},
+	sort.Slice(pr.All, func(i, j int) bool { return pr.All[i].ImportPath < pr.All[j].ImportPath })
+	for _, pkg := range pr.All {
+		for _, f := range pkg.Files {
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
+						pr.DeclOf[fn], pr.PkgOf[fn] = fd, pkg
+					}
+				}
+			}
+		}
 	}
-}
-
-// CFG returns the memoized control-flow graph of body.
-func (pr *Program) CFG(body *ast.BlockStmt) *CFG {
-	if c, ok := pr.cfgs[body]; ok {
-		return c
-	}
-	c := BuildCFG(body)
-	pr.cfgs[body] = c
-	return c
-}
-
-// funcOf resolves the *types.Func of a declaration in pkg.
-func funcOf(pkg *Package, fd *ast.FuncDecl) *types.Func {
-	fn, _ := pkg.Info.Defs[fd.Name].(*types.Func)
-	return fn
+	return pr
 }

@@ -209,11 +209,10 @@ var (
 )
 
 // Monotone returns one representative of every monotone push-model kernel:
-// the five paper kernels plus bounded-depth reachability. glignlint's
-// kernelmono analyzer enforces that every Kernel implementation in this
-// package is either resolvable from this list or implements
-// ConvergenceKernel — a kernel that is neither has no evaluation paradigm
-// and no engine may run it.
+// the five paper kernels plus bounded-depth reachability. No kernel listed
+// here may implement ConvergenceKernel (TestParadigmClassification):
+// engines route a batch by that interface (AnyConvergent), so one that did
+// would be evaluated by Jacobi rounds instead of a frontier traversal.
 func Monotone() []Kernel {
 	return []Kernel{BFS, SSSP, SSWP, Viterbi, SSNP, KHop(DefaultKHopDepth)}
 }

@@ -2,6 +2,7 @@ package queries
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -48,6 +49,39 @@ func TestParadigmClassification(t *testing.T) {
 	batch = append(batch, Query{Kernel: PageRank, Source: 0})
 	if !AnyConvergent(batch) {
 		t.Fatalf("AnyConvergent false with PageRank present")
+	}
+}
+
+// TestKernelsAreStateless holds the purity contract engines rely on when
+// they call one kernel value from every worker on every edge (or every vertex
+// of a Jacobi round) with no synchronization: a kernel is a value of a
+// non-pointer struct whose fields are all of basic kinds, so no method can
+// write state that another worker reads, neither through its receiver nor
+// through a pointer, slice, map or channel it carries. The -race legs run
+// every kernel concurrently as the dynamic half of the same contract.
+func TestKernelsAreStateless(t *testing.T) {
+	kernels := append(Monotone(), KHop(5))
+	for _, ck := range Convergent() {
+		kernels = append(kernels, ck)
+	}
+	for _, k := range kernels {
+		typ := reflect.TypeOf(k)
+		if typ.Kind() != reflect.Struct {
+			t.Errorf("kernel %s is a %s, not a struct value", k.Name(), typ.Kind())
+			continue
+		}
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			switch f.Type.Kind() {
+			case reflect.Bool, reflect.String,
+				reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+				reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+				reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+			default:
+				t.Errorf("kernel %s (%s) carries field %s of kind %s; kernels hold only basic values",
+					k.Name(), typ, f.Name, f.Type.Kind())
+			}
+		}
 	}
 }
 

@@ -23,8 +23,8 @@ if grep -rnE 'atomic\.(Add|Load|Store|Swap|CompareAndSwap)(Int32|Int64|Uint32|Ui
 fi
 
 echo "== glignlint (concurrency + engine invariants) =="
-# The five project analyzers (doclint, hotalloc, kernelmono, parcapture,
-# staleignore); LINTING.md documents each invariant. One invocation
+# The three project analyzers (doclint, parcapture, staleignore);
+# LINTING.md documents each invariant. One invocation
 # lints the whole module — the linter's own implementation and the command
 # tree included, so it holds itself to the invariants it enforces — and
 # writes both the machine-readable report archived under results/ and the

@@ -104,11 +104,13 @@ func TestWarmedRunAllocatesOnlyResults(t *testing.T) {
 // the traversal loop fails here however it is spelt: a make in a policy's
 // chunk body, a slice in the driver's loop, a method value taken in Step.
 // Every road batch runs over a hundred thin iterations, so what a batch sets
-// up once (its frontier pair, its schedule, its result) comes to well under
-// one object an iteration. What is left is the pool's dispatch: For's wrapper
-// closure, the job, its done channel and its cursors, four objects whenever
-// an iteration's frontier spans more than one chunk. That is the budget of 5
-// for the query-oblivious engines and Krill, which measure about 4.5.
+// up once (its schedule, its result) comes to well under one object an
+// iteration. What is left is the pool's dispatch: For's wrapper closure, the
+// job, its done channel and its cursors, four objects whenever an iteration's
+// frontier spans more than one chunk. The query-oblivious engines take their
+// frontier pair from the arena, member lists and all, and measure 4.11–4.29:
+// their budget is 4.4, which a pair made new every batch (4.45–4.59) breaks.
+// Krill makes its frontiers every batch and measures about 4.55, under 5.
 // Ligra-C's budget is its measured 31.4 plus 15 %, and it has two known
 // sources on top of the dispatch: its Step derives the unified frontier with
 // frontier.UnionOf, a fresh Subset and a parallel reduction every iteration,
@@ -125,7 +127,7 @@ func TestWarmedRunMallocsPerIteration(t *testing.T) {
 	for _, leg := range []struct {
 		method string
 		budget float64
-	}{{MethodGlignIntra, 5}, {MethodKrill, 5}, {MethodGlign, 5}, {MethodLigraC, 36}} {
+	}{{MethodGlignIntra, 4.4}, {MethodKrill, 5}, {MethodGlign, 4.4}, {MethodLigraC, 36}} {
 		t.Run(leg.method, func(t *testing.T) {
 			rt, err := NewRuntime(g, WithMethod(leg.method), WithBatchSize(16), WithWorkers(2))
 			if err != nil {

@@ -1,9 +1,9 @@
 // Command glign-serve runs the live query-serving loop over HTTP: it loads
-// or generates a graph, starts a glign.Server (bounded admission, windowed
-// batching, result cache with epoch invalidation, in-flight dedup, tiered
-// load-shedding, engine execution on the shared pool), and answers JSON
-// query submissions until interrupted, then drains in-flight batches and
-// exits. SERVING.md documents the serving contract end to end, including a
+// or generates a graph, starts a glign.Server (bounded admission, batching
+// that hands an idle engine whatever is queued at once, result cache with
+// epoch invalidation, in-flight dedup, tiered load-shedding, engine execution
+// on the shared pool), and answers JSON query submissions until interrupted,
+// then drains in-flight batches and exits. SERVING.md documents the serving contract end to end, including a
 // worked curl session against this command.
 //
 // Examples:
@@ -60,7 +60,6 @@ func run() error {
 		size      = flag.String("size", "small", "synthetic size class (tiny, small, medium)")
 		method    = flag.String("method", glign.MethodGlign, "evaluation method")
 		batch     = flag.Int("batch", 64, "batch size cap |B|")
-		window    = flag.Duration("window", 5*time.Millisecond, "batching window: max wait before flushing a partial batch")
 		queueCap  = flag.Int("queue", 1024, "admission queue capacity (submits beyond it shed lower tiers or are rejected)")
 		cacheCap  = flag.Int("cache", 1024, "result cache capacity in entries (0 disables caching)")
 		admission = flag.String("admission", "", "admission ordering: fcfs, affinity, or empty to follow the method")
@@ -97,7 +96,6 @@ func run() error {
 	srv, err := glign.Serve(g, glign.ServeConfig{
 		Method:          *method,
 		BatchSize:       *batch,
-		Window:          *window,
 		QueueCapacity:   *queueCap,
 		CacheCapacity:   cacheCapacity,
 		AdmissionPolicy: *admission,
@@ -122,8 +120,8 @@ func run() error {
 
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
-	fmt.Printf("%s method serving queries on http://%s/query (batch %d, window %v, queue %d, cache %d, admission %q)\n",
-		*method, *addr, *batch, *window, *queueCap, *cacheCap, *admission)
+	fmt.Printf("%s method serving queries on http://%s/query (batch %d, queue %d, cache %d, admission %q)\n",
+		*method, *addr, *batch, *queueCap, *cacheCap, *admission)
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
@@ -146,7 +144,7 @@ func run() error {
 		return err
 	}
 	st := srv.Stats()
-	fmt.Printf("served %d of %d admitted queries in %d batches (%d window / %d size / %d drain flushes; %d rejected full, %d deadline misses)\n",
+	fmt.Printf("served %d of %d admitted queries in %d batches (%d idle / %d size / %d drain flushes; %d rejected full, %d deadline misses)\n",
 		st.Completed, st.Admitted, st.Batches, st.WindowFlushes, st.SizeFlushes, st.DrainFlushes,
 		st.RejectedFull, st.DeadlineMisses)
 	fmt.Printf("traffic shaping: %d cache hits / %d misses (%d invalidated, %d evicted), %d coalesced, %d reordered, %d shed, epoch %d\n",

@@ -7,8 +7,10 @@ import (
 )
 
 // Live serving: Serve starts a long-lived server that admits queries one at
-// a time onto a bounded queue, batches them with a time-and-size window
-// under the configured method's policy, and executes the batches on the
+// a time onto a bounded queue, batches them under the configured method's
+// policy — whatever is queued goes to an idle engine at once, and what
+// arrives while the engine runs forms the next batch, up to the size cap —
+// and executes the batches on the
 // shared work-stealing pool — the online counterpart of Runtime.Run, which
 // evaluates a pre-materialized buffer. The server is also a traffic-shaping
 // front end: an epoch-invalidated result cache, in-flight dedup of identical
@@ -16,16 +18,16 @@ import (
 // SERVING.md is the full contract (admission state machine, cache epoch
 // semantics, dedup fan-out guarantees, tier/shed policy, telemetry ledger).
 
-// Server is a live query server (admission queue -> windowed batches ->
-// engine -> per-query tickets). Submit/SubmitTimeout/SubmitWith admit
+// Server is a live query server (admission queue -> batches -> engine ->
+// per-query tickets). Submit/SubmitTimeout/SubmitWith admit
 // queries, BumpEpoch invalidates cached results after a data change,
 // Shutdown stops admission, Close drains everything admitted and joins the
 // server's goroutines.
 type Server = serve.Server
 
-// ServeConfig parameterizes a Server: method, batch size cap, window
-// duration, admission-queue capacity and per-tier bounds, result-cache
-// capacity, admission policy, deadlines clock, pool, telemetry.
+// ServeConfig parameterizes a Server: method, batch size cap,
+// admission-queue capacity and per-tier bounds, result-cache capacity,
+// admission policy, deadlines clock, pool, telemetry.
 type ServeConfig = serve.Config
 
 // QueryTicket is the completion handle of one submitted query: Wait (or
@@ -61,12 +63,12 @@ const (
 )
 
 // ServeClock is the server's injectable time source; NewFakeServeClock
-// builds the deterministic test clock that drives window expiry and
-// deadline misses without wall-clock sleeps.
+// builds the deterministic test clock that drives deadline misses without
+// wall-clock sleeps.
 type ServeClock = serve.Clock
 
 // NewFakeServeClock returns a manually advanced clock for deterministic
-// serving tests (see serve.FakeClock: Advance, BlockUntil).
+// serving tests (see serve.FakeClock: Advance).
 func NewFakeServeClock(start time.Time) *serve.FakeClock {
 	return serve.NewFakeClock(start)
 }
@@ -86,9 +88,8 @@ var (
 )
 
 // Serve starts a live query server on g. The zero config serves full-Glign
-// batches of 64 on a 5ms window with a 1024-query admission bound, a
-// 1024-entry result cache, in-flight dedup, and the method's own admission
-// ordering.
+// batches of at most 64 with a 1024-query admission bound, a 1024-entry
+// result cache, in-flight dedup, and the method's own admission ordering.
 func Serve(g *Graph, cfg ServeConfig) (*Server, error) {
 	return serve.New(g, cfg)
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"sync/atomic"
 
+	"github.com/glign/glign/internal/frontier"
 	"github.com/glign/glign/internal/graph"
 	"github.com/glign/glign/internal/queries"
 )
@@ -18,8 +19,10 @@ import (
 //   - the Jacobi state of RunConvergenceBatch: its slabs (jacobiSlabs), taken
 //     and returned inside the run, and the jacobiGeometry of the owner's
 //     graph, which is immutable and so shared rather than taken;
-//   - the changed-lane mask of the query-oblivious engine, returned only by a
-//     batch that reached its fixed point (see laneMask);
+//   - the changed-lane mask and the frontier pair of the query-oblivious
+//     engine, returned only by a batch that reached its fixed point (see
+//     laneMask), so the pair comes back empty with the member lists its
+//     frontiers grew;
 //   - the push workers' accumulators of the query-oblivious engine
 //     (scratches), empty after every batch.
 //
@@ -34,7 +37,8 @@ import (
 // batch of the owner is running — allocates its own and never waits.
 type Arena struct {
 	vals  atomic.Pointer[queries.Values]
-	mask  atomic.Pointer[laneMask] // all-zero over its whole capacity
+	mask  atomic.Pointer[laneMask]     // all-zero over its whole capacity
+	pair  atomic.Pointer[frontierPair] // both empty
 	push  atomic.Pointer[scratches]
 	slabs atomic.Pointer[jacobiSlabs]
 	geo   atomic.Pointer[jacobiGeometry]
@@ -87,6 +91,30 @@ func (a *Arena) takeMask(n, b int) *laneMask {
 func (a *Arena) releaseMask(m *laneMask) {
 	if a != nil && m != nil {
 		a.mask.Store(m)
+	}
+}
+
+// frontierPair is the query-oblivious engine's current and next frontier.
+type frontierPair struct{ cur, next *frontier.Subset }
+
+// takeFrontiers returns an empty frontier pair over n vertices.
+func (a *Arena) takeFrontiers(n int) *frontierPair {
+	var p *frontierPair
+	if a != nil {
+		p = a.pair.Swap(nil)
+	}
+	if p == nil {
+		return &frontierPair{frontier.New(n), frontier.New(n)}
+	}
+	p.cur, p.next = p.cur.Resized(n), p.next.Resized(n)
+	return p
+}
+
+// releaseFrontiers makes p the pair the next takeFrontiers finds. Only an
+// empty pair may come back — one whose batch ended at its fixed point.
+func (a *Arena) releaseFrontiers(p *frontierPair) {
+	if a != nil {
+		a.pair.Store(p)
 	}
 }
 

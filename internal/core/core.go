@@ -252,20 +252,15 @@ func PrepareBatch(g *graph.Graph, batch []queries.Query, opt Options) (*BatchSet
 	// as it found it. The identity fill is the one pass that initializes the
 	// array: a new one is filled as it is made, before anything can see it;
 	// an earlier batch's is filled over the pool, because on a large graph it
-	// is the batch's first cold pass (disjoint row blocks; Set stores are
-	// atomic).
+	// is the batch's first cold pass (disjoint row blocks, published by the
+	// pool's join).
 	st.arena = opt.Arena
 	if st.Vals = st.arena.spareValues(n * b); st.Vals == nil {
 		st.Vals = queries.Repeat(st.Identity, n)
 		return st, nil
 	}
 	par.OrDefault(opt.Pool).For(n, opt.Workers, 0, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			row := st.Cell(v, 0)
-			for i, id := range st.Identity {
-				st.Vals.Set(row+i, id)
-			}
-		}
+		st.Vals.FillRows(st.Identity, lo, hi)
 	})
 	return st, nil
 }

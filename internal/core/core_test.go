@@ -25,6 +25,7 @@ func checkAgainstReference(t *testing.T, g *graph.Graph, batch []queries.Query, 
 		t.Fatalf("%s: %v", e.Name(), err)
 	}
 	checkArenaMaskClean(t, opt.Arena)
+	checkArenaFrontiersClean(t, opt.Arena)
 	checkArenaScratchesClean(t, opt.Arena, g.NumVertices())
 	for qi, q := range batch {
 		want := engine.ReferenceRun(g, q)

@@ -47,12 +47,14 @@ func runOblivious(g *graph.Graph, batch []queries.Query, opt Options, query int)
 		return res, err
 	}
 	// Every Advance empties the accumulators, so the scratches always go
-	// back. At a fixed point the mask is all-zero again (see laneMask) and
-	// serves the next batch; a capped run can stop with bits set, and a traced
-	// one advances its model's frontier, not p.cur, so their masks are dropped.
+	// back. At a fixed point the mask is all-zero again (see laneMask) and the
+	// frontier pair empty, and both serve the next batch; a capped run can
+	// stop with bits set, and a traced one advances its model's frontier, not
+	// p.cur, so their masks and pairs are dropped.
 	opt.Arena.releaseScratches(p.scratch)
 	if opt.Tracer == nil && p.cur.IsEmpty() {
 		opt.Arena.releaseMask(p.dirty)
+		opt.Arena.releaseFrontiers(p.frontierPair)
 	}
 	return res, err
 }
@@ -60,9 +62,9 @@ func runOblivious(g *graph.Graph, batch []queries.Query, opt Options, query int)
 func newObliviousPolicy(g *graph.Graph, st *BatchSetup, arena *Arena) *obliviousPolicy {
 	p := &obliviousPolicy{
 		g: g, st: st,
-		cur: frontier.New(st.N), next: frontier.New(st.N),
-		dirty:   arena.takeMask(st.N, st.B),
-		scratch: arena.takeScratches(st.N),
+		frontierPair: arena.takeFrontiers(st.N),
+		dirty:        arena.takeMask(st.N, st.B),
+		scratch:      arena.takeScratches(st.N),
 	}
 	p.body = p.push
 	return p
@@ -100,13 +102,13 @@ func (r *recorder) Step() Step {
 // Its step is a push over the frontier's members; the pushers fill the next
 // frontier in their scratches' private accumulators, and Advance merges them.
 type obliviousPolicy struct {
-	g         *graph.Graph
-	st        *BatchSetup
-	cur, next *frontier.Subset
-	active    []graph.VertexID
-	dirty     *laneMask
-	scratch   *scratches              // one a worker for the run, not one a chunk
-	body      func(lo, hi int) Counts // push, bound once: a method value allocates
+	g  *graph.Graph
+	st *BatchSetup
+	*frontierPair
+	active  []graph.VertexID
+	dirty   *laneMask
+	scratch *scratches              // one a worker for the run, not one a chunk
+	body    func(lo, hi int) Counts // push, bound once: a method value allocates
 }
 
 func (p *obliviousPolicy) Inject(src graph.VertexID, lane int) {

@@ -151,6 +151,31 @@ func checkArenaMaskClean(t *testing.T, a *Arena) {
 	}
 }
 
+// checkArenaFrontiersClean holds the arena's frontier pair to its invariant:
+// both frontiers are empty, their bitmaps all-zero over their whole capacity.
+func checkArenaFrontiersClean(t *testing.T, a *Arena) {
+	t.Helper()
+	if a == nil {
+		return
+	}
+	p := a.pair.Swap(nil) // taken out, so no batch fills it meanwhile
+	if p == nil {
+		return
+	}
+	defer a.pair.Store(p)
+	for _, f := range []*frontier.Subset{p.cur, p.next} {
+		if !f.IsEmpty() {
+			t.Fatalf("a recycled frontier holds %d vertices", f.Count())
+		}
+		words := f.Words()[:cap(f.Words())]
+		for i := range words {
+			if w := words[i].Load(); w != 0 {
+				t.Fatalf("a recycled frontier has word %d = %#x", i, w)
+			}
+		}
+	}
+}
+
 // checkArenaScratchesClean holds the arena's push accumulators to their
 // invariant: after every batch, each is empty — merging them into an empty
 // subset over the n vertices of the batch's graph adds nothing — and no
@@ -377,6 +402,7 @@ func TestArenaRecycledStateCorners(t *testing.T) {
 					runOnArena(t, arena, g, pagerank[:2], e, Options{Workers: 2})
 					runOnArena(t, arena, g, stressBatch(5), e, Options{Workers: 3})
 					checkArenaMaskClean(t, arena)
+					checkArenaFrontiersClean(t, arena)
 				}
 			})
 
@@ -411,6 +437,7 @@ func TestArenaRecycledStateCorners(t *testing.T) {
 					capped.Release()
 					runOnArena(t, arena, g, batch, GlignIntra, Options{Workers: 3})
 					checkArenaMaskClean(t, arena)
+					checkArenaFrontiersClean(t, arena)
 				}
 			})
 
@@ -451,6 +478,7 @@ func TestArenaRecycledStateCorners(t *testing.T) {
 				}
 				wg.Wait()
 				checkArenaMaskClean(t, arena)
+				checkArenaFrontiersClean(t, arena)
 			})
 
 			t.Run("second-larger-graph", func(t *testing.T) {
@@ -458,6 +486,7 @@ func TestArenaRecycledStateCorners(t *testing.T) {
 				for _, h := range []*graph.Graph{g, bigger, g} {
 					runOnArena(t, arena, h, stressBatch(8), GlignIntra, Options{Workers: 3})
 					runOnArena(t, arena, h, pagerank, GlignIntra, Options{Workers: 3})
+					checkArenaFrontiersClean(t, arena)
 					if k := arena.geo.Load(); k == nil || k.g != h || len(k.outDeg) != h.NumVertices() {
 						t.Fatalf("the arena's Jacobi geometry is not that of the graph of %d vertices it last ran on", h.NumVertices())
 					}

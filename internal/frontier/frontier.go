@@ -26,6 +26,19 @@ func New(n int) *Subset {
 	return &Subset{n: n, words: make([]atomic.Uint64, (n+63)/64)}
 }
 
+// Resized returns an empty subset over n vertices: s itself when its bitmap
+// has the capacity (it keeps that capacity, and its member list's, for later
+// universes and frontiers), and a new one otherwise. s must be empty, which
+// leaves its bitmap all-zero over its whole capacity.
+func (s *Subset) Resized(n int) *Subset {
+	nw := (n + 63) / 64
+	if cap(s.words) < nw {
+		return New(n)
+	}
+	s.n, s.words = n, s.words[:nw]
+	return s
+}
+
 // FromVertices returns a subset containing exactly vs.
 func FromVertices(n int, vs ...graph.VertexID) *Subset {
 	s := New(n)

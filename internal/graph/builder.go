@@ -8,7 +8,8 @@ import (
 // Edge is a single directed, optionally weighted edge used while building a
 // graph. Weight 0 is normalized to 1 at build time so that generators may
 // leave it unset for unweighted inputs (the file loaders reject an explicit
-// 0, see ReadEdgeList).
+// 0, see ReadEdgeList); any other weight that is not >= 1 (NaN included)
+// fails the build, as every query kernel relies on it (see Weight).
 type Edge struct {
 	Src, Dst VertexID
 	W        Weight
@@ -35,7 +36,7 @@ func (b *Builder) SetName(name string) *Builder { b.name = name; return b }
 
 // AddEdge records the edge u->v with weight w. For undirected builders the
 // symmetric arc is added automatically at Build time. Out-of-range endpoints
-// cause Build to fail.
+// and a weight other than 0 that is not >= 1 cause Build to fail.
 func (b *Builder) AddEdge(u, v VertexID, w Weight) {
 	b.edges = append(b.edges, Edge{Src: u, Dst: v, W: w})
 }
@@ -65,6 +66,9 @@ func (b *Builder) Build() (*Graph, error) {
 		}
 		if e.W == 0 {
 			e.W = 1
+		}
+		if !(e.W >= 1) {
+			return nil, fmt.Errorf("graph: edge (%d,%d) weight %v, want >= 1", e.Src, e.Dst, e.W)
 		}
 	}
 	// Drop self loops.

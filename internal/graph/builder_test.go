@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -73,6 +74,26 @@ func TestBuilderZeroWeightNormalizedToOne(t *testing.T) {
 	g := b.MustBuild()
 	if _, ws := g.OutEdges(0); ws[0] != 1 {
 		t.Fatalf("weight = %v, want 1", ws[0])
+	}
+}
+
+// TestBuilderRejectsBadWeights holds Build to the loaders' weight contract:
+// a weight that is not >= 1 once the unset 0 is normalized fails the build,
+// on weighted and unweighted, directed and undirected builders alike. An
+// undirected weighted graph with a negative edge would otherwise hand SSSP a
+// negative cycle, which it relaxes forever.
+func TestBuilderRejectsBadWeights(t *testing.T) {
+	for _, w := range []Weight{-1, 0.5, Weight(math.NaN()), Weight(math.Inf(-1))} {
+		for _, directed := range []bool{true, false} {
+			for _, weighted := range []bool{true, false} {
+				b := NewBuilder(3, directed, weighted)
+				b.AddEdge(1, 2, 1)
+				b.AddEdge(0, 1, w)
+				if g, err := b.Build(); err == nil {
+					t.Errorf("weight %v (directed %v, weighted %v): built %v, want an error", w, directed, weighted, g)
+				}
+			}
+		}
 	}
 }
 

@@ -199,6 +199,28 @@ func TestValuesRepeat(t *testing.T) {
 	}
 }
 
+// FillRows sets exactly the rows it is given — every range the doubling fill
+// can stop at — and leaves the rows around them alone.
+func TestValuesFillRows(t *testing.T) {
+	row := []Value{math.Inf(1), 0, -1}
+	const n = 13
+	for lo := 0; lo <= n; lo++ {
+		for hi := lo; hi <= n; hi++ {
+			v := Repeat([]Value{9, 9, 9}, n)
+			v.FillRows(row, lo, hi)
+			for c := 0; c < v.Len(); c++ {
+				want := Value(9)
+				if r := c / len(row); r >= lo && r < hi {
+					want = row[c%len(row)]
+				}
+				if got := v.Get(c); got != want {
+					t.Fatalf("FillRows(rows %d-%d): cell %d = %v, want %v", lo, hi, c, got, want)
+				}
+			}
+		}
+	}
+}
+
 // Property: concurrent Improve with a monotone comparator always converges
 // to the best proposed value.
 func TestQuickValuesImproveConverges(t *testing.T) {

@@ -20,21 +20,29 @@ type Values struct {
 }
 
 // Repeat returns a new array of n copies of row laid end to end, as
-// slices.Repeat does: n rows of len(row) cells, each set to row. It stores one
-// row cell by cell and doubles it with copy, a memmove: the array is filled
-// before anyone can see it, which is what makes it several times faster than
-// Set cell by cell.
+// slices.Repeat does: n rows of len(row) cells, each set to row (FillRows).
 func Repeat(row []Value, n int) *Values {
-	bits := make([]atomic.Uint64, len(row)*n)
-	if n > 0 {
-		for i, x := range row {
-			bits[i].Store(math.Float64bits(x))
-		}
+	v := &Values{bits: make([]atomic.Uint64, len(row)*n)}
+	v.FillRows(row, 0, n)
+	return v
+}
+
+// FillRows sets rows [lo, hi) of v, rows of len(row) cells, to row. It stores
+// one row cell by cell and doubles it with copy, a memmove, which is several
+// times faster than Set cell by cell but not atomic: the caller must own those
+// rows, so that nothing reads or writes them until the fill is published — by
+// a pool join, or by handing v out only afterwards.
+func (v *Values) FillRows(row []Value, lo, hi int) {
+	cells := v.bits[lo*len(row) : hi*len(row)]
+	if len(cells) == 0 {
+		return
 	}
-	for filled := len(row); filled < len(bits); filled *= 2 {
-		copy(bits[filled:], bits[:filled])
+	for i, x := range row {
+		cells[i].Store(math.Float64bits(x))
 	}
-	return &Values{bits: bits}
+	for filled := len(row); filled < len(cells); filled *= 2 {
+		copy(cells[filled:], cells[:filled])
+	}
 }
 
 // Resized returns an array of exactly length cells whose contents are

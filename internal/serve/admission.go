@@ -11,7 +11,7 @@ import (
 // order.
 const (
 	// AdmissionFCFS dispatches the pending queue in arrival order even for
-	// affinity methods (the policy still ranks within each flushed window).
+	// affinity methods (the policy still ranks within each flushed batch).
 	AdmissionFCFS = "fcfs"
 	// AdmissionAffinity ranks the whole pending queue by estimated
 	// heavy-iteration arrival (closestHV) whenever it exceeds one batch, so

@@ -22,13 +22,12 @@ import (
 // submission ledger must balance exactly at the end.
 //
 // The server runs with BatchSize 1 on a fake clock, so every admission
-// flushes by size and the window timer never participates — no timing
-// dependence, just raw interleaving for the race detector to explore.
+// flushes by size — no timing dependence, just raw interleaving for the race
+// detector to explore.
 func TestCacheEpochBumpStress(t *testing.T) {
 	clk := NewFakeClock(time.Unix(0, 0))
 	s := startServer(t, clk, func(c *Config) {
 		c.BatchSize = 1
-		c.Window = time.Hour
 		c.QueueCapacity = 4096
 	})
 	g := testGraph()

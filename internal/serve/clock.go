@@ -1,63 +1,35 @@
 package serve
 
 import (
-	"sort"
 	"sync"
 	"time"
 )
 
-// Clock abstracts the server's two time operations — reading the current
-// time and arming a one-shot timer — so tests can substitute a FakeClock and
-// drive window expiry and deadline misses deterministically. The zero
-// Config uses the real wall clock.
+// Clock is the server's time source, so tests can substitute a FakeClock
+// and drive deadline misses deterministically. The zero Config uses the real
+// wall clock.
 type Clock interface {
 	// Now returns the current time on this clock.
 	Now() time.Time
-	// NewTimer arms a one-shot timer that delivers on its channel once d has
-	// elapsed on this clock.
-	NewTimer(d time.Duration) Timer
 }
 
-// Timer is a one-shot timer armed by a Clock.
-type Timer interface {
-	// C returns the delivery channel (buffered; at most one send ever).
-	C() <-chan time.Time
-	// Stop disarms the timer, reporting whether it was still armed. A false
-	// return means the timer already fired; the delivery may still be
-	// pending on C.
-	Stop() bool
-}
-
-// RealClock returns the wall clock (time.Now / time.NewTimer).
+// RealClock returns the wall clock (time.Now).
 func RealClock() Clock { return realClock{} }
 
 type realClock struct{}
 
-func (realClock) Now() time.Time                 { return time.Now() }
-func (realClock) NewTimer(d time.Duration) Timer { return realTimer{time.NewTimer(d)} }
+func (realClock) Now() time.Time { return time.Now() }
 
-type realTimer struct{ t *time.Timer }
-
-func (t realTimer) C() <-chan time.Time { return t.t.C }
-func (t realTimer) Stop() bool          { return t.t.Stop() }
-
-// FakeClock is a manually advanced Clock for deterministic tests. Time
-// stands still until Advance moves it; timers fire synchronously inside
-// Advance, in deadline order. BlockUntil lets a test wait until the system
-// under test has armed a given number of timers before advancing, which
-// replaces every sleep-based rendezvous.
+// FakeClock is a manually advanced Clock for deterministic tests: time
+// stands still until Advance moves it.
 type FakeClock struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	now    time.Time
-	timers map[*fakeTimer]struct{}
+	mu  sync.Mutex
+	now time.Time
 }
 
 // NewFakeClock returns a fake clock reading start.
 func NewFakeClock(start time.Time) *FakeClock {
-	c := &FakeClock{now: start, timers: map[*fakeTimer]struct{}{}}
-	c.cond = sync.NewCond(&c.mu)
-	return c
+	return &FakeClock{now: start}
 }
 
 // Now implements Clock.
@@ -67,75 +39,9 @@ func (c *FakeClock) Now() time.Time {
 	return c.now
 }
 
-// NewTimer implements Clock. A non-positive duration fires immediately.
-func (c *FakeClock) NewTimer(d time.Duration) Timer {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	t := &fakeTimer{c: c, deadline: c.now.Add(d), ch: make(chan time.Time, 1)}
-	if d <= 0 {
-		t.ch <- c.now
-		return t
-	}
-	c.timers[t] = struct{}{}
-	c.cond.Broadcast()
-	return t
-}
-
-// Advance moves the clock forward by d, firing every armed timer whose
-// deadline is reached, in deadline order. It returns after all fires have
-// been delivered to their (buffered) channels.
+// Advance moves the clock forward by d.
 func (c *FakeClock) Advance(d time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	target := c.now.Add(d)
-	var due []*fakeTimer
-	for t := range c.timers {
-		if !t.deadline.After(target) {
-			due = append(due, t)
-		}
-	}
-	sort.Slice(due, func(i, j int) bool { return due[i].deadline.Before(due[j].deadline) })
-	for _, t := range due {
-		delete(c.timers, t)
-		t.ch <- t.deadline
-	}
-	c.now = target
-	c.cond.Broadcast()
-}
-
-// BlockUntil blocks until at least n timers are armed on the clock — the
-// deterministic handshake that proves the code under test has reached its
-// timer-arming point before the test advances time.
-func (c *FakeClock) BlockUntil(n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for len(c.timers) < n {
-		c.cond.Wait()
-	}
-}
-
-// Armed returns the number of currently armed timers.
-func (c *FakeClock) Armed() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.timers)
-}
-
-type fakeTimer struct {
-	c        *FakeClock
-	deadline time.Time
-	ch       chan time.Time
-}
-
-func (t *fakeTimer) C() <-chan time.Time { return t.ch }
-
-func (t *fakeTimer) Stop() bool {
-	t.c.mu.Lock()
-	defer t.c.mu.Unlock()
-	if _, armed := t.c.timers[t]; !armed {
-		return false
-	}
-	delete(t.c.timers, t)
-	t.c.cond.Broadcast()
-	return true
+	c.now = c.now.Add(d)
 }

@@ -1,10 +1,13 @@
 // Package serve is the live query-serving loop: a long-lived Server accepts
 // vertex-specific queries onto a bounded admission queue, forms evaluation
-// batches with a time-and-size window (size cap |B|, window timer), executes
-// each batch on a configurable core engine over the shared work-stealing
-// pool, and completes per-query tickets with the result vectors. It is the
-// online counterpart of internal/systems, which replays pre-materialized
-// buffers offline. SERVING.md is the full serving contract.
+// batches, executes each batch on a configurable core engine over the shared
+// work-stealing pool, and completes per-query tickets with the result
+// vectors. Batch formation has no timer: an idle engine is handed whatever is
+// queued at once, and what arrives while the engine runs forms the next batch
+// when it returns, up to the size cap |B| — the engine's busy time is the
+// batching window. It is the online counterpart of internal/systems, which
+// replays pre-materialized buffers offline. SERVING.md is the full serving
+// contract.
 //
 // On top of the batching loop the Server is a traffic-shaping front end:
 //
@@ -35,7 +38,7 @@
 // admitted query always gets an answer.
 //
 // Every time source flows through the Clock interface, so the test harness
-// drives window expiry, deadline misses, and drain ordering deterministically
-// with a FakeClock (Advance + BlockUntil) — no wall-clock sleeps anywhere in
-// the serve test suite.
+// drives deadline misses deterministically with a FakeClock (Advance), and a
+// gate engine that holds a batch fixes which queries flush together — no
+// wall-clock sleeps anywhere in the serve test suite.
 package serve

@@ -16,10 +16,12 @@ import (
 // must match the independent serial golden and pass the kernel's oracle
 // invariants, a replayed stream must be answered from the result cache
 // without re-execution, and a BumpEpoch must force recomputation at the new
-// epoch. No wall-clock sleeps anywhere — all timing is FakeClock handshakes.
+// epoch. No wall-clock sleeps anywhere — a batch held at the gate makes the
+// queries queue, so every flush is deterministic.
 func TestServeConvergenceAndKHopEndToEnd(t *testing.T) {
 	clk := NewFakeClock(time.Unix(0, 0))
-	s := startServer(t, clk, nil)
+	gate := newGateEngine()
+	s := startServer(t, clk, func(c *Config) { c.Engine = gate })
 	g := testGraph()
 	ctx := context.Background()
 
@@ -44,8 +46,8 @@ func TestServeConvergenceAndKHopEndToEnd(t *testing.T) {
 		return vals
 	}
 
-	// Phase 1 — computed: four queries interleaving both paradigms fill the
-	// size-4 buffer with no clock movement, and the flush must split them
+	// Phase 1 — computed: behind a held batch, four queries interleaving
+	// both paradigms fill the size-4 queue, and the flush must split them
 	// into one monotone and one convergence engine batch.
 	buffer := []queries.Query{
 		{Kernel: queries.PageRank, Source: 0},
@@ -65,7 +67,9 @@ func TestServeConvergenceAndKHopEndToEnd(t *testing.T) {
 		}
 		return tks
 	}
+	hold(t, s, gate, queries.Query{Kernel: queries.BFS, Source: 8})
 	pass1 := submit()
+	close(gate.release)
 	computed := make([][]queries.Value, len(pass1))
 	for i, tk := range pass1 {
 		computed[i] = mustGolden(tk)
@@ -74,8 +78,8 @@ func TestServeConvergenceAndKHopEndToEnd(t *testing.T) {
 		}
 	}
 	st := s.Stats()
-	if st.SizeFlushes != 1 || st.Batches != 2 {
-		t.Fatalf("phase 1 stats = %+v, want 1 size flush split into 2 paradigm-homogeneous batches", st)
+	if st.SizeFlushes != 1 || st.Batches != 3 {
+		t.Fatalf("phase 1 stats = %+v, want the held batch and 1 size flush split into 2 paradigm-homogeneous batches", st)
 	}
 
 	// Phase 2 — cached replay: the identical stream is served from the
@@ -90,13 +94,14 @@ func TestServeConvergenceAndKHopEndToEnd(t *testing.T) {
 		}
 	}
 	st = s.Stats()
-	if st.Batches != 2 || st.CacheHits != int64(len(buffer)) {
-		t.Fatalf("phase 2 stats = %+v, want batches still 2 and %d cache hits", st, len(buffer))
+	if st.Batches != 3 || st.CacheHits != int64(len(buffer)) {
+		t.Fatalf("phase 2 stats = %+v, want batches still 3 and %d cache hits", st, len(buffer))
 	}
 
 	// Phase 3 — invalidation: after a BumpEpoch the cached entries are
 	// stale, so a replayed pair (one per paradigm) recomputes at epoch 1.
-	// Two queries cannot hit the size cap; the window timer flushes them.
+	// Two queries cannot hit the size cap; the idle engine takes them, in one
+	// flush or two, and either way as one batch per paradigm.
 	if e := s.BumpEpoch(); e != 1 {
 		t.Fatalf("BumpEpoch = %d, want 1", e)
 	}
@@ -109,8 +114,6 @@ func TestServeConvergenceAndKHopEndToEnd(t *testing.T) {
 		}
 		tks[i] = tk
 	}
-	clk.BlockUntil(1)
-	clk.Advance(50 * time.Millisecond)
 	for i, tk := range tks {
 		mustGolden(tk)
 		if e := tk.ResultEpoch(); e != 1 {
@@ -121,7 +124,7 @@ func TestServeConvergenceAndKHopEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	st = s.Stats()
-	if st.Batches != 4 || st.WindowFlushes != 1 {
-		t.Fatalf("phase 3 stats = %+v, want 4 total batches (bump recomputed both paradigms) and 1 window flush", st)
+	if st.Batches != 5 {
+		t.Fatalf("phase 3 stats = %+v, want 5 total batches (bump recomputed both paradigms)", st)
 	}
 }

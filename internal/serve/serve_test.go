@@ -17,9 +17,11 @@ import (
 )
 
 // The end-to-end serve suite runs entirely on the fake clock: every
-// rendezvous is a channel wait (ticket completion, gate-engine entry) or a
-// FakeClock.BlockUntil handshake — there is no time.Sleep anywhere, so the
-// tests are deterministic under -race and arbitrary scheduling.
+// rendezvous is a channel wait (ticket completion, gate-engine entry) —
+// there is no time.Sleep anywhere, so the tests are deterministic under
+// -race and arbitrary scheduling. An idle server flushes whatever is queued
+// at once, so a test that needs queries to queue first holds the executor
+// busy with a batch at the gate (hold).
 
 // testGraph is the 9-vertex paper example — tiny, fixed, and connected
 // enough for every kernel.
@@ -32,7 +34,6 @@ func startServer(t *testing.T, clk Clock, mutate func(*Config)) *Server {
 	cfg := Config{
 		Method:        systems.LigraS,
 		BatchSize:     4,
-		Window:        50 * time.Millisecond,
 		QueueCapacity: 64,
 		Workers:       2,
 		Clock:         clk,
@@ -63,18 +64,19 @@ func mustValues(t *testing.T, g *graph.Graph, tk *Ticket) {
 	}
 }
 
-// gateEngine blocks every batch at entry until released, making executor
-// occupancy a deterministic test fixture. entered receives each batch's
-// size at entry, in execution order.
+// gateEngine blocks every batch at entry until it receives a release token,
+// reporting the batch's source vertices in execution order — the fixture
+// that holds the executor busy and reads batch composition. Close release to
+// let every remaining batch through.
 type gateEngine struct {
-	entered chan int
+	entered chan []graph.VertexID
 	release chan struct{}
 	inner   core.Engine
 }
 
 func newGateEngine() *gateEngine {
 	return &gateEngine{
-		entered: make(chan int, 64),
+		entered: make(chan []graph.VertexID, 64),
 		release: make(chan struct{}),
 		inner:   core.LigraS,
 	}
@@ -83,15 +85,35 @@ func newGateEngine() *gateEngine {
 func (e *gateEngine) Name() string { return "gate" }
 
 func (e *gateEngine) Run(g *graph.Graph, batch []queries.Query, opt core.Options) (*core.BatchResult, error) {
-	e.entered <- len(batch)
+	srcs := make([]graph.VertexID, len(batch))
+	for i, q := range batch {
+		srcs[i] = q.Source
+	}
+	e.entered <- srcs
 	<-e.release
 	return e.inner.Run(g, batch, opt)
 }
 
-// TestWindowFlushOnTimer drives two window rounds: a partial buffer must
-// flush when the window timer fires (never on its own), and the timer must
-// re-arm for the next round.
-func TestWindowFlushOnTimer(t *testing.T) {
+// hold submits q to a server with nothing queued and an idle executor and
+// waits until q's batch, q alone, is inside the gate: the executor is busy,
+// so what is submitted next queues behind it until the gate lets q go.
+func hold(t *testing.T, s *Server, gate *gateEngine, q queries.Query) *Ticket {
+	t.Helper()
+	tk, err := s.Submit(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if srcs := <-gate.entered; len(srcs) != 1 || srcs[0] != q.Source {
+		t.Fatalf("held batch = %v, want [%d]", srcs, q.Source)
+	}
+	return tk
+}
+
+// TestIdleServerFlushesAtOnce sends queries to an idle server one at a
+// time: each completes with the clock standing still and far below the size
+// cap, so the flush that served it can only be the idle one, and the
+// executor hands the idle token back after every batch.
+func TestIdleServerFlushesAtOnce(t *testing.T) {
 	clk := NewFakeClock(time.Unix(0, 0))
 	tel := telemetry.NewCollector()
 	s := startServer(t, clk, func(c *Config) { c.Telemetry = tel })
@@ -102,16 +124,6 @@ func TestWindowFlushOnTimer(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		// The window timer arms only once the batcher has buffered the
-		// query; one query cannot hit the size cap of 4, so the flush that
-		// completes the ticket can only be the timer's.
-		clk.BlockUntil(1)
-		select {
-		case <-tk.Done():
-			t.Fatalf("round %d: ticket completed before the window expired", round)
-		default:
-		}
-		clk.Advance(50 * time.Millisecond)
 		mustValues(t, g, tk)
 	}
 	if err := s.Close(); err != nil {
@@ -119,7 +131,7 @@ func TestWindowFlushOnTimer(t *testing.T) {
 	}
 	st := s.Stats()
 	if st.WindowFlushes != 2 || st.SizeFlushes != 0 || st.Batches != 2 || st.Completed != 2 {
-		t.Errorf("stats = %+v, want 2 window flushes, 0 size flushes, 2 batches, 2 completed", st)
+		t.Errorf("stats = %+v, want 2 idle flushes, 0 size flushes, 2 batches, 2 completed", st)
 	}
 	m := tel.Snapshot()
 	if m.Serving == nil || m.Serving.Completed != 2 {
@@ -130,15 +142,50 @@ func TestWindowFlushOnTimer(t *testing.T) {
 	}
 }
 
-// TestSizeFlushFillsBatch proves the size cap flushes without any clock
-// movement: time never advances, so a completed ticket can only mean the
-// size trigger fired.
-func TestSizeFlushFillsBatch(t *testing.T) {
+// TestBusyExecutorFormsOneBatch holds a batch at the gate and submits k
+// queries below the size cap: they wait out the busy engine, and when it
+// returns they leave together as exactly one batch of k.
+func TestBusyExecutorFormsOneBatch(t *testing.T) {
 	clk := NewFakeClock(time.Unix(0, 0))
-	s := startServer(t, clk, nil)
+	gate := newGateEngine()
+	s := startServer(t, clk, func(c *Config) { c.Engine = gate })
 	g := testGraph()
 
-	var tickets []*Ticket
+	const k = 3
+	tickets := []*Ticket{hold(t, s, gate, queries.Query{Kernel: queries.BFS, Source: 8})}
+	for src := 0; src < k; src++ {
+		tk, err := s.Submit(context.Background(), queries.Query{Kernel: queries.BFS, Source: graph.VertexID(src)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tickets = append(tickets, tk)
+	}
+	gate.release <- struct{}{}
+	if srcs := <-gate.entered; len(srcs) != k {
+		t.Fatalf("batch after the busy engine = %v, want all %d queued queries", srcs, k)
+	}
+	gate.release <- struct{}{}
+	for _, tk := range tickets {
+		mustValues(t, g, tk)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.WindowFlushes != 2 || st.SizeFlushes != 0 || st.Batches != 2 {
+		t.Errorf("stats = %+v, want 2 idle flushes and 2 batches", st)
+	}
+}
+
+// TestSizeFlushFillsBatch proves the size cap flushes while the engine is
+// busy: with a batch held at the gate, four queries fill the cap of 4, and
+// they leave as one size batch however the batcher interleaves with them.
+func TestSizeFlushFillsBatch(t *testing.T) {
+	clk := NewFakeClock(time.Unix(0, 0))
+	gate := newGateEngine()
+	s := startServer(t, clk, func(c *Config) { c.Engine = gate })
+	g := testGraph()
+
+	tickets := []*Ticket{hold(t, s, gate, queries.Query{Kernel: queries.BFS, Source: 8})}
 	for i := 0; i < 4; i++ {
 		tk, err := s.Submit(context.Background(), queries.Query{Kernel: queries.BFS, Source: graph.VertexID(i)})
 		if err != nil {
@@ -146,15 +193,19 @@ func TestSizeFlushFillsBatch(t *testing.T) {
 		}
 		tickets = append(tickets, tk)
 	}
+	close(gate.release)
 	for _, tk := range tickets {
 		mustValues(t, g, tk)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if srcs := <-gate.entered; len(srcs) != 4 {
+		t.Errorf("size batch = %v, want 4 queries", srcs)
+	}
 	st := s.Stats()
-	if st.SizeFlushes != 1 || st.WindowFlushes != 0 || st.Batches != 1 {
-		t.Errorf("stats = %+v, want exactly 1 size flush and 1 batch", st)
+	if st.SizeFlushes != 1 || st.WindowFlushes != 1 || st.Batches != 2 {
+		t.Errorf("stats = %+v, want the held batch's idle flush, 1 size flush and 2 batches", st)
 	}
 }
 
@@ -167,7 +218,6 @@ func TestBackpressureRejectsAtCapacity(t *testing.T) {
 	s := startServer(t, clk, func(c *Config) {
 		c.BatchSize = 1
 		c.QueueCapacity = 2
-		c.Window = time.Hour
 		c.Engine = gate
 	})
 	g := testGraph()
@@ -181,7 +231,7 @@ func TestBackpressureRejectsAtCapacity(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-gate.entered
-	// q2's batch blocks in handoff (the executor is busy), q3 queues:
+	// q2's batch waits for the idle token (the executor is busy), q3 queues:
 	// admission population is 2 = capacity, wherever the batcher happens to
 	// be holding them.
 	t2, err := s.Submit(ctx, q(1))
@@ -210,21 +260,27 @@ func TestBackpressureRejectsAtCapacity(t *testing.T) {
 	}
 }
 
-// TestDeadlineExpiryCancelsQueued submits a query whose deadline falls
-// inside the batching window: the window flush must resolve it with
-// ErrDeadline instead of executing it, and a later query must be unaffected.
+// TestDeadlineExpiryCancelsQueued submits a query behind a busy engine and
+// moves the clock past its deadline before the engine returns: the flush
+// must resolve it with ErrDeadline instead of executing it, and a later
+// query must be unaffected.
 func TestDeadlineExpiryCancelsQueued(t *testing.T) {
 	clk := NewFakeClock(time.Unix(0, 0))
+	gate := newGateEngine()
 	tel := telemetry.NewCollector()
-	s := startServer(t, clk, func(c *Config) { c.Telemetry = tel })
+	s := startServer(t, clk, func(c *Config) {
+		c.Telemetry = tel
+		c.Engine = gate
+	})
 	g := testGraph()
 
+	held := hold(t, s, gate, queries.Query{Kernel: queries.SSSP, Source: 8})
 	t1, err := s.SubmitTimeout(context.Background(), queries.Query{Kernel: queries.SSSP, Source: 3}, 10*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	clk.BlockUntil(1)
-	clk.Advance(50 * time.Millisecond) // window fires at +50ms > +10ms deadline
+	clk.Advance(50 * time.Millisecond) // past t1's +10ms deadline
+	close(gate.release)
 	if _, err := t1.Wait(context.Background()); !errors.Is(err, ErrDeadline) {
 		t.Fatalf("expired ticket: err = %v, want ErrDeadline", err)
 	}
@@ -233,15 +289,14 @@ func TestDeadlineExpiryCancelsQueued(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clk.BlockUntil(1)
-	clk.Advance(50 * time.Millisecond)
+	mustValues(t, g, held)
 	mustValues(t, g, t2)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	st := s.Stats()
-	if st.DeadlineMisses != 1 || st.Completed != 1 || st.Batches != 1 {
-		t.Errorf("stats = %+v, want deadline_misses=1 completed=1 batches=1", st)
+	if st.DeadlineMisses != 1 || st.Completed != 2 || st.Batches != 2 {
+		t.Errorf("stats = %+v, want deadline_misses=1 completed=2 batches=2", st)
 	}
 }
 
@@ -249,24 +304,25 @@ func TestDeadlineExpiryCancelsQueued(t *testing.T) {
 // flush must resolve the ticket with the context error, not execute it.
 func TestContextCancelWhileQueued(t *testing.T) {
 	clk := NewFakeClock(time.Unix(0, 0))
-	s := startServer(t, clk, nil)
+	gate := newGateEngine()
+	s := startServer(t, clk, func(c *Config) { c.Engine = gate })
 
+	hold(t, s, gate, queries.Query{Kernel: queries.BFS, Source: 8})
 	ctx, cancel := context.WithCancel(context.Background())
 	tk, err := s.Submit(ctx, queries.Query{Kernel: queries.BFS, Source: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cancel()
-	clk.BlockUntil(1)
-	clk.Advance(50 * time.Millisecond)
+	close(gate.release)
 	if _, err := tk.Wait(context.Background()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled ticket: err = %v, want context.Canceled", err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.Stats(); st.Canceled != 1 || st.Batches != 0 {
-		t.Errorf("stats = %+v, want canceled=1 batches=0", st)
+	if st := s.Stats(); st.Canceled != 1 || st.Batches != 1 {
+		t.Errorf("stats = %+v, want canceled=1 and only the held batch", st)
 	}
 }
 
@@ -274,44 +330,31 @@ func TestContextCancelWhileQueued(t *testing.T) {
 // immediately rejects new submissions with ErrClosed while the in-flight
 // batch finishes first and every query already admitted — batched or still
 // queued — is executed and answered. The batch geometry makes every
-// interleaving produce the same three batches: [t1 t2] enters the gate and
-// is held in flight, [t3 t4] fills a size batch behind it, and t5 can only
-// leave through the shutdown drain because the window timer never fires.
+// interleaving produce the same three batches: [t1] is held in flight at
+// the gate, [t2 t3] fills a size batch behind it, and t4 can only leave
+// through the shutdown drain because the engine is busy until Shutdown.
 func TestShutdownDrainsAndRejects(t *testing.T) {
 	clk := NewFakeClock(time.Unix(0, 0))
 	gate := newGateEngine()
 	s := startServer(t, clk, func(c *Config) {
 		c.BatchSize = 2
 		c.QueueCapacity = 8
-		c.Window = time.Hour
 		c.Engine = gate
 	})
 	g := testGraph()
 	ctx := context.Background()
 	q := func(src int) queries.Query { return queries.Query{Kernel: queries.SSWP, Source: graph.VertexID(src)} }
 
-	t1, err := s.Submit(ctx, q(0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	t1 := hold(t, s, gate, q(0))
 	t2, err := s.Submit(ctx, q(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := <-gate.entered; n != 2 {
-		t.Fatalf("first batch size %d, want 2", n)
-	}
-	// [t1 t2] is in flight inside the gate. [t3 t4] forms the next size
-	// batch and t5 stays admitted-but-unbatched until the drain.
 	t3, err := s.Submit(ctx, q(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t4, err := s.Submit(ctx, q(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t5, err := s.Submit(ctx, q(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,20 +366,20 @@ func TestShutdownDrainsAndRejects(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Drain order: the size batch behind the in-flight one, then t5's
+	// Drain order: the size batch behind the in-flight one, then t4's
 	// drain batch.
-	if n := <-gate.entered; n != 2 {
-		t.Errorf("second batch size %d, want 2", n)
+	if srcs := <-gate.entered; len(srcs) != 2 {
+		t.Errorf("second batch = %v, want size 2", srcs)
 	}
-	if n := <-gate.entered; n != 1 {
-		t.Errorf("drain batch size %d, want 1", n)
+	if srcs := <-gate.entered; len(srcs) != 1 {
+		t.Errorf("drain batch = %v, want size 1", srcs)
 	}
-	for _, tk := range []*Ticket{t1, t2, t3, t4, t5} {
+	for _, tk := range []*Ticket{t1, t2, t3, t4} {
 		mustValues(t, g, tk)
 	}
 	st := s.Stats()
-	if st.RejectedClosed != 1 || st.Completed != 5 || st.QueueDepth != 0 {
-		t.Errorf("stats = %+v, want rejected_closed=1 completed=5 queue_depth=0", st)
+	if st.RejectedClosed != 1 || st.Completed != 4 || st.QueueDepth != 0 {
+		t.Errorf("stats = %+v, want rejected_closed=1 completed=4 queue_depth=0", st)
 	}
 	if st.DrainFlushes != 1 {
 		t.Errorf("stats = %+v, want exactly 1 drain flush", st)
@@ -425,12 +468,14 @@ func leakCheck(t *testing.T) func() {
 
 // TestServerCloseJoinsGoroutines holds the server's goroutine lifetime: New
 // launches the batcher and the executor, and Close joins both after draining
-// everything admitted. Six queries against a size cap of 4 and a window that
-// never fires leave two queued until Close's drain flushes them.
+// everything admitted. Behind a held batch, six queries against a size cap
+// of 4 leave two queued, and Shutdown comes before the engine is free, so
+// Close's drain flushes them.
 func TestServerCloseJoinsGoroutines(t *testing.T) {
 	noLeak := leakCheck(t)
-	s := startServer(t, NewFakeClock(time.Unix(0, 0)), func(c *Config) { c.Window = time.Hour })
-	var tickets []*Ticket
+	gate := newGateEngine()
+	s := startServer(t, NewFakeClock(time.Unix(0, 0)), func(c *Config) { c.Engine = gate })
+	tickets := []*Ticket{hold(t, s, gate, queries.Query{Kernel: queries.BFS, Source: 8})}
 	for src := 0; src < 6; src++ {
 		tk, err := s.Submit(context.Background(), queries.Query{Kernel: queries.BFS, Source: graph.VertexID(src)})
 		if err != nil {
@@ -438,14 +483,16 @@ func TestServerCloseJoinsGoroutines(t *testing.T) {
 		}
 		tickets = append(tickets, tk)
 	}
+	s.Shutdown()
+	close(gate.release)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	for _, tk := range tickets {
 		mustValues(t, testGraph(), tk)
 	}
-	if st := s.Stats(); st.DrainFlushes != 1 || st.Completed != 6 {
-		t.Errorf("stats = %+v, want 1 drain flush and 6 completed", st)
+	if st := s.Stats(); st.DrainFlushes != 1 || st.Completed != 7 {
+		t.Errorf("stats = %+v, want 1 drain flush and 7 completed", st)
 	}
 	noLeak()
 }

@@ -21,38 +21,8 @@ import (
 // The traffic-shaping suite pins the four PR-6 behaviors — result cache with
 // epoch invalidation, in-flight dedup, affinity-aware admission, tiered
 // load-shedding — on the same deterministic FakeClock harness as the base
-// serving suite: every rendezvous is a channel wait, a BlockUntil handshake,
-// or a spin on a monotone counter, never a sleep.
-
-// srcGate blocks every batch at entry until it receives a release token,
-// reporting the batch's source vertices in execution order — the fixture the
-// admission and shedding tests use to read batch composition while holding
-// the executor busy. Close release to let every remaining batch through.
-type srcGate struct {
-	entered chan []graph.VertexID
-	release chan struct{}
-	inner   core.Engine
-}
-
-func newSrcGate() *srcGate {
-	return &srcGate{
-		entered: make(chan []graph.VertexID, 64),
-		release: make(chan struct{}),
-		inner:   core.LigraS,
-	}
-}
-
-func (e *srcGate) Name() string { return "srcgate" }
-
-func (e *srcGate) Run(g *graph.Graph, batch []queries.Query, opt core.Options) (*core.BatchResult, error) {
-	srcs := make([]graph.VertexID, len(batch))
-	for i, q := range batch {
-		srcs[i] = q.Source
-	}
-	e.entered <- srcs
-	<-e.release
-	return e.inner.Run(g, batch, opt)
-}
+// serving suite: every rendezvous is a channel wait or a spin on a monotone
+// counter, never a sleep.
 
 // spinUntil busy-waits (yielding) for a monotone server-side condition — the
 // deterministic replacement for sleeping when the awaited event has no
@@ -76,7 +46,6 @@ func TestCacheHitSkipsExecution(t *testing.T) {
 	clk := NewFakeClock(time.Unix(0, 0))
 	s := startServer(t, clk, func(c *Config) {
 		c.BatchSize = 1 // every admission flushes by size, no clock movement
-		c.Window = time.Hour
 	})
 	g := testGraph()
 	q := queries.Query{Kernel: queries.SSSP, Source: 2}
@@ -133,10 +102,9 @@ func TestCacheHitSkipsExecution(t *testing.T) {
 // complete with the one execution's values.
 func TestDedupCoalescesIdentical(t *testing.T) {
 	clk := NewFakeClock(time.Unix(0, 0))
-	gate := newSrcGate()
+	gate := newGateEngine()
 	s := startServer(t, clk, func(c *Config) {
 		c.BatchSize = 1
-		c.Window = time.Hour
 		c.Engine = gate
 	})
 	g := testGraph()
@@ -197,37 +165,29 @@ func TestAffinityAdmissionReorders(t *testing.T) {
 	}
 
 	clk := NewFakeClock(time.Unix(0, 0))
-	gate := newSrcGate()
+	gate := newGateEngine()
 	s := startServer(t, clk, func(c *Config) {
 		c.Method = systems.GlignBatch // affinity policy, unaligned engine
 		c.BatchSize = 2
-		c.Window = time.Hour
 		c.Profile = prof
 		c.Engine = gate
 	})
 	ctx := context.Background()
 	q := func(src int) queries.Query { return queries.Query{Kernel: queries.SSSP, Source: graph.VertexID(src)} }
 
-	// Warmup pair 1 occupies the executor; warmup pair 2 occupies the
-	// batcher (blocked handing its batch off). Only then do the four test
-	// queries pile up in the shared queue where admission ranking sees them
-	// all at once.
-	for _, src := range []int{7, 8} {
-		if _, err := s.Submit(ctx, q(src)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if srcs := <-gate.entered; len(srcs) != 2 {
-		t.Fatalf("warmup batch = %v, want size 2", srcs)
-	}
+	// The held warmup occupies the executor; the warmup pair occupies the
+	// batcher (its size batch waits for the idle token). Only then do the
+	// four test queries pile up in the shared queue where admission ranking
+	// sees them all at once.
+	hold(t, s, gate, q(7))
 	for _, src := range []int{2, 3} {
 		if _, err := s.Submit(ctx, q(src)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// The second size flush is counted at flush entry, before the blocking
-	// handoff — once visible, the queue is empty and the batcher is parked.
-	spinUntil(t, "warmup batch 2 taken", func() bool { return s.Stats().SizeFlushes == 2 })
+	// The size flush is counted at flush entry, before it waits for the token
+	// — once visible, the queue is empty and the batcher is parked.
+	spinUntil(t, "warmup pair taken", func() bool { return s.Stats().SizeFlushes == 1 })
 
 	var tickets []*Ticket
 	for _, src := range []int{0, 4, 1, 5} { // A B A B arrival order
@@ -238,11 +198,11 @@ func TestAffinityAdmissionReorders(t *testing.T) {
 		tickets = append(tickets, tk)
 	}
 
-	gate.release <- struct{}{} // finish warmup 1; executor picks up warmup 2
+	gate.release <- struct{}{} // finish the held warmup; executor picks up the pair
 	if srcs := <-gate.entered; len(srcs) != 2 {
-		t.Fatalf("warmup batch 2 = %v, want size 2", srcs)
+		t.Fatalf("warmup pair = %v, want size 2", srcs)
 	}
-	gate.release <- struct{}{} // finish warmup 2; executor picks up test batch 1
+	gate.release <- struct{}{} // finish the pair; executor picks up test batch 1
 	batchA := <-gate.entered
 	gate.release <- struct{}{}
 	batchB := <-gate.entered
@@ -279,29 +239,23 @@ func TestAffinityAdmissionReorders(t *testing.T) {
 func TestFCFSAdmissionKeepsArrivalOrder(t *testing.T) {
 	g := testGraph()
 	clk := NewFakeClock(time.Unix(0, 0))
-	gate := newSrcGate()
+	gate := newGateEngine()
 	s := startServer(t, clk, func(c *Config) {
 		c.Method = systems.GlignBatch
 		c.BatchSize = 2
-		c.Window = time.Hour
 		c.AdmissionPolicy = AdmissionFCFS
 		c.Engine = gate
 	})
 	ctx := context.Background()
 	q := func(src int) queries.Query { return queries.Query{Kernel: queries.SSSP, Source: graph.VertexID(src)} }
 
-	for _, src := range []int{7, 8} {
-		if _, err := s.Submit(ctx, q(src)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	<-gate.entered
+	hold(t, s, gate, q(7))
 	for _, src := range []int{2, 3} {
 		if _, err := s.Submit(ctx, q(src)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	spinUntil(t, "warmup batch 2 taken", func() bool { return s.Stats().SizeFlushes == 2 })
+	spinUntil(t, "warmup pair taken", func() bool { return s.Stats().SizeFlushes == 1 })
 	var tickets []*Ticket
 	for _, src := range []int{0, 4, 1, 5} {
 		tk, err := s.Submit(ctx, q(src))
@@ -355,10 +309,9 @@ func TestFCFSAdmissionKeepsArrivalOrder(t *testing.T) {
 // ErrShed while everything else still executes.
 func TestShedLowTierFirst(t *testing.T) {
 	clk := NewFakeClock(time.Unix(0, 0))
-	gate := newSrcGate()
+	gate := newGateEngine()
 	s := startServer(t, clk, func(c *Config) {
 		c.BatchSize = 1
-		c.Window = time.Hour
 		c.QueueCapacity = 4
 		c.Engine = gate
 	})
@@ -433,10 +386,9 @@ func TestShedLowTierFirst(t *testing.T) {
 // global capacity remains.
 func TestTierCapacityBound(t *testing.T) {
 	clk := NewFakeClock(time.Unix(0, 0))
-	gate := newSrcGate()
+	gate := newGateEngine()
 	s := startServer(t, clk, func(c *Config) {
 		c.BatchSize = 4
-		c.Window = time.Hour
 		c.QueueCapacity = 8
 		c.TierCapacities[tierIndex(TierLow)] = 1
 		c.Engine = gate
@@ -445,6 +397,8 @@ func TestTierCapacityBound(t *testing.T) {
 	sub := func(src int, tier Tier) (*Ticket, error) {
 		return s.SubmitWith(ctx, queries.Query{Kernel: queries.BFS, Source: graph.VertexID(src)}, SubmitOptions{Tier: tier})
 	}
+	// With the executor held busy, the lows below stay queued.
+	hold(t, s, gate, queries.Query{Kernel: queries.BFS, Source: 8})
 	if _, err := sub(0, TierLow); err != nil {
 		t.Fatal(err)
 	}
@@ -464,10 +418,9 @@ func TestTierCapacityBound(t *testing.T) {
 // slot: the promoted slot stops being sheddable by a later normal arrival.
 func TestDedupTierPromotion(t *testing.T) {
 	clk := NewFakeClock(time.Unix(0, 0))
-	gate := newSrcGate()
+	gate := newGateEngine()
 	s := startServer(t, clk, func(c *Config) {
 		c.BatchSize = 4 // nothing flushes by size; queue holds everything
-		c.Window = time.Hour
 		c.QueueCapacity = 1
 		c.Engine = gate
 	})
@@ -475,6 +428,9 @@ func TestDedupTierPromotion(t *testing.T) {
 	ctx := context.Background()
 	q := queries.Query{Kernel: queries.BFS, Source: 6}
 
+	// The held query has left the admission population once its batch is
+	// inside the gate, and keeps the executor busy so the rest stays queued.
+	held := hold(t, s, gate, queries.Query{Kernel: queries.BFS, Source: 8})
 	low, err := s.SubmitWith(ctx, q, SubmitOptions{Tier: TierLow})
 	if err != nil {
 		t.Fatal(err)
@@ -489,11 +445,11 @@ func TestDedupTierPromotion(t *testing.T) {
 	if _, err := s.Submit(ctx, queries.Query{Kernel: queries.BFS, Source: 7}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("normal vs promoted slot: err = %v, want ErrQueueFull", err)
 	}
-	// Drain: the window never fires; Close's drain flushes the slot.
-	go func() { close(gate.release) }()
+	close(gate.release)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
+	mustValues(t, g, held)
 	mustValues(t, g, low)
 	mustValues(t, g, high)
 	if st := s.Stats(); st.DedupCoalesced != 1 || st.Shed != 0 || st.RejectedFull != 1 {
@@ -507,11 +463,10 @@ func TestDedupTierPromotion(t *testing.T) {
 // GLIGN_SERVE_TELEMETRY_OUT is set (verify.sh points it under results/).
 func TestServeEndToEndSession(t *testing.T) {
 	clk := NewFakeClock(time.Unix(0, 0))
-	gate := newSrcGate()
+	gate := newGateEngine()
 	tel := telemetry.NewCollector()
 	s := startServer(t, clk, func(c *Config) {
 		c.BatchSize = 2
-		c.Window = 50 * time.Millisecond
 		c.QueueCapacity = 4
 		c.Telemetry = tel
 		c.Engine = gate
@@ -521,31 +476,28 @@ func TestServeEndToEndSession(t *testing.T) {
 	sssp := func(src int) queries.Query { return queries.Query{Kernel: queries.SSSP, Source: graph.VertexID(src)} }
 	bfs := func(src int) queries.Query { return queries.Query{Kernel: queries.BFS, Source: graph.VertexID(src)} }
 
-	// Phase 1 — populate: four distinct queries, two size batches.
-	var warm []*Ticket
-	for _, src := range []int{0, 1} {
+	// Phase 1 — populate: four distinct queries in three batches, the held
+	// one, a size batch behind it and the idle flush of the last.
+	warm := []*Ticket{hold(t, s, gate, sssp(0))}
+	for _, src := range []int{1, 2, 3} {
 		tk, err := s.Submit(ctx, sssp(src))
 		if err != nil {
 			t.Fatal(err)
 		}
 		warm = append(warm, tk)
 	}
-	<-gate.entered
 	gate.release <- struct{}{}
-	for _, src := range []int{2, 3} {
-		tk, err := s.Submit(ctx, sssp(src))
-		if err != nil {
-			t.Fatal(err)
+	for _, want := range []int{2, 1} {
+		if srcs := <-gate.entered; len(srcs) != want {
+			t.Fatalf("phase 1 batch = %v, want size %d", srcs, want)
 		}
-		warm = append(warm, tk)
+		gate.release <- struct{}{}
 	}
-	<-gate.entered
-	gate.release <- struct{}{}
 	for _, tk := range warm {
 		mustValues(t, g, tk)
 	}
-	if st := s.Stats(); st.Batches != 2 || st.CacheSize != 4 {
-		t.Fatalf("phase 1 stats = %+v, want batches=2 cache_size=4", st)
+	if st := s.Stats(); st.Batches != 3 || st.CacheSize != 4 {
+		t.Fatalf("phase 1 stats = %+v, want batches=3 cache_size=4", st)
 	}
 
 	// Phase 2 — cache: three repeats complete instantly, no new batch.
@@ -559,12 +511,12 @@ func TestServeEndToEndSession(t *testing.T) {
 			t.Fatalf("phase 2 epoch = %d, want 0", e)
 		}
 	}
-	if st := s.Stats(); st.CacheHits != 3 || st.Batches != 2 {
-		t.Fatalf("phase 2 stats = %+v, want cache_hits=3 batches=2", st)
+	if st := s.Stats(); st.CacheHits != 3 || st.Batches != 3 {
+		t.Fatalf("phase 2 stats = %+v, want cache_hits=3 batches=3", st)
 	}
 
-	// Phase 3 — dedup: the same new query twice coalesces to one slot; the
-	// half-full buffer needs the window timer to flush.
+	// Phase 3 — dedup: the same new query twice coalesces to one slot, queued
+	// or already at the gate.
 	d1, err := s.Submit(ctx, sssp(4))
 	if err != nil {
 		t.Fatal(err)
@@ -573,16 +525,14 @@ func TestServeEndToEndSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clk.BlockUntil(1)
-	clk.Advance(50 * time.Millisecond)
 	if srcs := <-gate.entered; len(srcs) != 1 || srcs[0] != 4 {
 		t.Fatalf("phase 3 batch = %v, want [4]", srcs)
 	}
 	gate.release <- struct{}{}
 	mustValues(t, g, d1)
 	mustValues(t, g, d2)
-	if st := s.Stats(); st.DedupCoalesced != 1 || st.Batches != 3 {
-		t.Fatalf("phase 3 stats = %+v, want dedup_coalesced=1 batches=3", st)
+	if st := s.Stats(); st.DedupCoalesced != 1 || st.Batches != 4 {
+		t.Fatalf("phase 3 stats = %+v, want dedup_coalesced=1 batches=4", st)
 	}
 
 	// Phase 4 — invalidation: bump the epoch, a previously cached query
@@ -594,8 +544,6 @@ func TestServeEndToEndSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clk.BlockUntil(1)
-	clk.Advance(50 * time.Millisecond)
 	if srcs := <-gate.entered; len(srcs) != 1 || srcs[0] != 0 {
 		t.Fatalf("phase 4 batch = %v, want [0]", srcs)
 	}
@@ -609,29 +557,21 @@ func TestServeEndToEndSession(t *testing.T) {
 	}
 
 	// Phase 5 — shedding: hold the executor and the batcher (one batch at
-	// the gate, one blocked in handoff), fill the queue, then let a high
-	// arrival shed the newest low.
-	var busy []*Ticket
-	for _, src := range []int{5, 6} {
-		tk, err := s.Submit(ctx, bfs(src))
-		if err != nil {
-			t.Fatal(err)
-		}
-		busy = append(busy, tk)
-	}
-	<-gate.entered // BFS{5,6} executing, gate held
+	// the gate, one waiting for the idle token), fill the queue, then let a
+	// high arrival shed the newest low.
+	busy := []*Ticket{hold(t, s, gate, bfs(5))}
 	spinUntil(t, "busy batch dispatched", func() bool { return s.Stats().QueueDepth == 0 })
-	// Read before the submits: the batcher may take {7, 8} before Submit
+	// Read before the submits: the batcher may take {6, 7} before Submit
 	// returns.
 	sizeFlushesBefore := s.Stats().SizeFlushes
-	for _, src := range []int{7, 8} {
+	for _, src := range []int{6, 7} {
 		tk, err := s.Submit(ctx, bfs(src))
 		if err != nil {
 			t.Fatal(err)
 		}
 		busy = append(busy, tk)
 	}
-	spinUntil(t, "handoff batch taken", func() bool { return s.Stats().SizeFlushes > sizeFlushesBefore })
+	spinUntil(t, "size batch taken", func() bool { return s.Stats().SizeFlushes > sizeFlushesBefore })
 
 	lowA, err := s.SubmitWith(ctx, bfs(0), SubmitOptions{Tier: TierLow})
 	if err != nil {
@@ -692,7 +632,6 @@ func TestServedEqualsOfflineWithCache(t *testing.T) {
 	s := startServer(t, clk, func(c *Config) {
 		c.Method = systems.Glign
 		c.BatchSize = 3
-		c.Window = time.Hour
 	})
 	g := testGraph()
 	ctx := context.Background()
@@ -750,16 +689,16 @@ func TestServedEqualsOfflineWithCache(t *testing.T) {
 // (core.Arena): the vectors fanned out to waiters — of a batch an epoch bump
 // overlapped too, which are never cached — and the vectors the cache holds are
 // copies, so the batches that follow, which overwrite that array, leave them
-// as they were. Every batch here has two lanes, so all run in the same cells.
+// as they were. Every pair runs as one two-lane batch behind a held one-lane
+// batch, and all run in the cells of the one array.
 func TestResultsNeverAliasTheArena(t *testing.T) {
 	clk := NewFakeClock(time.Unix(0, 0))
-	gate := newSrcGate()
+	gate := newGateEngine()
 	gate.inner = core.GlignIntra
 	s := startServer(t, clk, func(c *Config) {
 		c.Method = systems.GlignIntra
 		c.Engine = gate
-		c.BatchSize = 2 // every second admission flushes by size
-		c.Window = time.Hour
+		c.BatchSize = 2 // a pair queued behind the held batch flushes by size
 	})
 	g := testGraph()
 	type held struct {
@@ -767,11 +706,14 @@ func TestResultsNeverAliasTheArena(t *testing.T) {
 		vals []queries.Value
 	}
 	var all []held
-	// runPair runs the two queries as one batch, calling mid while the batch
-	// is inside the engine, and keeps the vectors its waiters were handed.
+	// runPair holds a fresh SSWP query at the gate so the pair queues behind
+	// it, runs the two queries as one batch, calling mid while the batch is
+	// inside the engine, and keeps the vectors its waiters were handed.
+	plugs := 0
 	runPair := func(a, b queries.Query, mid func()) {
 		t.Helper()
-		var tks []*Ticket
+		tks := []*Ticket{hold(t, s, gate, queries.Query{Kernel: queries.SSWP, Source: graph.VertexID(plugs)})}
+		plugs++
 		for _, q := range []queries.Query{a, b} {
 			tk, err := s.Submit(context.Background(), q)
 			if err != nil {
@@ -779,7 +721,10 @@ func TestResultsNeverAliasTheArena(t *testing.T) {
 			}
 			tks = append(tks, tk)
 		}
-		<-gate.entered
+		gate.release <- struct{}{}
+		if srcs := <-gate.entered; len(srcs) != 2 {
+			t.Fatalf("pair batch = %v, want 2 lanes", srcs)
+		}
 		if mid != nil {
 			mid()
 		}
@@ -809,8 +754,8 @@ func TestResultsNeverAliasTheArena(t *testing.T) {
 	runPair(sssp(0), sssp(1), nil)
 	runPair(bfs(2), sssp(3), func() { s.BumpEpoch() }) // fanned out, not cached
 	checkHeld("after the bumped batch")
-	if st := s.Stats(); st.CacheSize != 2 || st.Epoch != 1 {
-		t.Fatalf("stats = %+v, want the first batch's 2 entries and epoch 1", st)
+	if st := s.Stats(); st.CacheSize != 4 || st.Epoch != 1 {
+		t.Fatalf("stats = %+v, want the two held queries' and the first pair's 4 entries and epoch 1", st)
 	}
 	runPair(sssp(4), bfs(5), nil) // cached at epoch 1
 	runPair(bfs(0), bfs(1), nil)  // the next batch, over the same cells

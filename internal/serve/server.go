@@ -39,9 +39,10 @@ var (
 const defaultCacheCapacity = 1024
 
 // Config parameterizes a Server. The zero value serves full-Glign batches of
-// 64 on a 5ms window with a 1024-query admission bound on the wall clock,
-// a 1024-entry result cache, in-flight dedup, and the method's own
-// admission ordering.
+// 64 with a 1024-query admission bound on the wall clock, a 1024-entry
+// result cache, in-flight dedup, and the method's own admission ordering.
+// There is no batching window: an idle engine is handed whatever is queued
+// at once, and a busy engine's run is the window of the next batch.
 type Config struct {
 	// Method is the evaluation method (systems method names; default
 	// systems.Glign). It fixes the batching policy, the engine, and whether
@@ -49,17 +50,12 @@ type Config struct {
 	// an offline systems.Run of the same method.
 	Method string
 	// BatchSize is the size cap |B|: the batcher flushes as soon as this
-	// many queries are buffered, without waiting for the window (default
-	// 64).
+	// many queries are queued, even while the engine is busy (default 64).
 	BatchSize int
-	// Window is how long the batcher waits after the first buffered query
-	// before flushing a partial batch (default 5ms). The timer runs on
-	// Clock.
-	Window time.Duration
 	// QueueCapacity bounds the admitted-but-undispatched population (queued
-	// plus window-buffered slots); at the bound Submit sheds a strictly
-	// lower-tier queued query if one exists and otherwise rejects with
-	// ErrQueueFull (default 1024). Coalesced duplicates share one slot and
+	// slots plus a flushed batch waiting for the engine); at the bound Submit
+	// sheds a strictly lower-tier queued query if one exists and otherwise
+	// rejects with ErrQueueFull (default 1024). Coalesced duplicates share one slot and
 	// do not count again.
 	QueueCapacity int
 	// TierCapacities optionally bounds the queued population of each
@@ -86,7 +82,7 @@ type Config struct {
 	// every batch plus the serving section (Collector.ObserveServing).
 	Telemetry *telemetry.Collector
 	// Clock is the server's time source (nil: the wall clock). Tests inject
-	// a FakeClock to drive windows and deadlines deterministically.
+	// a FakeClock to drive deadlines deterministically.
 	Clock Clock
 	// Engine, when non-nil, overrides the method's engine — the hook the
 	// deterministic tests use to gate batch execution.
@@ -162,7 +158,7 @@ func (t *Ticket) ResultEpoch() int64 {
 type flushTrigger int
 
 const (
-	flushWindow flushTrigger = iota
+	flushIdle flushTrigger = iota
 	flushSize
 	flushDrain
 )
@@ -174,7 +170,7 @@ type formedBatch struct {
 }
 
 // Server is the live query-serving loop. New starts two long-lived
-// goroutines — the batcher (admission queue -> windowed batches) and the
+// goroutines — the batcher (admission queue -> batches) and the
 // executor (batches -> engine -> ticket completion) — which Close joins
 // after draining everything admitted. On top of the PR-5 loop it is a
 // traffic-shaping front end: a result cache with epoch invalidation,
@@ -206,6 +202,10 @@ type Server struct {
 
 	wake    chan struct{}
 	batches chan *formedBatch
+	// idle is the executor-idle token, capacity 1 and full at start: the
+	// batcher takes it before every handoff and the executor puts it back
+	// after every batch, so whoever holds it knows the engine is idle.
+	idle chan struct{}
 	// wg joins the batcher and executor: Add before the launches in New, Wait
 	// in Close (TestServerCloseJoinsGoroutines holds it).
 	wg      sync.WaitGroup
@@ -223,7 +223,7 @@ type serveCounters struct {
 	rejectedFull, rejectedClosed atomic.Int64
 	canceled, deadlineMisses     atomic.Int64
 	completed, batches           atomic.Int64
-	windowFlushes, sizeFlushes   atomic.Int64
+	idleFlushes, sizeFlushes     atomic.Int64
 	drainFlushes                 atomic.Int64
 
 	cacheHits, cacheMisses             atomic.Int64
@@ -246,9 +246,6 @@ func New(g *graph.Graph, cfg Config) (*Server, error) {
 	}
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 64
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = 5 * time.Millisecond
 	}
 	if cfg.QueueCapacity <= 0 {
 		cfg.QueueCapacity = 1024
@@ -288,8 +285,10 @@ func New(g *graph.Graph, cfg Config) (*Server, error) {
 		inflight: make(map[cacheKey]*slot),
 		wake:     make(chan struct{}, 1),
 		batches:  make(chan *formedBatch),
+		idle:     make(chan struct{}, 1),
 		started:  cfg.Clock.Now(),
 	}
+	s.idle <- struct{}{}
 	switch cfg.AdmissionPolicy {
 	case AdmissionAffinity:
 		s.affinityRank = true
@@ -496,30 +495,26 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// batchLoop is the batcher: it watches the shared admission queue, flushes
-// a ranked size-capped batch as soon as a full batch is pending, flushes
-// the remainder when the window timer fires or the drain begins, and arms
-// the window timer whenever a partial buffer starts waiting. The queue
-// stays shared (under mu) until a flush takes a batch, so load-shedding
-// can see the whole undispatched population.
+// batchLoop is the batcher: it watches the shared admission queue and
+// flushes a ranked size-capped batch as soon as a full batch is pending,
+// and the whole queue as soon as it holds the executor-idle token or the
+// drain begins. So an idle engine is served at once, and what arrives while
+// the engine runs forms the next batch when it returns. The queue stays
+// shared (under mu) until a flush takes a batch, so load-shedding can see
+// the whole undispatched population.
 func (s *Server) batchLoop() {
 	defer s.wg.Done()
 	defer close(s.batches)
-	var timer Timer
-	var timerC <-chan time.Time
-	stopTimer := func() {
-		if timer != nil {
-			timer.Stop()
-			timer, timerC = nil, nil
-		}
-	}
+	idle := false // the batcher holds the executor-idle token
 	for {
-		var fired bool
-		select {
-		case <-s.wake:
-		case <-timerC:
-			timer, timerC = nil, nil
-			fired = true
+		if idle {
+			<-s.wake
+		} else {
+			select {
+			case <-s.wake:
+			case <-s.idle:
+				idle = true
+			}
 		}
 		for {
 			s.mu.Lock()
@@ -533,50 +528,39 @@ func (s *Server) batchLoop() {
 				take = append([]*slot(nil), s.queue[:s.cfg.BatchSize]...)
 				s.queue = append(s.queue[:0], s.queue[s.cfg.BatchSize:]...)
 				trig = flushSize
-			case (s.closed || fired) && len(s.queue) > 0:
+			case (s.closed || idle) && len(s.queue) > 0:
 				take = s.queue
 				s.queue = nil
 				if s.closed {
 					trig = flushDrain
 				} else {
-					trig = flushWindow
-					fired = false
+					trig = flushIdle
 				}
 			}
+			closed := s.closed
 			s.mu.Unlock()
 			if take == nil {
+				if closed {
+					return
+				}
 				break
 			}
-			s.flush(take, trig)
-		}
-		s.mu.Lock()
-		waiting := len(s.queue)
-		closed := s.closed
-		s.mu.Unlock()
-		if closed {
-			stopTimer()
-			return
-		}
-		if waiting > 0 {
-			if timerC == nil {
-				timer = s.clk.NewTimer(s.cfg.Window)
-				timerC = timer.C()
-			}
-		} else {
-			stopTimer()
+			idle = s.flush(take, trig, idle)
 		}
 	}
 }
 
 // flush resolves canceled and deadline-expired waiters, then partitions the
 // surviving slots with the method's batching policy and hands each batch to
-// the executor (blocking — admission backpressure builds behind a busy
-// executor). Dispatched and resolved slots leave the bounded admission
-// population.
-func (s *Server) flush(buf []*slot, trig flushTrigger) {
+// the executor, taking the executor-idle token first unless idle says the
+// batcher holds it (blocking — admission backpressure builds behind a busy
+// executor). It reports whether the batcher still holds the token: only if
+// it dispatched nothing. Dispatched and resolved slots leave the bounded
+// admission population.
+func (s *Server) flush(buf []*slot, trig flushTrigger, idle bool) bool {
 	switch trig {
-	case flushWindow:
-		s.stats.windowFlushes.Add(1)
+	case flushIdle:
+		s.stats.idleFlushes.Add(1)
 	case flushSize:
 		s.stats.sizeFlushes.Add(1)
 	case flushDrain:
@@ -591,7 +575,7 @@ func (s *Server) flush(buf []*slot, trig flushTrigger) {
 		live = append(live, sl)
 	}
 	if len(live) == 0 {
-		return
+		return idle
 	}
 	qs := make([]queries.Query, len(live))
 	for i, sl := range live {
@@ -605,15 +589,21 @@ func (s *Server) flush(buf []*slot, trig flushTrigger) {
 		for i, bi := range idx {
 			fb.slots[i] = live[bi]
 		}
+		if !idle {
+			<-s.idle
+		}
+		idle = false
 		s.batches <- fb
 	}
+	return false
 }
 
 // releasePending removes dispatched slots from the bounded admission
 // population. The executor calls it on receipt, before entering the engine:
-// a batch still blocked in the batcher's handoff behind a busy executor
-// therefore keeps exerting admission backpressure, while a batch the
-// executor has picked up has deterministically left the population.
+// a flushed batch the batcher holds until a busy executor returns the
+// executor-idle token therefore keeps exerting admission backpressure, while
+// a batch the executor has picked up has deterministically left the
+// population.
 func (s *Server) releasePending(slots []*slot) {
 	s.mu.Lock()
 	for _, sl := range slots {
@@ -630,12 +620,14 @@ func (s *Server) finish(t *Ticket, vals []queries.Value, err error) {
 	close(t.done)
 }
 
-// execLoop is the executor: it evaluates formed batches in order until the
-// batcher closes the channel at the end of its drain.
+// execLoop is the executor: it evaluates formed batches in order, returning
+// the executor-idle token after each, until the batcher closes the channel
+// at the end of its drain.
 func (s *Server) execLoop() {
 	defer s.wg.Done()
 	for fb := range s.batches {
 		s.runBatch(fb)
+		s.idle <- struct{}{}
 	}
 }
 
@@ -704,7 +696,7 @@ func (s *Server) Stats() *telemetry.ServingMetrics {
 		DeadlineMisses:     s.stats.deadlineMisses.Load(),
 		Completed:          s.stats.completed.Load(),
 		Batches:            s.stats.batches.Load(),
-		WindowFlushes:      s.stats.windowFlushes.Load(),
+		WindowFlushes:      s.stats.idleFlushes.Load(),
 		SizeFlushes:        s.stats.sizeFlushes.Load(),
 		DrainFlushes:       s.stats.drainFlushes.Load(),
 		QueueDepth:         int64(depth),

@@ -65,8 +65,8 @@ func TierByName(name string) (Tier, error) {
 // ErrShed after unlocking (resolveShed).
 //
 // Victim policy: only slots still on the admission queue are sheddable —
-// window-buffered-into-a-formed-batch and dispatched slots are already
-// committed. Among sheddable slots strictly below the incoming tier, the
+// slots in a flushed batch, waiting for the engine or dispatched, are
+// already committed. Among sheddable slots strictly below the incoming tier, the
 // lowest tier loses first; within that tier the newest arrival is
 // sacrificed (it has waited least, so dropping it preserves FIFO fairness
 // for older queries).

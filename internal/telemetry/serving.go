@@ -21,8 +21,9 @@ type ServingMetrics struct {
 	// Completed counts queries that received result vectors.
 	Completed int64 `json:"completed"`
 	// Batches counts executed batches; the three flush counters attribute
-	// every batch-formation event to its trigger (window timer expiry, size
-	// cap reached, or shutdown drain).
+	// every batch-formation event to its trigger: the executor was idle
+	// (WindowFlushes, named for the window timer this trigger replaced), the
+	// size cap was reached, or the shutdown drain.
 	Batches       int64 `json:"batches"`
 	WindowFlushes int64 `json:"window_flushes"`
 	SizeFlushes   int64 `json:"size_flushes"`

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"testing"
-	"time"
 
 	"github.com/glign/glign/internal/align"
 	"github.com/glign/glign/internal/graph"
@@ -16,13 +15,13 @@ import (
 
 // Serve-vs-offline differential: streaming a seeded query sequence through
 // the live server must yield, query for query, the values an offline
-// systems.Run produces for the same buffer under the same method. The server
-// runs on a fake clock with an effectively infinite window, so every batch
-// forms by size flush or the Close drain — no wall-clock sleeps, no timing
-// dependence. Seeds follow the GLIGN_DIFF_SEED convention of
+// systems.Run produces for the same buffer under the same method. The live
+// batches form however the stream meets the engine — a monotone query's
+// fixed point does not depend on its batch-mates — so the values must match
+// whatever the batch geometry. Seeds follow the GLIGN_DIFF_SEED convention of
 // differential_test.go.
 
-const serveDiffStream = 10 // queries per streamed case (2.5 size batches of 4)
+const serveDiffStream = 10 // queries per streamed case
 
 func TestServeMatchesOffline(t *testing.T) {
 	pool := par.NewPool(4)
@@ -38,19 +37,6 @@ func TestServeMatchesOffline(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				ctx := repro(base, "rmat-LJ", k.Name(), method, 4)
 				srcs := sampleSources(seed, g.NumVertices(), serveDiffStream)
-				// Keep the stream duplicate-free: in-flight dedup would
-				// coalesce repeats into one admission slot, making the
-				// trailing-partial geometry (which the replay phase's window
-				// advance synchronizes on) seed-dependent. Dedup semantics
-				// have their own tests in internal/serve.
-				seen := make(map[graph.VertexID]bool, len(srcs))
-				for i, s := range srcs {
-					for seen[s] {
-						s = graph.VertexID((int(s) + 1) % g.NumVertices())
-					}
-					seen[s] = true
-					srcs[i] = s
-				}
 				buffer := make([]queries.Query, len(srcs))
 				for i, s := range srcs {
 					buffer[i] = queries.Query{Kernel: k, Source: s}
@@ -70,16 +56,13 @@ func TestServeMatchesOffline(t *testing.T) {
 				}
 
 				// Online: stream the same queries through a live server.
-				clk := serve.NewFakeClock(time.Unix(0, 0))
 				srv, err := serve.New(g, serve.Config{
 					Method:        method,
 					BatchSize:     diffBatchSize,
-					Window:        time.Hour, // never fires on the fake clock
 					QueueCapacity: 2 * serveDiffStream,
 					Workers:       4,
 					Pool:          pool,
 					Profile:       prof,
-					Clock:         clk,
 				})
 				if err != nil {
 					t.Fatalf("serve.New: %v [case seed %d, %s]", seed, base, err)
@@ -116,12 +99,9 @@ func TestServeMatchesOffline(t *testing.T) {
 					}
 				}
 
-				// Pass 1 — computed: 10 queries form two size batches plus a
-				// window-flushed trailer (the fake clock advances past the
-				// window once the timer is armed).
+				// Pass 1 — computed: 10 queries, batched by size and by the
+				// idle engine.
 				pass1 := streamPass("pass 1")
-				clk.BlockUntil(1)
-				clk.Advance(2 * time.Hour)
 				checkPass("pass 1", pass1)
 				batchesComputed := srv.Stats().Batches
 

@@ -4,77 +4,36 @@ import (
 	"fmt"
 	"math"
 	"strings"
-
-	"github.com/glign/glign/internal/par"
 )
 
-// parThreshold is the input size above which the folds run as parallel
-// reductions on the shared pool. Below it they stay serial, so small inputs
-// (every existing caller's table rows) keep their exact summation order and
-// bit-identical results.
-const parThreshold = 4096
-
-// Mean returns the arithmetic mean (0 for empty input). Large inputs fold
-// in parallel via par.ForReduce; the chunked summation order is a function
-// of the input length only, so results stay deterministic run to run.
+// Mean returns the arithmetic mean (0 for empty input).
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	if len(xs) < parThreshold {
-		var s float64
-		for _, x := range xs {
-			s += x
-		}
-		return s / float64(len(xs))
+	var s float64
+	for _, x := range xs {
+		s += x
 	}
-	s := par.ForReduce(nil, len(xs), 0, 0, 0.0,
-		func(lo, hi int, acc float64) float64 {
-			for i := lo; i < hi; i++ {
-				acc += xs[i]
-			}
-			return acc
-		},
-		func(a, b float64) float64 { return a + b })
 	return s / float64(len(xs))
-}
-
-// logAcc accumulates the log-domain fold behind Geomean: the log sum of the
-// positive entries and how many there were.
-type logAcc struct {
-	sum float64
-	n   int
 }
 
 // Geomean returns the geometric mean of positive inputs (0 for empty input;
 // non-positive entries are skipped, as the paper's geomean rows do for
-// missing cells). Large inputs fold in parallel like Mean.
+// missing cells).
 func Geomean(xs []float64) float64 {
-	var acc logAcc
-	if len(xs) < parThreshold {
-		for _, x := range xs {
-			if x > 0 {
-				acc.sum += math.Log(x)
-				acc.n++
-			}
+	var sum float64
+	n := 0
+	for _, x := range xs {
+		if x > 0 {
+			sum += math.Log(x)
+			n++
 		}
-	} else {
-		acc = par.ForReduce(nil, len(xs), 0, 0, logAcc{},
-			func(lo, hi int, a logAcc) logAcc {
-				for i := lo; i < hi; i++ {
-					if xs[i] > 0 {
-						a.sum += math.Log(xs[i])
-						a.n++
-					}
-				}
-				return a
-			},
-			func(a, b logAcc) logAcc { return logAcc{a.sum + b.sum, a.n + b.n} })
 	}
-	if acc.n == 0 {
+	if n == 0 {
 		return 0
 	}
-	return math.Exp(acc.sum / float64(acc.n))
+	return math.Exp(sum / float64(n))
 }
 
 // Speedup returns base/x — how many times faster x is than base.

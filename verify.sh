@@ -1,5 +1,6 @@
 #!/bin/sh
-# Tier-1 verification: build, vet, glignlint, tests, race matrix.
+# Tier-1 verification: build, vet, typed atomics, tests, the benchmark module,
+# the oracle, the perf gate and the race matrix.
 # ROADMAP.md's quality bar is "./verify.sh passes at every commit".
 set -eu
 cd "$(dirname "$0")"
@@ -21,51 +22,6 @@ if grep -rnE 'atomic\.(Add|Load|Store|Swap|CompareAndSwap)(Int32|Int64|Uint32|Ui
     echo "verify: sync/atomic package functions above; use the typed atomics" >&2
     exit 1
 fi
-
-echo "== glignlint (concurrency + engine invariants) =="
-# The three project analyzers (doclint, parcapture, staleignore);
-# LINTING.md documents each invariant. One invocation
-# lints the whole module — the linter's own implementation and the command
-# tree included, so it holds itself to the invariants it enforces — and
-# writes both the machine-readable report archived under results/ and the
-# suppression-count snapshot. The committed baseline pins those counts so new
-# suppressions show up in review.
-if ! go run ./cmd/glignlint -json -write-baseline /tmp/glign-lint-baseline.json ./... \
-    > results/lint-report.json; then
-    go run ./cmd/glignlint ./... || true # the same findings, readable
-    exit 1
-fi
-if ! diff -u results/lint-baseline.json /tmp/glign-lint-baseline.json; then
-    echo "verify: lint baseline drifted; regenerate with" >&2
-    echo "  go run ./cmd/glignlint -write-baseline results/lint-baseline.json ./..." >&2
-    exit 1
-fi
-# Every registered analyzer must ship a fixture tree and a golden file —
-# an analyzer nothing exercises is an invariant nobody checks.
-registered=$(go run ./cmd/glignlint -help-analyzers | awk '{printf " %s", $1}')
-for a in $registered; do
-    if [ ! -d "cmd/glignlint/testdata/src/$a" ]; then
-        echo "verify: analyzer $a has no fixture under cmd/glignlint/testdata/src/" >&2
-        exit 1
-    fi
-    if [ ! -s "cmd/glignlint/testdata/golden/$a.txt" ]; then
-        echo "verify: analyzer $a has no non-empty golden under cmd/glignlint/testdata/golden/" >&2
-        echo "  (an empty golden means the fixture exercises nothing)" >&2
-        exit 1
-    fi
-done
-# ...and every fixture directory and golden (its name before any -suffix)
-# must belong to a registered analyzer, so a retired one leaves no orphans.
-for f in cmd/glignlint/testdata/src/* cmd/glignlint/testdata/golden/*; do
-    name=$(basename "$f" .txt)
-    case "$registered " in
-    *" ${name%%-*} "*) ;;
-    *)
-        echo "verify: $f names no registered analyzer" >&2
-        exit 1
-        ;;
-    esac
-done
 
 echo "== doc links =="
 # Every SOMETHING.md referenced from the entry-point docs must exist —
@@ -134,16 +90,21 @@ else
 fi
 
 echo "== go test -race (concurrent packages) =="
-# Every package with worker-pool or CAS concurrency, including the
-# internal/core stress test (concurrent batches x GOMAXPROCS 1/2/8), the
-# Jacobi evaluator (internal/core, its kernels in internal/queries), the
-# baselines (internal/baselines: Congra's concurrent one-query batches over
-# one pool and one arena, Query-Parallel's per-query evaluations on pool
-# workers), and the live serving loop's deterministic-clock suite
+# Every package that runs a par worker (align, baselines, core, frontier,
+# sched), since a worker writes shared state only through the monotone
+# atomic relaxation and a captured write shows up here as a race; and every
+# other package with worker-pool or CAS concurrency (par, queries, serve,
+# telemetry). That covers the internal/core stress test (concurrent batches
+# x GOMAXPROCS 1/2/8), the Jacobi evaluator (internal/core, its kernels in
+# internal/queries), the baselines (internal/baselines: Congra's concurrent
+# one-query batches over one pool and one arena, Query-Parallel's per-query
+# evaluations on pool workers), the hub profile's BFS and hop fill
+# (internal/align), and the live serving loop's deterministic-clock suite
 # (internal/serve, now including the convergence/KHop e2e). The goroutine
-# leak tests of par, core and serve run here too. internal/engine is a serial
-# oracle and has no concurrency of its own.
+# leak tests of par, core and serve run here too. internal/engine is a
+# serial oracle and has no concurrency of its own.
 go test -race \
+    ./internal/align/ \
     ./internal/baselines/ \
     ./internal/core/ \
     ./internal/frontier/ \

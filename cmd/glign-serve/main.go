@@ -62,7 +62,6 @@ func run() error {
 		batch     = flag.Int("batch", 64, "batch size cap |B|")
 		queueCap  = flag.Int("queue", 1024, "admission queue capacity (submits beyond it shed lower tiers or are rejected)")
 		cacheCap  = flag.Int("cache", 1024, "result cache capacity in entries (0 disables caching)")
-		admission = flag.String("admission", "", "admission ordering: fcfs, affinity, or empty to follow the method")
 		workers   = flag.Int("workers", 0, "worker goroutines per batch (0 = GOMAXPROCS)")
 		deadline  = flag.Duration("deadline", 0, "default per-query deadline (0 = none; requests can override with timeout_ms)")
 		addr      = flag.String("addr", ":8080", "query endpoint address (POST /query, GET|POST /epoch, GET /healthz, GET /stats)")
@@ -94,13 +93,12 @@ func run() error {
 		cacheCapacity = -1
 	}
 	srv, err := glign.Serve(g, glign.ServeConfig{
-		Method:          *method,
-		BatchSize:       *batch,
-		QueueCapacity:   *queueCap,
-		CacheCapacity:   cacheCapacity,
-		AdmissionPolicy: *admission,
-		Workers:         *workers,
-		Telemetry:       tel,
+		Method:        *method,
+		BatchSize:     *batch,
+		QueueCapacity: *queueCap,
+		CacheCapacity: cacheCapacity,
+		Workers:       *workers,
+		Telemetry:     tel,
 	})
 	if err != nil {
 		return err
@@ -120,8 +118,8 @@ func run() error {
 
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
-	fmt.Printf("%s method serving queries on http://%s/query (batch %d, queue %d, cache %d, admission %q)\n",
-		*method, *addr, *batch, *queueCap, *cacheCap, *admission)
+	fmt.Printf("%s method serving queries on http://%s/query (batch %d, queue %d, cache %d)\n",
+		*method, *addr, *batch, *queueCap, *cacheCap)
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)

@@ -199,14 +199,6 @@ func NewPool(n int) *Pool { return par.NewPool(n) }
 // p keeps the shared pool.
 func WithPool(p *Pool) Option { return func(r *Runtime) { r.cfg.Pool = p } }
 
-// WithBatchingWindow sets the affinity-batching window B_w (default: whole
-// buffer).
-func WithBatchingWindow(bw int) Option { return func(r *Runtime) { r.cfg.Window = bw } }
-
-// WithHubCount sets K, the number of high-degree vertices probed by the
-// alignment profile (default 4, as in the paper).
-func WithHubCount(k int) Option { return func(r *Runtime) { r.hubCount = k } }
-
 // Telemetry collects runtime metrics: global counters and histograms plus
 // per-run, per-batch, per-iteration timelines (see internal/telemetry and
 // OBSERVABILITY.md for the schema). One Telemetry may be shared by several
@@ -240,7 +232,6 @@ func WithTelemetry(t *Telemetry) Option { return func(r *Runtime) { r.cfg.Teleme
 type Runtime struct {
 	g           *Graph
 	method      string
-	hubCount    int
 	cfg         systems.Config // cfg.Arena is the runtime's, created empty
 	profileOnce sync.Once
 	profile     *align.Profile
@@ -251,7 +242,7 @@ func NewRuntime(g *Graph, opts ...Option) (*Runtime, error) {
 	if g == nil || g.NumVertices() == 0 {
 		return nil, fmt.Errorf("glign: empty graph")
 	}
-	r := &Runtime{g: g, method: MethodGlign, hubCount: align.DefaultHubCount}
+	r := &Runtime{g: g, method: MethodGlign}
 	for _, o := range opts {
 		o(r)
 	}
@@ -266,7 +257,7 @@ func NewRuntime(g *Graph, opts ...Option) (*Runtime, error) {
 // call (ProfileCost reports the one-time cost afterwards).
 func (r *Runtime) Profile() *AlignmentProfile {
 	r.profileOnce.Do(func() {
-		r.profile = align.NewProfile(r.g, r.hubCount, r.cfg.Workers)
+		r.profile = align.NewProfile(r.g, align.DefaultHubCount, r.cfg.Workers)
 	})
 	return r.profile
 }

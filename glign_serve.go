@@ -19,15 +19,14 @@ import (
 // semantics, dedup fan-out guarantees, tier/shed policy, telemetry ledger).
 
 // Server is a live query server (admission queue -> batches -> engine ->
-// per-query tickets). Submit/SubmitTimeout/SubmitWith admit
-// queries, BumpEpoch invalidates cached results after a data change,
-// Shutdown stops admission, Close drains everything admitted and joins the
-// server's goroutines.
+// per-query tickets). Submit/SubmitWith admit queries, BumpEpoch
+// invalidates cached results after a data change, Shutdown stops admission,
+// Close drains everything admitted and joins the server's goroutines.
 type Server = serve.Server
 
-// ServeConfig parameterizes a Server: method, batch size cap,
-// admission-queue capacity and per-tier bounds, result-cache capacity,
-// admission policy, deadlines clock, pool, telemetry.
+// ServeConfig parameterizes a Server: method (which also fixes the admission
+// order), batch size cap, admission-queue capacity, result-cache capacity,
+// deadlines clock, pool, telemetry.
 type ServeConfig = serve.Config
 
 // QueryTicket is the completion handle of one submitted query: Wait (or
@@ -51,15 +50,6 @@ const (
 	TierLow    = serve.TierLow
 	TierNormal = serve.TierNormal
 	TierHigh   = serve.TierHigh
-)
-
-// Admission orderings for ServeConfig.AdmissionPolicy: FCFS dispatches the
-// pending queue in arrival order, Affinity ranks it by estimated
-// heavy-iteration arrival (closestHV). The default (empty) follows the
-// method.
-const (
-	AdmissionFCFS     = serve.AdmissionFCFS
-	AdmissionAffinity = serve.AdmissionAffinity
 )
 
 // ServeClock is the server's injectable time source; NewFakeServeClock

@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"github.com/glign/glign/internal/align"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -173,17 +175,20 @@ func TestGraphBuilderFacade(t *testing.T) {
 
 func TestProfileLazyAndShared(t *testing.T) {
 	g, _ := Generate("TW", "tiny")
-	rt, err := NewRuntime(g, WithHubCount(2), WithWorkers(2))
+	rt, err := NewRuntime(g, WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if rt.profile != nil {
+		t.Fatal("profile built before first use")
 	}
 	p1 := rt.Profile()
 	p2 := rt.Profile()
 	if p1 != p2 {
 		t.Fatal("profile rebuilt")
 	}
-	if len(p1.Hubs) != 2 {
-		t.Fatalf("hubs = %d, want 2 (WithHubCount)", len(p1.Hubs))
+	if len(p1.Hubs) != align.DefaultHubCount {
+		t.Fatalf("hubs = %d, want %d", len(p1.Hubs), align.DefaultHubCount)
 	}
 }
 
@@ -262,31 +267,5 @@ func TestLatencyAccounting(t *testing.T) {
 				t.Fatal("queries of one batch must share completion latency")
 			}
 		}
-	}
-}
-
-func TestBatchingWindowOption(t *testing.T) {
-	g, _ := Generate("LJ", "tiny")
-	rt, err := NewRuntime(g, WithMethod(MethodGlignBatch), WithBatchSize(4),
-		WithBatchingWindow(8), WithWorkers(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	buffer := make([]Query, 16)
-	for i := range buffer {
-		buffer[i] = Query{Kernel: BFS, Source: VertexID(i * 13 % g.NumVertices())}
-	}
-	rep, err := rt.Run(buffer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Window 8, batch 4: query indices may move at most within their window.
-	for _, batch := range rep.Batches() {
-		for _, idx := range batch {
-			_ = idx
-		}
-	}
-	if len(rep.Batches()) != 4 {
-		t.Fatalf("batches = %d, want 4", len(rep.Batches()))
 	}
 }

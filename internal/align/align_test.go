@@ -136,9 +136,6 @@ func TestProfilePaperExample(t *testing.T) {
 	if p.PrepTime <= 0 {
 		t.Fatal("prep time not recorded")
 	}
-	if p.MemoryBytes() <= 0 {
-		t.Fatal("memory accounting broken")
-	}
 }
 
 // On an undirected graph NewProfile runs the hub BFS on the graph itself, its

@@ -116,12 +116,3 @@ func (p *Profile) AlignmentVector(batch []queries.Query) []int {
 	}
 	return I
 }
-
-// MemoryBytes reports the profile's resident size (LeastHops dominates).
-func (p *Profile) MemoryBytes() int64 {
-	var b int64
-	for _, lh := range p.LeastHops {
-		b += int64(len(lh)) * 4
-	}
-	return b + int64(len(p.ClosestHV))*4 + int64(len(p.Hubs))*4
-}

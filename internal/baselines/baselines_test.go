@@ -14,14 +14,20 @@ import (
 func checkAgainstReference(t *testing.T, e core.Engine, g *graph.Graph, batch []queries.Query, opt core.Options) {
 	t.Helper()
 	res, err := e.Run(g, batch, opt)
+	checkResult(t, e.Name(), g, batch, res, err)
+}
+
+// checkResult holds every lane of res to the serial oracle and releases it.
+func checkResult(t *testing.T, name string, g *graph.Graph, batch []queries.Query, res *core.BatchResult, err error) {
+	t.Helper()
 	if err != nil {
-		t.Fatalf("%s: %v", e.Name(), err)
+		t.Fatalf("%s: %v", name, err)
 	}
 	for qi, q := range batch {
 		want := engine.ReferenceRun(g, q)
 		for v := 0; v < g.NumVertices(); v++ {
 			if got := res.Value(qi, graph.VertexID(v)); got != want[v] {
-				t.Fatalf("%s: query %d (%s) v%d = %v, want %v", e.Name(), qi, q, v, got, want[v])
+				t.Fatalf("%s: query %d (%s) v%d = %v, want %v", name, qi, q, v, got, want[v])
 			}
 		}
 	}
@@ -125,25 +131,28 @@ func TestIBFSGroupsShareHeavyNeighbor(t *testing.T) {
 func TestIBFSParameterDefaults(t *testing.T) {
 	g := graph.MustGenerate(graph.LJ, graph.Tiny)
 	buf := []queries.Query{{Kernel: queries.BFS, Source: 0}}
-	// Explicit and derived parameters must both schedule everything.
-	for _, h := range []IBFS{{Graph: g}, {Graph: g, P: 5, Q: 50}} {
-		batches := h.MakeBatches(buf, 4)
-		if len(batches) != 1 || len(batches[0]) != 1 {
-			t.Fatalf("batches = %v", batches)
-		}
+	// The parameters derived from the graph must schedule everything.
+	batches := IBFS{Graph: g}.MakeBatches(buf, 4)
+	if len(batches) != 1 || len(batches[0]) != 1 {
+		t.Fatalf("batches = %v", batches)
 	}
 }
 
 func TestCongraMatchesReference(t *testing.T) {
 	g := graph.MustGenerate(graph.LJ, graph.Tiny)
 	checkAgainstReference(t, Congra{}, g, mixedBatch(g, 10, 37), core.Options{Workers: 2})
-	// Bounded admission must also be correct.
-	checkAgainstReference(t, Congra{ConcurrentQueries: 2}, g, mixedBatch(g, 6, 38), core.Options{Workers: 2})
+	// Congra's evaluation with fewer goroutines than queries must also be
+	// correct.
+	batch := mixedBatch(g, 6, 38)
+	res, err := core.RunApart(g, batch, core.Options{Workers: 2}, 2)
+	checkResult(t, "RunApart/2", g, batch, res, err)
 	// The concurrent one-query batches share one pool and, batch after batch,
 	// one arena.
 	arena := new(core.Arena)
 	for seed := int64(39); seed < 42; seed++ {
-		checkAgainstReference(t, Congra{ConcurrentQueries: 3}, g, mixedBatch(g, 8, seed), core.Options{Workers: 2, Arena: arena})
+		batch := mixedBatch(g, 8, seed)
+		res, err := core.RunApart(g, batch, core.Options{Workers: 2, Arena: arena}, 3)
+		checkResult(t, "RunApart/3", g, batch, res, err)
 	}
 }
 

@@ -13,13 +13,9 @@ import (
 // scheduler happens to run them. The paper's point about this design is
 // that it has no control over traversal alignment: graph accesses may or
 // may not overlap, so locality is left to chance. It shares the graph
-// (read-only) but neither frontiers nor iteration structure.
-type Congra struct {
-	// ConcurrentQueries bounds how many queries run at once (Congra's
-	// scheduler admits queries up to a memory-bandwidth budget); <= 0 runs
-	// the whole batch at once.
-	ConcurrentQueries int
-}
+// (read-only) but neither frontiers nor iteration structure. The whole
+// batch runs at once.
+type Congra struct{}
 
 // Name implements core.Engine.
 func (Congra) Name() string { return "Congra" }
@@ -31,13 +27,13 @@ func (Congra) Name() string { return "Congra" }
 // address stream. Congra is a frontier design: an iterate-to-convergence
 // kernel gets PrepareBatch's refusal, as from every engine without a Jacobi
 // path.
-func (e Congra) Run(g *graph.Graph, batch []queries.Query, opt core.Options) (*core.BatchResult, error) {
+func (Congra) Run(g *graph.Graph, batch []queries.Query, opt core.Options) (*core.BatchResult, error) {
 	if queries.AnyConvergent(batch) {
 		_, err := core.PrepareBatch(g, batch, opt)
 		return nil, err
 	}
 	opt.Tracer = nil
-	return core.RunApart(g, batch, opt, e.ConcurrentQueries)
+	return core.RunApart(g, batch, opt, 0)
 }
 
 var _ core.Engine = Congra{}

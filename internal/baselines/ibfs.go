@@ -14,21 +14,17 @@ import (
 // SIGMOD'16) as the paper reimplements it for the CPU in §4.8: queries are
 // grouped into the same batch when (i) their sources' out-degrees are below
 // p, and (ii) the sources share at least one common out-neighbor whose
-// out-degree exceeds q. Sources failing the conditions fall back to arrival
-// order. The grouped batches are then evaluated with the two-level
-// (unified + separate frontier) engine, which is what iBFS uses.
+// out-degree exceeds q. Both bounds derive from the graph: p is
+// 2*ceil(avg degree), and q is one below the degree of the graph's
+// align.DefaultHubCount-th largest hub, but never below p. Sources failing
+// the conditions fall back to arrival order. The grouped batches are then
+// evaluated with the two-level (unified + separate frontier) engine, which
+// is what iBFS uses.
 //
 // IBFS satisfies sched.Policy so it can be plugged into the same harness as
 // FCFS and affinity-oriented batching.
 type IBFS struct {
 	Graph *graph.Graph
-	// P bounds the source out-degree (condition i); <= 0 derives
-	// 2*ceil(avg degree).
-	P int
-	// Q is the minimum out-degree of the shared "hub" neighbor
-	// (condition ii); <= 0 derives the degree of the graph's
-	// align.DefaultHubCount-th largest hub.
-	Q int
 	// Telemetry, when non-nil, receives the grouping decision (the ranked
 	// order the heuristic chose over the whole buffer).
 	Telemetry *telemetry.RunTrace
@@ -40,17 +36,11 @@ func (IBFS) Name() string { return "iBFS" }
 // MakeBatches implements sched.Policy.
 func (h IBFS) MakeBatches(buffer []queries.Query, batchSize int) [][]int {
 	g := h.Graph
-	p := h.P
-	if p <= 0 {
-		p = 2 * (int(g.AvgDegree()) + 1)
-	}
-	q := h.Q
-	if q <= 0 {
-		hubs := g.TopOutDegreeVertices(align.DefaultHubCount)
-		q = g.OutDegree(hubs[len(hubs)-1]) - 1
-		if q < p {
-			q = p
-		}
+	p := 2 * (int(g.AvgDegree()) + 1)
+	hubs := g.TopOutDegreeVertices(align.DefaultHubCount)
+	q := g.OutDegree(hubs[len(hubs)-1]) - 1
+	if q < p {
+		q = p
 	}
 
 	// For each eligible source, its first heavy out-neighbor keys the

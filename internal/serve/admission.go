@@ -5,22 +5,6 @@ import (
 	"github.com/glign/glign/internal/sched"
 )
 
-// Admission orderings for Config.AdmissionPolicy. The default (empty
-// string) follows the method: methods whose batching policy is
-// affinity-oriented rank their pending queue, FCFS methods keep arrival
-// order.
-const (
-	// AdmissionFCFS dispatches the pending queue in arrival order even for
-	// affinity methods (the policy still ranks within each flushed batch).
-	AdmissionFCFS = "fcfs"
-	// AdmissionAffinity ranks the whole pending queue by estimated
-	// heavy-iteration arrival (closestHV) whenever it exceeds one batch, so
-	// affine queries land in the same evaluation batch instead of whichever
-	// batch their arrival position dictated. Forces a profile build when the
-	// method alone would not need one.
-	AdmissionAffinity = "affinity"
-)
-
 // rankPendingLocked reorders the server's pending queue in place with the
 // batching policy's closestHV ranking (sched.Affinity.Rank) and counts the
 // displaced queries into admission_reorders. Must be called with s.mu held;

@@ -12,7 +12,8 @@ import (
 // unit of admission capacity and one lane of an evaluation batch, and its
 // result fans out to every waiter. tickets and done are guarded by the
 // server's mu; the other fields are immutable after creation (tier may be
-// promoted under mu while the slot is still queued).
+// promoted under mu by a joiner, which matters only while the slot is still
+// queued and so sheddable).
 type slot struct {
 	query queries.Query
 	key   cacheKey
@@ -26,7 +27,7 @@ type slot struct {
 // joinLocked coalesces t onto an existing pending slot for key, if one
 // exists. Must be called with s.mu held. A join consumes no admission
 // capacity; a higher-tier joiner promotes the slot (protecting it from
-// shedding and tightening its per-tier accounting).
+// shedding).
 func (s *Server) joinLocked(key cacheKey, t *Ticket) bool {
 	sl := s.inflight[key]
 	if sl == nil || sl.done {
@@ -34,8 +35,6 @@ func (s *Server) joinLocked(key cacheKey, t *Ticket) bool {
 	}
 	sl.tickets = append(sl.tickets, t)
 	if t.tier > sl.tier {
-		s.tierPending[tierIndex(sl.tier)]--
-		s.tierPending[tierIndex(t.tier)]++
 		sl.tier = t.tier
 	}
 	return true
@@ -99,7 +98,6 @@ func (s *Server) resolveDead(sl *slot, now time.Time) bool {
 			delete(s.inflight, sl.key)
 		}
 		s.pending--
-		s.tierPending[tierIndex(sl.tier)]--
 	}
 	s.mu.Unlock()
 	for i, t := range dead {

@@ -275,7 +275,7 @@ func TestDeadlineExpiryCancelsQueued(t *testing.T) {
 	g := testGraph()
 
 	held := hold(t, s, gate, queries.Query{Kernel: queries.SSSP, Source: 8})
-	t1, err := s.SubmitTimeout(context.Background(), queries.Query{Kernel: queries.SSSP, Source: 3}, 10*time.Millisecond)
+	t1, err := s.SubmitWith(context.Background(), queries.Query{Kernel: queries.SSSP, Source: 3}, SubmitOptions{Timeout: 10 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestDeadlineExpiryCancelsQueued(t *testing.T) {
 		t.Fatalf("expired ticket: err = %v, want ErrDeadline", err)
 	}
 	// The expired flush formed no batch; a fresh query still serves.
-	t2, err := s.SubmitTimeout(context.Background(), queries.Query{Kernel: queries.SSSP, Source: 4}, time.Hour)
+	t2, err := s.SubmitWith(context.Background(), queries.Query{Kernel: queries.SSSP, Source: 4}, SubmitOptions{Timeout: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}

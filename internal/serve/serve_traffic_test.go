@@ -234,16 +234,16 @@ func TestAffinityAdmissionReorders(t *testing.T) {
 }
 
 // TestFCFSAdmissionKeepsArrivalOrder is the control for the reorder test:
-// the same interleaved arrivals under AdmissionFCFS dispatch in arrival
-// order with zero reorders, even though the method's policy is affinity.
+// the same interleaved arrivals under an FCFS method (Glign-Intra) dispatch
+// in arrival order with zero reorders. The method alone decides whether the
+// pending queue is ranked.
 func TestFCFSAdmissionKeepsArrivalOrder(t *testing.T) {
 	g := testGraph()
 	clk := NewFakeClock(time.Unix(0, 0))
 	gate := newGateEngine()
 	s := startServer(t, clk, func(c *Config) {
-		c.Method = systems.GlignBatch
+		c.Method = systems.GlignIntra
 		c.BatchSize = 2
-		c.AdmissionPolicy = AdmissionFCFS
 		c.Engine = gate
 	})
 	ctx := context.Background()
@@ -267,8 +267,8 @@ func TestFCFSAdmissionKeepsArrivalOrder(t *testing.T) {
 	gate.release <- struct{}{}
 	<-gate.entered
 	gate.release <- struct{}{}
-	// FCFS admission takes the arrival prefix [0 4]; the affinity policy
-	// still ranks within the take, so composition (not order) is asserted.
+	// FCFS admission takes the arrival prefix [0 4]; composition (not order
+	// within the batch) is asserted, as in the reorder test.
 	batch1 := <-gate.entered
 	gate.release <- struct{}{}
 	batch2 := <-gate.entered
@@ -381,41 +381,11 @@ func TestShedLowTierFirst(t *testing.T) {
 	}
 }
 
-// TestTierCapacityBound pins the per-tier admission bound: with a low-tier
-// bound of 1, a second queued low is rejected with ErrQueueFull even though
-// global capacity remains.
-func TestTierCapacityBound(t *testing.T) {
-	clk := NewFakeClock(time.Unix(0, 0))
-	gate := newGateEngine()
-	s := startServer(t, clk, func(c *Config) {
-		c.BatchSize = 4
-		c.QueueCapacity = 8
-		c.TierCapacities[tierIndex(TierLow)] = 1
-		c.Engine = gate
-	})
-	ctx := context.Background()
-	sub := func(src int, tier Tier) (*Ticket, error) {
-		return s.SubmitWith(ctx, queries.Query{Kernel: queries.BFS, Source: graph.VertexID(src)}, SubmitOptions{Tier: tier})
-	}
-	// With the executor held busy, the lows below stay queued.
-	hold(t, s, gate, queries.Query{Kernel: queries.BFS, Source: 8})
-	if _, err := sub(0, TierLow); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sub(1, TierLow); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("second low: err = %v, want ErrQueueFull (tier bound 1)", err)
-	}
-	if _, err := sub(2, TierNormal); err != nil {
-		t.Fatalf("normal blocked by low tier bound: %v", err)
-	}
-	close(gate.release)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestDedupTierPromotion pins that a high-tier joiner promotes its coalesced
 // slot: the promoted slot stops being sheddable by a later normal arrival.
+// A high-tier joiner of a slot that is already executing gets that slot's
+// values and leaves no trace in the admission population: once everything is
+// served, a fresh high-tier arrival fits the capacity of one.
 func TestDedupTierPromotion(t *testing.T) {
 	clk := NewFakeClock(time.Unix(0, 0))
 	gate := newGateEngine()
@@ -431,6 +401,10 @@ func TestDedupTierPromotion(t *testing.T) {
 	// The held query has left the admission population once its batch is
 	// inside the gate, and keeps the executor busy so the rest stays queued.
 	held := hold(t, s, gate, queries.Query{Kernel: queries.BFS, Source: 8})
+	heldDup, err := s.SubmitWith(ctx, held.Query(), SubmitOptions{Tier: TierHigh})
+	if err != nil {
+		t.Fatal(err)
+	}
 	low, err := s.SubmitWith(ctx, q, SubmitOptions{Tier: TierLow})
 	if err != nil {
 		t.Fatal(err)
@@ -446,14 +420,20 @@ func TestDedupTierPromotion(t *testing.T) {
 		t.Fatalf("normal vs promoted slot: err = %v, want ErrQueueFull", err)
 	}
 	close(gate.release)
+	mustValues(t, g, held)
+	mustValues(t, g, heldDup)
+	mustValues(t, g, low)
+	mustValues(t, g, high)
+	fresh, err := s.SubmitWith(ctx, queries.Query{Kernel: queries.BFS, Source: 5}, SubmitOptions{Tier: TierHigh})
+	if err != nil {
+		t.Fatalf("fresh high on an empty server: %v", err)
+	}
+	mustValues(t, g, fresh)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	mustValues(t, g, held)
-	mustValues(t, g, low)
-	mustValues(t, g, high)
-	if st := s.Stats(); st.DedupCoalesced != 1 || st.Shed != 0 || st.RejectedFull != 1 {
-		t.Errorf("stats = %+v, want dedup_coalesced=1 shed=0 rejected_full=1", st)
+	if st := s.Stats(); st.DedupCoalesced != 2 || st.Shed != 0 || st.RejectedFull != 1 {
+		t.Errorf("stats = %+v, want dedup_coalesced=2 shed=0 rejected_full=1", st)
 	}
 }
 

@@ -22,9 +22,8 @@ import (
 // dispatch with errors.Is (ErrShed lives in shed.go beside its policy).
 var (
 	// ErrQueueFull is the backpressure rejection: the admitted-but-
-	// undispatched population reached Config.QueueCapacity (or the query's
-	// tier reached its per-tier bound) and no lower-tier victim was
-	// available to shed.
+	// undispatched population reached Config.QueueCapacity and no lower-tier
+	// victim was available to shed.
 	ErrQueueFull = errors.New("serve: admission queue full")
 	// ErrClosed rejects submissions arriving after Shutdown/Close began.
 	ErrClosed = errors.New("serve: server closed to new queries")
@@ -58,25 +57,17 @@ type Config struct {
 	// rejects with ErrQueueFull (default 1024). Coalesced duplicates share one slot and
 	// do not count again.
 	QueueCapacity int
-	// TierCapacities optionally bounds the queued population of each
-	// priority tier on top of QueueCapacity (index 0 low, 1 normal, 2 high
-	// — tierIndex order); 0 means no per-tier bound.
-	TierCapacities [NumTiers]int
 	// CacheCapacity bounds the source+kernel-keyed result cache in entries:
 	// 0 means the default (1024), negative disables caching entirely.
 	// Entries carry the epoch they were computed at and are dropped on
 	// mismatch (see BumpEpoch).
 	CacheCapacity int
-	// AdmissionPolicy orders the pending queue when it exceeds one batch:
-	// AdmissionFCFS, AdmissionAffinity, or empty to follow the method
-	// (affinity methods rank, FCFS methods keep arrival order).
-	AdmissionPolicy string
 	// Workers bounds intra-batch parallelism (<= 0: GOMAXPROCS); Pool is
 	// the work-stealing scheduler the engines run on (nil: shared default).
 	Workers int
 	Pool    *par.Pool
 	// Profile supplies closestHV for the aligned/affinity methods; built on
-	// demand when nil and the method (or AdmissionAffinity) needs it.
+	// demand when nil and the method needs it.
 	Profile *align.Profile
 	// Telemetry, when non-nil, receives per-iteration engine records for
 	// every batch plus the serving section (Collector.ObserveServing).
@@ -192,13 +183,12 @@ type Server struct {
 	epoch atomic.Int64
 	cache *resultCache // nil: caching disabled
 
-	mu          sync.Mutex
-	queue       []*slot
-	inflight    map[cacheKey]*slot
-	pending     int // admitted-but-undispatched slots (bounded by QueueCapacity)
-	tierPending [NumTiers]int
-	seq         int
-	closed      bool
+	mu       sync.Mutex
+	queue    []*slot
+	inflight map[cacheKey]*slot
+	pending  int // admitted-but-undispatched slots (bounded by QueueCapacity)
+	seq      int
+	closed   bool
 
 	wake    chan struct{}
 	batches chan *formedBatch
@@ -253,13 +243,8 @@ func New(g *graph.Graph, cfg Config) (*Server, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = RealClock()
 	}
-	switch cfg.AdmissionPolicy {
-	case "", AdmissionFCFS, AdmissionAffinity:
-	default:
-		return nil, fmt.Errorf("serve: unknown admission policy %q", cfg.AdmissionPolicy)
-	}
 	prof := cfg.Profile
-	if prof == nil && (systems.NeedsProfile(cfg.Method) || cfg.AdmissionPolicy == AdmissionAffinity) {
+	if prof == nil && systems.NeedsProfile(cfg.Method) {
 		prof = align.NewProfile(g, align.DefaultHubCount, cfg.Workers)
 	}
 	run := cfg.Telemetry.StartRun("serve:"+cfg.Method, "")
@@ -289,14 +274,9 @@ func New(g *graph.Graph, cfg Config) (*Server, error) {
 		started:  cfg.Clock.Now(),
 	}
 	s.idle <- struct{}{}
-	switch cfg.AdmissionPolicy {
-	case AdmissionAffinity:
-		s.affinityRank = true
-	case AdmissionFCFS:
-		s.affinityRank = false
-	default:
-		s.affinityRank = prof != nil && plan.Policy.Name() == (sched.Affinity{}).Name()
-	}
+	// The method decides the admission order: an affinity-batching method
+	// ranks the pending queue, an FCFS method keeps arrival order.
+	s.affinityRank = prof != nil && plan.Policy.Name() == (sched.Affinity{}).Name()
 	if cfg.CacheCapacity >= 0 {
 		capacity := cfg.CacheCapacity
 		if capacity == 0 {
@@ -315,13 +295,6 @@ func (s *Server) Submit(ctx context.Context, q queries.Query) (*Ticket, error) {
 	return s.SubmitWith(ctx, q, SubmitOptions{})
 }
 
-// SubmitTimeout admits one query with a deadline at TierNormal. A positive
-// timeout sets a deadline of now+timeout on the server's clock. See
-// SubmitWith.
-func (s *Server) SubmitTimeout(ctx context.Context, q queries.Query, timeout time.Duration) (*Ticket, error) {
-	return s.SubmitWith(ctx, q, SubmitOptions{Timeout: timeout})
-}
-
 // SubmitWith admits one query and returns its ticket. The submission
 // pipeline, in order and under one lock (SERVING.md has the state machine):
 //
@@ -333,8 +306,7 @@ func (s *Server) SubmitTimeout(ctx context.Context, q queries.Query, timeout tim
 //     every waiter);
 //  3. otherwise the query needs a new slot: at QueueCapacity a strictly
 //     lower-tier queued query is shed to make room when one exists, else
-//     the submission is rejected with ErrQueueFull (likewise at a
-//     configured per-tier bound).
+//     the submission is rejected with ErrQueueFull.
 //
 // The context covers the queued phase — a ctx canceled before batching
 // completes the ticket with ctx.Err(). Rejections are immediate and typed:
@@ -383,12 +355,6 @@ func (s *Server) SubmitWith(ctx context.Context, q queries.Query, opt SubmitOpti
 		s.stats.dedupCoalesced.Add(1)
 		return t, nil
 	}
-	ti := tierIndex(opt.Tier)
-	if bound := s.cfg.TierCapacities[ti]; bound > 0 && s.tierPending[ti] >= bound {
-		s.mu.Unlock()
-		s.stats.rejectedFull.Add(1)
-		return nil, ErrQueueFull
-	}
 	if s.pending >= s.cfg.QueueCapacity {
 		if victim = s.shedLocked(opt.Tier); victim == nil {
 			s.mu.Unlock()
@@ -401,7 +367,6 @@ func (s *Server) SubmitWith(ctx context.Context, q queries.Query, opt SubmitOpti
 	s.seq++
 	s.queue = append(s.queue, sl)
 	s.pending++
-	s.tierPending[ti]++
 	s.inflight[key] = sl
 	s.mu.Unlock()
 	if victim != nil {
@@ -606,10 +571,7 @@ func (s *Server) flush(buf []*slot, trig flushTrigger, idle bool) bool {
 // population.
 func (s *Server) releasePending(slots []*slot) {
 	s.mu.Lock()
-	for _, sl := range slots {
-		s.pending--
-		s.tierPending[tierIndex(sl.tier)]--
-	}
+	s.pending -= len(slots)
 	s.mu.Unlock()
 }
 

@@ -25,11 +25,11 @@ const (
 )
 
 // NumTiers is the number of priority tiers (the length of the per-tier
-// capacity and shed-counter arrays; index a tier with tierIndex).
+// shed-counter array; index a tier with tierIndex).
 const NumTiers = 3
 
 // tierIndex maps a tier to its array slot: 0 low, 1 normal, 2 high — the
-// index order of Config.TierCapacities and ServingMetrics.ShedByTier.
+// index order of ServingMetrics.ShedByTier.
 func tierIndex(t Tier) int { return int(t) + 1 }
 
 // String returns the tier's wire name ("low", "normal", "high").
@@ -91,7 +91,6 @@ func (s *Server) shedLocked(incoming Tier) *slot {
 		delete(s.inflight, sl.key)
 	}
 	s.pending--
-	s.tierPending[tierIndex(sl.tier)]--
 	return sl
 }
 

@@ -6,13 +6,28 @@ set -eu
 cd "$(dirname "$0")"
 start=$(date +%s)
 
-echo "== go build =="
+# leg KEY TITLE opens a leg: it closes the previous one into $legs as
+# "KEY Ns" and prints the leg's header.
+legs=""
+leg_key=""
+leg_start=$start
+leg() {
+    now=$(date +%s)
+    if [ -n "$leg_key" ]; then
+        legs="$legs${legs:+, }$leg_key $((now - leg_start))s"
+    fi
+    leg_key=$1
+    leg_start=$now
+    [ -z "${2:-}" ] || echo "== $2 =="
+}
+
+leg build "go build"
 go build ./...
 
-echo "== go vet =="
+leg vet "go vet"
 go vet ./...
 
-echo "== typed atomics =="
+leg atomics "typed atomics"
 # Every word written concurrently is a typed sync/atomic value, so mixing
 # atomic and plain access to one does not compile and go vet rejects a copy.
 # A sync/atomic package function takes an untyped word, which neither check
@@ -23,7 +38,7 @@ if grep -rnE 'atomic\.(Add|Load|Store|Swap|CompareAndSwap)(Int32|Int64|Uint32|Ui
     exit 1
 fi
 
-echo "== doc links =="
+leg doclinks "doc links"
 # Every SOMETHING.md referenced from the entry-point docs must exist —
 # stale pointers in README/ROADMAP are how contracts rot (SERVING.md,
 # OBSERVABILITY.md, LINTING.md, DESIGN.md, EXPERIMENTS.md, ...).
@@ -33,19 +48,27 @@ for doc in $(grep -oh '[A-Z][A-Z_]*\.md' README.md ROADMAP.md | sort -u); do
         exit 1
     fi
 done
+# Likewise every command the user-facing docs tell a reader to run.
+cmddocs="README.md DESIGN.md SERVING.md OBSERVABILITY.md EXPERIMENTS.md .claude/skills/verify/SKILL.md"
+for cmd in $(grep -ohE 'cmd/[a-z][a-z0-9-]*' $cmddocs | sort -u); do
+    if [ ! -d "$cmd" ]; then
+        echo "verify: $cmd is named in $cmddocs but does not exist" >&2
+        exit 1
+    fi
+done
 
-echo "== go test =="
+leg test "go test"
 # -shuffle=on randomizes test (and fixture) execution order each run, so
 # any inter-test state dependence surfaces here instead of in CI roulette.
 go test -shuffle=on ./...
 
-echo "== benchmark module (vet + tests) =="
+leg benchmod "benchmark module (vet + tests)"
 # benchmark/ is a module of its own (BENCHMARK.json's driver), so the legs
 # above never compile it; it builds against exported names of internal/core,
 # internal/systems and the facade, and this leg is what notices when one goes.
 (cd benchmark && go vet ./... && go test ./...)
 
-echo "== benchmark smoke (BENCHMARK.json's four workloads, tiny scale) =="
+leg smoke "benchmark smoke (BENCHMARK.json's four workloads, tiny scale)"
 # The benchmark itself, end to end, both passes of every workload on tiny
 # graphs (~10 s): a warmed Runtime and a live Server evaluate buffer after
 # buffer on their batch arenas, every result is held to the oracle, and the
@@ -61,14 +84,14 @@ fi
 grep '^attempted' "$tmp/smoke.txt"
 rm -rf "$tmp"
 
-echo "== serve e2e telemetry archive =="
+leg telemetry "serve e2e telemetry archive"
 # Re-run the deterministic serving session with its telemetry snapshot
 # archived under results/ — the `serving` section SERVING.md §8 audits.
 GLIGN_SERVE_TELEMETRY_OUT="$PWD/results/serve-telemetry.json" \
     go test ./internal/serve/ -run TestServeEndToEndSession -count=1
 test -s results/serve-telemetry.json
 
-echo "== benchmark-validity oracle =="
+leg oracle "benchmark-validity oracle"
 # Certify every kernel (monotone + convergence) x {Glign, Ligra-S} x both
 # graph families against the first-principles invariants of internal/oracle
 # and archive the certification report — EXPERIMENTS.md's validity section.
@@ -77,7 +100,7 @@ GLIGN_ORACLE_OUT="$PWD/results/oracle-report.json" \
     go test . -run TestOracleHarness -count=1
 test -s results/oracle-report.json
 
-echo "== measured-performance gate =="
+leg perfgate "measured-performance gate"
 # Nine within-run ratio cells (Glign-Intra against Ligra-C, the serial oracle
 # and itself with telemetry on), each side's quiet-rep minimum over
 # alternating reps, held to the ratios in results/perf-baseline.json at a
@@ -89,7 +112,7 @@ else
     go run ./cmd/glign-perfgate
 fi
 
-echo "== go test -race (concurrent packages) =="
+leg race "go test -race (concurrent packages)"
 # Every package that runs a par worker (align, baselines, core, frontier,
 # sched), since a worker writes shared state only through the monotone
 # atomic relaxation and a captured write shows up here as a race; and every
@@ -117,12 +140,15 @@ go test -race \
 # Runtime (shared lazily built profile, shared batch arena), oracle-checked.
 go test -race -run 'TestRuntimeConcurrentRuns' .
 
+leg ""
 echo "verify: OK"
 
 # What every PR reports without hand counting: the measure ROADMAP item 6
 # states its target in — Go code lines (non-blank, not a // comment) outside
-# tests, testdata and the benchmark module — and this script's wall time.
+# tests, testdata and the benchmark module — and this script's wall time,
+# after each leg's seconds.
 lines=$(find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' \
     ! -path './benchmark/*' ! -path './.bench_build/*' -print0 |
     xargs -0 cat | grep -cv '^[[:space:]]*\(//.*\)\?$')
+echo "== legs == $legs"
 echo "== size == $lines Go code lines outside tests, testdata and benchmark/; verify.sh took $(($(date +%s) - start))s"

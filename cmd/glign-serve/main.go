@@ -35,6 +35,7 @@ import (
 	_ "net/http/pprof" // registers /debug/pprof on the -listen endpoint
 	"os"
 	"os/signal"
+	"strconv"
 	"syscall"
 	"time"
 
@@ -161,14 +162,17 @@ type queryRequest struct {
 }
 
 // queryResponse is the reply: the reach count and the data epoch the result
-// was computed at always, plus the value at each requested target (null when
-// the target was not reached).
+// was computed at always, plus the value at each requested target. A value is
+// null for a target past the graph or one the query did not reach (its value
+// is the kernel's identity), and, since JSON has no infinity, the string
+// "+Inf" or "-Inf" for a reached infinite value, such as an SSWP or SSNP
+// source's.
 type queryResponse struct {
-	Kernel  string              `json:"kernel"`
-	Source  graph.VertexID      `json:"source"`
-	Reached int                 `json:"reached"`
-	Epoch   int64               `json:"epoch"`
-	Values  map[string]*float64 `json:"values,omitempty"`
+	Kernel  string         `json:"kernel"`
+	Source  graph.VertexID `json:"source"`
+	Reached int            `json:"reached"`
+	Epoch   int64          `json:"epoch"`
+	Values  map[string]any `json:"values,omitempty"`
 }
 
 // maxQueryBody bounds a POST /query body: a request is a few fields and a
@@ -227,15 +231,17 @@ func queryHandler(g *glign.Graph, srv *glign.Server, defaultDeadline time.Durati
 		}
 		resp := queryResponse{Kernel: req.Kernel, Source: q.Source, Reached: reached(k, vals), Epoch: ticket.ResultEpoch()}
 		if len(req.Targets) > 0 {
-			resp.Values = make(map[string]*float64, len(req.Targets))
+			resp.Values = make(map[string]any, len(req.Targets))
 			for _, tgt := range req.Targets {
 				key := fmt.Sprintf("%d", tgt)
-				if int(tgt) >= len(vals) || math.IsInf(vals[tgt], 0) || vals[tgt] == k.Identity() {
+				switch {
+				case int(tgt) >= len(vals) || vals[tgt] == k.Identity():
 					resp.Values[key] = nil
-					continue
+				case math.IsInf(vals[tgt], 0):
+					resp.Values[key] = strconv.FormatFloat(vals[tgt], 'g', -1, 64)
+				default:
+					resp.Values[key] = vals[tgt]
 				}
-				v := vals[tgt]
-				resp.Values[key] = &v
 			}
 		}
 		w.Header().Set("Content-Type", "application/json")

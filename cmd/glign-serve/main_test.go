@@ -51,11 +51,23 @@ func TestQueryHandler(t *testing.T) {
 	if resp.Kernel != "BFS" || resp.Source != 3 || resp.Reached < 1 || resp.Reached > g.NumVertices() {
 		t.Errorf("happy path answered %+v", resp)
 	}
-	if v := resp.Values["3"]; v == nil || *v != 0 {
+	if v := resp.Values["3"]; v != 0.0 {
 		t.Errorf("BFS value at its source = %v, want 0", v)
 	}
 	if v, ok := resp.Values["4294967295"]; !ok || v != nil {
 		t.Errorf("a target past the graph = %v, %v, want null", v, ok)
+	}
+	// An SSWP or SSNP source is reached at an infinite value, which JSON
+	// carries as a string.
+	for kernel, want := range map[string]string{"SSWP": "+Inf", "SSNP": "-Inf"} {
+		status, body := do(h, http.MethodPost, `{"kernel":"`+kernel+`","source":3,"targets":[3]}`)
+		var resp queryResponse
+		if err := json.Unmarshal([]byte(body), &resp); status != http.StatusOK || err != nil {
+			t.Fatalf("%s: %d %s (%v)", kernel, status, body, err)
+		}
+		if v := resp.Values["3"]; v != want || resp.Reached < 1 {
+			t.Errorf("%s answered %+v, want its source at %q", kernel, resp, want)
+		}
 	}
 
 	for name, tc := range map[string]struct {

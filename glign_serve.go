@@ -1,10 +1,6 @@
 package glign
 
-import (
-	"time"
-
-	"github.com/glign/glign/internal/serve"
-)
+import "github.com/glign/glign/internal/serve"
 
 // Live serving: Serve starts a long-lived server that admits queries one at
 // a time onto a bounded queue, batches them under the configured method's
@@ -21,7 +17,7 @@ import (
 // Server is a live query server (admission queue -> batches -> engine ->
 // per-query tickets). Submit/SubmitWith admit queries, BumpEpoch
 // invalidates cached results after a data change, Shutdown stops admission,
-// Close drains everything admitted and joins the server's goroutines.
+// Close drains everything admitted and joins the server's goroutine.
 type Server = serve.Server
 
 // ServeConfig parameterizes a Server: method (which also fixes the admission
@@ -51,17 +47,6 @@ const (
 	TierNormal = serve.TierNormal
 	TierHigh   = serve.TierHigh
 )
-
-// ServeClock is the server's injectable time source; NewFakeServeClock
-// builds the deterministic test clock that drives deadline misses without
-// wall-clock sleeps.
-type ServeClock = serve.Clock
-
-// NewFakeServeClock returns a manually advanced clock for deterministic
-// serving tests (see serve.FakeClock: Advance).
-func NewFakeServeClock(start time.Time) *serve.FakeClock {
-	return serve.NewFakeClock(start)
-}
 
 // Typed serving errors, re-exported for errors.Is dispatch.
 var (

@@ -156,78 +156,11 @@ func UnionOf(pool *par.Pool, workers int, parts ...*Subset) *Subset {
 	return u
 }
 
-// sparseParWords and sparseParCount gate the parallel materialization path
-// of Sparse: both the bitmap (words) and the membership (vertices) must be
-// large enough that the two scan passes amortize the dispatch. Below either
-// threshold the serial walk wins and runs unchanged.
-const (
-	sparseParWords = 4096
-	sparseParCount = 4096
-)
-
-// sparseBlockWords is the bitmap granule of the parallel path: blocks of
-// 256 words (16K vertex slots, 2 KiB of bitmap) are counted and then filled
-// independently, with a serial prefix sum in between fixing each block's
-// output offset. Output order stays sorted — block bi writes exactly the
-// slice [offsets[bi], offsets[bi+1]) in ascending vertex order.
-const sparseBlockWords = 256
-
 // Sparse returns the sorted list of member vertices, materializing and
 // caching it on first use. The returned slice must not be modified. Not safe
-// to call concurrently with mutation. Large dense frontiers materialize in
-// parallel on the shared pool (count/prefix/fill over bitmap blocks); the
-// result is identical to the serial walk.
+// to call concurrently with mutation.
 func (s *Subset) Sparse() []graph.VertexID {
 	if s.sparseOK.Load() {
-		return s.sparse
-	}
-	if len(s.words) >= sparseParWords && s.Count() >= sparseParCount {
-		nb := (len(s.words) + sparseBlockWords - 1) / sparseBlockWords
-		offsets := make([]int, nb+1)
-		par.For(nb, 0, 1, func(lo, hi int) {
-			for bi := lo; bi < hi; bi++ {
-				wlo := bi * sparseBlockWords
-				whi := wlo + sparseBlockWords
-				if whi > len(s.words) {
-					whi = len(s.words)
-				}
-				c := 0
-				for wi := wlo; wi < whi; wi++ {
-					c += bits.OnesCount64(s.words[wi].Load())
-				}
-				offsets[bi+1] = c
-			}
-		})
-		for bi := 0; bi < nb; bi++ {
-			offsets[bi+1] += offsets[bi]
-		}
-		total := offsets[nb]
-		if cap(s.sparse) < total {
-			s.sparse = make([]graph.VertexID, total)
-		} else {
-			s.sparse = s.sparse[:total]
-		}
-		out := s.sparse
-		par.For(nb, 0, 1, func(lo, hi int) {
-			for bi := lo; bi < hi; bi++ {
-				wlo := bi * sparseBlockWords
-				whi := wlo + sparseBlockWords
-				if whi > len(s.words) {
-					whi = len(s.words)
-				}
-				at := offsets[bi]
-				for wi := wlo; wi < whi; wi++ {
-					w := s.words[wi].Load()
-					for w != 0 {
-						b := bits.TrailingZeros64(w)
-						out[at] = graph.VertexID(wi*64 + b)
-						at++
-						w &^= 1 << b
-					}
-				}
-			}
-		})
-		s.sparseOK.Store(true)
 		return s.sparse
 	}
 	s.sparse = s.sparse[:0]

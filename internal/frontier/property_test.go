@@ -70,75 +70,6 @@ func TestQuickSparseDenseRoundTrip(t *testing.T) {
 	}
 }
 
-// The parallel materialization path (bitmaps of >= sparseParWords words
-// with >= sparseParCount members) must produce exactly the serial result.
-// This drives the pool through Sparse with dense, sparse-tail and clustered
-// membership shapes.
-func TestSparseParallelMatchesSerial(t *testing.T) {
-	const n = sparseParWords * 64 * 2 // twice the parallel threshold in words
-	shapes := map[string]func(rng *rand.Rand) *Subset{
-		"uniform": func(rng *rand.Rand) *Subset {
-			s := New(n)
-			for i := 0; i < 3*sparseParCount; i++ {
-				s.Add(graph.VertexID(rng.Intn(n)))
-			}
-			return s
-		},
-		"clustered": func(rng *rand.Rand) *Subset {
-			s := New(n)
-			for c := 0; c < 8; c++ {
-				base := rng.Intn(n - 1024)
-				for i := 0; i < 1024; i++ {
-					s.Add(graph.VertexID(base + i))
-				}
-			}
-			return s
-		},
-		"block-edges": func(rng *rand.Rand) *Subset {
-			// Members hugging every parallel-block boundary, the off-by-one
-			// hot spot of the count/prefix/fill passes.
-			s := New(n)
-			for w := 0; w < n/64; w += sparseBlockWords {
-				s.Add(graph.VertexID(w * 64))
-				if w > 0 {
-					s.Add(graph.VertexID(w*64 - 1))
-				}
-			}
-			for i := 0; s.Count() < sparseParCount; i++ {
-				s.Add(graph.VertexID(rng.Intn(n)))
-			}
-			return s
-		},
-	}
-	for name, build := range shapes {
-		t.Run(name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(7))
-			s := build(rng)
-			if s.Count() < sparseParCount {
-				t.Fatalf("shape %s produced %d members, below the parallel gate", name, s.Count())
-			}
-			got := s.Sparse()
-			// Serial reconstruction straight from the bitmap.
-			var want []graph.VertexID
-			for wi, w := range wordsOf(s) {
-				for w != 0 {
-					b := bits.TrailingZeros64(w)
-					want = append(want, graph.VertexID(wi*64+b))
-					w &^= 1 << b
-				}
-			}
-			if len(got) != len(want) {
-				t.Fatalf("parallel sparse has %d members, serial %d", len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("parallel sparse[%d] = %d, serial = %d", i, got[i], want[i])
-				}
-			}
-		})
-	}
-}
-
 // Property: Clone is fully independent — mutating either side never shows
 // through the other, and the clone preserves membership and count.
 func TestQuickCloneIndependence(t *testing.T) {

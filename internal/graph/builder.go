@@ -41,10 +41,6 @@ func (b *Builder) AddEdge(u, v VertexID, w Weight) {
 	b.edges = append(b.edges, Edge{Src: u, Dst: v, W: w})
 }
 
-// NumPendingEdges returns the number of edges recorded so far (before
-// symmetrization or deduplication).
-func (b *Builder) NumPendingEdges() int { return len(b.edges) }
-
 // Build finalizes the CSR graph. Duplicate arcs are collapsed (keeping the
 // smallest weight, the only duplicate-resolution under which every monotone
 // kernel computes the same fixed point as with multi-edges); self-loops are

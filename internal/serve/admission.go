@@ -8,7 +8,7 @@ import (
 // rankPendingLocked reorders the server's pending queue in place with the
 // batching policy's closestHV ranking (sched.Affinity.Rank) and counts the
 // displaced queries into admission_reorders. Must be called with s.mu held;
-// the batcher invokes it exactly when the queue holds more than one batch,
+// the serving loop invokes it exactly when the queue holds more than one batch,
 // which is the only time ordering changes batch composition (a queue of at
 // most one batch flushes together and the policy ranks within it anyway).
 //

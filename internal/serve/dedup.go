@@ -64,12 +64,11 @@ func (s *Server) completeSlot(sl *slot, vals []queries.Value, epoch int64, err e
 	}
 }
 
-// resolveDead resolves the canceled and deadline-expired waiters of a
-// still-queued slot at batch-formation time, reporting whether the slot
-// emptied out entirely (in which case it is retired from the admission
-// population and the dedup index). Deadlines and cancellation are
-// per-ticket: one waiter's cancel never suppresses the computation other
-// waiters of the same slot are still owed.
+// resolveDead resolves the canceled and deadline-expired waiters of a slot
+// the serving loop has just taken off the queue, reporting whether the slot
+// emptied out entirely (in which case it is retired from the dedup index).
+// Deadlines and cancellation are per-ticket: one waiter's cancel never
+// suppresses the computation other waiters of the same slot are still owed.
 func (s *Server) resolveDead(sl *slot, now time.Time) bool {
 	var dead []*Ticket
 	var errs []error
@@ -97,7 +96,6 @@ func (s *Server) resolveDead(sl *slot, now time.Time) bool {
 		if s.inflight[sl.key] == sl {
 			delete(s.inflight, sl.key)
 		}
-		s.pending--
 	}
 	s.mu.Unlock()
 	for i, t := range dead {

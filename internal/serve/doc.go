@@ -27,14 +27,16 @@
 //     sheds the newest queued query of a strictly lower tier (shed-low-first)
 //     instead of being rejected outright.
 //
-// Robustness semantics: admission is bounded (Submit returns ErrQueueFull
-// when the admitted-but-undispatched population reaches the configured
+// One goroutine, the serving loop, takes work off the queue, runs it, and
+// only then looks again; nothing is taken while a batch runs, so a query
+// behind a busy engine stays queued. Robustness semantics: admission is
+// bounded (Submit returns ErrQueueFull when the queue reaches the configured
 // capacity and nothing lower-tier is sheddable), queued queries honor
-// per-query deadlines and context cancellation (checked per ticket at
-// batch-formation time, so one coalesced waiter's cancel never suppresses
+// per-query deadlines and context cancellation (checked per ticket when the
+// loop takes the query, so one coalesced waiter's cancel never suppresses
 // the computation its peers are owed), and Shutdown/Close stop admission
-// immediately while draining everything already admitted — in-flight
-// batches finish and queued queries are batched and executed, so an
+// immediately while draining everything already admitted — the running
+// batch finishes and queued queries are batched and executed, so an
 // admitted query always gets an answer.
 //
 // Every time source flows through the Clock interface, so the test harness

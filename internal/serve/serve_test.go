@@ -20,7 +20,7 @@ import (
 // rendezvous is a channel wait (ticket completion, gate-engine entry) —
 // there is no time.Sleep anywhere, so the tests are deterministic under
 // -race and arbitrary scheduling. An idle server flushes whatever is queued
-// at once, so a test that needs queries to queue first holds the executor
+// at once, so a test that needs queries to queue first holds the engine
 // busy with a batch at the gate (hold).
 
 // testGraph is the 9-vertex paper example — tiny, fixed, and connected
@@ -66,7 +66,7 @@ func mustValues(t *testing.T, g *graph.Graph, tk *Ticket) {
 
 // gateEngine blocks every batch at entry until it receives a release token,
 // reporting the batch's source vertices in execution order — the fixture
-// that holds the executor busy and reads batch composition. Close release to
+// that holds the engine busy and reads batch composition. Close release to
 // let every remaining batch through.
 type gateEngine struct {
 	entered chan []graph.VertexID
@@ -94,8 +94,8 @@ func (e *gateEngine) Run(g *graph.Graph, batch []queries.Query, opt core.Options
 	return e.inner.Run(g, batch, opt)
 }
 
-// hold submits q to a server with nothing queued and an idle executor and
-// waits until q's batch, q alone, is inside the gate: the executor is busy,
+// hold submits q to a server with nothing queued and an idle engine and
+// waits until q's batch, q alone, is inside the gate: the engine is busy,
 // so what is submitted next queues behind it until the gate lets q go.
 func hold(t *testing.T, s *Server, gate *gateEngine, q queries.Query) *Ticket {
 	t.Helper()
@@ -111,8 +111,7 @@ func hold(t *testing.T, s *Server, gate *gateEngine, q queries.Query) *Ticket {
 
 // TestIdleServerFlushesAtOnce sends queries to an idle server one at a
 // time: each completes with the clock standing still and far below the size
-// cap, so the flush that served it can only be the idle one, and the
-// executor hands the idle token back after every batch.
+// cap, so the flush that served it can only be the idle one.
 func TestIdleServerFlushesAtOnce(t *testing.T) {
 	clk := NewFakeClock(time.Unix(0, 0))
 	tel := telemetry.NewCollector()
@@ -176,9 +175,9 @@ func TestBusyExecutorFormsOneBatch(t *testing.T) {
 	}
 }
 
-// TestSizeFlushFillsBatch proves the size cap flushes while the engine is
-// busy: with a batch held at the gate, four queries fill the cap of 4, and
-// they leave as one size batch however the batcher interleaves with them.
+// TestSizeFlushFillsBatch proves the size cap: with a batch held at the
+// gate, four queries fill the cap of 4, and when the engine returns they
+// leave as one size batch.
 func TestSizeFlushFillsBatch(t *testing.T) {
 	clk := NewFakeClock(time.Unix(0, 0))
 	gate := newGateEngine()
@@ -210,7 +209,7 @@ func TestSizeFlushFillsBatch(t *testing.T) {
 }
 
 // TestBackpressureRejectsAtCapacity fills the admission bound behind a
-// gated executor and requires the typed ErrQueueFull, then releases the
+// gated engine and requires the typed ErrQueueFull, then releases the
 // gate and requires every admitted query to complete.
 func TestBackpressureRejectsAtCapacity(t *testing.T) {
 	clk := NewFakeClock(time.Unix(0, 0))
@@ -224,16 +223,9 @@ func TestBackpressureRejectsAtCapacity(t *testing.T) {
 	ctx := context.Background()
 	q := func(src int) queries.Query { return queries.Query{Kernel: queries.SSSP, Source: graph.VertexID(src)} }
 
-	// q1 dispatches to the executor and blocks inside the gate; once the
-	// entry is observed, q1 has left the admission population.
-	t1, err := s.Submit(ctx, q(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-gate.entered
-	// q2's batch waits for the idle token (the executor is busy), q3 queues:
-	// admission population is 2 = capacity, wherever the batcher happens to
-	// be holding them.
+	// q1 is taken off the queue and blocks inside the gate; q2 and q3 stay
+	// queued behind the busy engine: the queue is at its capacity of 2.
+	t1 := hold(t, s, gate, q(0))
 	t2, err := s.Submit(ctx, q(1))
 	if err != nil {
 		t.Fatal(err)
@@ -261,9 +253,9 @@ func TestBackpressureRejectsAtCapacity(t *testing.T) {
 }
 
 // TestDeadlineExpiryCancelsQueued submits a query behind a busy engine and
-// moves the clock past its deadline before the engine returns: the flush
-// must resolve it with ErrDeadline instead of executing it, and a later
-// query must be unaffected.
+// moves the clock past its deadline before the engine returns: when the loop
+// takes it, it must resolve it with ErrDeadline instead of executing it, and
+// a later query must be unaffected.
 func TestDeadlineExpiryCancelsQueued(t *testing.T) {
 	clk := NewFakeClock(time.Unix(0, 0))
 	gate := newGateEngine()
@@ -300,8 +292,45 @@ func TestDeadlineExpiryCancelsQueued(t *testing.T) {
 	}
 }
 
-// TestContextCancelWhileQueued cancels a queued query's context; the next
-// flush must resolve the ticket with the context error, not execute it.
+// TestFullBatchBehindBusyEngineExpires queues a full batch behind a held
+// one and moves the clock past both deadlines while the engine runs: nothing
+// is taken off the queue during a batch, so both queries are checked when the
+// engine returns and neither runs.
+func TestFullBatchBehindBusyEngineExpires(t *testing.T) {
+	clk := NewFakeClock(time.Unix(0, 0))
+	gate := newGateEngine()
+	s := startServer(t, clk, func(c *Config) {
+		c.BatchSize = 2
+		c.Engine = gate
+	})
+	held := hold(t, s, gate, queries.Query{Kernel: queries.BFS, Source: 8})
+	var late []*Ticket
+	for src := 0; src < 2; src++ {
+		tk, err := s.SubmitWith(context.Background(), queries.Query{Kernel: queries.BFS, Source: graph.VertexID(src)}, SubmitOptions{Timeout: time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		late = append(late, tk)
+	}
+	clk.Advance(2 * time.Second)
+	close(gate.release)
+	for _, tk := range late {
+		if _, err := tk.Wait(context.Background()); !errors.Is(err, ErrDeadline) {
+			t.Fatalf("ticket %v: err = %v, want ErrDeadline", tk.Query(), err)
+		}
+	}
+	mustValues(t, testGraph(), held)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.DeadlineMisses != 2 || st.Batches != 1 {
+		t.Errorf("stats = %+v, want deadline_misses=2 batches=1", st)
+	}
+}
+
+// TestContextCancelWhileQueued cancels a queued query's context; when the
+// loop takes it, it must resolve the ticket with the context error, not
+// execute it.
 func TestContextCancelWhileQueued(t *testing.T) {
 	clk := NewFakeClock(time.Unix(0, 0))
 	gate := newGateEngine()
@@ -467,8 +496,8 @@ func leakCheck(t *testing.T) func() {
 }
 
 // TestServerCloseJoinsGoroutines holds the server's goroutine lifetime: New
-// launches the batcher and the executor, and Close joins both after draining
-// everything admitted. Behind a held batch, six queries against a size cap
+// launches the serving loop, and Close joins it after draining everything
+// admitted. Behind a held batch, six queries against a size cap
 // of 4 leave two queued, and Shutdown comes before the engine is free, so
 // Close's drain flushes them.
 func TestServerCloseJoinsGoroutines(t *testing.T) {

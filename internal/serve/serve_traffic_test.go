@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"os"
-	"runtime"
 	"testing"
 	"time"
 
@@ -21,22 +20,7 @@ import (
 // The traffic-shaping suite pins the four PR-6 behaviors — result cache with
 // epoch invalidation, in-flight dedup, affinity-aware admission, tiered
 // load-shedding — on the same deterministic FakeClock harness as the base
-// serving suite: every rendezvous is a channel wait or a spin on a monotone
-// counter, never a sleep.
-
-// spinUntil busy-waits (yielding) for a monotone server-side condition — the
-// deterministic replacement for sleeping when the awaited event has no
-// channel (e.g. the batcher completing a releasePending after a handoff).
-func spinUntil(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	for i := 0; i < 1_000_000_000; i++ {
-		if cond() {
-			return
-		}
-		runtime.Gosched()
-	}
-	t.Fatalf("spinUntil(%s): condition never held", what)
-}
+// serving suite: every rendezvous is a channel wait, never a sleep.
 
 // TestCacheHitSkipsExecution pins the result-cache contract: a repeated
 // (kernel, source) is answered from the cache without forming a batch, a
@@ -149,7 +133,7 @@ func TestDedupCoalescesIdentical(t *testing.T) {
 }
 
 // TestAffinityAdmissionReorders proves admission ranking changes batch
-// composition: with the executor held busy and four queries from two
+// composition: with the engine held busy and four queries from two
 // affinity classes queued interleaved (A B A B), the affinity method must
 // dispatch them as [A A] then [B B] — closestHV order — not arrival order.
 func TestAffinityAdmissionReorders(t *testing.T) {
@@ -175,20 +159,9 @@ func TestAffinityAdmissionReorders(t *testing.T) {
 	ctx := context.Background()
 	q := func(src int) queries.Query { return queries.Query{Kernel: queries.SSSP, Source: graph.VertexID(src)} }
 
-	// The held warmup occupies the executor; the warmup pair occupies the
-	// batcher (its size batch waits for the idle token). Only then do the
-	// four test queries pile up in the shared queue where admission ranking
-	// sees them all at once.
+	// The held warmup occupies the engine, so the four test queries pile up
+	// in the queue, where admission ranking sees them all at once.
 	hold(t, s, gate, q(7))
-	for _, src := range []int{2, 3} {
-		if _, err := s.Submit(ctx, q(src)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The size flush is counted at flush entry, before it waits for the token
-	// — once visible, the queue is empty and the batcher is parked.
-	spinUntil(t, "warmup pair taken", func() bool { return s.Stats().SizeFlushes == 1 })
-
 	var tickets []*Ticket
 	for _, src := range []int{0, 4, 1, 5} { // A B A B arrival order
 		tk, err := s.Submit(ctx, q(src))
@@ -198,11 +171,7 @@ func TestAffinityAdmissionReorders(t *testing.T) {
 		tickets = append(tickets, tk)
 	}
 
-	gate.release <- struct{}{} // finish the held warmup; executor picks up the pair
-	if srcs := <-gate.entered; len(srcs) != 2 {
-		t.Fatalf("warmup pair = %v, want size 2", srcs)
-	}
-	gate.release <- struct{}{} // finish the pair; executor picks up test batch 1
+	gate.release <- struct{}{} // finish the held warmup; the loop takes test batch 1
 	batchA := <-gate.entered
 	gate.release <- struct{}{}
 	batchB := <-gate.entered
@@ -250,12 +219,6 @@ func TestFCFSAdmissionKeepsArrivalOrder(t *testing.T) {
 	q := func(src int) queries.Query { return queries.Query{Kernel: queries.SSSP, Source: graph.VertexID(src)} }
 
 	hold(t, s, gate, q(7))
-	for _, src := range []int{2, 3} {
-		if _, err := s.Submit(ctx, q(src)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	spinUntil(t, "warmup pair taken", func() bool { return s.Stats().SizeFlushes == 1 })
 	var tickets []*Ticket
 	for _, src := range []int{0, 4, 1, 5} {
 		tk, err := s.Submit(ctx, q(src))
@@ -264,8 +227,6 @@ func TestFCFSAdmissionKeepsArrivalOrder(t *testing.T) {
 		}
 		tickets = append(tickets, tk)
 	}
-	gate.release <- struct{}{}
-	<-gate.entered
 	gate.release <- struct{}{}
 	// FCFS admission takes the arrival prefix [0 4]; composition (not order
 	// within the batch) is asserted, as in the reorder test.
@@ -321,16 +282,11 @@ func TestShedLowTierFirst(t *testing.T) {
 		return s.SubmitWith(ctx, queries.Query{Kernel: queries.SSSP, Source: graph.VertexID(src)}, SubmitOptions{Tier: tier})
 	}
 
-	// n0 executes (held at the gate); wait for its slot to leave the
-	// admission population so the capacity arithmetic below is exact.
-	n0, err := sub(0, TierNormal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-gate.entered
-	spinUntil(t, "n0 dispatched", func() bool { return s.Stats().QueueDepth == 0 })
+	// n0 executes (held at the gate): it has left the queue, so the capacity
+	// arithmetic below is exact.
+	n0 := hold(t, s, gate, queries.Query{Kernel: queries.SSSP, Source: 0})
 
-	// Fill to capacity: l1 l2 l3 n1 (pending = 4).
+	// Fill to capacity: l1 l2 l3 n1 (a queue of 4).
 	l1, err := sub(1, TierLow)
 	if err != nil {
 		t.Fatal(err)
@@ -381,6 +337,47 @@ func TestShedLowTierFirst(t *testing.T) {
 	}
 }
 
+// TestFullBatchBehindBusyEngineSheds queues a full batch of two low-tier
+// queries behind a held batch at QueueCapacity 2: nothing is taken off the
+// queue while the engine runs, so both stay sheddable, and a high-tier
+// arrival sheds the newer low instead of being rejected.
+func TestFullBatchBehindBusyEngineSheds(t *testing.T) {
+	clk := NewFakeClock(time.Unix(0, 0))
+	gate := newGateEngine()
+	s := startServer(t, clk, func(c *Config) {
+		c.BatchSize = 2
+		c.QueueCapacity = 2
+		c.Engine = gate
+	})
+	g := testGraph()
+	ctx := context.Background()
+	sub := func(src int, tier Tier) *Ticket {
+		t.Helper()
+		tk, err := s.SubmitWith(ctx, queries.Query{Kernel: queries.BFS, Source: graph.VertexID(src)}, SubmitOptions{Tier: tier})
+		if err != nil {
+			t.Fatalf("submit v%d at tier %v: %v", src, tier, err)
+		}
+		return tk
+	}
+
+	held := hold(t, s, gate, queries.Query{Kernel: queries.BFS, Source: 8})
+	older, newer := sub(0, TierLow), sub(1, TierLow)
+	high := sub(2, TierHigh)
+	if _, err := newer.Wait(ctx); !errors.Is(err, ErrShed) {
+		t.Fatalf("newer low: err = %v, want ErrShed", err)
+	}
+	close(gate.release)
+	for _, tk := range []*Ticket{held, older, high} {
+		mustValues(t, g, tk)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Shed != 1 || st.ShedByTier[0] != 1 || st.RejectedFull != 0 || st.Completed != 3 {
+		t.Errorf("stats = %+v, want shed=1 (low) rejected_full=0 completed=3", st)
+	}
+}
+
 // TestDedupTierPromotion pins that a high-tier joiner promotes its coalesced
 // slot: the promoted slot stops being sheddable by a later normal arrival.
 // A high-tier joiner of a slot that is already executing gets that slot's
@@ -398,8 +395,8 @@ func TestDedupTierPromotion(t *testing.T) {
 	ctx := context.Background()
 	q := queries.Query{Kernel: queries.BFS, Source: 6}
 
-	// The held query has left the admission population once its batch is
-	// inside the gate, and keeps the executor busy so the rest stays queued.
+	// The held query has left the queue once its batch is
+	// inside the gate, and keeps the engine busy so the rest stays queued.
 	held := hold(t, s, gate, queries.Query{Kernel: queries.BFS, Source: 8})
 	heldDup, err := s.SubmitWith(ctx, held.Query(), SubmitOptions{Tier: TierHigh})
 	if err != nil {
@@ -536,14 +533,9 @@ func TestServeEndToEndSession(t *testing.T) {
 		t.Fatalf("phase 4 stats = %+v, want cache_invalidations=1 epoch=1", st)
 	}
 
-	// Phase 5 — shedding: hold the executor and the batcher (one batch at
-	// the gate, one waiting for the idle token), fill the queue, then let a
-	// high arrival shed the newest low.
+	// Phase 5 — shedding: hold the engine with one batch at the gate, fill
+	// the queue, then let a high arrival shed the newest low.
 	busy := []*Ticket{hold(t, s, gate, bfs(5))}
-	spinUntil(t, "busy batch dispatched", func() bool { return s.Stats().QueueDepth == 0 })
-	// Read before the submits: the batcher may take {6, 7} before Submit
-	// returns.
-	sizeFlushesBefore := s.Stats().SizeFlushes
 	for _, src := range []int{6, 7} {
 		tk, err := s.Submit(ctx, bfs(src))
 		if err != nil {
@@ -551,7 +543,6 @@ func TestServeEndToEndSession(t *testing.T) {
 		}
 		busy = append(busy, tk)
 	}
-	spinUntil(t, "size batch taken", func() bool { return s.Stats().SizeFlushes > sizeFlushesBefore })
 
 	lowA, err := s.SubmitWith(ctx, bfs(0), SubmitOptions{Tier: TierLow})
 	if err != nil {

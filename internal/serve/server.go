@@ -21,9 +21,8 @@ import (
 // Typed admission and lifecycle errors. All are sentinel values so callers
 // dispatch with errors.Is (ErrShed lives in shed.go beside its policy).
 var (
-	// ErrQueueFull is the backpressure rejection: the admitted-but-
-	// undispatched population reached Config.QueueCapacity and no lower-tier
-	// victim was available to shed.
+	// ErrQueueFull is the backpressure rejection: the queue reached
+	// Config.QueueCapacity and no lower-tier victim was available to shed.
 	ErrQueueFull = errors.New("serve: admission queue full")
 	// ErrClosed rejects submissions arriving after Shutdown/Close began.
 	ErrClosed = errors.New("serve: server closed to new queries")
@@ -48,14 +47,14 @@ type Config struct {
 	// delayed-start alignment vectors are applied — identical semantics to
 	// an offline systems.Run of the same method.
 	Method string
-	// BatchSize is the size cap |B|: the batcher flushes as soon as this
-	// many queries are queued, even while the engine is busy (default 64).
+	// BatchSize is the size cap |B|: once this many queries are queued, the
+	// serving loop takes a batch of this many instead of the whole queue
+	// (default 64).
 	BatchSize int
-	// QueueCapacity bounds the admitted-but-undispatched population (queued
-	// slots plus a flushed batch waiting for the engine); at the bound Submit
-	// sheds a strictly lower-tier queued query if one exists and otherwise
-	// rejects with ErrQueueFull (default 1024). Coalesced duplicates share one slot and
-	// do not count again.
+	// QueueCapacity bounds the queued slots; at the bound Submit sheds a
+	// strictly lower-tier queued query if one exists and otherwise rejects
+	// with ErrQueueFull (default 1024). Coalesced duplicates share one slot
+	// and do not count again.
 	QueueCapacity int
 	// CacheCapacity bounds the source+kernel-keyed result cache in entries:
 	// 0 means the default (1024), negative disables caching entirely.
@@ -84,8 +83,8 @@ type Config struct {
 // means no deadline at TierNormal.
 type SubmitOptions struct {
 	// Timeout, when positive, sets a deadline of now+Timeout on the
-	// server's clock: a query still queued when its next flush happens
-	// after the deadline completes with ErrDeadline instead of executing.
+	// server's clock: a query the serving loop takes after the deadline
+	// completes with ErrDeadline instead of executing.
 	Timeout time.Duration
 	// Tier is the query's priority class (default TierNormal). Under
 	// overload, queued lower tiers are shed to admit higher ones.
@@ -99,7 +98,6 @@ type SubmitOptions struct {
 type Ticket struct {
 	query    queries.Query
 	tier     Tier
-	seq      int
 	ctx      context.Context
 	admitted time.Time
 	deadline time.Time // zero: none
@@ -145,28 +143,12 @@ func (t *Ticket) ResultEpoch() int64 {
 	}
 }
 
-// flush triggers, attributed in the serving telemetry.
-type flushTrigger int
-
-const (
-	flushIdle flushTrigger = iota
-	flushSize
-	flushDrain
-)
-
-// formedBatch is one evaluation batch handed from the batcher to the
-// executor: one slot per lane, each slot fanning out to its waiters.
-type formedBatch struct {
-	slots []*slot
-}
-
-// Server is the live query-serving loop. New starts two long-lived
-// goroutines — the batcher (admission queue -> batches) and the
-// executor (batches -> engine -> ticket completion) — which Close joins
-// after draining everything admitted. On top of the PR-5 loop it is a
-// traffic-shaping front end: a result cache with epoch invalidation,
-// in-flight dedup, affinity-aware admission ordering, and tiered
-// load-shedding (SERVING.md is the contract).
+// Server is the live query-serving loop. New starts one long-lived
+// goroutine — the serving loop (admission queue -> batches -> engine ->
+// ticket completion) — which Close joins after draining everything
+// admitted. On top of the PR-5 loop it is a traffic-shaping front end: a
+// result cache with epoch invalidation, in-flight dedup, affinity-aware
+// admission ordering, and tiered load-shedding (SERVING.md is the contract).
 type Server struct {
 	g            *graph.Graph
 	cfg          Config
@@ -186,18 +168,12 @@ type Server struct {
 	mu       sync.Mutex
 	queue    []*slot
 	inflight map[cacheKey]*slot
-	pending  int // admitted-but-undispatched slots (bounded by QueueCapacity)
 	seq      int
 	closed   bool
 
-	wake    chan struct{}
-	batches chan *formedBatch
-	// idle is the executor-idle token, capacity 1 and full at start: the
-	// batcher takes it before every handoff and the executor puts it back
-	// after every batch, so whoever holds it knows the engine is idle.
-	idle chan struct{}
-	// wg joins the batcher and executor: Add before the launches in New, Wait
-	// in Close (TestServerCloseJoinsGoroutines holds it).
+	wake chan struct{}
+	// wg joins the serving loop: Add before the launch in New, Wait in Close
+	// (TestServerCloseJoinsGoroutines holds it).
 	wg      sync.WaitGroup
 	started time.Time
 
@@ -212,8 +188,8 @@ type serveCounters struct {
 	submitted, admitted          atomic.Int64
 	rejectedFull, rejectedClosed atomic.Int64
 	canceled, deadlineMisses     atomic.Int64
-	completed, batches           atomic.Int64
-	idleFlushes, sizeFlushes     atomic.Int64
+	completed, ranBatches        atomic.Int64
+	windowFlushes, sizeFlushes   atomic.Int64
 	drainFlushes                 atomic.Int64
 
 	cacheHits, cacheMisses             atomic.Int64
@@ -225,8 +201,7 @@ type serveCounters struct {
 }
 
 // New validates cfg, resolves the method plan, and starts the server's
-// batcher and executor goroutines. Close (or Shutdown+Close) must be called
-// to join them.
+// serving loop. Close (or Shutdown+Close) must be called to join it.
 func New(g *graph.Graph, cfg Config) (*Server, error) {
 	if g == nil || g.NumVertices() == 0 {
 		return nil, fmt.Errorf("serve: empty graph")
@@ -269,11 +244,8 @@ func New(g *graph.Graph, cfg Config) (*Server, error) {
 		run:      run,
 		inflight: make(map[cacheKey]*slot),
 		wake:     make(chan struct{}, 1),
-		batches:  make(chan *formedBatch),
-		idle:     make(chan struct{}, 1),
 		started:  cfg.Clock.Now(),
 	}
-	s.idle <- struct{}{}
 	// The method decides the admission order: an affinity-batching method
 	// ranks the pending queue, an FCFS method keeps arrival order.
 	s.affinityRank = prof != nil && plan.Policy.Name() == (sched.Affinity{}).Name()
@@ -284,9 +256,8 @@ func New(g *graph.Graph, cfg Config) (*Server, error) {
 		}
 		s.cache = newResultCache(capacity)
 	}
-	s.wg.Add(2)
-	go s.batchLoop()
-	go s.execLoop()
+	s.wg.Add(1)
+	go s.loop()
 	return s, nil
 }
 
@@ -355,7 +326,7 @@ func (s *Server) SubmitWith(ctx context.Context, q queries.Query, opt SubmitOpti
 		s.stats.dedupCoalesced.Add(1)
 		return t, nil
 	}
-	if s.pending >= s.cfg.QueueCapacity {
+	if len(s.queue) >= s.cfg.QueueCapacity {
 		if victim = s.shedLocked(opt.Tier); victim == nil {
 			s.mu.Unlock()
 			s.stats.rejectedFull.Add(1)
@@ -363,10 +334,8 @@ func (s *Server) SubmitWith(ctx context.Context, q queries.Query, opt SubmitOpti
 		}
 	}
 	sl := &slot{query: q, key: key, seq: s.seq, tier: opt.Tier, tickets: []*Ticket{t}}
-	t.seq = s.seq
 	s.seq++
 	s.queue = append(s.queue, sl)
-	s.pending++
 	s.inflight[key] = sl
 	s.mu.Unlock()
 	if victim != nil {
@@ -428,9 +397,9 @@ func (s *Server) BumpEpoch() int64 {
 	return e
 }
 
-// signal nudges the batcher (capacity-1 channel: a pending nudge already
-// covers any number of queued events, since the batcher drains the whole
-// queue per wake).
+// signal nudges the serving loop (capacity-1 channel: a pending nudge
+// already covers any number of queued events, since the loop waits only
+// once the queue is empty).
 func (s *Server) signal() {
 	select {
 	case s.wake <- struct{}{}:
@@ -439,7 +408,7 @@ func (s *Server) signal() {
 }
 
 // Shutdown stops admission immediately (subsequent Submits return ErrClosed)
-// and asks the batcher to drain: everything already admitted is still
+// and asks the serving loop to drain: everything already admitted is still
 // batched, executed, and completed. Idempotent; returns without waiting.
 func (s *Server) Shutdown() {
 	s.mu.Lock()
@@ -448,10 +417,10 @@ func (s *Server) Shutdown() {
 	s.signal()
 }
 
-// Close shuts the server down and waits until the drain finishes: in-flight
-// batches complete, queued queries are flushed as final batches (expired or
-// canceled ones complete with their typed errors), and both server
-// goroutines join. Safe to call more than once.
+// Close shuts the server down and waits until the drain finishes: the
+// running batch completes, queued queries are taken as final batches
+// (expired or canceled ones complete with their typed errors), and the
+// serving loop joins. Safe to call more than once.
 func (s *Server) Close() error {
 	s.Shutdown()
 	s.wg.Wait()
@@ -460,77 +429,54 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// batchLoop is the batcher: it watches the shared admission queue and
-// flushes a ranked size-capped batch as soon as a full batch is pending,
-// and the whole queue as soon as it holds the executor-idle token or the
-// drain begins. So an idle engine is served at once, and what arrives while
-// the engine runs forms the next batch when it returns. The queue stays
-// shared (under mu) until a flush takes a batch, so load-shedding can see
-// the whole undispatched population.
-func (s *Server) batchLoop() {
+// loop is the serving loop, the server's one goroutine. Each turn it takes
+// work off the queue under mu: a size-capped batch once BatchSize queries are
+// queued (the whole queue ranked first when the method ranks and it holds
+// more than one batch), and otherwise the whole queue. It runs what it took
+// before it looks again, so an idle engine is served at once, what arrives
+// during a batch leaves together when it returns, and a query behind a busy
+// engine stays queued — sheddable, cancellable and subject to its deadline
+// — until it is taken. It waits on wake only when the queue is empty, and
+// returns once the server is closed and drained.
+func (s *Server) loop() {
 	defer s.wg.Done()
-	defer close(s.batches)
-	idle := false // the batcher holds the executor-idle token
 	for {
-		if idle {
+		s.mu.Lock()
+		// flushes counts the take by its trigger: the engine was idle
+		// (window_flushes), the size cap, or the shutdown drain.
+		take, flushes := s.queue, &s.stats.windowFlushes
+		switch {
+		case len(s.queue) >= s.cfg.BatchSize:
+			if s.affinityRank && len(s.queue) > s.cfg.BatchSize {
+				s.rankPendingLocked()
+			}
+			take = append([]*slot(nil), s.queue[:s.cfg.BatchSize]...)
+			s.queue = append(s.queue[:0], s.queue[s.cfg.BatchSize:]...)
+			flushes = &s.stats.sizeFlushes
+		case s.closed:
+			s.queue = nil
+			flushes = &s.stats.drainFlushes
+		default:
+			s.queue = nil
+		}
+		closed := s.closed
+		s.mu.Unlock()
+		if len(take) == 0 {
+			if closed {
+				return
+			}
 			<-s.wake
-		} else {
-			select {
-			case <-s.wake:
-			case <-s.idle:
-				idle = true
-			}
+			continue
 		}
-		for {
-			s.mu.Lock()
-			var take []*slot
-			var trig flushTrigger
-			switch {
-			case len(s.queue) >= s.cfg.BatchSize:
-				if s.affinityRank && len(s.queue) > s.cfg.BatchSize {
-					s.rankPendingLocked()
-				}
-				take = append([]*slot(nil), s.queue[:s.cfg.BatchSize]...)
-				s.queue = append(s.queue[:0], s.queue[s.cfg.BatchSize:]...)
-				trig = flushSize
-			case (s.closed || idle) && len(s.queue) > 0:
-				take = s.queue
-				s.queue = nil
-				if s.closed {
-					trig = flushDrain
-				} else {
-					trig = flushIdle
-				}
-			}
-			closed := s.closed
-			s.mu.Unlock()
-			if take == nil {
-				if closed {
-					return
-				}
-				break
-			}
-			idle = s.flush(take, trig, idle)
-		}
+		flushes.Add(1)
+		s.flush(take)
 	}
 }
 
-// flush resolves canceled and deadline-expired waiters, then partitions the
-// surviving slots with the method's batching policy and hands each batch to
-// the executor, taking the executor-idle token first unless idle says the
-// batcher holds it (blocking — admission backpressure builds behind a busy
-// executor). It reports whether the batcher still holds the token: only if
-// it dispatched nothing. Dispatched and resolved slots leave the bounded
-// admission population.
-func (s *Server) flush(buf []*slot, trig flushTrigger, idle bool) bool {
-	switch trig {
-	case flushIdle:
-		s.stats.idleFlushes.Add(1)
-	case flushSize:
-		s.stats.sizeFlushes.Add(1)
-	case flushDrain:
-		s.stats.drainFlushes.Add(1)
-	}
+// flush resolves the canceled and deadline-expired waiters of the slots the
+// loop took, then partitions the surviving slots with the method's batching
+// policy and runs each batch in turn.
+func (s *Server) flush(buf []*slot) {
 	now := s.clk.Now()
 	live := make([]*slot, 0, len(buf))
 	for _, sl := range buf {
@@ -540,39 +486,22 @@ func (s *Server) flush(buf []*slot, trig flushTrigger, idle bool) bool {
 		live = append(live, sl)
 	}
 	if len(live) == 0 {
-		return idle
+		return
 	}
 	qs := make([]queries.Query, len(live))
 	for i, sl := range live {
 		qs[i] = sl.query
 	}
-	// SplitParadigm keeps every dispatched batch paradigm-homogeneous: a
-	// live queue can interleave monotone and iterate-to-convergence queries
-	// arbitrarily, but engines evaluate the two under disjoint paths.
+	// SplitParadigm keeps every batch paradigm-homogeneous: a live queue can
+	// interleave monotone and iterate-to-convergence queries arbitrarily, but
+	// engines evaluate the two under disjoint paths.
 	for _, idx := range sched.SplitParadigm(qs, s.plan.Policy.MakeBatches(qs, s.cfg.BatchSize)) {
-		fb := &formedBatch{slots: make([]*slot, len(idx))}
+		slots := make([]*slot, len(idx))
 		for i, bi := range idx {
-			fb.slots[i] = live[bi]
+			slots[i] = live[bi]
 		}
-		if !idle {
-			<-s.idle
-		}
-		idle = false
-		s.batches <- fb
+		s.runBatch(slots)
 	}
-	return false
-}
-
-// releasePending removes dispatched slots from the bounded admission
-// population. The executor calls it on receipt, before entering the engine:
-// a flushed batch the batcher holds until a busy executor returns the
-// executor-idle token therefore keeps exerting admission backpressure, while
-// a batch the executor has picked up has deterministically left the
-// population.
-func (s *Server) releasePending(slots []*slot) {
-	s.mu.Lock()
-	s.pending -= len(slots)
-	s.mu.Unlock()
 }
 
 // finish completes a ticket exactly once; the channel close publishes the
@@ -582,27 +511,15 @@ func (s *Server) finish(t *Ticket, vals []queries.Value, err error) {
 	close(t.done)
 }
 
-// execLoop is the executor: it evaluates formed batches in order, returning
-// the executor-idle token after each, until the batcher closes the channel
-// at the end of its drain.
-func (s *Server) execLoop() {
-	defer s.wg.Done()
-	for fb := range s.batches {
-		s.runBatch(fb)
-		s.idle <- struct{}{}
-	}
-}
-
 // runBatch evaluates one batch on the plan's engine with the exact offline
 // semantics: the plan's batch options (alignment vectors when the method is
 // aligned), per-iteration telemetry into the server's run trace. Each slot's
 // result is installed into the cache (unless an epoch bump overlapped the
 // execution) and fanned out to all its waiters.
-func (s *Server) runBatch(fb *formedBatch) {
-	s.releasePending(fb.slots)
-	qs := make([]queries.Query, len(fb.slots))
-	seqs := make([]int, len(fb.slots))
-	for i, sl := range fb.slots {
+func (s *Server) runBatch(slots []*slot) {
+	qs := make([]queries.Query, len(slots))
+	seqs := make([]int, len(slots))
+	for i, sl := range slots {
 		qs[i] = sl.query
 		seqs[i] = sl.seq
 	}
@@ -613,10 +530,10 @@ func (s *Server) runBatch(fb *formedBatch) {
 	start := s.clk.Now()
 	br, err := s.plan.Engine.Run(s.g, qs, opt)
 	bt.Finish(s.clk.Now().Sub(start))
-	s.stats.batches.Add(1)
+	s.stats.ranBatches.Add(1)
 	s.occupancy.Observe(int64(len(qs)))
 	if err != nil {
-		for _, sl := range fb.slots {
+		for _, sl := range slots {
 			s.completeSlot(sl, nil, -1, fmt.Errorf("serve: batch failed: %w", err))
 		}
 	} else {
@@ -629,7 +546,7 @@ func (s *Server) runBatch(fb *formedBatch) {
 		// array they were read from goes back for the next batch.
 		all := br.AllQueryValues(s.cfg.Pool, s.cfg.Workers)
 		br.Release()
-		for i, sl := range fb.slots {
+		for i, sl := range slots {
 			vals := all[i]
 			if fresh {
 				s.cachePut(sl.key, vals, epoch)
@@ -643,7 +560,7 @@ func (s *Server) runBatch(fb *formedBatch) {
 // Stats builds the current serving metrics snapshot.
 func (s *Server) Stats() *telemetry.ServingMetrics {
 	s.mu.Lock()
-	depth := s.pending
+	depth := len(s.queue)
 	s.mu.Unlock()
 	shedByTier := make([]int64, NumTiers)
 	for i := range shedByTier {
@@ -657,8 +574,8 @@ func (s *Server) Stats() *telemetry.ServingMetrics {
 		Canceled:           s.stats.canceled.Load(),
 		DeadlineMisses:     s.stats.deadlineMisses.Load(),
 		Completed:          s.stats.completed.Load(),
-		Batches:            s.stats.batches.Load(),
-		WindowFlushes:      s.stats.idleFlushes.Load(),
+		Batches:            s.stats.ranBatches.Load(),
+		WindowFlushes:      s.stats.windowFlushes.Load(),
 		SizeFlushes:        s.stats.sizeFlushes.Load(),
 		DrainFlushes:       s.stats.drainFlushes.Load(),
 		QueueDepth:         int64(depth),

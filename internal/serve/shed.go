@@ -65,9 +65,8 @@ func TierByName(name string) (Tier, error) {
 // ErrShed after unlocking (resolveShed).
 //
 // Victim policy: only slots still on the admission queue are sheddable —
-// slots in a flushed batch, waiting for the engine or dispatched, are
-// already committed. Among sheddable slots strictly below the incoming tier, the
-// lowest tier loses first; within that tier the newest arrival is
+// slots in a running batch are already committed. Among sheddable slots
+// strictly below the incoming tier, the lowest tier loses first; within that tier the newest arrival is
 // sacrificed (it has waited least, so dropping it preserves FIFO fairness
 // for older queries).
 func (s *Server) shedLocked(incoming Tier) *slot {
@@ -90,7 +89,6 @@ func (s *Server) shedLocked(incoming Tier) *slot {
 	if s.inflight[sl.key] == sl {
 		delete(s.inflight, sl.key)
 	}
-	s.pending--
 	return sl
 }
 

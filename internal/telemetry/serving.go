@@ -21,15 +21,17 @@ type ServingMetrics struct {
 	// Completed counts queries that received result vectors.
 	Completed int64 `json:"completed"`
 	// Batches counts executed batches; the three flush counters attribute
-	// every batch-formation event to its trigger: the executor was idle
-	// (WindowFlushes, named for the window timer this trigger replaced), the
-	// size cap was reached, or the shutdown drain.
+	// every batch-formation event to its trigger: the engine was idle, so
+	// the serving loop took the whole queue (WindowFlushes, named for the
+	// window timer this trigger replaced), the size cap was reached, or the
+	// shutdown drain.
 	Batches       int64 `json:"batches"`
 	WindowFlushes int64 `json:"window_flushes"`
 	SizeFlushes   int64 `json:"size_flushes"`
 	DrainFlushes  int64 `json:"drain_flushes"`
-	// QueueDepth is the admitted-but-undispatched population at observation
-	// time (the quantity bounded by the server's queue capacity).
+	// QueueDepth is the number of queued queries, not yet taken by the
+	// serving loop, at observation time (the quantity bounded by the
+	// server's queue capacity).
 	QueueDepth int64 `json:"queue_depth"`
 	// Epoch is the server's current data epoch (a gauge; bumped by
 	// Server.BumpEpoch). Cached results are valid only for the epoch they

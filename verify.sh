@@ -122,11 +122,13 @@ leg race "go test -race (concurrent packages)"
 # internal/queries), the baselines (internal/baselines: Congra's concurrent
 # one-query batches over one pool and one arena, Query-Parallel's per-query
 # evaluations on pool workers), the hub profile's BFS and hop fill
-# (internal/align), and the live serving loop's deterministic-clock suite
-# (internal/serve, now including the convergence/KHop e2e). The goroutine
-# leak tests of par, core and serve run here too. internal/engine is a
-# serial oracle and has no concurrency of its own.
+# (internal/align), the live serving loop's deterministic-clock suite
+# (internal/serve, now including the convergence/KHop e2e), and glign-serve's
+# HTTP handlers (cmd/glign-serve), which drive a live server from handler
+# goroutines. The goroutine leak tests of par, core and serve run here too.
+# internal/engine is a serial oracle and has no concurrency of its own.
 go test -race \
+    ./cmd/glign-serve/ \
     ./internal/align/ \
     ./internal/baselines/ \
     ./internal/core/ \

@@ -356,7 +356,12 @@ func (rep *Report) NumQueries() int { return len(rep.buffer) }
 func (rep *Report) DurationSeconds() float64 { return rep.res.Duration.Seconds() }
 
 // Batches returns the evaluation batches as buffer-index lists, in the
-// order they ran (exposes what affinity-oriented batching decided).
+// order they ran (exposes what affinity-oriented batching decided). A list
+// holds its batch's lanes, then the queries the batch answered without a
+// lane: a query whose computation an earlier query of the buffer already is
+// (same kernel and source; PageRank and LabelProp from any source) takes no
+// lane of its own and is listed with that query. Every buffer index appears
+// in exactly one list.
 func (rep *Report) Batches() [][]int { return rep.res.Batches }
 
 // Metrics returns the run's telemetry timeline — per-batch, per-iteration

@@ -9,8 +9,9 @@ import "github.com/glign/glign/internal/serve"
 // and executes the batches on the
 // shared work-stealing pool — the online counterpart of Runtime.Run, which
 // evaluates a pre-materialized buffer. The server is also a traffic-shaping
-// front end: an epoch-invalidated result cache, in-flight dedup of identical
-// queries, affinity-aware admission ordering, and tiered load-shedding.
+// front end: an epoch-invalidated result cache, in-flight dedup of equivalent
+// queries (same kernel and source; PageRank and LabelProp from any source),
+// affinity-aware admission ordering, and tiered load-shedding.
 // SERVING.md is the full contract (admission state machine, cache epoch
 // semantics, dedup fan-out guarantees, tier/shed policy, telemetry ledger).
 

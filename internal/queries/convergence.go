@@ -17,9 +17,10 @@ import (
 // double-buffer what a round reads instead of CAS-improving in place.
 //
 // A ConvergenceKernel still embeds Kernel so it rides in a Query unchanged
-// (Name feeds telemetry and caching; Identity feeds facade reachability
-// accounting). Its Relax and Better panic: routing a convergence kernel into
-// a monotone relaxation path is an engine bug, never a recoverable state.
+// (Name feeds telemetry and the computation Key; Identity feeds facade
+// reachability accounting). Its Relax and Better panic: routing a
+// convergence kernel into a monotone relaxation path is an engine bug, never
+// a recoverable state.
 //
 // Determinism contract: Step must fold nbrs in slice order. Engines present
 // in-neighbors in reverse-CSR order (ascending source vertex), which is the
@@ -65,9 +66,9 @@ func MaxResidual(acc, r float64) float64 {
 // pagerank: the canonical non-monotone kernel. Jacobi iteration of
 // PR(v) = (1-d)/n + d * sum over in-neighbors u of PR(u)/outdeg(u),
 // damping d = 0.85, uniform 1/n start. The source vertex is ignored — the
-// ranking is a whole-graph property — which makes every PageRank query with
-// the same epoch cache-equivalent per (kernel, source) key only by
-// convention; callers conventionally use source v0. Dangling vertices
+// ranking is a whole-graph property — and the kernel declares so (sourceFree),
+// so KeyOf gives every PageRank query the same key and batch layers evaluate
+// one of them per graph snapshot, whatever the sources. Dangling vertices
 // (outdeg 0) leak their mass rather than redistributing it, so the vector
 // sums to at most 1; the oracle invariants encode exactly that contract.
 type pagerank struct{}
@@ -79,6 +80,7 @@ const (
 )
 
 func (pagerank) Name() string { return "PageRank" }
+func (pagerank) sourceFree()  {}
 
 // Identity exists only to satisfy Kernel (facade reachability accounting
 // treats every vertex as reached: a rank is defined for all vertices). No
@@ -128,13 +130,14 @@ func (pagerank) MaxRounds() int                   { return pagerankMaxRounds }
 // the smallest vertex id that reaches it — a components-style certificate —
 // and unlike frequency-based label propagation it cannot oscillate, so the
 // convergence decision stays deterministic. The source vertex is ignored
-// (labels are a whole-graph property), matching PageRank's caching
-// convention.
+// (labels are a whole-graph property) and, as for PageRank, the kernel
+// declares it source-free, so every LabelProp query shares one key.
 type labelprop struct{}
 
 const labelpropMaxRounds = 1 << 14
 
 func (labelprop) Name() string { return "LabelProp" }
+func (labelprop) sourceFree()  {}
 
 // Identity satisfies Kernel only; every vertex always holds a label, so no
 // value ever equals +Inf and facade reachability counts all vertices.

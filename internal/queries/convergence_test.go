@@ -4,6 +4,8 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"github.com/glign/glign/internal/graph"
 )
 
 func TestByNameResolvesAllParadigms(t *testing.T) {
@@ -49,6 +51,43 @@ func TestParadigmClassification(t *testing.T) {
 	batch = append(batch, Query{Kernel: PageRank, Source: 0})
 	if !AnyConvergent(batch) {
 		t.Fatalf("AnyConvergent false with PageRank present")
+	}
+}
+
+// srcSeeded is a convergence kernel outside this package's list whose
+// result depends on the source: it wraps PageRank but seeds the source.
+type srcSeeded struct{ ConvergenceKernel }
+
+func (srcSeeded) Name() string { return "SrcSeeded" }
+func (srcSeeded) InitialValue(_ int, v, src graph.VertexID) Value {
+	if v == src {
+		return 1
+	}
+	return 0
+}
+
+// TestKeyOf holds the computation key: a kernel's queries share a key across
+// sources exactly when the kernel declares itself source-free, which only
+// PageRank and LabelProp do — never a convergence kernel merely by paradigm.
+func TestKeyOf(t *testing.T) {
+	for _, k := range append(Monotone(), srcSeeded{PageRank}) {
+		if KeyOf(Query{Kernel: k, Source: 1}) == KeyOf(Query{Kernel: k, Source: 2}) {
+			t.Errorf("%s: sources 1 and 2 share a key", k.Name())
+		}
+		if KeyOf(Query{Kernel: k, Source: 3}) != KeyOf(Query{Kernel: k, Source: 3}) {
+			t.Errorf("%s: one query keys two ways", k.Name())
+		}
+	}
+	for _, ck := range Convergent() {
+		if KeyOf(Query{Kernel: ck, Source: 1}) != KeyOf(Query{Kernel: ck, Source: 2}) {
+			t.Errorf("%s: source-free kernel keys sources 1 and 2 apart", ck.Name())
+		}
+	}
+	if KeyOf(Query{Kernel: BFS, Source: 3}) == KeyOf(Query{Kernel: SSSP, Source: 3}) {
+		t.Error("BFS and SSSP on one source share a key")
+	}
+	if KeyOf(Query{Kernel: PageRank}) == KeyOf(Query{Kernel: LabelProp}) {
+		t.Error("PageRank and LabelProp share a key")
 	}
 }
 

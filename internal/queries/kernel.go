@@ -151,3 +151,29 @@ type Query struct {
 func (q Query) String() string {
 	return fmt.Sprintf("%s(v%d)", q.Kernel.Name(), q.Source)
 }
+
+// Key is the module's one definition of "same computation": two queries with
+// equal keys have the same result vector on one graph snapshot, so a layer
+// that holds both may evaluate one and hand its vector to the other. It is
+// the kernel's Name with the source vertex, except for a kernel that declares
+// itself source-free (PageRank, LabelProp): its key drops the source, and its
+// queries are equivalent whatever their sources. Name must therefore identify
+// a kernel's computation.
+type Key struct {
+	Kernel string
+	Source graph.VertexID
+}
+
+// sourceFree is the declaration a kernel makes that its result vector does
+// not depend on the query's source. It is unexported so only this package's
+// kernels can make it, and it is never inferred from the paradigm: a
+// ConvergenceKernel's InitialValue may read src.
+type sourceFree interface{ sourceFree() }
+
+// KeyOf returns the computation key of q.
+func KeyOf(q Query) Key {
+	if _, ok := q.Kernel.(sourceFree); ok {
+		return Key{Kernel: q.Kernel.Name()}
+	}
+	return Key{Kernel: q.Kernel.Name(), Source: q.Source}
+}

@@ -3,33 +3,21 @@ package serve
 import (
 	"sync"
 
-	"github.com/glign/glign/internal/graph"
 	"github.com/glign/glign/internal/queries"
 )
-
-// cacheKey identifies a query result: production traffic is skewed and
-// repetitive, so two submissions with the same kernel and source vertex are
-// the same computation — on a static graph snapshot their fixed points are
-// identical by construction.
-type cacheKey struct {
-	kernel string
-	source graph.VertexID
-}
-
-func keyOf(q queries.Query) cacheKey {
-	return cacheKey{kernel: q.Kernel.Name(), source: q.Source}
-}
 
 // cacheEntry is one cached result vector plus the epoch it was computed at
 // and its position in the LRU list.
 type cacheEntry struct {
-	key        cacheKey
+	key        queries.Key
 	values     []queries.Value
 	epoch      int64
 	prev, next *cacheEntry
 }
 
-// resultCache is the server's source+kernel-keyed result cache: a
+// resultCache is the server's result cache, keyed by computation
+// (queries.Key): production traffic is skewed and repetitive, and on one
+// graph snapshot equal keys have identical fixed points. It is a
 // mutex-guarded LRU map whose entries carry the data epoch they were
 // computed at. Invalidation is epoch-based and lazy — a lookup whose entry
 // epoch disagrees with the server's current epoch drops the entry and
@@ -39,7 +27,7 @@ type cacheEntry struct {
 type resultCache struct {
 	mu       sync.Mutex
 	capacity int
-	entries  map[cacheKey]*cacheEntry
+	entries  map[queries.Key]*cacheEntry
 	// head is the most recently used entry, tail the eviction candidate.
 	head, tail *cacheEntry
 }
@@ -47,14 +35,14 @@ type resultCache struct {
 // newResultCache returns an empty cache bounded to capacity entries
 // (capacity must be positive; a disabled cache is a nil *resultCache).
 func newResultCache(capacity int) *resultCache {
-	return &resultCache{capacity: capacity, entries: make(map[cacheKey]*cacheEntry)}
+	return &resultCache{capacity: capacity, entries: make(map[queries.Key]*cacheEntry)}
 }
 
 // get looks key up under the given current epoch. ok reports a serveable
 // hit; stale reports that an entry existed but carried a mismatched epoch
 // and was dropped. On a hit the entry is promoted to most-recently-used and
 // its values plus the epoch they were computed at are returned.
-func (c *resultCache) get(key cacheKey, epoch int64) (vals []queries.Value, entryEpoch int64, ok, stale bool) {
+func (c *resultCache) get(key queries.Key, epoch int64) (vals []queries.Value, entryEpoch int64, ok, stale bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e := c.entries[key]
@@ -73,7 +61,7 @@ func (c *resultCache) get(key cacheKey, epoch int64) (vals []queries.Value, entr
 
 // put installs (or refreshes) key's result for the given epoch, reporting
 // whether the capacity bound evicted the least-recently-used entry.
-func (c *resultCache) put(key cacheKey, vals []queries.Value, epoch int64) (evicted bool) {
+func (c *resultCache) put(key queries.Key, vals []queries.Value, epoch int64) (evicted bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e := c.entries[key]; e != nil {

@@ -34,11 +34,11 @@ func TestCacheEpochBumpStress(t *testing.T) {
 
 	// Reference fixed points, precomputed once per (kernel, source).
 	kernels := []queries.Kernel{queries.BFS, queries.SSSP}
-	want := make(map[cacheKey][]queries.Value)
+	want := make(map[queries.Key][]queries.Value)
 	for _, k := range kernels {
 		for v := 0; v < g.NumVertices(); v++ {
 			q := queries.Query{Kernel: k, Source: graph.VertexID(v)}
-			want[keyOf(q)] = engine.ReferenceRun(g, q)
+			want[queries.KeyOf(q)] = engine.ReferenceRun(g, q)
 		}
 	}
 
@@ -86,7 +86,7 @@ func TestCacheEpochBumpStress(t *testing.T) {
 					t.Errorf("worker %d op %d: stale result: epoch %d < %d observed before submit", w, i, e, ePre)
 					return
 				}
-				ref := want[keyOf(q)]
+				ref := want[queries.KeyOf(q)]
 				for v := range ref {
 					if vals[v] != ref[v] {
 						t.Errorf("worker %d op %d: vertex %d = %v, want %v", w, i, v, vals[v], ref[v])

@@ -7,8 +7,8 @@ import (
 )
 
 // slot is one batch slot of pending work: a query plus every ticket
-// coalesced onto it. In-flight deduplication means identical submissions
-// (same kernel + source, same epoch) share one slot — the slot occupies one
+// coalesced onto it. In-flight deduplication means equivalent submissions
+// (same queries.Key, same epoch) share one slot — the slot occupies one
 // unit of admission capacity and one lane of an evaluation batch, and its
 // result fans out to every waiter. tickets and done are guarded by the
 // server's mu; the other fields are immutable after creation (tier may be
@@ -16,7 +16,7 @@ import (
 // queued and so sheddable).
 type slot struct {
 	query queries.Query
-	key   cacheKey
+	key   queries.Key
 	seq   int
 	tier  Tier
 
@@ -28,7 +28,7 @@ type slot struct {
 // exists. Must be called with s.mu held. A join consumes no admission
 // capacity; a higher-tier joiner promotes the slot (protecting it from
 // shedding).
-func (s *Server) joinLocked(key cacheKey, t *Ticket) bool {
+func (s *Server) joinLocked(key queries.Key, t *Ticket) bool {
 	sl := s.inflight[key]
 	if sl == nil || sl.done {
 		return false
@@ -42,7 +42,7 @@ func (s *Server) joinLocked(key cacheKey, t *Ticket) bool {
 
 // completeSlot fans one result (or error) out to every waiter of a slot,
 // exactly once per ticket, and retires the slot from the dedup index so
-// later identical submissions start fresh (they will normally hit the
+// later equivalent submissions start fresh (they will normally hit the
 // cache instead — runBatch installs the cache entry before calling this,
 // and submissions consult the cache and the dedup index under one lock, so
 // there is no window in which a repeat query finds neither).

@@ -11,12 +11,14 @@
 //
 // On top of the batching loop the Server is a traffic-shaping front end:
 //
-//   - a source+kernel-keyed result cache with epoch-based invalidation —
+//   - a result cache keyed by computation (queries.KeyOf: kernel and
+//     source, the source dropped for a kernel that declares itself
+//     source-free) with epoch-based invalidation —
 //     entries carry the data epoch they were computed at and are dropped on
 //     lookup when the epoch has moved (BumpEpoch is the mutation hook), so a
 //     repeated query is answered without touching the engine and a stale
 //     result is never served;
-//   - in-flight deduplication — identical pending queries coalesce onto one
+//   - in-flight deduplication — equivalent pending queries coalesce onto one
 //     batch slot and the single execution fans its result out to every
 //     waiter;
 //   - affinity-aware admission — when the pending queue exceeds one batch,

@@ -12,6 +12,7 @@ import (
 	"github.com/glign/glign/internal/core"
 	"github.com/glign/glign/internal/engine"
 	"github.com/glign/glign/internal/graph"
+	"github.com/glign/glign/internal/oracle"
 	"github.com/glign/glign/internal/queries"
 	"github.com/glign/glign/internal/systems"
 	"github.com/glign/glign/internal/telemetry"
@@ -129,6 +130,78 @@ func TestDedupCoalescesIdentical(t *testing.T) {
 	}
 	if st.Completed != 4 || st.CacheHits != 1 {
 		t.Errorf("stats = %+v, want completed=4 cache_hits=1", st)
+	}
+}
+
+// TestSourceFreeKernelsCoalesceAcrossSources pins the shared computation
+// key (queries.KeyOf) on the serving path: with the engine held, PageRank
+// from two different sources coalesces onto one slot and runs one lane,
+// while BFS and SSSP on one source stay two lanes; once it has completed,
+// PageRank from a third source is a cache hit. Every ticket keeps its own
+// query and gets the serial golden of it.
+func TestSourceFreeKernelsCoalesceAcrossSources(t *testing.T) {
+	clk := NewFakeClock(time.Unix(0, 0))
+	gate := newGateEngine()
+	col := telemetry.NewCollector()
+	s := startServer(t, clk, func(c *Config) {
+		c.Engine = gate
+		c.Telemetry = col
+	})
+	g := testGraph()
+	ctx := context.Background()
+	mustGolden := func(tk *Ticket) {
+		t.Helper()
+		vals, err := tk.Wait(ctx)
+		if err != nil {
+			t.Fatalf("ticket %v: %v", tk.Query(), err)
+		}
+		want := oracle.GoldenValues(g, tk.Query())
+		for v := range want {
+			if vals[v] != want[v] {
+				t.Fatalf("ticket %v: vertex %d = %v, golden %v", tk.Query(), v, vals[v], want[v])
+			}
+		}
+	}
+	submit := func(q queries.Query) *Ticket {
+		t.Helper()
+		tk, err := s.Submit(ctx, q)
+		if err != nil {
+			t.Fatalf("submit %v: %v", q, err)
+		}
+		if tk.Query() != q {
+			t.Fatalf("ticket query = %v, want %v", tk.Query(), q)
+		}
+		return tk
+	}
+
+	held := hold(t, s, gate, queries.Query{Kernel: queries.BFS, Source: 8})
+	tks := []*Ticket{
+		submit(queries.Query{Kernel: queries.PageRank, Source: 0}),
+		submit(queries.Query{Kernel: queries.PageRank, Source: 4}),
+		submit(queries.Query{Kernel: queries.BFS, Source: 2}),
+		submit(queries.Query{Kernel: queries.SSSP, Source: 2}),
+	}
+	if st := s.Stats(); st.DedupCoalesced != 1 || st.Admitted != 4 {
+		t.Fatalf("stats while held = %+v, want dedup_coalesced=1 admitted=4", st)
+	}
+	close(gate.release)
+	mustGolden(held)
+	for _, tk := range tks {
+		mustGolden(tk)
+	}
+	// Lanes that ran: the held BFS, one PageRank, BFS(v2) and SSSP(v2).
+	if got := col.Snapshot().Counters.Queries; got != 4 {
+		t.Errorf("lanes run = %d, want 4", got)
+	}
+
+	batches := s.Stats().Batches
+	hit := submit(queries.Query{Kernel: queries.PageRank, Source: 7})
+	mustGolden(hit)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.CacheHits != 1 || st.Batches != batches || st.DedupCoalesced != 1 {
+		t.Errorf("stats = %+v, want cache_hits=1, no batch after %d, dedup_coalesced=1", st, batches)
 	}
 }
 

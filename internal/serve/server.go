@@ -56,7 +56,7 @@ type Config struct {
 	// with ErrQueueFull (default 1024). Coalesced duplicates share one slot
 	// and do not count again.
 	QueueCapacity int
-	// CacheCapacity bounds the source+kernel-keyed result cache in entries:
+	// CacheCapacity bounds the computation-keyed result cache in entries:
 	// 0 means the default (1024), negative disables caching entirely.
 	// Entries carry the epoch they were computed at and are dropped on
 	// mismatch (see BumpEpoch).
@@ -167,7 +167,7 @@ type Server struct {
 
 	mu       sync.Mutex
 	queue    []*slot
-	inflight map[cacheKey]*slot
+	inflight map[queries.Key]*slot
 	seq      int
 	closed   bool
 
@@ -242,7 +242,7 @@ func New(g *graph.Graph, cfg Config) (*Server, error) {
 		prof:     prof,
 		clk:      cfg.Clock,
 		run:      run,
-		inflight: make(map[cacheKey]*slot),
+		inflight: make(map[queries.Key]*slot),
 		wake:     make(chan struct{}, 1),
 		started:  cfg.Clock.Now(),
 	}
@@ -269,12 +269,12 @@ func (s *Server) Submit(ctx context.Context, q queries.Query) (*Ticket, error) {
 // SubmitWith admits one query and returns its ticket. The submission
 // pipeline, in order and under one lock (SERVING.md has the state machine):
 //
-//  1. a valid cache entry for the query's (kernel, source) at the current
-//     epoch completes the ticket immediately (cache hit — no queueing, no
-//     deadline exposure);
-//  2. an identical pending query coalesces the ticket onto that query's
-//     slot (dedup — no extra capacity consumed, one execution fans out to
-//     every waiter);
+//  1. a valid cache entry for the query's computation key (queries.KeyOf)
+//     at the current epoch completes the ticket immediately (cache hit — no
+//     queueing, no deadline exposure);
+//  2. a pending query with the same key coalesces the ticket onto that
+//     query's slot (dedup — no extra capacity consumed, one execution fans
+//     out to every waiter);
 //  3. otherwise the query needs a new slot: at QueueCapacity a strictly
 //     lower-tier queued query is shed to make room when one exists, else
 //     the submission is rejected with ErrQueueFull.
@@ -304,7 +304,7 @@ func (s *Server) SubmitWith(ctx context.Context, q queries.Query, opt SubmitOpti
 	if opt.Timeout > 0 {
 		t.deadline = now.Add(opt.Timeout)
 	}
-	key := keyOf(q)
+	key := queries.KeyOf(q)
 
 	var victim *slot
 	s.mu.Lock()
@@ -350,7 +350,7 @@ func (s *Server) SubmitWith(ctx context.Context, q queries.Query, opt SubmitOpti
 // counting hits, misses, and lazily invalidated stale entries. Must be
 // called with s.mu held (the cache has its own lock; holding s.mu makes
 // lookup-then-coalesce atomic against completeSlot's install-then-retire).
-func (s *Server) cacheGetLocked(key cacheKey) ([]queries.Value, int64, bool) {
+func (s *Server) cacheGetLocked(key queries.Key) ([]queries.Value, int64, bool) {
 	if s.cache == nil {
 		return nil, 0, false
 	}
@@ -367,7 +367,7 @@ func (s *Server) cacheGetLocked(key cacheKey) ([]queries.Value, int64, bool) {
 }
 
 // cachePut installs a freshly computed result for the given epoch.
-func (s *Server) cachePut(key cacheKey, vals []queries.Value, epoch int64) {
+func (s *Server) cachePut(key queries.Key, vals []queries.Value, epoch int64) {
 	if s.cache == nil {
 		return
 	}
@@ -391,7 +391,7 @@ func (s *Server) BumpEpoch() int64 {
 	e := s.epoch.Add(1)
 	s.mu.Lock()
 	if len(s.inflight) > 0 {
-		s.inflight = make(map[cacheKey]*slot)
+		s.inflight = make(map[queries.Key]*slot)
 	}
 	s.mu.Unlock()
 	return e

@@ -2,6 +2,7 @@ package systems
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/glign/glign/internal/align"
@@ -73,14 +74,19 @@ type Config struct {
 type Result struct {
 	Method   string
 	Duration time.Duration
-	// Batches[i] lists buffer indices of batch i, in evaluation order.
+	// Batches[i] lists the buffer indices batch i answered, batches in
+	// evaluation order: first its lanes, in lane order, then every query it
+	// answered without a lane because an earlier query of the buffer is the
+	// same computation (queries.KeyOf) and is one of those lanes. Each
+	// buffer index appears in exactly one batch.
 	Batches [][]int
 	// BatchDurations[i] is the evaluation time of batch i. A query's
 	// latency under FCFS arrival is the prefix sum up to and including its
 	// batch — the latency accounting the paper leaves as future work
 	// (§4.1).
 	BatchDurations []time.Duration
-	// Alignments[i] is the alignment vector used for batch i (nil = zeros).
+	// Alignments[i] is the alignment vector used for batch i, one entry per
+	// lane (nil = zeros).
 	Alignments [][]int
 	// TotalIterations sums global iterations over batches.
 	TotalIterations int
@@ -90,7 +96,8 @@ type Result struct {
 	LaneRelaxations int64
 	ValueWrites     int64
 	// Values[bufferIdx] is the query's full result vector when
-	// Config.KeepValues is set.
+	// Config.KeepValues is set; every query has its own slice, equivalent
+	// ones included.
 	Values map[int][]queries.Value
 	// Telemetry is the run's trace when Config.Telemetry was set (snapshot
 	// it for the per-iteration timelines), nil otherwise.
@@ -162,10 +169,13 @@ func NeedsProfile(method string) bool {
 	return false
 }
 
-// Run evaluates the whole buffer with the named method. The returned
-// Duration covers batching and evaluation, not profile construction (the
-// profile is a one-time per-graph cost, reported separately — paper
-// Table 14).
+// Run evaluates the whole buffer with the named method. Only the first query
+// of each computation key (queries.KeyOf) takes a batch lane: the policy and
+// the engine see the buffer's distinct computations, and every later query
+// with that key completes with its first's batch, listed in the same Batches
+// entry. The returned Duration covers batching and evaluation, not profile
+// construction (the profile is a one-time per-graph cost, reported
+// separately — paper Table 14).
 func Run(method string, g *graph.Graph, buffer []queries.Query, cfg Config) (*Result, error) {
 	if len(buffer) == 0 {
 		return nil, fmt.Errorf("systems: empty buffer")
@@ -191,16 +201,31 @@ func Run(method string, g *graph.Graph, buffer []queries.Query, cfg Config) (*Re
 	}
 
 	start := time.Now()
+	// lq holds the buffer's distinct computations, one lane each: all the
+	// policy and the engine see. Batches index it; lanes maps it back.
+	lanes, dups := distinct(buffer)
+	lq := sched.Select(buffer, lanes)
 	// Paradigm splitting keeps every batch homogeneous: monotone frontier
 	// kernels and iterate-to-convergence kernels take different evaluation
 	// paths inside every engine, so a mixed buffer yields one batch per
 	// paradigm run rather than a mixed batch no engine accepts.
-	res.Batches = sched.SplitParadigm(buffer, plan.Policy.MakeBatches(buffer, cfg.BatchSize))
-	for bi, idx := range res.Batches {
-		batch := sched.Select(buffer, idx)
+	batches := sched.SplitParadigm(lq, plan.Policy.MakeBatches(lq, cfg.BatchSize))
+	if dups != nil {
+		run.RemapDecisions(lanes)
+	}
+	for bi, pos := range batches {
+		batch := sched.Select(lq, pos)
+		idx := make([]int, len(pos))
+		var coalesced []int
+		for i, p := range pos {
+			idx[i] = lanes[p]
+			coalesced = append(coalesced, dups[idx[i]]...)
+		}
+		res.Batches = append(res.Batches, append(idx, coalesced...))
 		opt := plan.BatchOptions(core.Options{Workers: cfg.Workers, Pool: cfg.Pool, Tracer: cfg.Tracer, Arena: cfg.Arena}, batch)
 		res.Alignments = append(res.Alignments, opt.Alignment)
 		bt := run.StartBatch(plan.Engine.Name(), idx, opt.Alignment)
+		bt.Coalesce(coalesced)
 		opt.Telemetry = bt
 		batchStart := time.Now()
 		br, err := plan.Engine.Run(g, batch, opt)
@@ -217,6 +242,9 @@ func Run(method string, g *graph.Graph, buffer []queries.Query, cfg Config) (*Re
 		if cfg.KeepValues {
 			for qi, vals := range br.AllQueryValues(cfg.Pool, cfg.Workers) {
 				res.Values[idx[qi]] = vals
+				for _, d := range dups[idx[qi]] {
+					res.Values[d] = slices.Clone(vals)
+				}
 			}
 		}
 		// The extracted vectors are copies; the next batch may have the array.
@@ -229,6 +257,27 @@ func Run(method string, g *graph.Graph, buffer []queries.Query, cfg Config) (*Re
 	// per-iteration engine records.
 	cfg.Telemetry.ObservePool(par.OrDefault(cfg.Pool))
 	return res, nil
+}
+
+// distinct returns the buffer index of the first query of every computation
+// key, in buffer order, and the later indices of each key under its first's
+// index (nil when every query is its own computation).
+func distinct(buffer []queries.Query) (lanes []int, dups map[int][]int) {
+	first := make(map[queries.Key]int, len(buffer))
+	lanes = make([]int, 0, len(buffer))
+	for i, q := range buffer {
+		k := queries.KeyOf(q)
+		if c, ok := first[k]; ok {
+			if dups == nil {
+				dups = make(map[int][]int)
+			}
+			dups[c] = append(dups[c], i)
+			continue
+		}
+		first[k] = i
+		lanes = append(lanes, i)
+	}
+	return lanes, dups
 }
 
 // QueryLatency returns the completion latency of the query at bufferIdx:

@@ -37,7 +37,7 @@ type ServingMetrics struct {
 	// Server.BumpEpoch). Cached results are valid only for the epoch they
 	// were computed at.
 	Epoch int64 `json:"epoch"`
-	// CacheHits counts submissions answered from the source+kernel-keyed
+	// CacheHits counts submissions answered from the computation-keyed
 	// result cache without executing; CacheMisses those that consulted the
 	// cache and fell through to the queue (or to dedup coalescing).
 	CacheHits   int64 `json:"cache_hits"`
@@ -49,9 +49,10 @@ type ServingMetrics struct {
 	CacheEvictions     int64 `json:"cache_evictions"`
 	CacheInvalidations int64 `json:"cache_invalidations"`
 	CacheSize          int64 `json:"cache_size"`
-	// DedupCoalesced counts submissions that joined an already-pending
-	// identical query's slot instead of occupying their own (one executed
-	// batch slot fans its result out to every coalesced waiter).
+	// DedupCoalesced counts submissions that joined the slot of an
+	// already-pending query with the same computation key (queries.KeyOf)
+	// instead of occupying their own (one executed batch slot fans its
+	// result out to every coalesced waiter).
 	DedupCoalesced int64 `json:"dedup_coalesced"`
 	// AdmissionReorders counts queries the affinity-aware admission ranking
 	// displaced from their arrival position when ordering the pending queue

@@ -39,6 +39,10 @@ type BatchMetrics struct {
 	Engine string `json:"engine"`
 	// Queries lists buffer indices in batch-lane order.
 	Queries []int `json:"queries"`
+	// Coalesced lists the buffer indices the batch answered without a lane,
+	// each equivalent to one of Queries (queries.KeyOf). Additive field — the
+	// schema version is unchanged.
+	Coalesced []int `json:"coalesced,omitempty"`
 	// Alignment is the delayed-start vector applied (empty: all zeros).
 	Alignment []int `json:"alignment,omitempty"`
 	// DurationSeconds is the batch's evaluation wall time.
@@ -108,6 +112,7 @@ func (b *BatchTrace) Snapshot() *BatchMetrics {
 		Index:           b.index,
 		Engine:          b.engine,
 		Queries:         append([]int(nil), b.queries...),
+		Coalesced:       append([]int(nil), b.coalesced...),
 		Alignment:       append([]int(nil), b.alignment...),
 		DurationSeconds: b.duration.Seconds(),
 		Iterations:      append([]IterationStat(nil), b.iterations...),

@@ -108,6 +108,30 @@ func (r *RunTrace) RecordDecision(d BatchingDecision) {
 	r.mu.Unlock()
 }
 
+// RemapDecisions rewrites the decisions recorded so far from positions in a
+// list of the buffer's queries to buffer indices, position p becoming idx[p]
+// (idx ascending). systems.Run calls it when the policy was given only the
+// buffer's distinct computations. No-op on nil.
+func (r *RunTrace) RemapDecisions(idx []int) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i := range r.decisions {
+		d := &r.decisions[i]
+		// A new slice: a snapshot taken before the remap shares the old one.
+		order := make([]int, len(d.Order))
+		for j, p := range d.Order {
+			order[j] = idx[p]
+		}
+		d.Order = order
+		if d.WindowEnd > d.WindowStart {
+			d.WindowStart, d.WindowEnd = idx[d.WindowStart], idx[d.WindowEnd-1]+1
+		}
+	}
+}
+
 // Finish stamps the run's total wall time (no-op on nil).
 func (r *RunTrace) Finish(d time.Duration) {
 	if r == nil {
@@ -127,6 +151,7 @@ type BatchTrace struct {
 	alignment []int
 
 	mu         sync.Mutex
+	coalesced  []int
 	iterations []IterationStat
 	duration   time.Duration
 }
@@ -149,6 +174,17 @@ func (b *BatchTrace) RecordIteration(s IterationStat) {
 	c.EdgesPerIteration.Observe(s.EdgesProcessed)
 	b.mu.Lock()
 	b.iterations = append(b.iterations, s)
+	b.mu.Unlock()
+}
+
+// Coalesce records the buffer indices the batch answered without a lane:
+// queries equivalent to one of its lanes (queries.KeyOf). No-op on nil.
+func (b *BatchTrace) Coalesce(idx []int) {
+	if b == nil {
+		return
+	}
+	b.mu.Lock()
+	b.coalesced = append(b.coalesced, idx...)
 	b.mu.Unlock()
 }
 

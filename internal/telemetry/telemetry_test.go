@@ -408,3 +408,42 @@ func TestServingSectionTrafficFieldsRoundTrip(t *testing.T) {
 		t.Errorf("round-tripped serving section = %+v", sm)
 	}
 }
+
+// TestCoalescedAndRemappedDecisions: a batch's coalesced indices reach its
+// snapshot under "coalesced" (omitted when there are none), and
+// RemapDecisions turns a decision's positions among the ranked queries into
+// buffer indices, window bounds included, leaving earlier snapshots as they
+// were. Both are no-ops on nil.
+func TestCoalescedAndRemappedDecisions(t *testing.T) {
+	var nilRun *RunTrace
+	nilRun.RemapDecisions([]int{0})
+	var nilBatch *BatchTrace
+	nilBatch.Coalesce([]int{1})
+
+	r := NewCollector().StartRun("Glign", "Affinity")
+	r.RecordDecision(BatchingDecision{Policy: "Affinity", WindowStart: 1, WindowEnd: 3, Order: []int{2, 1}})
+	before := r.Snapshot()
+	r.RemapDecisions([]int{0, 4, 6, 9})
+	if d := before.Decisions[0]; d.WindowStart != 1 || d.Order[0] != 2 {
+		t.Errorf("snapshot taken before the remap changed: %+v", d)
+	}
+	b := r.StartBatch("Glign-Intra", []int{6, 4}, nil)
+	b.Coalesce([]int{7, 8})
+	b.Coalesce([]int{5})
+	r.StartBatch("Glign-Intra", []int{0}, nil)
+
+	m := r.Snapshot()
+	if d := m.Decisions[0]; d.WindowStart != 4 || d.WindowEnd != 7 || d.Order[0] != 6 || d.Order[1] != 4 {
+		t.Errorf("remapped decision = %+v, want window [4,7) order [6 4]", d)
+	}
+	if got := m.Batches[0].Coalesced; len(got) != 3 || got[0] != 7 || got[2] != 5 {
+		t.Errorf("coalesced = %v, want [7 8 5]", got)
+	}
+	js, err := json.Marshal(m.Batches)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(js), `"coalesced"`); n != 1 {
+		t.Errorf("%d batches carry a coalesced key, want 1: %s", n, js)
+	}
+}

@@ -3,6 +3,7 @@ package glign
 import (
 	"testing"
 
+	"github.com/glign/glign/internal/queries"
 	"github.com/glign/glign/internal/telemetry"
 )
 
@@ -100,6 +101,76 @@ func TestMetricsMatchEngineCounters(t *testing.T) {
 							b.Index, it.Iter, it)
 					}
 				}
+			}
+		})
+	}
+}
+
+// TestTraceCoversBufferOnce: in a buffer with equivalent queries (a repeated
+// SSSP, PageRank from three sources), every batch's lanes plus its coalesced
+// indices cover the buffer exactly once, a coalesced index shares a lane's
+// computation key, and the queries counter counts only the lanes that ran.
+func TestTraceCoversBufferOnce(t *testing.T) {
+	g := PaperExampleGraph()
+	buf := append(telemetryTestBuffer(),
+		Query{Kernel: SSSP, Source: 1},
+		Query{Kernel: PageRank, Source: 0},
+		Query{Kernel: PageRank, Source: 3},
+		Query{Kernel: PageRank, Source: 5},
+	)
+	const lanes = 5 // four SSSP sources and one PageRank
+	for _, method := range []string{MethodGlign, MethodLigraC, MethodKrill} {
+		t.Run(method, func(t *testing.T) {
+			tel := NewTelemetry()
+			rt, err := NewRuntime(g, WithMethod(method), WithBatchSize(2), WithTelemetry(tel))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := rt.Run(buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := rep.Metrics()
+			seen := make([]int, len(buf))
+			isLane := make([]bool, len(buf))
+			ran := 0
+			for _, b := range m.Batches {
+				keys := map[queries.Key]bool{}
+				for _, qi := range b.Queries {
+					keys[queries.KeyOf(buf[qi])] = true
+					seen[qi]++
+					isLane[qi] = true
+				}
+				ran += len(b.Queries)
+				for _, qi := range b.Coalesced {
+					if !keys[queries.KeyOf(buf[qi])] {
+						t.Errorf("batch %d: coalesced %s shares no lane's key", b.Index, buf[qi])
+					}
+					seen[qi]++
+				}
+			}
+			for qi, n := range seen {
+				if n != 1 {
+					t.Errorf("buffer index %d (%s) covered %d times", qi, buf[qi], n)
+				}
+			}
+			if ran != lanes {
+				t.Errorf("lanes = %d, want %d", ran, lanes)
+			}
+			// The policy ranked only the lanes; its decisions name them by
+			// buffer index.
+			for _, d := range m.Decisions {
+				for _, qi := range d.Order {
+					if !isLane[qi] {
+						t.Errorf("decision order names buffer index %d, not a lane", qi)
+					}
+				}
+			}
+			if got := tel.Snapshot().Counters.Queries; got != lanes {
+				t.Errorf("queries counter = %d, want %d lanes", got, lanes)
+			}
+			if err := rep.Verify(0); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}

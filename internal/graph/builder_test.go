@@ -104,8 +104,9 @@ func TestUnweightedGraphReportsWeightOne(t *testing.T) {
 	if g.Weighted() {
 		t.Fatal("unweighted graph reports Weighted()")
 	}
-	if g.EdgeWeight(0) != 1 {
-		t.Fatalf("EdgeWeight = %v, want 1", g.EdgeWeight(0))
+	// Weight-one edges are read from the absent weight slice.
+	if _, ws := g.OutEdges(0); ws != nil {
+		t.Fatalf("OutEdges weights = %v, want nil (every edge weighs 1)", ws)
 	}
 }
 

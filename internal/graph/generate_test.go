@@ -73,12 +73,10 @@ func TestPowerLawSkew(t *testing.T) {
 	}
 }
 
-func TestRoadConnected(t *testing.T) {
-	g := MustGenerate(RDCA, Tiny)
+// weaklyReached counts the vertices an undirected BFS from vertex 0 reaches.
+func weaklyReached(g *Graph) int {
 	rev := g.Reverse()
-	// BFS from vertex 0 must reach everything (spanning backbone guarantee).
-	n := g.NumVertices()
-	seen := make([]bool, n)
+	seen := make([]bool, g.NumVertices())
 	seen[0] = true
 	queue := []VertexID{0}
 	count := 1
@@ -95,8 +93,24 @@ func TestRoadConnected(t *testing.T) {
 			}
 		}
 	}
-	if count != n {
+	return count
+}
+
+func TestRoadConnected(t *testing.T) {
+	g := MustGenerate(RDCA, Tiny)
+	// BFS from vertex 0 must reach everything (spanning backbone guarantee).
+	if count, n := weaklyReached(g), g.NumVertices(); count != n {
 		t.Fatalf("road network disconnected: reached %d of %d", count, n)
+	}
+}
+
+// Every road dataset is one weak component (spanning backbone guarantee).
+func TestRoadNetworksAreConnected(t *testing.T) {
+	for _, d := range RoadDatasets() {
+		g := MustGenerate(d, Tiny)
+		if count, n := weaklyReached(g), g.NumVertices(); count != n {
+			t.Fatalf("%s: road network disconnected: reached %d of %d", d, count, n)
+		}
 	}
 }
 

@@ -69,15 +69,6 @@ func (g *Graph) OutEdges(v VertexID) ([]VertexID, []Weight) {
 	return g.Targets[lo:hi], g.Weights[lo:hi]
 }
 
-// EdgeWeight returns the weight of the i-th stored edge (1 for unweighted
-// graphs).
-func (g *Graph) EdgeWeight(i uint32) Weight {
-	if g.Weights == nil {
-		return 1
-	}
-	return g.Weights[i]
-}
-
 // Weighted reports whether the graph carries per-edge weights.
 func (g *Graph) Weighted() bool { return g.Weights != nil }
 

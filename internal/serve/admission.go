@@ -32,7 +32,5 @@ func (s *Server) rankPendingLocked() {
 		ranked[i] = s.queue[bi]
 	}
 	s.queue = ranked
-	if displaced > 0 {
-		s.stats.admissionReorders.Add(int64(displaced))
-	}
+	s.stats.AdmissionReorders += int64(displaced)
 }

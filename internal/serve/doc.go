@@ -11,16 +11,16 @@
 //
 // On top of the batching loop the Server is a traffic-shaping front end:
 //
-//   - a result cache keyed by computation (queries.KeyOf: kernel and
-//     source, the source dropped for a kernel that declares itself
-//     source-free) with epoch-based invalidation —
-//     entries carry the data epoch they were computed at and are dropped on
-//     lookup when the epoch has moved (BumpEpoch is the mutation hook), so a
-//     repeated query is answered without touching the engine and a stale
-//     result is never served;
-//   - in-flight deduplication — equivalent pending queries coalesce onto one
-//     batch slot and the single execution fans its result out to every
-//     waiter;
+//   - a result cache and in-flight deduplication in one key table, keyed by
+//     computation (queries.KeyOf: kernel and source, the source dropped for
+//     a kernel that declares itself source-free), that holds per key either
+//     the pending slot or the computed result, each stamped with its data
+//     epoch — an equivalent query of the same epoch joins the slot, whose
+//     one execution fans its result out to every waiter and then becomes
+//     the key's cached result; a result is dropped on lookup once the epoch
+//     has moved (BumpEpoch, the mutation hook, takes no lock), so a repeated
+//     query is answered without touching the engine and a stale result is
+//     never served;
 //   - affinity-aware admission — when the pending queue exceeds one batch,
 //     it is re-ranked with the batching policy's heavy-iteration-arrival
 //     estimate (sched.Affinity.Rank) instead of arrival order, so affine
@@ -28,6 +28,9 @@
 //   - load-shedding with priority tiers — at capacity an arriving query
 //     sheds the newest queued query of a strictly lower tier (shed-low-first)
 //     instead of being rejected outright.
+//
+// The queue, the key table and the serving counters are guarded by one
+// mutex, so every Stats snapshot is consistent.
 //
 // One goroutine, the serving loop, takes work off the queue, runs it, and
 // only then looks again; nothing is taken while a batch runs, so a query

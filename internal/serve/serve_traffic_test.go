@@ -822,3 +822,92 @@ func TestResultsNeverAliasTheArena(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestBumpWhileQueuedCachesTheNewerSlot pins the epoch-bump corner of the
+// key table. A query admitted at epoch 0 is still queued when the epoch is
+// bumped; an equivalent query arriving after the bump is not joined to it
+// but gets its own slot. The older slot then runs and answers its waiter,
+// but its entry has been taken over, so its result is not cached: a repeat
+// arriving between the two completions joins the newer slot, and only the
+// newer slot's vector is what later hits are served.
+func TestBumpWhileQueuedCachesTheNewerSlot(t *testing.T) {
+	gate := newGateEngine()
+	s := startServer(t, NewFakeClock(time.Unix(0, 0)), func(c *Config) {
+		c.BatchSize = 1
+		c.Engine = gate
+	})
+	g := testGraph()
+	ctx := context.Background()
+	q := queries.Query{Kernel: queries.SSSP, Source: 2}
+	submit := func() *Ticket {
+		t.Helper()
+		tk, err := s.Submit(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tk
+	}
+	wait := func(tk *Ticket) []queries.Value {
+		t.Helper()
+		mustValues(t, g, tk)
+		vals, _ := tk.Wait(ctx)
+		return vals
+	}
+
+	plug := hold(t, s, gate, queries.Query{Kernel: queries.BFS, Source: 0})
+	older := submit() // queued behind the plug at epoch 0
+	if e := s.BumpEpoch(); e != 1 {
+		t.Fatalf("BumpEpoch = %d, want 1", e)
+	}
+	newer := submit() // epoch 1: a slot of its own
+	if st := s.Stats(); st.Admitted != 3 || st.DedupCoalesced != 0 || st.QueueDepth != 2 {
+		t.Fatalf("after the bump: stats = %+v, want admitted=3 dedup_coalesced=0 queue_depth=2", st)
+	}
+
+	gate.release <- struct{}{} // the plug
+	wait(plug)
+	if srcs := <-gate.entered; len(srcs) != 1 || srcs[0] != q.Source {
+		t.Fatalf("second batch = %v, want the older slot [%d]", srcs, q.Source)
+	}
+	gate.release <- struct{}{} // the older slot, run at epoch 1
+	olderVals := wait(older)
+	if e := older.ResultEpoch(); e != 1 {
+		t.Fatalf("older slot's result epoch = %d, want 1 (its run started after the bump)", e)
+	}
+	if srcs := <-gate.entered; len(srcs) != 1 || srcs[0] != q.Source {
+		t.Fatalf("third batch = %v, want the newer slot [%d]", srcs, q.Source)
+	}
+
+	// Between the two completions: the repeat joins the newer slot.
+	repeat := submit()
+	select {
+	case <-repeat.Done():
+		t.Fatal("repeat completed before the newer slot did: the older slot's result was cached")
+	default:
+	}
+	if st := s.Stats(); st.DedupCoalesced != 1 || st.CacheHits != 0 || st.CacheSize != 0 {
+		t.Fatalf("repeat: stats = %+v, want dedup_coalesced=1 cache_hits=0 cache_size=0", st)
+	}
+	gate.release <- struct{}{} // the newer slot
+	newerVals := wait(newer)
+	if repeatVals := wait(repeat); &repeatVals[0] != &newerVals[0] {
+		t.Fatal("the repeat was not answered with the newer slot's vector")
+	}
+
+	// Only the newer slot's result is cached.
+	hit := submit()
+	hitVals := wait(hit)
+	if &hitVals[0] != &newerVals[0] || &hitVals[0] == &olderVals[0] {
+		t.Fatal("the cached vector is not the newer slot's")
+	}
+	if e := hit.ResultEpoch(); e != 1 {
+		t.Fatalf("hit's result epoch = %d, want 1", e)
+	}
+	close(gate.release)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Batches != 3 || st.CacheHits != 1 || st.CacheSize != 1 || st.Completed != 5 {
+		t.Errorf("stats = %+v, want batches=3 cache_hits=1 cache_size=1 completed=5", st)
+	}
+}

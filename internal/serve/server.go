@@ -146,9 +146,10 @@ func (t *Ticket) ResultEpoch() int64 {
 // Server is the live query-serving loop. New starts one long-lived
 // goroutine — the serving loop (admission queue -> batches -> engine ->
 // ticket completion) — which Close joins after draining everything
-// admitted. On top of the PR-5 loop it is a traffic-shaping front end: a
-// result cache with epoch invalidation, in-flight dedup, affinity-aware
-// admission ordering, and tiered load-shedding (SERVING.md is the contract).
+// admitted. On top of the loop it is a traffic-shaping front end: one key
+// table that caches results with epoch invalidation and dedups in-flight
+// queries, affinity-aware admission ordering, and tiered load-shedding
+// (SERVING.md is the contract).
 type Server struct {
 	g            *graph.Graph
 	cfg          Config
@@ -162,42 +163,26 @@ type Server struct {
 	// the cache sees them (runBatch).
 	arena core.Arena
 
+	// epoch is the data epoch, the one value read without mu.
 	epoch atomic.Int64
-	cache *resultCache // nil: caching disabled
 
-	mu       sync.Mutex
-	queue    []*slot
-	inflight map[queries.Key]*slot
-	seq      int
-	closed   bool
+	// mu guards queue through occupancy.
+	mu     sync.Mutex
+	queue  []*slot
+	keys   keyTable
+	seq    int
+	closed bool
+	// stats holds the monotone totals; Stats fills in the gauges and
+	// histograms of a copy.
+	stats         telemetry.ServingMetrics
+	admissionWait telemetry.Histogram
+	occupancy     telemetry.Histogram
 
 	wake chan struct{}
 	// wg joins the serving loop: Add before the launch in New, Wait in Close
 	// (TestServerCloseJoinsGoroutines holds it).
 	wg      sync.WaitGroup
 	started time.Time
-
-	stats         serveCounters
-	admissionWait telemetry.Histogram
-	occupancy     telemetry.Histogram
-}
-
-// serveCounters are the server's monotone totals (see ServingMetrics for
-// field meanings).
-type serveCounters struct {
-	submitted, admitted          atomic.Int64
-	rejectedFull, rejectedClosed atomic.Int64
-	canceled, deadlineMisses     atomic.Int64
-	completed, ranBatches        atomic.Int64
-	windowFlushes, sizeFlushes   atomic.Int64
-	drainFlushes                 atomic.Int64
-
-	cacheHits, cacheMisses             atomic.Int64
-	cacheEvictions, cacheInvalidations atomic.Int64
-	dedupCoalesced                     atomic.Int64
-	admissionReorders                  atomic.Int64
-	shed                               atomic.Int64
-	shedByTier                         [NumTiers]atomic.Int64
 }
 
 // New validates cfg, resolves the method plan, and starts the server's
@@ -236,26 +221,23 @@ func New(g *graph.Graph, cfg Config) (*Server, error) {
 		plan.Engine = cfg.Engine
 	}
 	s := &Server{
-		g:        g,
-		cfg:      cfg,
-		plan:     plan,
-		prof:     prof,
-		clk:      cfg.Clock,
-		run:      run,
-		inflight: make(map[queries.Key]*slot),
-		wake:     make(chan struct{}, 1),
-		started:  cfg.Clock.Now(),
+		g:       g,
+		cfg:     cfg,
+		plan:    plan,
+		prof:    prof,
+		clk:     cfg.Clock,
+		run:     run,
+		keys:    keyTable{capacity: max(cfg.CacheCapacity, 0), entries: make(map[queries.Key]*entry)},
+		stats:   telemetry.ServingMetrics{ShedByTier: make([]int64, NumTiers)},
+		wake:    make(chan struct{}, 1),
+		started: cfg.Clock.Now(),
+	}
+	if cfg.CacheCapacity == 0 {
+		s.keys.capacity = defaultCacheCapacity
 	}
 	// The method decides the admission order: an affinity-batching method
 	// ranks the pending queue, an FCFS method keeps arrival order.
 	s.affinityRank = prof != nil && plan.Policy.Name() == (sched.Affinity{}).Name()
-	if cfg.CacheCapacity >= 0 {
-		capacity := cfg.CacheCapacity
-		if capacity == 0 {
-			capacity = defaultCacheCapacity
-		}
-		s.cache = newResultCache(capacity)
-	}
 	s.wg.Add(1)
 	go s.loop()
 	return s, nil
@@ -267,14 +249,14 @@ func (s *Server) Submit(ctx context.Context, q queries.Query) (*Ticket, error) {
 }
 
 // SubmitWith admits one query and returns its ticket. The submission
-// pipeline, in order and under one lock (SERVING.md has the state machine):
+// pipeline, in order and under one lock (SERVING.md has the state machine),
+// reads the key table once for the query's computation key (queries.KeyOf):
 //
-//  1. a valid cache entry for the query's computation key (queries.KeyOf)
-//     at the current epoch completes the ticket immediately (cache hit — no
-//     queueing, no deadline exposure);
-//  2. a pending query with the same key coalesces the ticket onto that
-//     query's slot (dedup — no extra capacity consumed, one execution fans
-//     out to every waiter);
+//  1. a result computed at the current epoch completes the ticket
+//     immediately (cache hit — no queueing, no deadline exposure);
+//  2. a slot admitted at the current epoch and still pending takes the
+//     ticket as a waiter (dedup — no extra capacity consumed, one execution
+//     fans out to every waiter);
 //  3. otherwise the query needs a new slot: at QueueCapacity a strictly
 //     lower-tier queued query is shed to make room when one exists, else
 //     the submission is rejected with ErrQueueFull.
@@ -286,17 +268,10 @@ func (s *Server) SubmitWith(ctx context.Context, q queries.Query, opt SubmitOpti
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	s.stats.submitted.Add(1)
-	if q.Kernel == nil {
-		return nil, fmt.Errorf("serve: query has no kernel")
-	}
-	if int(q.Source) >= s.g.NumVertices() {
-		return nil, fmt.Errorf("serve: source v%d out of range (n=%d)", q.Source, s.g.NumVertices())
-	}
-	if opt.Tier < TierLow || opt.Tier > TierHigh {
-		return nil, fmt.Errorf("serve: invalid tier %d", opt.Tier)
-	}
-	if err := ctx.Err(); err != nil {
+	if err := s.validate(ctx, q, opt); err != nil {
+		s.mu.Lock()
+		s.stats.Submitted++
+		s.mu.Unlock()
 		return nil, err
 	}
 	now := s.clk.Now()
@@ -306,96 +281,86 @@ func (s *Server) SubmitWith(ctx context.Context, q queries.Query, opt SubmitOpti
 	}
 	key := queries.KeyOf(q)
 
-	var victim *slot
 	s.mu.Lock()
+	s.stats.Submitted++
 	if s.closed {
+		s.stats.RejectedClosed++
 		s.mu.Unlock()
-		s.stats.rejectedClosed.Add(1)
 		return nil, ErrClosed
 	}
-	if vals, epoch, ok := s.cacheGetLocked(key); ok {
+	epoch := s.epoch.Load()
+	e, stale := s.keys.get(key, epoch)
+	if stale {
+		s.stats.CacheInvalidations++
+	}
+	if e != nil && e.slot == nil {
+		s.stats.CacheHits++
+		s.stats.Completed++
 		s.mu.Unlock()
-		s.stats.completed.Add(1)
-		t.epoch = epoch
-		s.finish(t, vals, nil)
+		t.epoch = e.epoch
+		s.finish(t, e.values, nil)
 		s.observeServing()
 		return t, nil
 	}
-	if s.joinLocked(key, t) {
+	if s.keys.capacity > 0 {
+		s.stats.CacheMisses++
+	}
+	if e != nil {
+		e.slot.tickets = append(e.slot.tickets, t)
+		e.slot.tier = max(e.slot.tier, opt.Tier)
+		s.stats.DedupCoalesced++
 		s.mu.Unlock()
-		s.stats.dedupCoalesced.Add(1)
 		return t, nil
 	}
+	var victim *slot
 	if len(s.queue) >= s.cfg.QueueCapacity {
 		if victim = s.shedLocked(opt.Tier); victim == nil {
+			s.stats.RejectedFull++
 			s.mu.Unlock()
-			s.stats.rejectedFull.Add(1)
 			return nil, ErrQueueFull
 		}
 	}
 	sl := &slot{query: q, key: key, seq: s.seq, tier: opt.Tier, tickets: []*Ticket{t}}
 	s.seq++
 	s.queue = append(s.queue, sl)
-	s.inflight[key] = sl
+	s.keys.entries[key] = &entry{epoch: epoch, slot: sl}
+	s.stats.Admitted++
 	s.mu.Unlock()
 	if victim != nil {
-		s.resolveShed(victim)
+		for _, vt := range victim.tickets {
+			s.finish(vt, nil, ErrShed)
+		}
 	}
-	s.stats.admitted.Add(1)
 	s.signal()
 	return t, nil
 }
 
-// cacheGetLocked consults the result cache under the current epoch,
-// counting hits, misses, and lazily invalidated stale entries. Must be
-// called with s.mu held (the cache has its own lock; holding s.mu makes
-// lookup-then-coalesce atomic against completeSlot's install-then-retire).
-func (s *Server) cacheGetLocked(key queries.Key) ([]queries.Value, int64, bool) {
-	if s.cache == nil {
-		return nil, 0, false
+// validate rejects a submission the server cannot evaluate: no kernel, a
+// source past the graph, an unknown tier, or an already-done context.
+func (s *Server) validate(ctx context.Context, q queries.Query, opt SubmitOptions) error {
+	switch {
+	case q.Kernel == nil:
+		return fmt.Errorf("serve: query has no kernel")
+	case int(q.Source) >= s.g.NumVertices():
+		return fmt.Errorf("serve: source v%d out of range (n=%d)", q.Source, s.g.NumVertices())
+	case opt.Tier < TierLow || opt.Tier > TierHigh:
+		return fmt.Errorf("serve: invalid tier %d", opt.Tier)
 	}
-	vals, epoch, ok, stale := s.cache.get(key, s.epoch.Load())
-	if stale {
-		s.stats.cacheInvalidations.Add(1)
-	}
-	if ok {
-		s.stats.cacheHits.Add(1)
-	} else {
-		s.stats.cacheMisses.Add(1)
-	}
-	return vals, epoch, ok
-}
-
-// cachePut installs a freshly computed result for the given epoch.
-func (s *Server) cachePut(key queries.Key, vals []queries.Value, epoch int64) {
-	if s.cache == nil {
-		return
-	}
-	if s.cache.put(key, vals, epoch) {
-		s.stats.cacheEvictions.Add(1)
-	}
+	return ctx.Err()
 }
 
 // Epoch returns the server's current data epoch.
 func (s *Server) Epoch() int64 { return s.epoch.Load() }
 
-// BumpEpoch advances the server's data epoch and returns the new value.
-// The hook for graph mutation layers: after a bump, every cache entry
-// computed at an older epoch is dropped on its next lookup instead of being
-// served, and pending/in-flight slots stop accepting coalesced joiners —
-// queries admitted at different epochs never share a result. Slots already
-// admitted still execute and answer their existing waiters (with the epoch
-// their result was computed at), but a result whose execution overlapped a
-// bump is not cached.
-func (s *Server) BumpEpoch() int64 {
-	e := s.epoch.Add(1)
-	s.mu.Lock()
-	if len(s.inflight) > 0 {
-		s.inflight = make(map[queries.Key]*slot)
-	}
-	s.mu.Unlock()
-	return e
-}
+// BumpEpoch advances the server's data epoch and returns the new value; it
+// takes no lock. The hook for graph mutation layers: a key-table entry of
+// an older epoch is never served or joined again — a cached result is
+// dropped on its next lookup, and a pending slot stops accepting coalesced
+// joiners — so queries admitted at different epochs never share a result.
+// Slots already admitted still execute and answer their existing waiters
+// (with the epoch their result was computed at), but a result whose
+// execution overlapped a bump is not cached.
+func (s *Server) BumpEpoch() int64 { return s.epoch.Add(1) }
 
 // signal nudges the serving loop (capacity-1 channel: a pending nudge
 // already covers any number of queued events, since the loop waits only
@@ -444,7 +409,7 @@ func (s *Server) loop() {
 		s.mu.Lock()
 		// flushes counts the take by its trigger: the engine was idle
 		// (window_flushes), the size cap, or the shutdown drain.
-		take, flushes := s.queue, &s.stats.windowFlushes
+		take, flushes := s.queue, &s.stats.WindowFlushes
 		switch {
 		case len(s.queue) >= s.cfg.BatchSize:
 			if s.affinityRank && len(s.queue) > s.cfg.BatchSize {
@@ -452,14 +417,17 @@ func (s *Server) loop() {
 			}
 			take = append([]*slot(nil), s.queue[:s.cfg.BatchSize]...)
 			s.queue = append(s.queue[:0], s.queue[s.cfg.BatchSize:]...)
-			flushes = &s.stats.sizeFlushes
+			flushes = &s.stats.SizeFlushes
 		case s.closed:
 			s.queue = nil
-			flushes = &s.stats.drainFlushes
+			flushes = &s.stats.DrainFlushes
 		default:
 			s.queue = nil
 		}
 		closed := s.closed
+		if len(take) > 0 {
+			*flushes++
+		}
 		s.mu.Unlock()
 		if len(take) == 0 {
 			if closed {
@@ -468,7 +436,6 @@ func (s *Server) loop() {
 			<-s.wake
 			continue
 		}
-		flushes.Add(1)
 		s.flush(take)
 	}
 }
@@ -514,8 +481,8 @@ func (s *Server) finish(t *Ticket, vals []queries.Value, err error) {
 // runBatch evaluates one batch on the plan's engine with the exact offline
 // semantics: the plan's batch options (alignment vectors when the method is
 // aligned), per-iteration telemetry into the server's run trace. Each slot's
-// result is installed into the cache (unless an epoch bump overlapped the
-// execution) and fanned out to all its waiters.
+// result is fanned out to all its waiters and kept as the key's cached result
+// unless an epoch bump overlapped the execution (completeSlot).
 func (s *Server) runBatch(slots []*slot) {
 	qs := make([]queries.Query, len(slots))
 	seqs := make([]int, len(slots))
@@ -530,68 +497,40 @@ func (s *Server) runBatch(slots []*slot) {
 	start := s.clk.Now()
 	br, err := s.plan.Engine.Run(s.g, qs, opt)
 	bt.Finish(s.clk.Now().Sub(start))
-	s.stats.ranBatches.Add(1)
+	s.mu.Lock()
+	s.stats.Batches++
 	s.occupancy.Observe(int64(len(qs)))
+	s.mu.Unlock()
 	if err != nil {
 		for _, sl := range slots {
 			s.completeSlot(sl, nil, -1, fmt.Errorf("serve: batch failed: %w", err))
 		}
 	} else {
-		// A bump during execution means the values belong to a retired
-		// epoch: still correct answers for the waiters that asked under it,
-		// but never cached (lookups compare entry epoch to the live one, so
-		// even a racing insert could not be served stale).
-		fresh := s.epoch.Load() == epoch
 		// Fresh vectors, the cache's and the waiters' from here on; the value
 		// array they were read from goes back for the next batch.
 		all := br.AllQueryValues(s.cfg.Pool, s.cfg.Workers)
 		br.Release()
 		for i, sl := range slots {
-			vals := all[i]
-			if fresh {
-				s.cachePut(sl.key, vals, epoch)
-			}
-			s.completeSlot(sl, vals, epoch, nil)
+			s.completeSlot(sl, all[i], epoch, nil)
 		}
 	}
 	s.observeServing()
 }
 
-// Stats builds the current serving metrics snapshot.
+// Stats builds the current serving metrics snapshot. It is taken under the
+// lock every counter moves under, so every snapshot is consistent
+// (SERVING.md §8).
 func (s *Server) Stats() *telemetry.ServingMetrics {
 	s.mu.Lock()
-	depth := len(s.queue)
-	s.mu.Unlock()
-	shedByTier := make([]int64, NumTiers)
-	for i := range shedByTier {
-		shedByTier[i] = s.stats.shedByTier[i].Load()
-	}
-	return &telemetry.ServingMetrics{
-		Submitted:          s.stats.submitted.Load(),
-		Admitted:           s.stats.admitted.Load(),
-		RejectedFull:       s.stats.rejectedFull.Load(),
-		RejectedClosed:     s.stats.rejectedClosed.Load(),
-		Canceled:           s.stats.canceled.Load(),
-		DeadlineMisses:     s.stats.deadlineMisses.Load(),
-		Completed:          s.stats.completed.Load(),
-		Batches:            s.stats.ranBatches.Load(),
-		WindowFlushes:      s.stats.windowFlushes.Load(),
-		SizeFlushes:        s.stats.sizeFlushes.Load(),
-		DrainFlushes:       s.stats.drainFlushes.Load(),
-		QueueDepth:         int64(depth),
-		Epoch:              s.epoch.Load(),
-		CacheHits:          s.stats.cacheHits.Load(),
-		CacheMisses:        s.stats.cacheMisses.Load(),
-		CacheEvictions:     s.stats.cacheEvictions.Load(),
-		CacheInvalidations: s.stats.cacheInvalidations.Load(),
-		CacheSize:          int64(s.cache.len()),
-		DedupCoalesced:     s.stats.dedupCoalesced.Load(),
-		AdmissionReorders:  s.stats.admissionReorders.Load(),
-		Shed:               s.stats.shed.Load(),
-		ShedByTier:         shedByTier,
-		AdmissionWaitNs:    s.admissionWait.Snapshot(),
-		BatchOccupancy:     s.occupancy.Snapshot(),
-	}
+	defer s.mu.Unlock()
+	m := s.stats
+	m.ShedByTier = append([]int64(nil), s.stats.ShedByTier...)
+	m.QueueDepth = int64(len(s.queue))
+	m.Epoch = s.epoch.Load()
+	m.CacheSize = int64(s.keys.lru.Len())
+	m.AdmissionWaitNs = s.admissionWait.Snapshot()
+	m.BatchOccupancy = s.occupancy.Snapshot()
+	return &m
 }
 
 // observeServing refreshes the collector's serving section (after every

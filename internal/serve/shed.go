@@ -59,10 +59,10 @@ func TierByName(name string) (Tier, error) {
 	return TierNormal, fmt.Errorf("serve: unknown priority tier %q (low, normal, high)", name)
 }
 
-// shedLocked picks, removes, and returns the shed victim for an arriving
-// query of the given tier, or nil when nothing sheddable is queued. Must be
-// called with s.mu held; the caller completes the victim's tickets with
-// ErrShed after unlocking (resolveShed).
+// shedLocked picks, removes, counts and returns the shed victim for an
+// arriving query of the given tier, or nil when nothing sheddable is queued.
+// Must be called with s.mu held; the caller completes the victim's tickets
+// with ErrShed after unlocking.
 //
 // Victim policy: only slots still on the admission queue are sheddable —
 // slots in a running batch are already committed. Among sheddable slots
@@ -85,20 +85,8 @@ func (s *Server) shedLocked(incoming Tier) *slot {
 	}
 	sl := s.queue[victim]
 	s.queue = append(s.queue[:victim], s.queue[victim+1:]...)
-	sl.done = true
-	if s.inflight[sl.key] == sl {
-		delete(s.inflight, sl.key)
-	}
+	s.keys.retire(sl, nil, 0)
+	s.stats.Shed++
+	s.stats.ShedByTier[tierIndex(sl.tier)]++
 	return sl
-}
-
-// resolveShed completes every waiter of a shed slot with ErrShed and
-// attributes the shed to the victim's tier.
-func (s *Server) resolveShed(sl *slot) {
-	s.stats.shed.Add(1)
-	s.stats.shedByTier[tierIndex(sl.tier)].Add(1)
-	for _, t := range sl.tickets {
-		s.finish(t, nil, ErrShed)
-	}
-	sl.tickets = nil
 }

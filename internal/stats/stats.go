@@ -55,16 +55,6 @@ type Table struct {
 // AddRow appends a row of cells.
 func (t *Table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
 
-// AddRowF appends a row formatting each value with the given verb (e.g.
-// "%.2f"); strings pass through unchanged.
-func (t *Table) AddRowF(label string, verb string, vals ...float64) {
-	cells := []string{label}
-	for _, v := range vals {
-		cells = append(cells, fmt.Sprintf(verb, v))
-	}
-	t.Rows = append(t.Rows, cells)
-}
-
 // String renders the table.
 func (t *Table) String() string {
 	var b strings.Builder

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -72,7 +73,7 @@ func TestQuickGeomeanBetweenMinAndMax(t *testing.T) {
 func TestTableRendering(t *testing.T) {
 	tb := &Table{Title: "Demo", Header: []string{"graph", "x", "y"}}
 	tb.AddRow("LJ", "1.0", "2.0")
-	tb.AddRowF("TW", "%.2f", 3.14159, 2.71828)
+	tb.AddRow("TW", fmt.Sprintf("%.2f", 3.14159), fmt.Sprintf("%.2f", 2.71828))
 	s := tb.String()
 	for _, want := range []string{"== Demo ==", "graph", "LJ", "3.14", "2.72", "---"} {
 		if !strings.Contains(s, want) {

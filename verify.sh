@@ -87,9 +87,20 @@ rm -rf "$tmp"
 leg telemetry "serve e2e telemetry archive"
 # Re-run the deterministic serving session with its telemetry snapshot
 # archived under results/ — the `serving` section SERVING.md §8 audits.
+# The session is deterministic, so the snapshot must regenerate exactly as
+# committed: a difference fails the leg until it is re-committed on purpose.
+tmp=$(mktemp -d)
+cp results/serve-telemetry.json "$tmp/committed.json"
 GLIGN_SERVE_TELEMETRY_OUT="$PWD/results/serve-telemetry.json" \
     go test ./internal/serve/ -run TestServeEndToEndSession -count=1
 test -s results/serve-telemetry.json
+if ! diff -u "$tmp/committed.json" results/serve-telemetry.json; then
+    rm -rf "$tmp"
+    echo "verify: results/serve-telemetry.json differs from the committed file (diff above);" \
+        "if the change is intended, review it and commit the regenerated file" >&2
+    exit 1
+fi
+rm -rf "$tmp"
 
 leg oracle "benchmark-validity oracle"
 # Certify every kernel (monotone + convergence) x {Glign, Ligra-S} x both

@@ -184,25 +184,30 @@ func referenceHops(g *graph.Graph, src graph.VertexID) []int32 {
 // The profile's hub BFS (paper Figure 9 line 5) on the Figure 3 graph: from
 // v1, every vertex's BFS level (v1 itself 0, v8 four hops out); from v2, v1 —
 // which has no in-edges — unreachable. On random graphs, directed or not, at
-// one worker and at four, it finds the oracle's hops.
+// one worker and at four, each of a batch of sources gets the oracle's hops.
 func TestLeastHopsMatchReference(t *testing.T) {
 	g := graph.PaperExample()
-	if got, want := leastHops(g, 0, 1), []int32{0, 3, 1, 2, 2, 2, 2, 4, 3}; !slices.Equal(got, want) {
-		t.Fatalf("hops from v1 = %v, want %v", got, want)
+	hops := leastHops(g, []graph.VertexID{0, 1}, 1)
+	if want := []int32{0, 3, 1, 2, 2, 2, 2, 4, 3}; !slices.Equal(hops[0], want) {
+		t.Fatalf("hops from v1 = %v, want %v", hops[0], want)
 	}
-	if got := leastHops(g, 1, 1); got[0] != -1 {
-		t.Fatalf("hops[v1] from v2 = %d, want -1", got[0])
+	if hops[1][0] != -1 {
+		t.Fatalf("hops[v1] from v2 = %d, want -1", hops[1][0])
 	}
 	rng := rand.New(rand.NewSource(24))
 	for trial := 0; trial < 4; trial++ {
 		cfg := graph.DefaultRMAT(8, 4, int64(700+trial))
 		cfg.Directed = trial%2 == 0
 		g := graph.GenerateRMAT(cfg)
-		src := graph.VertexID(rng.Intn(g.NumVertices()))
-		want := referenceHops(g, src)
+		srcs := make([]graph.VertexID, 1+trial)
+		for i := range srcs {
+			srcs[i] = graph.VertexID(rng.Intn(g.NumVertices()))
+		}
 		for _, workers := range []int{1, 4} {
-			if got := leastHops(g, src, workers); !slices.Equal(got, want) {
-				t.Fatalf("trial %d, %d workers: hops from v%d differ from the oracle's", trial, workers, src)
+			for i, got := range leastHops(g, srcs, workers) {
+				if !slices.Equal(got, referenceHops(g, srcs[i])) {
+					t.Fatalf("trial %d, %d workers: hops from v%d differ from the oracle's", trial, workers, srcs[i])
+				}
 			}
 		}
 	}

@@ -49,10 +49,7 @@ func NewProfile(g *graph.Graph, k, workers int) *Profile {
 		rev = g.Reverse()
 	}
 	n := g.NumVertices()
-	p.LeastHops = make([][]int32, len(p.Hubs))
-	for hi, h := range p.Hubs {
-		p.LeastHops[hi] = leastHops(rev, h, workers)
-	}
+	p.LeastHops = leastHops(rev, p.Hubs, workers)
 	p.ClosestHV = make([]int32, n)
 	for v := 0; v < n; v++ {
 		best := int32(-1)
@@ -67,18 +64,31 @@ func NewProfile(g *graph.Graph, k, workers int) *Profile {
 	return p
 }
 
-// leastHops is paper Figure 9 line 5's bfs: the hop count from hub to every
-// vertex of rev — to the hub, on the graph rev reverses — as int32, -1 where
-// there is no path. It is a one-query BFS batch on Glign-Intra.
-func leastHops(rev *graph.Graph, hub graph.VertexID, workers int) []int32 {
-	// A one-query monotone batch from a vertex of rev cannot be refused.
-	res, _ := core.GlignIntra.Run(rev, []queries.Query{{Kernel: queries.BFS, Source: hub}}, core.Options{Workers: workers})
-	hops := make([]int32, res.N)
+// leastHops is paper Figure 9 line 5's bfs from every hub: the hop count
+// from hubs[h] to every vertex of rev — to the hub, on the graph rev
+// reverses — as int32, -1 where there is no path. The hubs' BFSes are one
+// len(hubs)-lane batch on Glign-Intra, so they share every edge pass.
+func leastHops(rev *graph.Graph, hubs []graph.VertexID, workers int) [][]int32 {
+	hops := make([][]int32, len(hubs))
+	if len(hubs) == 0 {
+		return hops
+	}
+	batch := make([]queries.Query, len(hubs))
+	for i, h := range hubs {
+		batch[i] = queries.Query{Kernel: queries.BFS, Source: h}
+	}
+	// A monotone batch from vertices of rev cannot be refused.
+	res, _ := core.GlignIntra.Run(rev, batch, core.Options{Workers: workers})
+	for i := range hops {
+		hops[i] = make([]int32, res.N)
+	}
 	par.For(res.N, workers, 0, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
-			hops[v] = -1
-			if d := res.Value(0, graph.VertexID(v)); d != queries.BFS.Identity() {
-				hops[v] = int32(d)
+			for i := range hops {
+				hops[i][v] = -1
+				if d := res.Value(i, graph.VertexID(v)); d != queries.BFS.Identity() {
+					hops[i][v] = int32(d)
+				}
 			}
 		}
 	})

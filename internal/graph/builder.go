@@ -2,7 +2,8 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 )
 
 // Edge is a single directed, optionally weighted edge used while building a
@@ -46,71 +47,82 @@ func (b *Builder) AddEdge(u, v VertexID, w Weight) {
 // kernel computes the same fixed point as with multi-edges); self-loops are
 // dropped. Neighbor lists are sorted by target id for deterministic
 // traversal order.
+//
+// The arcs are laid out by a counting sort on the source, which is the CSR
+// layout itself, and each source's arcs are then sorted by (target, weight):
+// the order a comparison sort of all arcs by (source, target, weight) gives,
+// in time linear in the arcs plus the per-source sorts.
 func (b *Builder) Build() (*Graph, error) {
-	edges := b.edges
-	if !b.directed {
-		sym := make([]Edge, 0, 2*len(edges))
-		for _, e := range edges {
-			sym = append(sym, e, Edge{Src: e.Dst, Dst: e.Src, W: e.W})
-		}
-		edges = sym
-	}
-	for i := range edges {
-		e := &edges[i]
+	// Check every edge and count each source's arcs: an undirected edge
+	// contributes the mirrored arc too, a self-loop nothing.
+	offsets := make([]uint32, b.n+1)
+	for _, e := range b.edges {
 		if int(e.Src) >= b.n || int(e.Dst) >= b.n {
 			return nil, fmt.Errorf("graph: edge (%d,%d) out of range for n=%d", e.Src, e.Dst, b.n)
 		}
-		if e.W == 0 {
-			e.W = 1
+		if w := normWeight(e.W); !(w >= 1) {
+			return nil, fmt.Errorf("graph: edge (%d,%d) weight %v, want >= 1", e.Src, e.Dst, w)
 		}
-		if !(e.W >= 1) {
-			return nil, fmt.Errorf("graph: edge (%d,%d) weight %v, want >= 1", e.Src, e.Dst, e.W)
-		}
-	}
-	// Drop self loops.
-	filtered := edges[:0]
-	for _, e := range edges {
-		if e.Src != e.Dst {
-			filtered = append(filtered, e)
-		}
-	}
-	edges = filtered
-
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].Src != edges[j].Src {
-			return edges[i].Src < edges[j].Src
-		}
-		if edges[i].Dst != edges[j].Dst {
-			return edges[i].Dst < edges[j].Dst
-		}
-		return edges[i].W < edges[j].W
-	})
-	// Deduplicate (src,dst), keeping the first (smallest weight).
-	dedup := edges[:0]
-	for i, e := range edges {
-		if i > 0 && e.Src == edges[i-1].Src && e.Dst == edges[i-1].Dst {
+		if e.Src == e.Dst {
 			continue
 		}
-		dedup = append(dedup, e)
-	}
-	edges = dedup
-
-	offsets := make([]uint32, b.n+1)
-	for _, e := range edges {
 		offsets[e.Src+1]++
+		if !b.directed {
+			offsets[e.Dst+1]++
+		}
 	}
 	for i := 1; i <= b.n; i++ {
 		offsets[i] += offsets[i-1]
 	}
-	targets := make([]VertexID, len(edges))
+	// Scatter each arc into its source's range as one key that sorts by
+	// (target, weight): the target in the high word, the weight's bits in
+	// the low one, which order like the weights themselves since every
+	// weight is positive.
+	keys := make([]uint64, offsets[b.n])
+	next := append([]uint32(nil), offsets[:b.n]...)
+	place := func(src, dst VertexID, w Weight) {
+		keys[next[src]] = uint64(dst)<<32 | uint64(math.Float32bits(w))
+		next[src]++
+	}
+	for _, e := range b.edges {
+		if e.Src == e.Dst {
+			continue
+		}
+		w := normWeight(e.W)
+		place(e.Src, e.Dst, w)
+		if !b.directed {
+			place(e.Dst, e.Src, w)
+		}
+	}
+	// Sort each source's arcs and keep the first arc to each target, the
+	// smallest-weight one, compacting the kept keys to the front of keys
+	// and rewriting offsets to the kept ranges.
+	kept := uint32(0)
+	for v := 0; v < b.n; v++ {
+		lo, hi := offsets[v], offsets[v+1]
+		offsets[v] = kept
+		arcs := keys[lo:hi]
+		slices.Sort(arcs)
+		for i, k := range arcs {
+			if i > 0 && k>>32 == arcs[i-1]>>32 {
+				continue
+			}
+			keys[kept] = k
+			kept++
+		}
+	}
+	offsets[b.n] = kept
+	keys = keys[:kept]
+
+	targets := make([]VertexID, len(keys))
 	var weights []Weight
 	if b.weighted {
-		weights = make([]Weight, len(edges))
+		weights = make([]Weight, len(keys))
 	}
-	for i, e := range edges {
-		targets[i] = e.Dst
+	for i, k := range keys {
+		targets[i] = VertexID(k >> 32)
 		if b.weighted {
-			weights[i] = e.W
+			weights[i] = math.Float32frombits(uint32(k))
 		}
 	}
 	g := &Graph{
@@ -124,6 +136,14 @@ func (b *Builder) Build() (*Graph, error) {
 		return nil, err
 	}
 	return g, nil
+}
+
+// normWeight is the weight Build stores for w: 0 (unset) becomes 1.
+func normWeight(w Weight) Weight {
+	if w == 0 {
+		return 1
+	}
+	return w
 }
 
 // MustBuild is Build that panics on error, for tests and generators whose

@@ -3,6 +3,8 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -173,5 +175,86 @@ func TestFromEdges(t *testing.T) {
 	}
 	if g.NumEdges() != 2 {
 		t.Fatalf("|E| = %d, want 2", g.NumEdges())
+	}
+}
+
+// sortBuild is the comparison-sort build Build's counting sort replaces:
+// symmetrize, normalize the unset weight, drop self-loops, sort every arc by
+// (source, target, weight), keep each (source, target)'s first arc and lay
+// the survivors out as CSR.
+func sortBuild(n int, directed, weighted bool, in []Edge) *Graph {
+	var edges []Edge
+	for _, e := range in {
+		e.W = normWeight(e.W)
+		if e.Src == e.Dst {
+			continue
+		}
+		edges = append(edges, e)
+		if !directed {
+			edges = append(edges, Edge{Src: e.Dst, Dst: e.Src, W: e.W})
+		}
+	}
+	sort.Slice(edges, func(i, j int) bool {
+		a, b := edges[i], edges[j]
+		if a.Src != b.Src {
+			return a.Src < b.Src
+		}
+		if a.Dst != b.Dst {
+			return a.Dst < b.Dst
+		}
+		return a.W < b.W
+	})
+	g := &Graph{Offsets: make([]uint32, n+1), Directed: directed}
+	for i, e := range edges {
+		if i > 0 && e.Src == edges[i-1].Src && e.Dst == edges[i-1].Dst {
+			continue
+		}
+		g.Offsets[e.Src+1]++
+		g.Targets = append(g.Targets, e.Dst)
+		if weighted {
+			g.Weights = append(g.Weights, e.W)
+		}
+	}
+	for v := 1; v <= n; v++ {
+		g.Offsets[v] += g.Offsets[v-1]
+	}
+	if g.Targets == nil {
+		g.Targets = []VertexID{}
+		if weighted {
+			g.Weights = []Weight{}
+		}
+	}
+	return g
+}
+
+// TestBuildMatchesSortReference holds Build's counting sort to the
+// comparison sort on random edge lists dense in duplicates (same and
+// different weights), self-loops and unset weights, directed and
+// symmetrized, weighted and not.
+func TestBuildMatchesSortReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	weights := []Weight{0, 1, 1.5, 2, 3, 7, 64}
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + rng.Intn(24)
+		directed, weighted := rng.Intn(2) == 0, rng.Intn(2) == 0
+		edges := make([]Edge, rng.Intn(6*n))
+		for i := range edges {
+			edges[i] = Edge{
+				Src: VertexID(rng.Intn(n)),
+				Dst: VertexID(rng.Intn(n)),
+				W:   weights[rng.Intn(len(weights))],
+			}
+		}
+		got, err := FromEdges(n, directed, weighted, edges)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		want := sortBuild(n, directed, weighted, edges)
+		if !slices.Equal(got.Offsets, want.Offsets) || !slices.Equal(got.Targets, want.Targets) ||
+			!slices.Equal(got.Weights, want.Weights) || (got.Weights == nil) != (want.Weights == nil) {
+			t.Fatalf("trial %d (n=%d directed=%v weighted=%v, edges %v):\ngot  %v %v %v\nwant %v %v %v",
+				trial, n, directed, weighted, edges,
+				got.Offsets, got.Targets, got.Weights, want.Offsets, want.Targets, want.Weights)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package graph
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // VertexID identifies a vertex. Vertices are densely numbered from 0.
@@ -107,18 +106,25 @@ func (g *Graph) TopOutDegreeVertices(k int) []VertexID {
 	if k <= 0 {
 		return nil
 	}
-	ids := make([]VertexID, n)
-	for i := range ids {
-		ids[i] = VertexID(i)
-	}
-	sort.Slice(ids, func(a, b int) bool {
-		da, db := g.OutDegree(ids[a]), g.OutDegree(ids[b])
-		if da != db {
-			return da > db
+	// top is the best k so far in order. A vertex enters only with a degree
+	// above the k-th's, and behind every equal degree: those have lower ids.
+	top := make([]VertexID, 0, k)
+	for v := 0; v < n; v++ {
+		d := g.OutDegree(VertexID(v))
+		if len(top) == k {
+			if d <= g.OutDegree(top[k-1]) {
+				continue
+			}
+		} else {
+			top = append(top, 0)
 		}
-		return ids[a] < ids[b]
-	})
-	return append([]VertexID(nil), ids[:k]...)
+		i := len(top) - 1
+		for ; i > 0 && g.OutDegree(top[i-1]) < d; i-- {
+			top[i] = top[i-1]
+		}
+		top[i] = VertexID(v)
+	}
+	return top
 }
 
 // Reverse returns the edge-reversed graph: an edge u->v becomes v->u,

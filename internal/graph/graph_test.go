@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -155,6 +156,25 @@ func TestTopOutDegreeVertices(t *testing.T) {
 	}
 	if got := g.TopOutDegreeVertices(0); got != nil {
 		t.Fatalf("k=0 should be nil, got %v", got)
+	}
+}
+
+// TestTopOutDegreeVerticesMatchesSort holds the k-bounded selection to the
+// first k of all ids sorted by degree descending, then id ascending, on
+// graphs with many tied degrees.
+func TestTopOutDegreeVerticesMatchesSort(t *testing.T) {
+	for _, g := range []*Graph{PaperExample(), MustGenerate(LJ, Tiny), MustGenerate(RDCA, Tiny)} {
+		ids := make([]VertexID, g.NumVertices())
+		for i := range ids {
+			ids[i] = VertexID(i)
+		}
+		sort.SliceStable(ids, func(a, b int) bool { return g.OutDegree(ids[a]) > g.OutDegree(ids[b]) })
+		for _, k := range []int{1, 2, 4, 7, 16, 64} {
+			want := ids[:min(k, len(ids))]
+			if got := g.TopOutDegreeVertices(k); !slices.Equal(got, want) {
+				t.Fatalf("%s k=%d: %v, want %v", g.Name, k, got, want)
+			}
+		}
 	}
 }
 

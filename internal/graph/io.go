@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -131,14 +132,14 @@ func WriteBinary(w io.Writer, g *Graph) error {
 }
 
 // ReadBinary reads a graph written by WriteBinary, rejecting weights that
-// are not >= 1 like ReadEdgeList.
+// are not >= 1 like ReadEdgeList. It does not trust the header's lengths: a
+// file shorter than its header claims fails with io.ErrUnexpectedEOF having
+// allocated no more than the payload it carries, plus one read chunk.
 func ReadBinary(r io.Reader) (*Graph, error) {
 	br := bufio.NewReader(r)
 	var hdr [4]uint32
-	for i := range hdr {
-		if err := binary.Read(br, binary.LittleEndian, &hdr[i]); err != nil {
-			return nil, err
-		}
+	if err := binary.Read(br, binary.LittleEndian, hdr[:]); err != nil {
+		return nil, err
 	}
 	if hdr[0] != binaryMagic {
 		return nil, fmt.Errorf("graph: bad magic %#x", hdr[0])
@@ -148,25 +149,20 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	if err := binary.Read(br, binary.LittleEndian, &nameLen); err != nil {
 		return nil, err
 	}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(br, name); err != nil {
+	name, err := readChunked(br, int(nameLen), 1, func(b []byte) byte { return b[0] })
+	if err != nil {
 		return nil, err
 	}
-	g := &Graph{
-		Offsets:  make([]uint32, n+1),
-		Targets:  make([]VertexID, m),
-		Directed: flags&1 != 0,
-		Name:     string(name),
-	}
-	if err := binary.Read(br, binary.LittleEndian, g.Offsets); err != nil {
+	g := &Graph{Directed: flags&1 != 0, Name: string(name)}
+	if g.Offsets, err = readChunked(br, n+1, 4, binary.LittleEndian.Uint32); err != nil {
 		return nil, err
 	}
-	if err := binary.Read(br, binary.LittleEndian, g.Targets); err != nil {
+	if g.Targets, err = readChunked(br, m, 4, binary.LittleEndian.Uint32); err != nil {
 		return nil, err
 	}
 	if flags&2 != 0 {
-		g.Weights = make([]Weight, m)
-		if err := binary.Read(br, binary.LittleEndian, g.Weights); err != nil {
+		weight := func(b []byte) Weight { return math.Float32frombits(binary.LittleEndian.Uint32(b)) }
+		if g.Weights, err = readChunked(br, m, 4, weight); err != nil {
 			return nil, err
 		}
 		for i, w := range g.Weights {
@@ -179,6 +175,31 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 		return nil, err
 	}
 	return g, nil
+}
+
+// readChunk is the most bytes readChunked reads at once.
+const readChunk = 64 << 10
+
+// readChunked reads count values of size bytes each from r, decoding each
+// with decode, a chunk at a time, so the slice it returns grows only with
+// the bytes r actually delivered: a count larger than the input fails with
+// io.ErrUnexpectedEOF before it can allocate for the whole count.
+func readChunked[T any](r io.Reader, count, size int, decode func([]byte) T) ([]T, error) {
+	buf := make([]byte, min(count*size, readChunk))
+	out := make([]T, 0, min(count, readChunk/size))
+	for len(out) < count {
+		chunk := buf[:min(count-len(out), readChunk/size)*size]
+		if _, err := io.ReadFull(r, chunk); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		for i := 0; i < len(chunk); i += size {
+			out = append(out, decode(chunk[i:i+size]))
+		}
+	}
+	return out, nil
 }
 
 // LoadFile loads a graph from path, dispatching on extension: ".bin" uses

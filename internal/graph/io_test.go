@@ -2,7 +2,11 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -150,6 +154,37 @@ func TestLoadersEnforceWeightContract(t *testing.T) {
 func TestReadBinaryBadMagic(t *testing.T) {
 	if _, err := ReadBinary(bytes.NewReader(make([]byte, 64))); err == nil {
 		t.Fatal("bad magic accepted")
+	}
+}
+
+// hugeHeader is a binary header that claims 1<<26 vertices and edges of a
+// weighted graph and carries nothing after it.
+func hugeHeader() []byte {
+	b := make([]byte, 20)
+	for i, x := range []uint32{binaryMagic, 2, 1 << 26, 1 << 26, 0} {
+		binary.LittleEndian.PutUint32(b[4*i:], x)
+	}
+	return b
+}
+
+// TestReadBinaryDistrustsHeader holds ReadBinary to allocating with its
+// input, not its header: a header claiming 1<<26 vertices (256 MB of
+// offsets) with no payload is rejected as a short file with less than 1 MB
+// allocated, and so is a name length of 1<<32-1 with no name.
+func TestReadBinaryDistrustsHeader(t *testing.T) {
+	longName := hugeHeader()[:16]
+	longName = binary.LittleEndian.AppendUint32(longName, 1<<32-1)
+	for name, data := range map[string][]byte{"vertices": hugeHeader(), "name": longName} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadBinary(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("%s: err = %v, want io.ErrUnexpectedEOF", name, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Errorf("%s: ReadBinary allocated %d bytes for a %d-byte input", name, grew, len(data))
+		}
 	}
 }
 

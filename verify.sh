@@ -125,7 +125,7 @@ fi
 
 leg race "go test -race (concurrent packages)"
 # Every package that runs a par worker (align, baselines, core, frontier,
-# sched), since a worker writes shared state only through the monotone
+# graph, sched), since a worker writes shared state only through the monotone
 # atomic relaxation and a captured write shows up here as a race; and every
 # other package with worker-pool or CAS concurrency (par, queries, serve,
 # telemetry). That covers the internal/core stress test (concurrent batches
@@ -136,8 +136,13 @@ leg race "go test -race (concurrent packages)"
 # (internal/align), the live serving loop's deterministic-clock suite
 # (internal/serve, now including the convergence/KHop e2e), and glign-serve's
 # HTTP handlers (cmd/glign-serve), which drive a live server from handler
-# goroutines. The goroutine leak tests of par, core and serve run here too.
+# goroutines. The goroutine leak tests of par, core, serve and graph run here
+# too.
 # internal/engine is a serial oracle and has no concurrency of its own.
+# internal/graph runs with -short in a call of its own: its R-MAT generator
+# converts the random stream to edges on par workers while a goroutine of
+# its own draws the stream, which every Tiny graph and its leak test drive;
+# the pinned hashes of the larger graphs stay in the go test leg.
 go test -race \
     ./cmd/glign-serve/ \
     ./internal/align/ \
@@ -149,6 +154,7 @@ go test -race \
     ./internal/sched/ \
     ./internal/serve/ \
     ./internal/telemetry/
+go test -race -short ./internal/graph/
 # The facade's one concurrency contract: Run from several goroutines on one
 # Runtime (shared lazily built profile, shared batch arena), oracle-checked.
 go test -race -run 'TestRuntimeConcurrentRuns' .

@@ -158,28 +158,6 @@ func BenchmarkParFor(b *testing.B) {
 	}
 }
 
-func BenchmarkParForReduce(b *testing.B) {
-	data, _ := parBenchData()
-	var sink float64
-	for _, w := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("pool/w%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sink = par.ForReduce(nil, parBenchN, w, 0, 0.0,
-					func(lo, hi int, acc float64) float64 {
-						for j := lo; j < hi; j++ {
-							acc += data[j]
-						}
-						return acc
-					},
-					func(a, b float64) float64 { return a + b })
-			}
-		})
-	}
-	if sink == 0 {
-		b.Fatal("fold produced zero")
-	}
-}
-
 // Cache-simulator microbenchmark: touches/sec on a streaming pattern.
 func BenchmarkCacheSimStream(b *testing.B) {
 	c := cachesim.New(cachesim.DefaultLLC())

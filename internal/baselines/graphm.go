@@ -107,7 +107,7 @@ func visit(parts [][2]int, active [][]graph.VertexID, job func(v graph.VertexID,
 	}
 }
 
-func (p *graphmPolicy) stream(plo, phi int) (c core.Counts) {
+func (p *graphmPolicy) stream(_, plo, phi int) (c core.Counts) {
 	st := p.st
 	visit(p.parts[plo:phi], p.active, func(v graph.VertexID, lane int) {
 		sv := st.Vals.Get(st.Cell(int(v), lane))

@@ -23,8 +23,8 @@ import (
 //     engine, returned only by a batch that reached its fixed point (see
 //     laneMask), so the pair comes back empty with the member lists its
 //     frontiers grew;
-//   - the push workers' accumulators of the query-oblivious engine
-//     (scratches), empty after every batch.
+//   - the query-oblivious engine's push accumulators, one a pool slot
+//     (accumulators), empty after every batch.
 //
 // The zero Arena is empty and ready: nothing is allocated until a batch needs
 // it, and each structure stays at the largest size a batch has needed for as
@@ -39,7 +39,7 @@ type Arena struct {
 	vals  atomic.Pointer[queries.Values]
 	mask  atomic.Pointer[laneMask]     // all-zero over its whole capacity
 	pair  atomic.Pointer[frontierPair] // both empty
-	push  atomic.Pointer[scratches]
+	push  atomic.Pointer[accumulators]
 	slabs atomic.Pointer[jacobiSlabs]
 	geo   atomic.Pointer[jacobiGeometry]
 }
@@ -118,29 +118,37 @@ func (a *Arena) releaseFrontiers(p *frontierPair) {
 	}
 }
 
-// takeScratches returns scratches with no scratch made yet, on the arena's
-// accumulators resized to n vertices.
-func (a *Arena) takeScratches(n int) *scratches {
-	var s *scratches
+// accumulators are the query-oblivious engine's push accumulators, indexed
+// by pool slot: a slot's is nil until a batch's push on it makes it, and each
+// is empty between iterations.
+type accumulators []*frontier.Accumulator
+
+// takeAccumulators returns the arena's accumulators, resized to n vertices,
+// with room for slots of them.
+func (a *Arena) takeAccumulators(slots, n int) *accumulators {
+	var s *accumulators
 	if a != nil {
 		s = a.push.Swap(nil)
 	}
 	if s == nil {
-		return &scratches{}
+		s = new(accumulators)
 	}
-	for i, acc := range s.accs {
-		s.accs[i] = acc.Resized(n)
+	for i, acc := range *s {
+		if acc != nil {
+			(*s)[i] = acc.Resized(n)
+		}
+	}
+	for len(*s) < slots {
+		*s = append(*s, nil)
 	}
 	return s
 }
 
-// releaseScratches makes s's accumulators the ones the next takeScratches
-// finds, and lets its scratches go. Only scratches whose run's pushers were
-// all followed by an Advance may come back: their accumulators are empty.
-func (a *Arena) releaseScratches(s *scratches) {
+// releaseAccumulators makes s the accumulators the next takeAccumulators
+// finds. Only accumulators whose run's pushes were all followed by an Advance
+// may come back: they are empty.
+func (a *Arena) releaseAccumulators(s *accumulators) {
 	if a != nil {
-		clear(s.idle[:cap(s.idle)])
-		s.idle, s.made = s.idle[:0], 0
 		a.push.Store(s)
 	}
 }

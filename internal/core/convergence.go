@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sync"
 
 	"github.com/glign/glign/internal/graph"
 	"github.com/glign/glign/internal/par"
@@ -75,21 +74,23 @@ type jacobi struct {
 	// old and next are the previous round's cells and this round's, swapped
 	// between rounds: values, or a PageRank batch's shares (jacobiSlabs).
 	old, next []queries.Value
-	vals      []queries.Value // a PageRank batch's values; nil otherwise
-	scratch   sync.Pool       // of *jacobiScratch: one a worker for the run
+	vals      []queries.Value  // a PageRank batch's values; nil otherwise
+	scratch   []*jacobiScratch // a pool slot's, made on the slot's first chunk
 }
 
-// jacobiScratch is one worker's state in a round: a vertex's share sums (the
-// PageRank round), the in-neighbor values and out-degrees Step takes, and a
-// running max residual a lane — zero whenever the scratch is in the pool.
+// jacobiScratch is one pool slot's state in a round: a vertex's share sums
+// (the PageRank round), the in-neighbor values and out-degrees Step takes, and
+// what its chunks did — their work and a running max residual a lane — which
+// the round takes once they have joined.
 type jacobiScratch struct {
 	row   []queries.Value
 	nbrs  []queries.Value
 	degs  []int32
 	resid []float64
+	work  Counts
 }
 
-// newJacobiScratch makes a worker's scratch for b lanes and, when the batch
+// newJacobiScratch makes a slot's scratch for b lanes and, when the batch
 // runs Step, a gather of maxIn in-neighbors.
 func newJacobiScratch(b, maxIn int) *jacobiScratch {
 	return &jacobiScratch{
@@ -127,9 +128,9 @@ func runJacobi(g *graph.Graph, batch []queries.Query, opt Options, query int) (*
 	if fused {
 		round, gather = j.pagerank, 0
 	}
-	j.scratch.New = func() any { return newJacobiScratch(b, gather) }
 	pool := par.OrDefault(opt.Pool)
 	workers := opt.Workers
+	j.scratch = make([]*jacobiScratch, pool.Slots(workers))
 
 	// The slabs hold an earlier batch's rounds or zeros; the initial fill
 	// writes every cell a round reads, and every round every cell it writes.
@@ -159,25 +160,30 @@ func runJacobi(g *graph.Graph, batch []queries.Query, opt Options, query int) (*
 	}
 	sizes := make([]int, 0, iterCapHint(opt.MaxIterations))
 	roundResid := make([]float64, b)
-	var mu sync.Mutex
-	var work Counts // the round's, under mu
-	chunk := func(lo, hi int) {
-		s := j.scratch.Get().(*jacobiScratch)
-		defer j.scratch.Put(s)
-		c := round(s, lo, hi)
-		mu.Lock()
-		work.add(c)
-		for i, r := range s.resid {
-			roundResid[i] = queries.MaxResidual(roundResid[i], r)
-			s.resid[i] = 0
+	chunk := func(slot, lo, hi int) {
+		s := j.scratch[slot]
+		if s == nil {
+			s = newJacobiScratch(b, gather)
+			j.scratch[slot] = s
 		}
-		mu.Unlock()
+		s.work.add(round(s, lo, hi))
 	}
 	for iter := 0; j.running > 0; iter++ {
-		clear(roundResid)
-		work = Counts{}
 		sizes = append(sizes, n)
-		pool.For(n, workers, 0, chunk)
+		pool.ForSlots(n, workers, 0, chunk)
+		clear(roundResid)
+		var work Counts
+		for _, s := range j.scratch {
+			if s == nil {
+				continue
+			}
+			work.add(s.work)
+			s.work = Counts{}
+			for i, r := range s.resid {
+				roundResid[i] = queries.MaxResidual(roundResid[i], r)
+				s.resid[i] = 0
+			}
+		}
 		res.count(work)
 		j.old, j.next = j.next, j.old
 		res.GlobalIterations++

@@ -195,6 +195,9 @@ type BatchSetup struct {
 	// lane — so Drive walks a cursor instead of rescanning Alignment every
 	// iteration.
 	schedule []int
+	// slots bounds the pool slot of a Step's Body: the pool's
+	// Slots(Options.Workers).
+	slots int
 }
 
 // Cell returns the value-array index of vertex v, query lane i.
@@ -254,12 +257,14 @@ func PrepareBatch(g *graph.Graph, batch []queries.Query, opt Options) (*BatchSet
 	// an earlier batch's is filled over the pool, because on a large graph it
 	// is the batch's first cold pass (disjoint row blocks, published by the
 	// pool's join).
+	pool := par.OrDefault(opt.Pool)
+	st.slots = pool.Slots(opt.Workers)
 	st.arena = opt.Arena
 	if st.Vals = st.arena.spareValues(n * b); st.Vals == nil {
 		st.Vals = queries.Repeat(st.Identity, n)
 		return st, nil
 	}
-	par.OrDefault(opt.Pool).For(n, opt.Workers, 0, func(lo, hi int) {
+	pool.For(n, opt.Workers, 0, func(lo, hi int) {
 		st.Vals.FillRows(st.Identity, lo, hi)
 	})
 	return st, nil

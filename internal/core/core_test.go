@@ -26,7 +26,7 @@ func checkAgainstReference(t *testing.T, g *graph.Graph, batch []queries.Query, 
 	}
 	checkArenaMaskClean(t, opt.Arena)
 	checkArenaFrontiersClean(t, opt.Arena)
-	checkArenaScratchesClean(t, opt.Arena, g.NumVertices())
+	checkArenaAccumulatorsClean(t, opt.Arena, g.NumVertices())
 	for qi, q := range batch {
 		want := engine.ReferenceRun(g, q)
 		for v := 0; v < g.NumVertices(); v++ {

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync/atomic"
-
 	"github.com/glign/glign/internal/graph"
 	"github.com/glign/glign/internal/par"
 	"github.com/glign/glign/internal/queries"
@@ -18,10 +16,12 @@ type Counts struct {
 // Step is one global iteration as a policy hands it to Drive: the size of
 // the frontier entering it and the parallel loop — Body over [0, Total) in
 // chunks of Grain (0 = adaptive) — that relaxes it. Body runs concurrently on
-// disjoint ranges and returns each range's work.
+// disjoint ranges and returns each range's work; slot is the pool slot running
+// the range (par.Pool.ForSlots), below the pool's Slots(Options.Workers), so a
+// policy can keep a participant's state in a slice indexed by it, lock-free.
 type Step struct {
 	Size, Total, Grain int
-	Body               func(lo, hi int) Counts
+	Body               func(slot, lo, hi int) Counts
 }
 
 // LanePolicy is the per-query activation state a synchronized frontier
@@ -75,11 +75,11 @@ func drive(g *graph.Graph, batch []queries.Query, opt Options, policy func(st *B
 	pool := par.OrDefault(opt.Pool)
 	p, workers := traced(g, st, opt, policy(st))
 	// One closure for the whole run: each iteration only swaps the body in.
-	// Its chunks run concurrently and add their work to work, which each
-	// iteration takes once they have joined.
-	var body func(lo, hi int) Counts
-	var work tally
-	chunk := func(lo, hi int) { work.add(body(lo, hi)) }
+	// Its chunks add their work to their slot's Counts, which each iteration
+	// sums once they have joined.
+	var body func(slot, lo, hi int) Counts
+	work := make([]Counts, st.slots)
+	chunk := func(slot, lo, hi int) { work[slot].add(body(slot, lo, hi)) }
 	started := 0 // cursor into st.schedule: lanes injected so far
 	for iter := 0; ; iter++ {
 		first := started
@@ -97,9 +97,13 @@ func drive(g *graph.Graph, batch []queries.Query, opt Options, policy func(st *B
 		res.UnionFrontierSizes = append(res.UnionFrontierSizes, step.Size)
 		res.GlobalIterations++
 		body = step.Body
-		pool.For(step.Total, workers, step.Grain, chunk)
+		pool.ForSlots(step.Total, workers, step.Grain, chunk)
 		p.Advance()
-		c := work.take()
+		var c Counts
+		for i := range work {
+			c.add(work[i])
+			work[i] = Counts{}
+		}
 		res.count(c)
 		if opt.Telemetry != nil {
 			opt.Telemetry.RecordIteration(telemetry.IterationStat{
@@ -125,20 +129,6 @@ func drive(g *graph.Graph, batch []queries.Query, opt Options, policy func(st *B
 // batches converge in O(diameter) rounds, for which 64 is a generous
 // amortization base.
 func iterCapHint(maxIterations int) int { return max(maxIterations, 64) }
-
-// tally sums the Counts of one iteration's chunks, which run concurrently.
-type tally struct{ edges, relaxes, writes atomic.Int64 }
-
-func (t *tally) add(c Counts) {
-	t.edges.Add(c.Edges)
-	t.relaxes.Add(c.Relaxes)
-	t.writes.Add(c.Writes)
-}
-
-// take returns the sums and zeroes them for the next iteration.
-func (t *tally) take() Counts {
-	return Counts{t.edges.Swap(0), t.relaxes.Swap(0), t.writes.Swap(0)}
-}
 
 // add adds o to c.
 func (c *Counts) add(o Counts) {

@@ -49,7 +49,7 @@ type krillPolicy struct {
 	union, nextUnion *frontier.Subset
 	qm, nextQM       *frontier.QueryMask
 	active           []graph.VertexID
-	body             func(lo, hi int) Counts // push, bound once: a method value allocates
+	body             func(slot, lo, hi int) Counts // push, bound once: a method value allocates
 }
 
 func (p *krillPolicy) Inject(src graph.VertexID, lane int) {
@@ -69,7 +69,7 @@ func (p *krillPolicy) Advance() {
 	p.nextQM.Clear()
 }
 
-func (p *krillPolicy) push(lo, hi int) Counts {
+func (p *krillPolicy) push(_, lo, hi int) Counts {
 	st := p.st
 	var c Counts
 	for _, v := range p.active[lo:hi] {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/bits"
-	"sync"
 	"sync/atomic"
 
 	"github.com/glign/glign/internal/frontier"
@@ -46,12 +45,12 @@ func runOblivious(g *graph.Graph, batch []queries.Query, opt Options, query int)
 	if p == nil {
 		return res, err
 	}
-	// Every Advance empties the accumulators, so the scratches always go
-	// back. At a fixed point the mask is all-zero again (see laneMask) and the
+	// Every Advance empties the accumulators, so they always go back. At a
+	// fixed point the mask is all-zero again (see laneMask) and the
 	// frontier pair empty, and both serve the next batch; a capped run can
 	// stop with bits set, and a traced one advances its model's frontier, not
 	// p.cur, so their masks and pairs are dropped.
-	opt.Arena.releaseScratches(p.scratch)
+	opt.Arena.releaseAccumulators(p.accs)
 	if opt.Tracer == nil && p.cur.IsEmpty() {
 		opt.Arena.releaseMask(p.dirty)
 		opt.Arena.releaseFrontiers(p.frontierPair)
@@ -64,7 +63,8 @@ func newObliviousPolicy(g *graph.Graph, st *BatchSetup, arena *Arena) *oblivious
 		g: g, st: st,
 		frontierPair: arena.takeFrontiers(st.N),
 		dirty:        arena.takeMask(st.N, st.B),
-		scratch:      arena.takeScratches(st.N),
+		scratch:      make([]*laneScratch, st.slots),
+		accs:         arena.takeAccumulators(st.slots, st.N),
 	}
 	p.body = p.push
 	return p
@@ -100,15 +100,18 @@ func (r *recorder) Step() Step {
 
 // obliviousPolicy keeps the unified frontier pair and one changed-lane mask.
 // Its step is a push over the frontier's members; the pushers fill the next
-// frontier in their scratches' private accumulators, and Advance merges them.
+// frontier in their slots' private accumulators, and Advance merges them.
 type obliviousPolicy struct {
 	g  *graph.Graph
 	st *BatchSetup
 	*frontierPair
 	active  []graph.VertexID
 	dirty   *laneMask
-	scratch *scratches              // one a worker for the run, not one a chunk
-	body    func(lo, hi int) Counts // push, bound once: a method value allocates
+	scratch []*laneScratch // a pool slot's, made on the slot's first push
+	// accs holds a slot's accumulator (its scratch's next) once made; it is
+	// the arena's, which keeps them from batch to batch.
+	accs *accumulators
+	body func(slot, lo, hi int) Counts // push, bound once: a method value allocates
 }
 
 func (p *obliviousPolicy) Inject(src graph.VertexID, lane int) {
@@ -121,21 +124,32 @@ func (p *obliviousPolicy) Step() Step {
 	return Step{Size: len(p.active), Total: len(p.active), Body: p.body}
 }
 
-// Advance runs after the pushers joined (pool.For returned), so every
-// accumulator a scratch filled is settled and in p.scratch.accs.
+// Advance runs after the pushers joined (pool.ForSlots returned), so every
+// accumulator a slot filled is settled.
 func (p *obliviousPolicy) Advance() {
-	p.next.Merge(p.scratch.accs...)
+	for _, s := range p.scratch {
+		if s != nil {
+			p.next.Merge(s.next)
+		}
+	}
 	p.cur, p.next = p.next, p.cur
 	p.next.Clear()
 }
 
 // push relaxes every out-edge of the active vertices [lo, hi) in the lanes
 // that changed since the vertex last pushed, and adds each destination it
-// improved to its scratch's accumulator. A vertex none changed at — one that
+// improved to its slot's accumulator. A vertex none changed at — one that
 // pushed its news earlier in the iteration that activated it — is skipped.
-func (p *obliviousPolicy) push(lo, hi int) Counts {
-	st, s := p.st, p.scratch.get(p.st)
-	defer p.scratch.put(s)
+func (p *obliviousPolicy) push(slot, lo, hi int) Counts {
+	st, s := p.st, p.scratch[slot]
+	if s == nil {
+		acc := &(*p.accs)[slot]
+		if *acc == nil {
+			*acc = frontier.NewAccumulator(st.N)
+		}
+		s = newLaneScratch(st, *acc)
+		p.scratch[slot] = s
+	}
 	var c Counts
 	for _, v := range p.active[lo:hi] {
 		changed := s.claim(p, int(v))
@@ -259,45 +273,9 @@ func groupLanes(kinds []queries.OpKind) (groups []laneGroup) {
 	return groups
 }
 
-// scratches hands each chunk of a run a laneScratch and takes it back. Unlike
-// a sync.Pool, which may drop what it holds at any collection, it never lets
-// one go: a scratch carries the destinations its chunks improved until
-// Advance merges them, so accs holds the accumulator of every scratch the run
-// made (accs[:made]) and, after them, the spares an arena kept.
-type scratches struct {
-	mu   sync.Mutex
-	idle []*laneScratch
-	made int
-	accs []*frontier.Accumulator // over the batch's universe, empty between iterations
-}
-
-// get returns an idle scratch, or a new one on the next accumulator.
-func (s *scratches) get(st *BatchSetup) *laneScratch {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n := len(s.idle); n > 0 {
-		ls := s.idle[n-1]
-		s.idle = s.idle[:n-1]
-		return ls
-	}
-	if s.made == len(s.accs) {
-		s.accs = append(s.accs, frontier.NewAccumulator(st.N))
-	}
-	ls := newLaneScratch(st, s.accs[s.made])
-	s.made++
-	return ls
-}
-
-// put makes ls idle again.
-func (s *scratches) put(ls *laneScratch) {
-	s.mu.Lock()
-	s.idle = append(s.idle, ls)
-	s.mu.Unlock()
-}
-
-// laneScratch is a worker's view of one source vertex: a snapshot of its row
-// in the lanes being relaxed, those lanes as the groups relax runs over, and
-// the mask words claim and relax fill — and the worker's share of the next
+// laneScratch is a pool slot's view of one source vertex: a snapshot of its
+// row in the lanes being relaxed, those lanes as the groups relax runs over,
+// and the mask words claim and relax fill — and the slot's share of the next
 // frontier.
 type laneScratch struct {
 	src      []queries.Value

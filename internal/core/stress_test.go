@@ -176,11 +176,10 @@ func checkArenaFrontiersClean(t *testing.T, a *Arena) {
 	}
 }
 
-// checkArenaScratchesClean holds the arena's push accumulators to their
-// invariant: after every batch, each is empty — merging them into an empty
-// subset over the n vertices of the batch's graph adds nothing — and no
-// scratch of the run is left on them.
-func checkArenaScratchesClean(t *testing.T, a *Arena, n int) {
+// checkArenaAccumulatorsClean holds the arena's push accumulators to their
+// invariant: after every batch, each a slot made is empty — merging it into an
+// empty subset over the n vertices of the batch's graph adds nothing.
+func checkArenaAccumulatorsClean(t *testing.T, a *Arena, n int) {
 	t.Helper()
 	if a == nil {
 		return
@@ -190,14 +189,14 @@ func checkArenaScratchesClean(t *testing.T, a *Arena, n int) {
 		return
 	}
 	defer a.push.Store(s)
-	if s.made != 0 || len(s.idle) != 0 {
-		t.Fatalf("the recycled scratches still count %d made, %d idle", s.made, len(s.idle))
-	}
-	for i, acc := range s.accs {
+	for slot, acc := range *s {
+		if acc == nil {
+			continue
+		}
 		got := frontier.New(n)
 		got.Merge(acc)
 		if !got.IsEmpty() {
-			t.Fatalf("recycled accumulator %d held %d vertices: %v", i, got.Count(), got.Sparse())
+			t.Fatalf("recycled accumulator of slot %d held %d vertices: %v", slot, got.Count(), got.Sparse())
 		}
 	}
 }

@@ -202,7 +202,7 @@ func (t *tracedModel) Step() Step {
 			step.Size += len(active[i])
 		}
 		job := func(v graph.VertexID, lane int) { t.visit(v, []int{lane}) }
-		step.Body = func(_, _ int) Counts {
+		step.Body = func(_, _, _ int) Counts {
 			for _, base := range t.sepCur {
 				t.scan(base)
 			}
@@ -213,7 +213,7 @@ func (t *tracedModel) Step() Step {
 	}
 	union := frontier.UnionOf(nil, 1, t.Cur...)
 	step.Size = union.Count()
-	step.Body = func(_, _ int) Counts {
+	step.Body = func(_, _, _ int) Counts {
 		t.scan(t.unionCur)
 		lanes := make([]int, 0, t.st.B)
 		for _, v := range union.Sparse() {

@@ -77,7 +77,7 @@ func (p *twoLevelPolicy) Step() Step {
 	return Step{Size: len(p.active), Total: len(p.active), Body: p.push}
 }
 
-func (p *twoLevelPolicy) push(lo, hi int) Counts {
+func (p *twoLevelPolicy) push(_, lo, hi int) Counts {
 	st := p.st
 	lanes := make([]int32, 0, st.B)
 	var c Counts

@@ -127,7 +127,7 @@ func (s *Subset) UnionWith(o *Subset) {
 // separate lane frontiers after each iteration's relaxations have quiesced;
 // at B=16 it replaces up to 16 Add CAS loops per improved vertex with
 // one word read per lane per 64 vertices. The word scan runs on the pool
-// (disjoint word blocks, chunk-ordered integer reduction — deterministic).
+// over disjoint word blocks, each adding its popcount to the count.
 func UnionOf(pool *par.Pool, workers int, parts ...*Subset) *Subset {
 	if len(parts) == 0 {
 		panic("frontier: UnionOf of no subsets")
@@ -139,20 +139,18 @@ func UnionOf(pool *par.Pool, workers int, parts ...*Subset) *Subset {
 		}
 	}
 	words := u.words
-	total := par.ForReduce(pool, len(words), workers, 0, 0,
-		func(lo, hi int, acc int) int {
-			for wi := lo; wi < hi; wi++ {
-				var w uint64
-				for _, p := range parts {
-					w |= p.words[wi].Load()
-				}
-				words[wi].Store(w)
-				acc += bits.OnesCount64(w)
+	par.OrDefault(pool).For(len(words), workers, 0, func(lo, hi int) {
+		n := 0
+		for wi := lo; wi < hi; wi++ {
+			var w uint64
+			for _, p := range parts {
+				w |= p.words[wi].Load()
 			}
-			return acc
-		},
-		func(a, b int) int { return a + b })
-	u.count.Store(int64(total))
+			words[wi].Store(w)
+			n += bits.OnesCount64(w)
+		}
+		u.count.Add(int64(n))
+	})
 	return u
 }
 

@@ -12,10 +12,10 @@
 // participant (the submitter always participates); each participant drains
 // its own segment first and then steals grain-sized chunks from the others,
 // so skewed per-vertex work (power-law degree distributions) self-balances.
-// ForReduce folds per-chunk partials and merges them in chunk order, making
-// parallel reductions deterministic for a fixed geometry even under
-// stealing. Engines aggregate telemetry counters per worker inside the loop
-// body and publish them once per iteration, keeping the hot path free of
-// shared-cacheline traffic; the pool's own scheduling counters (jobs,
+// ForSlots also hands the body its participant's slot, below Slots(workers):
+// no two participants of one loop share one, so engines keep worker-private
+// state — scratches, per-iteration work counts — in slices indexed by slot,
+// with no lock, and merge it once the loop has joined, keeping the hot path
+// free of shared-cacheline traffic; the pool's own scheduling counters (jobs,
 // chunks, steals, parks) feed the telemetry scheduler section.
 package par

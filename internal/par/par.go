@@ -58,10 +58,11 @@ type segCursor struct {
 // completion plumbing. Pool workers receive the job once per wake token and
 // participate until no claimable chunk remains anywhere.
 type job struct {
-	fn    func(lo, hi, chunk int)
+	fn    func(slot, lo, hi int)
 	grain int
-	// slots hands each arriving participant a distinct cursor index; the
-	// submitter takes slot 0 without going through the counter.
+	// slots hands each arriving participant a distinct cursor index, which is
+	// also the slot its chunks run in; the submitter takes slot 0 without
+	// going through the counter.
 	slots atomic.Int64
 	// cursors partition [0,total) into one contiguous segment per
 	// participant, each starting on a grain boundary.
@@ -73,7 +74,7 @@ type job struct {
 }
 
 // Pool is a persistent work-stealing scheduler: NewPool starts long-lived
-// workers once, and every For/ForReduce afterwards only hands out chunk
+// workers once, and every For/ForSlots afterwards only hands out chunk
 // claims — no goroutine spawn, no WaitGroup churn on the hot path. The
 // submitting goroutine always participates in its own loop, so a loop
 // completes even when every pool worker is busy with other submitters
@@ -191,7 +192,7 @@ func (p *Pool) drain(j *job, slot, statIdx int) {
 			if hi > c.hi {
 				hi = c.hi
 			}
-			j.fn(int(lo), int(hi), int(lo)/j.grain)
+			j.fn(slot, int(lo), int(hi))
 			executed += hi - lo
 			chunks++
 			if k > 0 {
@@ -219,24 +220,32 @@ func (p *Pool) drain(j *job, slot, statIdx int) {
 // single fn(0, total) call, which keeps single-threaded runs deterministic
 // and cheap.
 func (p *Pool) For(total, workers, grain int, fn func(lo, hi int)) {
-	p.run(total, workers, grain, func(lo, hi, _ int) { fn(lo, hi) })
+	p.ForSlots(total, workers, grain, func(_, lo, hi int) { fn(lo, hi) })
 }
 
-// run is the shared scheduling core behind For and ForReduce: it derives
-// the chunk geometry, runs inline when parallelism cannot help, and
-// otherwise dispatches a job. fn additionally receives the chunk index
-// (lo/grain), which ForReduce uses for deterministic per-chunk slots.
-func (p *Pool) run(total, workers, grain int, fn func(lo, hi, chunk int)) {
+// Slots bounds the slot a ForSlots loop over the given workers hands its
+// body: every slot is below Slots(workers).
+func (p *Pool) Slots(workers int) int {
+	if workers <= 0 {
+		return p.workers + 1
+	}
+	return workers
+}
+
+// ForSlots is For whose body also receives the slot of the participant
+// running the chunk: the submitter's is 0, and an inline run's too. No two
+// participants of one loop share a slot, so state indexed by slot is private
+// to whoever runs the chunk and needs no lock, and the loop's join publishes
+// every slot's state to the caller when ForSlots returns.
+func (p *Pool) ForSlots(total, workers, grain int, fn func(slot, lo, hi int)) {
 	if total <= 0 {
 		return
 	}
-	if workers <= 0 {
-		workers = p.workers + 1
-	}
+	workers = p.Slots(workers)
 	g, nChunks := grainFor(total, workers, grain)
 	if workers == 1 || total <= g {
 		p.inlineCount.Add(1)
-		fn(0, total, 0)
+		fn(0, 0, total)
 		return
 	}
 	parts := workers
@@ -247,8 +256,7 @@ func (p *Pool) run(total, workers, grain int, fn func(lo, hi, chunk int)) {
 	j.remaining.Store(int64(total))
 	// Partition the chunks (not the raw indices) across segments so every
 	// claim inside a segment is a full grain except possibly the last chunk
-	// of the last segment — chunk boundaries stay grain-aligned, which is
-	// what makes lo/grain a stable chunk index.
+	// of the last segment: chunk boundaries stay grain-aligned.
 	base, extra := nChunks/parts, nChunks%parts
 	lo := 0
 	for i := 0; i < parts; i++ {
@@ -388,44 +396,4 @@ func OrDefault(p *Pool) *Pool {
 // For runs fn over [0,total) on the shared Default pool. See Pool.For.
 func For(total, workers, grain int, fn func(lo, hi int)) {
 	Default().For(total, workers, grain, fn)
-}
-
-// ForEach runs fn for every element of items using For's scheduling.
-func ForEach[T any](items []T, workers int, fn func(item T)) {
-	For(len(items), workers, 0, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			fn(items[i])
-		}
-	})
-}
-
-// ForReduce folds fn over [0,total) in parallel on p (nil means the Default
-// pool) and merges the per-chunk partial results with merge. Each chunk
-// folds from identity; merge combines partials in ascending chunk order, so
-// for a fixed (total, workers, grain) geometry the result is deterministic
-// even under work stealing — non-associative effects (float rounding) vary
-// only with the geometry, never with the schedule. With workers == 1 the
-// whole fold runs inline as fn(0, total, identity).
-func ForReduce[R any](p *Pool, total, workers, grain int, identity R, fn func(lo, hi int, acc R) R, merge func(a, b R) R) R {
-	if total <= 0 {
-		return identity
-	}
-	p = OrDefault(p)
-	if workers <= 0 {
-		workers = p.workers + 1
-	}
-	g, nChunks := grainFor(total, workers, grain)
-	if workers == 1 || total <= g {
-		p.inlineCount.Add(1)
-		return fn(0, total, identity)
-	}
-	accs := make([]R, nChunks)
-	p.run(total, workers, g, func(lo, hi, chunk int) {
-		accs[chunk] = fn(lo, hi, identity)
-	})
-	out := identity
-	for i := range accs {
-		out = merge(out, accs[i])
-	}
-	return out
 }

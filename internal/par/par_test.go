@@ -63,18 +63,6 @@ func TestForExplicitGrain(t *testing.T) {
 	}
 }
 
-func TestForEach(t *testing.T) {
-	items := make([]int, 500)
-	for i := range items {
-		items[i] = i
-	}
-	var sum atomic.Int64
-	ForEach(items, 4, func(x int) { sum.Add(int64(x)) })
-	if got, want := sum.Load(), int64(500*499/2); got != want {
-		t.Fatalf("sum = %d, want %d", got, want)
-	}
-}
-
 func TestQuickForPartitions(t *testing.T) {
 	f := func(total uint16, workers uint8, grain uint16) bool {
 		n := int(total) % 5000
@@ -205,105 +193,56 @@ func TestPoolCloseIdempotent(t *testing.T) {
 	p.Close() // second Close must not panic or deadlock
 }
 
-func TestForReduceSum(t *testing.T) {
+// TestForSlotsSum sums [0,total) into one plain int64 a slot: every slot is
+// below Slots(workers), also when workers exceeds the pool's participants, and
+// the slots' sums add up exactly. A slot two participants shared would be a
+// lost update here and a race under -race.
+func TestForSlotsSum(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
-	for _, workers := range []int{1, 2, 4, 0} {
+	for _, workers := range []int{1, 2, 4, 8, 0} {
 		for _, total := range []int{0, 1, 64, 1000, 4097, 250000} {
-			got := ForReduce(p, total, workers, 0, int64(0),
-				func(lo, hi int, acc int64) int64 {
-					for i := lo; i < hi; i++ {
-						acc += int64(i)
-					}
-					return acc
-				},
-				func(a, b int64) int64 { return a + b })
-			want := int64(total) * int64(total-1) / 2
-			if total == 0 {
-				want = 0
+			sums := make([]int64, p.Slots(workers))
+			p.ForSlots(total, workers, 0, func(slot, lo, hi int) {
+				if slot < 0 || slot >= len(sums) {
+					t.Errorf("workers=%d total=%d: slot %d outside [0,%d)", workers, total, slot, len(sums))
+					return
+				}
+				for i := lo; i < hi; i++ {
+					sums[slot] += int64(i)
+				}
+			})
+			var got int64
+			for _, sum := range sums {
+				got += sum
 			}
-			if got != want {
+			if want := int64(total) * int64(total-1) / 2; got != want {
 				t.Fatalf("workers=%d total=%d: sum = %d, want %d", workers, total, got, want)
 			}
 		}
 	}
-}
-
-func TestForReduceMax(t *testing.T) {
-	// Non-commutative-looking fold with a non-zero identity: max over a
-	// permuted slice.
-	n := 10000
-	xs := make([]int, n)
-	for i := range xs {
-		xs[i] = (i * 2654435761) % 999983
-	}
-	got := ForReduce(nil, n, 4, 0, -1,
-		func(lo, hi int, acc int) int {
-			for i := lo; i < hi; i++ {
-				if xs[i] > acc {
-					acc = xs[i]
-				}
-			}
-			return acc
-		},
-		func(a, b int) int {
-			if a > b {
-				return a
-			}
-			return b
-		})
-	want := -1
-	for _, x := range xs {
-		if x > want {
-			want = x
-		}
-	}
-	if got != want {
-		t.Fatalf("max = %d, want %d", got, want)
+	if got, want := p.Slots(0), p.Workers()+1; got != want {
+		t.Errorf("Slots(0) = %d, want the %d background workers plus the submitter", got, want)
 	}
 }
 
-// TestForReduceDeterministicFloat pins the schedule-independence contract:
-// for a fixed geometry the float merge order is chunk order, so repeated
-// parallel folds agree bit-for-bit with each other (and with a serial fold
-// over the same chunk boundaries).
-func TestForReduceDeterministicFloat(t *testing.T) {
-	n := 100000
-	xs := make([]float64, n)
-	for i := range xs {
-		xs[i] = 1.0 / float64(i+1)
-	}
-	fold := func() float64 {
-		return ForReduce(nil, n, 4, 0, 0.0,
-			func(lo, hi int, acc float64) float64 {
-				for i := lo; i < hi; i++ {
-					acc += xs[i]
-				}
-				return acc
-			},
-			func(a, b float64) float64 { return a + b })
-	}
-	first := fold()
-	for i := 0; i < 20; i++ {
-		if got := fold(); got != first {
-			t.Fatalf("fold %d = %v, want %v (schedule leaked into the merge order)", i, got, first)
-		}
-	}
-}
-
-func TestForReduceSingleWorkerInline(t *testing.T) {
-	var calls int
-	got := ForReduce(nil, 5000, 1, 0, 0,
-		func(lo, hi int, acc int) int {
+// TestForSlotsInlineRunsOnSlotZero holds what a loop that runs inline — one
+// worker, or a total within one grain — hands its body: the whole range, once,
+// on slot 0.
+func TestForSlotsInlineRunsOnSlotZero(t *testing.T) {
+	p := NewPool(2)
+	defer p.Close()
+	for _, c := range []struct{ total, workers int }{{5000, 1}, {minGrain, 4}, {10, 0}} {
+		calls := 0
+		p.ForSlots(c.total, c.workers, 0, func(slot, lo, hi int) {
 			calls++
-			if lo != 0 || hi != 5000 {
-				t.Fatalf("inline fold got [%d,%d)", lo, hi)
+			if slot != 0 || lo != 0 || hi != c.total {
+				t.Errorf("total=%d workers=%d: inline run got slot %d, [%d,%d)", c.total, c.workers, slot, lo, hi)
 			}
-			return acc + (hi - lo)
-		},
-		func(a, b int) int { return a + b })
-	if calls != 1 || got != 5000 {
-		t.Fatalf("calls=%d got=%d, want 1 call returning 5000", calls, got)
+		})
+		if calls != 1 {
+			t.Errorf("total=%d workers=%d: %d calls, want 1", c.total, c.workers, calls)
+		}
 	}
 }
 

@@ -43,7 +43,7 @@ func TestPoolCloseJoinsWorkers(t *testing.T) {
 }
 
 // TestConcurrentPoolStress hammers one shared Pool with concurrent For and
-// ForReduce loops from many goroutines across GOMAXPROCS 1, 2 and 8. Its job
+// ForSlots loops from many goroutines across GOMAXPROCS 1, 2 and 8. Its job
 // is to give the race detector (verify.sh runs this package under -race)
 // real interleavings to bite on: concurrent job dispatch, segment-cursor
 // claims, cross-job stealing by parked workers, and the completion protocol
@@ -82,14 +82,18 @@ func TestConcurrentPoolStress(t *testing.T) {
 								return
 							}
 						}
-						got := ForReduce(p, total, workers, 0, int64(0),
-							func(lo, hi int, acc int64) int64 {
-								for i := lo; i < hi; i++ {
-									acc += int64(i)
-								}
-								return acc
-							},
-							func(a, b int64) int64 { return a + b })
+						// One plain int64 a slot: a slot two participants
+						// shared is a race report under -race.
+						sums := make([]int64, p.Slots(workers))
+						p.ForSlots(total, workers, 0, func(slot, lo, hi int) {
+							for i := lo; i < hi; i++ {
+								sums[slot] += int64(i)
+							}
+						})
+						var got int64
+						for _, sum := range sums {
+							got += sum
+						}
 						if want := int64(total) * int64(total-1) / 2; got != want {
 							t.Errorf("submitter %d rep %d: sum = %d, want %d", s, rep, got, want)
 							return
@@ -113,4 +117,46 @@ func TestConcurrentPoolStress(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestPoolCloseRacesInFlightLoops closes a pool while loops are in flight on
+// it: several submitters start loops whose bodies wait until Close has begun.
+// Every index must still run exactly once — the submitters steal the segments
+// of workers that exit — every loop must return, and Close must join every
+// worker.
+func TestPoolCloseRacesInFlightLoops(t *testing.T) {
+	noLeak := leakCheck(t)
+	p := NewPool(4)
+	const submitters, total = 4, 4096
+	closing := make(chan struct{})
+	seen := make([][]atomic.Int32, submitters)
+	var running, done sync.WaitGroup
+	for s := range seen {
+		seen[s] = make([]atomic.Int32, total)
+		running.Add(1)
+		done.Add(1)
+		go func(seen []atomic.Int32) {
+			defer done.Done()
+			var first sync.Once
+			p.For(total, 0, minGrain, func(lo, hi int) {
+				first.Do(running.Done)
+				<-closing
+				for i := lo; i < hi; i++ {
+					seen[i].Add(1)
+				}
+			})
+		}(seen[s])
+	}
+	running.Wait() // every loop has a chunk in its body
+	close(closing)
+	p.Close()
+	done.Wait()
+	for s := range seen {
+		for i := range seen[s] {
+			if c := seen[s][i].Load(); c != 1 {
+				t.Fatalf("submitter %d: index %d ran %d times", s, i, c)
+			}
+		}
+	}
+	noLeak()
 }

@@ -19,12 +19,11 @@ import (
 //   - the Jacobi state of RunConvergenceBatch: its slabs (jacobiSlabs), taken
 //     and returned inside the run, and the jacobiGeometry of the owner's
 //     graph, which is immutable and so shared rather than taken;
-//   - the changed-lane mask and the frontier pair of the query-oblivious
-//     engine, returned only by a batch that reached its fixed point (see
-//     laneMask), so the pair comes back empty with the member lists its
-//     frontiers grew;
-//   - the query-oblivious engine's push accumulators, one a pool slot
-//     (accumulators), empty after every batch.
+//   - a lane mask and the frontier pair of the unified-frontier engines,
+//     returned only by a batch that reached its fixed point (see laneMask),
+//     so the pair comes back empty with the member lists its frontiers grew;
+//   - their push accumulators, one a pool slot (accumulators), empty after
+//     every batch.
 //
 // The zero Arena is empty and ready: nothing is allocated until a batch needs
 // it, and each structure stays at the largest size a batch has needed for as
@@ -94,7 +93,7 @@ func (a *Arena) releaseMask(m *laneMask) {
 	}
 }
 
-// frontierPair is the query-oblivious engine's current and next frontier.
+// frontierPair is a unified-frontier engine's current and next frontier.
 type frontierPair struct{ cur, next *frontier.Subset }
 
 // takeFrontiers returns an empty frontier pair over n vertices.
@@ -118,7 +117,7 @@ func (a *Arena) releaseFrontiers(p *frontierPair) {
 	}
 }
 
-// accumulators are the query-oblivious engine's push accumulators, indexed
+// accumulators are a unified-frontier engine's push accumulators, indexed
 // by pool slot: a slot's is nil until a batch's push on it makes it, and each
 // is empty between iterations.
 type accumulators []*frontier.Accumulator

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -379,6 +380,62 @@ func tracingDeterministicAndHarmless(t *testing.T, g *graph.Graph, batch []queri
 			}
 		}
 		_ = r2
+	}
+}
+
+// TestModelCountsMatchProduction holds the one push body of the
+// unified-frontier engines to each design's traced model, which walks the
+// design as the paper draws it: at one worker, where the counts are
+// deterministic, an untraced run reports the iterations, frontier history and
+// work counters of the model a Tracer runs in its place — so a design's lane
+// state claims exactly the lanes its model relaxes.
+func TestModelCountsMatchProduction(t *testing.T) {
+	for _, ds := range []graph.Dataset{graph.LJ, graph.RDCA} {
+		g := graph.MustGenerate(ds, graph.Tiny)
+		var mixed, uniform []queries.Query
+		for v := 0; len(mixed) < 10; v += 97 {
+			if src := graph.VertexID(v % g.NumVertices()); g.OutDegree(src) > 0 {
+				kernel := queries.BFS
+				if len(mixed)%2 == 1 {
+					kernel = queries.SSSP
+				}
+				mixed = append(mixed, queries.Query{Kernel: kernel, Source: src})
+				uniform = append(uniform, queries.Query{Kernel: queries.SSSP, Source: src})
+			}
+		}
+		delays := make([]int, len(mixed))
+		for i := range delays {
+			delays[i] = (3*i + 2) % 5
+		}
+		for _, c := range []struct {
+			name  string
+			batch []queries.Query
+		}{{"mixed", mixed}, {"uniform", uniform}, {"one", uniform[:1]}} {
+			for _, alignment := range [][]int{nil, delays[:len(c.batch)]} {
+				for _, e := range []Engine{GlignIntra, LigraC, Krill} {
+					opt := Options{Workers: 1, Alignment: alignment}
+					plain, err := e.Run(g, c.batch, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					opt.Tracer = new(memtrace.CountingTracer)
+					model, err := e.Run(g, c.batch, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if plain.GlobalIterations != model.GlobalIterations ||
+						plain.EdgesProcessed != model.EdgesProcessed ||
+						plain.LaneRelaxations != model.LaneRelaxations ||
+						plain.ValueWrites != model.ValueWrites ||
+						!slices.Equal(plain.UnionFrontierSizes, model.UnionFrontierSizes) {
+						t.Errorf("%s/%s/%s/delayed=%v: production %d iterations, %d edges, %d relaxations, %d writes, frontiers %v; model %d, %d, %d, %d, %v",
+							e.Name(), ds, c.name, alignment != nil,
+							plain.GlobalIterations, plain.EdgesProcessed, plain.LaneRelaxations, plain.ValueWrites, plain.UnionFrontierSizes,
+							model.GlobalIterations, model.EdgesProcessed, model.LaneRelaxations, model.ValueWrites, model.UnionFrontierSizes)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -2,19 +2,21 @@
 // heart of this reproduction — the paper's primary contribution and its
 // baselines.
 //
-// The frontier engines are one traversal loop, Drive, plus a LanePolicy each:
-// the per-query activation state that, per paper Figure 5, is all that
-// distinguishes them.
+// The frontier engines are one traversal loop, Drive, plus a LanePolicy: the
+// per-query activation state that, per paper Figure 5, is all that
+// distinguishes them. The three unified-frontier engines (unified.go) are one
+// policy with one push body, and differ only in the lane state it claims a
+// vertex's lanes from and marks an improved destination's into:
 //
-//   - GlignIntra (oblivious.go): Glign's query-oblivious frontier (Figure
-//     5-c, §3.2) — one frontier for all queries, and beside it one mask of
-//     the lanes whose value changed since the vertex last pushed: an active
-//     vertex is relaxed for those, not for all B.
-//   - LigraC (twolevel.go): unified + B separate frontiers (Figure 5-b, the
-//     design of Krill and SimGQ).
-//   - Krill (krill.go): per-vertex query bitmasks instead of B frontiers.
-//   - GraphM's partition-centric policy plugs into Drive from
-//     internal/baselines.
+//   - GlignIntra: Glign's query-oblivious frontier (Figure 5-c, §3.2) — one
+//     frontier for all queries, and beside it one mask of the lanes whose
+//     value changed since the vertex last pushed: an active vertex is
+//     relaxed for those, not for all B.
+//   - LigraC: unified + B separate frontiers (Figure 5-b, the design of
+//     SimGQ), probed at every active vertex.
+//   - Krill: a per-vertex query mask pair instead of B frontiers.
+//
+// GraphM's partition-centric policy plugs into Drive from internal/baselines.
 //
 // Drive owns what they share: delayed-start injection from the alignment
 // vector (paper Definition 3.3, the mechanism of Glign-Inter), termination,

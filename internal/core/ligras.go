@@ -53,7 +53,7 @@ func RunApart(g *graph.Graph, batch []queries.Query, opt Options, concurrency in
 		go func() {
 			defer wg.Done()
 			for i := int(next.Add(1)) - 1; i < b; i = int(next.Add(1)) - 1 {
-				r, err := runOblivious(g, batch[i:i+1], one, i)
+				r, err := runUnified(g, batch[i:i+1], one, unionOnly, i)
 				if errs[i] = err; err == nil {
 					sizes[i] = r.UnionFrontierSizes
 					mu.Lock()

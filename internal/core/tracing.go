@@ -20,10 +20,14 @@ import (
 // stream by TestEngineGolden.
 
 // design names the per-query activation state a policy keeps (paper Figure
-// 5): which simulated structures its model touches, and where. The designs
-// evaluate alike — relax each active vertex in the lanes it is active for —
-// and differ in the address stream only at the points the model's switches
-// mark:
+// 5). In production the three unified-frontier designs share one push body
+// (unifiedPolicy) and differ only in the lane state it claims from and marks
+// into; under a tracer it picks which simulated structures the model touches,
+// and where. The models walk each design as the paper draws it — Ligra-C's
+// unified frontier an OR of its lane frontiers, with the per-improvement
+// writes of both — not as the shared body runs it. The designs evaluate
+// alike — relax each active vertex in the lanes it is active for — and differ
+// in the address stream only at the points the model's switches mark:
 //
 //	             unionOnly          twoLevels, jobs         queryMasks
 //	per vertex   changed-lane mask, (B frontier probes,)    mask word,
@@ -49,9 +53,7 @@ const (
 	jobs                     // GraphM: B separate frontiers, no unified one
 )
 
-func (*obliviousPolicy) traceDesign() design { return unionOnly }
-func (*twoLevelPolicy) traceDesign() design  { return twoLevels }
-func (*krillPolicy) traceDesign() design     { return queryMasks }
+func (p *unifiedPolicy) traceDesign() design { return p.design }
 
 // jobOrdered is a policy that runs each query as an independent job over its
 // own frontier: VisitOrder yields one iteration's (vertex, lane) visits in
@@ -86,7 +88,7 @@ func traced(g *graph.Graph, st *BatchSetup, opt Options, p LanePolicy) (LanePoli
 	switch t.design {
 	case unionOnly:
 		t.claimed = make([]uint64, (st.B+63)/64)
-		if t.dirty = p.(*obliviousPolicy).dirty; t.dirty != nil {
+		if t.dirty = p.(*unifiedPolicy).mask; t.dirty != nil {
 			t.dirtyBase = t.layout.Place(int64(len(t.dirty.words)) * 8)
 		}
 	case twoLevels, jobs:

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/bits"
 	"sync/atomic"
 
@@ -9,62 +10,102 @@ import (
 	"github.com/glign/glign/internal/queries"
 )
 
-// oblivious is Glign's query-oblivious frontier engine (paper §3.2,
-// Figure 5-c): a single unified frontier with no per-query activation state.
-// The paper evaluates an active vertex for *every* query in the batch — safe
-// because all kernels are monotone (Theorem 3.2). This engine keeps the one
-// frontier and takes that argument one step further: a lane whose value has
-// not changed since the vertex last pushed proposes exactly what it proposed
-// then, so an active vertex relaxes only the lanes that changed (laneMask) —
-// which also skips every lane that has not reached it, whose value is still
-// the kernel identity.
+// unified is a synchronized engine over one unified frontier: each iteration
+// pushes every member once, in the lanes its design's activation state claims
+// for it, through one push body. The designs of paper Figure 5 differ only in
+// that state:
+//
+//   - Glign-Intra (Figure 5-c) keeps no per-query activation. The paper
+//     evaluates an active vertex for every query in the batch — safe because
+//     all kernels are monotone (Theorem 3.2). This engine takes that argument
+//     one step further: a lane whose value has not changed since the vertex
+//     last pushed proposes exactly what it proposed then, so an active vertex
+//     relaxes only the lanes that changed (laneMask) — which also skips every
+//     lane that has not reached it, whose value is still the kernel identity.
+//   - Krill (Chen et al., SC'21) fuses the B separate frontiers into a
+//     per-vertex query bitmask, so a vertex's activation state for all queries
+//     shares one cache line: a laneMask pair, claimed from the current half
+//     and marked into the next, so a lane that reaches a vertex is pushed in
+//     the next iteration, not in this one.
+//   - Ligra-C, the paper's extended Ligra baseline (Figure 5-b, also SimGQ's
+//     design), keeps B separate frontiers (LaneFrontiers) under the unified
+//     one and probes every query's at each active vertex. The B extra bitmaps
+//     and the two-level check are the costs Glign's frontier eliminates.
 //
 // With Options.Alignment set, sources are injected at their scheduled global
 // iterations, which is exactly Glign-Inter's "delayed start" (paper §3.3).
-type oblivious struct{}
+type unified struct {
+	name   string
+	design design
+}
 
 // GlignIntra is the query-oblivious frontier engine ("Glign-Intra" in the
 // paper's tables; also the execution engine under Glign-Inter, Glign-Batch
 // and full Glign, which differ only in scheduling).
-var GlignIntra Engine = oblivious{}
+var GlignIntra Engine = unified{"Glign-Intra", unionOnly}
 
-func (oblivious) Name() string { return "Glign-Intra" }
+// LigraC is the two-level frontier engine ("Ligra-C" in the paper's tables).
+var LigraC Engine = unified{"Ligra-C", twoLevels}
 
-func (oblivious) Run(g *graph.Graph, batch []queries.Query, opt Options) (*BatchResult, error) {
-	return runOblivious(g, batch, opt, -1)
+// Krill is the per-vertex query-mask engine. Batches are limited to
+// krillMaxQueries, matching the paper's default batch size.
+var Krill Engine = unified{"Krill", queryMasks}
+
+// krillMaxQueries is the largest batch Krill evaluates: the Krill system's
+// query mask is one word a vertex, which is what FootprintOf counts.
+const krillMaxQueries = 64
+
+func (e unified) Name() string { return e.name }
+
+func (e unified) Run(g *graph.Graph, batch []queries.Query, opt Options) (*BatchResult, error) {
+	// The Jacobi evaluator convergence kernels take has no mask to fill.
+	if e.design == queryMasks && len(batch) > krillMaxQueries && !queries.AnyConvergent(batch) {
+		return nil, fmt.Errorf("core: Krill engine supports at most %d queries per batch, got %d",
+			krillMaxQueries, len(batch))
+	}
+	return runUnified(g, batch, opt, e.design, -1)
 }
 
-// runOblivious is GlignIntra's Run with the telemetry records' Query (see
-// drive).
-func runOblivious(g *graph.Graph, batch []queries.Query, opt Options, query int) (*BatchResult, error) {
-	var p *obliviousPolicy
+// runUnified is the Run of design d's engine with the telemetry records'
+// Query (see drive).
+func runUnified(g *graph.Graph, batch []queries.Query, opt Options, d design, query int) (*BatchResult, error) {
+	var p *unifiedPolicy
 	res, err := runBatch(g, batch, opt, query, func(st *BatchSetup) LanePolicy {
-		p = newObliviousPolicy(g, st, opt.Arena)
+		p = newUnifiedPolicy(g, st, opt.Arena, d)
 		return p
 	})
 	if p == nil {
 		return res, err
 	}
 	// Every Advance empties the accumulators, so they always go back. At a
-	// fixed point the mask is all-zero again (see laneMask) and the
+	// fixed point the masks are all-zero again (see laneMask) and the
 	// frontier pair empty, and both serve the next batch; a capped run can
 	// stop with bits set, and a traced one advances its model's frontier, not
-	// p.cur, so their masks and pairs are dropped.
+	// p.cur, so their masks and pairs are dropped. The arena keeps one mask:
+	// the other half of Krill's pair is dropped too.
 	opt.Arena.releaseAccumulators(p.accs)
 	if opt.Tracer == nil && p.cur.IsEmpty() {
-		opt.Arena.releaseMask(p.dirty)
+		opt.Arena.releaseMask(p.mask)
 		opt.Arena.releaseFrontiers(p.frontierPair)
 	}
 	return res, err
 }
 
-func newObliviousPolicy(g *graph.Graph, st *BatchSetup, arena *Arena) *obliviousPolicy {
-	p := &obliviousPolicy{
-		g: g, st: st,
+func newUnifiedPolicy(g *graph.Graph, st *BatchSetup, arena *Arena, d design) *unifiedPolicy {
+	p := &unifiedPolicy{
+		g: g, st: st, design: d,
 		frontierPair: arena.takeFrontiers(st.N),
-		dirty:        arena.takeMask(st.N, st.B),
 		scratch:      make([]*laneScratch, st.slots),
 		accs:         arena.takeAccumulators(st.slots, st.N),
+	}
+	switch d {
+	case unionOnly:
+		p.mask = arena.takeMask(st.N, st.B)
+		p.nextMask = p.mask
+	case queryMasks:
+		p.mask, p.nextMask = arena.takeMask(st.N, st.B), arena.takeMask(st.N, st.B)
+	case twoLevels:
+		p.lanes = NewLaneFrontiers(st.N, st.B)
 	}
 	p.body = p.push
 	return p
@@ -77,7 +118,7 @@ func newObliviousPolicy(g *graph.Graph, st *BatchSetup, arena *Arena) *oblivious
 func Frontiers(g *graph.Graph, q queries.Query, opt Options) ([]*frontier.Subset, error) {
 	var rec *recorder
 	res, err := Drive(g, []queries.Query{q}, opt, func(st *BatchSetup) LanePolicy {
-		rec = &recorder{obliviousPolicy: newObliviousPolicy(g, st, opt.Arena)}
+		rec = &recorder{unifiedPolicy: newUnifiedPolicy(g, st, opt.Arena, unionOnly)}
 		return rec
 	})
 	if err != nil {
@@ -86,47 +127,59 @@ func Frontiers(g *graph.Graph, q queries.Query, opt Options) ([]*frontier.Subset
 	return rec.frontiers[:res.GlobalIterations], nil
 }
 
-// recorder is the query-oblivious policy keeping a copy of the frontier at
+// recorder is Glign-Intra's policy keeping a copy of the frontier at
 // every Step — one more than Drive runs, when the last frontier is empty.
 type recorder struct {
-	*obliviousPolicy
+	*unifiedPolicy
 	frontiers []*frontier.Subset
 }
 
 func (r *recorder) Step() Step {
 	r.frontiers = append(r.frontiers, r.cur.Clone())
-	return r.obliviousPolicy.Step()
+	return r.unifiedPolicy.Step()
 }
 
-// obliviousPolicy keeps the unified frontier pair and one changed-lane mask.
+// unifiedPolicy keeps the unified frontier pair and its design's lane state.
 // Its step is a push over the frontier's members; the pushers fill the next
 // frontier in their slots' private accumulators, and Advance merges them.
-type obliviousPolicy struct {
-	g  *graph.Graph
-	st *BatchSetup
+type unifiedPolicy struct {
+	g      *graph.Graph
+	st     *BatchSetup
+	design design // unionOnly, queryMasks or twoLevels
 	*frontierPair
-	active  []graph.VertexID
-	dirty   *laneMask
-	scratch []*laneScratch // a pool slot's, made on the slot's first push
+	active []graph.VertexID
+	// mask is the lane mask a push claims from and nextMask the one it marks
+	// into: Glign-Intra's one mask is both, Krill's pair swaps at Advance,
+	// and Ligra-C keeps none.
+	mask, nextMask *laneMask
+	lanes          LaneFrontiers  // Ligra-C's
+	scratch        []*laneScratch // a pool slot's, made on the slot's first push
 	// accs holds a slot's accumulator (its scratch's next) once made; it is
 	// the arena's, which keeps them from batch to batch.
 	accs *accumulators
 	body func(slot, lo, hi int) Counts // push, bound once: a method value allocates
 }
 
-func (p *obliviousPolicy) Inject(src graph.VertexID, lane int) {
-	p.dirty.set(int(src), lane)
+func (p *unifiedPolicy) Inject(src graph.VertexID, lane int) {
+	if p.design == twoLevels {
+		p.lanes.Inject(src, lane)
+	} else {
+		p.mask.set(int(src), lane)
+	}
 	p.cur.Add(src)
 }
 
-func (p *obliviousPolicy) Step() Step {
+func (p *unifiedPolicy) Step() Step {
 	p.active = p.cur.Sparse()
 	return Step{Size: len(p.active), Total: len(p.active), Body: p.body}
 }
 
 // Advance runs after the pushers joined (pool.ForSlots returned), so every
-// accumulator a slot filled is settled.
-func (p *obliviousPolicy) Advance() {
+// accumulator a slot filled is settled. Krill's mask pair turns over with no
+// clearing pass: the pushes claimed every bit of the current half, which
+// only the unified frontier's members had. Glign-Intra's one mask is both
+// halves, so the swap leaves it as it is.
+func (p *unifiedPolicy) Advance() {
 	for _, s := range p.scratch {
 		if s != nil {
 			p.next.Merge(s.next)
@@ -134,13 +187,18 @@ func (p *obliviousPolicy) Advance() {
 	}
 	p.cur, p.next = p.next, p.cur
 	p.next.Clear()
+	p.mask, p.nextMask = p.nextMask, p.mask
+	if p.design == twoLevels {
+		p.lanes.Advance()
+	}
 }
 
 // push relaxes every out-edge of the active vertices [lo, hi) in the lanes
-// that changed since the vertex last pushed, and adds each destination it
-// improved to its slot's accumulator. A vertex none changed at — one that
-// pushed its news earlier in the iteration that activated it — is skipped.
-func (p *obliviousPolicy) push(slot, lo, hi int) Counts {
+// it claims for the vertex, marks each destination it improved in the lanes
+// that improved there, and adds it to its slot's accumulator. A vertex with
+// no lane to claim — at Glign-Intra, one that pushed its news earlier in the
+// iteration that activated it — is skipped.
+func (p *unifiedPolicy) push(slot, lo, hi int) Counts {
 	st, s := p.st, p.scratch[slot]
 	if s == nil {
 		acc := &(*p.accs)[slot]
@@ -162,7 +220,11 @@ func (p *obliviousPolicy) push(slot, lo, hi int) Counts {
 		for j, d := range nbrs {
 			if improved := s.relax(st, int(d), WeightAt(ws, j)); improved > 0 {
 				c.Writes += int64(improved)
-				p.dirty.mark(int(d), s.improved)
+				if p.design == twoLevels {
+					p.lanes.mark(d, s.improved)
+				} else {
+					p.nextMask.mark(int(d), s.improved)
+				}
 				s.next.Add(d)
 			}
 		}
@@ -170,11 +232,65 @@ func (p *obliviousPolicy) push(slot, lo, hi int) Counts {
 	return c
 }
 
-// laneMask is the one piece of per-lane state the engine keeps: a bit per
+// LaneFrontiers is B separate frontier pairs, one per query lane: Cur holds
+// the vertices active for each lane this iteration, Next collects the next
+// iteration's.
+type LaneFrontiers struct {
+	Cur, Next []*frontier.Subset
+}
+
+// NewLaneFrontiers returns b empty frontier pairs over n vertices.
+func NewLaneFrontiers(n, b int) LaneFrontiers {
+	l := LaneFrontiers{make([]*frontier.Subset, b), make([]*frontier.Subset, b)}
+	for i := range l.Cur {
+		l.Cur[i], l.Next[i] = frontier.New(n), frontier.New(n)
+	}
+	return l
+}
+
+// Inject activates src for lane.
+func (l *LaneFrontiers) Inject(src graph.VertexID, lane int) { l.Cur[lane].Add(src) }
+
+// Advance makes Next current and recycles the old frontiers as the new Next.
+func (l *LaneFrontiers) Advance() {
+	l.Cur, l.Next = l.Next, l.Cur
+	for _, s := range l.Next {
+		s.Clear()
+	}
+}
+
+// claim sets in dst, a word per 64 lanes, the lanes whose current frontier
+// holds v — the second-level check, B scattered bitmap reads — and returns
+// how many there are.
+func (l *LaneFrontiers) claim(v graph.VertexID, dst []uint64) (lanes int) {
+	clear(dst)
+	for i, s := range l.Cur {
+		if s.Contains(v) {
+			dst[i>>6] |= 1 << (i & 63)
+			lanes++
+		}
+	}
+	return lanes
+}
+
+// mark adds v to the next frontier of every lane improved holds, leaving
+// improved zero.
+func (l *LaneFrontiers) mark(v graph.VertexID, improved []uint64) {
+	for w, lanes := range improved {
+		improved[w] = 0
+		for ; lanes != 0; lanes &= lanes - 1 {
+			l.Next[w<<6+bits.TrailingZeros64(lanes)].Add(v)
+		}
+	}
+}
+
+// laneMask is the one piece of per-lane state Glign-Intra keeps: a bit per
 // (vertex, lane) — ceil(B/64) words a vertex, 1/64 of the value array at
 // B=64 — set when the lane's value at the vertex changed and the vertex has
 // not pushed it yet. It is single-buffered: a lane that arrives at a vertex
 // before the vertex pushes in the same iteration rides along with that push.
+// Krill keeps a pair, one a frontier, whose bits say which queries a vertex
+// is active for: a push claims from the current one and marks into the next.
 //
 // Exactness rests on two orderings. A writer installs the value (CAS), then
 // marks, then adds the vertex to its private accumulator, which pool.For's
@@ -184,10 +300,10 @@ func (p *obliviousPolicy) push(slot, lo, hi int) Counts {
 // or marked after, and then the bit stands and the vertex is in the next
 // frontier to push it. Every marked vertex is in the frontier its marker
 // fills and every frontier member is claimed, so at a fixed point, where the
-// frontier is empty, the mask is all-zero — which is what lets an Arena hand
-// it to the owner's next batch with no clearing pass, where a batch of two or
-// three queries, for which a word a vertex is a good part of a row, would
-// otherwise allocate one.
+// frontier is empty, the mask (and either of Krill's) is all-zero — which is
+// what lets an Arena hand it to the owner's next batch with no clearing pass,
+// where a batch of two or three queries, for which a word a vertex is a good
+// part of a row, would otherwise allocate one.
 //
 // A batch of one query keeps none (a nil *laneMask, whose methods claim the
 // one lane every time and mark nothing): its frontier bit is its lane bit.
@@ -303,12 +419,17 @@ func newLaneScratch(st *BatchSetup, next *frontier.Accumulator) *laneScratch {
 	}
 }
 
-// claim takes the lanes that changed at v since it last pushed, snapshots v's
-// row in them — after the claim, see laneMask — and groups them for relax. It
-// returns how many there are.
-func (s *laneScratch) claim(p *obliviousPolicy, v int) (changed int) {
+// claim takes the lanes p's design pushes v in — at Glign-Intra, those that
+// changed since v last pushed — snapshots v's row in them — after the claim,
+// see laneMask — and groups them for relax. It returns how many there are.
+func (s *laneScratch) claim(p *unifiedPolicy, v int) (changed int) {
 	st := p.st
-	if changed = p.dirty.claim(v, s.claimed); changed == 0 {
+	if p.design == twoLevels {
+		changed = p.lanes.claim(graph.VertexID(v), s.claimed)
+	} else {
+		changed = p.mask.claim(v, s.claimed)
+	}
+	if changed == 0 {
 		return 0
 	}
 	row := st.Cell(v, 0)

@@ -7,8 +7,8 @@
 //
 // Glign's query-oblivious frontier (paper §3.2) is a single Subset shared by
 // every query in the batch; the two-level design it replaces (Ligra-C,
-// Krill, SimGQ) additionally keeps one Subset — or a per-vertex query
-// bitmask, see QueryMask — per query. Subset.Count is what the engines
-// report as frontier_size in per-iteration telemetry, the quantity behind
-// the paper's Figure 7 traversal-peak analysis.
+// SimGQ) additionally keeps one Subset per query, and Krill a per-vertex
+// query mask, which lives with the engines in internal/core. Subset.Count is
+// what the engines report as frontier_size in per-iteration telemetry, the
+// quantity behind the paper's Figure 7 traversal-peak analysis.
 package frontier

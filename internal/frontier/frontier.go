@@ -123,11 +123,12 @@ func (s *Subset) UnionWith(o *Subset) {
 // UnionOf builds the union of parts (which must share one universe) with one
 // word-level pass: 64 membership bits OR-combine per operation, and the
 // member count falls out of bits.OnesCount64 on the way — no per-vertex CAS.
-// This is how the two-level engine derives its unified frontier from the B
-// separate lane frontiers after each iteration's relaxations have quiesced;
-// at B=16 it replaces up to 16 Add CAS loops per improved vertex with
-// one word read per lane per 64 vertices. The word scan runs on the pool
-// over disjoint word blocks, each adding its popcount to the count.
+// Its callers are the traced model of the two-level design, which derives
+// its unified frontier from the B separate lane frontiers, and the
+// benchmark's frontier micro-measurement; the engines themselves build their
+// unified frontier from private accumulators (Merge). The word scan runs on
+// the pool over disjoint word blocks, each adding its popcount to the
+// count.
 func UnionOf(pool *par.Pool, workers int, parts ...*Subset) *Subset {
 	if len(parts) == 0 {
 		panic("frontier: UnionOf of no subsets")

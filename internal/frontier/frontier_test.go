@@ -149,45 +149,3 @@ func TestForEachOrder(t *testing.T) {
 		t.Fatalf("order = %v", got)
 	}
 }
-
-func TestQueryMask(t *testing.T) {
-	m := NewQueryMask(100)
-	if m.Get(5) != 0 {
-		t.Fatal("fresh mask active")
-	}
-	m.Set(5, 0)
-	m.Set(5, 3)
-	m.Set(5, 3)
-	if m.Get(5) != 0b1001 {
-		t.Fatalf("mask = %b", m.Get(5))
-	}
-	m.Set(6, 63)
-	if m.Get(6) != 1<<63 {
-		t.Fatalf("mask = %b", m.Get(6))
-	}
-	m.Clear()
-	if m.Get(5) != 0 || m.Get(6) != 0 {
-		t.Fatal("clear failed")
-	}
-}
-
-func TestQueryMaskConcurrent(t *testing.T) {
-	m := NewQueryMask(1024)
-	var wg sync.WaitGroup
-	for q := 0; q < 16; q++ {
-		wg.Add(1)
-		go func(q int) {
-			defer wg.Done()
-			for v := 0; v < 1024; v++ {
-				m.Set(graph.VertexID(v), q)
-			}
-		}(q)
-	}
-	wg.Wait()
-	want := uint64(1<<16 - 1)
-	for v := 0; v < 1024; v++ {
-		if m.Get(graph.VertexID(v)) != want {
-			t.Fatalf("v%d mask = %b", v, m.Get(graph.VertexID(v)))
-		}
-	}
-}

@@ -277,48 +277,6 @@ func TestQuickUnionOfMatchesFold(t *testing.T) {
 	}
 }
 
-// Property: per-vertex query-mask laws. A mask built from the union of two
-// assignment sets equals the bitwise OR of the individual masks at every
-// vertex.
-func TestQuickQueryMaskUnionIntersection(t *testing.T) {
-	type assign struct {
-		v graph.VertexID
-		q int
-	}
-	gen := func(rng *rand.Rand, n, count int) []assign {
-		out := make([]assign, count)
-		for i := range out {
-			out[i] = assign{graph.VertexID(rng.Intn(n)), rng.Intn(MaxQueries)}
-		}
-		return out
-	}
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 16 + rng.Intn(512)
-		as := gen(rng, n, rng.Intn(4*n))
-		bs := gen(rng, n, rng.Intn(4*n))
-		ma, mb, mu := NewQueryMask(n), NewQueryMask(n), NewQueryMask(n)
-		for _, x := range as {
-			ma.Set(x.v, x.q)
-			mu.Set(x.v, x.q)
-		}
-		for _, x := range bs {
-			mb.Set(x.v, x.q)
-			mu.Set(x.v, x.q)
-		}
-		for v := 0; v < n; v++ {
-			va, vb := ma.Get(graph.VertexID(v)), mb.Get(graph.VertexID(v))
-			if mu.Get(graph.VertexID(v)) != va|vb {
-				return false // union mask is the bitwise OR
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, quickCfg(4, 120)); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // checkAccumulatorEmpty holds a to its between-merges invariant: no touched
 // word, and all-zero over its whole capacity.
 func checkAccumulatorEmpty(t *testing.T, a *Accumulator) {

@@ -25,7 +25,7 @@ type Trace struct {
 // (core.Frontiers). q must be a monotone query whose source is a vertex of g:
 // anything else has no frontier to trace, and TraceQuery panics.
 func TraceQuery(g *graph.Graph, q queries.Query, workers int) *Trace {
-	frontiers, err := core.Frontiers(g, q, core.Options{Workers: workers})
+	frontiers, err := core.Frontiers(g, q, workers)
 	if err != nil {
 		panic(err)
 	}

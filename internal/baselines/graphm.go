@@ -126,9 +126,10 @@ func (p *graphmPolicy) stream(_, plo, phi int) (c core.Counts) {
 }
 
 // VisitOrder is what the cache-trace model of a job-per-query design asks for
-// (see core.Drive): one iteration's visits in partition-centric order.
-func (p *graphmPolicy) VisitOrder(active [][]graph.VertexID, job func(v graph.VertexID, lane int)) {
-	visit(p.parts, active, job)
+// (see core.Drive): the visits of the frontiers Step materialized, in
+// partition-centric order.
+func (p *graphmPolicy) VisitOrder(job func(v graph.VertexID, lane int)) {
+	visit(p.parts, p.active, job)
 }
 
 var _ core.Engine = GraphM{}

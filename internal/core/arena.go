@@ -19,11 +19,10 @@ import (
 //   - the Jacobi state of RunConvergenceBatch: its slabs (jacobiSlabs), taken
 //     and returned inside the run, and the jacobiGeometry of the owner's
 //     graph, which is immutable and so shared rather than taken;
-//   - a lane mask and the frontier pair of the unified-frontier engines,
-//     returned only by a batch that reached its fixed point (see laneMask),
-//     so the pair comes back empty with the member lists its frontiers grew;
-//   - their push accumulators, one a pool slot (accumulators), empty after
-//     every batch.
+//   - the push state of the unified-frontier engines (pushState): their
+//     frontier pair, lane masks and push accumulators, taken once a batch and
+//     returned only by a batch that reached its fixed point, so it comes back
+//     clean with the member lists its frontiers grew.
 //
 // The zero Arena is empty and ready: nothing is allocated until a batch needs
 // it, and each structure stays at the largest size a batch has needed for as
@@ -36,9 +35,7 @@ import (
 // batch of the owner is running — allocates its own and never waits.
 type Arena struct {
 	vals  atomic.Pointer[queries.Values]
-	mask  atomic.Pointer[laneMask]     // all-zero over its whole capacity
-	pair  atomic.Pointer[frontierPair] // both empty
-	push  atomic.Pointer[accumulators]
+	push  atomic.Pointer[pushState] // clean
 	slabs atomic.Pointer[jacobiSlabs]
 	geo   atomic.Pointer[jacobiGeometry]
 }
@@ -69,84 +66,60 @@ func (a *Arena) releaseValues(v *queries.Values) {
 	}
 }
 
-// takeMask returns an all-zero changed-lane mask for n vertices and b lanes
-// (nil at b = 1, see laneMask).
-func (a *Arena) takeMask(n, b int) *laneMask {
-	if b == 1 {
-		return nil
-	}
-	w := (b + 63) / 64
-	if a != nil {
-		if m := a.mask.Swap(nil); m != nil && cap(m.words) >= n*w {
-			m.w, m.words = w, m.words[:n*w]
-			return m
-		}
-	}
-	return &laneMask{w, make([]atomic.Uint64, n*w)}
+// pushState is what a unified-frontier engine's push runs on: its frontier
+// pair, the lane masks of its design (Glign-Intra's changed-lane mask is
+// masks[0], Krill's pair both) and its accumulators, one a pool slot's, nil
+// until a batch's push on the slot makes it. A batch hands it back only at its
+// fixed point, where it is clean: both frontiers empty, each mask all-zero
+// over its whole capacity (see laneMask) and, since every push is followed by
+// an Advance, each accumulator empty.
+type pushState struct {
+	cur, next *frontier.Subset
+	masks     [2]*laneMask
+	accs      []*frontier.Accumulator
 }
 
-// releaseMask makes m the mask the next takeMask finds. Only a mask that is
-// all-zero may come back — one whose batch ended at its fixed point.
-func (a *Arena) releaseMask(m *laneMask) {
-	if a != nil && m != nil {
-		a.mask.Store(m)
-	}
-}
-
-// frontierPair is a unified-frontier engine's current and next frontier.
-type frontierPair struct{ cur, next *frontier.Subset }
-
-// takeFrontiers returns an empty frontier pair over n vertices.
-func (a *Arena) takeFrontiers(n int) *frontierPair {
-	var p *frontierPair
-	if a != nil {
-		p = a.pair.Swap(nil)
-	}
-	if p == nil {
-		return &frontierPair{frontier.New(n), frontier.New(n)}
-	}
-	p.cur, p.next = p.cur.Resized(n), p.next.Resized(n)
-	return p
-}
-
-// releaseFrontiers makes p the pair the next takeFrontiers finds. Only an
-// empty pair may come back — one whose batch ended at its fixed point.
-func (a *Arena) releaseFrontiers(p *frontierPair) {
-	if a != nil {
-		a.pair.Store(p)
-	}
-}
-
-// accumulators are a unified-frontier engine's push accumulators, indexed
-// by pool slot: a slot's is nil until a batch's push on it makes it, and each
-// is empty between iterations.
-type accumulators []*frontier.Accumulator
-
-// takeAccumulators returns the arena's accumulators, resized to n vertices,
-// with room for slots of them.
-func (a *Arena) takeAccumulators(slots, n int) *accumulators {
-	var s *accumulators
+// takePush returns the arena's push state, resized to n vertices, with room
+// for slots accumulators.
+func (a *Arena) takePush(n, slots int) *pushState {
+	var s *pushState
 	if a != nil {
 		s = a.push.Swap(nil)
 	}
 	if s == nil {
-		s = new(accumulators)
+		s = &pushState{cur: frontier.New(n), next: frontier.New(n)}
 	}
-	for i, acc := range *s {
+	s.cur, s.next = s.cur.Resized(n), s.next.Resized(n)
+	for i, acc := range s.accs {
 		if acc != nil {
-			(*s)[i] = acc.Resized(n)
+			s.accs[i] = acc.Resized(n)
 		}
 	}
-	for len(*s) < slots {
-		*s = append(*s, nil)
+	for len(s.accs) < slots {
+		s.accs = append(s.accs, nil)
 	}
 	return s
 }
 
-// releaseAccumulators makes s the accumulators the next takeAccumulators
-// finds. Only accumulators whose run's pushes were all followed by an Advance
-// may come back: they are empty.
-func (a *Arena) releaseAccumulators(s *accumulators) {
+// takeMask returns mask i, all-zero, for n vertices and b lanes (nil at b = 1,
+// see laneMask).
+func (s *pushState) takeMask(i, n, b int) *laneMask {
+	if b == 1 {
+		return nil
+	}
+	w := (b + 63) / 64
+	m := s.masks[i]
+	if m == nil || cap(m.words) < n*w {
+		m = &laneMask{words: make([]atomic.Uint64, n*w)}
+		s.masks[i] = m
+	}
+	m.w, m.words = w, m.words[:n*w]
+	return m
+}
+
+// releasePush makes s the push state the next takePush finds. Only a clean
+// one may come back — one whose batch ended at its fixed point.
+func (a *Arena) releasePush(s *pushState) {
 	if a != nil {
 		a.push.Store(s)
 	}

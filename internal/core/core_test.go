@@ -25,9 +25,7 @@ func checkAgainstReference(t *testing.T, g *graph.Graph, batch []queries.Query, 
 	if err != nil {
 		t.Fatalf("%s: %v", e.Name(), err)
 	}
-	checkArenaMaskClean(t, opt.Arena)
-	checkArenaFrontiersClean(t, opt.Arena)
-	checkArenaAccumulatorsClean(t, opt.Arena, g.NumVertices())
+	checkArenaPushClean(t, opt.Arena)
 	for qi, q := range batch {
 		want := engine.ReferenceRun(g, q)
 		for v := 0; v < g.NumVertices(); v++ {
@@ -383,12 +381,12 @@ func tracingDeterministicAndHarmless(t *testing.T, g *graph.Graph, batch []queri
 	}
 }
 
-// TestModelCountsMatchProduction holds the one push body of the
-// unified-frontier engines to each design's traced model, which walks the
-// design as the paper draws it: at one worker, where the counts are
-// deterministic, an untraced run reports the iterations, frontier history and
-// work counters of the model a Tracer runs in its place — so a design's lane
-// state claims exactly the lanes its model relaxes.
+// TestModelCountsMatchProduction holds each design's traced model — its
+// unfused relaxation, a lane at a time — to the fused push of the
+// unified-frontier engines over one lane state, the policy's: at one worker,
+// where the counts are deterministic, an untraced run reports the iterations,
+// frontier history and work counters of the model a Tracer wraps around it —
+// so the push relaxes exactly the lanes the model claims and relaxes.
 func TestModelCountsMatchProduction(t *testing.T) {
 	for _, ds := range []graph.Dataset{graph.LJ, graph.RDCA} {
 		g := graph.MustGenerate(ds, graph.Tiny)

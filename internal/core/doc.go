@@ -35,11 +35,12 @@
 // query-oblivious engine reads and relaxes rows, whole or in the lanes that
 // changed; BatchResult hands the
 // results out per query (QueryValues) or all at once (AllQueryValues). With
-// Options.Arena set the array — with the Jacobi state and the changed-lane
-// mask — passes from one batch of its owner to the next (Arena;
-// BatchResult.Release gives it back) instead of being allocated per batch. With
-// Options.Tracer set, Drive runs a serial model of the policy's design
-// (tracing.go) in its place, so the production bodies carry no tracer.
+// Options.Arena set the array — with the Jacobi state and the push state of
+// the unified-frontier engines — passes from one batch of its owner to the
+// next (Arena; BatchResult.Release gives it back) instead of being allocated
+// per batch. With Options.Tracer set, Drive runs a serial model of the
+// policy's design (tracing.go) wrapped around the policy, so the production
+// bodies carry no tracer.
 //
 // When Options.Telemetry is set, every engine records one IterationStat per
 // global iteration — frontier size, push/jacobi mode, active and injected

@@ -29,9 +29,11 @@ type Step struct {
 // Ligra-C (B separate frontiers), Krill (a per-vertex query mask) and GraphM
 // (B separate frontiers walked partition by partition); see paper Figure 5.
 // Drive calls every method once per iteration at most, never per edge. In a
-// cache-traced run a policy is replaced by the model of its design (traced,
-// in tracing.go); a policy from outside this package is modelled as a
-// job-per-query design and must provide VisitOrder for that.
+// cache-traced run Drive runs the model of the policy's design wrapped around
+// the policy (traced, in tracing.go), which calls these methods and walks the
+// policy's own state; a policy from outside this package is modelled as a
+// job-per-query design, and for that must embed LaneFrontiers and provide
+// VisitOrder.
 type LanePolicy interface {
 	// Inject activates src for lane; Drive has already stored the lane's
 	// source value.

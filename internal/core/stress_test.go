@@ -4,12 +4,15 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/glign/glign/internal/frontier"
 	"github.com/glign/glign/internal/graph"
+	"github.com/glign/glign/internal/memtrace"
 	"github.com/glign/glign/internal/oracle"
 	"github.com/glign/glign/internal/par"
 	"github.com/glign/glign/internal/queries"
@@ -131,73 +134,88 @@ func TestConcurrentBatchStress(t *testing.T) {
 	}
 }
 
-// checkArenaMaskClean holds the arena's changed-lane mask to its invariant:
-// it is all-zero over its whole capacity.
-func checkArenaMaskClean(t *testing.T, a *Arena) {
+// checkArenaPushClean holds the arena's push state to its invariant (see
+// pushState): both frontiers empty, their bitmaps and each mask all-zero over
+// their whole capacity, and each accumulator a slot made empty — merging it
+// into an empty subset over the frontiers' universe adds nothing.
+func checkArenaPushClean(t *testing.T, a *Arena) {
 	t.Helper()
 	if a == nil {
 		return
 	}
-	m := a.mask.Swap(nil) // taken out, so no batch marks it meanwhile
-	if m == nil {
-		return
-	}
-	defer a.mask.Store(m)
-	words := m.words[:cap(m.words)]
-	for i := range words {
-		if w := words[i].Load(); w != 0 {
-			t.Fatalf("the recycled lane mask has word %d = %#x", i, w)
-		}
-	}
-}
-
-// checkArenaFrontiersClean holds the arena's frontier pair to its invariant:
-// both frontiers are empty, their bitmaps all-zero over their whole capacity.
-func checkArenaFrontiersClean(t *testing.T, a *Arena) {
-	t.Helper()
-	if a == nil {
-		return
-	}
-	p := a.pair.Swap(nil) // taken out, so no batch fills it meanwhile
-	if p == nil {
-		return
-	}
-	defer a.pair.Store(p)
-	for _, f := range []*frontier.Subset{p.cur, p.next} {
-		if !f.IsEmpty() {
-			t.Fatalf("a recycled frontier holds %d vertices", f.Count())
-		}
-		words := f.Words()[:cap(f.Words())]
-		for i := range words {
-			if w := words[i].Load(); w != 0 {
-				t.Fatalf("a recycled frontier has word %d = %#x", i, w)
-			}
-		}
-	}
-}
-
-// checkArenaAccumulatorsClean holds the arena's push accumulators to their
-// invariant: after every batch, each a slot made is empty — merging it into an
-// empty subset over the n vertices of the batch's graph adds nothing.
-func checkArenaAccumulatorsClean(t *testing.T, a *Arena, n int) {
-	t.Helper()
-	if a == nil {
-		return
-	}
-	s := a.push.Swap(nil) // taken out, so no batch fills them meanwhile
+	s := a.push.Swap(nil) // taken out, so no batch fills it meanwhile
 	if s == nil {
 		return
 	}
 	defer a.push.Store(s)
-	for slot, acc := range *s {
+	zero := func(what string, words []atomic.Uint64) {
+		t.Helper()
+		words = words[:cap(words)]
+		for i := range words {
+			if w := words[i].Load(); w != 0 {
+				t.Fatalf("%s has word %d = %#x", what, i, w)
+			}
+		}
+	}
+	for _, f := range []*frontier.Subset{s.cur, s.next} {
+		if !f.IsEmpty() {
+			t.Fatalf("a recycled frontier holds %d vertices", f.Count())
+		}
+		zero("a recycled frontier", f.Words())
+	}
+	for i, m := range s.masks {
+		if m != nil {
+			zero(fmt.Sprintf("recycled lane mask %d", i), m.words)
+		}
+	}
+	for slot, acc := range s.accs {
 		if acc == nil {
 			continue
 		}
-		got := frontier.New(n)
+		got := frontier.New(s.cur.Universe())
 		got.Merge(acc)
 		if !got.IsEmpty() {
 			t.Fatalf("recycled accumulator of slot %d held %d vertices: %v", slot, got.Count(), got.Sparse())
 		}
+	}
+}
+
+// TestTracedRunRecyclesPushState runs, for each unified-frontier engine, a
+// traced batch and then an untraced one on one Arena. The traced model walks
+// the policy's own state, so the traced batch hands its push state back clean,
+// and the untraced batch after it does exactly the work of one on a fresh
+// arena.
+func TestTracedRunRecyclesPushState(t *testing.T) {
+	g := graph.MustGenerate(graph.LJ, graph.Tiny)
+	batch := stressBatch(13)
+	for _, e := range []Engine{GlignIntra, Krill, LigraC} {
+		fresh, err := e.Run(g, batch, Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		arena := new(Arena)
+		traced, err := e.Run(g, batch, Options{Workers: 1, Arena: arena, Tracer: new(memtrace.CountingTracer)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		traced.Release()
+		if arena.push.Load() == nil {
+			t.Fatalf("%s: a traced batch that reached its fixed point did not hand its push state back", e.Name())
+		}
+		checkArenaPushClean(t, arena)
+		again, err := e.Run(g, batch, Options{Workers: 1, Arena: arena})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again.GlobalIterations != fresh.GlobalIterations || again.EdgesProcessed != fresh.EdgesProcessed ||
+			again.LaneRelaxations != fresh.LaneRelaxations || again.ValueWrites != fresh.ValueWrites ||
+			!slices.Equal(again.UnionFrontierSizes, fresh.UnionFrontierSizes) {
+			t.Errorf("%s after a traced batch: %d iterations, %d edges, %d relaxations, %d writes; on a fresh arena %d, %d, %d, %d",
+				e.Name(), again.GlobalIterations, again.EdgesProcessed, again.LaneRelaxations, again.ValueWrites,
+				fresh.GlobalIterations, fresh.EdgesProcessed, fresh.LaneRelaxations, fresh.ValueWrites)
+		}
+		again.Release()
+		checkAgainstReference(t, g, batch, e, Options{Workers: 1, Arena: arena})
 	}
 }
 
@@ -274,8 +292,8 @@ func TestChangedLaneMaskCorners(t *testing.T) {
 					t.Fatal(err)
 				}
 				fresh.Release()
-				if arena.mask.Load() == nil {
-					t.Fatal("a batch that reached its fixed point did not hand its mask back")
+				if arena.push.Load() == nil {
+					t.Fatal("a batch that reached its fixed point did not hand its push state back")
 				}
 				capped, err := GlignIntra.Run(g, batch, Options{Workers: 1, MaxIterations: 2, Arena: arena})
 				if err != nil {
@@ -285,8 +303,8 @@ func TestChangedLaneMaskCorners(t *testing.T) {
 					t.Fatalf("capped run took %d iterations, want 2", capped.GlobalIterations)
 				}
 				capped.Release()
-				if arena.mask.Load() != nil {
-					t.Fatal("a capped batch handed its mask back")
+				if arena.push.Load() != nil {
+					t.Fatal("a capped batch handed its push state back")
 				}
 				// Serial runs repeat exactly, so a leaked bit — a lane relaxed
 				// that had not changed — would show in the counters.
@@ -400,9 +418,23 @@ func TestArenaRecycledStateCorners(t *testing.T) {
 					runOnArena(t, arena, g, pagerank, e, Options{Workers: 3})
 					runOnArena(t, arena, g, pagerank[:2], e, Options{Workers: 2})
 					runOnArena(t, arena, g, stressBatch(5), e, Options{Workers: 3})
-					checkArenaMaskClean(t, arena)
-					checkArenaFrontiersClean(t, arena)
+					checkArenaPushClean(t, arena)
 				}
+			})
+
+			t.Run("krill-both-masks", func(t *testing.T) {
+				arena := new(Arena)
+				runOnArena(t, arena, g, stressBatch(8), Krill, Options{Workers: 3})
+				s := arena.push.Load()
+				if s == nil || s.masks[0] == nil || s.masks[1] == nil {
+					t.Fatal("a Krill batch that reached its fixed point did not hand back both its masks")
+				}
+				masks := s.masks
+				runOnArena(t, arena, g, stressBatch(5), Krill, Options{Workers: 3})
+				if s := arena.push.Load(); s == nil || s.masks != masks {
+					t.Fatal("the next Krill batch did not run on the masks the first handed back")
+				}
+				checkArenaPushClean(t, arena)
 			})
 
 			t.Run("monotone-then-pagerank-widths", func(t *testing.T) {
@@ -435,8 +467,7 @@ func TestArenaRecycledStateCorners(t *testing.T) {
 					}
 					capped.Release()
 					runOnArena(t, arena, g, batch, GlignIntra, Options{Workers: 3})
-					checkArenaMaskClean(t, arena)
-					checkArenaFrontiersClean(t, arena)
+					checkArenaPushClean(t, arena)
 				}
 			})
 
@@ -444,7 +475,7 @@ func TestArenaRecycledStateCorners(t *testing.T) {
 				arena := new(Arena)
 				runOnArena(t, arena, g, stressBatch(8), GlignIntra, Options{Workers: 3})
 				runOnArena(t, arena, g, pagerank, GlignIntra, Options{Workers: 3})
-				vals, slabs, mask := arena.vals.Load(), arena.slabs.Load(), arena.mask.Load()
+				vals, slabs, push := arena.vals.Load(), arena.slabs.Load(), arena.push.Load()
 				outOfRange := graph.VertexID(g.NumVertices())
 				for name, bad := range map[string][]queries.Query{
 					"monotone source out of range": {{Kernel: queries.BFS, Source: 1}, {Kernel: queries.SSSP, Source: outOfRange}},
@@ -454,7 +485,7 @@ func TestArenaRecycledStateCorners(t *testing.T) {
 					if _, err := GlignIntra.Run(g, bad, Options{Workers: 3, Arena: arena}); err == nil {
 						t.Fatalf("%s: no error", name)
 					}
-					if arena.vals.Load() != vals || arena.slabs.Load() != slabs || arena.mask.Load() != mask {
+					if arena.vals.Load() != vals || arena.slabs.Load() != slabs || arena.push.Load() != push {
 						t.Fatalf("%s: the failed batch took something out of the arena and did not put it back", name)
 					}
 				}
@@ -476,8 +507,7 @@ func TestArenaRecycledStateCorners(t *testing.T) {
 					}(i)
 				}
 				wg.Wait()
-				checkArenaMaskClean(t, arena)
-				checkArenaFrontiersClean(t, arena)
+				checkArenaPushClean(t, arena)
 			})
 
 			t.Run("second-larger-graph", func(t *testing.T) {
@@ -485,7 +515,7 @@ func TestArenaRecycledStateCorners(t *testing.T) {
 				for _, h := range []*graph.Graph{g, bigger, g} {
 					runOnArena(t, arena, h, stressBatch(8), GlignIntra, Options{Workers: 3})
 					runOnArena(t, arena, h, pagerank, GlignIntra, Options{Workers: 3})
-					checkArenaFrontiersClean(t, arena)
+					checkArenaPushClean(t, arena)
 					if k := arena.geo.Load(); k == nil || k.g != h || len(k.outDeg) != h.NumVertices() {
 						t.Fatalf("the arena's Jacobi geometry is not that of the graph of %d vertices it last ran on", h.NumVertices())
 					}

@@ -3,31 +3,34 @@ package core
 import (
 	"math/bits"
 
-	"github.com/glign/glign/internal/frontier"
 	"github.com/glign/glign/internal/graph"
 	"github.com/glign/glign/internal/memtrace"
 	"github.com/glign/glign/internal/queries"
 )
 
 // Cache-trace modelling. When Options.Tracer is set, Drive runs a model of
-// the policy's design in the policy's place: the same traversal, walked
-// serially and un-fused on the model's own frontier state, emitting the
-// address stream the paper's design would produce, so the production bodies
-// carry no tracer. Value accesses are addressed by Cell, like the real array.
+// the policy's design around the policy: the model's Inject, Step and
+// Advance are the policy's own, so the traversal runs on the policy's
+// frontier and lane state, and its step walks that state serially and
+// un-fused, emitting the address stream the paper's design would produce, so
+// the production bodies carry no tracer. Value accesses are addressed by
+// Cell, like the real array.
 //
 // The model is held to the production bodies by
-// TestTracingDeterministicAndHarmless (values) and to the committed access
-// stream by TestEngineGolden.
+// TestTracingDeterministicAndHarmless (values) and
+// TestModelCountsMatchProduction (counts), and to the committed access stream
+// by TestEngineGolden.
 
 // design names the per-query activation state a policy keeps (paper Figure
 // 5). In production the three unified-frontier designs share one push body
 // (unifiedPolicy) and differ only in the lane state it claims from and marks
 // into; under a tracer it picks which simulated structures the model touches,
-// and where. The models walk each design as the paper draws it — Ligra-C's
-// unified frontier an OR of its lane frontiers, with the per-improvement
-// writes of both — not as the shared body runs it. The designs evaluate
-// alike — relax each active vertex in the lanes it is active for — and differ
-// in the address stream only at the points the model's switches mark:
+// and where. The model claims and marks that same state, but emits each design
+// as the paper draws it — Ligra-C's unified frontier an OR of its lane
+// frontiers, with the per-improvement writes of both — not as the shared body
+// runs it. The designs evaluate alike — relax each active vertex in the lanes
+// it is active for — and differ in the address stream only at the points the
+// model's switches mark:
 //
 //	             unionOnly          twoLevels, jobs         queryMasks
 //	per vertex   changed-lane mask, (B frontier probes,)    mask word,
@@ -42,8 +45,7 @@ import (
 // unionOnly and queryMasks differ in what the mask means and how many there
 // are: Krill's says which queries a vertex is active for and is
 // double-buffered like its frontier; Glign-Intra's says which lanes changed
-// since the vertex last pushed and is the one array its policy owns
-// (laneMask), claimed and marked here exactly as the production bodies do.
+// since the vertex last pushed (laneMask).
 type design int
 
 const (
@@ -53,26 +55,25 @@ const (
 	jobs                     // GraphM: B separate frontiers, no unified one
 )
 
-func (p *unifiedPolicy) traceDesign() design { return p.design }
-
 // jobOrdered is a policy that runs each query as an independent job over its
-// own frontier: VisitOrder yields one iteration's (vertex, lane) visits in
-// the order the design streams the graph, given each lane's sorted active
-// vertices.
+// own frontier, kept in an embedded LaneFrontiers: VisitOrder yields the
+// (vertex, lane) visits of the frontiers its last Step materialized, in the
+// order the design streams the graph.
 type jobOrdered interface {
-	VisitOrder(active [][]graph.VertexID, job func(v graph.VertexID, lane int))
+	VisitOrder(job func(v graph.VertexID, lane int))
+	laneFrontiers() *LaneFrontiers
 }
 
 // traced returns what Drive runs and on how many workers: p as it is, or —
-// under a tracer — the model of p's design, serially so the access stream is
-// deterministic.
+// under a tracer — the model of p's design wrapped around p, serially so the
+// access stream is deterministic.
 func traced(g *graph.Graph, st *BatchSetup, opt Options, p LanePolicy) (LanePolicy, int) {
 	if opt.Tracer == nil {
 		return p, opt.Workers
 	}
 	n, m := int64(g.NumVertices()), int64(g.NumEdges())
-	t := &tracedModel{tr: opt.Tracer, g: g, st: st, design: jobs, fbytes: frontierBitmapBytes(st.N),
-		LaneFrontiers: NewLaneFrontiers(st.N, st.B)}
+	t := &tracedModel{LanePolicy: p, tr: opt.Tracer, g: g, st: st, design: jobs, fbytes: frontierBitmapBytes(st.N),
+		claimed: make([]uint64, (st.B+63)/64), lanes: make([]int, 0, st.B)}
 	t.offsets = t.layout.Place((n + 1) * 4)
 	t.targets = t.layout.Place(m * 4)
 	if g.Weighted() {
@@ -80,16 +81,15 @@ func traced(g *graph.Graph, st *BatchSetup, opt Options, p LanePolicy) (LanePoli
 	}
 	t.values = t.layout.Place(n * int64(st.B) * 8)
 	t.unionCur, t.unionNext = t.layout.Place(t.fbytes), t.layout.Place(t.fbytes)
-	if d, ok := p.(interface{ traceDesign() design }); ok {
-		t.design = d.traceDesign()
+	if u, ok := p.(*unifiedPolicy); ok {
+		t.u, t.design = u, u.design
 	} else {
-		t.order = p.(jobOrdered).VisitOrder
+		t.jobs = p.(jobOrdered)
 	}
 	switch t.design {
 	case unionOnly:
-		t.claimed = make([]uint64, (st.B+63)/64)
-		if t.dirty = p.(*unifiedPolicy).mask; t.dirty != nil {
-			t.dirtyBase = t.layout.Place(int64(len(t.dirty.words)) * 8)
+		if mask := t.u.mask; mask != nil {
+			t.maskBase = t.layout.Place(int64(len(mask.words)) * 8)
 		}
 	case twoLevels, jobs:
 		t.sepCur, t.sepNext = make([]int64, st.B), make([]int64, st.B)
@@ -102,31 +102,31 @@ func traced(g *graph.Graph, st *BatchSetup, opt Options, p LanePolicy) (LanePoli
 	return t, 1
 }
 
-// tracedModel is the model of one traced run. Its state is one frontier pair
-// per query lane — the finest activation state any design keeps (a unified
-// frontier is their OR, a query mask their transpose) — and the simulated
-// address space: page-aligned, disjoint regions (memtrace.Layout) for the CSR
-// arrays, the value array, the unified frontier pair and the design's
-// activation structures.
+// tracedModel is the model of one traced run, wrapped around the policy Drive
+// was handed. Of its own it keeps only the simulated address space —
+// page-aligned, disjoint regions (memtrace.Layout) for the CSR arrays, the
+// value array, the unified frontier pair and the design's activation
+// structures — and the lanes of the vertex being visited.
 type tracedModel struct {
-	tr     memtrace.Tracer
-	g      *graph.Graph
-	st     *BatchSetup
-	design design
-	order  func(active [][]graph.VertexID, job func(v graph.VertexID, lane int)) // jobs only
-	work   Counts                                                                // of the iteration being walked; Advance resets it
-	LaneFrontiers
+	LanePolicy
+	u       *unifiedPolicy // the policy, at a unified-frontier design
+	jobs    jobOrdered     // the policy, at jobs
+	tr      memtrace.Tracer
+	g       *graph.Graph
+	st      *BatchSetup
+	design  design
+	work    Counts   // of the iteration being walked; Advance resets it
+	claimed []uint64 // the lanes claimed from the vertex being visited, a word per 64
+	lanes   []int    // the same lanes, listed
 
 	layout                    memtrace.Layout
 	fbytes                    int64 // one frontier bitmap
 	offsets, targets, weights int64
 	values                    int64
 	unionCur, unionNext       int64
-	sepCur, sepNext           []int64   // per-query frontier bitmaps
-	qmaskCur, qmaskNext       int64     // per-vertex query masks
-	dirty                     *laneMask // unionOnly: the policy's changed-lane mask
-	dirtyBase                 int64
-	claimed                   []uint64 // the lanes claimed from the vertex being visited
+	sepCur, sepNext           []int64 // per-query frontier bitmaps
+	qmaskCur, qmaskNext       int64   // per-vertex query masks
+	maskBase                  int64   // unionOnly: the changed-lane mask
 }
 
 // scan models a sequential full read of a frontier bitmap (materializing
@@ -159,19 +159,18 @@ func (t *tracedModel) mask(base int64, v graph.VertexID, write bool) {
 // changed models touching vertex v's words of the changed-lane mask; a batch
 // of one query has none.
 func (t *tracedModel) changed(v graph.VertexID, write bool) {
-	if t.dirty != nil {
-		t.tr.Access(t.dirtyBase+int64(int(v)*t.dirty.w)*8, int64(t.dirty.w)*8, write)
+	if m := t.u.mask; m != nil {
+		t.tr.Access(t.maskBase+int64(int(v)*m.w)*8, int64(m.w)*8, write)
 	}
 }
 
 func (t *tracedModel) Inject(src graph.VertexID, lane int) {
-	t.LaneFrontiers.Inject(src, lane)
+	t.LanePolicy.Inject(src, lane)
 	if t.design != jobs {
 		t.value(src, lane, 1, true)
 	}
 	switch t.design {
 	case unionOnly:
-		t.dirty.set(int(src), lane)
 		t.changed(src, true)
 	case twoLevels:
 		t.word(t.sepCur[lane], src, true)
@@ -183,78 +182,68 @@ func (t *tracedModel) Inject(src graph.VertexID, lane int) {
 }
 
 func (t *tracedModel) Advance() {
-	t.LaneFrontiers.Advance()
+	t.LanePolicy.Advance()
 	t.work = Counts{}
 	t.unionCur, t.unionNext = t.unionNext, t.unionCur
 	t.sepCur, t.sepNext = t.sepNext, t.sepCur
 	t.qmaskCur, t.qmaskNext = t.qmaskNext, t.qmaskCur
 }
 
-// Step is the whole walk as one chunk, so it runs exactly once per iteration
-// — also on idle iterations whose frontier is empty, which still pay their
-// bitmap scans.
+// Step is the policy's step with the whole walk as one chunk, so it runs
+// exactly once per iteration — also on idle iterations whose frontier is
+// empty, which still pay their bitmap scans.
 func (t *tracedModel) Step() Step {
-	step := Step{Total: 1}
+	step := t.LanePolicy.Step()
+	step.Total, step.Grain = 1, 0
 	if t.design == jobs {
-		// One scan per job, then the jobs' visits in the design's order. A
-		// vertex active for k jobs counts k times (see GraphM's Step).
-		active := make([][]graph.VertexID, t.st.B)
-		for i, s := range t.Cur {
-			active[i] = s.Sparse()
-			step.Size += len(active[i])
-		}
-		job := func(v graph.VertexID, lane int) { t.visit(v, []int{lane}) }
+		// One scan per job, then the jobs' visits in the design's order.
 		step.Body = func(_, _, _ int) Counts {
 			for _, base := range t.sepCur {
 				t.scan(base)
 			}
-			t.order(active, job)
+			t.jobs.VisitOrder(func(v graph.VertexID, lane int) { t.visit(v, append(t.lanes[:0], lane)) })
 			return t.work
 		}
 		return step
 	}
-	union := frontier.UnionOf(nil, 1, t.Cur...)
-	step.Size = union.Count()
 	step.Body = func(_, _, _ int) Counts {
 		t.scan(t.unionCur)
-		lanes := make([]int, 0, t.st.B)
-		for _, v := range union.Sparse() {
-			t.visit(v, t.activeLanes(v, lanes[:0]))
+		for _, v := range t.u.active {
+			t.visit(v, t.claim(v))
 		}
 		return t.work
 	}
 	return step
 }
 
-// activeLanes appends the lanes a unified-frontier design relaxes v in:
-// those v is active for, or — unionOnly — those it claims from its mask.
-func (t *tracedModel) activeLanes(v graph.VertexID, lanes []int) []int {
+// claim takes from the policy's lane state the lanes a unified-frontier
+// design relaxes v in, as its push does, and lists them.
+func (t *tracedModel) claim(v graph.VertexID) []int {
 	switch t.design {
 	case unionOnly:
 		t.changed(v, false)
-		t.dirty.claim(int(v), t.claimed)
-		for w, m := range t.claimed {
-			for ; m != 0; m &= m - 1 {
-				lanes = append(lanes, w*64+bits.TrailingZeros64(m))
-			}
-		}
-		return lanes
+		t.u.mask.claim(int(v), t.claimed)
 	case queryMasks:
 		t.mask(t.qmaskCur, v, false)
-	}
-	for i, s := range t.Cur {
-		if t.design == twoLevels {
-			t.word(t.sepCur[i], v, false)
+		t.u.mask.claim(int(v), t.claimed)
+	case twoLevels:
+		for _, base := range t.sepCur {
+			t.word(base, v, false)
 		}
-		if s.Contains(v) {
-			lanes = append(lanes, i)
+		t.u.lanes.claim(v, t.claimed)
+	}
+	lanes := t.lanes[:0]
+	for w, m := range t.claimed {
+		for ; m != 0; m &= m - 1 {
+			lanes = append(lanes, w<<6+bits.TrailingZeros64(m))
 		}
 	}
 	return lanes
 }
 
 // visit relaxes v's out-edges in the given lanes, one generic RelaxImprove
-// per lane and edge.
+// per lane and edge, and marks each destination it improved in the policy's
+// lane state and next frontier.
 func (t *tracedModel) visit(v graph.VertexID, lanes []int) {
 	st, c := t.st, &t.work
 	if len(lanes) == 0 {
@@ -285,25 +274,29 @@ func (t *tracedModel) visit(v graph.VertexID, lanes []int) {
 				continue
 			}
 			improved++
-			t.Next[i].Add(d)
 			t.value(d, i, 1, true)
-			if t.design == unionOnly {
-				t.dirty.set(int(d), i)
-			}
-			if t.sepNext != nil {
+			switch t.design {
+			case jobs:
+				t.jobs.laneFrontiers().Next[i].Add(d)
 				t.word(t.sepNext[i], d, true)
-			}
-			if t.design == twoLevels {
+			case twoLevels:
+				t.u.lanes.Next[i].Add(d)
+				t.word(t.sepNext[i], d, true)
 				t.word(t.unionNext, d, true)
+			default:
+				t.u.nextMask.set(int(d), i)
 			}
 		}
 		c.Writes += int64(improved)
-		switch {
-		case improved == 0:
-		case t.design == unionOnly:
+		if improved == 0 || t.design == jobs {
+			continue
+		}
+		t.u.next.Add(d)
+		switch t.design {
+		case unionOnly:
 			t.changed(d, true)
 			t.word(t.unionNext, d, true)
-		case t.design == queryMasks:
+		case queryMasks:
 			t.mask(t.qmaskNext, d, true)
 			t.word(t.unionNext, d, true)
 		}

@@ -74,19 +74,11 @@ func runUnified(g *graph.Graph, batch []queries.Query, opt Options, d design, qu
 		p = newUnifiedPolicy(g, st, opt.Arena, d)
 		return p
 	})
-	if p == nil {
-		return res, err
-	}
-	// Every Advance empties the accumulators, so they always go back. At a
-	// fixed point the masks are all-zero again (see laneMask) and the
-	// frontier pair empty, and both serve the next batch; a capped run can
-	// stop with bits set, and a traced one advances its model's frontier, not
-	// p.cur, so their masks and pairs are dropped. The arena keeps one mask:
-	// the other half of Krill's pair is dropped too.
-	opt.Arena.releaseAccumulators(p.accs)
-	if opt.Tracer == nil && p.cur.IsEmpty() {
-		opt.Arena.releaseMask(p.mask)
-		opt.Arena.releaseFrontiers(p.frontierPair)
+	// At a fixed point the push state is clean and serves the next batch; a
+	// capped run can stop with members in its frontier and bits in its masks,
+	// so its state is dropped.
+	if p != nil && p.cur.IsEmpty() {
+		opt.Arena.releasePush(p.pushState)
 	}
 	return res, err
 }
@@ -94,16 +86,15 @@ func runUnified(g *graph.Graph, batch []queries.Query, opt Options, d design, qu
 func newUnifiedPolicy(g *graph.Graph, st *BatchSetup, arena *Arena, d design) *unifiedPolicy {
 	p := &unifiedPolicy{
 		g: g, st: st, design: d,
-		frontierPair: arena.takeFrontiers(st.N),
-		scratch:      make([]*laneScratch, st.slots),
-		accs:         arena.takeAccumulators(st.slots, st.N),
+		pushState: arena.takePush(st.N, st.slots),
+		scratch:   make([]*laneScratch, st.slots),
 	}
 	switch d {
 	case unionOnly:
-		p.mask = arena.takeMask(st.N, st.B)
+		p.mask = p.takeMask(0, st.N, st.B)
 		p.nextMask = p.mask
 	case queryMasks:
-		p.mask, p.nextMask = arena.takeMask(st.N, st.B), arena.takeMask(st.N, st.B)
+		p.mask, p.nextMask = p.takeMask(0, st.N, st.B), p.takeMask(1, st.N, st.B)
 	case twoLevels:
 		p.lanes = NewLaneFrontiers(st.N, st.B)
 	}
@@ -111,14 +102,13 @@ func newUnifiedPolicy(g *graph.Graph, st *BatchSetup, arena *Arena, d design) *u
 	return p
 }
 
-// Frontiers evaluates q alone, as GlignIntra's one-query batch, and returns
-// the frontier entering each of its iterations: the per-query history the
-// affinity analyses of internal/align are computed from. opt must carry no
-// Tracer: a traced run walks its model's frontier, not the policy's.
-func Frontiers(g *graph.Graph, q queries.Query, opt Options) ([]*frontier.Subset, error) {
+// Frontiers evaluates q alone on workers, as GlignIntra's one-query batch, and
+// returns the frontier entering each of its iterations: the per-query history
+// the affinity analyses of internal/align are computed from.
+func Frontiers(g *graph.Graph, q queries.Query, workers int) ([]*frontier.Subset, error) {
 	var rec *recorder
-	res, err := Drive(g, []queries.Query{q}, opt, func(st *BatchSetup) LanePolicy {
-		rec = &recorder{unifiedPolicy: newUnifiedPolicy(g, st, opt.Arena, unionOnly)}
+	res, err := Drive(g, []queries.Query{q}, Options{Workers: workers}, func(st *BatchSetup) LanePolicy {
+		rec = &recorder{unifiedPolicy: newUnifiedPolicy(g, st, nil, unionOnly)}
 		return rec
 	})
 	if err != nil {
@@ -146,18 +136,15 @@ type unifiedPolicy struct {
 	g      *graph.Graph
 	st     *BatchSetup
 	design design // unionOnly, queryMasks or twoLevels
-	*frontierPair
+	*pushState
 	active []graph.VertexID
 	// mask is the lane mask a push claims from and nextMask the one it marks
 	// into: Glign-Intra's one mask is both, Krill's pair swaps at Advance,
 	// and Ligra-C keeps none.
 	mask, nextMask *laneMask
-	lanes          LaneFrontiers  // Ligra-C's
-	scratch        []*laneScratch // a pool slot's, made on the slot's first push
-	// accs holds a slot's accumulator (its scratch's next) once made; it is
-	// the arena's, which keeps them from batch to batch.
-	accs *accumulators
-	body func(slot, lo, hi int) Counts // push, bound once: a method value allocates
+	lanes          LaneFrontiers                 // Ligra-C's
+	scratch        []*laneScratch                // a pool slot's, made on the slot's first push; its next is accs[slot]
+	body           func(slot, lo, hi int) Counts // push, bound once: a method value allocates
 }
 
 func (p *unifiedPolicy) Inject(src graph.VertexID, lane int) {
@@ -201,7 +188,7 @@ func (p *unifiedPolicy) Advance() {
 func (p *unifiedPolicy) push(slot, lo, hi int) Counts {
 	st, s := p.st, p.scratch[slot]
 	if s == nil {
-		acc := &(*p.accs)[slot]
+		acc := &p.accs[slot]
 		if *acc == nil {
 			*acc = frontier.NewAccumulator(st.N)
 		}
@@ -247,6 +234,10 @@ func NewLaneFrontiers(n, b int) LaneFrontiers {
 	}
 	return l
 }
+
+// laneFrontiers is l: promoted to a policy that embeds LaneFrontiers, it is
+// how the traced model reaches that policy's frontiers (jobOrdered).
+func (l *LaneFrontiers) laneFrontiers() *LaneFrontiers { return l }
 
 // Inject activates src for lane.
 func (l *LaneFrontiers) Inject(src graph.VertexID, lane int) { l.Cur[lane].Add(src) }

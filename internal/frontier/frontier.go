@@ -123,10 +123,9 @@ func (s *Subset) UnionWith(o *Subset) {
 // UnionOf builds the union of parts (which must share one universe) with one
 // word-level pass: 64 membership bits OR-combine per operation, and the
 // member count falls out of bits.OnesCount64 on the way — no per-vertex CAS.
-// Its callers are the traced model of the two-level design, which derives
-// its unified frontier from the B separate lane frontiers, and the
-// benchmark's frontier micro-measurement; the engines themselves build their
-// unified frontier from private accumulators (Merge). The word scan runs on
+// Its one caller outside the tests is the benchmark's frontier
+// micro-measurement; the engines build their unified frontier from private
+// accumulators (Merge), and the traced model walks theirs. The word scan runs on
 // the pool over disjoint word blocks, each adding its popcount to the
 // count.
 func UnionOf(pool *par.Pool, workers int, parts ...*Subset) *Subset {

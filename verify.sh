@@ -27,6 +27,29 @@ go build ./...
 leg vet "go vet"
 go vet ./...
 
+leg inlining "hot-path inlining"
+# The push's edge loop runs (*laneMask).mark and orWord on every improved
+# edge, (*laneScratch).hit on every improved lane, and the claims on every
+# active vertex; a call the compiler does not inline there costs a call each
+# time. -m names every call it inlines, by line, so each of them must be named
+# on a line of (*unifiedPolicy).push, (*laneScratch).claim or relax in
+# unified.go: routing one through a helper the compiler cannot inline (a
+# method on unifiedPolicy, say) moves it out of those lines.
+hot=$(go build -gcflags=-m ./internal/core 2>&1 | awk -F: '
+    NR == FNR {
+        if ($0 ~ /^func \(p \*unifiedPolicy\) push\(|^func \(s \*laneScratch\) (claim|relax)\(/) inside = 1
+        if (inside) hot[FNR] = 1
+        if ($0 ~ /^}/) inside = 0
+        next
+    }
+    $1 == "internal/core/unified.go" && hot[$2] && sub(/.*inlining call to /, "")' internal/core/unified.go -)
+for f in '(*laneMask).claim' '(*laneMask).mark' '(*LaneFrontiers).claim' orWord '(*laneScratch).hit'; do
+    if ! printf '%s\n' "$hot" | grep -qxF "$f"; then
+        echo "verify: go build -gcflags=-m inlines no call to $f in the push of internal/core/unified.go" >&2
+        exit 1
+    fi
+done
+
 leg atomics "typed atomics"
 # Every word written concurrently is a typed sync/atomic value, so mixing
 # atomic and plain access to one does not compile and go vet rejects a copy.

@@ -54,14 +54,11 @@ func TestRuntimeConcurrentRuns(t *testing.T) {
 
 // TestWarmedRunAllocatesOnlyResults bounds what one Run of a warmed Runtime
 // allocates: the result vectors of its Report (|buffer|·n values) plus 15 %.
-// The batch value array, the Jacobi slabs and geometry (a graph reversal), the
-// changed-lane mask and the push workers' frontier accumulators come from the
-// runtime's arena, so a convergence
+// The batch value array, the Jacobi slabs and geometry (a graph reversal) and
+// the push state (the frontier pair, the lane masks and the push workers'
+// frontier accumulators) come from the runtime's arena, so a convergence
 // buffer's surplus also stays under one value array (n·B values), at the
-// serving path's narrow widths too. What a
-// batch still makes for itself — its frontier pair and their member lists,
-// some 20 bytes a vertex — is why the monotone leg is as wide as the
-// benchmark's batches: against a row of 64 values that is 4 %.
+// serving path's narrow widths too.
 func TestWarmedRunAllocatesOnlyResults(t *testing.T) {
 	g, err := Generate("LJ", "small")
 	if err != nil {

@@ -48,7 +48,7 @@ type Options struct {
 	// the default — makes every hook a no-op nil-receiver call.
 	Telemetry *telemetry.BatchTrace
 	// Arena, when non-nil, is where the batch takes its value array, its
-	// changed-lane mask and its Jacobi state from, and what they go back to
+	// push state and its Jacobi state from, and what they go back to
 	// (BatchResult.Release for the value array), so that the arena's owner
 	// allocates them once rather than once a batch. Nil — what tests and
 	// direct Engine.Run callers pass — allocates them through the same calls.

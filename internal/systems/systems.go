@@ -49,7 +49,7 @@ type Config struct {
 	// telemetry section (steals, imbalance) attributable to this run alone.
 	Pool *par.Pool
 	// Arena, when non-nil, carries the batch value array, the Jacobi state
-	// and the changed-lane mask from one batch to the next — within this run
+	// and the push state from one batch to the next — within this run
 	// and, for an owner that keeps it (glign.Runtime), across runs. Nil
 	// allocates them per batch. Run's result vectors never alias it.
 	Arena *core.Arena

@@ -199,8 +199,8 @@ func TestTracedRunRecyclesPushState(t *testing.T) {
 			t.Fatal(err)
 		}
 		traced.Release()
-		if arena.push.Load() == nil {
-			t.Fatalf("%s: a traced batch that reached its fixed point did not hand its push state back", e.Name())
+		if s := arena.push.Load(); s == nil || (e != LigraC && s.masks[0] == nil) || (e == Krill && s.masks[1] == nil) {
+			t.Fatalf("%s: a traced batch that reached its fixed point did not hand its push state and masks back", e.Name())
 		}
 		checkArenaPushClean(t, arena)
 		again, err := e.Run(g, batch, Options{Workers: 1, Arena: arena})
@@ -292,8 +292,8 @@ func TestChangedLaneMaskCorners(t *testing.T) {
 					t.Fatal(err)
 				}
 				fresh.Release()
-				if arena.push.Load() == nil {
-					t.Fatal("a batch that reached its fixed point did not hand its push state back")
+				if s := arena.push.Load(); s == nil || s.masks[0] == nil {
+					t.Fatal("a batch that reached its fixed point did not hand its mask back")
 				}
 				capped, err := GlignIntra.Run(g, batch, Options{Workers: 1, MaxIterations: 2, Arena: arena})
 				if err != nil {

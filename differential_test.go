@@ -11,7 +11,6 @@ import (
 
 	"github.com/glign/glign/internal/align"
 	"github.com/glign/glign/internal/core"
-	"github.com/glign/glign/internal/engine"
 	"github.com/glign/glign/internal/graph"
 	"github.com/glign/glign/internal/oracle"
 	"github.com/glign/glign/internal/par"
@@ -114,7 +113,7 @@ func TestDifferentialAllMethods(t *testing.T) {
 		if v, ok := refCache[key]; ok {
 			return v
 		}
-		v := engine.ReferenceRun(g, queries.Query{Kernel: k, Source: src})
+		v := oracle.ReferenceRun(g, queries.Query{Kernel: k, Source: src})
 		refCache[key] = v
 		return v
 	}
@@ -284,7 +283,8 @@ func homogeneous(k queries.Kernel, b int) []queries.Query {
 }
 
 // TestFusedJacobiRounds holds homogeneous batches of each built-in
-// convergence kernel — PageRank's on the fused round, LabelProp's on Step — to
+// convergence kernel, run by Glign-Intra's Jacobi evaluator — PageRank's on
+// the fused round, LabelProp's on Step — to
 // the serial golden bit for bit, at batch widths past one 64-lane word and at
 // several worker counts, and to the Step path of the same kernel behind a
 // type the evaluator does not know in every counter a batch reports. (It
@@ -298,7 +298,7 @@ func TestFusedJacobiRounds(t *testing.T) {
 			for _, b := range []int{1, 2, 3, 5, 16, 64, 65} {
 				t.Run(fmt.Sprintf("%s/%s/B%d", g.Name, k.Name(), b), func(t *testing.T) {
 					var calls atomic.Int64
-					ref, err := core.RunConvergenceBatch(g, homogeneous(viaStep{k, &calls}, b), core.Options{Workers: 2})
+					ref, err := core.GlignIntra.Run(g, homogeneous(viaStep{k, &calls}, b), core.Options{Workers: 2})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -306,7 +306,7 @@ func TestFusedJacobiRounds(t *testing.T) {
 						t.Fatal("a batch of a kernel the engine does not know made no Step call")
 					}
 					for _, workers := range []int{1, 2, 4} {
-						res, err := core.RunConvergenceBatch(g, homogeneous(k, b), core.Options{Workers: workers})
+						res, err := core.GlignIntra.Run(g, homogeneous(k, b), core.Options{Workers: workers})
 						if err != nil {
 							t.Fatal(err)
 						}

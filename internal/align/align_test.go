@@ -6,8 +6,8 @@ import (
 	"slices"
 	"testing"
 
-	"github.com/glign/glign/internal/engine"
 	"github.com/glign/glign/internal/graph"
+	"github.com/glign/glign/internal/oracle"
 	"github.com/glign/glign/internal/queries"
 )
 
@@ -170,7 +170,7 @@ func TestProfileUndirectedMatchesReversal(t *testing.T) {
 // referenceHops is the hop count from src to every vertex of g by the serial
 // oracle's BFS, -1 where there is no path.
 func referenceHops(g *graph.Graph, src graph.VertexID) []int32 {
-	levels := engine.ReferenceRun(g, queries.Query{Kernel: queries.BFS, Source: src})
+	levels := oracle.ReferenceRun(g, queries.Query{Kernel: queries.BFS, Source: src})
 	hops := make([]int32, len(levels))
 	for v, l := range levels {
 		hops[v] = -1

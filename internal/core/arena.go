@@ -14,9 +14,9 @@ import (
 // result vectors). It is the paper's one resident ValArray (§3.5; Table 11
 // counts it once) plus what this implementation keeps beside it:
 //
-//   - the batch value array, which PrepareBatch, RunConvergenceBatch and
-//     RunApart take and BatchResult.Release hands back;
-//   - the Jacobi state of RunConvergenceBatch: its slabs (jacobiSlabs), taken
+//   - the batch value array, which prepareBatch, runJacobi, runApart and
+//     Query-Parallel take and BatchResult.Release hands back;
+//   - the Jacobi state of runJacobi: its slabs (jacobiSlabs), taken
 //     and returned inside the run, and the jacobiGeometry of the owner's
 //     graph, which is immutable and so shared rather than taken;
 //   - the push state of the unified-frontier engines (pushState): their

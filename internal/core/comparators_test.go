@@ -1,38 +1,17 @@
-package baselines
+package core
+
+// The comparator engines that are not unified-frontier designs: GraphM's
+// partition-centric policy on drive, Congra's concurrent one-query batches
+// and Query-Parallel's serial evaluations.
 
 import (
 	"math/rand"
 	"testing"
 
-	"github.com/glign/glign/internal/core"
-	"github.com/glign/glign/internal/engine"
 	"github.com/glign/glign/internal/graph"
 	"github.com/glign/glign/internal/memtrace"
 	"github.com/glign/glign/internal/queries"
 )
-
-func checkAgainstReference(t *testing.T, e core.Engine, g *graph.Graph, batch []queries.Query, opt core.Options) {
-	t.Helper()
-	res, err := e.Run(g, batch, opt)
-	checkResult(t, e.Name(), g, batch, res, err)
-}
-
-// checkResult holds every lane of res to the serial oracle and releases it.
-func checkResult(t *testing.T, name string, g *graph.Graph, batch []queries.Query, res *core.BatchResult, err error) {
-	t.Helper()
-	if err != nil {
-		t.Fatalf("%s: %v", name, err)
-	}
-	for qi, q := range batch {
-		want := engine.ReferenceRun(g, q)
-		for v := 0; v < g.NumVertices(); v++ {
-			if got := res.Value(qi, graph.VertexID(v)); got != want[v] {
-				t.Fatalf("%s: query %d (%s) v%d = %v, want %v", name, qi, q, v, got, want[v])
-			}
-		}
-	}
-	res.Release()
-}
 
 func mixedBatch(g *graph.Graph, n int, seed int64) []queries.Query {
 	rng := rand.New(rand.NewSource(seed))
@@ -49,15 +28,14 @@ func mixedBatch(g *graph.Graph, n int, seed int64) []queries.Query {
 
 func TestGraphMMatchesReference(t *testing.T) {
 	for _, g := range []*graph.Graph{graph.PaperExample(), graph.MustGenerate(graph.TW, graph.Tiny)} {
-		checkAgainstReference(t, GraphM{}, g, mixedBatch(g, 10, 31), core.Options{Workers: 4})
+		checkAgainstReference(t, g, mixedBatch(g, 10, 31), GraphM, Options{Workers: 4})
 	}
 }
 
 func TestGraphMSmallPartitions(t *testing.T) {
 	// Force many tiny partitions to exercise the partition-streaming path.
 	g := graph.MustGenerate(graph.LJ, graph.Tiny)
-	e := GraphM{PartitionBytes: 1024}
-	checkAgainstReference(t, e, g, mixedBatch(g, 6, 32), core.Options{Workers: 4})
+	checkAgainstReference(t, g, mixedBatch(g, 6, 32), graphM{partitionBytes: 1024}, Options{Workers: 4})
 	if parts := partitionRanges(g, 1024); len(parts) < 8 {
 		t.Fatalf("expected many partitions, got %d", len(parts))
 	}
@@ -86,73 +64,34 @@ func TestGraphMHonorsAlignment(t *testing.T) {
 		{Kernel: queries.SSSP, Source: 1},
 		{Kernel: queries.SSSP, Source: 7},
 	}
-	checkAgainstReference(t, GraphM{}, g, batch, core.Options{Alignment: []int{2, 0}, Workers: 1})
+	checkAgainstReference(t, g, batch, GraphM, Options{Alignment: []int{2, 0}, Workers: 1})
 	// Lane 0 arrives long after lane 1 reached its fixed point (idle
 	// iterations in between); both lanes share lane 1's source.
 	batch[0].Source = 7
-	checkAgainstReference(t, GraphM{}, g, batch, core.Options{Alignment: []int{30, 0}, Workers: 2})
+	checkAgainstReference(t, g, batch, GraphM, Options{Alignment: []int{30, 0}, Workers: 2})
 }
 
 func TestQueryParallelMatchesReference(t *testing.T) {
 	g := graph.MustGenerate(graph.LJ, graph.Tiny)
-	checkAgainstReference(t, QueryParallel{}, g, mixedBatch(g, 12, 33), core.Options{Workers: 4})
-}
-
-func TestIBFSGroupsShareHeavyNeighbor(t *testing.T) {
-	g := graph.MustGenerate(graph.TW, graph.Tiny)
-	rng := rand.New(rand.NewSource(34))
-	buf := make([]queries.Query, 80)
-	for i := range buf {
-		buf[i] = queries.Query{Kernel: queries.BFS,
-			Source: graph.VertexID(rng.Intn(g.NumVertices()))}
-	}
-	h := IBFS{Graph: g}
-	batches := h.MakeBatches(buf, 8)
-	// Partition check.
-	seen := make([]bool, len(buf))
-	total := 0
-	for _, b := range batches {
-		if len(b) == 0 || len(b) > 8 {
-			t.Fatalf("batch size %d", len(b))
-		}
-		for _, i := range b {
-			if seen[i] {
-				t.Fatalf("query %d scheduled twice", i)
-			}
-			seen[i] = true
-			total++
-		}
-	}
-	if total != len(buf) {
-		t.Fatalf("scheduled %d of %d", total, len(buf))
-	}
-}
-
-func TestIBFSParameterDefaults(t *testing.T) {
-	g := graph.MustGenerate(graph.LJ, graph.Tiny)
-	buf := []queries.Query{{Kernel: queries.BFS, Source: 0}}
-	// The parameters derived from the graph must schedule everything.
-	batches := IBFS{Graph: g}.MakeBatches(buf, 4)
-	if len(batches) != 1 || len(batches[0]) != 1 {
-		t.Fatalf("batches = %v", batches)
-	}
+	checkAgainstReference(t, g, mixedBatch(g, 12, 33), QueryParallel, Options{Workers: 4})
 }
 
 func TestCongraMatchesReference(t *testing.T) {
 	g := graph.MustGenerate(graph.LJ, graph.Tiny)
-	checkAgainstReference(t, Congra{}, g, mixedBatch(g, 10, 37), core.Options{Workers: 2})
+	checkAgainstReference(t, g, mixedBatch(g, 10, 37), Congra, Options{Workers: 2})
 	// Congra's evaluation with fewer goroutines than queries must also be
 	// correct.
 	batch := mixedBatch(g, 6, 38)
-	res, err := core.RunApart(g, batch, core.Options{Workers: 2}, 2)
-	checkResult(t, "RunApart/2", g, batch, res, err)
+	res, err := runApart(g, batch, Options{Workers: 2}, 2)
+	checkReferenceValues(t, "runApart/2", g, batch, res, err)
 	// The concurrent one-query batches share one pool and, batch after batch,
 	// one arena.
-	arena := new(core.Arena)
+	arena := new(Arena)
 	for seed := int64(39); seed < 42; seed++ {
 		batch := mixedBatch(g, 8, seed)
-		res, err := core.RunApart(g, batch, core.Options{Workers: 2, Arena: arena}, 3)
-		checkResult(t, "RunApart/3", g, batch, res, err)
+		res, err := runApart(g, batch, Options{Workers: 2, Arena: arena}, 3)
+		checkReferenceValues(t, "runApart/3", g, batch, res, err)
+		res.Release()
 	}
 }
 
@@ -160,7 +99,7 @@ func TestGraphMTracing(t *testing.T) {
 	g := graph.MustGenerate(graph.LJ, graph.Tiny)
 	batch := mixedBatch(g, 6, 36)
 	var ct memtrace.CountingTracer
-	res, err := GraphM{}.Run(g, batch, core.Options{Tracer: &ct})
+	res, err := GraphM.Run(g, batch, Options{Tracer: &ct})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +107,7 @@ func TestGraphMTracing(t *testing.T) {
 		t.Fatalf("GraphM tracer saw reads=%d writes=%d", ct.Reads, ct.Writes)
 	}
 	// Tracing must not perturb results.
-	plain, err := GraphM{}.Run(g, batch, core.Options{})
+	plain, err := GraphM.Run(g, batch, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +123,7 @@ func TestGraphMTracing(t *testing.T) {
 func TestGraphMPartitionCentricCounters(t *testing.T) {
 	g := graph.MustGenerate(graph.LJ, graph.Tiny)
 	batch := mixedBatch(g, 8, 35)
-	res, err := GraphM{}.Run(g, batch, core.Options{Workers: 1})
+	res, err := GraphM.Run(g, batch, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,33 +37,6 @@ func newJacobiGeometry(g *graph.Graph) *jacobiGeometry {
 	return geo
 }
 
-// RunConvergenceBatch is the one Jacobi evaluator: one synchronized round
-// recomputes every vertex for every still-running lane from the previous
-// round's in-neighbor values, in the same vertex-major rows as the monotone
-// engines. The batch must be paradigm-homogeneous — every kernel a
-// queries.ConvergenceKernel; the batching layers split mixed buffers before
-// routing.
-//
-// A batch whose lanes all run PageRank takes the fused round, which reads each
-// in-neighbor's share row once for all lanes — a vertex's share, value over
-// out-degree, is divided once a round, when the value is written. Any other
-// batch calls the kernels' Step and Residual lane by lane. Both paths fold
-// in-neighbors in reverse-CSR order with the operations of Step, so the values
-// are bit-identical across paths, batch widths and worker counts
-// (queries.ConvergenceKernel).
-//
-// A lane freezes once its max per-vertex residual reaches the kernel's
-// Epsilon (or its MaxRounds cap, or Options.MaxIterations): frozen lanes
-// carry their values forward while the rest of the batch keeps iterating,
-// the convergence analogue of a lane's frontier draining.
-//
-// Options.Alignment is ignored: delayed start schedules frontier arrivals,
-// and a Jacobi round has no frontier. Options.Tracer is likewise ignored
-// (access tracing models the monotone push design).
-func RunConvergenceBatch(g *graph.Graph, batch []queries.Query, opt Options) (*BatchResult, error) {
-	return runJacobi(g, batch, opt, -1)
-}
-
 // jacobi is one convergence batch as its rounds see it.
 type jacobi struct {
 	n, b    int
@@ -87,7 +60,7 @@ type jacobiScratch struct {
 	nbrs  []queries.Value
 	degs  []int32
 	resid []float64
-	work  Counts
+	work  counts
 }
 
 // newJacobiScratch makes a slot's scratch for b lanes and, when the batch
@@ -101,8 +74,31 @@ func newJacobiScratch(b, maxIn int) *jacobiScratch {
 	}
 }
 
-// runJacobi is RunConvergenceBatch with the telemetry records' Query (see
-// drive).
+// runJacobi is the one Jacobi evaluator, which every engine with a Jacobi
+// path routes iterate-to-convergence kernels to (Ligra-S one query at a
+// time): one synchronized round recomputes every vertex for every
+// still-running lane from the previous round's in-neighbor values, in the
+// same vertex-major rows as the monotone engines. The batch must be
+// paradigm-homogeneous — every kernel a queries.ConvergenceKernel; the
+// batching layers split mixed buffers before routing.
+//
+// A batch whose lanes all run PageRank takes the fused round, which reads each
+// in-neighbor's share row once for all lanes — a vertex's share, value over
+// out-degree, is divided once a round, when the value is written. Any other
+// batch calls the kernels' Step and Residual lane by lane. Both paths fold
+// in-neighbors in reverse-CSR order with the operations of Step, so the values
+// are bit-identical across paths, batch widths and worker counts
+// (queries.ConvergenceKernel).
+//
+// A lane freezes once its max per-vertex residual reaches the kernel's
+// Epsilon (or its MaxRounds cap, or Options.MaxIterations): frozen lanes
+// carry their values forward while the rest of the batch keeps iterating,
+// the convergence analogue of a lane's frontier draining.
+//
+// Options.Alignment is ignored: delayed start schedules frontier arrivals,
+// and a Jacobi round has no frontier. Options.Tracer is likewise ignored
+// (access tracing models the monotone push design). query is the telemetry
+// records' Query (see drive).
 func runJacobi(g *graph.Graph, batch []queries.Query, opt Options, query int) (*BatchResult, error) {
 	if err := checkBatch(g, batch, nil, true); err != nil {
 		return nil, err
@@ -172,13 +168,13 @@ func runJacobi(g *graph.Graph, batch []queries.Query, opt Options, query int) (*
 		sizes = append(sizes, n)
 		pool.ForSlots(n, workers, 0, chunk)
 		clear(roundResid)
-		var work Counts
+		var work counts
 		for _, s := range j.scratch {
 			if s == nil {
 				continue
 			}
 			work.add(s.work)
-			s.work = Counts{}
+			s.work = counts{}
 			for i, r := range s.resid {
 				roundResid[i] = queries.MaxResidual(roundResid[i], r)
 				s.resid[i] = 0
@@ -242,7 +238,7 @@ func runJacobi(g *graph.Graph, batch []queries.Query, opt Options, query int) (*
 // into s.row), then PageRankFinish; its new share row is divided here, once,
 // for the next round. The shares are the quotients Step divides and are added
 // from zero in the same order, so the ranks are Step's bit for bit.
-func (j *jacobi) pagerank(s *jacobiScratch, lo, hi int) (c Counts) {
+func (j *jacobi) pagerank(s *jacobiScratch, lo, hi int) (c counts) {
 	b, vals, share, nextShare, acc := j.b, j.vals, j.old, j.next, s.row
 	teleport := queries.PageRankTeleport(j.n)
 	for v := lo; v < hi; v++ {
@@ -295,7 +291,7 @@ func sumRows(acc, rows []queries.Value, us []graph.VertexID) {
 // step is the round of any other batch over the vertices [lo, hi): each
 // running lane gathers its in-neighbors' values into s.nbrs and calls its
 // kernel's Step and Residual.
-func (j *jacobi) step(s *jacobiScratch, lo, hi int) (c Counts) {
+func (j *jacobi) step(s *jacobiScratch, lo, hi int) (c counts) {
 	old, next := j.old, j.next
 	for v := lo; v < hi; v++ {
 		us, _ := j.geo.rev.OutEdges(graph.VertexID(v))

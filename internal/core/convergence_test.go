@@ -153,12 +153,13 @@ func TestMixedParadigmBatchRejected(t *testing.T) {
 }
 
 // TestPrepareBatchRejectsConvergenceKernels pins the guard protecting
-// engines without a Jacobi path (GraphM, Congra).
+// engines without a Jacobi path (GraphM through drive; Congra calls checkBatch
+// itself).
 func TestPrepareBatchRejectsConvergenceKernels(t *testing.T) {
 	_, road := convGraphs(t)
-	_, err := PrepareBatch(road, []queries.Query{{Kernel: queries.LabelProp, Source: 0}}, Options{})
+	_, err := prepareBatch(road, []queries.Query{{Kernel: queries.LabelProp, Source: 0}}, Options{})
 	if err == nil || !strings.Contains(err.Error(), "iterate-to-convergence") {
-		t.Fatalf("PrepareBatch accepted a convergence kernel (err = %v)", err)
+		t.Fatalf("prepareBatch accepted a convergence kernel (err = %v)", err)
 	}
 }
 
@@ -269,7 +270,7 @@ func TestJacobiTelemetryQuery(t *testing.T) {
 			t.Fatal(err)
 		}
 		rounds := map[int]int{}
-		var sum Counts
+		var sum counts
 		for _, it := range bt.Snapshot().Iterations {
 			if it.Mode != telemetry.ModeJacobi {
 				t.Fatalf("%s: a %q record in a convergence batch", e.Name(), it.Mode)

@@ -19,8 +19,8 @@ import (
 // vertex). Relaxing an edge for the queries that changed at its source — what
 // the query-oblivious frontier does — therefore reads within one row and
 // writes within another, and a fused Jacobi round reads in-neighbors' rows;
-// per-query passes (QueryValues, the Jacobi Step path's gather) are the
-// strided ones.
+// per-query passes (QueryValues, the Jacobi evaluator's per-lane gather) are
+// the strided ones.
 func Cell(v, b, i int) int { return v*b + i }
 
 // Options configures a batch evaluation.
@@ -135,19 +135,19 @@ func (r *BatchResult) Release() {
 	r.Values = nil
 }
 
-// SetLane copies one — the one-query result of the query in lane, evaluated
+// setLane copies one — the one-query result of the query in lane, evaluated
 // apart from the batch's other queries — into that lane and releases it: how
 // the engines that share nothing across queries (Ligra-S, Congra,
 // Query-Parallel) build their result. Work counters add up and
 // GlobalIterations is the longest query's; UnionFrontierSizes is left to the
 // caller. It is not safe for concurrent use.
-func (r *BatchResult) SetLane(lane int, one *BatchResult) {
+func (r *BatchResult) setLane(lane int, one *BatchResult) {
 	for v := 0; v < r.N; v++ { // a one-query row is its vertex's cell
 		r.Values.Set(Cell(v, r.B, lane), one.Values.Get(v))
 	}
 	one.Release()
 	r.GlobalIterations = max(r.GlobalIterations, one.GlobalIterations)
-	r.count(Counts{one.EdgesProcessed, one.LaneRelaxations, one.ValueWrites})
+	r.count(counts{one.EdgesProcessed, one.LaneRelaxations, one.ValueWrites})
 	if one.LaneRounds != nil {
 		if r.LaneRounds == nil {
 			r.LaneRounds, r.LaneConverged, r.LaneResiduals = make([]int, r.B), make([]bool, r.B), make([]float64, r.B)
@@ -164,11 +164,10 @@ type Engine interface {
 	Run(g *graph.Graph, batch []queries.Query, opt Options) (*BatchResult, error)
 }
 
-// BatchSetup carries the pieces every concurrent engine sets up the same
-// way: per-lane kernels, identities, the flat value array, and the delayed
-// injection schedule. It is exported so the comparator engines in
-// internal/baselines share the exact same batch semantics.
-type BatchSetup struct {
+// batchSetup carries the pieces every frontier engine sets up the same way:
+// per-lane kernels, identities, the flat value array, and the delayed
+// injection schedule.
+type batchSetup struct {
 	B       int
 	N       int
 	Kernels []queries.Kernel
@@ -184,7 +183,7 @@ type BatchSetup struct {
 	// ceremony. OpCustom when there is no such kind.
 	rowKind  queries.OpKind
 	Identity []queries.Value
-	// Vals comes from arena (Options.Arena), which NewResult passes on to the
+	// Vals comes from arena (Options.Arena), which drive passes on to the
 	// result for BatchResult.Release.
 	Vals  *queries.Values
 	arena *Arena
@@ -192,7 +191,7 @@ type BatchSetup struct {
 	Alignment []int
 	Sources   []graph.VertexID
 	// schedule lists the lanes in injection order — by alignment, then by
-	// lane — so Drive walks a cursor instead of rescanning Alignment every
+	// lane — so drive walks a cursor instead of rescanning Alignment every
 	// iteration.
 	schedule []int
 	// slots bounds the pool slot of a Step's Body: the pool's
@@ -201,20 +200,14 @@ type BatchSetup struct {
 }
 
 // Cell returns the value-array index of vertex v, query lane i.
-func (st *BatchSetup) Cell(v, i int) int {
+func (st *batchSetup) Cell(v, i int) int {
 	return Cell(v, st.B, i)
 }
 
-// NewResult builds the engine result envelope carrying the setup's sizes and
-// value array.
-func (st *BatchSetup) NewResult() *BatchResult {
-	return &BatchResult{B: st.B, N: st.N, Values: st.Vals, arena: st.arena}
-}
-
-// PrepareBatch validates a batch against a graph and options and builds its
+// prepareBatch validates a batch against a graph and options and builds its
 // shared state (value array initialized to per-lane identities, injection
 // schedule from the alignment vector).
-func PrepareBatch(g *graph.Graph, batch []queries.Query, opt Options) (*BatchSetup, error) {
+func prepareBatch(g *graph.Graph, batch []queries.Query, opt Options) (*batchSetup, error) {
 	// Monotone setup is meaningless for iterate-to-convergence kernels (no
 	// identity fill, no CAS relaxation): engines with a Jacobi path route to
 	// it before preparing, so a convergence kernel here means the engine has
@@ -224,7 +217,7 @@ func PrepareBatch(g *graph.Graph, batch []queries.Query, opt Options) (*BatchSet
 	}
 	n := g.NumVertices()
 	b := len(batch)
-	st := &BatchSetup{
+	st := &batchSetup{
 		B:        b,
 		N:        n,
 		Kernels:  make([]queries.Kernel, b),

@@ -6,9 +6,9 @@ import (
 	"testing"
 	"testing/quick"
 
-	"github.com/glign/glign/internal/engine"
 	"github.com/glign/glign/internal/graph"
 	"github.com/glign/glign/internal/memtrace"
+	"github.com/glign/glign/internal/oracle"
 	"github.com/glign/glign/internal/queries"
 	"github.com/glign/glign/internal/telemetry"
 )
@@ -16,22 +16,28 @@ import (
 // Engines under test. Krill is limited to 64-query batches, which all these
 // tests respect.
 func allEngines() []Engine {
-	return []Engine{LigraS, LigraC, Krill, GlignIntra}
+	return []Engine{LigraS, LigraC, Krill, GlignIntra, GraphM, Congra, QueryParallel}
 }
 
 func checkAgainstReference(t *testing.T, g *graph.Graph, batch []queries.Query, e Engine, opt Options) {
 	t.Helper()
 	res, err := e.Run(g, batch, opt)
-	if err != nil {
-		t.Fatalf("%s: %v", e.Name(), err)
-	}
+	checkReferenceValues(t, e.Name(), g, batch, res, err)
 	checkArenaPushClean(t, opt.Arena)
+}
+
+// checkReferenceValues holds every lane of res to the serial oracle.
+func checkReferenceValues(t *testing.T, name string, g *graph.Graph, batch []queries.Query, res *BatchResult, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
 	for qi, q := range batch {
-		want := engine.ReferenceRun(g, q)
+		want := oracle.ReferenceRun(g, q)
 		for v := 0; v < g.NumVertices(); v++ {
 			if got := res.Value(qi, graph.VertexID(v)); got != want[v] {
 				t.Fatalf("%s: query %d (%s) vertex %d = %v, want %v",
-					e.Name(), qi, q, v, got, want[v])
+					name, qi, q, v, got, want[v])
 			}
 		}
 	}
@@ -208,9 +214,9 @@ func equalInts(a, b []int) bool {
 	return true
 }
 
-// countersOf reads the work counters of a result as one Counts.
-func countersOf(res *BatchResult) Counts {
-	return Counts{res.EdgesProcessed, res.LaneRelaxations, res.ValueWrites}
+// countersOf reads the work counters of a result as one counts value.
+func countersOf(res *BatchResult) counts {
+	return counts{res.EdgesProcessed, res.LaneRelaxations, res.ValueWrites}
 }
 
 // relaxLog is a custom (OpCustom) shortest-path kernel that records every
@@ -272,7 +278,7 @@ func TestObliviousRelaxesOnlyChangedLanes(t *testing.T) {
 		t.Fatalf("%d lane relaxations over %d distinct (lane, source value, edge) triples", res.LaneRelaxations, len(calls))
 	}
 	for qi, q := range batch {
-		want := engine.ReferenceRun(g, queries.Query{Kernel: queries.SSSP, Source: q.Source})
+		want := oracle.ReferenceRun(g, queries.Query{Kernel: queries.SSSP, Source: q.Source})
 		for v := range want {
 			if got := res.Value(qi, graph.VertexID(v)); got != want[v] {
 				t.Fatalf("lane %d vertex %d = %v, want %v", qi, v, got, want[v])
@@ -349,7 +355,7 @@ func TestTracingDeterministicAndHarmless(t *testing.T) {
 }
 
 func tracingDeterministicAndHarmless(t *testing.T, g *graph.Graph, batch []queries.Query) {
-	for _, e := range allEngines() {
+	for _, e := range []Engine{LigraS, LigraC, Krill, GlignIntra} {
 		var t1, t2 memtrace.CountingTracer
 		r1, err := e.Run(g, batch, Options{Tracer: &t1})
 		if err != nil {
@@ -410,7 +416,7 @@ func TestModelCountsMatchProduction(t *testing.T) {
 			batch []queries.Query
 		}{{"mixed", mixed}, {"uniform", uniform}, {"one", uniform[:1]}} {
 			for _, alignment := range [][]int{nil, delays[:len(c.batch)]} {
-				for _, e := range []Engine{GlignIntra, LigraC, Krill} {
+				for _, e := range []Engine{GlignIntra, LigraC, Krill, GraphM} {
 					opt := Options{Workers: 1, Alignment: alignment}
 					plain, err := e.Run(g, c.batch, opt)
 					if err != nil {
@@ -502,7 +508,7 @@ func TestQuickTheorem32(t *testing.T) {
 			return false
 		}
 		for qi, q := range batch {
-			want := engine.ReferenceRun(g, q)
+			want := oracle.ReferenceRun(g, q)
 			for v := 0; v < n; v++ {
 				if ob.Value(qi, graph.VertexID(v)) != want[v] {
 					return false

@@ -13,7 +13,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"github.com/glign/glign/internal/baselines"
 	"github.com/glign/glign/internal/cachesim"
 	"github.com/glign/glign/internal/core"
 	"github.com/glign/glign/internal/graph"
@@ -150,7 +149,7 @@ var reachedLaneRelaxations = map[string]int64{
 //
 // only when a change is meant to alter engine behaviour or the cache model.
 func TestEngineGolden(t *testing.T) {
-	engines := []core.Engine{core.GlignIntra, core.LigraC, core.Krill, baselines.GraphM{}}
+	engines := []core.Engine{core.GlignIntra, core.LigraC, core.Krill, core.GraphM}
 	alignments := map[string][]int{"aligned": nil, "delayed": {2, 0, 5, 1}}
 	got := map[string]goldenRun{}
 	for _, ds := range []graph.Dataset{graph.LJ, graph.RDCA} {

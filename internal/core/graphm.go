@@ -1,28 +1,29 @@
-package baselines
+package core
 
 import (
 	"sort"
 
-	"github.com/glign/glign/internal/core"
 	"github.com/glign/glign/internal/graph"
 	"github.com/glign/glign/internal/queries"
 )
 
-// GraphM models GraphM (Zhao et al., SC'19), which is built on the
+// graphM models GraphM (Zhao et al., SC'19), which is built on the
 // out-of-core system GridGraph: the graph is cut into partitions sized to
 // the cache, and in every super-iteration each partition is streamed once
 // while *all* jobs (queries) relevant to it are processed against it — a
 // "partition-centric" sharing of graph accesses, in contrast to Glign's
 // "iteration-centric" alignment. Per-query frontiers are kept separately,
 // as each job owns its state in GraphM.
-type GraphM struct {
-	// PartitionBytes is the target size of one partition's edge block
-	// (default 256 KiB — a cache-resident block, as GridGraph sizes them).
-	PartitionBytes int64
+type graphM struct {
+	// partitionBytes is the target size of one partition's edge block; 0
+	// means 256 KiB — a cache-resident block, as GridGraph sizes them.
+	partitionBytes int64
 }
 
-// Name implements core.Engine.
-func (GraphM) Name() string { return "GraphM" }
+// GraphM is the partition-centric engine ("GraphM" in the paper's Table 5).
+var GraphM Engine = graphM{}
+
+func (graphM) Name() string { return "GraphM" }
 
 // partitionRanges cuts the vertex space into contiguous ranges whose edge
 // blocks are roughly target bytes (4 bytes per target + 4 per weight).
@@ -52,15 +53,15 @@ func partitionRanges(g *graph.Graph, target int64) [][2]int {
 	return parts
 }
 
-// Run implements core.Engine.
-func (e GraphM) Run(g *graph.Graph, batch []queries.Query, opt core.Options) (*core.BatchResult, error) {
-	return core.Drive(g, batch, opt, func(st *core.BatchSetup) core.LanePolicy {
+// Run has no Jacobi path: prepareBatch refuses a convergence kernel.
+func (e graphM) Run(g *graph.Graph, batch []queries.Query, opt Options) (*BatchResult, error) {
+	return drive(g, batch, opt, func(st *batchSetup) lanePolicy {
 		return &graphmPolicy{
-			g: g, st: st, parts: partitionRanges(g, e.PartitionBytes),
-			LaneFrontiers: core.NewLaneFrontiers(st.N, st.B),
+			g: g, st: st, parts: partitionRanges(g, e.partitionBytes),
+			laneFrontiers: newLaneFrontiers(st.N, st.B),
 			active:        make([][]graph.VertexID, st.B),
 		}
-	})
+	}, -1)
 }
 
 // graphmPolicy keeps B separate frontier pairs — each job owns its state —
@@ -68,9 +69,9 @@ func (e GraphM) Run(g *graph.Graph, batch []queries.Query, opt core.Options) (*c
 // injecting and advancing are the frontier pairs' own Inject and Advance.
 type graphmPolicy struct {
 	g     *graph.Graph
-	st    *core.BatchSetup
+	st    *batchSetup
 	parts [][2]int
-	core.LaneFrontiers
+	laneFrontiers
 	active [][]graph.VertexID
 }
 
@@ -78,13 +79,13 @@ type graphmPolicy struct {
 // read them. With no unified frontier, the reported frontier size is the sum
 // of the per-job frontier sizes — a vertex active for k jobs counts k times,
 // unlike the other engines' union count (kept as GraphM always reported it).
-func (p *graphmPolicy) Step() core.Step {
+func (p *graphmPolicy) Step() step {
 	size := 0
 	for i, s := range p.Cur {
 		p.active[i] = s.Sparse()
 		size += len(p.active[i])
 	}
-	return core.Step{Size: size, Total: len(p.parts), Grain: 1, Body: p.stream}
+	return step{Size: size, Total: len(p.parts), Grain: 1, Body: p.stream}
 }
 
 // visit is the partition-centric order over parts: stream each edge block
@@ -107,7 +108,7 @@ func visit(parts [][2]int, active [][]graph.VertexID, job func(v graph.VertexID,
 	}
 }
 
-func (p *graphmPolicy) stream(_, plo, phi int) (c core.Counts) {
+func (p *graphmPolicy) stream(_, plo, phi int) (c counts) {
 	st := p.st
 	visit(p.parts[plo:phi], p.active, func(v graph.VertexID, lane int) {
 		sv := st.Vals.Get(st.Cell(int(v), lane))
@@ -116,7 +117,7 @@ func (p *graphmPolicy) stream(_, plo, phi int) (c core.Counts) {
 		c.Edges += int64(len(nbrs))
 		c.Relaxes += int64(len(nbrs))
 		for j, d := range nbrs {
-			if queries.RelaxImprove(st.Vals, st.Kinds[lane], st.Kernels[lane], st.Cell(int(d), lane), sv, core.WeightAt(ws, j)) {
+			if queries.RelaxImprove(st.Vals, st.Kinds[lane], st.Kernels[lane], st.Cell(int(d), lane), sv, weightAt(ws, j)) {
 				c.Writes++
 				p.Next[lane].Add(d)
 			}
@@ -125,11 +126,8 @@ func (p *graphmPolicy) stream(_, plo, phi int) (c core.Counts) {
 	return c
 }
 
-// VisitOrder is what the cache-trace model of a job-per-query design asks for
-// (see core.Drive): the visits of the frontiers Step materialized, in
-// partition-centric order.
-func (p *graphmPolicy) VisitOrder(job func(v graph.VertexID, lane int)) {
+// visitOrder is what the cache-trace model walks (tracing.go): the visits of
+// the frontiers Step materialized, in partition-centric order.
+func (p *graphmPolicy) visitOrder(job func(v graph.VertexID, lane int)) {
 	visit(p.parts, p.active, job)
 }
-
-var _ core.Engine = GraphM{}

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"github.com/glign/glign/internal/engine"
 	"github.com/glign/glign/internal/graph"
 	"github.com/glign/glign/internal/oracle"
 	"github.com/glign/glign/internal/queries"
@@ -31,9 +30,9 @@ func TestRowLayoutBijection(t *testing.T) {
 				}
 			}
 		}
-		st := &BatchSetup{B: b, N: n}
+		st := &batchSetup{B: b, N: n}
 		if st.Cell(n-1, b-1) != n*b-1 {
-			t.Fatalf("B=%d: BatchSetup.Cell disagrees with Cell", b)
+			t.Fatalf("B=%d: batchSetup.Cell disagrees with Cell", b)
 		}
 	}
 }
@@ -43,14 +42,14 @@ func TestRowLayoutBijection(t *testing.T) {
 func referenceValues(g *graph.Graph, batch []queries.Query) [][]queries.Value {
 	out := make([][]queries.Value, len(batch))
 	for i, q := range batch {
-		out[i] = engine.ReferenceRun(g, q)
+		out[i] = oracle.ReferenceRun(g, q)
 	}
 	return out
 }
 
 // TestLayoutEquivalenceAcrossEngines pins every concurrent engine's value
 // array bitwise to a reference that never touches it: per-lane
-// engine.ReferenceRun for monotone batches, the oracle's serial Jacobi for
+// oracle.ReferenceRun for monotone batches, the oracle's serial Jacobi for
 // iterate-to-convergence ones.
 func TestLayoutEquivalenceAcrossEngines(t *testing.T) {
 	g := graph.MustGenerate(graph.LJ, graph.Tiny)
@@ -119,7 +118,7 @@ func stressBatch(b int) []queries.Query {
 // (B=1: the lane bit is the frontier bit), two at 65 and three at 130.
 // Batches of those widths (heterogeneous, and homogeneous so the row kernel
 // runs) are hammered concurrently by all CAS engines across GOMAXPROCS 1, 2
-// and 8, every run checked bitwise against per-lane engine.ReferenceRun.
+// and 8, every run checked bitwise against per-lane oracle.ReferenceRun.
 // verify.sh runs this package under -race.
 func TestRowLayoutStress(t *testing.T) {
 	type stressCase struct {

@@ -22,18 +22,18 @@ var LigraS Engine = ligraS{}
 func (ligraS) Name() string { return "Ligra-S" }
 
 func (ligraS) Run(g *graph.Graph, batch []queries.Query, opt Options) (*BatchResult, error) {
-	return RunApart(g, batch, opt, 1)
+	return runApart(g, batch, opt, 1)
 }
 
-// RunApart evaluates every query of batch apart from the others, each as
+// runApart evaluates every query of batch apart from the others, each as
 // GlignIntra's one-query batch (a convergence kernel takes the Jacobi
 // evaluator) whose telemetry records carry the query's lane, and gathers the
-// answers with SetLane. concurrency goroutines take the lanes in order — at
+// answers with setLane. concurrency goroutines take the lanes in order — at
 // 1, Ligra-S, one query after another; above, Congra's interleaving; at <= 0,
 // one a query. They are not pool workers, so no evaluation nests on the
 // pool. The batch must be of one paradigm; Options.Alignment is checked and
 // ignored, as there are no global iterations to delay a query by.
-func RunApart(g *graph.Graph, batch []queries.Query, opt Options, concurrency int) (*BatchResult, error) {
+func runApart(g *graph.Graph, batch []queries.Query, opt Options, concurrency int) (*BatchResult, error) {
 	if err := checkBatch(g, batch, opt.Alignment, queries.AnyConvergent(batch)); err != nil {
 		return nil, err
 	}
@@ -57,7 +57,7 @@ func RunApart(g *graph.Graph, batch []queries.Query, opt Options, concurrency in
 				if errs[i] = err; err == nil {
 					sizes[i] = r.UnionFrontierSizes
 					mu.Lock()
-					res.SetLane(i, r)
+					res.setLane(i, r)
 					mu.Unlock()
 				}
 			}

@@ -1,7 +1,7 @@
-package engine_test
+package core_test
 
 // Single-query evaluation, pinned to the paper's Tables 1 and 2 and to the
-// serial oracle. A single query is a batch of one on internal/core's Drive —
+// serial oracle. A single query is a batch of one on the traversal loop —
 // Ligra-S runs every query so, and Glign-Intra at B=1 is the same loop — and
 // each test runs both.
 
@@ -13,9 +13,9 @@ import (
 	"testing/quick"
 
 	"github.com/glign/glign/internal/core"
-	"github.com/glign/glign/internal/engine"
 	"github.com/glign/glign/internal/graph"
 	"github.com/glign/glign/internal/memtrace"
+	"github.com/glign/glign/internal/oracle"
 	"github.com/glign/glign/internal/queries"
 )
 
@@ -36,7 +36,7 @@ func TestPaperTable1SSSPValues(t *testing.T) {
 	g := graph.PaperExample()
 	q := queries.Query{Kernel: queries.SSSP, Source: 0}
 	want := []queries.Value{0, 17, 4, 12, 5, 7, 6, 22, 10}
-	if got := engine.ReferenceRun(g, q); !slices.Equal(got, want) {
+	if got := oracle.ReferenceRun(g, q); !slices.Equal(got, want) {
 		t.Fatalf("oracle: dist = %v, want %v", got, want)
 	}
 	for _, e := range singleQueryEngines {
@@ -72,7 +72,7 @@ func TestBFSOnPaperExample(t *testing.T) {
 	g := graph.PaperExample()
 	q := queries.Query{Kernel: queries.BFS, Source: 0}
 	want := []queries.Value{0, 3, 1, 2, 2, 2, 2, 4, 3}
-	if got := engine.ReferenceRun(g, q); !slices.Equal(got, want) {
+	if got := oracle.ReferenceRun(g, q); !slices.Equal(got, want) {
 		t.Fatalf("oracle: levels = %v, want %v", got, want)
 	}
 	for _, e := range singleQueryEngines {
@@ -86,7 +86,7 @@ func TestUnreachableStaysIdentity(t *testing.T) {
 	// v1 has no in-edges, so from v2 it must remain at identity.
 	g := graph.PaperExample()
 	q := queries.Query{Kernel: queries.SSSP, Source: 1}
-	if got := engine.ReferenceRun(g, q)[0]; !math.IsInf(got, 1) {
+	if got := oracle.ReferenceRun(g, q)[0]; !math.IsInf(got, 1) {
 		t.Fatalf("oracle: dist(v1) = %v, want +Inf", got)
 	}
 	for _, e := range singleQueryEngines {
@@ -100,7 +100,7 @@ func TestUnreachableStaysIdentity(t *testing.T) {
 func checkReference(t *testing.T, e core.Engine, g *graph.Graph, q queries.Query, opt core.Options) bool {
 	t.Helper()
 	got := runOne(t, e, g, q, opt).QueryValues(0)
-	return slices.Equal(got, engine.ReferenceRun(g, q))
+	return slices.Equal(got, oracle.ReferenceRun(g, q))
 }
 
 func TestAllKernelsMatchReferenceOnRandomGraphs(t *testing.T) {

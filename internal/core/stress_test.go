@@ -38,7 +38,7 @@ func leakCheck(t *testing.T) func() {
 	}
 }
 
-// TestRunApartJoinsItsGoroutines holds RunApart's goroutine lifetime: the
+// TestRunApartJoinsItsGoroutines holds runApart's goroutine lifetime: the
 // goroutines it launches, four here, are all joined before it returns.
 func TestRunApartJoinsItsGoroutines(t *testing.T) {
 	noLeak := leakCheck(t)
@@ -47,7 +47,7 @@ func TestRunApartJoinsItsGoroutines(t *testing.T) {
 	for src := 0; src < 8; src++ {
 		batch = append(batch, queries.Query{Kernel: queries.SSSP, Source: graph.VertexID(src)})
 	}
-	if _, err := RunApart(g, batch, Options{Workers: 2}, 4); err != nil {
+	if _, err := runApart(g, batch, Options{Workers: 2}, 4); err != nil {
 		t.Fatal(err)
 	}
 	noLeak()
@@ -223,7 +223,7 @@ func TestTracedRunRecyclesPushState(t *testing.T) {
 // every few allocations (debug.SetGCPercent(1)), so collections land
 // mid-iteration while push workers hold unmerged accumulators, across
 // GOMAXPROCS 1, 2 and 8 (verify.sh runs this package under -race). Every
-// batch must equal engine.ReferenceRun bit for bit and leave the arena's
+// batch must equal oracle.ReferenceRun bit for bit and leave the arena's
 // accumulators empty: a scratch lost to the collector would lose vertices of
 // the next frontier, and with them answers.
 func TestObliviousPushersUnderGC(t *testing.T) {
@@ -254,7 +254,7 @@ func TestObliviousPushersUnderGC(t *testing.T) {
 // TestChangedLaneMaskCorners takes the query-oblivious engine's changed-lane
 // mask through the places its bookkeeping could slip, across GOMAXPROCS 1, 2
 // and 8 (verify.sh runs this package under -race), each against per-lane
-// engine.ReferenceRun: lanes injected at a vertex that is already active for
+// oracle.ReferenceRun: lanes injected at a vertex that is already active for
 // another lane; and a run stopped by MaxIterations with bits still set, whose
 // mask must not reach the batch after it on the same arena.
 func TestChangedLaneMaskCorners(t *testing.T) {
@@ -343,7 +343,7 @@ func goldenValues(g *graph.Graph, q queries.Query) []queries.Value {
 }
 
 // runOnArena evaluates batch with e on arena, holds every cell of the result
-// to the per-lane golden evaluator (engine.ReferenceRun for monotone lanes,
+// to the per-lane golden evaluator (oracle.ReferenceRun for monotone lanes,
 // the serial Jacobi for convergence ones), and releases the result.
 func runOnArena(t *testing.T, arena *Arena, g *graph.Graph, batch []queries.Query, e Engine, opt Options) {
 	t.Helper()

@@ -8,7 +8,7 @@ import (
 	"github.com/glign/glign/internal/queries"
 )
 
-// Cache-trace modelling. When Options.Tracer is set, Drive runs a model of
+// Cache-trace modelling. When Options.Tracer is set, drive runs a model of
 // the policy's design around the policy: the model's Inject, Step and
 // Advance are the policy's own, so the traversal runs on the policy's
 // frontier and lane state, and its step walks that state serially and
@@ -55,24 +55,15 @@ const (
 	jobs                     // GraphM: B separate frontiers, no unified one
 )
 
-// jobOrdered is a policy that runs each query as an independent job over its
-// own frontier, kept in an embedded LaneFrontiers: VisitOrder yields the
-// (vertex, lane) visits of the frontiers its last Step materialized, in the
-// order the design streams the graph.
-type jobOrdered interface {
-	VisitOrder(job func(v graph.VertexID, lane int))
-	laneFrontiers() *LaneFrontiers
-}
-
-// traced returns what Drive runs and on how many workers: p as it is, or —
+// traced returns what drive runs and on how many workers: p as it is, or —
 // under a tracer — the model of p's design wrapped around p, serially so the
 // access stream is deterministic.
-func traced(g *graph.Graph, st *BatchSetup, opt Options, p LanePolicy) (LanePolicy, int) {
+func traced(g *graph.Graph, st *batchSetup, opt Options, p lanePolicy) (lanePolicy, int) {
 	if opt.Tracer == nil {
 		return p, opt.Workers
 	}
 	n, m := int64(g.NumVertices()), int64(g.NumEdges())
-	t := &tracedModel{LanePolicy: p, tr: opt.Tracer, g: g, st: st, design: jobs, fbytes: frontierBitmapBytes(st.N),
+	t := &tracedModel{lanePolicy: p, tr: opt.Tracer, g: g, st: st, design: jobs, fbytes: frontierBitmapBytes(st.N),
 		claimed: make([]uint64, (st.B+63)/64), lanes: make([]int, 0, st.B)}
 	t.offsets = t.layout.Place((n + 1) * 4)
 	t.targets = t.layout.Place(m * 4)
@@ -84,7 +75,7 @@ func traced(g *graph.Graph, st *BatchSetup, opt Options, p LanePolicy) (LanePoli
 	if u, ok := p.(*unifiedPolicy); ok {
 		t.u, t.design = u, u.design
 	} else {
-		t.jobs = p.(jobOrdered)
+		t.gm = p.(*graphmPolicy)
 	}
 	switch t.design {
 	case unionOnly:
@@ -102,20 +93,20 @@ func traced(g *graph.Graph, st *BatchSetup, opt Options, p LanePolicy) (LanePoli
 	return t, 1
 }
 
-// tracedModel is the model of one traced run, wrapped around the policy Drive
+// tracedModel is the model of one traced run, wrapped around the policy drive
 // was handed. Of its own it keeps only the simulated address space —
 // page-aligned, disjoint regions (memtrace.Layout) for the CSR arrays, the
 // value array, the unified frontier pair and the design's activation
 // structures — and the lanes of the vertex being visited.
 type tracedModel struct {
-	LanePolicy
+	lanePolicy
 	u       *unifiedPolicy // the policy, at a unified-frontier design
-	jobs    jobOrdered     // the policy, at jobs
+	gm      *graphmPolicy  // the policy, at jobs
 	tr      memtrace.Tracer
 	g       *graph.Graph
-	st      *BatchSetup
+	st      *batchSetup
 	design  design
-	work    Counts   // of the iteration being walked; Advance resets it
+	work    counts   // of the iteration being walked; Advance resets it
 	claimed []uint64 // the lanes claimed from the vertex being visited, a word per 64
 	lanes   []int    // the same lanes, listed
 
@@ -165,7 +156,7 @@ func (t *tracedModel) changed(v graph.VertexID, write bool) {
 }
 
 func (t *tracedModel) Inject(src graph.VertexID, lane int) {
-	t.LanePolicy.Inject(src, lane)
+	t.lanePolicy.Inject(src, lane)
 	if t.design != jobs {
 		t.value(src, lane, 1, true)
 	}
@@ -182,8 +173,8 @@ func (t *tracedModel) Inject(src graph.VertexID, lane int) {
 }
 
 func (t *tracedModel) Advance() {
-	t.LanePolicy.Advance()
-	t.work = Counts{}
+	t.lanePolicy.Advance()
+	t.work = counts{}
 	t.unionCur, t.unionNext = t.unionNext, t.unionCur
 	t.sepCur, t.sepNext = t.sepNext, t.sepCur
 	t.qmaskCur, t.qmaskNext = t.qmaskNext, t.qmaskCur
@@ -192,28 +183,28 @@ func (t *tracedModel) Advance() {
 // Step is the policy's step with the whole walk as one chunk, so it runs
 // exactly once per iteration — also on idle iterations whose frontier is
 // empty, which still pay their bitmap scans.
-func (t *tracedModel) Step() Step {
-	step := t.LanePolicy.Step()
-	step.Total, step.Grain = 1, 0
+func (t *tracedModel) Step() step {
+	s := t.lanePolicy.Step()
+	s.Total, s.Grain = 1, 0
 	if t.design == jobs {
 		// One scan per job, then the jobs' visits in the design's order.
-		step.Body = func(_, _, _ int) Counts {
+		s.Body = func(_, _, _ int) counts {
 			for _, base := range t.sepCur {
 				t.scan(base)
 			}
-			t.jobs.VisitOrder(func(v graph.VertexID, lane int) { t.visit(v, append(t.lanes[:0], lane)) })
+			t.gm.visitOrder(func(v graph.VertexID, lane int) { t.visit(v, append(t.lanes[:0], lane)) })
 			return t.work
 		}
-		return step
+		return s
 	}
-	step.Body = func(_, _, _ int) Counts {
+	s.Body = func(_, _, _ int) counts {
 		t.scan(t.unionCur)
 		for _, v := range t.u.active {
 			t.visit(v, t.claim(v))
 		}
 		return t.work
 	}
-	return step
+	return s
 }
 
 // claim takes from the policy's lane state the lanes a unified-frontier
@@ -270,14 +261,14 @@ func (t *tracedModel) visit(v graph.VertexID, lanes []int) {
 		improved := 0
 		for _, i := range lanes {
 			t.value(d, i, 1, false)
-			if !queries.RelaxImprove(st.Vals, st.Kinds[i], st.Kernels[i], st.Cell(int(d), i), st.Vals.Get(st.Cell(int(v), i)), WeightAt(ws, j)) {
+			if !queries.RelaxImprove(st.Vals, st.Kinds[i], st.Kernels[i], st.Cell(int(d), i), st.Vals.Get(st.Cell(int(v), i)), weightAt(ws, j)) {
 				continue
 			}
 			improved++
 			t.value(d, i, 1, true)
 			switch t.design {
 			case jobs:
-				t.jobs.laneFrontiers().Next[i].Add(d)
+				t.gm.Next[i].Add(d)
 				t.word(t.sepNext[i], d, true)
 			case twoLevels:
 				t.u.lanes.Next[i].Add(d)

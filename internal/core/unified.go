@@ -28,7 +28,7 @@ import (
 //     and marked into the next, so a lane that reaches a vertex is pushed in
 //     the next iteration, not in this one.
 //   - Ligra-C, the paper's extended Ligra baseline (Figure 5-b, also SimGQ's
-//     design), keeps B separate frontiers (LaneFrontiers) under the unified
+//     design), keeps B separate frontiers (laneFrontiers) under the unified
 //     one and probes every query's at each active vertex. The B extra bitmaps
 //     and the two-level check are the costs Glign's frontier eliminates.
 //
@@ -67,13 +67,18 @@ func (e unified) Run(g *graph.Graph, batch []queries.Query, opt Options) (*Batch
 }
 
 // runUnified is the Run of design d's engine with the telemetry records'
-// Query (see drive).
+// Query (see drive): convergence kernels have no frontier to drive and take
+// the shared lane-fused Jacobi evaluator (the batching layers split mixed
+// buffers by paradigm); everything else is drive on d's policy.
 func runUnified(g *graph.Graph, batch []queries.Query, opt Options, d design, query int) (*BatchResult, error) {
+	if queries.AnyConvergent(batch) {
+		return runJacobi(g, batch, opt, query)
+	}
 	var p *unifiedPolicy
-	res, err := runBatch(g, batch, opt, query, func(st *BatchSetup) LanePolicy {
+	res, err := drive(g, batch, opt, func(st *batchSetup) lanePolicy {
 		p = newUnifiedPolicy(g, st, opt.Arena, d)
 		return p
-	})
+	}, query)
 	// At a fixed point the push state is clean and serves the next batch; a
 	// capped run can stop with members in its frontier and bits in its masks,
 	// so its state is dropped.
@@ -83,7 +88,7 @@ func runUnified(g *graph.Graph, batch []queries.Query, opt Options, d design, qu
 	return res, err
 }
 
-func newUnifiedPolicy(g *graph.Graph, st *BatchSetup, arena *Arena, d design) *unifiedPolicy {
+func newUnifiedPolicy(g *graph.Graph, st *batchSetup, arena *Arena, d design) *unifiedPolicy {
 	p := &unifiedPolicy{
 		g: g, st: st, design: d,
 		pushState: arena.takePush(st.N, st.slots),
@@ -96,7 +101,7 @@ func newUnifiedPolicy(g *graph.Graph, st *BatchSetup, arena *Arena, d design) *u
 	case queryMasks:
 		p.mask, p.nextMask = p.takeMask(0, st.N, st.B), p.takeMask(1, st.N, st.B)
 	case twoLevels:
-		p.lanes = NewLaneFrontiers(st.N, st.B)
+		p.lanes = newLaneFrontiers(st.N, st.B)
 	}
 	p.body = p.push
 	return p
@@ -107,10 +112,10 @@ func newUnifiedPolicy(g *graph.Graph, st *BatchSetup, arena *Arena, d design) *u
 // the affinity analyses of internal/align are computed from.
 func Frontiers(g *graph.Graph, q queries.Query, workers int) ([]*frontier.Subset, error) {
 	var rec *recorder
-	res, err := Drive(g, []queries.Query{q}, Options{Workers: workers}, func(st *BatchSetup) LanePolicy {
+	res, err := drive(g, []queries.Query{q}, Options{Workers: workers}, func(st *batchSetup) lanePolicy {
 		rec = &recorder{unifiedPolicy: newUnifiedPolicy(g, st, nil, unionOnly)}
 		return rec
-	})
+	}, -1)
 	if err != nil {
 		return nil, err
 	}
@@ -118,13 +123,13 @@ func Frontiers(g *graph.Graph, q queries.Query, workers int) ([]*frontier.Subset
 }
 
 // recorder is Glign-Intra's policy keeping a copy of the frontier at
-// every Step — one more than Drive runs, when the last frontier is empty.
+// every Step — one more than drive runs, when the last frontier is empty.
 type recorder struct {
 	*unifiedPolicy
 	frontiers []*frontier.Subset
 }
 
-func (r *recorder) Step() Step {
+func (r *recorder) Step() step {
 	r.frontiers = append(r.frontiers, r.cur.Clone())
 	return r.unifiedPolicy.Step()
 }
@@ -134,7 +139,7 @@ func (r *recorder) Step() Step {
 // frontier in their slots' private accumulators, and Advance merges them.
 type unifiedPolicy struct {
 	g      *graph.Graph
-	st     *BatchSetup
+	st     *batchSetup
 	design design // unionOnly, queryMasks or twoLevels
 	*pushState
 	active []graph.VertexID
@@ -142,9 +147,9 @@ type unifiedPolicy struct {
 	// into: Glign-Intra's one mask is both, Krill's pair swaps at Advance,
 	// and Ligra-C keeps none.
 	mask, nextMask *laneMask
-	lanes          LaneFrontiers                 // Ligra-C's
+	lanes          laneFrontiers                 // Ligra-C's
 	scratch        []*laneScratch                // a pool slot's, made on the slot's first push; its next is accs[slot]
-	body           func(slot, lo, hi int) Counts // push, bound once: a method value allocates
+	body           func(slot, lo, hi int) counts // push, bound once: a method value allocates
 }
 
 func (p *unifiedPolicy) Inject(src graph.VertexID, lane int) {
@@ -156,9 +161,9 @@ func (p *unifiedPolicy) Inject(src graph.VertexID, lane int) {
 	p.cur.Add(src)
 }
 
-func (p *unifiedPolicy) Step() Step {
+func (p *unifiedPolicy) Step() step {
 	p.active = p.cur.Sparse()
-	return Step{Size: len(p.active), Total: len(p.active), Body: p.body}
+	return step{Size: len(p.active), Total: len(p.active), Body: p.body}
 }
 
 // Advance runs after the pushers joined (pool.ForSlots returned), so every
@@ -185,7 +190,7 @@ func (p *unifiedPolicy) Advance() {
 // that improved there, and adds it to its slot's accumulator. A vertex with
 // no lane to claim — at Glign-Intra, one that pushed its news earlier in the
 // iteration that activated it — is skipped.
-func (p *unifiedPolicy) push(slot, lo, hi int) Counts {
+func (p *unifiedPolicy) push(slot, lo, hi int) counts {
 	st, s := p.st, p.scratch[slot]
 	if s == nil {
 		acc := &p.accs[slot]
@@ -195,7 +200,7 @@ func (p *unifiedPolicy) push(slot, lo, hi int) Counts {
 		s = newLaneScratch(st, *acc)
 		p.scratch[slot] = s
 	}
-	var c Counts
+	var c counts
 	for _, v := range p.active[lo:hi] {
 		changed := s.claim(p, int(v))
 		if changed == 0 {
@@ -205,7 +210,7 @@ func (p *unifiedPolicy) push(slot, lo, hi int) Counts {
 		c.Edges += int64(len(nbrs))
 		c.Relaxes += int64(len(nbrs) * changed)
 		for j, d := range nbrs {
-			if improved := s.relax(st, int(d), WeightAt(ws, j)); improved > 0 {
+			if improved := s.relax(st, int(d), weightAt(ws, j)); improved > 0 {
 				c.Writes += int64(improved)
 				if p.design == twoLevels {
 					p.lanes.mark(d, s.improved)
@@ -219,31 +224,27 @@ func (p *unifiedPolicy) push(slot, lo, hi int) Counts {
 	return c
 }
 
-// LaneFrontiers is B separate frontier pairs, one per query lane: Cur holds
+// laneFrontiers is B separate frontier pairs, one per query lane: Cur holds
 // the vertices active for each lane this iteration, Next collects the next
 // iteration's.
-type LaneFrontiers struct {
+type laneFrontiers struct {
 	Cur, Next []*frontier.Subset
 }
 
-// NewLaneFrontiers returns b empty frontier pairs over n vertices.
-func NewLaneFrontiers(n, b int) LaneFrontiers {
-	l := LaneFrontiers{make([]*frontier.Subset, b), make([]*frontier.Subset, b)}
+// newLaneFrontiers returns b empty frontier pairs over n vertices.
+func newLaneFrontiers(n, b int) laneFrontiers {
+	l := laneFrontiers{make([]*frontier.Subset, b), make([]*frontier.Subset, b)}
 	for i := range l.Cur {
 		l.Cur[i], l.Next[i] = frontier.New(n), frontier.New(n)
 	}
 	return l
 }
 
-// laneFrontiers is l: promoted to a policy that embeds LaneFrontiers, it is
-// how the traced model reaches that policy's frontiers (jobOrdered).
-func (l *LaneFrontiers) laneFrontiers() *LaneFrontiers { return l }
-
 // Inject activates src for lane.
-func (l *LaneFrontiers) Inject(src graph.VertexID, lane int) { l.Cur[lane].Add(src) }
+func (l *laneFrontiers) Inject(src graph.VertexID, lane int) { l.Cur[lane].Add(src) }
 
 // Advance makes Next current and recycles the old frontiers as the new Next.
-func (l *LaneFrontiers) Advance() {
+func (l *laneFrontiers) Advance() {
 	l.Cur, l.Next = l.Next, l.Cur
 	for _, s := range l.Next {
 		s.Clear()
@@ -253,7 +254,7 @@ func (l *LaneFrontiers) Advance() {
 // claim sets in dst, a word per 64 lanes, the lanes whose current frontier
 // holds v — the second-level check, B scattered bitmap reads — and returns
 // how many there are.
-func (l *LaneFrontiers) claim(v graph.VertexID, dst []uint64) (lanes int) {
+func (l *laneFrontiers) claim(v graph.VertexID, dst []uint64) (lanes int) {
 	clear(dst)
 	for i, s := range l.Cur {
 		if s.Contains(v) {
@@ -266,7 +267,7 @@ func (l *LaneFrontiers) claim(v graph.VertexID, dst []uint64) (lanes int) {
 
 // mark adds v to the next frontier of every lane improved holds, leaving
 // improved zero.
-func (l *LaneFrontiers) mark(v graph.VertexID, improved []uint64) {
+func (l *laneFrontiers) mark(v graph.VertexID, improved []uint64) {
 	for w, lanes := range improved {
 		improved[w] = 0
 		for ; lanes != 0; lanes &= lanes - 1 {
@@ -361,7 +362,7 @@ type laneGroup struct {
 	mask  []uint64 // lanes as a bitmask, a word per 64 lanes of the batch; static groups only
 }
 
-// groupLanes groups every lane of a batch by kernel kind (BatchSetup.groups).
+// groupLanes groups every lane of a batch by kernel kind (batchSetup.groups).
 func groupLanes(kinds []queries.OpKind) (groups []laneGroup) {
 	var byKind [queries.OpViterbi + 1]laneGroup
 	for i, k := range kinds {
@@ -396,7 +397,7 @@ type laneScratch struct {
 	next     *frontier.Accumulator
 }
 
-func newLaneScratch(st *BatchSetup, next *frontier.Accumulator) *laneScratch {
+func newLaneScratch(st *batchSetup, next *frontier.Accumulator) *laneScratch {
 	rows := make([]queries.Value, 2*st.B)
 	words := make([]uint64, 2*((st.B+63)/64))
 	return &laneScratch{
@@ -452,10 +453,10 @@ func (s *laneScratch) claim(p *unifiedPolicy, v int) (changed int) {
 // of s.groups, adds the lanes that improved to s.improved — zero when it is
 // called: mark has taken what an earlier edge left — and returns how many
 // there are. When the groups are every lane of a batch with a row kernel
-// (BatchSetup.rowKind) — all its lanes changed — the edge is one pass over d's
+// (batchSetup.rowKind) — all its lanes changed — the edge is one pass over d's
 // row; otherwise it is queries.RelaxImprove with the kind switch hoisted out
 // of the lane loop.
-func (s *laneScratch) relax(st *BatchSetup, d int, w graph.Weight) (improved int) {
+func (s *laneScratch) relax(st *batchSetup, d int, w graph.Weight) (improved int) {
 	row := st.Cell(d, 0)
 	if s.row != queries.OpCustom {
 		queries.RelaxImproveRow(st.Vals, s.row, row, s.src, s.cand, w, s.improved)

@@ -1,6 +1,13 @@
-// Package oracle is the benchmark-validity harness: per-kernel invariant
-// oracles over result vectors, plus graph/dataset sanity checks over the
-// generated inputs.
+// Package oracle is the benchmark-validity harness: the serial reference
+// evaluators every engine is held to, per-kernel invariant oracles over result
+// vectors, plus graph/dataset sanity checks over the generated inputs.
+//
+// ReferenceRun is the independent serial oracle of a monotone query: a
+// textbook serial label-correcting worklist that shares no code with the
+// frontier, EdgeMap or par machinery of the engines it checks. Every engine
+// is held bitwise to it by the differential tests, and internal/core's
+// Query-Parallel engine (paper §4.1) runs it once a query. GoldenValues
+// routes a query to it, or a convergence kernel to SerialJacobi.
 //
 // The differential harness at the repository root proves that eleven
 // implementations agree; it cannot prove any of them right. This package

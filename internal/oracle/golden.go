@@ -1,7 +1,6 @@
 package oracle
 
 import (
-	"github.com/glign/glign/internal/engine"
 	"github.com/glign/glign/internal/graph"
 	"github.com/glign/glign/internal/queries"
 )
@@ -16,7 +15,7 @@ func GoldenValues(g *graph.Graph, q queries.Query) []queries.Value {
 	if ck, ok := queries.ConvergentOf(q.Kernel); ok {
 		return SerialJacobi(g, ck, q.Source)
 	}
-	return engine.ReferenceRun(g, q)
+	return ReferenceRun(g, q)
 }
 
 // serialGeom is the prebuilt shape data of a serial Jacobi iteration:

@@ -1,4 +1,4 @@
-package engine
+package oracle
 
 import (
 	"container/heap"

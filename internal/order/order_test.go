@@ -5,8 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 
-	"github.com/glign/glign/internal/engine"
 	"github.com/glign/glign/internal/graph"
+	"github.com/glign/glign/internal/oracle"
 	"github.com/glign/glign/internal/queries"
 )
 
@@ -69,8 +69,8 @@ func TestRelabelPreservesQueryResults(t *testing.T) {
 			}
 			src := graph.VertexID(0)
 			for _, k := range []queries.Kernel{queries.BFS, queries.SSSP} {
-				orig := engine.ReferenceRun(g, queries.Query{Kernel: k, Source: src})
-				re := engine.ReferenceRun(rg, queries.Query{Kernel: k, Source: p[src]})
+				orig := oracle.ReferenceRun(g, queries.Query{Kernel: k, Source: src})
+				re := oracle.ReferenceRun(rg, queries.Query{Kernel: k, Source: p[src]})
 				for v := 0; v < g.NumVertices(); v++ {
 					if orig[v] != re[p[v]] {
 						t.Fatalf("%s/%s/%s: value of v%d changed: %v vs %v",

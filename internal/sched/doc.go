@@ -3,7 +3,9 @@
 // two policies — first-come-first-serve and Glign's affinity-oriented
 // batching (§3.4, Figure 10) — plus the batching-window mechanism that
 // bounds how far affinity-oriented batching may reorder queries (and thus
-// the latency a reordered query can pay).
+// the latency a reordered query can pay), and the comparator policy IBFS:
+// iBFS's grouping of BFS queries whose low-degree sources share a heavy
+// out-neighbor (§4.8).
 //
 // Affinity-oriented batching ranks each window by the heavy-iteration
 // arrival estimate closestHV from internal/align, so queries whose deep

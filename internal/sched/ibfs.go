@@ -1,4 +1,4 @@
-package baselines
+package sched
 
 import (
 	"sort"
@@ -6,7 +6,6 @@ import (
 	"github.com/glign/glign/internal/align"
 	"github.com/glign/glign/internal/graph"
 	"github.com/glign/glign/internal/queries"
-	"github.com/glign/glign/internal/sched"
 	"github.com/glign/glign/internal/telemetry"
 )
 
@@ -21,8 +20,8 @@ import (
 // evaluated with the two-level (unified + separate frontier) engine, which
 // is what iBFS uses.
 //
-// IBFS satisfies sched.Policy so it can be plugged into the same harness as
-// FCFS and affinity-oriented batching.
+// IBFS is a Policy, so it plugs into the same harness as FCFS and
+// affinity-oriented batching.
 type IBFS struct {
 	Graph *graph.Graph
 	// Telemetry, when non-nil, receives the grouping decision (the ranked
@@ -30,10 +29,10 @@ type IBFS struct {
 	Telemetry *telemetry.RunTrace
 }
 
-// Name implements sched.Policy.
+// Name implements Policy.
 func (IBFS) Name() string { return "iBFS" }
 
-// MakeBatches implements sched.Policy.
+// MakeBatches implements Policy.
 func (h IBFS) MakeBatches(buffer []queries.Query, batchSize int) [][]int {
 	g := h.Graph
 	p := 2 * (int(g.AvgDegree()) + 1)
@@ -115,4 +114,4 @@ func (h IBFS) MakeBatches(buffer []queries.Query, batchSize int) [][]int {
 	return batches
 }
 
-var _ sched.Policy = IBFS{}
+var _ Policy = IBFS{}

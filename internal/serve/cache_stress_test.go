@@ -8,8 +8,8 @@ import (
 	"testing"
 	"time"
 
-	"github.com/glign/glign/internal/engine"
 	"github.com/glign/glign/internal/graph"
+	"github.com/glign/glign/internal/oracle"
 	"github.com/glign/glign/internal/queries"
 )
 
@@ -39,7 +39,7 @@ func TestCacheEpochBumpStress(t *testing.T) {
 	for _, k := range kernels {
 		for v := 0; v < g.NumVertices(); v++ {
 			q := queries.Query{Kernel: k, Source: graph.VertexID(v)}
-			want[queries.KeyOf(q)] = engine.ReferenceRun(g, q)
+			want[queries.KeyOf(q)] = oracle.ReferenceRun(g, q)
 		}
 	}
 

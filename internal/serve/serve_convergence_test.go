@@ -26,8 +26,8 @@ func TestServeConvergenceAndKHopEndToEnd(t *testing.T) {
 	ctx := context.Background()
 
 	// mustGolden is the convergence-aware counterpart of mustValues:
-	// engine.ReferenceRun has no Jacobi path, so the golden comes from the
-	// oracle package, and the oracle invariants run on every served vector.
+	// oracle.ReferenceRun has no Jacobi path, so the golden comes from
+	// oracle.GoldenValues, and the oracle invariants run on every served vector.
 	mustGolden := func(tk *Ticket) []queries.Value {
 		t.Helper()
 		vals, err := tk.Wait(ctx)

@@ -8,8 +8,8 @@ import (
 	"time"
 
 	"github.com/glign/glign/internal/core"
-	"github.com/glign/glign/internal/engine"
 	"github.com/glign/glign/internal/graph"
+	"github.com/glign/glign/internal/oracle"
 	"github.com/glign/glign/internal/par"
 	"github.com/glign/glign/internal/queries"
 	"github.com/glign/glign/internal/systems"
@@ -56,7 +56,7 @@ func mustValues(t *testing.T, g *graph.Graph, tk *Ticket) {
 	if err != nil {
 		t.Fatalf("ticket %v: %v", tk.Query(), err)
 	}
-	want := engine.ReferenceRun(g, tk.Query())
+	want := oracle.ReferenceRun(g, tk.Query())
 	for v := range want {
 		if vals[v] != want[v] {
 			t.Fatalf("ticket %v: vertex %d = %v, want %v", tk.Query(), v, vals[v], want[v])

@@ -10,7 +10,6 @@ import (
 
 	"github.com/glign/glign/internal/align"
 	"github.com/glign/glign/internal/core"
-	"github.com/glign/glign/internal/engine"
 	"github.com/glign/glign/internal/graph"
 	"github.com/glign/glign/internal/oracle"
 	"github.com/glign/glign/internal/queries"
@@ -716,7 +715,7 @@ func TestServedEqualsOfflineWithCache(t *testing.T) {
 		t.Errorf("cache_hits = %d, want %d", st.CacheHits, len(buf))
 	}
 	for i := range buf {
-		want := engine.ReferenceRun(g, buf[i])
+		want := oracle.ReferenceRun(g, buf[i])
 		for v := range want {
 			if pass1[i][v] != want[v] {
 				t.Fatalf("pass 1 query %d vertex %d = %v, want %v", i, v, pass1[i][v], want[v])
@@ -784,7 +783,7 @@ func TestResultsNeverAliasTheArena(t *testing.T) {
 	checkHeld := func(when string) {
 		t.Helper()
 		for _, h := range all {
-			want := engine.ReferenceRun(g, h.q)
+			want := oracle.ReferenceRun(g, h.q)
 			for v := range want {
 				if h.vals[v] != want[v] {
 					t.Fatalf("%s: the vector handed out for %v reads %v at vertex %d, want %v", when, h.q, h.vals[v], v, want[v])

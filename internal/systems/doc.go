@@ -1,6 +1,6 @@
-// Package systems wires the engines (internal/core, internal/baselines),
-// the alignment profile (internal/align) and the batching policies
-// (internal/sched) into the named evaluation methods of paper Table 5:
+// Package systems wires the engines (internal/core), the alignment profile
+// (internal/align) and the batching policies (internal/sched) into the named
+// evaluation methods of paper Table 5:
 //
 //	Ligra-S, Ligra-C, GraphM, Krill,
 //	Glign-Intra, Glign-Inter, Glign-Batch, Glign,

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/glign/glign/internal/align"
-	"github.com/glign/glign/internal/baselines"
 	"github.com/glign/glign/internal/core"
 	"github.com/glign/glign/internal/graph"
 	"github.com/glign/glign/internal/memtrace"
@@ -131,15 +130,15 @@ func PlanFor(method string, g *graph.Graph, prof *align.Profile, cfg Config, run
 	p, ok := map[string]Plan{
 		LigraS:        {Policy: fcfs, Engine: core.LigraS},
 		LigraC:        {Policy: fcfs, Engine: core.LigraC},
-		GraphM:        {Policy: fcfs, Engine: baselines.GraphM{}},
+		GraphM:        {Policy: fcfs, Engine: core.GraphM},
 		Krill:         {Policy: fcfs, Engine: core.Krill},
 		GlignIntra:    {Policy: fcfs, Engine: core.GlignIntra},
 		GlignInter:    {Policy: fcfs, Engine: core.GlignIntra, Aligned: true},
 		GlignBatch:    {Policy: affinity, Engine: core.GlignIntra},
 		Glign:         {Policy: affinity, Engine: core.GlignIntra, Aligned: true},
-		IBFS:          {Policy: baselines.IBFS{Graph: g, Telemetry: run}, Engine: core.LigraC},
-		QueryParallel: {Policy: fcfs, Engine: baselines.QueryParallel{}},
-		Congra:        {Policy: fcfs, Engine: baselines.Congra{}},
+		IBFS:          {Policy: sched.IBFS{Graph: g, Telemetry: run}, Engine: core.LigraC},
+		QueryParallel: {Policy: fcfs, Engine: core.QueryParallel},
+		Congra:        {Policy: fcfs, Engine: core.Congra},
 	}[method]
 	if !ok {
 		return Plan{}, fmt.Errorf("systems: unknown method %q", method)

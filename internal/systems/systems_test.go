@@ -5,9 +5,9 @@ import (
 	"testing"
 
 	"github.com/glign/glign/internal/align"
-	"github.com/glign/glign/internal/engine"
 	"github.com/glign/glign/internal/graph"
 	"github.com/glign/glign/internal/memtrace"
+	"github.com/glign/glign/internal/oracle"
 	"github.com/glign/glign/internal/queries"
 )
 
@@ -31,7 +31,7 @@ func TestAllMethodsCorrect(t *testing.T) {
 	buf := buffer(g, 40, 41)
 	want := make([][]queries.Value, len(buf))
 	for i, q := range buf {
-		want[i] = engine.ReferenceRun(g, q)
+		want[i] = oracle.ReferenceRun(g, q)
 	}
 	methods := append(AllMethods(), IBFS, QueryParallel)
 	for _, m := range methods {

@@ -1,7 +1,7 @@
 // Package telemetry is the runtime observability layer: low-overhead,
 // optionally-enabled metrics threaded through the hot paths of every
-// evaluation engine (internal/core, internal/baselines),
-// the batching policies (internal/sched), and the method compositions
+// evaluation engine (internal/core), the batching policies
+// (internal/sched), and the method compositions
 // (internal/systems).
 //
 // The hierarchy mirrors the execution structure:

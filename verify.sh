@@ -43,7 +43,7 @@ hot=$(go build -gcflags=-m ./internal/core 2>&1 | awk -F: '
         next
     }
     $1 == "internal/core/unified.go" && hot[$2] && sub(/.*inlining call to /, "")' internal/core/unified.go -)
-for f in '(*laneMask).claim' '(*laneMask).mark' '(*LaneFrontiers).claim' orWord '(*laneScratch).hit'; do
+for f in '(*laneMask).claim' '(*laneMask).mark' '(*laneFrontiers).claim' orWord '(*laneScratch).hit'; do
     if ! printf '%s\n' "$hot" | grep -qxF "$f"; then
         echo "verify: go build -gcflags=-m inlines no call to $f in the push of internal/core/unified.go" >&2
         exit 1
@@ -147,21 +147,20 @@ else
 fi
 
 leg race "go test -race (concurrent packages)"
-# Every package that runs a par worker (align, baselines, core, frontier,
-# graph, sched), since a worker writes shared state only through the monotone
-# atomic relaxation and a captured write shows up here as a race; and every
-# other package with worker-pool or CAS concurrency (par, queries, serve,
-# telemetry). That covers the internal/core stress test (concurrent batches
-# x GOMAXPROCS 1/2/8), the Jacobi evaluator (internal/core, its kernels in
-# internal/queries), the baselines (internal/baselines: Congra's concurrent
-# one-query batches over one pool and one arena, Query-Parallel's per-query
-# evaluations on pool workers), the hub profile's BFS and hop fill
-# (internal/align), the live serving loop's deterministic-clock suite
-# (internal/serve, now including the convergence/KHop e2e), and glign-serve's
-# HTTP handlers (cmd/glign-serve), which drive a live server from handler
-# goroutines. The goroutine leak tests of par, core, serve and graph run here
-# too.
-# internal/engine is a serial oracle and has no concurrency of its own.
+# Every package that runs a par worker (align, core, frontier, graph, sched),
+# since a worker writes shared state only through the monotone atomic
+# relaxation and a captured write shows up here as a race; and every other
+# package with worker-pool or CAS concurrency (par, queries, serve,
+# telemetry). That covers every engine in internal/core: the stress test
+# (concurrent batches x GOMAXPROCS 1/2/8), the Jacobi evaluator (its kernels
+# in internal/queries), Congra's concurrent one-query batches over one pool
+# and one arena, and Query-Parallel's per-query evaluations on pool workers;
+# the hub profile's BFS and hop fill (internal/align), the live serving
+# loop's deterministic-clock suite (internal/serve, now including the
+# convergence/KHop e2e), and glign-serve's HTTP handlers (cmd/glign-serve),
+# which drive a live server from handler goroutines. The goroutine leak tests
+# of par, core, serve and graph run here too.
+# internal/oracle's serial evaluators have no concurrency of their own.
 # internal/graph runs with -short in a call of its own: its R-MAT generator
 # converts the random stream to edges on par workers while a goroutine of
 # its own draws the stream, which every Tiny graph and its leak test drive;
@@ -171,7 +170,6 @@ leg race "go test -race (concurrent packages)"
 go test -race -skip '^TestEngineGolden$' \
     ./cmd/glign-serve/ \
     ./internal/align/ \
-    ./internal/baselines/ \
     ./internal/core/ \
     ./internal/frontier/ \
     ./internal/par/ \

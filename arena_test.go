@@ -104,7 +104,7 @@ func TestWarmedRunAllocatesOnlyResults(t *testing.T) {
 // up once (its schedule, its result) comes to well under one object an
 // iteration. What is left is the pool's dispatch: the job, its done channel
 // and its cursors, three objects whenever an iteration's frontier spans more
-// than one chunk (the driver hands its chunk closure to ForSlots as it is, and its
+// than one chunk (drive hands its chunk closure to ForSlots as it is, and its
 // policies keep a slot's state in slices made once a batch). The
 // unified-frontier engines share one push body and take their frontier pair
 // from the arena, member lists and all. The query-oblivious ones measure

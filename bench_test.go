@@ -1,12 +1,13 @@
 package glign
 
 // Benchmarks regenerating every table and figure of the paper's evaluation
-// (§4) at benchmark-friendly scale, one testing.B target per artifact, plus
-// engine microbenchmarks. The full-size harness (with printed tables) is
-// cmd/glign-bench; the experiment-id mapping is DESIGN.md's index.
+// (§4) and every ablation at benchmark-friendly scale, one sub-benchmark of
+// BenchmarkExperiments per experiment id, plus engine microbenchmarks. The
+// full-size harness (with printed tables) is cmd/glign-bench; the
+// experiment-id mapping is DESIGN.md's index.
 //
-//	go test -bench=. -benchmem            # everything, small scale
-//	go test -bench=BenchmarkFig11 -v      # one artifact
+//	go test -bench=. -benchmem                      # everything, small scale
+//	go test -bench='BenchmarkExperiments/fig11$' -v  # one artifact
 
 import (
 	"fmt"
@@ -23,7 +24,7 @@ import (
 	"github.com/glign/glign/internal/workload"
 )
 
-// benchCfg is the scale used by the per-artifact benchmarks: big enough for
+// benchCfg is the scale used by the experiment benchmarks: big enough for
 // the alignment effects to be visible, small enough for -bench=. to finish
 // in minutes.
 func benchCfg() bench.Config {
@@ -35,40 +36,20 @@ func benchCfg() bench.Config {
 	return cfg
 }
 
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	e, err := bench.ByID(id)
-	if err != nil {
-		b.Fatal(err)
-	}
+// BenchmarkExperiments runs every experiment of bench.All, one
+// sub-benchmark an id.
+func BenchmarkExperiments(b *testing.B) {
 	cfg := benchCfg()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := e.Run(cfg, io.Discard); err != nil {
-			b.Fatal(err)
-		}
+	for _, e := range bench.All() {
+		b.Run(e.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := e.Run(cfg, io.Discard); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
-
-// One benchmark per paper artifact.
-
-func BenchmarkFig1LLCMisses(b *testing.B)      { benchExperiment(b, "fig1") }
-func BenchmarkFig7FrontierSizes(b *testing.B)  { benchExperiment(b, "fig7") }
-func BenchmarkTable8LigraS(b *testing.B)       { benchExperiment(b, "tab8") }
-func BenchmarkFig11Overall(b *testing.B)       { benchExperiment(b, "fig11") }
-func BenchmarkTable9LLC(b *testing.B)          { benchExperiment(b, "tab9") }
-func BenchmarkFig12Intra(b *testing.B)         { benchExperiment(b, "fig12") }
-func BenchmarkTable10IntraLLC(b *testing.B)    { benchExperiment(b, "tab10") }
-func BenchmarkTable11Footprint(b *testing.B)   { benchExperiment(b, "tab11") }
-func BenchmarkFig13Inter(b *testing.B)         { benchExperiment(b, "fig13") }
-func BenchmarkFig14Affinity(b *testing.B)      { benchExperiment(b, "fig14") }
-func BenchmarkTable12InterLLC(b *testing.B)    { benchExperiment(b, "tab12") }
-func BenchmarkTable13GroundTruth(b *testing.B) { benchExperiment(b, "tab13") }
-func BenchmarkTable14Profiling(b *testing.B)   { benchExperiment(b, "tab14") }
-func BenchmarkFig15Batch(b *testing.B)         { benchExperiment(b, "fig15") }
-func BenchmarkFig16BatchSize(b *testing.B)     { benchExperiment(b, "fig16") }
-func BenchmarkTable15Road(b *testing.B)        { benchExperiment(b, "tab15") }
-func BenchmarkTable16IBFS(b *testing.B)        { benchExperiment(b, "tab16") }
 
 // Engine microbenchmarks: per engine one batch per regime the value-array
 // layout and the changed-lane mask matter in — a hub graph at the widths 16

@@ -40,11 +40,8 @@ func run() error {
 		buffer    = flag.Int("buffer", 0, "override buffer size")
 		batch     = flag.Int("batch", 0, "override batch size")
 		workers   = flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
-		seed      = flag.Int64("seed", 0, "override workload seed")
-		llcBytes  = flag.Int64("llc", 0, "override simulated LLC size in bytes")
 		graphsCSV = flag.String("graphs", "", "restrict to datasets (comma-separated)")
 		wlCSV     = flag.String("workloads", "", "restrict to workloads (comma-separated)")
-		csvOut    = flag.Bool("csv", false, "emit CSV instead of aligned text tables")
 		metricOut = flag.String("metrics-out", "", "write a telemetry snapshot (per-iteration frontier sizes, edges relaxed, batch compositions) as JSON to this file")
 	)
 	flag.Parse()
@@ -74,20 +71,11 @@ func run() error {
 		}
 		cfg.LLC = bench.LLCFor(cfg.Size)
 	}
-	if *llcBytes > 0 {
-		cfg.LLC.SizeBytes = *llcBytes
-		if err := cfg.LLC.Validate(); err != nil {
-			return err
-		}
-	}
 	if *buffer > 0 {
 		cfg.BufferSize = *buffer
 	}
 	if *batch > 0 {
 		cfg.BatchSize = *batch
-	}
-	if *seed != 0 {
-		cfg.Seed = *seed
 	}
 	if *graphsCSV != "" {
 		cfg.Graphs = nil
@@ -101,7 +89,6 @@ func run() error {
 			cfg.Workloads = append(cfg.Workloads, strings.TrimSpace(s))
 		}
 	}
-	cfg.CSV = *csvOut
 	if *metricOut != "" {
 		cfg.Telemetry = telemetry.NewCollector()
 	}

@@ -5,14 +5,17 @@
 //
 // A cell's two sides run alternately rep by rep, in reverse order every other
 // rep, on one pool and arena per worker count: whatever slows the host slows
-// both, and the ratio cancels it. Absolute times are printed, never gated.
-// Each side first answers once and is held to the serial oracle, so the gate
-// never times a wrong answer. A side's time is its quiet-rep minimum, printed
-// with its max÷min spread. A cell above baseline × 1.2 is re-measured once
-// with twice the reps and fails only if it still is; a cell below
-// baseline ÷ 1.2 passes, marked "baseline stale"; a cell on only one side of
-// the comparison fails. A host fingerprint other than the baseline's is
-// printed in the verdict line and changes nothing else.
+// both reps of a pair, and their ratio cancels it. Absolute times are printed,
+// never gated. Each side first answers once and is held to the serial oracle,
+// so the gate never times a wrong answer. A cell reads the median of its
+// reps' paired ratios num÷den, printed with the narrowest order-statistic
+// interval around it that covers the median with at least 90 % confidence,
+// and each side's median wall and CPU milliseconds a rep (the CPU time, from
+// getrusage, tells a descheduled rep from slower code). A cell above
+// baseline × 1.2 is re-measured once with twice the reps and fails only if it
+// still is; a cell below baseline ÷ 1.2 passes, marked "baseline stale"; a
+// cell on only one side of the comparison fails. A host fingerprint other than
+// the baseline's is printed in the verdict line and changes nothing else.
 //
 //	go run ./cmd/glign-perfgate                   # gate: exit 1 on a failed cell
 //	go run ./cmd/glign-perfgate -write-baseline   # record this host's ratios
@@ -23,9 +26,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"slices"
 	"strings"
+	"syscall"
 	"time"
 
 	"github.com/glign/glign/internal/align"
@@ -173,17 +178,59 @@ func gate(w io.Writer, base baseline, env perf.Env, names []string, measure func
 }
 
 func printCell(w io.Writer, name string, r result, want float64, verdict string) {
-	fmt.Fprintf(w, "%-30s ratio %.3f = %7.2f÷%7.2f ms (spread ×%.2f ×%.2f)  base %.3f  %s\n",
-		name, r.ratio(), r.num*1e3, r.den*1e3, r.numSpread, r.denSpread, want, verdict)
+	lo, hi, cover := r.interval()
+	fmt.Fprintf(w, "%-30s ratio %.3f [%.3f, %.3f] %2.0f%%  wall %.2f÷%.2f ms  cpu %.2f÷%.2f ms  base %.3f  %s\n",
+		name, r.ratio(), lo, hi, 100*cover, r.wall[0]*1e3, r.wall[1]*1e3, r.cpu[0]*1e3, r.cpu[1]*1e3, want, verdict)
 }
 
-// result is one measurement of a cell: each side's quiet-rep minimum in
-// seconds and its max÷min spread.
+// result is one measurement of a cell: every rep's paired ratio num÷den,
+// sorted, and each side's median wall and CPU seconds a rep.
 type result struct {
-	num, den, numSpread, denSpread float64
+	ratios    []float64
+	wall, cpu [2]float64
 }
 
-func (r result) ratio() float64 { return r.num / r.den }
+// summarize pairs the reps of the two sides, wall[0][i] with wall[1][i].
+func summarize(wall, cpu [2][]float64) result {
+	var r result
+	for i := range wall[0] {
+		r.ratios = append(r.ratios, wall[0][i]/wall[1][i])
+	}
+	slices.Sort(r.ratios)
+	for k := range wall {
+		r.wall[k], r.cpu[k] = median(wall[k]), median(cpu[k])
+	}
+	return r
+}
+
+func median(xs []float64) float64 {
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	return (s[(len(s)-1)/2] + s[len(s)/2]) / 2
+}
+
+// ratio is the cell's reading: the median paired ratio.
+func (r result) ratio() float64 { return median(r.ratios) }
+
+// interval returns the k-th and (n+1-k)-th smallest of the n ratios for the
+// largest k whose interval still covers the median with probability
+// 1 - 2·P(Binomial(n, ½) < k) >= 0.9, and that probability: at 9 reps the
+// 2nd and 8th, 96 %. Below 5 reps even the extremes cover less than 0.9;
+// it returns them.
+func (r result) interval() (lo, hi, cover float64) {
+	n := len(r.ratios)
+	k, below := 1, 1.0 // below: the ways fewer than k of n fall under the median
+	cover = 1 - math.Ldexp(2*below, -n)
+	for choose := 1.0; ; k++ {
+		choose = choose * float64(n-k+1) / float64(k) // C(n, k)
+		next := 1 - math.Ldexp(2*(below+choose), -n)
+		if next < 0.9 {
+			break
+		}
+		below, cover = below+choose, next
+	}
+	return r.ratios[k-1], r.ratios[n-k], cover
+}
 
 // An input is one batch, drawn the way bench_test.go's benchBatch draws it.
 type input struct {
@@ -262,20 +309,28 @@ func (c cell) measure(reps int) (result, error) {
 			return result{}, fmt.Errorf("%s: %w", c.name, err)
 		}
 	}
-	var times [2][]float64
+	var wall, cpu [2][]float64
 	for r := 0; r < reps; r++ {
 		for j := range sides {
 			k := j ^ (r & 1)
-			start := time.Now()
+			start, cpu0 := time.Now(), cpuSeconds()
 			if _, err := sides[k].run(false); err != nil {
 				return result{}, fmt.Errorf("%s: %w", c.name, err)
 			}
-			times[k] = append(times[k], time.Since(start).Seconds())
+			wall[k] = append(wall[k], time.Since(start).Seconds())
+			cpu[k] = append(cpu[k], cpuSeconds()-cpu0)
 		}
 	}
-	nMin, nMax := slices.Min(times[0]), slices.Max(times[0])
-	dMin, dMax := slices.Min(times[1]), slices.Max(times[1])
-	return result{nMin, dMin, nMax / nMin, dMax / dMin}, nil
+	return summarize(wall, cpu), nil
+}
+
+// cpuSeconds is the user and system time this process has used. Getrusage
+// fails only on a bad argument, and the reading is printed, never gated, so
+// its error is dropped.
+func cpuSeconds() float64 {
+	var ru syscall.Rusage
+	_ = syscall.Getrusage(syscall.RUSAGE_SELF, &ru)
+	return float64(ru.Utime.Nano()+ru.Stime.Nano()) / 1e9
 }
 
 // gatedCells lays out the nine cells on graphs of size. Each ratio compares

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -88,7 +89,7 @@ func TestVerdict(t *testing.T) {
 				gotReps = append(gotReps, n)
 				r := tc.ratios[name][0]
 				tc.ratios[name] = tc.ratios[name][1:]
-				return result{num: r, den: 1, numSpread: 1, denSpread: 1}, nil
+				return result{ratios: []float64{r}}, nil
 			}
 			var out bytes.Buffer
 			pass, err := gate(&out, baseline{Env: env, Ratios: tc.base}, here, names, measure)
@@ -107,6 +108,56 @@ func TestVerdict(t *testing.T) {
 				t.Errorf("measured with reps %v, want %v", gotReps, tc.reps)
 			}
 		})
+	}
+}
+
+// TestMedianIgnoresADescheduledRep scripts nine rep pairs on a host whose
+// speed drifts rep to rep, with the num side always 0.7 of the den side, and
+// then deschedules the den side in its fastest rep. The ratio of the two
+// sides' minima moves; the median paired ratio and its interval do not.
+func TestMedianIgnoresADescheduledRep(t *testing.T) {
+	var wall [2][]float64
+	for r := 0; r < reps; r++ {
+		host := 1 + 0.1*float64(r)
+		wall[0] = append(wall[0], 0.7*host)
+		wall[1] = append(wall[1], host)
+	}
+	minRatio := func() float64 { return slices.Min(wall[0]) / slices.Min(wall[1]) }
+	quiet := summarize(wall, wall)
+	if !approx(minRatio(), 0.7) || !approx(quiet.ratio(), 0.7) {
+		t.Fatalf("quiet host: ratio of minima %v, median %v, want 0.7 both", minRatio(), quiet.ratio())
+	}
+	wall[1][0] = 3 // the den side's fastest rep, descheduled
+	r := summarize(wall, wall)
+	if approx(minRatio(), 0.7) {
+		t.Errorf("ratio of minima %v did not move", minRatio())
+	}
+	if lo, hi, cover := r.interval(); !approx(r.ratio(), 0.7) || !approx(lo, 0.7) || !approx(hi, 0.7) || !approx(cover, 1-20.0/512) {
+		t.Errorf("median %v, interval [%v, %v] at %v, want 0.7 [0.7, 0.7] at 96 %%", r.ratio(), lo, hi, cover)
+	}
+}
+
+func approx(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
+
+// TestIntervalOrderStatistics checks the interval's ranks and coverage at
+// the gate's two rep counts and at one rep.
+func TestIntervalOrderStatistics(t *testing.T) {
+	for _, tc := range []struct {
+		n, k  int
+		cover float64
+	}{
+		{reps, 2, 1 - 2*10.0/512},
+		{remeasureReps, 6, 1 - 2*12616.0/262144},
+		{1, 1, 0},
+	} {
+		var r result
+		for i := 1; i <= tc.n; i++ {
+			r.ratios = append(r.ratios, float64(i))
+		}
+		lo, hi, cover := r.interval()
+		if lo != float64(tc.k) || hi != float64(tc.n+1-tc.k) || !approx(cover, tc.cover) {
+			t.Errorf("n=%d: [%v, %v] at %v, want ranks %d and %d at %v", tc.n, lo, hi, cover, tc.k, tc.n+1-tc.k, tc.cover)
+		}
 	}
 }
 

@@ -9,17 +9,8 @@ import (
 	"github.com/glign/glign/internal/order"
 	"github.com/glign/glign/internal/queries"
 	"github.com/glign/glign/internal/stats"
-	"github.com/glign/glign/internal/systems"
 	"github.com/glign/glign/internal/workload"
 )
-
-func init() {
-	register(Experiment{
-		ID: "abl-order", Paper: "ablation",
-		Title: "Graph reordering x alignment: simulated misses of Glign and Ligra-C per vertex ordering",
-		Run:   runAblationOrder,
-	})
-}
 
 // runAblationOrder measures how single-query locality optimizations
 // (vertex reordering) compose with Glign's cross-query alignments — the
@@ -59,20 +50,11 @@ func runAblationOrder(cfg Config, w io.Writer) error {
 		}
 		e := &env{g: g, prof: align.NewProfile(g, align.DefaultHubCount, cfg.Workers), sources: srcs}
 		buf := workload.Homogeneous(queries.SSSP, srcs)
-		lc, err := measureLLC(systems.LigraC, e, buf, cfg)
+		row, err := missRow(e, buf, cfg)
 		if err != nil {
 			return err
 		}
-		gl, err := measureLLC(systems.Glign, e, buf, cfg)
-		if err != nil {
-			return err
-		}
-		ratio := 0.0
-		if lc > 0 {
-			ratio = float64(gl) / float64(lc)
-		}
-		tb.AddRow(c.name, stats.FormatCount(float64(lc)), stats.FormatCount(float64(gl)),
-			fmt.Sprintf("%.0f%%", 100*ratio))
+		tb.AddRow(append([]string{c.name}, row...)...)
 	}
-	return writeTable(cfg, w, tb)
+	return writeTable(w, tb)
 }

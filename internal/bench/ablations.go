@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"math/rand"
 
 	"github.com/glign/glign/internal/align"
 	"github.com/glign/glign/internal/cachesim"
@@ -13,69 +12,29 @@ import (
 	"github.com/glign/glign/internal/systems"
 )
 
-// Ablations beyond the paper's artifacts: design-choice sweeps DESIGN.md
-// calls out. Their ids sort after the paper experiments in All().
-
-func init() {
-	register(Experiment{
-		ID: "abl-hubs", Paper: "ablation",
-		Title: "Hub count K sweep: alignment accuracy and Glign-Inter speedup",
-		Run:   runAblationHubs,
-	})
-	register(Experiment{
-		ID: "abl-window", Paper: "ablation",
-		Title: "Batching window B_w sweep: Glign-Batch speedup vs reordering bound",
-		Run:   runAblationWindow,
-	})
-	register(Experiment{
-		ID: "abl-llc", Paper: "ablation",
-		Title: "Simulated LLC size sweep: Glign/Ligra-C miss ratio",
-		Run:   runAblationLLC,
-	})
-	register(Experiment{
-		ID: "abl-affinity", Paper: "ablation",
-		Title: "Vertex- vs edge-based affinity (§3.3 'minimal differences' claim)",
-		Run:   runAblationAffinity,
-	})
-}
-
 // runAblationHubs sweeps K, reporting how often the K-hub heuristic matches
 // the exhaustive optimal alignment on query pairs and the resulting
 // Glign-Inter speedup over Glign-Intra.
 func runAblationHubs(cfg Config, w io.Writer) error {
 	d := cfg.graphs()[0]
 	e := envs.get(d, cfg)
-	rng := rand.New(rand.NewSource(cfg.Seed + 11))
-	pairs := cfg.BufferSize / 8
-	if pairs < 4 {
-		pairs = 4
-	}
-	type pair struct {
-		batch  []queries.Query
-		traces []*align.Trace
-		opt    int // optimal relative shift
-	}
-	var ps []pair
-	for i := 0; i < pairs; i++ {
-		batch := []queries.Query{
-			{Kernel: queries.SSSP, Source: e.sources[rng.Intn(len(e.sources))]},
-			{Kernel: queries.SSSP, Source: e.sources[rng.Intn(len(e.sources))]},
-		}
-		traces := align.TraceBatch(e.g, batch, cfg.Workers)
-		optVec, _ := align.OptimalAlignment(traces, 8)
-		ps = append(ps, pair{batch, traces, align.RelativeShift(optVec)})
+	pairs := ssspPairs(e, cfg, 8, 11)
+	opt := make([]int, len(pairs)) // each pair's optimal relative shift
+	for i, p := range pairs {
+		optVec, _ := align.OptimalAlignment(p.traces, 8)
+		opt[i] = align.RelativeShift(optVec)
 	}
 	tb := &stats.Table{
-		Title:  fmt.Sprintf("Hub count sweep (%s, %d pairs)", d, pairs),
+		Title:  fmt.Sprintf("Hub count sweep (%s, %d pairs)", d, len(pairs)),
 		Header: []string{"K", "exact", "within 2", "mean |diff|", "mean affinity"},
 	}
 	for _, k := range []int{1, 2, 4, 8, 16} {
 		prof := align.NewProfile(e.g, k, cfg.Workers)
 		exact, within2, diffSum := 0, 0, 0
 		var affs []float64
-		for _, p := range ps {
+		for i, p := range pairs {
 			heur := prof.AlignmentVector(p.batch)
-			diff := align.AbsDiff(align.RelativeShift(heur), p.opt)
+			diff := align.AbsDiff(align.RelativeShift(heur), opt[i])
 			if diff == 0 {
 				exact++
 			}
@@ -86,12 +45,12 @@ func runAblationHubs(cfg Config, w io.Writer) error {
 			affs = append(affs, align.Affinity(p.traces, heur))
 		}
 		tb.AddRow(fmt.Sprint(k),
-			fmt.Sprintf("%.0f%%", 100*float64(exact)/float64(pairs)),
-			fmt.Sprintf("%.0f%%", 100*float64(within2)/float64(pairs)),
-			fmt.Sprintf("%.2f", float64(diffSum)/float64(pairs)),
+			fmt.Sprintf("%.0f%%", 100*float64(exact)/float64(len(pairs))),
+			fmt.Sprintf("%.0f%%", 100*float64(within2)/float64(len(pairs))),
+			fmt.Sprintf("%.2f", float64(diffSum)/float64(len(pairs))),
 			fmt.Sprintf("%.3f", stats.Mean(affs)))
 	}
-	return writeTable(cfg, w, tb)
+	return writeTable(w, tb)
 }
 
 // runAblationWindow sweeps the batching window, reporting Glign-Batch time
@@ -125,7 +84,7 @@ func runAblationWindow(cfg Config, w io.Writer) error {
 		tb.AddRow(label, stats.FormatDuration(res.Duration.Seconds()),
 			fmt.Sprint(sched.MaxDisplacement(res.Batches)))
 	}
-	return writeTable(cfg, w, tb)
+	return writeTable(w, tb)
 }
 
 // runAblationLLC sweeps the simulated cache size and reports the
@@ -149,22 +108,13 @@ func runAblationLLC(cfg Config, w io.Writer) error {
 		if c.LLC.Validate() != nil {
 			continue
 		}
-		lc, err := measureLLC(systems.LigraC, e, buf, c)
+		row, err := missRow(e, buf, c)
 		if err != nil {
 			return err
 		}
-		gl, err := measureLLC(systems.Glign, e, buf, c)
-		if err != nil {
-			return err
-		}
-		ratio := 0.0
-		if lc > 0 {
-			ratio = float64(gl) / float64(lc)
-		}
-		tb.AddRow(formatBytes(size), stats.FormatCount(float64(lc)),
-			stats.FormatCount(float64(gl)), fmt.Sprintf("%.0f%%", 100*ratio))
+		tb.AddRow(append([]string{formatBytes(size)}, row...)...)
 	}
-	return writeTable(cfg, w, tb)
+	return writeTable(w, tb)
 }
 
 // runAblationAffinity checks the paper's claim that vertex- and edge-based
@@ -173,26 +123,17 @@ func runAblationLLC(cfg Config, w io.Writer) error {
 func runAblationAffinity(cfg Config, w io.Writer) error {
 	d := cfg.graphs()[0]
 	e := envs.get(d, cfg)
-	rng := rand.New(rand.NewSource(cfg.Seed + 13))
-	pairs := cfg.BufferSize / 8
-	if pairs < 4 {
-		pairs = 4
-	}
+	pairs := ssspPairs(e, cfg, 8, 13)
 	agree := 0
 	var vDiffs []float64
-	for i := 0; i < pairs; i++ {
-		batch := []queries.Query{
-			{Kernel: queries.SSSP, Source: e.sources[rng.Intn(len(e.sources))]},
-			{Kernel: queries.SSSP, Source: e.sources[rng.Intn(len(e.sources))]},
-		}
-		traces := align.TraceBatch(e.g, batch, cfg.Workers)
-		optV, _ := align.OptimalAlignment(traces, 6)
+	for _, p := range pairs {
+		optV, _ := align.OptimalAlignment(p.traces, 6)
 		// Edge-based optimum by brute force over the same shift domain.
 		bestE := []int{0, 0}
-		bestVal := align.AffinityEdges(traces, bestE, e.g)
+		bestVal := align.AffinityEdges(p.traces, bestE, e.g)
 		for s := 0; s <= 6; s++ {
 			for _, I := range [][]int{{s, 0}, {0, s}} {
-				if v := align.AffinityEdges(traces, I, e.g); v > bestVal {
+				if v := align.AffinityEdges(p.traces, I, e.g); v > bestVal {
 					bestVal = v
 					bestE = I
 				}
@@ -205,10 +146,24 @@ func runAblationAffinity(cfg Config, w io.Writer) error {
 		vDiffs = append(vDiffs, float64(dv))
 	}
 	tb := &stats.Table{
-		Title:  fmt.Sprintf("Affinity definition ablation (%s, %d pairs)", d, pairs),
+		Title:  fmt.Sprintf("Affinity definition ablation (%s, %d pairs)", d, len(pairs)),
 		Header: []string{"metric", "value"},
 	}
-	tb.AddRow("optimal alignments agree", fmt.Sprintf("%.0f%%", 100*float64(agree)/float64(pairs)))
+	tb.AddRow("optimal alignments agree", fmt.Sprintf("%.0f%%", 100*float64(agree)/float64(len(pairs))))
 	tb.AddRow("mean |shift difference|", fmt.Sprintf("%.2f iterations", stats.Mean(vDiffs)))
-	return writeTable(cfg, w, tb)
+	return writeTable(w, tb)
+}
+
+// missRow replays one batch of buf under Ligra-C and full Glign and returns
+// their simulated misses and Glign's in percent of Ligra-C's.
+func missRow(e *env, buf []queries.Query, cfg Config) ([]string, error) {
+	lc, err := misses.read(systems.LigraC, e, buf, cfg)
+	if err != nil {
+		return nil, err
+	}
+	gl, err := misses.read(systems.Glign, e, buf, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return []string{misses.show(lc), misses.show(gl), misses.showAgainst(misses.against(lc, gl))}, nil
 }

@@ -3,7 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -38,8 +38,6 @@ type Config struct {
 	// Workloads restricts experiments to these workload names when
 	// non-empty.
 	Workloads []string
-	// CSV switches experiment output from aligned text tables to CSV.
-	CSV bool
 	// Telemetry, when non-nil, collects per-iteration engine records for
 	// every timed method run (traced LLC replays are excluded: their
 	// single-threaded access-stream runs would skew the timelines). The
@@ -112,59 +110,99 @@ type Experiment struct {
 	Run func(cfg Config, w io.Writer) error
 }
 
-var (
-	registryMu sync.Mutex
-	registry   []Experiment
-)
-
-func register(e Experiment) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	registry = append(registry, e)
+// experiments lists the paper's artifacts in the order the paper presents
+// them, then the ablations: design-choice sweeps beyond the paper that
+// DESIGN.md calls out.
+var experiments = []Experiment{
+	{ID: "fig1", Paper: "Figure 1",
+		Title: "Simulated LLC misses of concurrent BFS/SSSP (motivating result)",
+		Run: grid{by: misses, workloads: []string{"BFS", "SSSP"},
+			methods: []string{systems.LigraS, systems.LigraC, systems.Krill, systems.Glign}}.run},
+	{ID: "fig7", Paper: "Figure 7 + Table 4",
+		Title: "Frontier size distribution across iterations; heavy-iteration arrival",
+		Run:   runFigure7},
+	{ID: "tab8", Paper: "Table 8",
+		Title: "Time of evaluating a query buffer using Ligra-S",
+		Run:   grid{by: wallTime, methods: []string{systems.LigraS}}.run},
+	{ID: "fig11", Paper: "Figure 11",
+		Title: "Overall performance: speedups over Ligra-S",
+		Run: grid{by: wallTime, base: systems.LigraS,
+			methods: []string{systems.LigraC, systems.GraphM, systems.Krill,
+				systems.GlignIntra, systems.GlignInter, systems.GlignBatch, systems.Glign}}.run},
+	{ID: "tab9", Paper: "Table 9",
+		Title: "Simulated LLC misses per method",
+		Run: grid{by: misses,
+			methods: []string{systems.LigraS, systems.LigraC, systems.GraphM, systems.Krill, systems.Glign}}.run},
+	{ID: "fig12", Paper: "Figure 12",
+		Title: "Speedups of Glign-Intra over Ligra-C (query-oblivious frontier)",
+		Run:   grid{by: wallTime, base: systems.LigraC, methods: []string{systems.GlignIntra}}.run},
+	{ID: "tab10", Paper: "Table 10",
+		Title: "LLC miss reduction by Glign-Intra (ratio vs Ligra-C)",
+		Run:   grid{by: misses, base: systems.LigraC, methods: []string{systems.GlignIntra}}.run},
+	{ID: "tab11", Paper: "Table 11",
+		Title: "Memory footprint breakdown (graph / vertex values / frontier)",
+		Run:   runTable11},
+	{ID: "fig13", Paper: "Figure 13",
+		Title: "Speedups of Glign-Inter over Glign-Intra (delayed start)",
+		Run:   grid{by: wallTime, base: systems.GlignIntra, methods: []string{systems.GlignInter}}.run},
+	{ID: "fig14", Paper: "Figure 14",
+		Title: "Affinity (1-affinity, lower is better) of Intra vs Inter vs Batch",
+		Run:   runFigure14},
+	{ID: "tab12", Paper: "Table 12",
+		Title: "LLC miss reduction by Glign-Inter (ratio vs Glign-Intra)",
+		Run:   grid{by: misses, base: systems.GlignIntra, methods: []string{systems.GlignInter}}.run},
+	{ID: "tab13", Paper: "Table 13",
+		Title: "Ground-truth study: heuristic vs optimal alignment on query pairs",
+		Run:   runTable13},
+	{ID: "tab14", Paper: "Table 14",
+		Title: "Profiling cost vs query evaluation cost",
+		Run:   runTable14},
+	{ID: "fig15", Paper: "Figure 15",
+		Title: "Speedups of Glign-Batch over Glign-Intra (affinity-oriented batching)",
+		Run:   grid{by: wallTime, base: systems.GlignIntra, methods: []string{systems.GlignBatch}}.run},
+	{ID: "fig16", Paper: "Figure 16",
+		Title: "Impact of query batch size (speedup over Ligra-S)",
+		Run:   runFigure16},
+	{ID: "tab15", Paper: "Table 15",
+		Title: "Performance on road networks (speedups over Ligra-S)",
+		Run: grid{by: wallTime, base: systems.LigraS,
+			graphs: graph.RoadDatasets(), workloads: []string{"SSSP", "BFS", "SSWP"},
+			methods: []string{systems.LigraC, systems.GlignIntra, systems.GlignInter,
+				systems.GlignBatch, systems.Glign}}.run},
+	{ID: "tab16", Paper: "Table 16",
+		Title: "Comparison with iBFS (concurrent BFS grouping)",
+		Run: grid{by: wallTime, base: systems.IBFS, workloads: []string{"BFS"},
+			methods: []string{systems.GlignIntra, systems.GlignBatch}}.run},
+	{ID: "abl-affinity", Paper: "ablation",
+		Title: "Vertex- vs edge-based affinity (§3.3 'minimal differences' claim)",
+		Run:   runAblationAffinity},
+	{ID: "abl-hubs", Paper: "ablation",
+		Title: "Hub count K sweep: alignment accuracy and Glign-Inter speedup",
+		Run:   runAblationHubs},
+	{ID: "abl-llc", Paper: "ablation",
+		Title: "Simulated LLC size sweep: Glign/Ligra-C miss ratio",
+		Run:   runAblationLLC},
+	{ID: "abl-order", Paper: "ablation",
+		Title: "Graph reordering x alignment: simulated misses of Glign and Ligra-C per vertex ordering",
+		Run:   runAblationOrder},
+	{ID: "abl-window", Paper: "ablation",
+		Title: "Batching window B_w sweep: Glign-Batch speedup vs reordering bound",
+		Run:   runAblationWindow},
 }
 
-// paperOrder is the presentation order of the artifacts in the paper.
-var paperOrder = map[string]int{
-	"fig1": 1, "fig7": 2, "tab8": 3, "fig11": 4, "tab9": 5, "fig12": 6,
-	"tab10": 7, "tab11": 8, "fig13": 9, "fig14": 10, "tab12": 11, "tab13": 12,
-	"tab14": 13, "fig15": 14, "fig16": 15, "tab15": 16, "tab16": 17,
-}
-
-// All returns every experiment in the paper's presentation order
-// (unrecognized ids, e.g. ablations, sort after the paper artifacts).
-func All() []Experiment {
-	registryMu.Lock()
-	out := append([]Experiment(nil), registry...)
-	registryMu.Unlock()
-	sort.SliceStable(out, func(i, j int) bool {
-		oi, oki := paperOrder[out[i].ID]
-		oj, okj := paperOrder[out[j].ID]
-		switch {
-		case oki && okj:
-			return oi < oj
-		case oki:
-			return true
-		case okj:
-			return false
-		default:
-			return out[i].ID < out[j].ID
-		}
-	})
-	return out
-}
+// All returns every experiment, the paper's artifacts first in the paper's
+// presentation order.
+func All() []Experiment { return slices.Clone(experiments) }
 
 // ByID finds one experiment.
 func ByID(id string) (Experiment, error) {
-	for _, e := range All() {
+	var ids []string
+	for _, e := range experiments {
 		if e.ID == id {
 			return e, nil
 		}
-	}
-	var ids []string
-	for _, e := range All() {
 		ids = append(ids, e.ID)
 	}
-	sort.Strings(ids)
 	return Experiment{}, fmt.Errorf("bench: unknown experiment %q (have %v)", id, ids)
 }
 
@@ -207,10 +245,10 @@ func (c *envCache) get(d graph.Dataset, cfg Config) *env {
 	return e
 }
 
-// runTimed evaluates buffer with a method and returns the wall time, taking
-// the best of one run (experiments are already minutes-scale; the paper
-// also reports single runs).
-func runTimed(method string, e *env, buffer []queries.Query, cfg Config) (time.Duration, *systems.Result, error) {
+// runTimed evaluates buffer with a method and returns the wall time of
+// that single run (experiments are already minutes-scale; the paper also
+// reports single runs).
+func runTimed(method string, e *env, buffer []queries.Query, cfg Config) (time.Duration, error) {
 	res, err := systems.Run(method, e.g, buffer, systems.Config{
 		BatchSize: cfg.BatchSize,
 		Workers:   cfg.Workers,
@@ -218,9 +256,9 @@ func runTimed(method string, e *env, buffer []queries.Query, cfg Config) (time.D
 		Telemetry: cfg.Telemetry,
 	})
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
-	return res.Duration, res, nil
+	return res.Duration, nil
 }
 
 // measureLLC replays one batch (the first cfg.BatchSize queries of buffer)
@@ -248,17 +286,8 @@ func bufferFor(e *env, name string, cfg Config) ([]queries.Query, error) {
 	return workload.BufferFor(name, e.sources, cfg.Seed+100)
 }
 
-// writeTable renders a table in the configured format.
-func writeTable(cfg Config, w io.Writer, tb *stats.Table) error {
-	if cfg.CSV {
-		if tb.Title != "" {
-			if _, err := fmt.Fprintf(w, "# %s\n", tb.Title); err != nil {
-				return err
-			}
-		}
-		_, err := io.WriteString(w, tb.CSV())
-		return err
-	}
+// writeTable renders a table as aligned text.
+func writeTable(w io.Writer, tb *stats.Table) error {
 	_, err := io.WriteString(w, tb.String())
 	return err
 }

@@ -18,21 +18,28 @@ func shortCfg() Config {
 	return cfg
 }
 
+// All lists the paper's 17 artifacts first, in the paper's order, and every
+// experiment once.
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"fig1", "fig7", "tab8", "fig11", "tab9", "fig12", "tab10",
 		"tab11", "fig13", "fig14", "tab12", "tab13", "tab14", "fig15", "fig16",
 		"tab15", "tab16"}
-	have := map[string]bool{}
-	for _, e := range All() {
+	all := All()
+	seen := map[string]bool{}
+	for i, e := range all {
 		if e.ID == "" || e.Paper == "" || e.Title == "" || e.Run == nil {
 			t.Fatalf("experiment %+v incomplete", e)
 		}
-		have[e.ID] = true
-	}
-	for _, id := range want {
-		if !have[id] {
-			t.Fatalf("experiment %s not registered", id)
+		if seen[e.ID] {
+			t.Fatalf("experiment %s listed twice", e.ID)
 		}
+		seen[e.ID] = true
+		if i < len(want) && e.ID != want[i] {
+			t.Fatalf("experiment %d is %s, want %s (the paper's order)", i, e.ID, want[i])
+		}
+	}
+	if len(all) < len(want) {
+		t.Fatalf("%d experiments, want the paper's %d first", len(all), len(want))
 	}
 }
 
@@ -125,29 +132,6 @@ func TestGlignReducesSimulatedMisses(t *testing.T) {
 	}
 	t.Logf("simulated LLC misses: Ligra-C=%d Glign=%d (ratio %.2f)",
 		twoLevel, glign, float64(glign)/float64(twoLevel))
-}
-
-func TestCSVOutputMode(t *testing.T) {
-	cfg := shortCfg()
-	cfg.CSV = true
-	e, err := ByID("tab11")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := e.Run(cfg, &buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.HasPrefix(out, "# Table 11") {
-		t.Fatalf("CSV output missing title comment:\n%s", out)
-	}
-	if !strings.Contains(out, "graph,structure,Ligra-C") {
-		t.Fatalf("CSV header missing:\n%s", out)
-	}
-	if strings.Contains(out, "----") {
-		t.Fatal("CSV output contains text-table rules")
-	}
 }
 
 func TestTableOutputShape(t *testing.T) {

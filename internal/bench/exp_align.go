@@ -16,29 +16,6 @@ import (
 	"github.com/glign/glign/internal/systems"
 )
 
-func init() {
-	register(Experiment{
-		ID: "fig7", Paper: "Figure 7 + Table 4",
-		Title: "Frontier size distribution across iterations; heavy-iteration arrival",
-		Run:   runFigure7,
-	})
-	register(Experiment{
-		ID: "fig14", Paper: "Figure 14",
-		Title: "Affinity (1-affinity, lower is better) of Intra vs Inter vs Batch",
-		Run:   runFigure14,
-	})
-	register(Experiment{
-		ID: "tab13", Paper: "Table 13",
-		Title: "Ground-truth study: heuristic vs optimal alignment on query pairs",
-		Run:   runTable13,
-	})
-	register(Experiment{
-		ID: "tab14", Paper: "Table 14",
-		Title: "Profiling cost vs query evaluation cost",
-		Run:   runTable14,
-	})
-}
-
 // runFigure7 prints the per-iteration frontier sizes of four representative
 // queries per graph and marks the heavy-iteration arrival — the first
 // iteration activating a top-4 hub — as Table 4 does.
@@ -72,7 +49,7 @@ func runFigure7(cfg Config, w io.Writer) error {
 			}
 			tb.AddRow(q.String(), fmt.Sprint(arrival), sb.String())
 		}
-		if err := writeTable(cfg, w, tb); err != nil {
+		if err := writeTable(w, tb); err != nil {
 			return err
 		}
 	}
@@ -125,7 +102,7 @@ func runFigure14(cfg Config, w io.Writer) error {
 				fmt.Sprintf("%.4f", intra), fmt.Sprintf("%.4f", inter), fmt.Sprintf("%.4f", batch))
 		}
 	}
-	return writeTable(cfg, w, tb)
+	return writeTable(w, tb)
 }
 
 // runTable13 samples query pairs, compares the heuristic alignment against
@@ -133,32 +110,23 @@ func runFigure14(cfg Config, w io.Writer) error {
 // per-bucket speedups over Ligra-S.
 func runTable13(cfg Config, w io.Writer) error {
 	const maxShift = 8
-	pairs := cfg.BufferSize / 4
-	if pairs < 4 {
-		pairs = 4
-	}
 	d := cfg.graphs()[0]
 	e := envs.get(d, cfg)
-	rng := rand.New(rand.NewSource(cfg.Seed + 7))
+	pairs := ssspPairs(e, cfg, 4, 7)
 
 	type bucket struct {
 		count                   int
 		intra, inter, best, seq float64 // summed durations
 	}
 	buckets := map[int]*bucket{}
-	for p := 0; p < pairs; p++ {
-		batch := []queries.Query{
-			{Kernel: queries.SSSP, Source: e.sources[rng.Intn(len(e.sources))]},
-			{Kernel: queries.SSSP, Source: e.sources[rng.Intn(len(e.sources))]},
-		}
-		traces := align.TraceBatch(e.g, batch, cfg.Workers)
-		heur := e.prof.AlignmentVector(batch)
-		opt, _ := align.OptimalAlignment(traces, maxShift)
+	for _, p := range pairs {
+		heur := e.prof.AlignmentVector(p.batch)
+		opt, _ := align.OptimalAlignment(p.traces, maxShift)
 		diff := align.AbsDiff(align.RelativeShift(heur), align.RelativeShift(opt))
 
 		timeRun := func(engine core.Engine, I []int) (float64, error) {
 			start := time.Now()
-			_, err := engine.Run(e.g, batch, core.Options{Workers: cfg.Workers, Alignment: I})
+			_, err := engine.Run(e.g, p.batch, core.Options{Workers: cfg.Workers, Alignment: I})
 			return time.Since(start).Seconds(), err
 		}
 		seq, err := timeRun(core.LigraS, nil)
@@ -190,7 +158,7 @@ func runTable13(cfg Config, w io.Writer) error {
 	}
 
 	tb := &stats.Table{
-		Title: fmt.Sprintf("Table 13 (%s, %d pairs): heuristic vs optimal alignment", d, pairs),
+		Title: fmt.Sprintf("Table 13 (%s, %d pairs): heuristic vs optimal alignment", d, len(pairs)),
 		Header: []string{"diff", "cnt", "ratio",
 			"speedup(Intra)", "speedup(Inter)", "speedup(Best)"},
 	}
@@ -200,12 +168,33 @@ func runTable13(cfg Config, w io.Writer) error {
 			continue
 		}
 		tb.AddRow(fmt.Sprint(diff), fmt.Sprint(b.count),
-			fmt.Sprintf("%.1f%%", 100*float64(b.count)/float64(pairs)),
+			fmt.Sprintf("%.1f%%", 100*float64(b.count)/float64(len(pairs))),
 			fmt.Sprintf("%.2fx", b.seq/b.intra),
 			fmt.Sprintf("%.2fx", b.seq/b.inter),
 			fmt.Sprintf("%.2fx", b.seq/b.best))
 	}
-	return writeTable(cfg, w, tb)
+	return writeTable(w, tb)
+}
+
+// An ssspPair is a two-query SSSP batch and its queries' frontier traces.
+type ssspPair struct {
+	batch  []queries.Query
+	traces []*align.Trace
+}
+
+// ssspPairs draws max(4, BufferSize/per) pairs of sources from e's sampled
+// ones, with a generator seeded cfg.Seed+seed, and traces each pair.
+func ssspPairs(e *env, cfg Config, per int, seed int64) []ssspPair {
+	rng := rand.New(rand.NewSource(cfg.Seed + seed))
+	pairs := make([]ssspPair, max(4, cfg.BufferSize/per))
+	for i := range pairs {
+		batch := []queries.Query{
+			{Kernel: queries.SSSP, Source: e.sources[rng.Intn(len(e.sources))]},
+			{Kernel: queries.SSSP, Source: e.sources[rng.Intn(len(e.sources))]},
+		}
+		pairs[i] = ssspPair{batch, align.TraceBatch(e.g, batch, cfg.Workers)}
+	}
+	return pairs
 }
 
 // runTable14 compares the one-time profiling cost (hub reverse-BFS) against
@@ -213,13 +202,14 @@ func runTable13(cfg Config, w io.Writer) error {
 func runTable14(cfg Config, w io.Writer) error {
 	tb := &stats.Table{
 		Title:  "Table 14: profiling cost vs one-batch query evaluation cost (Glign)",
-		Header: append([]string{"metric"}, datasetNames(cfg)...),
+		Header: []string{"metric"},
 	}
 	profRow := []string{"profiling cost"}
 	ssspRow := []string{fmt.Sprintf("SSSP batch (%d)", cfg.BatchSize)}
 	bfsRow := []string{fmt.Sprintf("BFS batch (%d)", cfg.BatchSize)}
 	for _, d := range cfg.graphs() {
 		e := envs.get(d, cfg)
+		tb.Header = append(tb.Header, string(d))
 		// Rebuild the profile to time it honestly.
 		p := align.NewProfile(e.g, align.DefaultHubCount, cfg.Workers)
 		profRow = append(profRow, stats.FormatDuration(p.PrepTime.Seconds()))
@@ -231,7 +221,7 @@ func runTable14(cfg Config, w io.Writer) error {
 			if len(buf) > cfg.BatchSize {
 				buf = buf[:cfg.BatchSize]
 			}
-			dur, _, err := runTimed(systems.Glign, e, buf, cfg)
+			dur, err := runTimed(systems.Glign, e, buf, cfg)
 			if err != nil {
 				return err
 			}
@@ -241,5 +231,5 @@ func runTable14(cfg Config, w io.Writer) error {
 	tb.AddRow(profRow...)
 	tb.AddRow(ssspRow...)
 	tb.AddRow(bfsRow...)
-	return writeTable(cfg, w, tb)
+	return writeTable(w, tb)
 }

@@ -5,28 +5,9 @@ import (
 	"io"
 
 	"github.com/glign/glign/internal/core"
-	"github.com/glign/glign/internal/graph"
 	"github.com/glign/glign/internal/stats"
 	"github.com/glign/glign/internal/systems"
 )
-
-func init() {
-	register(Experiment{
-		ID: "tab11", Paper: "Table 11",
-		Title: "Memory footprint breakdown (graph / vertex values / frontier)",
-		Run:   runTable11,
-	})
-	register(Experiment{
-		ID: "tab15", Paper: "Table 15",
-		Title: "Performance on road networks (speedups over Ligra-S)",
-		Run:   runTable15,
-	})
-	register(Experiment{
-		ID: "tab16", Paper: "Table 16",
-		Title: "Comparison with iBFS (concurrent BFS grouping)",
-		Run:   runTable16,
-	})
-}
 
 func formatBytes(b int64) string {
 	switch {
@@ -74,33 +55,39 @@ func runTable11(cfg Config, w io.Writer) error {
 			tb.AddRow(row...)
 		}
 	}
-	return writeTable(cfg, w, tb)
+	return writeTable(w, tb)
 }
 
-// runTable15 evaluates the Glign variants on the road networks, where heavy
-// iterations never form and only intra-iteration alignment helps.
-func runTable15(cfg Config, w io.Writer) error {
-	methods := []string{systems.LigraC, systems.GlignIntra, systems.GlignInter,
-		systems.GlignBatch, systems.Glign}
-	workloads := []string{"SSSP", "BFS", "SSWP"}
-	tb := &stats.Table{
-		Title:  "Table 15: road networks, speedups over Ligra-S",
-		Header: append([]string{"graph", "workload", "Ligra-S"}, methods...),
+// runFigure16 sweeps the batch size and reports the speedup of full Glign
+// over Ligra-S at each size.
+func runFigure16(cfg Config, w io.Writer) error {
+	var sizes []int
+	for _, s := range []int{2, 4, 8, 16, 32, 64, 128} {
+		if s <= cfg.BufferSize {
+			sizes = append(sizes, s)
+		}
 	}
-	for _, d := range graph.RoadDatasets() {
+	tb := &stats.Table{Title: "Figure 16: Glign speedup over Ligra-S vs batch size"}
+	tb.Header = []string{"graph", "workload"}
+	for _, s := range sizes {
+		tb.Header = append(tb.Header, fmt.Sprintf("B=%d", s))
+	}
+	for _, d := range cfg.graphs() {
 		e := envs.get(d, cfg)
-		for _, wl := range workloads {
+		for _, wl := range cfg.workloads() {
 			buf, err := bufferFor(e, wl, cfg)
 			if err != nil {
 				return err
 			}
-			base, _, err := runTimed(systems.LigraS, e, buf, cfg)
-			if err != nil {
-				return err
-			}
-			row := []string{string(d), wl, stats.FormatDuration(base.Seconds())}
-			for _, m := range methods {
-				dur, _, err := runTimed(m, e, buf, cfg)
+			row := []string{string(d), wl}
+			for _, bs := range sizes {
+				c := cfg
+				c.BatchSize = bs
+				base, err := runTimed(systems.LigraS, e, buf, c)
+				if err != nil {
+					return err
+				}
+				dur, err := runTimed(systems.Glign, e, buf, c)
 				if err != nil {
 					return err
 				}
@@ -109,37 +96,5 @@ func runTable15(cfg Config, w io.Writer) error {
 			tb.AddRow(row...)
 		}
 	}
-	return writeTable(cfg, w, tb)
-}
-
-// runTable16 evaluates a BFS buffer with the iBFS grouping heuristic and
-// reports Glign-Intra's and Glign-Batch's speedups over it.
-func runTable16(cfg Config, w io.Writer) error {
-	tb := &stats.Table{
-		Title:  "Table 16: comparison with iBFS (BFS buffers)",
-		Header: []string{"graph", "iBFS time", "Glign-Intra", "Glign-Batch"},
-	}
-	for _, d := range cfg.graphs() {
-		e := envs.get(d, cfg)
-		buf, err := bufferFor(e, "BFS", cfg)
-		if err != nil {
-			return err
-		}
-		ib, _, err := runTimed(systems.IBFS, e, buf, cfg)
-		if err != nil {
-			return err
-		}
-		intra, _, err := runTimed(systems.GlignIntra, e, buf, cfg)
-		if err != nil {
-			return err
-		}
-		batch, _, err := runTimed(systems.GlignBatch, e, buf, cfg)
-		if err != nil {
-			return err
-		}
-		tb.AddRow(string(d), stats.FormatDuration(ib.Seconds()),
-			fmt.Sprintf("%.2fx", stats.Speedup(ib.Seconds(), intra.Seconds())),
-			fmt.Sprintf("%.2fx", stats.Speedup(ib.Seconds(), batch.Seconds())))
-	}
-	return writeTable(cfg, w, tb)
+	return writeTable(w, tb)
 }

@@ -98,30 +98,6 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// CSV renders the table as RFC-4180-style CSV (header row first, fields
-// quoted when they contain separators), for piping experiment results into
-// plotting tools.
-func (t *Table) CSV() string {
-	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			if strings.ContainsAny(c, ",\"\n") {
-				c = "\"" + strings.ReplaceAll(c, "\"", "\"\"") + "\""
-			}
-			b.WriteString(c)
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.Header)
-	for _, row := range t.Rows {
-		writeRow(row)
-	}
-	return b.String()
-}
-
 // FormatDuration renders seconds with adaptive precision ("1.53s", "412ms").
 func FormatDuration(seconds float64) string {
 	switch {

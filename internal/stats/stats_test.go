@@ -82,17 +82,6 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-func TestTableCSV(t *testing.T) {
-	tb := &Table{Header: []string{"a", "b"}}
-	tb.AddRow("x,y", `quo"te`)
-	tb.AddRow("plain", "2")
-	got := tb.CSV()
-	want := "a,b\n\"x,y\",\"quo\"\"te\"\nplain,2\n"
-	if got != want {
-		t.Fatalf("CSV = %q, want %q", got, want)
-	}
-}
-
 func TestFormatDuration(t *testing.T) {
 	cases := map[float64]string{
 		2.5:     "2.50s",

@@ -136,8 +136,8 @@ test -s results/oracle-report.json
 
 leg perfgate "measured-performance gate"
 # Nine within-run ratio cells (Glign-Intra against Ligra-C, the serial oracle
-# and itself with telemetry on), each side's quiet-rep minimum over
-# alternating reps, held to the ratios in results/perf-baseline.json at a
+# and itself with telemetry on), each the median of its alternating reps'
+# paired ratios, held to the ratios in results/perf-baseline.json at a
 # tolerance of 1.2x — EXPERIMENTS.md's "Measured performance" section, ~15 s.
 # GLIGN_PERF_SKIP=1 skips the leg.
 if [ "${GLIGN_PERF_SKIP:-0}" = "1" ]; then

@@ -116,6 +116,15 @@ func TestWarmedRunAllocatesOnlyResults(t *testing.T) {
 // the run: its buffer is one evaluation of some 34 rounds, whose setup and 32
 // result vectors add about three objects a round to the dispatch's three, and
 // it measures 6.3, under 6.8 — a round's one more object breaks it.
+//
+// The Glign-Intra and Glign legs are all-BFS batches, so they run on hop
+// lanes, whose seen mask (a word a vertex, 96 KB here) and level row come
+// from the arena too. Those legs, and a leg of one-query batches — the
+// serving shape, a batch of one per query — also hold the bytes a warmed Run
+// allocates beyond its result vectors to a budget: measured plus about 20 %
+// (148 and 152 KB over two batches of 16, 667 KB over 32 batches of one). A
+// seen mask made every batch would add 192 KB and 3 MB. The batches of one
+// make 2.04 objects an iteration, under their budget of 2.3.
 func TestWarmedRunMallocsPerIteration(t *testing.T) {
 	g, err := Generate("RD-CA", "small")
 	if err != nil {
@@ -128,16 +137,19 @@ func TestWarmedRunMallocsPerIteration(t *testing.T) {
 	for _, leg := range []struct {
 		name, method string
 		kernel       Kernel
+		batchSize    int
 		budget       float64
+		bytes        uint64 // beyond the result vectors; 0: not held
 	}{
-		{MethodGlignIntra, MethodGlignIntra, BFS, 3.4},
-		{MethodKrill, MethodKrill, BFS, 3.9},
-		{MethodGlign, MethodGlign, BFS, 3.4},
-		{MethodLigraC, MethodLigraC, BFS, 4.6},
-		{"PageRank", MethodGlign, pr, 6.8},
+		{MethodGlignIntra, MethodGlignIntra, BFS, 16, 3.4, 180 << 10},
+		{MethodKrill, MethodKrill, BFS, 16, 3.9, 0},
+		{MethodGlign, MethodGlign, BFS, 16, 3.4, 180 << 10},
+		{MethodLigraC, MethodLigraC, BFS, 16, 4.6, 0},
+		{"PageRank", MethodGlign, pr, 16, 6.8, 0},
+		{"BFS-B1", MethodGlign, BFS, 1, 2.3, 800 << 10},
 	} {
 		t.Run(leg.name, func(t *testing.T) {
-			rt, err := NewRuntime(g, WithMethod(leg.method), WithBatchSize(16), WithWorkers(2))
+			rt, err := NewRuntime(g, WithMethod(leg.method), WithBatchSize(leg.batchSize), WithWorkers(2))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -145,11 +157,16 @@ func TestWarmedRunMallocsPerIteration(t *testing.T) {
 			for _, src := range SampleSources(g, 32, 9) {
 				buf = append(buf, Query{Kernel: leg.kernel, Source: src})
 			}
-			rep, _, mallocs := warmedRun(t, rt, buf)
+			rep, bytes, mallocs := warmedRun(t, rt, buf)
 			iters := rep.TotalIterations()
 			if perIter := float64(mallocs) / float64(iters); perIter > leg.budget {
 				t.Errorf("a warmed Run made %.2f heap objects an iteration over %d iterations, over its budget of %g",
 					perIter, iters, leg.budget)
+			}
+			results := uint64(rep.NumQueries()*g.NumVertices()) * 8
+			if leg.bytes > 0 && bytes > results+leg.bytes {
+				t.Errorf("a warmed Run allocated %d bytes beyond its %d of result vectors, over its budget of %d",
+					bytes-results, results, leg.bytes)
 			}
 		})
 	}

@@ -68,15 +68,19 @@ func (a *Arena) releaseValues(v *queries.Values) {
 
 // pushState is what a unified-frontier engine's push runs on: its frontier
 // pair, the lane masks of its design (Glign-Intra's changed-lane mask is
-// masks[0], Krill's pair both) and its accumulators, one a pool slot's, nil
-// until a batch's push on the slot makes it. A batch hands it back only at its
-// fixed point, where it is clean: both frontiers empty, each mask all-zero
-// over its whole capacity (see laneMask) and, since every push is followed by
-// an Advance, each accumulator empty.
+// masks[0], Krill's pair and the hop lanes' both, and the hop lanes' seen
+// mask masks[2]) and its accumulators, one a pool slot's, nil until a batch's
+// push on the slot makes it. A batch hands it back only at its fixed point,
+// where it is clean: both frontiers empty, each mask all-zero over its whole
+// capacity (see laneMask; runUnified clears the seen mask) and, since every
+// push is followed by an Advance, each accumulator empty.
 type pushState struct {
 	cur, next *frontier.Subset
-	masks     [2]*laneMask
+	masks     [3]*laneMask
 	accs      []*frontier.Accumulator
+	// level is the hop lanes' level row: each lane's value at the vertices
+	// it reaches in the current iteration, iter − Alignment[i].
+	level *queries.Values
 }
 
 // takePush returns the arena's push state, resized to n vertices, with room
@@ -107,6 +111,12 @@ func (s *pushState) takeMask(i, n, b int) *laneMask {
 	if b == 1 {
 		return nil
 	}
+	return s.takeWords(i, n, b)
+}
+
+// takeWords is takeMask with a mask at b = 1 too, as the hop lanes' seen
+// mask needs.
+func (s *pushState) takeWords(i, n, b int) *laneMask {
 	w := (b + 63) / 64
 	m := s.masks[i]
 	if m == nil || cap(m.words) < n*w {
@@ -115,6 +125,15 @@ func (s *pushState) takeMask(i, n, b int) *laneMask {
 	}
 	m.w, m.words = w, m.words[:n*w]
 	return m
+}
+
+// setLevel sets the level row to its values at iteration iter for lanes that
+// start at the iterations alignment holds.
+func (s *pushState) setLevel(alignment []int, iter int) {
+	s.level = s.level.Resized(len(alignment))
+	for i, a := range alignment {
+		s.level.Set(i, queries.Value(iter-a))
+	}
 }
 
 // releasePush makes s the push state the next takePush finds. Only a clean

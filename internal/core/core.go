@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/glign/glign/internal/graph"
 	"github.com/glign/glign/internal/memtrace"
@@ -241,8 +242,8 @@ func prepareBatch(g *graph.Graph, batch []queries.Query, opt Options) (*batchSet
 	for i := range st.schedule {
 		st.schedule[i] = i
 	}
-	sort.SliceStable(st.schedule, func(i, j int) bool {
-		return st.Alignment[st.schedule[i]] < st.Alignment[st.schedule[j]]
+	slices.SortStableFunc(st.schedule, func(i, j int) int {
+		return cmp.Compare(st.Alignment[i], st.Alignment[j])
 	})
 	// Taken last, past every way to fail, so a rejected batch leaves the arena
 	// as it found it. The identity fill is the one pass that initializes the

@@ -393,10 +393,16 @@ func tracingDeterministicAndHarmless(t *testing.T, g *graph.Graph, batch []queri
 // where the counts are deterministic, an untraced run reports the iterations,
 // frontier history and work counters of the model a Tracer wraps around it —
 // so the push relaxes exactly the lanes the model claims and relaxes.
+//
+// An all-BFS batch runs on hop lanes at Glign-Intra, which have no model: a
+// traced run keeps the value design. There the model is held to an untraced
+// run of the value design, and the hop lanes to what they do by
+// construction — push each lane once from each vertex it reaches, and write
+// its value there once.
 func TestModelCountsMatchProduction(t *testing.T) {
 	for _, ds := range []graph.Dataset{graph.LJ, graph.RDCA} {
 		g := graph.MustGenerate(ds, graph.Tiny)
-		var mixed, uniform []queries.Query
+		var mixed, uniform, bfs []queries.Query
 		for v := 0; len(mixed) < 10; v += 97 {
 			if src := graph.VertexID(v % g.NumVertices()); g.OutDegree(src) > 0 {
 				kernel := queries.BFS
@@ -405,6 +411,7 @@ func TestModelCountsMatchProduction(t *testing.T) {
 				}
 				mixed = append(mixed, queries.Query{Kernel: kernel, Source: src})
 				uniform = append(uniform, queries.Query{Kernel: queries.SSSP, Source: src})
+				bfs = append(bfs, queries.Query{Kernel: queries.BFS, Source: src})
 			}
 		}
 		delays := make([]int, len(mixed))
@@ -414,13 +421,23 @@ func TestModelCountsMatchProduction(t *testing.T) {
 		for _, c := range []struct {
 			name  string
 			batch []queries.Query
-		}{{"mixed", mixed}, {"uniform", uniform}, {"one", uniform[:1]}} {
+			hop   bool // all BFS: hop lanes at Glign-Intra
+		}{{"mixed", mixed, false}, {"uniform", uniform, false}, {"one", uniform[:1], false}, {"bfs", bfs, true}, {"bfs-one", bfs[:1], true}} {
 			for _, alignment := range [][]int{nil, delays[:len(c.batch)]} {
 				for _, e := range []Engine{GlignIntra, LigraC, Krill, GraphM} {
 					opt := Options{Workers: 1, Alignment: alignment}
 					plain, err := e.Run(g, c.batch, opt)
 					if err != nil {
 						t.Fatal(err)
+					}
+					if e == GlignIntra && c.hop {
+						checkHopCounts(t, g, c.batch, plain)
+						plain, err = drive(g, c.batch, opt, func(st *batchSetup) lanePolicy {
+							return newUnifiedPolicy(g, st, nil, unionOnly)
+						}, -1)
+						if err != nil {
+							t.Fatal(err)
+						}
 					}
 					opt.Tracer = new(memtrace.CountingTracer)
 					model, err := e.Run(g, c.batch, opt)
@@ -440,6 +457,26 @@ func TestModelCountsMatchProduction(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// checkHopCounts holds a hop-lane run of an all-BFS batch to its counts by
+// construction: a lane writes its value once at each vertex it reaches,
+// source included, and pushes there once, along every out-edge.
+func checkHopCounts(t *testing.T, g *graph.Graph, batch []queries.Query, res *BatchResult) {
+	t.Helper()
+	var writes, relaxes int64
+	for _, q := range batch {
+		for v, d := range oracle.ReferenceRun(g, q) {
+			if d != q.Kernel.Identity() {
+				writes++
+				relaxes += int64(g.OutDegree(graph.VertexID(v)))
+			}
+		}
+	}
+	if res.ValueWrites != writes || res.LaneRelaxations != relaxes {
+		t.Errorf("hop lanes on %s B=%d: %d value writes, %d lane relaxations; the lanes reach %d (vertex, lane) pairs with %d out-edges",
+			g.Name, len(batch), res.ValueWrites, res.LaneRelaxations, writes, relaxes)
 	}
 }
 

@@ -11,7 +11,9 @@
 //   - GlignIntra: Glign's query-oblivious frontier (Figure 5-c, §3.2) — one
 //     frontier for all queries, and beside it one mask of the lanes whose
 //     value changed since the vertex last pushed: an active vertex is
-//     relaxed for those, not for all B.
+//     relaxed for those, not for all B. A batch whose every lane is BFS runs
+//     as hop lanes instead (hopPush): lane-bit words advanced level by
+//     level, each value written once and none read.
 //   - LigraC: unified + B separate frontiers (Figure 5-b, the design of
 //     SimGQ), probed at every active vertex.
 //   - Krill: a per-vertex query mask pair instead of B frontiers.

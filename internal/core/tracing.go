@@ -46,6 +46,10 @@ import (
 // are: Krill's says which queries a vertex is active for and is
 // double-buffered like its frontier; Glign-Intra's says which lanes changed
 // since the vertex last pushed (laneMask).
+//
+// hopLanes, Glign-Intra's design for a batch whose every lane is BFS, has no
+// model: a traced run keeps unionOnly, so the address stream of a BFS batch
+// is that of the value design (TestModelCountsMatchProduction holds it).
 type design int
 
 const (
@@ -53,6 +57,7 @@ const (
 	twoLevels                // Ligra-C: B separate frontier bitmaps under it
 	queryMasks               // Krill: one query bitmask per vertex under it
 	jobs                     // GraphM: B separate frontiers, no unified one
+	hopLanes                 // Glign-Intra on an all-BFS batch, untraced: a claim/next mask pair and a seen mask (unified.go)
 )
 
 // traced returns what drive runs and on how many workers: p as it is, or —

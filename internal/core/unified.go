@@ -34,6 +34,10 @@ import (
 //
 // With Options.Alignment set, sources are injected at their scheduled global
 // iterations, which is exactly Glign-Inter's "delayed start" (paper §3.3).
+//
+// A Glign-Intra batch whose every lane is BFS runs as hop lanes instead (see
+// hopPush), the bit-parallel multi-source BFS of iBFS and MS-BFS: its lanes
+// advance as lane-bit words and read no value.
 type unified struct {
 	name   string
 	design design
@@ -69,20 +73,29 @@ func (e unified) Run(g *graph.Graph, batch []queries.Query, opt Options) (*Batch
 // runUnified is the Run of design d's engine with the telemetry records'
 // Query (see drive): convergence kernels have no frontier to drive and take
 // the shared lane-fused Jacobi evaluator (the batching layers split mixed
-// buffers by paradigm); everything else is drive on d's policy.
+// buffers by paradigm); everything else is drive on d's policy — at
+// Glign-Intra, on hop lanes when every lane is BFS and no Tracer models the
+// run.
 func runUnified(g *graph.Graph, batch []queries.Query, opt Options, d design, query int) (*BatchResult, error) {
 	if queries.AnyConvergent(batch) {
 		return runJacobi(g, batch, opt, query)
 	}
 	var p *unifiedPolicy
 	res, err := drive(g, batch, opt, func(st *batchSetup) lanePolicy {
+		if d == unionOnly && opt.Tracer == nil && len(st.groups) == 1 && st.groups[0].kind == queries.OpBFS {
+			d = hopLanes
+		}
 		p = newUnifiedPolicy(g, st, opt.Arena, d)
 		return p
 	}, query)
-	// At a fixed point the push state is clean and serves the next batch; a
-	// capped run can stop with members in its frontier and bits in its masks,
-	// so its state is dropped.
-	if p != nil && p.cur.IsEmpty() {
+	// At a fixed point the push state is clean but for the hop lanes' seen
+	// mask, a word a vertex at up to 64 lanes, which is cleared, and serves
+	// the next batch; a capped run can stop with members in its frontier and
+	// bits in its masks, so its state is dropped.
+	if p != nil && p.cur.IsEmpty() && opt.Arena != nil {
+		if p.seen != nil {
+			clear(p.seen.words)
+		}
 		opt.Arena.releasePush(p.pushState)
 	}
 	return res, err
@@ -98,12 +111,17 @@ func newUnifiedPolicy(g *graph.Graph, st *batchSetup, arena *Arena, d design) *u
 	case unionOnly:
 		p.mask = p.takeMask(0, st.N, st.B)
 		p.nextMask = p.mask
-	case queryMasks:
+	case queryMasks, hopLanes:
 		p.mask, p.nextMask = p.takeMask(0, st.N, st.B), p.takeMask(1, st.N, st.B)
 	case twoLevels:
 		p.lanes = newLaneFrontiers(st.N, st.B)
 	}
 	p.body = p.push
+	if d == hopLanes {
+		p.seen = p.takeWords(2, st.N, st.B)
+		p.setLevel(st.Alignment, 0)
+		p.body = p.hopPush
+	}
 	return p
 }
 
@@ -144,12 +162,16 @@ type unifiedPolicy struct {
 	*pushState
 	active []graph.VertexID
 	// mask is the lane mask a push claims from and nextMask the one it marks
-	// into: Glign-Intra's one mask is both, Krill's pair swaps at Advance,
-	// and Ligra-C keeps none.
+	// into: Glign-Intra's one mask is both, Krill's pair and the hop lanes'
+	// swap at Advance, and Ligra-C keeps none.
 	mask, nextMask *laneMask
 	lanes          laneFrontiers                 // Ligra-C's
 	scratch        []*laneScratch                // a pool slot's, made on the slot's first push; its next is accs[slot]
-	body           func(slot, lo, hi int) counts // push, bound once: a method value allocates
+	body           func(slot, lo, hi int) counts // push or hopPush, bound once: a method value allocates
+	// The hop lanes' (see hopPush): the lanes that have reached each vertex
+	// and the iterations Advance has run.
+	seen *laneMask
+	iter int
 }
 
 func (p *unifiedPolicy) Inject(src graph.VertexID, lane int) {
@@ -180,8 +202,12 @@ func (p *unifiedPolicy) Advance() {
 	p.cur, p.next = p.next, p.cur
 	p.next.Clear()
 	p.mask, p.nextMask = p.nextMask, p.mask
-	if p.design == twoLevels {
+	switch p.design {
+	case twoLevels:
 		p.lanes.Advance()
+	case hopLanes:
+		p.iter++
+		p.setLevel(p.st.Alignment, p.iter)
 	}
 }
 
@@ -191,15 +217,7 @@ func (p *unifiedPolicy) Advance() {
 // no lane to claim — at Glign-Intra, one that pushed its news earlier in the
 // iteration that activated it — is skipped.
 func (p *unifiedPolicy) push(slot, lo, hi int) counts {
-	st, s := p.st, p.scratch[slot]
-	if s == nil {
-		acc := &p.accs[slot]
-		if *acc == nil {
-			*acc = frontier.NewAccumulator(st.N)
-		}
-		s = newLaneScratch(st, *acc)
-		p.scratch[slot] = s
-	}
+	st, s := p.st, p.slot(slot)
 	var c counts
 	for _, v := range p.active[lo:hi] {
 		changed := s.claim(p, int(v))
@@ -217,6 +235,84 @@ func (p *unifiedPolicy) push(slot, lo, hi int) counts {
 				} else {
 					p.nextMask.mark(int(d), s.improved)
 				}
+				s.next.Add(d)
+			}
+		}
+	}
+	return c
+}
+
+// slot returns the laneScratch of pool slot slot, made on its first push.
+func (p *unifiedPolicy) slot(slot int) *laneScratch {
+	s := p.scratch[slot]
+	if s == nil {
+		acc := &p.accs[slot]
+		if *acc == nil {
+			*acc = frontier.NewAccumulator(p.st.N)
+		}
+		s = newLaneScratch(p.st, *acc)
+		p.scratch[slot] = s
+	}
+	return s
+}
+
+// hopPush is push on hop lanes, the design of a Glign-Intra batch whose
+// every lane is BFS. A BFS lane's value at a vertex is the iteration that
+// first reaches it, less the lane's start, so the lanes advance level by
+// level and none needs a value to find its next frontier. Each vertex keeps
+// the lanes that have reached it (seen) beside a claim/next mask pair that
+// turns over at Advance, as Krill's does. An active vertex claims the lanes
+// that reached it in the last iteration and pushes those it had not seen
+// before (arrive); an edge to d then only tests them against d's seen words
+// and ORs the missing ones into d's next mask. The value array is never
+// read: the one claimer of a vertex writes each newly arrived lane's value
+// once, from the level row. A lane that is marked at d after d's claimer
+// recorded it — both reached d in one iteration — is dropped by the claim in
+// the next, so a vertex pushes each lane once, at its level.
+//
+// What the design gives up is the single-buffered mask's ride-along, where
+// a lane that reaches a vertex before the vertex pushes joins that push:
+// every lane waits an iteration at each vertex, so more edges are visited,
+// each of them a word test.
+func (p *unifiedPolicy) hopPush(slot, lo, hi int) counts {
+	s, seen, w := p.slot(slot), p.seen.words, p.seen.w
+	var next []atomic.Uint64 // nil at one lane, whose frontier bit is its lane bit
+	if p.nextMask != nil {
+		next = p.nextMask.words
+	}
+	var c counts
+	for _, v := range p.active[lo:hi] {
+		fresh := s.arrive(p, int(v))
+		if fresh == 0 {
+			continue
+		}
+		nbrs, _ := p.g.OutEdges(v)
+		c.Edges += int64(len(nbrs))
+		c.Relaxes += int64(len(nbrs) * fresh)
+		c.Writes += int64(fresh)
+		if w == 1 { // up to 64 lanes: a word a vertex
+			lanes := s.claimed[0]
+			for _, d := range nbrs {
+				if missing := lanes &^ seen[d].Load(); missing != 0 {
+					if next != nil {
+						orWord(&next[d], missing)
+					}
+					s.next.Add(d)
+				}
+			}
+			continue
+		}
+		for _, d := range nbrs {
+			at, reached := int(d)*w, false
+			for k, lanes := range s.claimed {
+				if missing := lanes &^ seen[at+k].Load(); missing != 0 {
+					if next != nil {
+						orWord(&next[at+k], missing)
+					}
+					reached = true
+				}
+			}
+			if reached {
 				s.next.Add(d)
 			}
 		}
@@ -352,6 +448,24 @@ func (m *laneMask) claim(v int, dst []uint64) (lanes int) {
 	return lanes
 }
 
+// take is claim for a mask that nothing marks while it is claimed from — the
+// claim half of the hop lanes' pair, which only the iteration before marked,
+// its writes published by that iteration's join: it reads v's words and
+// clears them with plain stores instead of a locked swap.
+func (m *laneMask) take(v int, dst []uint64) (lanes int) {
+	if m == nil {
+		dst[0] = 1
+		return 1
+	}
+	words := m.of(v)
+	for w := range words {
+		dst[w] = words[w].Load()
+		lanes += bits.OnesCount64(dst[w])
+	}
+	clear(words)
+	return lanes
+}
+
 // laneGroup is the lanes of a batch that run one kind of kernel, so an edge
 // runs one fused, devirtualized relaxation loop per kind instead of a switch
 // and two indirect calls per lane. A homogeneous batch — the common case — is
@@ -368,7 +482,7 @@ func groupLanes(kinds []queries.OpKind) (groups []laneGroup) {
 	for i, k := range kinds {
 		g := &byKind[k]
 		if g.mask == nil {
-			g.kind, g.mask = k, make([]uint64, (len(kinds)+63)/64)
+			g.kind, g.mask, g.lanes = k, make([]uint64, (len(kinds)+63)/64), make([]int32, 0, len(kinds))
 		}
 		g.lanes = append(g.lanes, int32(i))
 		g.mask[i>>6] |= 1 << (i & 63)
@@ -508,6 +622,31 @@ func (s *laneScratch) relax(st *batchSetup, d int, w graph.Weight) (improved int
 		}
 	}
 	return improved
+}
+
+// arrive claims the lanes that reached v in the last iteration, keeps in
+// s.claimed those v had not seen, records them in v's seen words, writes
+// their values from the level row and returns how many there are. v is one
+// member of the frontier, so its pusher is the only writer of its seen words
+// and its row in the iteration.
+func (s *laneScratch) arrive(p *unifiedPolicy, v int) (fresh int) {
+	if p.mask.take(v, s.claimed) == 0 {
+		return 0
+	}
+	seen := p.seen.of(v)
+	for k, lanes := range s.claimed {
+		old := seen[k].Load()
+		lanes &^= old
+		s.claimed[k] = lanes
+		if lanes != 0 {
+			seen[k].Store(old | lanes)
+			fresh += bits.OnesCount64(lanes)
+		}
+	}
+	if fresh > 0 {
+		p.st.Vals.CopyLanes(p.st.Cell(v, 0), p.level, s.claimed)
+	}
+	return fresh
 }
 
 // hit records that lane i improved; it returns 1, the improvement it counts.

@@ -221,6 +221,38 @@ func TestValuesFillRows(t *testing.T) {
 	}
 }
 
+// CopyLanes copies exactly the lanes whose bits are set, into the row at
+// base: runs at either end of a word, a whole word, and runs split by the
+// word boundary of a 130-lane row.
+func TestValuesCopyLanes(t *testing.T) {
+	const b, base = 130, 7
+	row := make([]Value, b)
+	for i := range row {
+		row[i] = Value(i)
+	}
+	src := Repeat(row, 1)
+	for _, lanes := range [][]uint64{
+		{0, 0, 0},
+		{1, 0, 0},
+		{1 << 63, 1, 0},
+		{^uint64(0), 0, 3},
+		{0xf0f0, 1<<63 | 1<<62, 2},
+		{^uint64(0), ^uint64(0), 3},
+	} {
+		v := Repeat([]Value{-1}, base+b+3)
+		v.CopyLanes(base, src, lanes)
+		for c := 0; c < v.Len(); c++ {
+			want := Value(-1)
+			if i := c - base; i >= 0 && i < b && lanes[i>>6]&(1<<(i&63)) != 0 {
+				want = row[i]
+			}
+			if got := v.Get(c); got != want {
+				t.Fatalf("CopyLanes(%#x): cell %d = %v, want %v", lanes, c, got, want)
+			}
+		}
+	}
+}
+
 // Property: concurrent Improve with a monotone comparator always converges
 // to the best proposed value.
 func TestQuickValuesImproveConverges(t *testing.T) {

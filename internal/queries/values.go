@@ -2,6 +2,7 @@ package queries
 
 import (
 	"math"
+	"math/bits"
 	"sync/atomic"
 )
 
@@ -42,6 +43,23 @@ func (v *Values) FillRows(row []Value, lo, hi int) {
 	}
 	for filled := len(row); filled < len(cells); filled *= 2 {
 		copy(cells[filled:], cells[:filled])
+	}
+}
+
+// CopyLanes sets cell base+i of v to cell i of row for every lane i whose bit
+// lanes holds, a word per 64 lanes, one copy a run of consecutive lanes. Like
+// FillRows it stores plainly, not atomically: the caller must own those
+// cells, so that nothing reads or writes them until a pool join publishes
+// the copy.
+func (v *Values) CopyLanes(base int, row *Values, lanes []uint64) {
+	for w, m := range lanes {
+		for m != 0 {
+			lo := bits.TrailingZeros64(m)
+			hi := lo + bits.TrailingZeros64(^(m >> lo))
+			i, j := w<<6+lo, w<<6+hi
+			copy(v.bits[base+i:base+j], row.bits[i:j])
+			m &^= 1<<hi - 1
+		}
 	}
 }
 

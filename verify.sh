@@ -30,22 +30,28 @@ go vet ./...
 leg inlining "hot-path inlining"
 # The push's edge loop runs (*laneMask).mark and orWord on every improved
 # edge, (*laneScratch).hit on every improved lane, and the claims on every
-# active vertex; a call the compiler does not inline there costs a call each
-# time. -m names every call it inlines, by line, so each of them must be named
-# on a line of (*unifiedPolicy).push, (*laneScratch).claim or relax in
-# unified.go: routing one through a helper the compiler cannot inline (a
+# active vertex; the hop lanes' push (hopPush) runs orWord on every edge that
+# reaches a lane and (*laneMask).take on every active vertex. A call the
+# compiler does not inline there costs a call each time. -m names every call
+# it inlines, by line, so each of them must be named on a line of its push:
+# (*unifiedPolicy).push, (*laneScratch).claim or relax for the first,
+# (*unifiedPolicy).hopPush or (*laneScratch).arrive for the second, in
+# unified.go. Routing one through a helper the compiler cannot inline (a
 # method on unifiedPolicy, say) moves it out of those lines.
 hot=$(go build -gcflags=-m ./internal/core 2>&1 | awk -F: '
     NR == FNR {
-        if ($0 ~ /^func \(p \*unifiedPolicy\) push\(|^func \(s \*laneScratch\) (claim|relax)\(/) inside = 1
-        if (inside) hot[FNR] = 1
-        if ($0 ~ /^}/) inside = 0
+        if ($0 ~ /^func \(p \*unifiedPolicy\) push\(|^func \(s \*laneScratch\) (claim|relax)\(/) inside = "push"
+        if ($0 ~ /^func \(p \*unifiedPolicy\) hopPush\(|^func \(s \*laneScratch\) arrive\(/) inside = "hopPush"
+        if (inside != "") hot[FNR] = inside
+        if ($0 ~ /^}/) inside = ""
         next
     }
-    $1 == "internal/core/unified.go" && hot[$2] && sub(/.*inlining call to /, "")' internal/core/unified.go -)
-for f in '(*laneMask).claim' '(*laneMask).mark' '(*laneFrontiers).claim' orWord '(*laneScratch).hit'; do
+    { push = hot[$2] }
+    $1 == "internal/core/unified.go" && push != "" && sub(/.*inlining call to /, "") { print push, $0 }' internal/core/unified.go -)
+for f in 'push (*laneMask).claim' 'push (*laneMask).mark' 'push (*laneFrontiers).claim' 'push orWord' 'push (*laneScratch).hit' \
+    'hopPush orWord' 'hopPush (*laneMask).take'; do
     if ! printf '%s\n' "$hot" | grep -qxF "$f"; then
-        echo "verify: go build -gcflags=-m inlines no call to $f in the push of internal/core/unified.go" >&2
+        echo "verify: go build -gcflags=-m inlines no call to ${f#* } in the ${f%% *} of internal/core/unified.go" >&2
         exit 1
     fi
 done

@@ -29,14 +29,6 @@ type Stats struct {
 	Writes   int64
 }
 
-// MissRate returns Misses/Accesses (0 for an empty run).
-func (s Stats) MissRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Accesses)
-}
-
 // Cache is a set-associative LRU cache. It implements memtrace.Tracer.
 // It is not safe for concurrent use; tracing runs are single-threaded.
 type Cache struct {
@@ -132,14 +124,3 @@ func (c *Cache) Stats() Stats { return c.stats }
 
 // Misses returns the miss count so far.
 func (c *Cache) Misses() int64 { return c.stats.Misses }
-
-// Reset clears contents and counters.
-func (c *Cache) Reset() {
-	for i := range c.sets {
-		c.sets[i] = c.sets[i][:0]
-	}
-	c.stats = Stats{}
-}
-
-// Config returns the cache geometry.
-func (c *Cache) Config() Config { return c.cfg }

@@ -86,29 +86,6 @@ func TestStreamingLargerThanCacheMostlyMisses(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	c := tiny()
-	c.Access(0, 8, false)
-	c.Reset()
-	if c.Stats() != (Stats{}) {
-		t.Fatal("counters survive reset")
-	}
-	c.Access(0, 8, false)
-	if c.Misses() != 1 {
-		t.Fatal("contents survive reset")
-	}
-}
-
-func TestMissRate(t *testing.T) {
-	if (Stats{}).MissRate() != 0 {
-		t.Fatal("empty miss rate")
-	}
-	s := Stats{Accesses: 4, Misses: 1}
-	if s.MissRate() != 0.25 {
-		t.Fatalf("miss rate = %v", s.MissRate())
-	}
-}
-
 func TestConfigValidate(t *testing.T) {
 	bad := []Config{
 		{SizeBytes: 256, Ways: 2, LineSize: 48},  // non-power-of-two line
@@ -125,9 +102,6 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if DefaultLLC().Validate() != nil {
 		t.Fatal("default LLC invalid")
-	}
-	if New(DefaultLLC()).Config() != DefaultLLC() {
-		t.Fatal("Config() accessor broken")
 	}
 }
 

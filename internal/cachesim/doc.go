@@ -6,6 +6,9 @@
 // query pulls into the cache is still resident when other queries touch it
 // (the paper's Figure 4 / Table 10 measurements).
 //
+// The model is one level, the LLC: the paper reads LLC misses only, so no
+// L2 sits in front of it.
+//
 // The default configuration (2 MiB, 16-way, 64-byte lines) is the paper's
 // 40 MB Xeon LLC scaled down in proportion to the synthetic graphs, so that
 // "working set well beyond cache capacity" continues to hold. Replays run

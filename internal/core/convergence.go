@@ -154,7 +154,6 @@ func runJacobi(g *graph.Graph, batch []queries.Query, opt Options, query int) (*
 		LaneConverged: make([]bool, b),
 		LaneResiduals: make([]float64, b),
 	}
-	sizes := make([]int, 0, iterCapHint(opt.MaxIterations))
 	roundResid := make([]float64, b)
 	chunk := func(slot, lo, hi int) {
 		s := j.scratch[slot]
@@ -165,7 +164,6 @@ func runJacobi(g *graph.Graph, batch []queries.Query, opt Options, query int) (*
 		s.work.add(round(s, lo, hi))
 	}
 	for iter := 0; j.running > 0; iter++ {
-		sizes = append(sizes, n)
 		pool.ForSlots(n, workers, 0, chunk)
 		clear(roundResid)
 		var work counts
@@ -217,7 +215,6 @@ func runJacobi(g *graph.Graph, batch []queries.Query, opt Options, query int) (*
 			})
 		}
 	}
-	res.UnionFrontierSizes = sizes
 	final := j.old
 	if j.vals != nil {
 		final = j.vals

@@ -69,9 +69,6 @@ type BatchResult struct {
 	arena *Arena
 	// GlobalIterations counts executed global iterations.
 	GlobalIterations int
-	// UnionFrontierSizes records the unified frontier size entering every
-	// global iteration.
-	UnionFrontierSizes []int
 	// EdgesProcessed counts edge visits (per active vertex, per out-edge);
 	// LaneRelaxations counts per-query relaxation attempts on edges. Their
 	// ratio is how many queries an edge visit serves.
@@ -140,8 +137,7 @@ func (r *BatchResult) Release() {
 // apart from the batch's other queries — into that lane and releases it: how
 // the engines that share nothing across queries (Ligra-S, Congra,
 // Query-Parallel) build their result. Work counters add up and
-// GlobalIterations is the longest query's; UnionFrontierSizes is left to the
-// caller. It is not safe for concurrent use.
+// GlobalIterations is the longest query's. It is not safe for concurrent use.
 func (r *BatchResult) setLane(lane int, one *BatchResult) {
 	for v := 0; v < r.N; v++ { // a one-query row is its vertex's cell
 		r.Values.Set(Cell(v, r.B, lane), one.Values.Get(v))

@@ -118,15 +118,14 @@ func TestDelayedStartCornerCases(t *testing.T) {
 		align := []int{0, 40, 41}
 		for _, e := range engines {
 			checkAgainstReference(t, g, batch, e, Options{Alignment: align, Workers: 2})
-			col := telemetry.NewCollector()
-			bt := col.StartRun(e.Name(), "").StartBatch(e.Name(), nil, align)
+			bt := newBatchTrace()
 			res, err := e.Run(g, batch, Options{Alignment: align, Workers: 1, Telemetry: bt})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.GlobalIterations <= 41 || res.UnionFrontierSizes[20] != 0 {
+			if sizes := frontierSizes(bt); res.GlobalIterations <= 41 || sizes[20] != 0 {
 				t.Fatalf("%s: %d iterations, sizes %v: want idle iterations until lane 2 starts at 41",
-					e.Name(), res.GlobalIterations, res.UnionFrontierSizes)
+					e.Name(), res.GlobalIterations, sizes)
 			}
 			its := bt.Snapshot().Iterations
 			for _, want := range []struct{ iter, active, injected int }{{0, 1, 1}, {20, 1, 0}, {40, 2, 1}, {41, 3, 1}} {
@@ -157,12 +156,13 @@ func TestDelayedStartCornerCases(t *testing.T) {
 			{Kernel: queries.SSSP, Source: 7},
 		}
 		for _, e := range engines {
-			res, err := e.Run(g, batch, Options{Alignment: []int{0, 10}, MaxIterations: 4, Workers: 1})
+			bt := newBatchTrace()
+			res, err := e.Run(g, batch, Options{Alignment: []int{0, 10}, MaxIterations: 4, Workers: 1, Telemetry: bt})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.GlobalIterations != 4 || len(res.UnionFrontierSizes) != 4 {
-				t.Fatalf("%s: %d iterations (sizes %v), want the cap of 4", e.Name(), res.GlobalIterations, res.UnionFrontierSizes)
+			if sizes := frontierSizes(bt); res.GlobalIterations != 4 || len(sizes) != 4 {
+				t.Fatalf("%s: %d iterations (sizes %v), want the cap of 4", e.Name(), res.GlobalIterations, sizes)
 			}
 			for v := 0; v < g.NumVertices(); v++ {
 				if got := res.Value(1, graph.VertexID(v)); got != queries.SSSP.Identity() {
@@ -183,35 +183,36 @@ func TestPaperUnionFrontierSizes(t *testing.T) {
 		{Kernel: queries.SSSP, Source: 1}, // sssp(v2)
 		{Kernel: queries.SSSP, Source: 7}, // sssp(v8)
 	}
-	res, err := LigraC.Run(g, batch, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int{2, 3, 5, 2, 3, 1}
-	if !equalInts(res.UnionFrontierSizes, want) {
-		t.Fatalf("I=[0,0]: union sizes = %v, want %v", res.UnionFrontierSizes, want)
-	}
-
-	res, err = LigraC.Run(g, batch, Options{Workers: 1, Alignment: []int{2, 0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want = []int{1, 1, 2, 3, 4, 1}
-	if !equalInts(res.UnionFrontierSizes, want) {
-		t.Fatalf("I=[2,0]: union sizes = %v, want %v", res.UnionFrontierSizes, want)
+	for _, c := range []struct {
+		name  string
+		align []int
+		want  []int
+	}{{"I=[0,0]", nil, []int{2, 3, 5, 2, 3, 1}}, {"I=[2,0]", []int{2, 0}, []int{1, 1, 2, 3, 4, 1}}} {
+		bt := newBatchTrace()
+		if _, err := LigraC.Run(g, batch, Options{Workers: 1, Alignment: c.align, Telemetry: bt}); err != nil {
+			t.Fatal(err)
+		}
+		if got := frontierSizes(bt); !slices.Equal(got, c.want) {
+			t.Fatalf("%s: union sizes = %v, want %v", c.name, got, c.want)
+		}
 	}
 }
 
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
+// newBatchTrace returns a batch trace to run one batch with, for
+// frontierSizes to read.
+func newBatchTrace() *telemetry.BatchTrace {
+	return telemetry.NewCollector().StartRun("", "").StartBatch("", nil, nil)
+}
+
+// frontierSizes returns the frontier size entering each iteration bt
+// recorded, in order: the history Tables 1-3 of the paper tabulate.
+func frontierSizes(bt *telemetry.BatchTrace) []int {
+	its := bt.Snapshot().Iterations
+	sizes := make([]int, len(its))
+	for i, it := range its {
+		sizes[i] = it.FrontierSize
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return sizes
 }
 
 // countersOf reads the work counters of a result as one counts value.
@@ -425,13 +426,14 @@ func TestModelCountsMatchProduction(t *testing.T) {
 		}{{"mixed", mixed, false}, {"uniform", uniform, false}, {"one", uniform[:1], false}, {"bfs", bfs, true}, {"bfs-one", bfs[:1], true}} {
 			for _, alignment := range [][]int{nil, delays[:len(c.batch)]} {
 				for _, e := range []Engine{GlignIntra, LigraC, Krill, GraphM} {
-					opt := Options{Workers: 1, Alignment: alignment}
+					opt := Options{Workers: 1, Alignment: alignment, Telemetry: newBatchTrace()}
 					plain, err := e.Run(g, c.batch, opt)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if e == GlignIntra && c.hop {
 						checkHopCounts(t, g, c.batch, plain)
+						opt.Telemetry = newBatchTrace()
 						plain, err = drive(g, c.batch, opt, func(st *batchSetup) lanePolicy {
 							return newUnifiedPolicy(g, st, nil, unionOnly)
 						}, -1)
@@ -439,20 +441,22 @@ func TestModelCountsMatchProduction(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
-					opt.Tracer = new(memtrace.CountingTracer)
+					plainSizes := frontierSizes(opt.Telemetry)
+					opt.Telemetry, opt.Tracer = newBatchTrace(), new(memtrace.CountingTracer)
 					model, err := e.Run(g, c.batch, opt)
 					if err != nil {
 						t.Fatal(err)
 					}
+					modelSizes := frontierSizes(opt.Telemetry)
 					if plain.GlobalIterations != model.GlobalIterations ||
 						plain.EdgesProcessed != model.EdgesProcessed ||
 						plain.LaneRelaxations != model.LaneRelaxations ||
 						plain.ValueWrites != model.ValueWrites ||
-						!slices.Equal(plain.UnionFrontierSizes, model.UnionFrontierSizes) {
+						!slices.Equal(plainSizes, modelSizes) {
 						t.Errorf("%s/%s/%s/delayed=%v: production %d iterations, %d edges, %d relaxations, %d writes, frontiers %v; model %d, %d, %d, %d, %v",
 							e.Name(), ds, c.name, alignment != nil,
-							plain.GlobalIterations, plain.EdgesProcessed, plain.LaneRelaxations, plain.ValueWrites, plain.UnionFrontierSizes,
-							model.GlobalIterations, model.EdgesProcessed, model.LaneRelaxations, model.ValueWrites, model.UnionFrontierSizes)
+							plain.GlobalIterations, plain.EdgesProcessed, plain.LaneRelaxations, plain.ValueWrites, plainSizes,
+							model.GlobalIterations, model.EdgesProcessed, model.LaneRelaxations, model.ValueWrites, modelSizes)
 					}
 				}
 			}

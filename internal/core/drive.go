@@ -54,7 +54,6 @@ func drive(g *graph.Graph, batch []queries.Query, opt Options, policy func(st *b
 		return nil, err
 	}
 	res := &BatchResult{B: st.B, N: st.N, Values: st.Vals, arena: st.arena}
-	res.UnionFrontierSizes = make([]int, 0, iterCapHint(opt.MaxIterations))
 	pool := par.OrDefault(opt.Pool)
 	p, workers := traced(g, st, opt, policy(st))
 	// One closure for the whole run: each iteration only swaps the body in.
@@ -77,7 +76,6 @@ func drive(g *graph.Graph, batch []queries.Query, opt Options, policy func(st *b
 		if (s.Size == 0 && started == st.B) || (opt.MaxIterations > 0 && iter >= opt.MaxIterations) {
 			break
 		}
-		res.UnionFrontierSizes = append(res.UnionFrontierSizes, s.Size)
 		res.GlobalIterations++
 		body = s.Body
 		pool.ForSlots(s.Total, workers, s.Grain, chunk)
@@ -104,14 +102,6 @@ func drive(g *graph.Graph, batch []queries.Query, opt Options, policy func(st *b
 	}
 	return res, nil
 }
-
-// iterCapHint sizes per-iteration record slices (UnionFrontierSizes and
-// friends) up front, so the traversal loop rarely grows them mid-run (the
-// root package's TestWarmedRunMallocsPerIteration counts what it does):
-// capped runs bound their history by the cap, and free-running monotone
-// batches converge in O(diameter) rounds, for which 64 is a generous
-// amortization base.
-func iterCapHint(maxIterations int) int { return max(maxIterations, 64) }
 
 // add adds o to c.
 func (c *counts) add(o counts) {

@@ -106,7 +106,7 @@ func goldenOf(t *testing.T, e core.Engine, g *graph.Graph, batch []queries.Query
 	ih.Write(stats)
 	out := goldenRun{
 		GlobalIterations:   res.GlobalIterations,
-		UnionFrontierSizes: res.UnionFrontierSizes,
+		UnionFrontierSizes: core.FrontierSizes(bt),
 		EdgesProcessed:     res.EdgesProcessed,
 		LaneRelaxations:    res.LaneRelaxations,
 		ValueWrites:        res.ValueWrites,

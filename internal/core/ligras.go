@@ -41,7 +41,7 @@ func runApart(g *graph.Graph, batch []queries.Query, opt Options, concurrency in
 	res := &BatchResult{B: b, N: n, Values: opt.Arena.takeValues(n * b), arena: opt.Arena}
 	one := opt
 	one.Alignment = nil
-	sizes, errs := make([][]int, b), make([]error, b)
+	errs := make([]error, b)
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	var next atomic.Int64 // the next lane to evaluate
@@ -55,7 +55,6 @@ func runApart(g *graph.Graph, batch []queries.Query, opt Options, concurrency in
 			for i := int(next.Add(1)) - 1; i < b; i = int(next.Add(1)) - 1 {
 				r, err := runUnified(g, batch[i:i+1], one, unionOnly, i)
 				if errs[i] = err; err == nil {
-					sizes[i] = r.UnionFrontierSizes
 					mu.Lock()
 					res.setLane(i, r)
 					mu.Unlock()
@@ -64,15 +63,9 @@ func runApart(g *graph.Graph, batch []queries.Query, opt Options, concurrency in
 		}()
 	}
 	wg.Wait()
-	// A union frontier is not meaningful here: UnionFrontierSizes is the
-	// history of the longest query, the lowest lane's among equals however
-	// the lanes finished.
-	for i, s := range sizes {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		if len(s) > len(res.UnionFrontierSizes) {
-			res.UnionFrontierSizes = s
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
 	return res, nil

@@ -40,7 +40,8 @@ func TestPaperTable1SSSPValues(t *testing.T) {
 		t.Fatalf("oracle: dist = %v, want %v", got, want)
 	}
 	for _, e := range singleQueryEngines {
-		res := runOne(t, e, g, q, core.Options{})
+		bt := core.NewBatchTrace()
+		res := runOne(t, e, g, q, core.Options{Telemetry: bt})
 		if got := res.QueryValues(0); !slices.Equal(got, want) {
 			t.Fatalf("%s: dist = %v, want %v", e.Name(), got, want)
 		}
@@ -49,8 +50,8 @@ func TestPaperTable1SSSPValues(t *testing.T) {
 		if res.GlobalIterations != 5 {
 			t.Fatalf("%s: iterations = %d, want 5", e.Name(), res.GlobalIterations)
 		}
-		if want := []int{1, 1, 4, 2, 1}; !slices.Equal(res.UnionFrontierSizes, want) {
-			t.Fatalf("%s: frontier sizes = %v, want %v", e.Name(), res.UnionFrontierSizes, want)
+		if got, want := core.FrontierSizes(bt), []int{1, 1, 4, 2, 1}; !slices.Equal(got, want) {
+			t.Fatalf("%s: frontier sizes = %v, want %v", e.Name(), got, want)
 		}
 	}
 }
@@ -60,9 +61,10 @@ func TestPaperTable2FrontierSizes(t *testing.T) {
 	g := graph.PaperExample()
 	for _, e := range singleQueryEngines {
 		for src, want := range map[graph.VertexID][]int{1: {1, 2, 4, 1}, 7: {1, 1, 2, 2, 3, 1}} {
-			res := runOne(t, e, g, queries.Query{Kernel: queries.SSSP, Source: src}, core.Options{})
-			if !slices.Equal(res.UnionFrontierSizes, want) {
-				t.Fatalf("%s: sssp(v%d) frontier sizes = %v, want %v", e.Name(), src+1, res.UnionFrontierSizes, want)
+			bt := core.NewBatchTrace()
+			runOne(t, e, g, queries.Query{Kernel: queries.SSSP, Source: src}, core.Options{Telemetry: bt})
+			if got := core.FrontierSizes(bt); !slices.Equal(got, want) {
+				t.Fatalf("%s: sssp(v%d) frontier sizes = %v, want %v", e.Name(), src+1, got, want)
 			}
 		}
 	}
@@ -149,12 +151,13 @@ func TestMaxIterationsTruncates(t *testing.T) {
 func TestEdgeAndVertexCounters(t *testing.T) {
 	g := graph.PaperExample()
 	for _, e := range singleQueryEngines {
-		res := runOne(t, e, g, queries.Query{Kernel: queries.SSSP, Source: 0}, core.Options{})
+		bt := core.NewBatchTrace()
+		res := runOne(t, e, g, queries.Query{Kernel: queries.SSSP, Source: 0}, core.Options{Telemetry: bt})
 		// Iterations process frontiers {v1},{v3},{v4..v7},{v2,v9},{v8}:
 		// vertices 1+1+4+2+1 = 9, edges = sum of their out-degrees, and with
 		// one query every edge visit is one lane relaxation.
 		vertices := 0
-		for _, s := range res.UnionFrontierSizes {
+		for _, s := range core.FrontierSizes(bt) {
 			vertices += s
 		}
 		if vertices != 9 {

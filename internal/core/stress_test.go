@@ -189,7 +189,8 @@ func TestTracedRunRecyclesPushState(t *testing.T) {
 	g := graph.MustGenerate(graph.LJ, graph.Tiny)
 	batch := stressBatch(13)
 	for _, e := range []Engine{GlignIntra, Krill, LigraC} {
-		fresh, err := e.Run(g, batch, Options{Workers: 1})
+		freshTrace := newBatchTrace()
+		fresh, err := e.Run(g, batch, Options{Workers: 1, Telemetry: freshTrace})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,13 +204,14 @@ func TestTracedRunRecyclesPushState(t *testing.T) {
 			t.Fatalf("%s: a traced batch that reached its fixed point did not hand its push state and masks back", e.Name())
 		}
 		checkArenaPushClean(t, arena)
-		again, err := e.Run(g, batch, Options{Workers: 1, Arena: arena})
+		againTrace := newBatchTrace()
+		again, err := e.Run(g, batch, Options{Workers: 1, Arena: arena, Telemetry: againTrace})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if again.GlobalIterations != fresh.GlobalIterations || again.EdgesProcessed != fresh.EdgesProcessed ||
 			again.LaneRelaxations != fresh.LaneRelaxations || again.ValueWrites != fresh.ValueWrites ||
-			!slices.Equal(again.UnionFrontierSizes, fresh.UnionFrontierSizes) {
+			!slices.Equal(frontierSizes(againTrace), frontierSizes(freshTrace)) {
 			t.Errorf("%s after a traced batch: %d iterations, %d edges, %d relaxations, %d writes; on a fresh arena %d, %d, %d, %d",
 				e.Name(), again.GlobalIterations, again.EdgesProcessed, again.LaneRelaxations, again.ValueWrites,
 				fresh.GlobalIterations, fresh.EdgesProcessed, fresh.LaneRelaxations, fresh.ValueWrites)

@@ -72,8 +72,8 @@ func checkExactPartition(t *testing.T, n int, batches [][]int) {
 	}
 }
 
-// checkPolicies runs both policies on one (n, batchSize, window) shape and
-// asserts the partition and displacement properties.
+// checkPolicies runs the three policies on one (n, batchSize, window) shape
+// and asserts the partition and displacement properties.
 func checkPolicies(t *testing.T, n, batchSize, window int, seed uint64) {
 	t.Helper()
 	g, prof := fuzzSetup()
@@ -92,9 +92,14 @@ func checkPolicies(t *testing.T, n, batchSize, window int, seed uint64) {
 			t.Fatalf("affinity displacement %d >= window %d (n=%d b=%d)", d, window, n, batchSize)
 		}
 	}
+	ibfs := IBFS{Graph: g}.MakeBatches(buf, batchSize)
+	checkExactPartition(t, n, ibfs)
+	if batchSize <= 0 && n > 0 && len(ibfs) != 1 {
+		t.Fatalf("iBFS split a buffer of %d into %d batches at cap %d, want the whole buffer", n, len(ibfs), batchSize)
+	}
 	// Batch caps hold whenever the cap is meaningful.
 	if batchSize > 0 {
-		for _, batches := range [][][]int{fcfs, aff} {
+		for _, batches := range [][][]int{fcfs, aff, ibfs} {
 			for _, b := range batches {
 				if len(b) > batchSize {
 					t.Fatalf("batch of %d exceeds cap %d (n=%d w=%d)", len(b), batchSize, n, window)

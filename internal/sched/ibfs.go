@@ -21,7 +21,8 @@ import (
 // is what iBFS uses.
 //
 // IBFS is a Policy, so it plugs into the same harness as FCFS and
-// affinity-oriented batching.
+// affinity-oriented batching; like them, it takes a batch size <= 0 as the
+// whole buffer.
 type IBFS struct {
 	Graph *graph.Graph
 	// Telemetry, when non-nil, receives the grouping decision (the ranked
@@ -75,18 +76,11 @@ func (h IBFS) MakeBatches(buffer []queries.Query, batchSize int) [][]int {
 	}
 	sort.Slice(groupKeys, func(a, b int) bool { return groupKeys[a] < groupKeys[b] })
 
+	if batchSize <= 0 {
+		batchSize = len(buffer)
+	}
 	var batches [][]int
 	var carry []int
-	flushCarry := func() {
-		for lo := 0; lo < len(carry); lo += batchSize {
-			hi := lo + batchSize
-			if hi > len(carry) {
-				hi = len(carry)
-			}
-			batches = append(batches, carry[lo:hi:hi])
-		}
-		carry = nil
-	}
 	for _, key := range groupKeys {
 		members := groups[key]
 		// Full batches from the group; the remainder joins the carry pool
@@ -97,8 +91,7 @@ func (h IBFS) MakeBatches(buffer []queries.Query, batchSize int) [][]int {
 		}
 		carry = append(carry, members...)
 	}
-	carry = append(carry, rest...)
-	flushCarry()
+	batches = append(batches, chunkIndices(append(carry, rest...), batchSize)...)
 	if h.Telemetry != nil {
 		order := make([]int, 0, len(buffer))
 		for _, b := range batches {

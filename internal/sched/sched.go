@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"github.com/glign/glign/internal/align"
-	"github.com/glign/glign/internal/par"
 	"github.com/glign/glign/internal/queries"
 	"github.com/glign/glign/internal/telemetry"
 )
@@ -38,7 +37,8 @@ func (FCFS) MakeBatches(buffer []queries.Query, batchSize int) [][]int {
 // batchSize ranked queries form the evaluation batches. Queries with close
 // arrival times therefore land in the same batch, where their heavy
 // iterations align naturally. The window bounds reordering so no query is
-// postponed indefinitely.
+// postponed indefinitely. Ranking a window costs one closestHV table lookup
+// a query, in a plain loop on the caller's goroutine, and a stable sort.
 type Affinity struct {
 	// Profile supplies the closestHV estimates.
 	Profile *align.Profile
@@ -47,11 +47,6 @@ type Affinity struct {
 	// Telemetry, when non-nil, receives one BatchingDecision per window —
 	// the ranked order and the arrival estimates that produced it.
 	Telemetry *telemetry.RunTrace
-	// Workers bounds the parallelism of the arrival-estimate precompute;
-	// <= 0 means GOMAXPROCS. Pool selects the scheduler it runs on (nil
-	// means the shared par.Default pool).
-	Workers int
-	Pool    *par.Pool
 }
 
 // Name implements Policy.
@@ -96,15 +91,12 @@ func (a Affinity) rankWindow(buffer []queries.Query, lo, hi int) (idx, est []int
 	for i := range idx {
 		idx[i] += lo
 	}
-	// Precompute the estimates once per window on the pool (each is a
-	// hop-table lookup, but windows can span thousands of queries), then
-	// sort against the table instead of re-deriving inside the comparator.
+	// Look each estimate up once per window (a hop-table lookup), then sort
+	// against the table instead of re-deriving inside the comparator.
 	est = make([]int, hi-lo)
-	par.OrDefault(a.Pool).For(hi-lo, a.Workers, 0, func(elo, ehi int) {
-		for i := elo; i < ehi; i++ {
-			est[i] = a.Profile.ArrivalEstimate(buffer[lo+i].Source)
-		}
-	})
+	for i := range est {
+		est[i] = a.Profile.ArrivalEstimate(buffer[lo+i].Source)
+	}
 	sort.SliceStable(idx, func(x, y int) bool {
 		ax := est[idx[x]-lo]
 		ay := est[idx[y]-lo]

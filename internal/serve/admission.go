@@ -22,7 +22,7 @@ func (s *Server) rankPendingLocked() {
 	for i, sl := range s.queue {
 		qs[i] = sl.query
 	}
-	idx := sched.Affinity{Profile: s.prof, Workers: s.cfg.Workers, Pool: s.cfg.Pool}.Rank(qs)
+	idx := sched.Affinity{Profile: s.prof}.Rank(qs)
 	ranked := make([]*slot, len(idx))
 	displaced := 0
 	for i, bi := range idx {

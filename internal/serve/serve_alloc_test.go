@@ -11,12 +11,13 @@ import (
 )
 
 // warmedBatchBudget bounds the heap bytes a warmed single-query batch on
-// LJ/small allocates beyond its result vector. It measures about 4.4 KB: the
+// LJ/small allocates beyond its result vector. It measures about 3.9 KB: the
 // ticket, the slot, the formed batch, the batch setup and the pool's
-// dispatch. The engine's batch state — value array, frontier pair and push
-// accumulators — comes from the server's arena, so a per-batch frontier or a
-// member list regrown from zero (about 170 KB) fails here.
-const warmedBatchBudget = 8 << 10
+// dispatch; the budget is that plus about 20 %. The engine's batch state —
+// value array, frontier pair and push accumulators — comes from the server's
+// arena, so a per-batch frontier or a member list regrown from zero (about
+// 170 KB) fails here.
+const warmedBatchBudget = 5 << 10
 
 // TestWarmedBatchBytes serves BFS queries one at a time, each its own batch
 // on the idle engine, and checks the bytes a warmed batch allocates less its

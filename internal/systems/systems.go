@@ -84,9 +84,6 @@ type Result struct {
 	// batch — the latency accounting the paper leaves as future work
 	// (§4.1).
 	BatchDurations []time.Duration
-	// Alignments[i] is the alignment vector used for batch i, one entry per
-	// lane (nil = zeros).
-	Alignments [][]int
 	// TotalIterations sums global iterations over batches.
 	TotalIterations int
 	// EdgesProcessed / LaneRelaxations / ValueWrites aggregate engine
@@ -126,7 +123,7 @@ type Plan struct {
 // policy's batching decisions when non-nil.
 func PlanFor(method string, g *graph.Graph, prof *align.Profile, cfg Config, run *telemetry.RunTrace) (Plan, error) {
 	fcfs := sched.FCFS{}
-	affinity := sched.Affinity{Profile: prof, Window: cfg.Window, Telemetry: run, Workers: cfg.Workers, Pool: cfg.Pool}
+	affinity := sched.Affinity{Profile: prof, Window: cfg.Window, Telemetry: run}
 	p, ok := map[string]Plan{
 		LigraS:        {Policy: fcfs, Engine: core.LigraS},
 		LigraC:        {Policy: fcfs, Engine: core.LigraC},
@@ -222,7 +219,6 @@ func Run(method string, g *graph.Graph, buffer []queries.Query, cfg Config) (*Re
 		}
 		res.Batches = append(res.Batches, append(idx, coalesced...))
 		opt := plan.BatchOptions(core.Options{Workers: cfg.Workers, Pool: cfg.Pool, Tracer: cfg.Tracer, Arena: cfg.Arena}, batch)
-		res.Alignments = append(res.Alignments, opt.Alignment)
 		bt := run.StartBatch(plan.Engine.Name(), idx, opt.Alignment)
 		bt.Coalesce(coalesced)
 		opt.Telemetry = bt

@@ -9,6 +9,7 @@ import (
 	"github.com/glign/glign/internal/memtrace"
 	"github.com/glign/glign/internal/oracle"
 	"github.com/glign/glign/internal/queries"
+	"github.com/glign/glign/internal/telemetry"
 )
 
 func buffer(g *graph.Graph, n int, seed int64) []queries.Query {
@@ -71,14 +72,16 @@ func TestEmptyBuffer(t *testing.T) {
 func TestGlignInterRecordsAlignments(t *testing.T) {
 	g := graph.MustGenerate(graph.TW, graph.Tiny)
 	buf := buffer(g, 16, 42)
-	res, err := Run(GlignInter, g, buf, Config{BatchSize: 8, Workers: 2})
+	res, err := Run(GlignInter, g, buf, Config{BatchSize: 8, Workers: 2, Telemetry: telemetry.NewCollector()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Alignments) != len(res.Batches) {
+	batches := res.Telemetry.Snapshot().Batches
+	if len(batches) != len(res.Batches) {
 		t.Fatal("alignment bookkeeping broken")
 	}
-	for bi, I := range res.Alignments {
+	for bi, b := range batches {
+		I := b.Alignment
 		if I == nil {
 			t.Fatalf("batch %d: Glign-Inter must record an alignment vector", bi)
 		}
@@ -96,12 +99,12 @@ func TestGlignInterRecordsAlignments(t *testing.T) {
 		}
 	}
 	// Intra must not align.
-	res, err = Run(GlignIntra, g, buf, Config{BatchSize: 8, Workers: 2})
+	res, err = Run(GlignIntra, g, buf, Config{BatchSize: 8, Workers: 2, Telemetry: telemetry.NewCollector()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, I := range res.Alignments {
-		if I != nil {
+	for _, b := range res.Telemetry.Snapshot().Batches {
+		if b.Alignment != nil {
 			t.Fatal("Glign-Intra must not use alignment vectors")
 		}
 	}

@@ -110,32 +110,26 @@ func affinitySums(traces []*Trace, I []int, edgeBased bool, g *graph.Graph) (int
 	for j := 0; j < K; j++ {
 		union.Clear()
 		liveCount := 0
-		var only *frontier.Subset
+		var only int64 // the size of the last live frontier
 		for i, tr := range traces {
 			lj := j - I[i]
 			if lj < 0 || lj >= len(tr.Frontiers) {
 				continue
 			}
 			liveCount++
-			only = tr.Frontiers[lj]
 			if edgeBased {
-				sepSum += tr.EdgeSizes[lj]
+				only = tr.EdgeSizes[lj]
 			} else {
-				sepSum += int64(tr.Sizes[lj])
+				only = int64(tr.Sizes[lj])
 			}
+			sepSum += only
 		}
 		switch {
 		case liveCount == 0:
 			continue
 		case liveCount == 1:
 			// Fast path: union equals the single live frontier.
-			if edgeBased {
-				var sum int64
-				only.ForEach(func(v graph.VertexID) { sum += int64(g.OutDegree(v)) })
-				unionSum += sum
-			} else {
-				unionSum += int64(only.Count())
-			}
+			unionSum += only
 		default:
 			for i, tr := range traces {
 				lj := j - I[i]

@@ -146,23 +146,7 @@ func TestProfileUndirectedMatchesReversal(t *testing.T) {
 		t.Fatal("RD-CA is expected to be undirected")
 	}
 	p := NewProfile(g, DefaultHubCount, 2)
-	rev := g.Reverse()
-	closest := make([]int32, g.NumVertices())
-	for v := range closest {
-		closest[v] = -1
-	}
-	for hi, h := range p.Hubs {
-		want := referenceHops(rev, h)
-		if !slices.Equal(p.LeastHops[hi], want) {
-			t.Fatalf("LeastHops to hub v%d differ from those over g.Reverse()", h)
-		}
-		for v, d := range want {
-			if d >= 0 && (closest[v] < 0 || d < closest[v]) {
-				closest[v] = d
-			}
-		}
-	}
-	if !slices.Equal(p.ClosestHV, closest) {
+	if !slices.Equal(p.ClosestHV, closestOracle(g.Reverse(), p.Hubs)) {
 		t.Fatal("ClosestHV differs from the one over g.Reverse()")
 	}
 }
@@ -181,18 +165,38 @@ func referenceHops(g *graph.Graph, src graph.VertexID) []int32 {
 	return hops
 }
 
-// The profile's hub BFS (paper Figure 9 line 5) on the Figure 3 graph: from
-// v1, every vertex's BFS level (v1 itself 0, v8 four hops out); from v2, v1 —
-// which has no in-edges — unreachable. On random graphs, directed or not, at
-// one worker and at four, each of a batch of sources gets the oracle's hops.
-func TestLeastHopsMatchReference(t *testing.T) {
-	g := graph.PaperExample()
-	hops := leastHops(g, []graph.VertexID{0, 1}, 1)
-	if want := []int32{0, 3, 1, 2, 2, 2, 2, 4, 3}; !slices.Equal(hops[0], want) {
-		t.Fatalf("hops from v1 = %v, want %v", hops[0], want)
+// closestOracle is, for every vertex of g, the least of the serial oracle's
+// BFS hops from each of srcs, -1 where none reaches it.
+func closestOracle(g *graph.Graph, srcs []graph.VertexID) []int32 {
+	closest := make([]int32, g.NumVertices())
+	for v := range closest {
+		closest[v] = -1
 	}
-	if hops[1][0] != -1 {
-		t.Fatalf("hops[v1] from v2 = %d, want -1", hops[1][0])
+	for _, src := range srcs {
+		for v, d := range referenceHops(g, src) {
+			if d >= 0 && (closest[v] < 0 || d < closest[v]) {
+				closest[v] = d
+			}
+		}
+	}
+	return closest
+}
+
+// The profile's hub BFS and minimum (paper Figure 9 lines 5-7) on the
+// Figure 3 graph: from v1, every vertex's BFS level (v1 itself 0, v8 four
+// hops out); from v2 alone, v1 — which has no in-edges — unreachable. On
+// random graphs, directed or not, at one worker and at four, a batch of
+// sources gets the least of the oracle's hops from each.
+func TestClosestHopsMatchReference(t *testing.T) {
+	g := graph.PaperExample()
+	if got, want := closestHops(g, []graph.VertexID{0}, 1), []int32{0, 3, 1, 2, 2, 2, 2, 4, 3}; !slices.Equal(got, want) {
+		t.Fatalf("hops from v1 = %v, want %v", got, want)
+	}
+	if got := closestHops(g, []graph.VertexID{1}, 1); got[0] != -1 {
+		t.Fatalf("hops[v1] from v2 = %d, want -1", got[0])
+	}
+	if got := closestHops(g, nil, 1); !slices.Equal(got, closestOracle(g, nil)) {
+		t.Fatalf("hops from no source = %v, want all -1", got)
 	}
 	rng := rand.New(rand.NewSource(24))
 	for trial := 0; trial < 4; trial++ {
@@ -203,11 +207,10 @@ func TestLeastHopsMatchReference(t *testing.T) {
 		for i := range srcs {
 			srcs[i] = graph.VertexID(rng.Intn(g.NumVertices()))
 		}
+		want := closestOracle(g, srcs)
 		for _, workers := range []int{1, 4} {
-			for i, got := range leastHops(g, srcs, workers) {
-				if !slices.Equal(got, referenceHops(g, srcs[i])) {
-					t.Fatalf("trial %d, %d workers: hops from v%d differ from the oracle's", trial, workers, srcs[i])
-				}
+			if !slices.Equal(closestHops(g, srcs, workers), want) {
+				t.Fatalf("trial %d, %d workers: closest hops from %v differ from the oracle's", trial, workers, srcs)
 			}
 		}
 	}

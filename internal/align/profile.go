@@ -13,20 +13,18 @@ import (
 // probed (top-4 throughout the evaluation section).
 const DefaultHubCount = 4
 
-// Profile is the per-graph precompute of paper Figure 9 (lines 1-5): the
-// top-K high-out-degree vertices, the least hop count from every vertex to
-// each hub (computed by BFS on the edge-reversed graph), and the derived
-// closestHV array. It is built once when a graph is loaded and shared by
-// inter-iteration alignment and affinity-oriented batching.
+// Profile is the per-graph precompute of paper Figure 9 (lines 1-7): the
+// top-K high-out-degree vertices and the closestHV array, the least hop
+// count from every vertex to its nearest hub (computed by BFS from every hub
+// on the edge-reversed graph). It is built once when a graph is loaded and
+// shared by inter-iteration alignment and affinity-oriented batching.
 type Profile struct {
 	// Hubs are the top-K vertices by out-degree.
 	Hubs []graph.VertexID
-	// LeastHops[h][v] is the minimum number of hops from v to Hubs[h]
-	// following forward edges (-1 if the hub is unreachable from v).
-	LeastHops [][]int32
-	// ClosestHV[v] is min over hubs of LeastHops[h][v] (-1 if no hub is
-	// reachable from v) — the estimated arrival time of v's heavy
-	// iterations when v is used as a query source.
+	// ClosestHV[v] is the minimum number of hops from v to any of Hubs
+	// following forward edges (-1 if no hub is reachable from v) — the
+	// estimated arrival time of v's heavy iterations when v is used as a
+	// query source.
 	ClosestHV []int32
 	// PrepTime is the wall-clock cost of building the profile (paper
 	// Table 14's "profiling cost").
@@ -48,51 +46,38 @@ func NewProfile(g *graph.Graph, k, workers int) *Profile {
 	if g.Directed {
 		rev = g.Reverse()
 	}
-	n := g.NumVertices()
-	p.LeastHops = leastHops(rev, p.Hubs, workers)
-	p.ClosestHV = make([]int32, n)
-	for v := 0; v < n; v++ {
-		best := int32(-1)
-		for hi := range p.Hubs {
-			if d := p.LeastHops[hi][v]; d >= 0 && (best < 0 || d < best) {
-				best = d
-			}
-		}
-		p.ClosestHV[v] = best
-	}
+	p.ClosestHV = closestHops(rev, p.Hubs, workers)
 	p.PrepTime = time.Since(start)
 	return p
 }
 
-// leastHops is paper Figure 9 line 5's bfs from every hub: the hop count
-// from hubs[h] to every vertex of rev — to the hub, on the graph rev
-// reverses — as int32, -1 where there is no path. The hubs' BFSes are one
-// len(hubs)-lane batch on Glign-Intra, so they share every edge pass.
-func leastHops(rev *graph.Graph, hubs []graph.VertexID, workers int) [][]int32 {
-	hops := make([][]int32, len(hubs))
-	if len(hubs) == 0 {
-		return hops
+// closestHops is paper Figure 9 lines 5-7: a bfs from every hub over rev —
+// hops to the hub, on the graph rev reverses — and, for every vertex, the
+// least of them as int32, -1 where no hub is reachable. The hubs' BFSes are
+// one len(hubs)-lane batch on Glign-Intra, so they share every edge pass.
+func closestHops(rev *graph.Graph, hubs []graph.VertexID, workers int) []int32 {
+	closest := make([]int32, rev.NumVertices())
+	var res *core.BatchResult
+	if len(hubs) > 0 {
+		batch := make([]queries.Query, len(hubs))
+		for i, h := range hubs {
+			batch[i] = queries.Query{Kernel: queries.BFS, Source: h}
+		}
+		// A monotone batch from vertices of rev cannot be refused.
+		res, _ = core.GlignIntra.Run(rev, batch, core.Options{Workers: workers})
 	}
-	batch := make([]queries.Query, len(hubs))
-	for i, h := range hubs {
-		batch[i] = queries.Query{Kernel: queries.BFS, Source: h}
-	}
-	// A monotone batch from vertices of rev cannot be refused.
-	res, _ := core.GlignIntra.Run(rev, batch, core.Options{Workers: workers})
-	for i := range hops {
-		hops[i] = make([]int32, res.N)
-	}
-	par.For(res.N, workers, 0, func(lo, hi int) {
+	par.For(len(closest), workers, 0, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
-			for i := range hops {
-				hops[i][v] = -1
-				if d := res.Value(i, graph.VertexID(v)); d != queries.BFS.Identity() {
-					hops[i][v] = int32(d)
+			best := int32(-1)
+			for i := range hubs {
+				if d := res.Value(i, graph.VertexID(v)); d != queries.BFS.Identity() && (best < 0 || int32(d) < best) {
+					best = int32(d)
 				}
 			}
+			closest[v] = best
 		}
 	})
-	return hops
+	return closest
 }
 
 // ArrivalEstimate returns the estimated heavy-iteration arrival time of a

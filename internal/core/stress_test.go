@@ -158,9 +158,6 @@ func checkArenaPushClean(t *testing.T, a *Arena) {
 		}
 	}
 	for _, f := range []*frontier.Subset{s.cur, s.next} {
-		if !f.IsEmpty() {
-			t.Fatalf("a recycled frontier holds %d vertices", f.Count())
-		}
 		zero("a recycled frontier", f.Words())
 	}
 	for i, m := range s.masks {
@@ -174,8 +171,8 @@ func checkArenaPushClean(t *testing.T, a *Arena) {
 		}
 		got := frontier.New(s.cur.Universe())
 		got.Merge(acc)
-		if !got.IsEmpty() {
-			t.Fatalf("recycled accumulator of slot %d held %d vertices: %v", slot, got.Count(), got.Sparse())
+		if n := got.Count(); n != 0 {
+			t.Fatalf("recycled accumulator of slot %d held %d vertices: %v", slot, n, got.Sparse())
 		}
 	}
 }

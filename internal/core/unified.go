@@ -91,8 +91,9 @@ func runUnified(g *graph.Graph, batch []queries.Query, opt Options, d design, qu
 	// At a fixed point the push state is clean but for the hop lanes' seen
 	// mask, a word a vertex at up to 64 lanes, which is cleared, and serves
 	// the next batch; a capped run can stop with members in its frontier and
-	// bits in its masks, so its state is dropped.
-	if p != nil && p.cur.IsEmpty() && opt.Arena != nil {
+	// bits in its masks, so its state is dropped. drive's last act is a Step,
+	// so active holds the members the run stopped with.
+	if p != nil && len(p.active) == 0 && opt.Arena != nil {
 		if p.seen != nil {
 			clear(p.seen.words)
 		}

@@ -1,10 +1,6 @@
 package frontier
 
-import (
-	"math/bits"
-
-	"github.com/glign/glign/internal/graph"
-)
+import "github.com/glign/glign/internal/graph"
 
 // Accumulator is one writer's private share of a subset built in parallel: a
 // word bitmap over the subset's universe and the list of words it touched,
@@ -51,25 +47,17 @@ func (a *Accumulator) Add(v graph.VertexID) {
 
 // Merge ORs the members of accs into s, word by word over the words each
 // touched, and leaves every accumulator empty and ready for its writer again.
-// The count follows by popcount deltas and the member-list cache is
-// invalidated. The accumulators' writers must have joined, and no Add on s may
-// be in flight.
+// The accumulators' writers must have joined, and no Add on s may be in
+// flight.
 func (s *Subset) Merge(accs ...*Accumulator) {
-	var added int
 	for _, a := range accs {
 		if len(a.words) != len(s.words) {
 			panic("frontier: Merge of an accumulator over another universe")
 		}
 		for _, w := range a.touched {
-			old := s.words[w].Load()
-			s.words[w].Store(old | a.words[w])
-			added += bits.OnesCount64(a.words[w] &^ old)
+			s.words[w].Store(s.words[w].Load() | a.words[w])
 			a.words[w] = 0
 		}
 		a.touched = a.touched[:0]
-	}
-	if added > 0 {
-		s.count.Add(int64(added))
-		s.invalidate()
 	}
 }

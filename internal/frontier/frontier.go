@@ -13,12 +13,9 @@ import (
 type Subset struct {
 	n     int
 	words []atomic.Uint64
-	count atomic.Int64
-
-	// sparse caches the materialized vertex list; it is invalidated by any
-	// mutation. Only valid when sparseOK, which concurrent Adds clear.
-	sparse   []graph.VertexID
-	sparseOK atomic.Bool
+	// sparse is the buffer Sparse rebuilds the member list into, kept for
+	// its capacity.
+	sparse []graph.VertexID
 }
 
 // New returns an empty subset over n vertices.
@@ -64,18 +61,8 @@ func (s *Subset) Add(v graph.VertexID) bool {
 			return false
 		}
 		if word.CompareAndSwap(old, old|b) {
-			s.count.Add(1)
-			s.invalidate()
 			return true
 		}
-	}
-}
-
-// invalidate drops the cached member list. It stores only when the cache is
-// valid, so a run of insertions writes the flag's line once.
-func (s *Subset) invalidate() {
-	if s.sparseOK.Load() {
-		s.sparseOK.Store(false)
 	}
 }
 
@@ -86,48 +73,39 @@ func (s *Subset) Contains(v graph.VertexID) bool {
 	return s.words[v>>6].Load()&(uint64(1)<<(v&63)) != 0
 }
 
-// Count returns the number of vertices in the subset.
-func (s *Subset) Count() int { return int(s.count.Load()) }
-
-// IsEmpty reports whether the subset is empty.
-func (s *Subset) IsEmpty() bool { return s.Count() == 0 }
+// Count returns the number of vertices in the subset, a popcount of its
+// words. Callers quiesce first.
+func (s *Subset) Count() int {
+	n := 0
+	for i := range s.words {
+		n += bits.OnesCount64(s.words[i].Load())
+	}
+	return n
+}
 
 // Clear removes all vertices, retaining capacity. Callers quiesce first.
-func (s *Subset) Clear() {
-	clear(s.words)
-	s.count.Store(0)
-	s.sparse = s.sparse[:0]
-	s.invalidate()
-}
+func (s *Subset) Clear() { clear(s.words) }
 
 // Clone returns an independent copy. Callers quiesce first.
 func (s *Subset) Clone() *Subset {
 	c := New(s.n)
 	copy(c.words, s.words)
-	c.count.Store(s.count.Load())
 	return c
 }
 
 // UnionWith adds every vertex of o into s (single-threaded).
 func (s *Subset) UnionWith(o *Subset) {
-	total := 0
 	for i := range s.words {
-		w := s.words[i].Load() | o.words[i].Load()
-		s.words[i].Store(w)
-		total += bits.OnesCount64(w)
+		s.words[i].Store(s.words[i].Load() | o.words[i].Load())
 	}
-	s.count.Store(int64(total))
-	s.invalidate()
 }
 
 // UnionOf builds the union of parts (which must share one universe) with one
-// word-level pass: 64 membership bits OR-combine per operation, and the
-// member count falls out of bits.OnesCount64 on the way — no per-vertex CAS.
-// Its one caller outside the tests is the benchmark's frontier
-// micro-measurement; the engines build their unified frontier from private
-// accumulators (Merge), and the traced model walks theirs. The word scan runs on
-// the pool over disjoint word blocks, each adding its popcount to the
-// count.
+// word-level pass: 64 membership bits OR-combine per operation — no
+// per-vertex CAS. Its one caller outside the tests is the benchmark's
+// frontier micro-measurement; the engines build their unified frontier from
+// private accumulators (Merge), and the traced model walks theirs. The word
+// scan runs on the pool over disjoint word blocks.
 func UnionOf(pool *par.Pool, workers int, parts ...*Subset) *Subset {
 	if len(parts) == 0 {
 		panic("frontier: UnionOf of no subsets")
@@ -140,27 +118,22 @@ func UnionOf(pool *par.Pool, workers int, parts ...*Subset) *Subset {
 	}
 	words := u.words
 	par.OrDefault(pool).For(len(words), workers, 0, func(lo, hi int) {
-		n := 0
 		for wi := lo; wi < hi; wi++ {
 			var w uint64
 			for _, p := range parts {
 				w |= p.words[wi].Load()
 			}
 			words[wi].Store(w)
-			n += bits.OnesCount64(w)
 		}
-		u.count.Add(int64(n))
 	})
 	return u
 }
 
-// Sparse returns the sorted list of member vertices, materializing and
-// caching it on first use. The returned slice must not be modified. Not safe
-// to call concurrently with mutation.
+// Sparse returns the sorted list of member vertices, rebuilt from the bitmap
+// on every call into a buffer the subset keeps: the slice holds until the
+// next Sparse call on s, and must not be modified. Not safe to call
+// concurrently with mutation.
 func (s *Subset) Sparse() []graph.VertexID {
-	if s.sparseOK.Load() {
-		return s.sparse
-	}
 	s.sparse = s.sparse[:0]
 	for wi := range s.words {
 		w := s.words[wi].Load()
@@ -170,7 +143,6 @@ func (s *Subset) Sparse() []graph.VertexID {
 			w &^= 1 << b
 		}
 	}
-	s.sparseOK.Store(true)
 	return s.sparse
 }
 

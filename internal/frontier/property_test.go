@@ -222,8 +222,8 @@ func TestUnionOfWordBoundaries(t *testing.T) {
 					t.Fatalf("n=%d lanes=%d: union set bits beyond the universe: %064b", n, lanes, last)
 				}
 			}
-			// Sparse materialization agrees with Count (exercises the cached
-			// sparse path after a word-level build).
+			// Sparse materialization agrees with Count after a word-level
+			// build.
 			if len(u.Sparse()) != count {
 				t.Fatalf("n=%d lanes=%d: Sparse has %d members, Count says %d", n, lanes, len(u.Sparse()), count)
 			}
@@ -295,7 +295,7 @@ func checkAccumulatorEmpty(t *testing.T, a *Accumulator) {
 // every vertex they received — around word boundaries (vertices 63/64/65,
 // 127/128/129), in words 63/64/65/127/129 and in the tail word, with one
 // vertex in two accumulators and a subset that was not empty — in the bitmap,
-// Count and a Sparse() cached before the merge, and it leaves every
+// Count and Sparse() (taken once before the merge too), and it leaves every
 // accumulator empty and reusable.
 func TestQuickMergeMatchesSerialAdd(t *testing.T) {
 	f := func(seed int64) bool {
@@ -309,7 +309,7 @@ func TestQuickMergeMatchesSerialAdd(t *testing.T) {
 		}
 		s, _ := genSubset(rng, n, rng.Intn(n/4))
 		want := s.Clone()
-		s.Sparse() // a valid cache the merge must drop
+		s.Sparse() // a member list the merge must not leave behind
 		accs := make([]*Accumulator, 1+rng.Intn(4))
 		for i := range accs {
 			accs[i] = NewAccumulator(n)
@@ -331,8 +331,9 @@ func TestQuickMergeMatchesSerialAdd(t *testing.T) {
 		}
 		for round := 0; round < 2; round++ { // the second round reuses the emptied accumulators
 			s.Merge(accs...)
-			if s.Count() != want.Count() || len(s.Sparse()) != want.Count() {
-				t.Logf("n=%d: count %d, sparse %d, want %d", n, s.Count(), len(s.Sparse()), want.Count())
+			sp := s.Sparse()
+			if s.Count() != want.Count() || len(sp) != want.Count() {
+				t.Logf("n=%d: count %d, sparse %d, want %d", n, s.Count(), len(sp), want.Count())
 				return false
 			}
 			for i, w := range wordsOf(want) {
@@ -342,7 +343,7 @@ func TestQuickMergeMatchesSerialAdd(t *testing.T) {
 				}
 			}
 			for i, v := range want.Sparse() {
-				if s.Sparse()[i] != v {
+				if sp[i] != v {
 					return false
 				}
 			}

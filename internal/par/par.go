@@ -98,12 +98,12 @@ type Pool struct {
 	// scheduler section.
 	jobCount    atomic.Int64
 	inlineCount atomic.Int64
-	chunkCount  atomic.Int64
 	stealCount  atomic.Int64
 	parkCount   atomic.Int64
 	// perWorker[0] aggregates chunks executed by submitting goroutines;
-	// perWorker[i] for i >= 1 belongs to pool worker i. Padded cells keep
-	// the per-chunk increments off each other's cache lines.
+	// perWorker[i] for i >= 1 belongs to pool worker i; Stats.Chunks is
+	// their sum. Padded cells keep the per-chunk increments off each other's
+	// cache lines.
 	perWorker []paddedInt64
 }
 
@@ -201,7 +201,6 @@ func (p *Pool) drain(j *job, slot, statIdx int) {
 		}
 	}
 	if chunks > 0 {
-		p.chunkCount.Add(chunks)
 		p.perWorker[statIdx].n.Add(chunks)
 	}
 	if steals > 0 {
@@ -361,13 +360,13 @@ func (p *Pool) Stats() Stats {
 		Workers:         p.workers,
 		Jobs:            p.jobCount.Load(),
 		InlineRuns:      p.inlineCount.Load(),
-		Chunks:          p.chunkCount.Load(),
 		Steals:          p.stealCount.Load(),
 		Parks:           p.parkCount.Load(),
 		ChunksPerWorker: make([]int64, len(p.perWorker)),
 	}
 	for i := range p.perWorker {
 		s.ChunksPerWorker[i] = p.perWorker[i].n.Load()
+		s.Chunks += s.ChunksPerWorker[i]
 	}
 	return s
 }

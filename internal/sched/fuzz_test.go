@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -132,6 +134,57 @@ func TestPolicyPartitionProperties(t *testing.T) {
 				seed++
 			}
 		}
+	}
+	checkIBFSCuts(t, caps)
+}
+
+// checkIBFSCuts sweeps the caps lattice on TW/Tiny, where sources share heavy
+// out-neighbors, so iBFS's grouping fires (on the paper's example no source
+// has a neighbor heavier than q, and iBFS batches as FCFS does): every cap
+// must still partition the buffer within the cap, and the batches must open
+// with each group's members cut a full batch at a time, in group order,
+// before the carried remainders and the ungrouped rest.
+func checkIBFSCuts(t *testing.T, caps []int) {
+	t.Helper()
+	g := graph.MustGenerate(graph.TW, graph.Tiny)
+	h := IBFS{Graph: g}
+	buf := make([]queries.Query, 80)
+	rng := rand.New(rand.NewSource(34))
+	for i := range buf {
+		buf[i] = queries.Query{Kernel: queries.BFS, Source: graph.VertexID(rng.Intn(g.NumVertices()))}
+	}
+	groups, _ := h.group(buf)
+	cuts := 0
+	for _, b := range caps {
+		batches := h.MakeBatches(buf, b)
+		checkExactPartition(t, len(buf), batches)
+		size := b
+		if size <= 0 {
+			size = len(buf)
+		}
+		var want [][]int
+		for _, members := range groups {
+			for ; len(members) >= size; members = members[size:] {
+				want = append(want, members[:size])
+			}
+		}
+		if len(batches) < len(want) {
+			t.Fatalf("cap %d: %d batches, want at least the %d cut from groups", b, len(batches), len(want))
+		}
+		for i, w := range want {
+			if !slices.Equal(batches[i], w) {
+				t.Fatalf("cap %d: batch %d = %v, want %v cut whole from a group", b, i, batches[i], w)
+			}
+		}
+		for _, batch := range batches {
+			if len(batch) > size {
+				t.Fatalf("batch of %d exceeds cap %d", len(batch), b)
+			}
+		}
+		cuts += len(want)
+	}
+	if cuts == 0 {
+		t.Fatal("no batch was cut whole from a group: the leg does not reach iBFS's grouping")
 	}
 }
 

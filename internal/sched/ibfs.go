@@ -1,7 +1,7 @@
 package sched
 
 import (
-	"sort"
+	"slices"
 
 	"github.com/glign/glign/internal/align"
 	"github.com/glign/glign/internal/graph"
@@ -35,54 +35,13 @@ func (IBFS) Name() string { return "iBFS" }
 
 // MakeBatches implements Policy.
 func (h IBFS) MakeBatches(buffer []queries.Query, batchSize int) [][]int {
-	g := h.Graph
-	p := 2 * (int(g.AvgDegree()) + 1)
-	hubs := g.TopOutDegreeVertices(align.DefaultHubCount)
-	q := g.OutDegree(hubs[len(hubs)-1]) - 1
-	if q < p {
-		q = p
-	}
-
-	// For each eligible source, its first heavy out-neighbor keys the
-	// group (a source with several heavy neighbors joins the first's
-	// group, a greedy simplification of iBFS's pairwise condition: all
-	// members of a group share that heavy neighbor).
-	groups := map[graph.VertexID][]int{}
-	var groupKeys []graph.VertexID
-	var rest []int
-	for i, query := range buffer {
-		src := query.Source
-		if g.OutDegree(src) >= p {
-			rest = append(rest, i)
-			continue
-		}
-		var key graph.VertexID
-		found := false
-		for _, d := range g.OutNeighbors(src) {
-			if g.OutDegree(d) > q {
-				key = d
-				found = true
-				break
-			}
-		}
-		if !found {
-			rest = append(rest, i)
-			continue
-		}
-		if _, ok := groups[key]; !ok {
-			groupKeys = append(groupKeys, key)
-		}
-		groups[key] = append(groups[key], i)
-	}
-	sort.Slice(groupKeys, func(a, b int) bool { return groupKeys[a] < groupKeys[b] })
-
+	groups, rest := h.group(buffer)
 	if batchSize <= 0 {
 		batchSize = len(buffer)
 	}
 	var batches [][]int
 	var carry []int
-	for _, key := range groupKeys {
-		members := groups[key]
+	for _, members := range groups {
 		// Full batches from the group; the remainder joins the carry pool
 		// so partially-filled groups still batch together.
 		for len(members) >= batchSize {
@@ -105,6 +64,55 @@ func (h IBFS) MakeBatches(buffer []queries.Query, batchSize int) [][]int {
 		})
 	}
 	return batches
+}
+
+// group splits the buffer's indices into the groups of sources that meet
+// both conditions, ordered by the heavy out-neighbor they share and each in
+// arrival order, and the rest, in arrival order.
+func (h IBFS) group(buffer []queries.Query) (groups [][]int, rest []int) {
+	g := h.Graph
+	p := 2 * (int(g.AvgDegree()) + 1)
+	hubs := g.TopOutDegreeVertices(align.DefaultHubCount)
+	q := g.OutDegree(hubs[len(hubs)-1]) - 1
+	if q < p {
+		q = p
+	}
+
+	// For each eligible source, its first heavy out-neighbor keys the
+	// group (a source with several heavy neighbors joins the first's
+	// group, a greedy simplification of iBFS's pairwise condition: all
+	// members of a group share that heavy neighbor).
+	byKey := map[graph.VertexID][]int{}
+	var keys []graph.VertexID
+	for i, query := range buffer {
+		src := query.Source
+		if g.OutDegree(src) >= p {
+			rest = append(rest, i)
+			continue
+		}
+		var key graph.VertexID
+		found := false
+		for _, d := range g.OutNeighbors(src) {
+			if g.OutDegree(d) > q {
+				key = d
+				found = true
+				break
+			}
+		}
+		if !found {
+			rest = append(rest, i)
+			continue
+		}
+		if _, ok := byKey[key]; !ok {
+			keys = append(keys, key)
+		}
+		byKey[key] = append(byKey[key], i)
+	}
+	slices.Sort(keys)
+	for _, key := range keys {
+		groups = append(groups, byKey[key])
+	}
+	return groups, rest
 }
 
 var _ Policy = IBFS{}

@@ -49,7 +49,7 @@ func TestRelabellingPreservesValues(t *testing.T) {
 			}
 		}
 		for _, k := range kernels {
-			buf := make([]queries.Query, 6)
+			buf := make([]queries.Query, 4)
 			for i := range buf {
 				buf[i] = queries.Query{Kernel: k, Source: graph.VertexID(rng.Intn(n))}
 			}
@@ -75,10 +75,12 @@ func TestRelabellingPreservesValues(t *testing.T) {
 	}
 }
 
-// runValues runs buf with method m on g and returns every query's values.
+// runValues runs buf with method m on g, in batches of at most three (a
+// buffer of four is a batch of three and a batch of one), and returns every
+// query's values.
 func runValues(t *testing.T, m string, g *graph.Graph, buf []queries.Query) map[int][]queries.Value {
 	t.Helper()
-	res, err := systems.Run(m, g, buf, systems.Config{BatchSize: 4, Workers: 2, KeepValues: true})
+	res, err := systems.Run(m, g, buf, systems.Config{BatchSize: 3, Workers: 2, KeepValues: true})
 	if err != nil {
 		t.Fatalf("%s on %s: %v", m, g.Name, err)
 	}

@@ -105,26 +105,31 @@ func TestWarmedRunAllocatesOnlyResults(t *testing.T) {
 // iteration. What is left is the pool's dispatch: the job, its done channel
 // and its cursors, three objects whenever an iteration's frontier spans more
 // than one chunk (drive hands its chunk closure to ForSlots as it is, and its
-// policies keep a slot's state in slices made once a batch). The
-// unified-frontier engines share one push body and take their frontier pair
-// from the arena, member lists and all. The query-oblivious ones measure
-// 3.16–3.39: their budget is 3.4, which a pair made new every batch breaks.
-// Krill measures about 3.4 and Ligra-C about 4.0, whose 2B lane frontiers
-// are made every batch; each budget is its measured figure plus 15 %, under
-// the one more object an iteration that an allocation in the shared body or
-// in a design's Advance would add. The PageRank leg holds the Jacobi round, which keeps a slot's scratch for
-// the run: its buffer is one evaluation of some 34 rounds, whose setup and 32
-// result vectors add about three objects a round to the dispatch's three, and
-// it measures 6.3, under 6.8 — a round's one more object breaks it.
+// policies keep a slot's state in slices made once a batch). Every frontier
+// engine takes its push state from the arena, member lists and all: the
+// unified frontier pair, and at Ligra-C and GraphM the 2B lane frontiers.
+// The unified-frontier engines share one push body and measure 3.16–3.39:
+// their budget is 3.4, which a pair made new every batch breaks. Krill's
+// budget, 3.9, is what it measured plus 15 % when it was set. GraphM's stream
+// measures 1.60, under its budget of 1.7. Each is under the one more object
+// an iteration that an allocation in a body or in a design's Advance would
+// add. The PageRank leg holds the Jacobi round, which keeps a slot's scratch
+// for the run: its buffer is one evaluation of some 34 rounds, whose setup
+// and 32 result vectors add about three objects a round to the dispatch's
+// three, and it measures 6.3, under 6.8 — a round's one more object breaks
+// it.
 //
 // The Glign-Intra and Glign legs are all-BFS batches, so they run on hop
 // lanes, whose seen mask (a word a vertex, 96 KB here) and level row come
-// from the arena too. Those legs, and a leg of one-query batches — the
-// serving shape, a batch of one per query — also hold the bytes a warmed Run
-// allocates beyond its result vectors to a budget: measured plus about 20 %
-// (145 and 148 KB over two batches of 16, 618 KB over 32 batches of one). A
-// seen mask made every batch would add 192 KB and 3 MB. The batches of one
-// make 2.03 objects an iteration, under their budget of 2.3.
+// from the arena too. Those legs, the Ligra-C and GraphM legs, and a leg of
+// one-query batches — the serving shape, a batch of one per query — also
+// hold the bytes a warmed Run allocates beyond its result vectors to a
+// budget: measured plus 20–24 % (141–148 KB over two batches of 16 at
+// Glign-Intra, Glign and Ligra-C, 89 KB at GraphM, 618 KB over 32 batches of
+// one). A seen mask made every batch would add 192 KB and 3 MB, and lane
+// frontiers made every batch about 100 KB at Ligra-C and 316 KB at GraphM.
+// The batches of one make 2.03 objects an iteration, under their budget of
+// 2.3.
 func TestWarmedRunMallocsPerIteration(t *testing.T) {
 	g, err := Generate("RD-CA", "small")
 	if err != nil {
@@ -144,7 +149,8 @@ func TestWarmedRunMallocsPerIteration(t *testing.T) {
 		{MethodGlignIntra, MethodGlignIntra, BFS, 16, 3.4, 180 << 10},
 		{MethodKrill, MethodKrill, BFS, 16, 3.9, 0},
 		{MethodGlign, MethodGlign, BFS, 16, 3.4, 180 << 10},
-		{MethodLigraC, MethodLigraC, BFS, 16, 4.6, 0},
+		{MethodLigraC, MethodLigraC, BFS, 16, 3.4, 180 << 10},
+		{MethodGraphM, MethodGraphM, BFS, 16, 1.7, 110 << 10},
 		{"PageRank", MethodGlign, pr, 16, 6.8, 0},
 		{"BFS-B1", MethodGlign, BFS, 1, 2.3, 740 << 10},
 	} {

@@ -56,8 +56,9 @@ func BenchmarkExperiments(b *testing.B) {
 // and 64 (few fat iterations), and a road graph (100+ thin iterations, a lane
 // or two changing per active vertex) — plus a single query on the hub graph
 // (B1: what Ligra-S runs per query, and the serve path's common case), and
-// PageRank on the hub graph at the widths 2 and 16, where every engine runs
-// the fused Jacobi round, reporting relaxations/sec.
+// PageRank on the hub graph at the widths 2 and 16, where every engine with a
+// Jacobi path runs the fused Jacobi round (GraphM has none and skips them),
+// reporting relaxations/sec.
 
 func benchBatch(d graph.Dataset, k queries.Kernel, width int) (*graph.Graph, []queries.Query) {
 	g := graph.MustGenerate(d, graph.Small)
@@ -84,6 +85,9 @@ func benchBatchEngine(b *testing.B, e core.Engine) {
 	} {
 		b.Run(fmt.Sprintf("%s/%s/B%d", leg.dataset, leg.kernel.Name(), leg.width), func(b *testing.B) {
 			g, batch := benchBatch(leg.dataset, leg.kernel, leg.width)
+			if e == core.GraphM && queries.AnyConvergent(batch) {
+				b.Skip("GraphM has no Jacobi path")
+			}
 			// A warmed owner's batch: the arena brings the value array, the
 			// mask and the Jacobi slabs, so B/op is what a batch still
 			// allocates for itself.
@@ -107,6 +111,7 @@ func benchBatchEngine(b *testing.B, e core.Engine) {
 func BenchmarkBatchLigraC(b *testing.B)     { benchBatchEngine(b, core.LigraC) }
 func BenchmarkBatchKrill(b *testing.B)      { benchBatchEngine(b, core.Krill) }
 func BenchmarkBatchGlignIntra(b *testing.B) { benchBatchEngine(b, core.GlignIntra) }
+func BenchmarkBatchGraphM(b *testing.B)     { benchBatchEngine(b, core.GraphM) }
 
 // Scheduler microbenchmarks: the persistent work-stealing pool on a
 // 1M-element loop. README.md quotes the one-off comparison against the

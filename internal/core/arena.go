@@ -19,10 +19,10 @@ import (
 //   - the Jacobi state of runJacobi: its slabs (jacobiSlabs), taken
 //     and returned inside the run, and the jacobiGeometry of the owner's
 //     graph, which is immutable and so shared rather than taken;
-//   - the push state of the unified-frontier engines (pushState): their
-//     frontier pair, lane masks and push accumulators, taken once a batch and
-//     returned only by a batch that reached its fixed point, so it comes back
-//     clean with the member lists its frontiers grew.
+//   - the push state of the frontier engines (pushState): their frontier
+//     pair, lane masks, lane frontiers and push accumulators, which drive
+//     takes once a batch and returns only from a batch that reached its fixed
+//     point, so it comes back clean with the member lists its frontiers grew.
 //
 // The zero Arena is empty and ready: nothing is allocated until a batch needs
 // it, and each structure stays at the largest size a batch has needed for as
@@ -66,18 +66,24 @@ func (a *Arena) releaseValues(v *queries.Values) {
 	}
 }
 
-// pushState is what a unified-frontier engine's push runs on: its frontier
-// pair, the lane masks of its design (Glign-Intra's changed-lane mask is
-// masks[0], Krill's pair and the hop lanes' both, and the hop lanes' seen
-// mask masks[2]) and its accumulators, one a pool slot's, nil until a batch's
-// push on the slot makes it. A batch hands it back only at its fixed point,
-// where it is clean: both frontiers empty, each mask all-zero over its whole
-// capacity (see laneMask; runUnified clears the seen mask) and, since every
-// push is followed by an Advance, each accumulator empty.
+// pushState is what a frontier engine's policy runs on: its frontier pair,
+// the lane masks of its design (Glign-Intra's changed-lane mask is masks[0],
+// Krill's pair and the hop lanes' both, and the hop lanes' seen mask
+// masks[2]), the lane frontiers of Ligra-C and GraphM, and its accumulators,
+// one a pool slot's, nil until a batch's push on the slot makes it. drive
+// hands it back only at a batch's fixed point, where it is clean: every
+// frontier empty, each mask all-zero over its whole capacity (see laneMask;
+// releasePush clears the seen mask) and, since every push is followed by an
+// Advance, each accumulator empty.
 type pushState struct {
 	cur, next *frontier.Subset
 	masks     [3]*laneMask
-	accs      []*frontier.Accumulator
+	// pairs backs the lane frontiers takeLanes hands out, as many pairs as
+	// the widest batch has needed.
+	pairs laneFrontiers
+	// seen is masks[2] while a hop batch holds it as its seen mask.
+	seen *laneMask
+	accs []*frontier.Accumulator
 	// level is the hop lanes' level row: each lane's value at the vertices
 	// it reaches in the current iteration, iter − Alignment[i].
 	level *queries.Values
@@ -114,6 +120,19 @@ func (s *pushState) takeMask(i, n, b int) *laneMask {
 	return s.takeWords(i, n, b)
 }
 
+// takeLanes returns b empty lane-frontier pairs over n vertices, resized as
+// takePush resizes the frontier pair.
+func (s *pushState) takeLanes(n, b int) laneFrontiers {
+	l := &s.pairs
+	for len(l.Cur) < b {
+		l.Cur, l.Next = append(l.Cur, frontier.New(n)), append(l.Next, frontier.New(n))
+	}
+	for i := range b {
+		l.Cur[i], l.Next[i] = l.Cur[i].Resized(n), l.Next[i].Resized(n)
+	}
+	return laneFrontiers{l.Cur[:b], l.Next[:b]}
+}
+
 // takeWords is takeMask with a mask at b = 1 too, as the hop lanes' seen
 // mask needs.
 func (s *pushState) takeWords(i, n, b int) *laneMask {
@@ -136,12 +155,19 @@ func (s *pushState) setLevel(alignment []int, iter int) {
 	}
 }
 
-// releasePush makes s the push state the next takePush finds. Only a clean
-// one may come back — one whose batch ended at its fixed point.
+// releasePush makes s the push state the next takePush finds. Only one
+// whose batch ended at its fixed point may come back: it is clean but for the
+// seen mask of a hop batch, a word a vertex at up to 64 lanes, which is
+// cleared here.
 func (a *Arena) releasePush(s *pushState) {
-	if a != nil {
-		a.push.Store(s)
+	if a == nil {
+		return
 	}
+	if s.seen != nil {
+		clear(s.seen.words)
+		s.seen = nil
+	}
+	a.push.Store(s)
 }
 
 // jacobiSlabs are the per-round state of one convergence batch, n·B cells

@@ -262,21 +262,10 @@ func (j *jacobi) pagerank(s *jacobiScratch, lo, hi int) (c counts) {
 }
 
 // sumRows sets acc[i], for every lane i of rows of len(acc) cells, to the sum
-// from zero of cell i of the rows of us, added in their order. Lanes go four
-// at a time, each summed in a register: a lane's sum is a chain of dependent
-// adds in a fixed order, and four chains in flight keep the adder busy where
-// a sum kept in acc would wait on its own store at every in-neighbor.
+// from zero of cell i of the rows of us, added in their order.
 func sumRows(acc, rows []queries.Value, us []graph.VertexID) {
-	b, i := len(acc), 0
-	for ; i+4 <= b; i += 4 {
-		var s0, s1, s2, s3 queries.Value
-		for _, u := range us {
-			r := rows[Cell(int(u), b, i):][:4]
-			s0, s1, s2, s3 = s0+r[0], s1+r[1], s2+r[2], s3+r[3]
-		}
-		acc[i], acc[i+1], acc[i+2], acc[i+3] = s0, s1, s2, s3
-	}
-	for ; i < b; i++ {
+	b := len(acc)
+	for i := range acc {
 		sum := queries.Value(0)
 		for _, u := range us {
 			sum += rows[Cell(int(u), b, i)]

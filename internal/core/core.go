@@ -180,10 +180,9 @@ type batchSetup struct {
 	// ceremony. OpCustom when there is no such kind.
 	rowKind  queries.OpKind
 	Identity []queries.Value
-	// Vals comes from arena (Options.Arena), which drive passes on to the
-	// result for BatchResult.Release.
-	Vals  *queries.Values
-	arena *Arena
+	// Vals comes from Options.Arena, which drive passes on to the result for
+	// BatchResult.Release.
+	Vals *queries.Values
 	// Alignment[i] = global iteration at which query i starts.
 	Alignment []int
 	Sources   []graph.VertexID
@@ -249,8 +248,7 @@ func prepareBatch(g *graph.Graph, batch []queries.Query, opt Options) (*batchSet
 	// pool's join).
 	pool := par.OrDefault(opt.Pool)
 	st.slots = pool.Slots(opt.Workers)
-	st.arena = opt.Arena
-	if st.Vals = st.arena.spareValues(n * b); st.Vals == nil {
+	if st.Vals = opt.Arena.spareValues(n * b); st.Vals == nil {
 		st.Vals = queries.Repeat(st.Identity, n)
 		return st, nil
 	}

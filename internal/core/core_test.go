@@ -434,8 +434,8 @@ func TestModelCountsMatchProduction(t *testing.T) {
 					if e == GlignIntra && c.hop {
 						checkHopCounts(t, g, c.batch, plain)
 						opt.Telemetry = newBatchTrace()
-						plain, err = drive(g, c.batch, opt, func(st *batchSetup) lanePolicy {
-							return newUnifiedPolicy(g, st, nil, unionOnly)
+						plain, err = drive(g, c.batch, opt, func(st *batchSetup, ps *pushState) lanePolicy {
+							return newUnifiedPolicy(g, st, ps, unionOnly)
 						}, -1)
 						if err != nil {
 							t.Fatal(err)

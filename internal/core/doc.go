@@ -42,9 +42,9 @@
 // changed; BatchResult hands the
 // results out per query (QueryValues) or all at once (AllQueryValues). With
 // Options.Arena set the array — with the Jacobi state and the push state of
-// the unified-frontier engines — passes from one batch of its owner to the
-// next (Arena; BatchResult.Release gives it back) instead of being allocated
-// per batch. With Options.Tracer set, drive runs a serial model of the
+// the frontier engines, which drive takes and gives back — passes from one
+// batch of its owner to the next (Arena; BatchResult.Release gives the array
+// back) instead of being allocated per batch. With Options.Tracer set, drive runs a serial model of the
 // policy's design (tracing.go) wrapped around the policy, so the production
 // bodies carry no tracer.
 //

@@ -46,16 +46,20 @@ type lanePolicy interface {
 // delayed-start injection, termination, iteration bookkeeping, the parallel
 // dispatch with its counter merge, and the telemetry record. What is relaxed
 // and how the next frontier is built is up to the policy made for the
-// prepared batch. query is the telemetry records' Query: -1 for a batch, the
-// lane for the one-query batches of runApart.
-func drive(g *graph.Graph, batch []queries.Query, opt Options, policy func(st *batchSetup) lanePolicy, query int) (*BatchResult, error) {
+// prepared batch on the push state drive takes from the arena, which it
+// hands back at the batch's fixed point (see pushState) and drops after a
+// MaxIterations stop, whose frontiers and masks may still hold members. query
+// is the telemetry records' Query: -1 for a batch, the lane for the one-query
+// batches of runApart.
+func drive(g *graph.Graph, batch []queries.Query, opt Options, policy func(st *batchSetup, ps *pushState) lanePolicy, query int) (*BatchResult, error) {
 	st, err := prepareBatch(g, batch, opt)
 	if err != nil {
 		return nil, err
 	}
-	res := &BatchResult{B: st.B, N: st.N, Values: st.Vals, arena: st.arena}
+	res := &BatchResult{B: st.B, N: st.N, Values: st.Vals, arena: opt.Arena}
 	pool := par.OrDefault(opt.Pool)
-	p, workers := traced(g, st, opt, policy(st))
+	ps := opt.Arena.takePush(st.N, st.slots)
+	p, workers := traced(g, st, opt, policy(st, ps))
 	// One closure for the whole run: each iteration only swaps the body in.
 	// Its chunks add their work to their slot's counts, which each iteration
 	// sums once they have joined.
@@ -73,8 +77,12 @@ func drive(g *graph.Graph, batch []queries.Query, opt Options, policy func(st *b
 		}
 		injected := started - first
 		s := p.Step()
-		if (s.Size == 0 && started == st.B) || (opt.MaxIterations > 0 && iter >= opt.MaxIterations) {
-			break
+		if s.Size == 0 && started == st.B {
+			opt.Arena.releasePush(ps)
+			return res, nil
+		}
+		if opt.MaxIterations > 0 && iter >= opt.MaxIterations {
+			return res, nil
 		}
 		res.GlobalIterations++
 		body = s.Body
@@ -100,7 +108,6 @@ func drive(g *graph.Graph, batch []queries.Query, opt Options, policy func(st *b
 			})
 		}
 	}
-	return res, nil
 }
 
 // add adds o to c.

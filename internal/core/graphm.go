@@ -55,10 +55,10 @@ func partitionRanges(g *graph.Graph, target int64) [][2]int {
 
 // Run has no Jacobi path: prepareBatch refuses a convergence kernel.
 func (e graphM) Run(g *graph.Graph, batch []queries.Query, opt Options) (*BatchResult, error) {
-	return drive(g, batch, opt, func(st *batchSetup) lanePolicy {
+	return drive(g, batch, opt, func(st *batchSetup, ps *pushState) lanePolicy {
 		return &graphmPolicy{
 			g: g, st: st, parts: partitionRanges(g, e.partitionBytes),
-			laneFrontiers: newLaneFrontiers(st.N, st.B),
+			laneFrontiers: ps.takeLanes(st.N, st.B),
 			active:        make([][]graph.VertexID, st.B),
 		}
 	}, -1)

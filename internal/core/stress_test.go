@@ -135,9 +135,10 @@ func TestConcurrentBatchStress(t *testing.T) {
 }
 
 // checkArenaPushClean holds the arena's push state to its invariant (see
-// pushState): both frontiers empty, their bitmaps and each mask all-zero over
-// their whole capacity, and each accumulator a slot made empty — merging it
-// into an empty subset over the frontiers' universe adds nothing.
+// pushState): every frontier empty, the lane frontiers' included, their
+// bitmaps and each mask all-zero over their whole capacity, and each
+// accumulator a slot made empty — merging it into an empty subset over the
+// frontiers' universe adds nothing.
 func checkArenaPushClean(t *testing.T, a *Arena) {
 	t.Helper()
 	if a == nil {
@@ -159,6 +160,10 @@ func checkArenaPushClean(t *testing.T, a *Arena) {
 	}
 	for _, f := range []*frontier.Subset{s.cur, s.next} {
 		zero("a recycled frontier", f.Words())
+	}
+	for i := range s.pairs.Cur {
+		zero(fmt.Sprintf("recycled lane frontier Cur[%d]", i), s.pairs.Cur[i].Words())
+		zero(fmt.Sprintf("recycled lane frontier Next[%d]", i), s.pairs.Next[i].Words())
 	}
 	for i, m := range s.masks {
 		if m != nil {
@@ -457,6 +462,49 @@ func TestArenaRecycledStateCorners(t *testing.T) {
 				}
 			})
 
+			// Every design on one arena, each batch of another width than the
+			// one before: Ligra-C and GraphM share the lane frontiers, Krill
+			// and the hop lanes the masks, and a capped GraphM batch, whose
+			// lane frontiers still hold members, must drop them — the Ligra-C
+			// batch after it would read them as active.
+			t.Run("designs", func(t *testing.T) {
+				arena := new(Arena)
+				bfs := stressBatch(64)
+				for i := range bfs {
+					bfs[i].Kernel = queries.BFS
+				}
+				for _, leg := range []struct {
+					e     Engine
+					batch []queries.Query
+				}{{LigraC, stressBatch(65)}, {GraphM, stressBatch(3)}, {GlignIntra, bfs}, {Krill, stressBatch(16)}} {
+					runOnArena(t, arena, g, leg.batch, leg.e, Options{Workers: 3})
+					checkArenaPushClean(t, arena)
+				}
+				capped := Options{Workers: 1, MaxIterations: 2}
+				fresh, err := GraphM.Run(g, stressBatch(70), capped)
+				if err != nil {
+					t.Fatal(err)
+				}
+				capped.Arena = arena
+				recycled, err := GraphM.Run(g, stressBatch(70), capped)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < fresh.Values.Len(); i++ {
+					if got, want := recycled.Values.Get(i), fresh.Values.Get(i); got != want {
+						t.Fatalf("a capped GraphM batch on a recycled arena has cell %d = %v, on none %v", i, got, want)
+					}
+				}
+				recycled.Release()
+				if arena.push.Load() != nil {
+					t.Fatal("a capped GraphM batch handed its push state back")
+				}
+				runOnArena(t, arena, g, stressBatch(2), LigraC, Options{Workers: 3})
+				checkArenaPushClean(t, arena)
+				runOnArena(t, arena, g, uniform(5), GlignIntra, Options{Workers: 3})
+				checkArenaPushClean(t, arena)
+			})
+
 			t.Run("capped-then-full", func(t *testing.T) {
 				arena := new(Arena)
 				for _, batch := range [][]queries.Query{stressBatch(13), pagerank} {
@@ -500,7 +548,8 @@ func TestArenaRecycledStateCorners(t *testing.T) {
 					go func(i int) {
 						defer wg.Done()
 						for rep := 0; rep < 3; rep++ {
-							runOnArena(t, arena, g, stressBatch(5+8*((i+rep)%2)), GlignIntra, Options{Workers: 2})
+							e := []Engine{GlignIntra, LigraC, GraphM}[(i+rep)%3]
+							runOnArena(t, arena, g, stressBatch(5+8*((i+rep)%2)), e, Options{Workers: 2})
 							runOnArena(t, arena, g, pagerank[:2+(i+rep)%2], GlignIntra, Options{Workers: 2})
 						}
 					}(i)

@@ -80,34 +80,16 @@ func runUnified(g *graph.Graph, batch []queries.Query, opt Options, d design, qu
 	if queries.AnyConvergent(batch) {
 		return runJacobi(g, batch, opt, query)
 	}
-	var p *unifiedPolicy
-	res, err := drive(g, batch, opt, func(st *batchSetup) lanePolicy {
+	return drive(g, batch, opt, func(st *batchSetup, ps *pushState) lanePolicy {
 		if d == unionOnly && opt.Tracer == nil && len(st.groups) == 1 && st.groups[0].kind == queries.OpBFS {
 			d = hopLanes
 		}
-		p = newUnifiedPolicy(g, st, opt.Arena, d)
-		return p
+		return newUnifiedPolicy(g, st, ps, d)
 	}, query)
-	// At a fixed point the push state is clean but for the hop lanes' seen
-	// mask, a word a vertex at up to 64 lanes, which is cleared, and serves
-	// the next batch; a capped run can stop with members in its frontier and
-	// bits in its masks, so its state is dropped. drive's last act is a Step,
-	// so active holds the members the run stopped with.
-	if p != nil && len(p.active) == 0 && opt.Arena != nil {
-		if p.seen != nil {
-			clear(p.seen.words)
-		}
-		opt.Arena.releasePush(p.pushState)
-	}
-	return res, err
 }
 
-func newUnifiedPolicy(g *graph.Graph, st *batchSetup, arena *Arena, d design) *unifiedPolicy {
-	p := &unifiedPolicy{
-		g: g, st: st, design: d,
-		pushState: arena.takePush(st.N, st.slots),
-		scratch:   make([]*laneScratch, st.slots),
-	}
+func newUnifiedPolicy(g *graph.Graph, st *batchSetup, ps *pushState, d design) *unifiedPolicy {
+	p := &unifiedPolicy{g: g, st: st, design: d, pushState: ps, scratch: make([]*laneScratch, st.slots)}
 	switch d {
 	case unionOnly:
 		p.mask = p.takeMask(0, st.N, st.B)
@@ -115,7 +97,7 @@ func newUnifiedPolicy(g *graph.Graph, st *batchSetup, arena *Arena, d design) *u
 	case queryMasks, hopLanes:
 		p.mask, p.nextMask = p.takeMask(0, st.N, st.B), p.takeMask(1, st.N, st.B)
 	case twoLevels:
-		p.lanes = newLaneFrontiers(st.N, st.B)
+		p.lanes = ps.takeLanes(st.N, st.B)
 	}
 	p.body = p.push
 	if d == hopLanes {
@@ -131,8 +113,8 @@ func newUnifiedPolicy(g *graph.Graph, st *batchSetup, arena *Arena, d design) *u
 // the affinity analyses of internal/align are computed from.
 func Frontiers(g *graph.Graph, q queries.Query, workers int) ([]*frontier.Subset, error) {
 	var rec *recorder
-	res, err := drive(g, []queries.Query{q}, Options{Workers: workers}, func(st *batchSetup) lanePolicy {
-		rec = &recorder{unifiedPolicy: newUnifiedPolicy(g, st, nil, unionOnly)}
+	res, err := drive(g, []queries.Query{q}, Options{Workers: workers}, func(st *batchSetup, ps *pushState) lanePolicy {
+		rec = &recorder{unifiedPolicy: newUnifiedPolicy(g, st, ps, unionOnly)}
 		return rec
 	}, -1)
 	if err != nil {
@@ -169,10 +151,7 @@ type unifiedPolicy struct {
 	lanes          laneFrontiers                 // Ligra-C's
 	scratch        []*laneScratch                // a pool slot's, made on the slot's first push; its next is accs[slot]
 	body           func(slot, lo, hi int) counts // push or hopPush, bound once: a method value allocates
-	// The hop lanes' (see hopPush): the lanes that have reached each vertex
-	// and the iterations Advance has run.
-	seen *laneMask
-	iter int
+	iter           int                           // the iterations Advance has run, on hop lanes
 }
 
 func (p *unifiedPolicy) Inject(src graph.VertexID, lane int) {
@@ -326,15 +305,6 @@ func (p *unifiedPolicy) hopPush(slot, lo, hi int) counts {
 // iteration's.
 type laneFrontiers struct {
 	Cur, Next []*frontier.Subset
-}
-
-// newLaneFrontiers returns b empty frontier pairs over n vertices.
-func newLaneFrontiers(n, b int) laneFrontiers {
-	l := laneFrontiers{make([]*frontier.Subset, b), make([]*frontier.Subset, b)}
-	for i := range l.Cur {
-		l.Cur[i], l.Next[i] = frontier.New(n), frontier.New(n)
-	}
-	return l
 }
 
 // Inject activates src for lane.
